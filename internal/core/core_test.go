@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -71,11 +73,8 @@ func TestDBAddRunMergesNodes(t *testing.T) {
 	if db.SampleCount("w") != 2 {
 		t.Fatalf("sample count = %d", db.SampleCount("w"))
 	}
-	if got := db.Schemes("w", "a"); len(got) != 2 {
-		t.Fatalf("schemes = %v", got)
-	}
-	if len(db.SamplesFor("w", "a", "hash")) != 1 {
-		t.Fatalf("hash samples missing")
+	if len(db.SamplesFor("w", "a", "hash")) != 1 || len(db.SamplesFor("w", "a", "range")) != 1 {
+		t.Fatalf("hash or range samples missing")
 	}
 	if db.SamplesFor("nope", "a", "hash") != nil || db.Nodes("nope") != nil {
 		t.Fatalf("unknown workload should be empty")
@@ -330,7 +329,7 @@ func TestCostWithSchemeFallback(t *testing.T) {
 	seedStage(db, "w", "s1", "hash", 400, 60, 2e-4, StageObservation{})
 	o := NewOptimizer(db)
 	// Requesting range cost where only hash data exists must fall back.
-	c, err := o.costWithScheme("w", "s1", 10e9, rdd.SchemeRange, 400)
+	c, err := o.newPass("w").costWithScheme("s1", 10e9, rdd.SchemeRange, 400)
 	if err != nil || c <= 0 {
 		t.Fatalf("fallback failed: %v %v", c, err)
 	}
@@ -400,5 +399,113 @@ func TestExplainFixedStageNotes(t *testing.T) {
 	}
 	if !strings.Contains(ex.Stages[0].Note, "gamma") {
 		t.Fatalf("note should mention the gamma gate: %q", ex.Stages[0].Note)
+	}
+}
+
+// TestGenerationMovesOnMutationOnly pins the stamp contract the serving
+// read path invalidates on: AddRun moves the touched workload's generation
+// only, ReplaceAll moves every workload's (even when the incoming DB carries
+// larger stamps of its own, as a bootstrap image replayed through AddRun
+// does), reads move nothing, and no stamp repeats.
+func TestGenerationMovesOnMutationOnly(t *testing.T) {
+	db := NewDB()
+	seen := map[uint64]bool{db.Generation("w"): true}
+	step := func(what string) {
+		t.Helper()
+		g := db.Generation("w")
+		if seen[g] {
+			t.Fatalf("%s: generation %d of w was already handed out", what, g)
+		}
+		seen[g] = true
+	}
+	db.AddRun("w", 100, []StageObservation{{Signature: "a", Partitioner: "hash", D: 50, P: 10, Texe: 1}})
+	step("AddRun")
+
+	other := db.Generation("other")
+	g := db.Generation("w")
+	_ = db.Nodes("w")
+	_ = db.SamplesFor("w", "a", "hash")
+	_ = db.RunCount("w") + db.SampleCount("w") + db.OccurrencesPerRun("w", "a")
+	if _, err := db.MarshalSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if clone := db.CloneWorkload("w"); clone.Generation("w") != g || clone.RunCount("w") != 1 {
+		t.Fatalf("clone carries generation %d and %d runs, want %d and 1", clone.Generation("w"), clone.RunCount("w"), g)
+	}
+	if db.Generation("w") != g {
+		t.Fatal("a read moved the generation")
+	}
+	db.AddRun("w", 100, []StageObservation{{Signature: "a", Partitioner: "hash", D: 50, P: 20, Texe: 1}})
+	step("second AddRun")
+	if db.Generation("other") != other {
+		t.Fatal("AddRun on w moved another workload's generation")
+	}
+
+	src := NewDB()
+	for i := 0; i < 10; i++ { // src's own stamps run ahead of db's
+		src.AddRun("w", 100, []StageObservation{{Signature: "a", Partitioner: "hash", D: 50, P: 10, Texe: 1}})
+	}
+	db.ReplaceAll(src)
+	step("ReplaceAll")
+	if db.Generation("other") == other {
+		t.Fatal("ReplaceAll left a workload's generation in place")
+	}
+	db.AddRun("w", 100, []StageObservation{{Signature: "a", Partitioner: "hash", D: 50, P: 30, Texe: 1}})
+	step("AddRun after ReplaceAll")
+}
+
+// TestGenerationIsNotSerialised: two DBs with the same data and different
+// mutation histories marshal to the same bytes.
+func TestGenerationIsNotSerialised(t *testing.T) {
+	a := NewDB()
+	seedStage(a, "w", "s1", "hash", 400, 60, 2e-4, StageObservation{})
+	path := filepath.Join(t.TempDir(), "db.json")
+	if err := a.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadDB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Generation("w") == b.Generation("w") {
+		t.Fatal("test needs two different generation histories")
+	}
+	ab, _ := a.MarshalSnapshot()
+	bb, _ := b.MarshalSnapshot()
+	if !bytes.Equal(ab, bb) {
+		t.Fatal("snapshot bytes depend on the generation history")
+	}
+	for _, word := range []string{"seq", "touched", "replacedAt"} {
+		if bytes.Contains(ab, []byte(word)) {
+			t.Fatalf("snapshot mentions %q", word)
+		}
+	}
+}
+
+// TestOptimizerReadsTheDBOfEachCall: the per-pass memo must not outlive the
+// call, or an Optimizer held over a live DB (Tuner) would answer from data
+// it read before the last AddRun.
+func TestOptimizerReadsTheDBOfEachCall(t *testing.T) {
+	db := NewDB()
+	seedStage(db, "w", "s1", "hash", 400, 60, 2e-4, StageObservation{})
+	held := NewOptimizer(db)
+	before, err := held.GetGlobalPar("w", 20e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStage(db, "w", "s1", "hash", 1200, 5, 2e-4, StageObservation{})
+	got, err := held.GetGlobalPar("w", 20e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewOptimizer(db).GetGlobalPar("w", 20e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("held optimizer answered %+v, a fresh one %+v", got, want)
+	}
+	if reflect.DeepEqual(got, before) {
+		t.Fatal("test needs the second seeding to change the answer")
 	}
 }

@@ -60,22 +60,30 @@ type WorkloadData struct {
 // workload and stage signature.
 //
 // Locking contract: a DB is safe for concurrent use by multiple goroutines.
-// AddRun is the only mutator and takes the write lock; every accessor takes
-// the read lock and returns data the caller owns — Nodes deep-copies the
-// stage nodes and SamplesFor copies the sample slice, so no caller ever
-// holds a reference into live DB state (copy-on-read). Long read-mostly
-// pipelines (the optimizer behind a recommend endpoint) should take one
-// CloneWorkload snapshot up front and run lock-free on the clone, so they
-// never block behind — or are blocked by — concurrent training writes.
+// AddRun and ReplaceAll are the only mutators and take the write lock; every
+// accessor takes the read lock and returns data the caller owns — Nodes
+// deep-copies the stage nodes and SamplesFor copies the sample slice, so no
+// caller ever holds a reference into live DB state (copy-on-read). Long
+// read-mostly pipelines (the optimizer behind a recommend endpoint) should
+// take one CloneWorkload snapshot, run lock-free on the clone, and keep it
+// for as long as Generation still reports the clone's stamp, so they never
+// block behind — or are blocked by — concurrent training writes.
 type DB struct {
 	mu        sync.RWMutex
 	observer  func(workload string, workloadInputBytes float64, obs []StageObservation)
 	Workloads map[string]*WorkloadData `json:"workloads"`
+
+	// seq counts mutations (AddRun, ReplaceAll); touched is its value at each
+	// workload's last AddRun and replacedAt its value at the last ReplaceAll
+	// (see Generation). All three are process-local and never serialised, so
+	// snapshot and journal bytes do not depend on them.
+	seq, replacedAt uint64
+	touched         map[string]uint64
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{Workloads: map[string]*WorkloadData{}}
+	return &DB{Workloads: map[string]*WorkloadData{}, touched: map[string]uint64{}}
 }
 
 func (db *DB) workload(name string) *WorkloadData {
@@ -122,6 +130,8 @@ func (db *DB) AddRun(workload string, workloadInputBytes float64, obs []StageObs
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	wd := db.workload(workload)
+	db.seq++
+	db.touched[workload] = db.seq
 	wd.Runs++
 	for _, o := range obs {
 		node := wd.node(o.Signature)
@@ -226,23 +236,6 @@ func (db *DB) SamplesFor(workload, sig, scheme string) []model.Sample {
 	return append([]model.Sample(nil), ss...)
 }
 
-// Schemes lists the partitioner schemes with observations for a stage.
-func (db *DB) Schemes(workload, sig string) []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	wd, ok := db.Workloads[workload]
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, s := range []string{"hash", "range", "input"} {
-		if len(wd.Samples[sig][s]) > 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // RunCount reports how many profiled executions the workload has.
 func (db *DB) RunCount(workload string) int {
 	db.mu.RLock()
@@ -291,15 +284,33 @@ func (db *DB) SampleCount(workload string) int {
 	return n
 }
 
+// Generation reports a stamp that changes whenever the workload's data
+// does: every AddRun on that workload and every ReplaceAll moves it, reads
+// and writes to other workloads never do. It is O(1), so a reader holding a
+// CloneWorkload snapshot can ask whether the snapshot is still current
+// without copying anything. Stamps are process-local: they order mutations
+// of one DB and mean nothing across processes or restarts.
+func (db *DB) Generation(workload string) uint64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if t := db.touched[workload]; t > db.replacedAt {
+		return t
+	}
+	return db.replacedAt
+}
+
 // CloneWorkload returns a new DB holding an independent deep copy of one
 // workload's data (empty if the workload is unknown). It holds the read
 // lock only for the copy; the returned DB is private to the caller, so
 // running the optimizer over it never contends with concurrent AddRun
-// writers — the copy-on-read snapshot behind the recommend endpoints.
+// writers — the copy-on-read snapshot behind the recommend endpoints. The
+// clone carries the source's stamp, captured under the same read-lock hold
+// as the copy: clone.Generation(workload) is the generation copied.
 func (db *DB) CloneWorkload(workload string) *DB {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	out := NewDB()
+	out.seq, out.replacedAt, out.touched[workload] = db.seq, db.replacedAt, db.touched[workload]
 	wd, ok := db.Workloads[workload]
 	if !ok {
 		return out
@@ -393,10 +404,13 @@ func normalizeDB(db *DB) {
 // takes ownership of it — the caller must not touch src afterwards. This is
 // the replica bootstrap path: the observer is deliberately not invoked (the
 // records behind src are already durable in the shipped journal, so
-// re-journaling them here would double them on replay).
+// re-journaling them here would double them on replay). Every workload's
+// Generation changes, including workloads that src no longer holds.
 func (db *DB) ReplaceAll(src *DB) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.seq++
+	db.replacedAt = db.seq
 	//lint:ignore journalorder bootstrap swap: the records behind src are already durable in the shipped journal; re-journaling would double them on replay
 	db.Workloads = src.Workloads //lint:ignore lockcontract src is exclusively owned by the caller (ownership transfer), never shared
 }

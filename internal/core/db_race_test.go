@@ -52,7 +52,7 @@ func TestDBConcurrentAddRunAndReads(t *testing.T) {
 					_ = len(n.ParentSigs)
 				}
 				_ = db.SamplesFor("wl", "stage-a", "hash")
-				_ = db.Schemes("wl", "stage-b")
+				_ = db.Generation("wl")
 				_ = db.OccurrencesPerRun("wl", "stage-a")
 				_ = db.SampleCount("wl")
 				_ = db.RunCount("wl")

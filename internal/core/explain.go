@@ -30,11 +30,12 @@ type Explanation struct {
 // Explain runs the global optimizer and reports, per stage, the data it had
 // and the decision it made — the human-readable companion to GenerateConfig.
 func (o *Optimizer) Explain(workload string, workloadInput float64) (*Explanation, error) {
-	nodes := o.DB.Nodes(workload)
+	p := o.newPass(workload)
+	nodes := p.nodes
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("core: no DAG information for workload %q", workload)
 	}
-	schemes, err := o.GetGlobalPar(workload, workloadInput)
+	schemes, err := p.globalPar(workloadInput)
 	if err != nil {
 		return nil, err
 	}
@@ -61,13 +62,15 @@ func (o *Optimizer) Explain(workload string, workloadInput float64) (*Explanatio
 		se := StageExplanation{
 			Signature: n.Signature,
 			Name:      n.Name,
-			Schemes:   o.DB.Schemes(workload, n.Signature),
 			Group:     groupOf[n.Signature],
 			GroupSize: groupSize[n.Signature],
 			Fixed:     n.Fixed,
 		}
-		for _, scheme := range se.Schemes {
-			se.Samples += len(o.DB.SamplesFor(workload, n.Signature, scheme))
+		for _, scheme := range []string{"hash", "range", "input"} {
+			if k := len(p.samplesFor(n.Signature, scheme)); k > 0 {
+				se.Schemes = append(se.Schemes, scheme)
+				se.Samples += k
+			}
 		}
 		if d, ok := bySig[n.Signature]; ok {
 			se.Decision = d

@@ -68,19 +68,25 @@ type Optimizer struct {
 	OnViolation func(workload string, vs []SchemeViolation) error
 }
 
+// defaultCandidates is the default search grid, 10..2000 in steps of 10. It
+// is shared by every Optimizer and never written after init.
+var defaultCandidates = func() []int {
+	out := make([]int, 0, 200)
+	for p := 10; p <= 2000; p += 10 {
+		out = append(out, p)
+	}
+	return out
+}()
+
 // NewOptimizer returns an optimizer with the paper's default settings.
 func NewOptimizer(db *DB) *Optimizer {
-	var candidates []int
-	for p := 10; p <= 2000; p += 10 {
-		candidates = append(candidates, p)
-	}
 	return &Optimizer{
 		DB:                      db,
 		Alpha:                   0.5,
 		Beta:                    0.5,
 		Gamma:                   1.5,
 		DefaultParallelism:      300,
-		Candidates:              candidates,
+		Candidates:              defaultCandidates,
 		Features:                model.FullFeatures,
 		Ridge:                   1e-6,
 		RepartitionPassFraction: 0.5,
@@ -88,25 +94,79 @@ func NewOptimizer(db *DB) *Optimizer {
 	}
 }
 
+// pass is one optimization pass over one workload: the stage nodes and sample
+// sets are read from the DB once, and each (stage, scheme, d) model is fitted
+// once however many of Algorithms 1-3's steps ask for it. Every exported
+// entry point starts a fresh pass, so an Optimizer holds no state between
+// calls: over a live DB (Tuner) each call sees the data of its own moment,
+// and concurrent calls on one Optimizer are independent.
+type pass struct {
+	*Optimizer
+	workload string
+	nodes    []*StageNode
+	bySig    map[string]*StageNode
+	samples  map[[2]string][]model.Sample // by (signature, scheme)
+	fits     map[fitKey]fitResult
+}
+
+type fitKey struct {
+	sig, scheme string
+	d           float64
+}
+
+type fitResult struct {
+	sm  *model.StageModels
+	err error
+}
+
+func (o *Optimizer) newPass(workload string) *pass {
+	p := &pass{
+		Optimizer: o,
+		workload:  workload,
+		nodes:     o.DB.Nodes(workload),
+		samples:   map[[2]string][]model.Sample{},
+		fits:      map[fitKey]fitResult{},
+	}
+	p.bySig = make(map[string]*StageNode, len(p.nodes))
+	for _, n := range p.nodes {
+		p.bySig[n.Signature] = n
+	}
+	return p
+}
+
+// samplesFor is DB.SamplesFor, copied out of the DB once per pass.
+func (p *pass) samplesFor(sig, scheme string) []model.Sample {
+	k := [2]string{sig, scheme}
+	ss, ok := p.samples[k]
+	if !ok {
+		ss = p.DB.SamplesFor(p.workload, sig, scheme)
+		p.samples[k] = ss
+	}
+	return ss
+}
+
 // referenceFor returns the Eq. 3 normalization references of a stage: the
 // predicted texe and sshuffle of the DEFAULT configuration (the default
 // scheme at the default parallelism). Both partitioner candidates of
 // Algorithm 1 normalize against this one reference, so their costs are
 // directly comparable.
-func (o *Optimizer) referenceFor(workload, sig string, d float64, defaultScheme string) (refT, refS float64, err error) {
-	order := []string{defaultScheme, "hash", "input", "range"}
+func (p *pass) referenceFor(sig string, d float64) (refT, refS float64, err error) {
+	order := []string{"", "hash", "input", "range"}
+	if n := p.bySig[sig]; n != nil {
+		order[0] = n.DefaultScheme
+	}
 	var lastErr error
 	for _, scheme := range order {
 		if scheme == "" {
 			continue
 		}
-		sm, err := o.fitScheme(workload, sig, scheme, d)
+		sm, err := p.fitScheme(sig, scheme, d)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		p := float64(o.DefaultParallelism)
-		return sm.Texe.Predict(d, p), sm.Shuffle.Predict(d, p), nil
+		dp := float64(p.DefaultParallelism)
+		return sm.Texe.Predict(d, dp), sm.Shuffle.Predict(d, dp), nil
 	}
 	return 0, 0, lastErr
 }
@@ -117,8 +177,12 @@ func (o *Optimizer) referenceFor(workload, sig string, d float64, defaultScheme 
 // so mixing distant sizes distorts the partition-count profile at the
 // operating point (the paper's model shares this coarseness; CHOPPER
 // decides "based on the current statistics").
-func (o *Optimizer) fitScheme(workload, sig, scheme string, d float64) (*model.StageModels, error) {
-	samples := o.DB.SamplesFor(workload, sig, scheme)
+func (p *pass) fitScheme(sig, scheme string, d float64) (*model.StageModels, error) {
+	k := fitKey{sig, scheme, d}
+	if r, ok := p.fits[k]; ok {
+		return r.sm, r.err
+	}
+	samples := p.samplesFor(sig, scheme)
 	if d > 0 {
 		var local []model.Sample
 		for _, s := range samples {
@@ -130,17 +194,25 @@ func (o *Optimizer) fitScheme(workload, sig, scheme string, d float64) (*model.S
 			samples = local
 		}
 	}
+	var r fitResult
 	if len(samples) < model.MinSamples {
-		return nil, fmt.Errorf("core: stage %s has %d %q samples, need %d",
+		r.err = fmt.Errorf("core: stage %s has %d %q samples, need %d",
 			sig, len(samples), scheme, model.MinSamples)
+	} else {
+		r.sm, r.err = model.FitStage(samples, p.Features, p.Ridge)
 	}
-	return model.FitStage(samples, o.Features, o.Ridge)
+	p.fits[k] = r
+	return r.sm, r.err
 }
 
 // GetStagePar implements Algorithm 1: it trains the range- and hash-
 // partitioner models of a stage and returns the partitioner and count with
 // the minimum predicted cost for input size d.
 func (o *Optimizer) GetStagePar(workload, sig string, d float64) (Scheme, error) {
+	return o.newPass(workload).stagePar(sig, d)
+}
+
+func (p *pass) stagePar(sig string, d float64) (Scheme, error) {
 	type attempt struct {
 		name rdd.SchemeName
 		db   string
@@ -153,30 +225,26 @@ func (o *Optimizer) GetStagePar(workload, sig string, d float64) (Scheme, error)
 		// sources).
 		{rdd.SchemeHash, "input"},
 	}
-	defScheme := ""
-	if n := o.nodeFor(workload, sig); n != nil {
-		defScheme = n.DefaultScheme
-	}
-	refT, refS, refErr := o.referenceFor(workload, sig, d, defScheme)
+	refT, refS, refErr := p.referenceFor(sig, d)
 	if refErr != nil {
 		return Scheme{}, fmt.Errorf("core: GetStagePar(%s): %w", sig, refErr)
 	}
 	best := Scheme{Cost: math.Inf(1)}
 	var lastErr error
 	for _, at := range attempts {
-		sm, err := o.fitScheme(workload, sig, at.db, d)
+		sm, err := p.fitScheme(sig, at.db, d)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		cands := o.candidatesWithin(workload, sig, at.db)
-		p, cost, err := sm.MinimizeCostWithRef(d, cands, refT, refS, o.Alpha, o.Beta)
+		cands := p.candidatesWithin(sig, at.db)
+		n, cost, err := sm.MinimizeCostWithRef(d, cands, refT, refS, p.Alpha, p.Beta)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		if cost < best.Cost {
-			best = Scheme{Partitioner: at.name, NumPartitions: p, Cost: cost}
+			best = Scheme{Partitioner: at.name, NumPartitions: n, Cost: cost}
 		}
 	}
 	if best.NumPartitions == 0 {
@@ -191,10 +259,9 @@ func (o *Optimizer) GetStagePar(workload, sig string, d float64) (Scheme, error)
 // candidatesWithin restricts the search grid to the partition-count range
 // actually observed for (sig, scheme): the cubic basis extrapolates wildly
 // outside the sampled range (predictions clamp to zero and look free).
-func (o *Optimizer) candidatesWithin(workload, sig, scheme string) []int {
-	samples := o.DB.SamplesFor(workload, sig, scheme)
+func (p *pass) candidatesWithin(sig, scheme string) []int {
 	lo, hi := math.Inf(1), 0.0
-	for _, s := range samples {
+	for _, s := range p.samplesFor(sig, scheme) {
 		if s.P < lo {
 			lo = s.P
 		}
@@ -202,54 +269,33 @@ func (o *Optimizer) candidatesWithin(workload, sig, scheme string) []int {
 			hi = s.P
 		}
 	}
-	if hi == 0 {
-		return o.Candidates
-	}
 	var out []int
-	for _, c := range o.Candidates {
-		if float64(c) >= lo && float64(c) <= hi {
-			out = append(out, c)
+	if hi > 0 {
+		for _, c := range p.Candidates {
+			if float64(c) >= lo && float64(c) <= hi {
+				out = append(out, c)
+			}
 		}
 	}
 	if len(out) == 0 {
-		return o.Candidates
+		return p.Candidates
 	}
 	return out
-}
-
-// nodeFor looks up the DAG node of a stage signature.
-func (o *Optimizer) nodeFor(workload, sig string) *StageNode {
-	for _, n := range o.DB.Nodes(workload) {
-		if n.Signature == sig {
-			return n
-		}
-	}
-	return nil
 }
 
 // costWithScheme evaluates Eq. 3 for a stage forced to a given scheme and
 // count, falling back across schemes when the requested one has no models.
 // Normalization uses the stage's single default-configuration reference.
-func (o *Optimizer) costWithScheme(workload, sig string, d float64, scheme rdd.SchemeName, p int) (float64, error) {
-	defScheme := ""
-	if n := o.nodeFor(workload, sig); n != nil {
-		defScheme = n.DefaultScheme
-	}
-	refT, refS, err := o.referenceFor(workload, sig, d, defScheme)
+func (p *pass) costWithScheme(sig string, d float64, scheme rdd.SchemeName, n int) (float64, error) {
+	refT, refS, err := p.referenceFor(sig, d)
 	if err != nil {
 		return 0, err
 	}
-	order := []string{string(scheme), "hash", "range", "input"}
-	var lastErr error
-	for _, dbScheme := range order {
-		sm, err := o.fitScheme(workload, sig, dbScheme, d)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return model.Cost(sm.Texe.Predict(d, float64(p)), sm.Shuffle.Predict(d, float64(p)), refT, refS, o.Alpha, o.Beta), nil
+	sm, _, err := p.memberModels(sig, scheme, d)
+	if err != nil {
+		return 0, err
 	}
-	return 0, lastErr
+	return model.Cost(sm.Texe.Predict(d, float64(n)), sm.Shuffle.Predict(d, float64(n)), refT, refS, p.Alpha, p.Beta), nil
 }
 
 // stageInput projects the workload input size onto one stage.
@@ -264,13 +310,13 @@ func stageInput(n *StageNode, workloadInput float64) float64 {
 // GetWorkloadPar implements Algorithm 2: the naive per-stage optimum,
 // ignoring inter-stage dependencies.
 func (o *Optimizer) GetWorkloadPar(workload string, workloadInput float64) ([]StageScheme, error) {
-	nodes := o.DB.Nodes(workload)
-	if len(nodes) == 0 {
+	p := o.newPass(workload)
+	if len(p.nodes) == 0 {
 		return nil, fmt.Errorf("core: no DAG information for workload %q", workload)
 	}
 	var out []StageScheme
-	for _, n := range nodes {
-		s, err := o.GetStagePar(workload, n.Signature, stageInput(n, workloadInput))
+	for _, n := range p.nodes {
+		s, err := p.stagePar(n.Signature, stageInput(n, workloadInput))
 		if err != nil {
 			continue // stages without enough data keep their defaults
 		}
@@ -279,7 +325,7 @@ func (o *Optimizer) GetWorkloadPar(workload string, workloadInput float64) ([]St
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: no stage of %q has enough samples", workload)
 	}
-	if err := o.checkSchemes(workload, out, false); err != nil {
+	if err := p.checkSchemes(out, false); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -352,11 +398,11 @@ func regroupDAG(nodes []*StageNode) []group {
 // a preferred scheme, with cross-scheme fallback.
 // It also reports which DB scheme the fit used, so candidate clamping can
 // look at the same sample set.
-func (o *Optimizer) memberModels(workload, sig string, scheme rdd.SchemeName, d float64) (*model.StageModels, string, error) {
+func (p *pass) memberModels(sig string, scheme rdd.SchemeName, d float64) (*model.StageModels, string, error) {
 	order := []string{string(scheme), "hash", "range", "input"}
 	var lastErr error
 	for _, dbScheme := range order {
-		sm, err := o.fitScheme(workload, sig, dbScheme, d)
+		sm, err := p.fitScheme(sig, dbScheme, d)
 		if err == nil {
 			return sm, dbScheme, nil
 		}
@@ -371,7 +417,7 @@ func (o *Optimizer) memberModels(workload, sig string, scheme rdd.SchemeName, d 
 // over all members, normalized by the group's totals under the default
 // configuration — so one stage's dominance is weighted by its actual
 // magnitude, not flattened by per-stage normalization.
-func (o *Optimizer) getSubGraphPar(workload string, g group, workloadInput float64) (Scheme, error) {
+func (p *pass) getSubGraphPar(g group, workloadInput float64) (Scheme, error) {
 	type member struct {
 		n        *StageNode
 		d        float64
@@ -384,13 +430,13 @@ func (o *Optimizer) getSubGraphPar(workload string, g group, workloadInput float
 		var members []member
 		for _, n := range g.members {
 			d := stageInput(n, workloadInput)
-			sm, dbScheme, err := o.memberModels(workload, n.Signature, scheme, d)
+			sm, dbScheme, err := p.memberModels(n.Signature, scheme, d)
 			if err != nil {
 				continue
 			}
 			members = append(members, member{
 				n: n, d: d,
-				w:        float64(o.DB.OccurrencesPerRun(workload, n.Signature)),
+				w:        float64(p.DB.OccurrencesPerRun(p.workload, n.Signature)),
 				sm:       sm,
 				dbScheme: dbScheme,
 			})
@@ -400,36 +446,36 @@ func (o *Optimizer) getSubGraphPar(workload string, g group, workloadInput float
 		}
 		// The group objective works in time units: shuffle bytes convert to
 		// seconds so each term's weight reflects its actual magnitude.
-		bw := o.ShuffleBytesPerSec
+		bw := p.ShuffleBytesPerSec
 		if bw <= 0 {
 			bw = 3e9
 		}
 		var refCost float64
 		for _, m := range members {
-			refCost += m.w * (o.Alpha*m.sm.Texe.Predict(m.d, float64(o.DefaultParallelism)) +
-				o.Beta*m.sm.Shuffle.Predict(m.d, float64(o.DefaultParallelism))/bw)
+			refCost += m.w * (p.Alpha*m.sm.Texe.Predict(m.d, float64(p.DefaultParallelism)) +
+				p.Beta*m.sm.Shuffle.Predict(m.d, float64(p.DefaultParallelism))/bw)
 		}
 		// Intersect the candidate grid with each member's sampled range
 		// (the range of the samples its model was actually fitted on).
-		cands := o.Candidates
+		cands := p.Candidates
 		for _, m := range members {
-			cands = intersect(cands, o.candidatesWithin(workload, m.n.Signature, m.dbScheme))
+			cands = intersect(cands, p.candidatesWithin(m.n.Signature, m.dbScheme))
 		}
 		if len(cands) == 0 {
-			cands = o.Candidates
+			cands = p.Candidates
 		}
-		for _, p := range cands {
+		for _, n := range cands {
 			var total float64
 			for _, m := range members {
-				total += m.w * (o.Alpha*m.sm.Texe.Predict(m.d, float64(p)) +
-					o.Beta*m.sm.Shuffle.Predict(m.d, float64(p))/bw)
+				total += m.w * (p.Alpha*m.sm.Texe.Predict(m.d, float64(n)) +
+					p.Beta*m.sm.Shuffle.Predict(m.d, float64(n))/bw)
 			}
 			c := total
 			if refCost > 0 {
 				c = total / refCost
 			}
 			if c < best.Cost {
-				best = Scheme{Partitioner: scheme, NumPartitions: p, Cost: c}
+				best = Scheme{Partitioner: scheme, NumPartitions: n, Cost: c}
 			}
 		}
 	}
@@ -458,19 +504,22 @@ func intersect(a, b []int) []int {
 // user-fixed stages decides whether inserting an extra repartition phase is
 // worth it (benefit factor Gamma).
 func (o *Optimizer) GetGlobalPar(workload string, workloadInput float64) ([]StageScheme, error) {
-	nodes := o.DB.Nodes(workload)
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("core: no DAG information for workload %q", workload)
+	return o.newPass(workload).globalPar(workloadInput)
+}
+
+func (p *pass) globalPar(workloadInput float64) ([]StageScheme, error) {
+	if len(p.nodes) == 0 {
+		return nil, fmt.Errorf("core: no DAG information for workload %q", p.workload)
 	}
 	var out []StageScheme
-	for _, g := range regroupDAG(nodes) {
+	for _, g := range regroupDAG(p.nodes) {
 		var sch Scheme
 		var err error
 		if len(g.members) == 1 {
 			n := g.members[0]
-			sch, err = o.GetStagePar(workload, n.Signature, stageInput(n, workloadInput))
+			sch, err = p.stagePar(n.Signature, stageInput(n, workloadInput))
 		} else {
-			sch, err = o.getSubGraphPar(workload, g, workloadInput)
+			sch, err = p.getSubGraphPar(g, workloadInput)
 		}
 		if err != nil {
 			continue
@@ -478,7 +527,7 @@ func (o *Optimizer) GetGlobalPar(workload string, workloadInput float64) ([]Stag
 		for _, n := range g.members {
 			ss := StageScheme{Signature: n.Signature, Scheme: sch}
 			if n.Fixed {
-				ok, repart := o.repartitionBeneficial(workload, n, workloadInput, sch)
+				ok, repart := p.repartitionBeneficial(n, workloadInput, sch)
 				if !ok {
 					continue // keep the user's partitioning untouched
 				}
@@ -490,7 +539,7 @@ func (o *Optimizer) GetGlobalPar(workload string, workloadInput float64) ([]Stag
 	// An empty result is legal: every trainable stage may be user-fixed and
 	// already near-optimal, in which case CHOPPER leaves the workload alone.
 	sort.Slice(out, func(i, j int) bool { return out[i].Signature < out[j].Signature })
-	if err := o.checkSchemes(workload, out, true); err != nil {
+	if err := p.checkSchemes(out, true); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -499,7 +548,7 @@ func (o *Optimizer) GetGlobalPar(workload string, workloadInput float64) ([]Stag
 // repartitionBeneficial decides whether to insert a repartition phase for a
 // fixed stage: the current cost must exceed Gamma times the optimized cost
 // plus the estimated cost of the extra repartition pass itself.
-func (o *Optimizer) repartitionBeneficial(workload string, n *StageNode, workloadInput float64, opt Scheme) (decided, insert bool) {
+func (p *pass) repartitionBeneficial(n *StageNode, workloadInput float64, opt Scheme) (decided, insert bool) {
 	d := stageInput(n, workloadInput)
 	curScheme := rdd.SchemeName(n.DefaultScheme)
 	if !rdd.ValidScheme(curScheme) {
@@ -507,17 +556,17 @@ func (o *Optimizer) repartitionBeneficial(workload string, n *StageNode, workloa
 	}
 	curP := n.DefaultP
 	if curP <= 0 {
-		curP = o.DefaultParallelism
+		curP = p.DefaultParallelism
 	}
-	curCost, err := o.costWithScheme(workload, n.Signature, d, curScheme, curP)
+	curCost, err := p.costWithScheme(n.Signature, d, curScheme, curP)
 	if err != nil {
 		return false, false
 	}
 	// The inserted phase re-reads and re-shuffles the stage input without
 	// the stage's compute; charge it as a fraction of the optimized cost.
-	repCost := o.RepartitionPassFraction * opt.Cost
+	repCost := p.RepartitionPassFraction * opt.Cost
 	optCost := opt.Cost + repCost
-	if curCost > o.Gamma*optCost {
+	if curCost > p.Gamma*optCost {
 		return true, true
 	}
 	return false, false
@@ -543,9 +592,4 @@ func (o *Optimizer) GenerateConfig(workload string, workloadInput float64) (*con
 		return nil, err
 	}
 	return f, nil
-}
-
-// FitForTest exposes fitScheme for diagnostics.
-func FitForTest(o *Optimizer, workload, sig, scheme string, d float64) (*model.StageModels, error) {
-	return o.fitScheme(workload, sig, scheme, d)
 }

@@ -149,13 +149,13 @@ func SchemeError(workload string, vs []SchemeViolation) error {
 // routes violations through OnViolation (strict by default: nil OnViolation
 // turns any violation into a hard error, the behavior tests want; production
 // drivers install a logging handler).
-func (o *Optimizer) checkSchemes(workload string, schemes []StageScheme, requireCoPartition bool) error {
-	vs := VerifySchemes(o.DB.Nodes(workload), schemes, o.Candidates, requireCoPartition)
+func (p *pass) checkSchemes(schemes []StageScheme, requireCoPartition bool) error {
+	vs := VerifySchemes(p.nodes, schemes, p.Candidates, requireCoPartition)
 	if len(vs) == 0 {
 		return nil
 	}
-	if o.OnViolation != nil {
-		return o.OnViolation(workload, vs)
+	if p.OnViolation != nil {
+		return p.OnViolation(p.workload, vs)
 	}
-	return SchemeError(workload, vs)
+	return SchemeError(p.workload, vs)
 }

@@ -161,7 +161,7 @@ func TestSchemeErrorAndOnViolation(t *testing.T) {
 	db := NewDB()
 	o := NewOptimizer(db)
 	bad := []StageScheme{scheme("ghost", rdd.SchemeHash, o.Candidates[0])}
-	if err := o.checkSchemes("w", bad, false); err == nil {
+	if err := o.newPass("w").checkSchemes(bad, false); err == nil {
 		t.Fatal("nil OnViolation must make violations a hard error")
 	}
 	sentinel := errors.New("observed")
@@ -170,7 +170,7 @@ func TestSchemeErrorAndOnViolation(t *testing.T) {
 		seen = vs
 		return sentinel
 	}
-	if err := o.checkSchemes("w", bad, false); !errors.Is(err, sentinel) {
+	if err := o.newPass("w").checkSchemes(bad, false); !errors.Is(err, sentinel) {
 		t.Fatalf("OnViolation result not propagated: %v", err)
 	}
 	if len(seen) == 0 {

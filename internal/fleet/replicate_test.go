@@ -242,6 +242,10 @@ func TestReplicaBootstrapsAfterPrimaryCompaction(t *testing.T) {
 	if err := rep.pullOnce(); err != nil {
 		t.Fatal(err)
 	}
+	// What a reader holding a snapshot of the replica DB would compare
+	// against: the swap below must move it, for written workloads and for
+	// ones the image does not hold alike.
+	kmeans, absent := rdb.Generation("kmeans"), rdb.Generation("pca")
 	// Compaction on the primary: journal truncates, epoch bumps, and new
 	// runs land in the fresh stream at offsets the replica already passed.
 	if err := pst.Snapshot(pdb); err != nil {
@@ -252,6 +256,9 @@ func TestReplicaBootstrapsAfterPrimaryCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertConverged(t, pdb, rdb)
+	if rdb.Generation("kmeans") == kmeans || rdb.Generation("pca") == absent {
+		t.Fatal("bootstrap swap left a workload generation in place; readers would keep serving the old image")
+	}
 	if _, epoch := rep.position(); epoch != pst.Epoch() {
 		t.Fatalf("replica epoch %d, want %d", epoch, pst.Epoch())
 	}

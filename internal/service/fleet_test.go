@@ -45,7 +45,7 @@ func waitSynced(t *testing.T, cl, primary *client.Client) *api.Health {
 // recommendations byte-identical to the primary's.
 func TestReplicaFollowsPrimary(t *testing.T) {
 	dir := t.TempDir()
-	_, pcl, _ := startTestServer(t, Config{
+	psrv, pcl, _ := startTestServer(t, Config{
 		StorePath: filepath.Join(dir, "p.db"),
 		Role:      "primary",
 		ShardID:   0, ShardCount: 1,
@@ -83,16 +83,53 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	}
 
 	// The answer a client gets must not depend on which daemon served it.
-	praw, err := pcl.RecommendRaw(ctx, "kmeans", 0)
-	if err != nil {
+	// Asking both also leaves each holding a plan entry for kmeans, which
+	// the records shipped below must invalidate on the replica too.
+	same := func(when string) []byte {
+		t.Helper()
+		praw, err := pcl.RecommendRaw(ctx, "kmeans", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rraw, err := rcl.RecommendRaw(ctx, "kmeans", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(praw, rraw) {
+			t.Fatalf("%s: replica recommendation differs from primary:\nprimary: %s\nreplica: %s", when, praw, rraw)
+		}
+		return praw
+	}
+	first := same("after catch-up")
+
+	// More records arrive through the journal stream (Replicator -> AddRun).
+	if _, err := pcl.Submit(ctx, api.SubmitRequest{Workload: "kmeans", Shrink: 24}); err != nil {
 		t.Fatal(err)
 	}
-	rraw, err := rcl.RecommendRaw(ctx, "kmeans", 0)
-	if err != nil {
+	waitSynced(t, rcl, pcl)
+	second := same("after a shipped record")
+	if bytes.Equal(first, second) {
+		t.Fatal("a recorded submit did not change the recommendation body (run count)")
+	}
+
+	// Compaction on the primary bumps the epoch; the next record reaches the
+	// replica through a bootstrap image (Replicator -> ReplaceAll).
+	if err := psrv.store.Snapshot(psrv.db); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(praw, rraw) {
-		t.Fatalf("replica recommendation differs from primary:\nprimary: %s\nreplica: %s", praw, rraw)
+	if _, err := pcl.Submit(ctx, api.SubmitRequest{Workload: "kmeans", Shrink: 24}); err != nil {
+		t.Fatal(err)
+	}
+	// waitSynced alone can report the replica's last pre-compaction cycle;
+	// the epoch says the image has been installed.
+	for deadline := time.Now().Add(15 * time.Second); waitSynced(t, rcl, pcl).ReplicationEpoch != psrv.store.Epoch(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never reached epoch %d after primary compaction", psrv.store.Epoch())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if third := same("after a bootstrap"); bytes.Equal(second, third) {
+		t.Fatal("the replica's answer did not move across the bootstrap swap")
 	}
 
 	// The replication lag gauge is exported on the replica.

@@ -7,9 +7,11 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"chopper/api"
+	"chopper/internal/metrics"
 	"chopper/internal/profiling"
 	"chopper/internal/workloads"
 )
@@ -53,16 +55,23 @@ func (s *Server) routes() {
 }
 
 // instrument wraps a handler with the request counter and latency histogram,
-// labeled by route and response code.
+// labeled by route and response code. The route's histogram is resolved here
+// and each status code's counter on its first response, so a request touches
+// no registry lock.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
+	latency := s.reg.Histogram("chopperd_http_seconds", "HTTP request latency by route", "path="+path)
+	var byCode sync.Map // status code -> *metrics.Counter
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
-		s.reg.Counter("chopperd_http_requests_total", "HTTP requests by route and status",
-			"path="+path, "code="+strconv.Itoa(sw.code)).Inc()
-		s.reg.Histogram("chopperd_http_seconds", "HTTP request latency by route",
-			"path="+path).Observe(time.Since(start).Seconds())
+		c, ok := byCode.Load(sw.code)
+		if !ok {
+			c, _ = byCode.LoadOrStore(sw.code, s.reg.Counter("chopperd_http_requests_total",
+				"HTTP requests by route and status", "path="+path, "code="+strconv.Itoa(sw.code)))
+		}
+		c.(*metrics.Counter).Inc()
+		latency.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -210,20 +219,21 @@ func (s *Server) workloadParams(r *http.Request) (string, int64, error) {
 }
 
 // handleRecommend answers the read-only tuning question. It runs entirely on
-// the handler goroutine against a copy-on-read DB snapshot — never through
-// the worker pool — so recommendations stay fast while training runs.
+// the handler goroutine against the workload's plan entry — never through
+// the worker pool — so recommendations stay fast while training runs, and
+// schemes and counts always describe one DB generation.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	name, bytes, err := s.workloadParams(r)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	resp, err := s.recommend(name, bytes)
+	a, err := s.answer(name, bytes)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, a.resp)
 }
 
 // handleExplain renders the optimizer's per-stage reasoning as text.

@@ -6,7 +6,6 @@ import (
 
 	"chopper"
 	"chopper/api"
-	"chopper/internal/core"
 )
 
 // buildApp resolves a built-in workload and applies the request's shrink and
@@ -26,18 +25,6 @@ func (s *Server) buildApp(workload string, inputBytes int64, shrink int) (*chopp
 		app.SetInputBytes(bytes)
 	}
 	return app, bytes, nil
-}
-
-// tunedConfig generates the CHOPPER configuration for a workload from a
-// copy-on-read snapshot of the shared DB, so the (potentially long)
-// optimizer pass never holds the DB lock.
-func (s *Server) tunedConfig(workload string, inputBytes int64) (*chopper.ConfigFile, error) {
-	o := core.NewOptimizer(s.db.CloneWorkload(workload))
-	cf, err := o.GenerateConfig(workload, float64(inputBytes))
-	if err != nil {
-		return nil, httpErrf(http.StatusConflict, "service: workload %q not trained: %v", workload, err)
-	}
-	return cf, nil
 }
 
 // schemeEntries converts a generated configuration to wire form.
@@ -66,13 +53,13 @@ func (s *Server) runSubmit(ctx context.Context, req api.SubmitRequest) (*api.Sub
 	resp := &api.SubmitResponse{Workload: req.Workload, Mode: "spark", InputBytes: bytes}
 	var extra []chopper.Option
 	if req.Tuned {
-		cf, err := s.tunedConfig(req.Workload, bytes)
+		a, err := s.answer(req.Workload, bytes)
 		if err != nil {
 			return nil, err
 		}
-		extra = append(extra, chopper.WithTuning(cf))
+		extra = append(extra, chopper.WithTuning(a.cf))
 		resp.Mode = "chopper"
-		resp.Schemes = schemeEntries(cf)
+		resp.Schemes = a.resp.Schemes
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, httpErrf(http.StatusGatewayTimeout, "service: job canceled before run: %v", err)
@@ -135,25 +122,10 @@ func (s *Server) runTrain(ctx context.Context, req api.TrainRequest) (*api.Train
 	}, nil
 }
 
-// recommend answers the read-only tuning question from a DB snapshot.
-func (s *Server) recommend(workload string, inputBytes int64) (*api.RecommendResponse, error) {
-	cf, err := s.tunedConfig(workload, inputBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &api.RecommendResponse{
-		Workload:   workload,
-		InputBytes: inputBytes,
-		Schemes:    schemeEntries(cf),
-		Runs:       s.db.RunCount(workload),
-		Samples:    s.db.SampleCount(workload),
-	}, nil
-}
-
-// explain renders the optimizer's per-stage reasoning from a DB snapshot.
+// explain renders the optimizer's per-stage reasoning over the workload's
+// plan entry (the report itself is not memoized).
 func (s *Server) explain(workload string, inputBytes int64) (string, error) {
-	o := core.NewOptimizer(s.db.CloneWorkload(workload))
-	ex, err := o.Explain(workload, float64(inputBytes))
+	ex, err := s.entry(workload).opt.Explain(workload, float64(inputBytes))
 	if err != nil {
 		return "", httpErrf(http.StatusConflict, "service: workload %q not trained: %v", workload, err)
 	}

@@ -8,8 +8,8 @@
 // Concurrency shape: HTTP handlers are the only producers; writes (submit,
 // train) are admitted to a bounded worker pool (queue full → 429 with
 // Retry-After), while reads (recommend, explain, workloads) run directly on
-// the handler against a copy-on-read DB snapshot, so they never queue
-// behind — or block — training. The DB itself is single-writer/multi-reader
+// the handler against a per-workload plan entry (plan.go) cut from one DB
+// generation, so they never queue behind — or block — training. The DB itself is single-writer/multi-reader
 // (core.DB's locking contract); durability is an append-only journal of
 // observations plus an atomic snapshot written on graceful shutdown.
 package service
@@ -105,6 +105,12 @@ type Server struct {
 	start    time.Time
 	draining atomic.Bool
 
+	// plans is the read path: each built-in workload's published entry
+	// (plan.go); the map is fixed at New. The three counters are
+	// chopperd_plan_cache_total's series.
+	plans                          map[string]*atomic.Pointer[planEntry]
+	planHit, planMiss, planRebuild *metrics.Counter
+
 	// repl is the journal puller (replica role only); replStop ends its
 	// loop, once.
 	repl         *fleet.Replicator
@@ -142,6 +148,14 @@ func New(cfg Config) (*Server, error) {
 		reg:          metrics.NewRegistry(),
 		start:        time.Now(),
 		shutdownDone: make(chan struct{}),
+		plans:        map[string]*atomic.Pointer[planEntry]{},
+	}
+	const cacheHelp = "config lookups answered from the plan entry (hit) or by an optimizer pass (miss), and entries re-cloned because the workload generation moved (rebuild)"
+	s.planHit = s.reg.Counter("chopperd_plan_cache_total", cacheHelp, "result=hit")
+	s.planMiss = s.reg.Counter("chopperd_plan_cache_total", cacheHelp, "result=miss")
+	s.planRebuild = s.reg.Counter("chopperd_plan_cache_total", cacheHelp, "result=rebuild")
+	for _, w := range workloads.AllWithExtensions() {
+		s.plans[w.Name()] = new(atomic.Pointer[planEntry])
 	}
 	if cfg.StorePath != "" {
 		store, db, err := core.OpenStore(cfg.StorePath)
@@ -205,6 +219,9 @@ func (s *Server) registerGauges() {
 			name := w.Name()
 			s.reg.Gauge("chopperd_db_samples", "profile-store observations", "workload="+name).Set(int64(s.db.SampleCount(name)))
 			s.reg.Gauge("chopperd_db_runs", "profile-store recorded runs", "workload="+name).Set(int64(s.db.RunCount(name)))
+			if e := s.plans[name].Load(); e != nil {
+				s.reg.Gauge("chopperd_plan_generation", "DB generation (process-local) the workload's published plan entry was cut from", "workload="+name).Set(int64(e.gen))
+			}
 		}
 		if s.store != nil {
 			s.reg.Gauge("chopperd_journal_records", "observations not yet covered by a snapshot").Set(int64(s.store.JournalRecords()))

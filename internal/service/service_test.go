@@ -59,17 +59,22 @@ func startTestServer(t *testing.T, cfg Config) (*Server, *client.Client, func())
 	return srv, cl, stop
 }
 
-// smallTrain runs the cheapest useful training grid.
-func smallTrain(t *testing.T, cl *client.Client, workload string) *api.TrainResponse {
-	t.Helper()
+// smallGrid is the cheapest useful training grid.
+func smallGrid(workload string) api.TrainRequest {
 	noRange := false
-	tr, err := cl.Train(context.Background(), api.TrainRequest{
+	return api.TrainRequest{
 		Workload:      workload,
 		Shrink:        24,
 		SizeFractions: []float64{0.5, 1.0},
 		Partitions:    []int{150, 300},
 		Range:         &noRange,
-	})
+	}
+}
+
+// smallTrain runs smallGrid through a served daemon.
+func smallTrain(t *testing.T, cl *client.Client, workload string) *api.TrainResponse {
+	t.Helper()
+	tr, err := cl.Train(context.Background(), smallGrid(workload))
 	if err != nil {
 		t.Fatalf("train: %v", err)
 	}
@@ -263,6 +268,11 @@ func TestOpsEndpoints(t *testing.T) {
 	if _, err := cl.Workloads(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// One question of an untrained workload: an entry is cut and the
+	// optimizer runs (and fails) once.
+	if _, err := cl.Recommend(ctx, "kmeans", 0); apiStatus(t, err) != http.StatusConflict {
+		t.Fatalf("recommend untrained workload: %v, want 409", err)
+	}
 	text, err := cl.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -272,6 +282,10 @@ func TestOpsEndpoints(t *testing.T) {
 		"chopperd_queue_capacity",
 		"chopperd_workers",
 		`chopperd_http_seconds_bucket{path="/healthz",le="+Inf"}`,
+		`chopperd_plan_cache_total{result="hit"} 0`,
+		`chopperd_plan_cache_total{result="miss"} 1`,
+		`chopperd_plan_cache_total{result="rebuild"} 1`,
+		`chopperd_plan_generation{workload="kmeans"} `,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
