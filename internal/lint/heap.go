@@ -41,7 +41,7 @@ var heapAnalysisPackages = []string{
 }
 
 // heapCallPackages additionally feed the cross-package call graph, so
-// computePass → rdd.PartitionPairs → shuffle.PutMapOutput chains resolve.
+// computePass → rdd.PartitionPairsCol → shuffle.PutMapOutput chains resolve.
 var heapCallPackages = []string{
 	"chopper/internal/cluster",
 	"chopper/internal/dag",
@@ -68,15 +68,12 @@ type heapRoot struct {
 // Manager read-path accessor the reduce side hits per task.
 var heapRoots = []heapRoot{
 	{"chopper/internal/exec", "Engine", "computePass"},
-	{"chopper/internal/rdd", "", "PartitionPairs"},
 	{"chopper/internal/rdd", "", "PartitionPairsCol"},
-	{"chopper/internal/rdd", "", "MergeReduceBlocks"},
 	{"chopper/internal/rdd", "", "MergeReduceCol"},
+	{"chopper/internal/rdd", "", "MergeReduceColN"},
 	{"chopper/internal/rdd", "", "PairBytes"},
 	{"chopper/internal/shuffle", "Manager", "ReduceInput"},
-	{"chopper/internal/shuffle", "Manager", "ReduceBytes"},
 	{"chopper/internal/shuffle", "Manager", "ReduceNodeBytes"},
-	{"chopper/internal/shuffle", "Manager", "ReduceBytesByNode"},
 	{"chopper/internal/shuffle", "Manager", "BestReduceNode"},
 }
 

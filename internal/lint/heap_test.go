@@ -98,7 +98,7 @@ func d() int { return 4 }
 
 // TestPlantedHeapViolations is the deliberate-break check from the issue,
 // backing the ci.sh chopperheap gate: a boxed hook call planted inside a
-// typed F64 region fires boxf64, and a cache-derived slice planted into a
+// typed F64 region fires boxf64, and an arena column planted into a
 // heap-lived field fires genlife, both with file:line positions.
 func TestPlantedHeapViolations(t *testing.T) {
 	t.Run("boxf64", func(t *testing.T) {
@@ -129,32 +129,31 @@ func merge(agg *Aggregator, a, b float64) float64 {
 	t.Run("genlife", func(t *testing.T) {
 		out, ok := heapFindings(t, `package shuffle
 
-type NodeBytes struct {
-	Node  string
-	Bytes int64
+type ColView struct {
+	F64 []float64
 }
 
 type Manager struct {
-	nodeCache map[int][]NodeBytes
+	outputs [][]ColView
 }
 
-func (m *Manager) ReduceNodeBytes(reduce int) []NodeBytes {
-	return m.nodeCache[reduce]
+func (m *Manager) ReduceInput(reduce int) []ColView {
+	return m.outputs[reduce]
 }
 
 type keeper struct {
-	rows []NodeBytes
+	col []float64
 }
 
 func (k *keeper) retain(m *Manager, reduce int) {
-	k.rows = m.ReduceNodeBytes(reduce)
+	k.col = m.ReduceInput(reduce)[0].F64
 }
 `)
 		if !ok {
 			t.Fatal("planted module failed to load")
 		}
-		if !strings.Contains(out, "genlife") || !strings.Contains(out, "planted.go:21") {
-			t.Fatalf("planted escaped shuffle slice not reported:\n%s", out)
+		if !strings.Contains(out, "genlife") || !strings.Contains(out, "planted.go:20") {
+			t.Fatalf("planted escaped arena column not reported:\n%s", out)
 		}
 	})
 }
@@ -404,22 +403,19 @@ func sum(agg *Aggregator, vals []float64) float64 {
 `,
 		`package shuffle
 
-type NodeBytes struct {
-	Node  string
-	Bytes int64
-}
+type ColView struct{ F64 []float64 }
 
-type Manager struct{ nodeCache map[int][]NodeBytes }
+type Manager struct{ outputs [][]ColView }
 
-func (m *Manager) ReduceNodeBytes(reduce int) []NodeBytes { return m.nodeCache[reduce] }
+func (m *Manager) ReduceInput(reduce int) []ColView { return m.outputs[reduce] }
 
-var last []NodeBytes
+var last []ColView
 
-func dump(m *Manager, reduce int, ch chan []NodeBytes) {
-	rows := m.ReduceNodeBytes(reduce)
-	last = rows
-	ch <- rows
-	go func() { _ = rows }()
+func dump(m *Manager, reduce int, ch chan []ColView) {
+	views := m.ReduceInput(reduce)
+	last = views
+	ch <- views
+	go func() { _ = views }()
 }
 `,
 		`package exec

@@ -1,19 +1,19 @@
 // heaplife.go implements genlife, the chopperheap buffer-lifetime rule
-// for the generation-invalidated shuffle caches. Slices handed out from
-// shuffle.Manager cached state (ReduceInput block payloads,
-// ReduceNodeBytes results, snapshot-under-lock entries) are only valid
-// until the next generation bump; retaining one in a heap-lived structure
-// — a struct field, a channel, a goroutine-captured closure — is a stale
-// read today and becomes use-after-free semantics once ROADMAP item 4
-// frees whole arenas per generation. The rule runs a flow-sensitive taint
-// analysis per function on the SSA-lite CFG (the copyescape lattice with
-// inverted polarity): cache-derived values taint locals through
-// assignment, slicing, and reference-element reads; a deep copy
-// (make+copy, append onto a fresh slice, element value copies of pure
-// structs like NodeBytes) launders the taint; returning a tainted value
-// is the documented zero-copy API contract and stays legal. Sinks are
-// intraprocedural — a callee that retains its argument is not seen — so
-// the rule is a contract on the retaining site, not a full escape proof.
+// for generation-scoped shuffle memory. Views handed out by
+// shuffle.Manager.ReduceInput (and the snapshot-under-lock entries behind
+// them) alias the map tasks' columnar arenas and are only valid until the
+// shuffle generation retires; retaining one in a heap-lived structure — a
+// struct field, a channel, a goroutine-captured closure — outlives memory
+// RetireExcept releases. (ReduceNodeBytes is not a source: its profile is
+// computed per call and owned by the caller.) The rule runs a
+// flow-sensitive taint analysis per function on the SSA-lite CFG (the
+// copyescape lattice with inverted polarity): arena-derived values taint
+// locals through assignment, slicing, and reference-element reads; a deep
+// copy (make+copy, append onto a fresh slice, element value copies of pure
+// structs) launders the taint; returning a tainted value is the documented
+// zero-copy API contract and stays legal. Sinks are intraprocedural — a
+// callee that retains its argument is not seen — so the rule is a contract
+// on the retaining site, not a full escape proof.
 package lint
 
 import (
@@ -26,29 +26,26 @@ import (
 	"chopper/internal/lint/ssa"
 )
 
-// GenLife flags shuffle-cache-derived slices escaping into heap-lived
+// GenLife flags shuffle-arena-derived slices escaping into heap-lived
 // structures without a deep copy.
 var GenLife = &Analyzer{
 	Name: "genlife",
-	Doc:  "slice derived from generation-invalidated shuffle cache state escapes into a heap-lived structure without a deep copy",
+	Doc:  "slice derived from generation-scoped shuffle arena state escapes into a heap-lived structure without a deep copy",
 	Run:  runGenLife,
 }
 
 // lifeSourceMethods are the Manager read-path accessors whose results
-// alias cached, generation-invalidated memory.
+// alias generation-scoped arena memory.
 var lifeSourceMethods = map[string]bool{
-	"ReduceInput":       true,
-	"ReduceNodeBytes":   true,
-	"ReduceBytesByNode": true,
-	"snapshotOutputs":   true,
+	"ReduceInput":     true,
+	"snapshotOutputs": true,
 }
 
-// lifeSourceFields are the cached-state fields themselves (reachable only
-// inside the shuffle package, where the cache is maintained).
+// lifeSourceFields are the generation-owned state fields themselves
+// (reachable only inside the shuffle package, which maintains them).
 var lifeSourceFields = map[string]bool{
-	"outputs":   true,
-	"nodeCache": true,
-	"blocks":    true,
+	"outputs": true,
+	"blocks":  true,
 }
 
 func runGenLife(f *File) []Diagnostic {
@@ -85,7 +82,7 @@ func runGenLife(f *File) []Diagnostic {
 	return out
 }
 
-// lifeFact maps each tainted local to the label of the cache source it
+// lifeFact maps each tainted local to the label of the arena source it
 // derives from. nil is bottom (unreachable).
 type lifeFact map[*types.Var]string
 
@@ -218,7 +215,7 @@ func (lc *lifeChecker) step(σ lifeFact, n ast.Node) {
 	case *ast.Ident:
 		// Range-head binding: the value of ranging over a tainted
 		// container is tainted only when elements carry references —
-		// ranging []NodeBytes copies pure structs, which launders.
+		// ranging a slice of pure structs copies them, which launders.
 		bind, ok := lc.rangeSrc[x]
 		if !ok {
 			return
@@ -288,7 +285,7 @@ func (lc *lifeChecker) eval(σ lifeFact, e ast.Expr) string {
 		return ""
 	}
 	if t := lc.f.typeOf(e); t != nil && typeIsPure(t) {
-		return "" // value copies of pure data never alias the cache
+		return "" // value copies of pure data never alias the arena
 	}
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -330,7 +327,7 @@ func (lc *lifeChecker) eval(σ lifeFact, e ast.Expr) string {
 		return ""
 	case *ast.CompositeLit:
 		// A literal holding a tainted value is itself tainted: wrapping
-		// the cached slice in a struct does not copy it.
+		// the arena slice in a struct does not copy it.
 		for _, elt := range x.Elts {
 			val := elt
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
@@ -347,7 +344,7 @@ func (lc *lifeChecker) eval(σ lifeFact, e ast.Expr) string {
 	return ""
 }
 
-// evalCall classifies calls: cache read-path accessors taint their
+// evalCall classifies calls: arena read-path accessors taint their
 // results; conversions and append propagate; everything else (make, new,
 // copying helpers, external callees) is trusted fresh.
 func (lc *lifeChecker) evalCall(σ lifeFact, call *ast.CallExpr) string {
@@ -369,7 +366,7 @@ func (lc *lifeChecker) evalCall(σ lifeFact, call *ast.CallExpr) string {
 				last := call.Args[len(call.Args)-1]
 				if label := lc.eval(σ, last); label != "" {
 					// Spreading copies the elements; only impure elements
-					// keep aliasing cached memory.
+					// keep aliasing arena memory.
 					if et := elemTypeOf(lc.f.typeOf(last)); et != nil && !typeIsPure(et) {
 						return label
 					}
@@ -408,10 +405,10 @@ func (lc *lifeChecker) methodSource(call *ast.CallExpr) string {
 			return ""
 		}
 	}
-	return "shuffle cache read " + fn.Name()
+	return "shuffle arena read " + fn.Name()
 }
 
-// fieldSource recognizes direct reads of the cached-state fields.
+// fieldSource recognizes direct reads of the generation-owned state fields.
 func (lc *lifeChecker) fieldSource(sel *ast.SelectorExpr) string {
 	if !lifeSourceFields[sel.Sel.Name] {
 		return ""
@@ -420,7 +417,7 @@ func (lc *lifeChecker) fieldSource(sel *ast.SelectorExpr) string {
 	if !ok || !v.IsField() || v.Pkg() == nil || !isShufflePkg(v.Pkg().Path()) {
 		return ""
 	}
-	return "shuffle cached field " + sel.Sel.Name
+	return "shuffle generation-owned field " + sel.Sel.Name
 }
 
 func isShufflePkg(path string) bool {
@@ -442,11 +439,11 @@ func (lc *lifeChecker) sinks(σ lifeFact, n ast.Node) []Diagnostic {
 				continue
 			}
 			if lc.ownCacheStore(x.Lhs[i]) {
-				continue // the cache maintaining its own generation-owned state
+				continue // the manager maintaining its own generation-owned state
 			}
 			if tgt, heapLived := lc.heapLivedTarget(σ, x.Lhs[i]); heapLived {
 				out = append(out, lc.f.diag(x.Pos(), "genlife", fmt.Sprintf(
-					"slice derived from %s is stored into %s, which outlives the shuffle generation; deep-copy (make+copy) before retaining — the arena layout will free the backing memory at the next generation", label, tgt)))
+					"slice derived from %s is stored into %s, which outlives the shuffle generation; deep-copy (make+copy) before retaining — retirement frees the backing arena", label, tgt)))
 			}
 		}
 	case *ast.SendStmt:
@@ -471,7 +468,7 @@ func (lc *lifeChecker) sinks(σ lifeFact, n ast.Node) []Diagnostic {
 	return out
 }
 
-// ownCacheStore reports whether lhs writes one of the cache's own source
+// ownCacheStore reports whether lhs writes one of the manager's own source
 // fields inside the shuffle package — the store that *creates* the
 // generation-owned state is the ownership site, not an escape.
 func (lc *lifeChecker) ownCacheStore(lhs ast.Expr) bool {

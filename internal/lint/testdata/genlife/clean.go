@@ -1,29 +1,17 @@
 package glfix
 
-// snapshot deep-copies before retaining: the copy owns fresh memory and
-// survives the generation bump.
-func (t *tracker) snapshot(m *Manager, reduce int) {
-	src := m.ReduceNodeBytes(reduce)
-	cp := make([]NodeBytes, len(src))
-	copy(cp, src)
-	t.rows = cp
+// keepProfile retains a locality profile as is: ReduceNodeBytes computes
+// it per call and the caller owns the slice, so nothing aliases
+// generation-scoped memory.
+func (t *tracker) keepProfile(m *Manager, reduce int) {
+	t.rows = m.ReduceNodeBytes(reduce)
 }
 
-// total only reads elements: NodeBytes values are pure copies and carry
-// no reference to the cache memory.
-func total(m *Manager, reduce int) int64 {
-	var sum int64
-	for _, nb := range m.ReduceNodeBytes(reduce) {
-		sum += nb.Bytes
-	}
-	return sum
-}
-
-// forward returns the live slice — the documented zero-copy contract:
-// validity ends at the next generation, and the caller is the next
+// forward returns the live views — the documented zero-copy contract:
+// validity ends when the generation retires, and the caller is the next
 // retaining site the rule checks.
-func forward(m *Manager, reduce int) []NodeBytes {
-	return m.ReduceNodeBytes(reduce)
+func forward(m *Manager, reduce int) []ColView {
+	return m.ReduceInput(reduce)
 }
 
 // snapshotArena deep-copies an arena column before retaining it: the

@@ -1,58 +1,62 @@
 package glfix
 
-// NodeBytes mirrors the real shuffle accounting row: a pure value type.
-type NodeBytes struct {
-	Node  string
-	Bytes int64
-}
-
-// Manager mirrors the real shuffle manager: ReduceNodeBytes hands out a
-// slice backed by generation-scoped cache memory.
-type Manager struct {
-	nodeCache map[int][]NodeBytes
-}
-
-func (m *Manager) ReduceNodeBytes(reduce int) []NodeBytes {
-	return m.nodeCache[reduce]
-}
-
-// tracker is a heap-lived consumer structure.
-type tracker struct {
-	rows []NodeBytes
-}
-
-// record stores the cached slice into a heap-lived field without a deep
-// copy — the next generation invalidates the backing array.
-func (t *tracker) record(m *Manager, reduce int) {
-	rows := m.ReduceNodeBytes(reduce)
-	t.rows = rows
-}
-
-// publish sends the live slice across a channel boundary.
-func publish(m *Manager, reduce int, ch chan []NodeBytes) {
-	ch <- m.ReduceNodeBytes(reduce)
-}
-
-// spill hands the live slice to a goroutine that outlives the read.
-func spill(m *Manager, reduce int, sink func(int64)) {
-	rows := m.ReduceNodeBytes(reduce)
-	go func() {
-		var sum int64
-		for _, nb := range rows {
-			sum += nb.Bytes
-		}
-		sink(sum)
-	}()
-}
-
 // ColView mirrors the real arena view: its F64 column aliases the
 // writing map task's arena segment and dies with the generation.
 type ColView struct {
 	F64 []float64
 }
 
+// NodeBytes mirrors the real shuffle accounting row: a pure value type.
+type NodeBytes struct {
+	Node  string
+	Bytes int64
+}
+
+// Manager mirrors the real shuffle manager: ReduceInput hands out views
+// backed by generation-scoped arena memory, while ReduceNodeBytes builds
+// a fresh profile per call that the caller owns.
+type Manager struct {
+	outputs [][]ColView
+}
+
 func (m *Manager) ReduceInput(reduce int) []ColView {
-	return nil
+	return m.outputs[reduce]
+}
+
+func (m *Manager) ReduceNodeBytes(reduce int) []NodeBytes {
+	return make([]NodeBytes, 1)
+}
+
+// tracker is a heap-lived consumer structure.
+type tracker struct {
+	views []ColView
+	rows  []NodeBytes
+}
+
+// record stores the live views into a heap-lived field without a deep
+// copy — retirement frees the arenas under them.
+func (t *tracker) record(m *Manager, reduce int) {
+	views := m.ReduceInput(reduce)
+	t.views = views
+}
+
+// publish sends the live views across a channel boundary.
+func publish(m *Manager, reduce int, ch chan []ColView) {
+	ch <- m.ReduceInput(reduce)
+}
+
+// spill hands the live views to a goroutine that outlives the read.
+func spill(m *Manager, reduce int, sink func(float64)) {
+	views := m.ReduceInput(reduce)
+	go func() {
+		var sum float64
+		for _, v := range views {
+			for _, x := range v.F64 {
+				sum += x
+			}
+		}
+		sink(sum)
+	}()
 }
 
 // arenaSink is a heap-lived consumer of arena columns.

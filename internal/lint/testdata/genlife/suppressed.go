@@ -1,11 +1,11 @@
 package glfix
 
-// lastRows is a package-level debug hook.
-var lastRows []NodeBytes
+// lastViews is a package-level debug hook.
+var lastViews []ColView
 
-// debugDump intentionally parks the live slice for the inspector; the
+// debugDump intentionally parks the live views for the inspector; the
 // generation hazard is accepted and documented.
 func debugDump(m *Manager, reduce int) {
-	//lint:ignore genlife debug inspector snapshot; read before the next generation by construction
-	lastRows = m.ReduceNodeBytes(reduce)
+	//lint:ignore genlife debug inspector snapshot; read before the generation retires by construction
+	lastViews = m.ReduceInput(reduce)
 }

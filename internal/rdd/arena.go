@@ -1,18 +1,18 @@
-// arena.go implements the columnar zero-copy shuffle layout (ROADMAP item
-// 4, Sparkle-style): instead of per-pair boxed rows, a map task writes its
-// shuffle output into one arena of append-only typed segments — []int64
-// for int keys, a shared []byte plus offsets for string keys, []float64
-// for unboxed F64 aggregator state, []any where values must stay boxed —
-// partitioned bucket-major so the reduce side slices its view out of the
-// arena without copying a single pair.
+// arena.go implements the columnar zero-copy shuffle layout (Sparkle-style),
+// the fast tier of the two-tier shuffle: instead of per-pair boxed rows, a
+// map task writes its shuffle output into one arena of append-only typed
+// segments — []int64 for int keys, a shared []byte plus offsets for string
+// keys, []float64 for unboxed F64 aggregator state, []any where values
+// must stay boxed — partitioned bucket-major so the reduce side slices its
+// view out of the arena without copying a single pair.
 //
-// The contract mirrors PartitionPairs/MergeReduceBlocks (split.go) exactly:
-// same per-bucket order (input order without combine, first-occurrence key
-// order with combine), the same per-key fold order, and sorted output keys
-// on the reduce side, so the engine's traces are byte-identical whichever
-// representation carried the pairs. Heterogeneous inputs fall back to the
-// boxed rows wholesale (ColNone); the boxed path remains the reference
-// semantics, pinned by the engine-vs-oracle fuzz.
+// The contract mirrors the boxed tier (split.go) exactly: same per-bucket
+// order (input order without combine, first-occurrence key order with
+// combine), the same per-key fold order, and sorted output keys on the
+// reduce side, so the engine's traces are byte-identical whichever
+// representation carried the pairs. Untyped or heterogeneous inputs fall
+// back to the boxed rows wholesale (ColNone); the boxed tier is the
+// reference semantics, pinned by the engine-vs-oracle fuzz.
 //
 // Ownership: a ColBuckets arena belongs to one (shuffle, map task); the
 // shuffle manager holds it until the generation retires, then drops every
@@ -31,8 +31,10 @@ import (
 type ColKind uint8
 
 const (
-	// ColNone marks a boxed []Pair fallback block (untyped keys or
-	// heterogeneous rows); the other kinds are fully columnar.
+	// ColNone marks a block without typed columns: a boxed []Pair fallback
+	// block (untyped keys or heterogeneous rows), or a bucket of the
+	// segment-less arena an empty map task writes. The other kinds are
+	// fully columnar.
 	ColNone ColKind = iota
 	ColIntF64
 	ColIntAny
@@ -82,8 +84,7 @@ func (c *ColBlock) strKey(i int) []byte {
 
 // AppendPairs materializes the block's pairs onto dst, boxing each row.
 // This is the per-pair copy the columnar layout exists to avoid; it backs
-// the ColNone/mixed-kind fallback into MergeReduceBlocks and is what the
-// chopperbench deliberate-break check plants in the reduce path.
+// the ColNone/mixed-kind fallback into the boxed merge.
 func (c *ColBlock) AppendPairs(dst []Pair) []Pair {
 	switch c.Kind {
 	case ColIntF64:
@@ -213,49 +214,42 @@ func aggAllF64(agg *Aggregator) bool {
 	return agg.CreateF64 != nil && agg.MergeValueF64 != nil && agg.MergeCombinersF64 != nil
 }
 
-// PartitionPairsCol is the arena-writing PartitionPairs: it routes one map
+// PartitionPairsCol is the map side of a shuffle: it routes one map
 // partition's pairs into a columnar ColBuckets arena when the rows fit a
-// typed layout, and otherwise falls back to the boxed buckets of
-// PartitionPairs wholesale. Exactly one of the results is non-nil. The
-// produced buckets are byte-identical to PartitionPairs in content and
-// order on every path.
+// typed layout (or there are none: an empty arena, no segments), and
+// otherwise falls back to the boxed buckets of partitionPairs wholesale.
+// Exactly one of the results is non-nil. The produced buckets are
+// byte-identical to partitionPairs in content and order on every path.
 func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets, [][]Pair, error) {
-	if agg != nil && agg.MapSideCombine {
-		if len(rows) > 0 {
-			if pr, ok := rows[0].(Pair); ok {
-				_, vF64 := pr.V.(float64)
-				f64 := vF64 && aggAllF64(agg)
-				switch pr.K.(type) {
-				case int:
-					if a, ok, err := colCombineInt(rows, p, agg, f64); ok || err != nil {
-						return a, nil, err
-					}
-				case string:
-					if a, ok, err := colCombineStr(rows, p, agg, f64); ok || err != nil {
-						return a, nil, err
-					}
-				}
-			}
-		}
-		buckets, err := combinePairs(rows, p, agg)
-		return nil, buckets, err
+	if len(rows) == 0 {
+		return &ColBuckets{starts: make([]int32, p.NumPartitions()+1)}, nil, nil
 	}
-	if len(rows) > 0 {
-		if pr, ok := rows[0].(Pair); ok {
-			if _, isInt := pr.K.(int); isInt {
-				// Without an aggregator the values may move into an
-				// unboxed F64 segment (the reduce side boxes once per
-				// row on emission either way). With a reduce-only
-				// aggregator the values stay in their existing boxes so
-				// the reduce-side fold adds no re-boxing.
-				_, vF64 := pr.V.(float64)
-				if a, ok, err := colScatterInt(rows, p, agg == nil && vF64); ok || err != nil {
+	if pr, ok := rows[0].(Pair); ok {
+		_, vF64 := pr.V.(float64)
+		if agg != nil && agg.MapSideCombine {
+			f64 := vF64 && aggAllF64(agg)
+			switch pr.K.(type) {
+			case int:
+				if a, ok, err := colCombineInt(rows, p, agg, f64); ok || err != nil {
+					return a, nil, err
+				}
+			case string:
+				if a, ok, err := colCombineStr(rows, p, agg, f64); ok || err != nil {
 					return a, nil, err
 				}
 			}
+		} else if _, isInt := pr.K.(int); isInt {
+			// Without an aggregator the values may move into an unboxed
+			// F64 segment (the reduce side boxes once per row on emission
+			// either way). With a reduce-only aggregator the values stay
+			// in their existing boxes so the reduce-side fold adds no
+			// re-boxing.
+			if a, ok, err := colScatterInt(rows, p, agg == nil && vF64); ok || err != nil {
+				return a, nil, err
+			}
 		}
 	}
-	buckets, err := scatterPairs(rows, p)
+	buckets, err := partitionPairs(rows, p, agg)
 	return nil, buckets, err
 }
 
@@ -530,9 +524,9 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 	return a, true, nil
 }
 
-// MergeReduceCol is MergeReduceBlocks over zero-copy views: it merges the
-// columnar blocks destined for one reduce partition (one per map task, in
-// map-task order) directly out of the arenas — no per-pair boxing until
+// MergeReduceCol is the reduce side of a shuffle over zero-copy views: it
+// merges the blocks destined for one reduce partition (one per map task,
+// in map-task order) directly out of the arenas — no per-pair boxing until
 // the once-per-key (or once-per-row, without an aggregator) emission.
 // Mixed or boxed-fallback inputs materialize into pairs and take the
 // boxed reference path, byte-identical by construction.
@@ -571,7 +565,7 @@ func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 		}
 	}
 	if total == 0 {
-		return MergeReduceBlocks(nil, agg)
+		return []Row{} // non-nil, like the boxed merge of nothing
 	}
 	if !mixed {
 		switch kind {
@@ -599,12 +593,11 @@ func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 			}
 		}
 	}
-	return MergeReduceBlocks(materializeCols(n, get), agg)
+	return mergeReduceBlocks(materializeCols(n, get), agg)
 }
 
 // materializeCols boxes columnar views back into pair blocks — the
-// reference fallback for mixed kinds (and the shape the deliberate-break
-// bench check plants to prove the bytes/op floor trips).
+// reference fallback for mixed kinds.
 func materializeCols(n int, get func(int, *ColBlock)) [][]Pair {
 	out := make([][]Pair, n)
 	var blk ColBlock
@@ -667,8 +660,9 @@ func stableKeyOrder(keys []int64) []int32 {
 }
 
 // mergeColIntF64 is the unboxed reduce-side fold for int/float64 blocks,
-// mirroring mergeBlocksTyped's F64 branch: map-task order, per-key fold in
-// pair order, first-occurrence key tracking, sorted emission.
+// mirroring mergeBlocksGeneric with the aggregator's F64 hooks: map-task
+// order, per-key fold in pair order, first-occurrence key tracking, sorted
+// emission.
 func mergeColIntF64(n int, get func(int, *ColBlock), hint int, agg *Aggregator) ([]Row, bool) {
 	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
 		acc := make(map[int64]float64, hint)
@@ -706,9 +700,9 @@ func mergeColIntF64(n int, get func(int, *ColBlock), hint int, agg *Aggregator) 
 	return nil, false
 }
 
-// mergeColIntAny folds int-keyed boxed values, mirroring mergeBlocksTyped's
-// generic branch (the values were boxed at the source, so the fold itself
-// adds no new boxes).
+// mergeColIntAny folds int-keyed boxed values, mirroring mergeBlocksGeneric
+// (the values were boxed at the source, so the fold itself adds no new
+// boxes).
 func mergeColIntAny(n int, get func(int, *ColBlock), hint int, agg *Aggregator) []Row {
 	acc := make(map[int64]any, hint)
 	order := make([]int64, 0, hint)

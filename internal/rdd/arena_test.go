@@ -49,7 +49,7 @@ func colViaArena(t *testing.T, rows []Row, p Partitioner, agg *Aggregator) ([]*C
 
 // TestArenaMatchesBoxedPartition pins the write-side contract: for every
 // key/value/aggregator shape, the arena buckets materialize to exactly
-// the pairs PartitionPairs produces, bucket for bucket, pair for pair.
+// the pairs the boxed partitionPairs produces, bucket for bucket, pair for pair.
 func TestArenaMatchesBoxedPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rowSets := map[string]rowSet{
@@ -66,7 +66,7 @@ func TestArenaMatchesBoxedPartition(t *testing.T) {
 		for an, agg := range arenaAggs(rs.f64) {
 			for _, n := range []int{1, 7} {
 				p := NewHashPartitioner(n)
-				want, err := PartitionPairs(rows, p, agg)
+				want, err := partitionPairs(rows, p, agg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func TestArenaMatchesBoxedPartition(t *testing.T) {
 
 // TestArenaMergeMatchesBoxed pins the read-side contract end to end:
 // arena views merged with MergeReduceCol equal the boxed
-// PartitionPairs+MergeReduceBlocks pipeline, including float64 fold order.
+// partitionPairs+mergeReduceBlocks pipeline, including float64 fold order.
 func TestArenaMergeMatchesBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	rowSets := map[string]rowSet{
@@ -107,7 +107,7 @@ func TestArenaMergeMatchesBoxed(t *testing.T) {
 				var colBlocks []*ColBlock
 				for m := 0; m < maps; m++ {
 					lo, hi := m*len(rows)/maps, (m+1)*len(rows)/maps
-					wb, err := PartitionPairs(rows[lo:hi], p, agg)
+					wb, err := partitionPairs(rows[lo:hi], p, agg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -115,7 +115,7 @@ func TestArenaMergeMatchesBoxed(t *testing.T) {
 					cb, _ := colViaArena(t, rows[lo:hi], p, agg)
 					colBlocks = append(colBlocks, cb[reduce])
 				}
-				want := MergeReduceBlocks(boxedBlocks, agg)
+				want := mergeReduceBlocks(boxedBlocks, agg)
 				got := MergeReduceCol(colBlocks, agg)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s/%s reduce %d:\n got %v\nwant %v", rn, an, reduce, got, want)
@@ -140,7 +140,7 @@ func TestArenaMergeMixedKinds(t *testing.T) {
 	wantBlocks := make([][]Pair, 0, 2)
 	gotBlocks := make([]*ColBlock, 0, 2)
 	for _, rows := range [][]Row{intRows, hetRows} {
-		wb, err := PartitionPairs(rows, p, agg)
+		wb, err := partitionPairs(rows, p, agg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestArenaMergeMixedKinds(t *testing.T) {
 	if gotBlocks[0].Kind == ColNone || gotBlocks[1].Kind != ColNone {
 		t.Fatalf("kind probe: want columnar+boxed mix, got %v/%v", gotBlocks[0].Kind, gotBlocks[1].Kind)
 	}
-	want := MergeReduceBlocks(wantBlocks, agg)
+	want := mergeReduceBlocks(wantBlocks, agg)
 	got := MergeReduceCol(gotBlocks, agg)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("mixed-kind merge diverged:\n got %v\nwant %v", got, want)
@@ -174,7 +174,7 @@ func TestArenaLogicalBytesMatchesBoxed(t *testing.T) {
 		rows := rs.rows
 		for an, agg := range arenaAggs(rs.f64) {
 			p := NewHashPartitioner(5)
-			boxed, err := PartitionPairs(rows, p, agg)
+			boxed, err := partitionPairs(rows, p, agg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,6 +219,7 @@ func TestArenaKindSelection(t *testing.T) {
 		{"scatter int any under group", intF64, GroupAggregator(), ColIntAny},
 		{"scatter int any values", intStr, nil, ColIntAny},
 		{"scatter str stays boxed", strF64, nil, ColNone},
+		{"scatter str under group stays boxed", strF64, GroupAggregator(), ColNone},
 	}
 	for _, tc := range cases {
 		cols, boxed, err := PartitionPairsCol(tc.rows, p, tc.agg)
@@ -234,6 +235,73 @@ func TestArenaKindSelection(t *testing.T) {
 		}
 		if (cols == nil) == (boxed == nil) {
 			t.Errorf("%s: exactly one result must be non-nil", tc.name)
+		}
+	}
+}
+
+// TestStringKeysWithoutMapSideCombine pins, against hand-written rows, the
+// two shapes that have no columnar writer and so cross the shuffle in the
+// boxed tier: string keys under a reduce-only aggregator and string keys
+// with no aggregator at all.
+func TestStringKeysWithoutMapSideCombine(t *testing.T) {
+	maps := [][]Row{
+		{Pair{K: "b", V: 1.0}, Pair{K: "a", V: 2.0}, Pair{K: "b", V: 3.0}},
+		{Pair{K: "a", V: 4.0}, Pair{K: "c", V: 5.0}},
+	}
+	cases := []struct {
+		name string
+		agg  *Aggregator
+		want []Row
+	}{
+		{"reduce-only aggregator", GroupAggregator(), []Row{
+			Pair{K: "a", V: []any{2.0, 4.0}},
+			Pair{K: "b", V: []any{1.0, 3.0}},
+			Pair{K: "c", V: []any{5.0}},
+		}},
+		{"no aggregator", nil, []Row{
+			Pair{K: "a", V: 2.0}, Pair{K: "a", V: 4.0},
+			Pair{K: "b", V: 1.0}, Pair{K: "b", V: 3.0},
+			Pair{K: "c", V: 5.0},
+		}},
+	}
+	p := NewHashPartitioner(1)
+	for _, tc := range cases {
+		var blocks []*ColBlock
+		for _, rows := range maps {
+			cb, columnar := colViaArena(t, rows, p, tc.agg)
+			if columnar {
+				t.Fatalf("%s: string scatter must stay boxed", tc.name)
+			}
+			blocks = append(blocks, cb[0])
+		}
+		if got := MergeReduceCol(blocks, tc.agg); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestArenaOwnsEmptyInput pins that a map task with no rows never reaches
+// the boxed tier: it gets a segment-less arena whose every bucket is an
+// empty, zero-byte view, and merging only such views yields no rows.
+func TestArenaOwnsEmptyInput(t *testing.T) {
+	for _, agg := range []*Aggregator{nil, SumAggregator(), GroupAggregator()} {
+		cols, boxed, err := PartitionPairsCol(nil, NewHashPartitioner(5), agg)
+		if err != nil || cols == nil || boxed != nil {
+			t.Fatalf("empty input: cols=%v boxed=%v err=%v, want an arena only", cols, boxed, err)
+		}
+		if cols.NumBuckets() != 5 {
+			t.Fatalf("empty arena has %d buckets, want 5", cols.NumBuckets())
+		}
+		blocks := make([]*ColBlock, cols.NumBuckets())
+		for b := range blocks {
+			blk := cols.Bucket(b)
+			blocks[b] = &blk
+			if blk.Len() != 0 || cols.LogicalBytes(b, 1000) != 0 {
+				t.Fatalf("bucket %d of an empty arena: len %d, %v bytes", b, blk.Len(), cols.LogicalBytes(b, 1000))
+			}
+		}
+		if got := MergeReduceCol(blocks, agg); got == nil || len(got) != 0 {
+			t.Fatalf("merging empty views: got %#v, want non-nil empty rows", got)
 		}
 	}
 }

@@ -5,115 +5,10 @@ import (
 	"testing"
 )
 
-// Benchmarks of the shuffle/combine kernels — the data-path functions every
-// map and reduce task runs once per partition. cmd/chopperbench runs these
-// same shapes through testing.Benchmark and gates allocs/op against the
-// committed BENCH_5.json baseline.
-
-// benchIntPairs builds rows keyed by int with a skew-free key cycle.
-func benchIntPairs(n, keys int) []Row {
-	rows := make([]Row, n)
-	for i := 0; i < n; i++ {
-		rows[i] = Pair{K: i % keys, V: float64(i)}
-	}
-	return rows
-}
-
-// benchStringPairs builds rows keyed by short strings.
-func benchStringPairs(n, keys int) []Row {
-	ks := make([]string, keys)
-	for i := range ks {
-		ks[i] = fmt.Sprintf("key-%04d", i)
-	}
-	rows := make([]Row, n)
-	for i := 0; i < n; i++ {
-		rows[i] = Pair{K: ks[i%keys], V: float64(i)}
-	}
-	return rows
-}
-
-func BenchmarkPartitionPairsIntCombine(b *testing.B) {
-	rows := benchIntPairs(8192, 512)
-	p := NewHashPartitioner(64)
-	agg := SumAggregator()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PartitionPairs(rows, p, agg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPartitionPairsStringCombine(b *testing.B) {
-	rows := benchStringPairs(8192, 512)
-	p := NewHashPartitioner(64)
-	agg := SumAggregator()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PartitionPairs(rows, p, agg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPartitionPairsNoCombine(b *testing.B) {
-	rows := benchIntPairs(8192, 512)
-	p := NewHashPartitioner(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PartitionPairs(rows, p, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchBlocks routes rows into reduce-side blocks: one block per "map task".
-func benchBlocks(b *testing.B, rows []Row, maps int, agg *Aggregator) [][]Pair {
-	b.Helper()
-	p := NewHashPartitioner(1)
-	blocks := make([][]Pair, maps)
-	for m := 0; m < maps; m++ {
-		lo, hi := m*len(rows)/maps, (m+1)*len(rows)/maps
-		bk, err := PartitionPairs(rows[lo:hi], p, agg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		blocks[m] = bk[0]
-	}
-	return blocks
-}
-
-func BenchmarkMergeReduceBlocksIntCombine(b *testing.B) {
-	agg := SumAggregator()
-	blocks := benchBlocks(b, benchIntPairs(8192, 512), 16, agg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeReduceBlocks(blocks, agg)
-	}
-}
-
-func BenchmarkMergeReduceBlocksStringCombine(b *testing.B) {
-	agg := SumAggregator()
-	blocks := benchBlocks(b, benchStringPairs(8192, 512), 16, agg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeReduceBlocks(blocks, agg)
-	}
-}
-
-func BenchmarkMergeReduceBlocksNoAgg(b *testing.B) {
-	blocks := benchBlocks(b, benchIntPairs(8192, 512), 16, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeReduceBlocks(blocks, nil)
-	}
-}
+// The shuffle kernels (PartitionPairsCol, MergeReduceCol, the payload
+// sizers) are measured and gated by cmd/chopperbench against BENCH_10.json
+// and by bench/'s per-layer rdd.* rows; only the key hash, which neither
+// covers on its own, is benchmarked here.
 
 func BenchmarkKeyHashString(b *testing.B) {
 	keys := make([]any, 64)
@@ -132,17 +27,5 @@ func BenchmarkKeyHashInt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		KeyHash(i)
-	}
-}
-
-func BenchmarkLogicalPairsBytes(b *testing.B) {
-	bk, err := PartitionPairs(benchIntPairs(8192, 512), NewHashPartitioner(1), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LogicalPairsBytes(bk[0], 1000.0)
 	}
 }

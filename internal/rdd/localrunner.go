@@ -127,11 +127,11 @@ func (l *LocalRunner) shuffleRead(dep *ShuffleDep, reduce int) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		buckets, err := PartitionPairs(rows, dep.Part, dep.Agg)
+		buckets, err := partitionPairs(rows, dep.Part, dep.Agg)
 		if err != nil {
 			return nil, err
 		}
 		blocks = append(blocks, buckets[reduce])
 	}
-	return MergeReduceBlocks(blocks, dep.Agg), nil
+	return mergeReduceBlocks(blocks, dep.Agg), nil
 }

@@ -59,11 +59,12 @@ func (d *ShuffleDep) Parent() *RDD { return d.P }
 //
 // The F64 hooks are optional unboxed twins of the interface functions: when
 // all three are set and the values flowing through a combine kernel are
-// float64, PartitionPairs and MergeReduceBlocks accumulate in raw float64
-// registers and box only once per distinct key on output, instead of once
-// per record. The hooks MUST compute exactly what their boxed counterparts
-// compute (same operations in the same order — float addition is not
-// associative), or the engine and the single-threaded oracle diverge.
+// float64, the columnar kernels (PartitionPairsCol, MergeReduceColN)
+// accumulate in raw float64 segments and box only once per distinct key on
+// output, instead of once per record. The hooks MUST compute exactly what
+// their boxed counterparts compute (same operations in the same order —
+// float addition is not associative), or the engine and the single-threaded
+// oracle diverge.
 type Aggregator struct {
 	Create         func(v any) any
 	MergeValue     func(acc any, v any) any

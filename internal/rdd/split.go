@@ -1,3 +1,10 @@
+// split.go is the boxed tier of the shuffle: one interface-keyed
+// implementation of the map-side split and the reduce-side merge. It is
+// the engine's fallback for rows the columnar arenas (arena.go) cannot
+// type — untyped or mixed keys — LocalRunner's whole shuffle, and thereby
+// the reference the engine-vs-oracle fuzz and the arena equivalence tests
+// compare the columnar tier against. It stays small and obviously correct
+// rather than fast.
 package rdd
 
 import (
@@ -5,20 +12,14 @@ import (
 	"sort"
 )
 
-// PartitionPairs routes the pair rows of one map partition to reduce
-// buckets under p, applying the aggregator map-side when requested.
-// This is the map side of a shuffle; both the cluster engine and the local
-// reference runner use it, so their semantics cannot diverge.
-//
-// The implementation carries typed fast paths for the dominant key/value
-// shapes (int and string keys; float64 values under an aggregator exposing
-// the F64 hooks) that keep accumulation out of interface boxes; every path
-// produces byte-identical buckets — same per-bucket order (input order
-// without combine, first-occurrence key order with combine) and the same
-// fold order per key — so traces cannot depend on which path ran.
-func PartitionPairs(rows []Row, p Partitioner, agg *Aggregator) ([][]Pair, error) {
+// partitionPairs is the boxed map side of a shuffle: it routes the pair
+// rows of one map partition to reduce buckets under p, applying the
+// aggregator map-side when requested. Buckets keep input order without
+// combine and first-occurrence key order with combine, with a fixed fold
+// order per key — the contract the columnar writer reproduces.
+func partitionPairs(rows []Row, p Partitioner, agg *Aggregator) ([][]Pair, error) {
 	if agg != nil && agg.MapSideCombine {
-		return combinePairs(rows, p, agg)
+		return combineGeneric(rows, p, agg)
 	}
 	return scatterPairs(rows, p)
 }
@@ -53,115 +54,7 @@ func scatterPairs(rows []Row, p Partitioner) ([][]Pair, error) {
 	return buckets, nil
 }
 
-// combinePairs is the map-side-combine path. Typed fast paths are attempted
-// from the first row's key/value shape and bail out to the generic path on
-// the first mismatched row, so heterogeneous inputs stay correct.
-func combinePairs(rows []Row, p Partitioner, agg *Aggregator) ([][]Pair, error) {
-	if len(rows) > 0 {
-		if pr, ok := rows[0].(Pair); ok {
-			switch pr.K.(type) {
-			case int:
-				if buckets, ok, err := combineTyped[int](rows, p, agg); ok || err != nil {
-					return buckets, err
-				}
-			case string:
-				if buckets, ok, err := combineTyped[string](rows, p, agg); ok || err != nil {
-					return buckets, err
-				}
-			}
-		}
-	}
-	return combineGeneric(rows, p, agg)
-}
-
-// combineTyped accumulates per-bucket combiners in map[K]-keyed maps (the
-// runtime's fast64/faststr map paths). With the aggregator's F64 hooks set
-// and float64 values, accumulation happens fully unboxed: values are boxed
-// once per distinct key on emission instead of once per record. Returns
-// ok=false (and no buckets) when a row doesn't match the typed shape.
-func combineTyped[K comparable](rows []Row, p Partitioner, agg *Aggregator) ([][]Pair, bool, error) {
-	n := p.NumPartitions()
-	sizeHint := len(rows)/n + 1
-
-	if agg.CreateF64 != nil && agg.MergeValueF64 != nil {
-		if _, ok := rows[0].(Pair).V.(float64); ok {
-			combined := make([]map[K]float64, n)
-			orders := make([][]K, n)
-			for _, row := range rows {
-				pr, ok := row.(Pair)
-				if !ok {
-					return nil, false, fmt.Errorf("rdd: shuffling non-pair row %T", row)
-				}
-				k, ok := pr.K.(K)
-				if !ok {
-					return nil, false, nil
-				}
-				v, ok := pr.V.(float64)
-				if !ok {
-					return nil, false, nil
-				}
-				b := p.PartitionFor(pr.K)
-				m := combined[b]
-				if m == nil {
-					m = make(map[K]float64, sizeHint)
-					combined[b] = m
-				}
-				if acc, ok := m[k]; ok {
-					m[k] = agg.MergeValueF64(acc, v)
-				} else {
-					m[k] = agg.CreateF64(v)
-					orders[b] = append(orders[b], k)
-				}
-			}
-			return emitTyped(orders, func(b int, k K) any { return combined[b][k] }), true, nil
-		}
-	}
-
-	combined := make([]map[K]any, n)
-	orders := make([][]K, n)
-	for _, row := range rows {
-		pr, ok := row.(Pair)
-		if !ok {
-			return nil, false, fmt.Errorf("rdd: shuffling non-pair row %T", row)
-		}
-		k, ok := pr.K.(K)
-		if !ok {
-			return nil, false, nil
-		}
-		b := p.PartitionFor(pr.K)
-		m := combined[b]
-		if m == nil {
-			m = make(map[K]any, sizeHint)
-			combined[b] = m
-		}
-		if acc, ok := m[k]; ok {
-			m[k] = agg.MergeValue(acc, pr.V)
-		} else {
-			m[k] = agg.Create(pr.V)
-			orders[b] = append(orders[b], k)
-		}
-	}
-	return emitTyped(orders, func(b int, k K) any { return combined[b][k] }), true, nil
-}
-
-// emitTyped materializes combine buckets in first-occurrence key order, one
-// exact-size allocation per non-empty bucket.
-func emitTyped[K comparable](orders [][]K, value func(b int, k K) any) [][]Pair {
-	buckets := make([][]Pair, len(orders))
-	for b, ord := range orders {
-		if len(ord) == 0 {
-			continue
-		}
-		bucket := make([]Pair, len(ord))
-		for i, k := range ord {
-			bucket[i] = Pair{K: k, V: value(b, k)}
-		}
-		buckets[b] = bucket
-	}
-	return buckets
-}
-
-// combineGeneric is the interface-keyed reference combine path; any key and
+// combineGeneric is the interface-keyed map-side combine; any key and
 // value types the Partitioner accepts work here.
 func combineGeneric(rows []Row, p Partitioner, agg *Aggregator) ([][]Pair, error) {
 	n := p.NumPartitions()
@@ -198,16 +91,13 @@ func combineGeneric(rows []Row, p Partitioner, agg *Aggregator) ([][]Pair, error
 	return buckets, nil
 }
 
-// MergeReduceBlocks merges the shuffle blocks destined for one reduce
-// partition (one block per map task, in map-task order) into the reduce
-// input rows. With an aggregator, values combine per key; without one,
-// pairs concatenate in block order. Output keys are sorted so downstream
-// computation is deterministic regardless of execution interleaving.
-//
-// Like PartitionPairs, homogeneous int/string key sets take typed paths
-// (typed maps, typed sorts, unboxed float64 accumulation when the
-// aggregator carries F64 hooks) with byte-identical output.
-func MergeReduceBlocks(blocks [][]Pair, agg *Aggregator) []Row {
+// mergeReduceBlocks is the boxed reduce side: it merges the shuffle blocks
+// destined for one reduce partition (one block per map task, in map-task
+// order) into the reduce input rows. With an aggregator, values combine
+// per key; without one, pairs concatenate in block order. Output keys are
+// sorted so downstream computation is deterministic regardless of
+// execution interleaving.
+func mergeReduceBlocks(blocks [][]Pair, agg *Aggregator) []Row {
 	total := 0
 	for _, blk := range blocks {
 		total += len(blk)
@@ -215,63 +105,18 @@ func MergeReduceBlocks(blocks [][]Pair, agg *Aggregator) []Row {
 	if agg == nil {
 		return mergeConcat(blocks, total)
 	}
-	if total > 0 {
-		switch firstPair(blocks).K.(type) {
-		case int:
-			if out, ok := mergeBlocksTyped[int](blocks, total, agg, func(a, b int) bool { return a < b }); ok {
-				return out
-			}
-		case string:
-			if out, ok := mergeBlocksTyped[string](blocks, total, agg, func(a, b string) bool { return a < b }); ok {
-				return out
-			}
-		}
-	}
 	return mergeBlocksGeneric(blocks, total, agg)
 }
 
-// firstPair returns the first pair of the first non-empty block; callers
-// guarantee one exists.
-func firstPair(blocks [][]Pair) Pair {
-	for _, blk := range blocks {
-		if len(blk) > 0 {
-			return blk[0]
-		}
-	}
-	return Pair{}
-}
-
 // mergeConcat concatenates blocks and stable-sorts by key. The sort runs
-// over the unboxed []Pair (cheap swaps, no per-comparison unboxing) with a
-// typed comparator when the keys are homogeneous int or string; rows are
-// boxed exactly once afterwards.
+// over the unboxed []Pair (cheap swaps); rows are boxed exactly once
+// afterwards.
 func mergeConcat(blocks [][]Pair, total int) []Row {
 	pairs := make([]Pair, 0, total)
 	for _, blk := range blocks {
 		pairs = append(pairs, blk...)
 	}
-	allInt, allString := true, true
-	for i := range pairs {
-		switch pairs[i].K.(type) {
-		case int:
-			allString = false
-		case string:
-			allInt = false
-		default:
-			allInt, allString = false, false
-		}
-		if !allInt && !allString {
-			break
-		}
-	}
-	switch {
-	case allInt && len(pairs) > 0:
-		sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].K.(int) < pairs[j].K.(int) })
-	case allString && len(pairs) > 0:
-		sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].K.(string) < pairs[j].K.(string) })
-	default:
-		sort.SliceStable(pairs, func(i, j int) bool { return CompareKeys(pairs[i].K, pairs[j].K) < 0 })
-	}
+	sort.SliceStable(pairs, func(i, j int) bool { return CompareKeys(pairs[i].K, pairs[j].K) < 0 })
 	out := make([]Row, len(pairs))
 	for i := range pairs {
 		out[i] = pairs[i]
@@ -279,82 +124,7 @@ func mergeConcat(blocks [][]Pair, total int) []Row {
 	return out
 }
 
-// mergeBlocksTyped is the typed-key reduce-side combine. Returns ok=false
-// when a key or (on the F64 path) value doesn't match the probed shape.
-func mergeBlocksTyped[K comparable](blocks [][]Pair, total int, agg *Aggregator, less func(a, b K) bool) ([]Row, bool) {
-	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
-		if _, ok := firstPair(blocks).V.(float64); ok {
-			acc := make(map[K]float64, total)
-			order := make([]K, 0, total)
-			for _, blk := range blocks {
-				for i := range blk {
-					k, ok := blk[i].K.(K)
-					if !ok {
-						return nil, false
-					}
-					v, ok := blk[i].V.(float64)
-					if !ok {
-						return nil, false
-					}
-					if cur, ok := acc[k]; ok {
-						if agg.MapSideCombine {
-							acc[k] = agg.MergeCombinersF64(cur, v)
-						} else {
-							acc[k] = agg.MergeValueF64(cur, v)
-						}
-					} else {
-						if agg.MapSideCombine {
-							acc[k] = v // already a combiner from the map side
-						} else {
-							acc[k] = agg.CreateF64(v)
-						}
-						order = append(order, k)
-					}
-				}
-			}
-			sort.Slice(order, func(i, j int) bool { return less(order[i], order[j]) })
-			out := make([]Row, len(order))
-			for i, k := range order {
-				//lint:ignore boxf64 emission boxes once per key at the typed-region boundary; the per-record accumulation stays unboxed
-				out[i] = Pair{K: k, V: acc[k]}
-			}
-			return out, true
-		}
-	}
-
-	acc := make(map[K]any, total)
-	order := make([]K, 0, total)
-	for _, blk := range blocks {
-		for i := range blk {
-			k, ok := blk[i].K.(K)
-			if !ok {
-				return nil, false
-			}
-			if cur, ok := acc[k]; ok {
-				if agg.MapSideCombine {
-					acc[k] = agg.MergeCombiners(cur, blk[i].V)
-				} else {
-					acc[k] = agg.MergeValue(cur, blk[i].V)
-				}
-			} else {
-				if agg.MapSideCombine {
-					acc[k] = blk[i].V // already a combiner from the map side
-				} else {
-					acc[k] = agg.Create(blk[i].V)
-				}
-				order = append(order, k)
-			}
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return less(order[i], order[j]) })
-	out := make([]Row, len(order))
-	for i, k := range order {
-		out[i] = Pair{K: k, V: acc[k]}
-	}
-	return out, true
-}
-
-// mergeBlocksGeneric is the interface-keyed reference merge path.
+// mergeBlocksGeneric is the interface-keyed reduce-side combine.
 func mergeBlocksGeneric(blocks [][]Pair, total int, agg *Aggregator) []Row {
 	acc := make(map[any]any, total)
 	order := make([]any, 0, total)

@@ -8,7 +8,7 @@ import (
 func TestPartitionPairsNoAgg(t *testing.T) {
 	p := NewHashPartitioner(4)
 	rows := []Row{Pair{K: 1, V: "a"}, Pair{K: 2, V: "b"}, Pair{K: 1, V: "c"}}
-	buckets, err := PartitionPairs(rows, p, nil)
+	buckets, err := partitionPairs(rows, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestPartitionPairsMapSideCombine(t *testing.T) {
 	rows := []Row{
 		Pair{K: 1, V: 1.0}, Pair{K: 1, V: 2.0}, Pair{K: 2, V: 5.0},
 	}
-	buckets, err := PartitionPairs(rows, p, SumAggregator())
+	buckets, err := partitionPairs(rows, p, SumAggregator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +57,10 @@ func TestPartitionPairsMapSideCombine(t *testing.T) {
 
 func TestPartitionPairsRejectsNonPairs(t *testing.T) {
 	p := NewHashPartitioner(2)
-	if _, err := PartitionPairs([]Row{42}, p, nil); err == nil {
+	if _, err := partitionPairs([]Row{42}, p, nil); err == nil {
 		t.Fatalf("expected error for non-pair row")
 	}
-	if _, err := PartitionPairs([]Row{"x"}, p, SumAggregator()); err == nil {
+	if _, err := partitionPairs([]Row{"x"}, p, SumAggregator()); err == nil {
 		t.Fatalf("expected error for non-pair row with aggregator")
 	}
 }
@@ -70,7 +70,7 @@ func TestMergeReduceBlocksNoAggSortsByKey(t *testing.T) {
 		{{K: 5, V: "e"}, {K: 1, V: "a"}},
 		{{K: 3, V: "c"}},
 	}
-	rows := MergeReduceBlocks(blocks, nil)
+	rows := mergeReduceBlocks(blocks, nil)
 	if len(rows) != 3 {
 		t.Fatalf("merge lost rows")
 	}
@@ -86,7 +86,7 @@ func TestMergeReduceBlocksCombines(t *testing.T) {
 		{{K: "a", V: 1.0}, {K: "b", V: 2.0}},
 		{{K: "a", V: 3.0}},
 	}
-	rows := MergeReduceBlocks(blocks, agg)
+	rows := mergeReduceBlocks(blocks, agg)
 	if len(rows) != 2 {
 		t.Fatalf("merge should yield 2 keys, got %d", len(rows))
 	}
@@ -107,7 +107,7 @@ func TestMergeReduceBlocksReduceSideOnlyAgg(t *testing.T) {
 		{{K: 1, V: "a"}, {K: 1, V: "b"}},
 		{{K: 1, V: "c"}},
 	}
-	rows := MergeReduceBlocks(blocks, agg)
+	rows := mergeReduceBlocks(blocks, agg)
 	if len(rows) != 1 {
 		t.Fatalf("expected single key")
 	}
@@ -143,13 +143,13 @@ func TestQuickShuffleConservesRows(t *testing.T) {
 		for i, k := range keys {
 			rows[i] = Pair{K: int(k), V: i}
 		}
-		buckets, err := PartitionPairs(rows, p, nil)
+		buckets, err := partitionPairs(rows, p, nil)
 		if err != nil {
 			return false
 		}
 		total := 0
 		for r := 0; r < 5; r++ {
-			merged := MergeReduceBlocks([][]Pair{buckets[r]}, nil)
+			merged := mergeReduceBlocks([][]Pair{buckets[r]}, nil)
 			total += len(merged)
 		}
 		return total == len(rows)
@@ -181,7 +181,7 @@ func TestQuickShuffleSumInvariant(t *testing.T) {
 		agg := SumAggregator()
 		perReduce := make([][][]Pair, 3)
 		for _, mp := range mapParts {
-			buckets, err := PartitionPairs(mp, p, agg)
+			buckets, err := partitionPairs(mp, p, agg)
 			if err != nil {
 				return false
 			}
@@ -191,7 +191,7 @@ func TestQuickShuffleSumInvariant(t *testing.T) {
 		}
 		got := map[int]float64{}
 		for r := 0; r < 3; r++ {
-			for _, row := range MergeReduceBlocks(perReduce[r], agg) {
+			for _, row := range mergeReduceBlocks(perReduce[r], agg) {
 				pr := row.(Pair)
 				got[pr.K.(int)] = pr.V.(float64)
 			}

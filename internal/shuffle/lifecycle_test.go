@@ -73,8 +73,7 @@ func TestRetireExceptLifecycle(t *testing.T) {
 	}
 	mustPanic("ReduceInput", func() { m.ReduceInput(1, 0) })
 	mustPanic("ReduceNodeBytes", func() { m.ReduceNodeBytes(1, 0) })
-	mustPanic("ReduceBytesByNode", func() { m.ReduceBytesByNode(1, 0) })
-	mustPanic("TotalWriteBytes", func() { m.TotalWriteBytes(1) })
+	mustPanic("BestReduceNode", func() { m.BestReduceNode([]int{2, 1}, 0) })
 	mustPanic("PutMapOutput", func() { m.PutMapOutput(1, 0, "A", colBlocksFor(t, 0, 50, 3, agg)) })
 
 	// A stage retune re-registers the id and starts a fresh generation.
@@ -190,7 +189,7 @@ func TestConcurrentGenerations(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				m.ReduceNodeBytes(2, r)
-				m.ReduceBytesByNode(2, r)
+				m.BestReduceNode([]int{2}, r)
 				m.Complete(2)
 			}
 		}(r)

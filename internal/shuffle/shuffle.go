@@ -11,10 +11,10 @@
 //
 // Concurrency: the Manager's own lock only guards the shuffle-id table;
 // each shuffle carries its own mutex, so tasks of different shuffles never
-// contend. Locality queries (ReduceNodeBytes and friends) snapshot the
-// output table under the shuffle's lock and aggregate outside it — map
-// outputs are immutable once stored, so the snapshot stays valid — and the
-// per-reduce aggregate is cached until the next map output invalidates it.
+// contend. Readers (ReduceInput, ReduceNodeBytes) snapshot the output table
+// under the shuffle's lock and work outside it — map outputs are immutable
+// once stored, so the snapshot stays valid. Nothing derived is cached: the
+// engine asks each (shuffle, reduce) question once.
 package shuffle
 
 import (
@@ -67,26 +67,12 @@ func (mo *mapOutput) blockInto(r int, dst *rdd.ColBlock) {
 	*dst = rdd.ColBlock{Kind: rdd.ColNone, Pairs: mo.out.Boxed[r]}
 }
 
-type reduceNodeCache struct {
-	gen   uint64 // state generation the entry was computed at
-	valid bool
-	nodes []NodeBytes
-	// byNode is the same profile keyed by node, built alongside nodes so
-	// ReduceBytesByNode serves from the cache instead of rebuilding a map
-	// per call. Callers must not mutate it.
-	byNode map[string]int64
-}
-
 type state struct {
 	mu        sync.Mutex
 	numMaps   int
 	numReduce int
 	outputs   []*mapOutput
 	completed int
-	// gen counts map-output mutations; nodeCache entries are valid only
-	// while their gen matches.
-	gen       uint64
-	nodeCache []reduceNodeCache
 	// retired marks a generation whose arenas have been released; any
 	// read of its outputs is a lifecycle bug and panics loudly.
 	retired bool
@@ -135,7 +121,6 @@ func (m *Manager) Register(shuffleID, numMaps, numReduce int) {
 		numMaps:   numMaps,
 		numReduce: numReduce,
 		outputs:   make([]*mapOutput, numMaps),
-		nodeCache: make([]reduceNodeCache, numReduce),
 	}
 }
 
@@ -170,7 +155,6 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 		st.completed++
 	}
 	st.outputs[mapTask] = &mapOutput{node: node, out: out}
-	st.gen++
 	return bytes
 }
 
@@ -182,12 +166,12 @@ func (m *Manager) Complete(shuffleID int) bool {
 	return st.completed == st.numMaps
 }
 
-// snapshotOutputs copies the output table header under the shuffle lock and
-// returns it with the generation it was taken at. The *mapOutput entries are
-// immutable once stored, so callers may read them without the lock. Reading
-// a retired generation panics: its arenas have been released and any view
-// handed out would be a use-after-free of the zero-copy contract.
-func (st *state) snapshotOutputs(shuffleID int) ([]*mapOutput, uint64) {
+// snapshotOutputs copies the output table header under the shuffle lock.
+// The *mapOutput entries are immutable once stored, so callers may read
+// them without the lock. Reading a retired generation panics: its arenas
+// have been released and any view handed out would be a use-after-free of
+// the zero-copy contract.
+func (st *state) snapshotOutputs(shuffleID int) []*mapOutput {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.retired {
@@ -195,7 +179,7 @@ func (st *state) snapshotOutputs(shuffleID int) ([]*mapOutput, uint64) {
 	}
 	outs := make([]*mapOutput, len(st.outputs))
 	copy(outs, st.outputs)
-	return outs, st.gen
+	return outs
 }
 
 // ReduceView is one reduce partition's input: a window over every map
@@ -237,7 +221,7 @@ func (v ReduceView) Blocks() []*rdd.ColBlock {
 func (m *Manager) ReduceInput(shuffleID, reduce int) ReduceView {
 	st := m.mustGet(shuffleID)
 	checkReduce(st, shuffleID, reduce)
-	outs, _ := st.snapshotOutputs(shuffleID)
+	outs := st.snapshotOutputs(shuffleID)
 	for i, mo := range outs {
 		if mo == nil {
 			panic(fmt.Sprintf("shuffle %d: reduce read before map %d finished", shuffleID, i))
@@ -246,60 +230,15 @@ func (m *Manager) ReduceInput(shuffleID, reduce int) ReduceView {
 	return ReduceView{outs: outs, reduce: reduce}
 }
 
-// ReduceBytes reports the bytes a reduce task on readerNode fetches,
-// split into local and remote volumes (overhead included per block).
-func (m *Manager) ReduceBytes(shuffleID, reduce int, readerNode string) (local, remote int64) {
-	for _, nb := range m.ReduceNodeBytes(shuffleID, reduce) {
-		if nb.Node == readerNode {
-			local += nb.Bytes
-		} else {
-			remote += nb.Bytes
-		}
-	}
-	return local, remote
-}
-
 // ReduceNodeBytes reports, for one reduce partition, how many input bytes
 // live on each map node — the locality signal for reduce placement —
-// sorted by node name. The result is cached per reduce partition until the
-// next map output lands, so the scheduler's O(reduce tasks) placement
-// queries don't rescan the O(maps) output table each time. Callers must not
-// mutate the returned slice.
+// sorted by node name. The profile is computed from one snapshot of the
+// output table; the returned slice is the caller's own.
 func (m *Manager) ReduceNodeBytes(shuffleID, reduce int) []NodeBytes {
-	return m.reduceProfile(shuffleID, reduce).nodes
-}
-
-// ReduceBytesByNode is ReduceNodeBytes as a map, for callers that prefer
-// keyed lookup over ordered iteration. It is served from the same
-// generation-invalidated cache entry — not rebuilt per call — so, like
-// ReduceNodeBytes, callers must not mutate the result.
-func (m *Manager) ReduceBytesByNode(shuffleID, reduce int) map[string]int64 {
-	return m.reduceProfile(shuffleID, reduce).byNode
-}
-
-// reduceProfile returns the cached locality profile of one reduce
-// partition (both the sorted slice and the keyed-map shape), recomputing
-// it when the generation moved. Computation happens outside the shuffle
-// lock on a snapshot; a concurrent map output simply leaves the cache
-// unfilled and the caller works from its own consistent snapshot.
-func (m *Manager) reduceProfile(shuffleID, reduce int) reduceNodeCache {
 	st := m.mustGet(shuffleID)
 	checkReduce(st, shuffleID, reduce)
-
-	st.mu.Lock()
-	if st.retired {
-		st.mu.Unlock()
-		panic(fmt.Sprintf("shuffle %d: read after retirement", shuffleID))
-	}
-	if c := st.nodeCache[reduce]; c.valid && c.gen == st.gen {
-		st.mu.Unlock()
-		return c
-	}
-	st.mu.Unlock()
-
-	outs, gen := st.snapshotOutputs(shuffleID)
 	totals := map[string]int64{}
-	for _, mo := range outs {
+	for _, mo := range st.snapshotOutputs(shuffleID) {
 		if mo == nil {
 			continue
 		}
@@ -310,14 +249,7 @@ func (m *Manager) reduceProfile(shuffleID, reduce int) reduceNodeCache {
 		nodes = append(nodes, NodeBytes{Node: n, Bytes: b})
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Node < nodes[j].Node })
-	entry := reduceNodeCache{gen: gen, valid: true, nodes: nodes, byNode: totals}
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if gen == st.gen {
-		st.nodeCache[reduce] = entry
-	}
-	return entry
+	return nodes
 }
 
 // BestReduceNode returns the node holding the most input for a reduce
@@ -347,27 +279,10 @@ func (m *Manager) BestReduceNode(shuffleIDs []int, reduce int) (string, bool) {
 	return best, true
 }
 
-// TotalWriteBytes reports the total bytes written by a shuffle so far
-// (payload + overhead over all blocks).
-func (m *Manager) TotalWriteBytes(shuffleID int) int64 {
-	st := m.mustGet(shuffleID)
-	outs, _ := st.snapshotOutputs(shuffleID)
-	var sum int64
-	for _, mo := range outs {
-		if mo == nil {
-			continue
-		}
-		for _, p := range mo.out.Payloads {
-			sum += m.blockBytes(p)
-		}
-	}
-	return sum
-}
-
 // RetireExcept releases every tracked shuffle whose id is not in live:
-// output tables and locality caches — and with them every map task's
-// columnar arena — drop in one step, so a whole generation's shuffle
-// memory frees at once instead of trickling through the GC pair by pair.
+// output tables — and with them every map task's columnar arena — drop in
+// one step, so a whole generation's shuffle memory frees at once instead of
+// trickling through the GC pair by pair.
 // Retired ids keep a stub state so a late read panics with a clear
 // lifecycle message instead of corrupting silently; Register over a
 // retired id resets it fresh (a retuned stage re-runs its map side).
@@ -396,9 +311,7 @@ func (m *Manager) RetireExcept(live []int) int {
 		st.mu.Lock()
 		if !st.retired {
 			st.outputs = nil
-			st.nodeCache = nil
 			st.completed = 0
-			st.gen++
 			st.retired = true
 			retired++
 		}

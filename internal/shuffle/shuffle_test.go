@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -24,12 +25,12 @@ func TestRegisterAndWriteAccounting(t *testing.T) {
 	if m.Complete(1) {
 		t.Fatalf("shuffle not complete with 1 of 2 maps")
 	}
-	m.PutMapOutput(1, 1, "B", blocksFor(3, 50, 0, 50))
+	// payload 100 + 3 blocks x 10 overhead (empty blocks cost the same here).
+	if w := m.PutMapOutput(1, 1, "B", blocksFor(3, 50, 0, 50)); w != 130 {
+		t.Fatalf("write bytes = %d, want 130", w)
+	}
 	if !m.Complete(1) {
 		t.Fatalf("shuffle should be complete")
-	}
-	if got := m.TotalWriteBytes(1); got != 330+130 {
-		t.Fatalf("total write = %d, want 460", got)
 	}
 }
 
@@ -47,34 +48,41 @@ func TestReduceInputOrderedByMapTask(t *testing.T) {
 	}
 }
 
-func TestReduceBytesLocalRemoteSplit(t *testing.T) {
+func TestReduceNodeBytesPerNodeSorted(t *testing.T) {
 	m := NewManager(5, 5)
-	m.Register(2, 2, 2)
-	m.PutMapOutput(2, 0, "A", blocksFor(2, 100, 10))
-	m.PutMapOutput(2, 1, "B", blocksFor(2, 40, 20))
-	local, remote := m.ReduceBytes(2, 0, "A")
-	if local != 105 || remote != 45 {
-		t.Fatalf("local=%d remote=%d, want 105/45", local, remote)
+	m.Register(2, 3, 2)
+	m.PutMapOutput(2, 0, "B", blocksFor(2, 40, 20))
+	m.PutMapOutput(2, 1, "A", blocksFor(2, 100, 10))
+	m.PutMapOutput(2, 2, "A", blocksFor(2, 50, 0))
+	// Per node: payload plus one 5-byte overhead per block, sorted by node.
+	want := []NodeBytes{{Node: "A", Bytes: 160}, {Node: "B", Bytes: 45}}
+	got := m.ReduceNodeBytes(2, 0)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reduce 0 profile = %v, want %v", got, want)
 	}
-	local, remote = m.ReduceBytes(2, 0, "C")
-	if local != 0 || remote != 150 {
-		t.Fatalf("off-cluster reader: local=%d remote=%d", local, remote)
+	// The slice is the caller's own: scribbling on it changes no later read.
+	got[0] = NodeBytes{Node: "Z", Bytes: -1}
+	if again := m.ReduceNodeBytes(2, 0); !reflect.DeepEqual(again, want) {
+		t.Fatalf("profile aliased a previous result: %v", again)
+	}
+	best, ok := m.BestReduceNode([]int{2}, 0)
+	if !ok || best != "A" {
+		t.Fatalf("best node = %q", best)
 	}
 }
 
-func TestReduceBytesByNodeAndBestNode(t *testing.T) {
+func TestReduceNodeBytesSeesPartialMapSide(t *testing.T) {
 	m := NewManager(0, 0)
-	m.Register(3, 3, 1)
-	m.PutMapOutput(3, 0, "A", blocksFor(1, 100))
-	m.PutMapOutput(3, 1, "B", blocksFor(1, 300))
-	m.PutMapOutput(3, 2, "A", blocksFor(1, 50))
-	by := m.ReduceBytesByNode(3, 0)
-	if by["A"] != 150 || by["B"] != 300 {
-		t.Fatalf("by-node bytes wrong: %v", by)
+	m.Register(3, 2, 1)
+	if got := m.ReduceNodeBytes(3, 0); len(got) != 0 {
+		t.Fatalf("profile before any map output = %v, want empty", got)
 	}
-	best, ok := m.BestReduceNode([]int{3}, 0)
-	if !ok || best != "B" {
-		t.Fatalf("best node = %q", best)
+	if _, ok := m.BestReduceNode([]int{3}, 0); ok {
+		t.Fatalf("best node reported with no output")
+	}
+	m.PutMapOutput(3, 1, "B", blocksFor(1, 300))
+	if got := m.ReduceNodeBytes(3, 0); !reflect.DeepEqual(got, []NodeBytes{{Node: "B", Bytes: 300}}) {
+		t.Fatalf("profile after one of two maps = %v", got)
 	}
 }
 
@@ -157,16 +165,17 @@ func TestReRegisterResets(t *testing.T) {
 	}
 }
 
-// Property: sum of per-reduce local+remote bytes over all reduce partitions
-// equals TotalWriteBytes, for any reader node.
+// Property: the per-node bytes of every reduce partition sum to what the
+// map tasks reported writing.
 func TestQuickBytesConserved(t *testing.T) {
-	f := func(payloads []uint16, readerPick uint8) bool {
+	f := func(payloads []uint16) bool {
 		numReduce := 4
 		m := NewManager(7, 7)
 		nMaps := len(payloads)/numReduce + 1
 		m.Register(1, nMaps, numReduce)
 		nodes := []string{"A", "B", "C"}
 		idx := 0
+		var written int64
 		for mt := 0; mt < nMaps; mt++ {
 			blocks := blocksFor(numReduce)
 			for r := 0; r < numReduce; r++ {
@@ -175,15 +184,15 @@ func TestQuickBytesConserved(t *testing.T) {
 					idx++
 				}
 			}
-			m.PutMapOutput(1, mt, nodes[mt%len(nodes)], blocks)
+			written += m.PutMapOutput(1, mt, nodes[mt%len(nodes)], blocks)
 		}
-		reader := nodes[int(readerPick)%len(nodes)]
-		var sum int64
+		var read int64
 		for r := 0; r < numReduce; r++ {
-			l, rem := m.ReduceBytes(1, r, reader)
-			sum += l + rem
+			for _, nb := range m.ReduceNodeBytes(1, r) {
+				read += nb.Bytes
+			}
 		}
-		return sum == m.TotalWriteBytes(1)
+		return read == written
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
