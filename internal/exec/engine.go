@@ -18,10 +18,13 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -419,7 +422,12 @@ func (e *Engine) computeTask(t *task) error {
 			return fmt.Errorf("exec: stage %d shuffle write: %w", t.stage.ID, err)
 		}
 		scale := e.Ctx.LogicalScale
-		if cols != nil {
+		switch {
+		case cols != nil && cols.Empty():
+			// No rows: every block is empty, charged from the count alone.
+			t.writeB += int64(cols.NumBuckets()) * e.Shuffle.BlockOverhead(0)
+			t.mapOut = shuffle.MapOutput{Cols: cols}
+		case cols != nil:
 			n := cols.NumBuckets()
 			payloads := make([]int64, n)
 			for i := 0; i < n; i++ {
@@ -428,7 +436,7 @@ func (e *Engine) computeTask(t *task) error {
 				t.writeB += payload + e.Shuffle.BlockOverhead(payload)
 			}
 			t.mapOut = shuffle.MapOutput{Cols: cols, Payloads: payloads}
-		} else {
+		default:
 			payloads := make([]int64, len(buckets))
 			for i, b := range buckets {
 				payload := int64(rdd.LogicalPairsBytes(b, scale))
@@ -652,11 +660,11 @@ func topNodes(byNode map[string]int64) []string {
 	for n, b := range byNode {
 		list = append(list, nb{n, b})
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].b != list[j].b {
-			return list[i].b > list[j].b
+	slices.SortFunc(list, func(x, y nb) int {
+		if x.b != y.b {
+			return cmp.Compare(y.b, x.b)
 		}
-		return list[i].n < list[j].n
+		return strings.Compare(x.n, y.n)
 	})
 	out := make([]string, len(list))
 	for i, e := range list {
@@ -828,7 +836,7 @@ func sortedKeys(m map[string]int64) []string {
 	for n := range m {
 		out = append(out, n)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

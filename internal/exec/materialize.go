@@ -12,8 +12,8 @@ import (
 type acct struct {
 	srcBytes int64            // logical bytes read from generator sources
 	srcNodes []string         // preferred locations of those reads
-	cacheBy  map[string]int64 // cached-input logical bytes by holding node
-	shufBy   map[string]int64 // shuffle-input logical bytes by map node
+	cacheBy  map[string]int64 // cached-input logical bytes by holding node; made on first write
+	shufBy   map[string]int64 // shuffle-input logical bytes by map node; made on first write
 	cost     float64          // logical-byte cost units (bytes x op factor)
 	pending  []pendingCache   // partitions to cache after placement
 	memo     map[[2]int]memoEntry
@@ -25,11 +25,7 @@ type memoEntry struct {
 }
 
 func newAcct() *acct {
-	return &acct{
-		cacheBy: map[string]int64{},
-		shufBy:  map[string]int64{},
-		memo:    map[[2]int]memoEntry{},
-	}
+	return &acct{memo: map[[2]int]memoEntry{}}
 }
 
 // materialize computes one partition of r, charging work to a. It returns
@@ -44,6 +40,9 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 	// Cached partition available from an earlier stage?
 	if r.Cached {
 		if entry, ok := e.Cache.Peek(storage.CacheKey{RDD: r.ID, Split: split, Of: r.NumParts}); ok {
+			if a.cacheBy == nil {
+				a.cacheBy = map[string]int64{}
+			}
 			a.cacheBy[entry.Node] += entry.Bytes
 			bytes := float64(entry.Bytes)
 			a.memo[key] = memoEntry{rows: entry.Rows, bytes: bytes}
@@ -79,10 +78,7 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 				}
 				inputs[i] = rows
 			case *rdd.ShuffleDep:
-				rows, rb, err := e.shuffleRead(dep, split, a)
-				if err != nil {
-					return nil, 0, err
-				}
+				rows, rb := e.shuffleRead(dep, split, a)
 				inputs[i] = rows
 				inBytes += rb
 			default:
@@ -108,15 +104,16 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 }
 
 // shuffleRead fetches and merges the reduce input of dep for one partition.
-func (e *Engine) shuffleRead(dep *rdd.ShuffleDep, reduce int, a *acct) ([]rdd.Row, float64, error) {
-	if !e.Shuffle.Complete(dep.ShuffleID) {
-		return nil, 0, fmt.Errorf("exec: shuffle %d read before map side finished", dep.ShuffleID)
-	}
+// The view holds the partition's non-empty blocks only; reading before the
+// map side finished panics inside the manager.
+func (e *Engine) shuffleRead(dep *rdd.ShuffleDep, reduce int, a *acct) ([]rdd.Row, float64) {
 	view := e.Shuffle.ReduceInput(dep.ShuffleID, reduce)
-	for _, nb := range e.Shuffle.ReduceNodeBytes(dep.ShuffleID, reduce) {
+	if a.shufBy == nil {
+		a.shufBy = map[string]int64{}
+	}
+	for _, nb := range view.NodeBytes() {
 		a.shufBy[nb.Node] += nb.Bytes
 	}
 	rows := rdd.MergeReduceColN(view.Len(), view.BlockInto, dep.Agg)
-	bytes := rdd.LogicalRowsBytes(rows, e.Ctx.LogicalScale)
-	return rows, bytes, nil
+	return rows, rdd.LogicalRowsBytes(rows, e.Ctx.LogicalScale)
 }

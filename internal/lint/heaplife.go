@@ -1,12 +1,12 @@
 // heaplife.go implements genlife, the chopperheap buffer-lifetime rule
 // for generation-scoped shuffle memory. Views handed out by
-// shuffle.Manager.ReduceInput (and the snapshot-under-lock entries behind
-// them) alias the map tasks' columnar arenas and are only valid until the
-// shuffle generation retires; retaining one in a heap-lived structure — a
-// struct field, a channel, a goroutine-captured closure — outlives memory
-// RetireExcept releases. (ReduceNodeBytes is not a source: its profile is
-// computed per call and owned by the caller.) The rule runs a
-// flow-sensitive taint analysis per function on the SSA-lite CFG (the
+// shuffle.Manager.ReduceInput (and the reduce-major index they are
+// sub-slices of) alias the map tasks' columnar arenas and are only valid
+// until the shuffle generation retires; retaining one in a heap-lived
+// structure — a struct field, a channel, a goroutine-captured closure —
+// outlives memory RetireExcept releases. (ReduceNodeBytes is not a source:
+// its profile is copied out per call and owned by the caller.) The rule
+// runs a flow-sensitive taint analysis per function on the SSA-lite CFG (the
 // copyescape lattice with inverted polarity): arena-derived values taint
 // locals through assignment, slicing, and reference-element reads; a deep
 // copy (make+copy, append onto a fresh slice, element value copies of pure
@@ -37,8 +37,8 @@ var GenLife = &Analyzer{
 // lifeSourceMethods are the Manager read-path accessors whose results
 // alias generation-scoped arena memory.
 var lifeSourceMethods = map[string]bool{
-	"ReduceInput":     true,
-	"snapshotOutputs": true,
+	"ReduceInput": true,
+	"index":       true,
 }
 
 // lifeSourceFields are the generation-owned state fields themselves

@@ -114,20 +114,43 @@ func (c *ColBlock) AppendPairs(dst []Pair) []Pair {
 // [starts[b], starts[b+1]); Bucket slices views out of the segments
 // without copying.
 type ColBuckets struct {
-	kind   ColKind
-	starts []int32 // len numBuckets+1
-	ints   []int64
-	offs   []int32 // len totalPairs+1 (string kinds)
-	bytes  []byte
-	f64    []float64
-	anys   []any
+	kind ColKind
+	// starts has numBuckets+1 entries; it is nil in the segment-less arena
+	// of a map task without rows, which carries only its bucket count.
+	starts  []int32
+	buckets int
+	ints    []int64
+	offs    []int32 // len totalPairs+1 (string kinds)
+	bytes   []byte
+	f64     []float64
+	anys    []any
 }
 
 // Kind reports the arena's typed layout.
 func (a *ColBuckets) Kind() ColKind { return a.kind }
 
 // NumBuckets reports the reduce-partition count the arena was built for.
-func (a *ColBuckets) NumBuckets() int { return len(a.starts) - 1 }
+func (a *ColBuckets) NumBuckets() int {
+	if a.starts == nil {
+		return a.buckets
+	}
+	return len(a.starts) - 1
+}
+
+// Empty reports whether the arena is segment-less: no bucket holds a pair.
+func (a *ColBuckets) Empty() bool { return a.starts == nil }
+
+// AppendNonEmpty appends the ids of the buckets holding at least one pair
+// to dst, ascending — one contiguous scan of starts, so a reader can index
+// which blocks carry rows without building a view of each.
+func (a *ColBuckets) AppendNonEmpty(dst []int32) []int32 {
+	for b := 0; b+1 < len(a.starts); b++ {
+		if a.starts[b] != a.starts[b+1] {
+			dst = append(dst, int32(b))
+		}
+	}
+	return dst
+}
 
 // Bucket returns the zero-copy view of reduce bucket b. The view aliases
 // the arena (three-index slices, so appends cannot bleed across buckets)
@@ -142,8 +165,11 @@ func (a *ColBuckets) Bucket(b int) ColBlock {
 // ~150-byte struct copy Bucket's by-value return costs on the map-side
 // hot path (one call per reduce bucket per task).
 func (a *ColBuckets) BucketInto(b int, dst *ColBlock) {
-	lo, hi := a.starts[b], a.starts[b+1]
 	*dst = ColBlock{Kind: a.kind}
+	if a.starts == nil {
+		return
+	}
+	lo, hi := a.starts[b], a.starts[b+1]
 	if lo == hi {
 		return
 	}
@@ -170,6 +196,9 @@ func (a *ColBuckets) BucketInto(b int, dst *ColBlock) {
 // the simulated shuffle volumes are byte-identical to the boxed layout
 // (float addition is not associative; the loop order matters).
 func (a *ColBuckets) LogicalBytes(b int, scale float64) float64 {
+	if a.starts == nil {
+		return 0
+	}
 	lo, hi := int(a.starts[b]), int(a.starts[b+1])
 	total := 0.0
 	switch a.kind {
@@ -222,7 +251,7 @@ func aggAllF64(agg *Aggregator) bool {
 // byte-identical to partitionPairs in content and order on every path.
 func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets, [][]Pair, error) {
 	if len(rows) == 0 {
-		return &ColBuckets{starts: make([]int32, p.NumPartitions()+1)}, nil, nil
+		return &ColBuckets{buckets: p.NumPartitions()}, nil, nil
 	}
 	if pr, ok := rows[0].(Pair); ok {
 		_, vF64 := pr.V.(float64)

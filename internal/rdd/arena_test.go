@@ -289,8 +289,9 @@ func TestArenaOwnsEmptyInput(t *testing.T) {
 		if err != nil || cols == nil || boxed != nil {
 			t.Fatalf("empty input: cols=%v boxed=%v err=%v, want an arena only", cols, boxed, err)
 		}
-		if cols.NumBuckets() != 5 {
-			t.Fatalf("empty arena has %d buckets, want 5", cols.NumBuckets())
+		if cols.NumBuckets() != 5 || !cols.Empty() || len(cols.AppendNonEmpty(nil)) != 0 {
+			t.Fatalf("empty arena: %d buckets, empty=%v, non-empty ids %v; want 5 buckets holding nothing",
+				cols.NumBuckets(), cols.Empty(), cols.AppendNonEmpty(nil))
 		}
 		blocks := make([]*ColBlock, cols.NumBuckets())
 		for b := range blocks {
@@ -302,6 +303,28 @@ func TestArenaOwnsEmptyInput(t *testing.T) {
 		}
 		if got := MergeReduceCol(blocks, agg); got == nil || len(got) != 0 {
 			t.Fatalf("merging empty views: got %#v, want non-nil empty rows", got)
+		}
+	}
+}
+
+// TestAppendNonEmptyMatchesBuckets: the ids the shuffle index is built from
+// are exactly the buckets whose view holds a pair, ascending, appended
+// after whatever dst already held.
+func TestAppendNonEmptyMatchesBuckets(t *testing.T) {
+	rows := []Row{Pair{K: 3, V: 1.0}, Pair{K: 40, V: 2.0}, Pair{K: 3, V: 3.0}, Pair{K: 17, V: 4.0}}
+	for _, agg := range []*Aggregator{nil, SumAggregator()} {
+		cols, _, err := PartitionPairsCol(rows, NewHashPartitioner(64), agg)
+		if err != nil || cols == nil || cols.Empty() {
+			t.Fatalf("typed rows: cols=%v err=%v, want a non-empty arena", cols, err)
+		}
+		want := []int32{-1}
+		for b := 0; b < cols.NumBuckets(); b++ {
+			if blk := cols.Bucket(b); blk.Len() > 0 {
+				want = append(want, int32(b))
+			}
+		}
+		if got := cols.AppendNonEmpty([]int32{-1}); !reflect.DeepEqual(got, want) || len(got) < 3 {
+			t.Fatalf("non-empty bucket ids = %v, want %v", got, want)
 		}
 	}
 }

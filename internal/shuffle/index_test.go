@@ -1,0 +1,349 @@
+package shuffle
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"chopper/internal/rdd"
+)
+
+// panicMessage runs f and returns what it panicked with ("" if it
+// returned normally).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// randomOutput writes one map task's output the way the engine does —
+// a columnar arena when the rows are typed (segment-less with nil
+// Payloads when there are none), boxed buckets otherwise — sparse enough
+// that most buckets stay empty. Boxed payload sizes are drawn independently
+// of the rows, so a test can tell charged bytes from visited blocks.
+func randomOutput(t testing.TB, rng *rand.Rand, numReduce int) MapOutput {
+	rows := rng.Intn(2 * numReduce)
+	if rng.Intn(3) == 0 {
+		rows = 0
+	}
+	if rng.Intn(3) == 0 {
+		out := MapOutput{Boxed: make([][]rdd.Pair, numReduce), Payloads: make([]int64, numReduce)}
+		for i := 0; i < rows; i++ {
+			r := rng.Intn(numReduce)
+			out.Boxed[r] = append(out.Boxed[r], rdd.Pair{K: rng.Intn(7), V: float64(rng.Intn(50))})
+		}
+		for r := range out.Payloads {
+			if rng.Intn(2) == 0 {
+				out.Payloads[r] = int64(rng.Intn(1000))
+			}
+		}
+		return out
+	}
+	in := make([]rdd.Row, rows)
+	for i := range in {
+		in[i] = rdd.Pair{K: rng.Intn(7 * numReduce), V: float64(rng.Intn(50))}
+	}
+	var agg *rdd.Aggregator
+	if rng.Intn(2) == 0 {
+		agg = rdd.SumAggregator()
+	}
+	cols, _, err := rdd.PartitionPairsCol(in, rdd.NewHashPartitioner(numReduce), agg)
+	if err != nil || cols == nil {
+		t.Fatalf("typed rows did not produce an arena: %v", err)
+	}
+	if cols.Empty() {
+		return MapOutput{Cols: cols}
+	}
+	payloads := make([]int64, numReduce)
+	for r := range payloads {
+		payloads[r] = int64(cols.LogicalBytes(r, 1))
+	}
+	return MapOutput{Cols: cols, Payloads: payloads}
+}
+
+// model is the brute-force reference: the outputs exactly as the test
+// wrote them, walked map task by map task for every question.
+type model struct {
+	overhead, empty int64
+	numReduce       int
+	nodes           []string
+	outs            []*MapOutput
+}
+
+func (md *model) block(mt, r int) *rdd.ColBlock {
+	blk := &rdd.ColBlock{}
+	if o := md.outs[mt]; o.Cols != nil {
+		o.Cols.BucketInto(r, blk)
+	} else {
+		blk.Pairs = o.Boxed[r]
+	}
+	return blk
+}
+
+// blockBytes is what block (mt, r) is charged: payload plus overhead.
+func (md *model) blockBytes(mt, r int) int64 {
+	if o := md.outs[mt]; o.Payloads != nil && o.Payloads[r] != 0 {
+		return o.Payloads[r] + md.overhead
+	}
+	return md.empty
+}
+
+func (md *model) nodeBytes(r int) []NodeBytes {
+	totals := map[string]int64{}
+	for mt, o := range md.outs {
+		if o != nil {
+			totals[md.nodes[mt]] += md.blockBytes(mt, r)
+		}
+	}
+	out := []NodeBytes{}
+	for n, b := range totals {
+		out = append(out, NodeBytes{Node: n, Bytes: b})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
+	return out
+}
+
+func (md *model) bestNode(r int) (string, bool) {
+	best, ok := NodeBytes{}, false
+	for _, nb := range md.nodeBytes(r) { // sorted by name: first maximum wins
+		if !ok || nb.Bytes > best.Bytes {
+			best, ok = nb, true
+		}
+	}
+	return best.Node, ok
+}
+
+// checkAgainstModel compares every index answer for every reduce partition
+// with the brute-force walk.
+func checkAgainstModel(t testing.TB, m *Manager, id int, md *model) {
+	t.Helper()
+	missing := -1
+	for mt, o := range md.outs {
+		if o == nil {
+			missing = mt
+			break
+		}
+	}
+	for r := 0; r < md.numReduce; r++ {
+		if got, want := m.ReduceNodeBytes(id, r), md.nodeBytes(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reduce %d: node bytes %v, want %v", r, got, want)
+		}
+		wantBest, wantOK := md.bestNode(r)
+		if best, ok := m.BestReduceNode([]int{id}, r); best != wantBest || ok != wantOK {
+			t.Fatalf("reduce %d: best node %q/%v, want %q/%v", r, best, ok, wantBest, wantOK)
+		}
+		if missing >= 0 {
+			want := fmt.Sprintf("shuffle %d: reduce read before map %d finished", id, missing)
+			if got := panicMessage(func() { m.ReduceInput(id, r) }); got != want {
+				t.Fatalf("reduce %d at partial completion: panic %q, want %q", r, got, want)
+			}
+			continue
+		}
+		var all, nonEmpty []*rdd.ColBlock
+		for mt := range md.outs {
+			blk := md.block(mt, r)
+			all = append(all, blk)
+			if blk.Len() > 0 {
+				nonEmpty = append(nonEmpty, blk)
+			}
+		}
+		view := m.ReduceInput(id, r)
+		if got, want := view.NodeBytes(), md.nodeBytes(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reduce %d: view node bytes %v, want %v", r, got, want)
+		}
+		if view.Len() != len(nonEmpty) {
+			t.Fatalf("reduce %d: view holds %d blocks, want the %d non-empty ones", r, view.Len(), len(nonEmpty))
+		}
+		for i, want := range nonEmpty {
+			var got rdd.ColBlock
+			view.BlockInto(i, &got)
+			if !reflect.DeepEqual(got.AppendPairs(nil), want.AppendPairs(nil)) {
+				t.Fatalf("reduce %d: block %d out of map-task order", r, i)
+			}
+		}
+		for _, agg := range []*rdd.Aggregator{nil, rdd.SumAggregator()} {
+			got := rdd.MergeReduceColN(view.Len(), view.BlockInto, agg)
+			if want := rdd.MergeReduceCol(all, agg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reduce %d: merged rows %v, want %v", r, got, want)
+			}
+		}
+	}
+}
+
+// runIndexScenario drives one random shuffle through puts in random
+// order, reads at partial completion, re-puts onto different nodes, and a
+// re-Register, checking the index against the model after every step that
+// could leave a stale one behind.
+func runIndexScenario(t testing.TB, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	pool := []string{"A", "B", "C", "D"}[:1+rng.Intn(4)]
+	m := NewManager(int64(rng.Intn(100)), int64(rng.Intn(10)))
+	const id = 5
+	for gen := 0; gen < 2; gen++ { // the second generation re-Registers the id
+		md := &model{overhead: m.overheadBytes, empty: m.emptyBytes, numReduce: 1 + rng.Intn(9)}
+		numMaps := 1 + rng.Intn(12)
+		md.nodes, md.outs = make([]string, numMaps), make([]*MapOutput, numMaps)
+		m.Register(id, numMaps, md.numReduce)
+		put := func(mt int) {
+			out := randomOutput(t, rng, md.numReduce)
+			md.nodes[mt], md.outs[mt] = pool[rng.Intn(len(pool))], &out
+			var want int64
+			for r := 0; r < md.numReduce; r++ {
+				want += md.blockBytes(mt, r)
+			}
+			if got := m.PutMapOutput(id, mt, md.nodes[mt], out); got != want {
+				t.Fatalf("map %d wrote %d bytes, want %d", mt, got, want)
+			}
+		}
+		checkAgainstModel(t, m, id, md)
+		for _, mt := range rng.Perm(numMaps) {
+			put(mt)
+			if rng.Intn(3) == 0 {
+				checkAgainstModel(t, m, id, md)
+			}
+		}
+		checkAgainstModel(t, m, id, md)
+		for i := rng.Intn(3); i > 0; i-- { // re-put after completion
+			put(rng.Intn(numMaps))
+			checkAgainstModel(t, m, id, md)
+		}
+	}
+}
+
+func TestIndexMatchesBruteForce(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		runIndexScenario(t, seed)
+	}
+}
+
+func FuzzShuffleIndex(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, 1 << 40, -3} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { runIndexScenario(t, seed) })
+}
+
+// TestViewHoldsOnlyNonEmptyBlocks pins the view's shape on a hand-built
+// case: three map tasks, of which one wrote nothing at all and one wrote
+// nothing for reduce 1.
+func TestViewHoldsOnlyNonEmptyBlocks(t *testing.T) {
+	m := NewManager(10, 1)
+	m.Register(1, 3, 2)
+	m.PutMapOutput(1, 0, "A", MapOutput{Boxed: [][]rdd.Pair{{{K: 1, V: "m0"}}, nil}, Payloads: []int64{5, 0}})
+	empty, _, err := rdd.PartitionPairsCol(nil, rdd.NewHashPartitioner(2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := m.PutMapOutput(1, 1, "B", MapOutput{Cols: empty}); w != 2 {
+		t.Fatalf("a map task without rows wrote %d bytes, want 2 empty-block entries", w)
+	}
+	m.PutMapOutput(1, 2, "A", MapOutput{Boxed: [][]rdd.Pair{{{K: 1, V: "m2"}}, {{K: 2, V: "m2"}}}, Payloads: []int64{5, 5}})
+
+	v := m.ReduceInput(1, 0)
+	if v.Len() != 2 {
+		t.Fatalf("reduce 0 sees %d blocks, want 2", v.Len())
+	}
+	for i, want := range []string{"m0", "m2"} {
+		var blk rdd.ColBlock
+		v.BlockInto(i, &blk)
+		if blk.Len() != 1 || blk.Pairs[0].V != want {
+			t.Fatalf("block %d = %+v, want the row of %s", i, blk, want)
+		}
+	}
+	// Empty blocks are charged even though they are never visited.
+	want := []NodeBytes{{Node: "A", Bytes: 30}, {Node: "B", Bytes: 1}}
+	if got := v.NodeBytes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reduce 0 node bytes = %v, want %v", got, want)
+	}
+	if v := m.ReduceInput(1, 1); v.Len() != 1 {
+		t.Fatalf("reduce 1 sees %d blocks, want 1", v.Len())
+	}
+}
+
+// sealedSquare stores n sparse map outputs over n reduce partitions.
+func sealedSquare(t testing.TB, n int) *Manager {
+	m := NewManager(96, 8)
+	m.Register(1, n, n)
+	rng := rand.New(rand.NewSource(int64(n)))
+	for mt := 0; mt < n; mt++ {
+		m.PutMapOutput(1, mt, fmt.Sprintf("N%d", mt%5), randomOutput(t, rng, n))
+	}
+	return m
+}
+
+// TestReduceReadAllocsIndependentOfMaps is the machine-independent scaling
+// guard: one reduce read (view plus locality profile) on a sealed shuffle
+// allocates the same small constant at 150 and at 900 map tasks.
+func TestReduceReadAllocsIndependentOfMaps(t *testing.T) {
+	allocs := func(n int) float64 {
+		m := sealedSquare(t, n)
+		m.ReduceInput(1, 0) // build the index outside the measurement
+		r := 0
+		return testing.AllocsPerRun(200, func() {
+			r = (r + 1) % n
+			v := m.ReduceInput(1, r)
+			if len(v.NodeBytes()) != 5 {
+				t.Fatal("profile lost a node")
+			}
+		})
+	}
+	small, large := allocs(150), allocs(900)
+	if small != large || small > 1 {
+		t.Fatalf("allocs per reduce read: %v at 150 maps, %v at 900; want the same constant <= 1", small, large)
+	}
+}
+
+func TestRetireDropsIndex(t *testing.T) {
+	m := sealedSquare(t, 8)
+	m.ReduceInput(1, 0)
+	st := m.mustGet(1)
+	if st.idx == nil {
+		t.Fatalf("a read of a sealed shuffle must leave its index behind")
+	}
+	m.RetireExcept(nil)
+	if st.idx != nil {
+		t.Fatalf("retirement kept the index, and with it every arena, alive")
+	}
+	for name, read := range map[string]func(){
+		"ReduceInput":     func() { m.ReduceInput(1, 0) },
+		"ReduceNodeBytes": func() { m.ReduceNodeBytes(1, 0) },
+	} {
+		if msg := panicMessage(read); !strings.Contains(msg, "read after retirement") {
+			t.Fatalf("%s after retirement panicked with %q, want the lifecycle message", name, msg)
+		}
+	}
+}
+
+// TestRacingFirstRead: goroutines racing the first read of a complete
+// shuffle share one index and merge the same rows (run under -race).
+func TestRacingFirstRead(t *testing.T) {
+	const n, readers = 40, 8
+	m := sealedSquare(t, n)
+	rows := make([][][]rdd.Row, readers)
+	var wg sync.WaitGroup
+	for g := range rows {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < n; r++ {
+				v := m.ReduceInput(1, r)
+				v.NodeBytes()
+				rows[g] = append(rows[g], rdd.MergeReduceColN(v.Len(), v.BlockInto, nil))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < readers; g++ {
+		if !reflect.DeepEqual(rows[g], rows[0]) {
+			t.Fatalf("reader %d merged different rows than reader 0", g)
+		}
+	}
+}

@@ -54,10 +54,10 @@ func TestRetireExceptLifecycle(t *testing.T) {
 	}
 
 	// The live shuffle is untouched.
-	if !m.Complete(2) {
+	if !complete(m, 2) {
 		t.Fatalf("live shuffle lost its outputs")
 	}
-	if got := rdd.MergeReduceCol(m.ReduceInput(2, 0).Blocks(), agg); len(got) == 0 {
+	if got := rdd.MergeReduceCol(blocks(m.ReduceInput(2, 0)), agg); len(got) == 0 {
 		t.Fatalf("live shuffle reduce input empty")
 	}
 
@@ -79,7 +79,7 @@ func TestRetireExceptLifecycle(t *testing.T) {
 	// A stage retune re-registers the id and starts a fresh generation.
 	m.Register(1, 1, 2)
 	m.PutMapOutput(1, 0, "C", colBlocksFor(t, 3, 40, 2, agg))
-	if !m.Complete(1) {
+	if !complete(m, 1) {
 		t.Fatalf("re-registered shuffle should accept writes again")
 	}
 }
@@ -170,7 +170,7 @@ func TestConcurrentGenerations(t *testing.T) {
 	wg.Wait()
 
 	// Retain a pre-retirement view and its merged value.
-	view := m.ReduceInput(1, 0).Blocks()
+	view := blocks(m.ReduceInput(1, 0))
 	want := rdd.MergeReduceCol(view, agg)
 
 	// Generation 2: writers, locality readers, and the retirement of
@@ -190,7 +190,7 @@ func TestConcurrentGenerations(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				m.ReduceNodeBytes(2, r)
 				m.BestReduceNode([]int{2}, r)
-				m.Complete(2)
+				complete(m, 2)
 			}
 		}(r)
 	}
@@ -207,7 +207,7 @@ func TestConcurrentGenerations(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = rdd.MergeReduceCol(m.ReduceInput(2, i%reduces).Blocks(), agg)
+			results[i] = rdd.MergeReduceCol(blocks(m.ReduceInput(2, i%reduces)), agg)
 		}(i)
 	}
 	wg.Wait()

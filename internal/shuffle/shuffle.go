@@ -11,15 +11,25 @@
 //
 // Concurrency: the Manager's own lock only guards the shuffle-id table;
 // each shuffle carries its own mutex, so tasks of different shuffles never
-// contend. Readers (ReduceInput, ReduceNodeBytes) snapshot the output table
-// under the shuffle's lock and work outside it — map outputs are immutable
-// once stored, so the snapshot stays valid. Nothing derived is cached: the
-// engine asks each (shuffle, reduce) question once.
+// contend.
+//
+// The reduce side reads through one derived structure per shuffle, the
+// reduce-major index: the stored map outputs transposed, by the first read
+// after the last write, into a node x reduce byte matrix and a
+// reduce -> non-empty-blocks table. A reduce task then costs a column read
+// and a sub-slice instead of a walk over every map output, so a P x P job
+// stops paying P² host time for blocks that hold nothing (they are still
+// charged, from counts). One invalidation rule: any PutMapOutput, Register
+// or RetireExcept on the shuffle drops its index. A built index is
+// immutable, so readers use it outside the lock. It is a layout, not a
+// cache of answers — built once, read numReduce times, no hit/miss,
+// eviction or generation counter; a memo of per-(shuffle, reduce) answers
+// would never hit, because the engine asks each of them once.
 package shuffle
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"chopper/internal/rdd"
@@ -39,7 +49,8 @@ type MapOutput struct {
 	// Boxed holds the per-reduce boxed buckets of a fallback map task
 	// (nil when Cols is set).
 	Boxed [][]rdd.Pair
-	// Payloads is the logical serialized payload size per reduce bucket.
+	// Payloads is the logical serialized payload size per reduce bucket;
+	// nil means every block is empty (a map task without rows).
 	Payloads []int64
 }
 
@@ -67,12 +78,28 @@ func (mo *mapOutput) blockInto(r int, dst *rdd.ColBlock) {
 	*dst = rdd.ColBlock{Kind: rdd.ColNone, Pairs: mo.out.Boxed[r]}
 }
 
+// appendNonEmpty appends the ids of the reduce buckets holding at least
+// one pair to dst, ascending.
+func (mo *mapOutput) appendNonEmpty(dst []int32) []int32 {
+	if mo.out.Cols != nil {
+		return mo.out.Cols.AppendNonEmpty(dst)
+	}
+	for r, b := range mo.out.Boxed {
+		if len(b) > 0 {
+			dst = append(dst, int32(r))
+		}
+	}
+	return dst
+}
+
 type state struct {
 	mu        sync.Mutex
 	numMaps   int
 	numReduce int
 	outputs   []*mapOutput
-	completed int
+	// idx is the reduce-major index over outputs; nil until the first
+	// read after the last write builds it.
+	idx *reduceIndex
 	// retired marks a generation whose arenas have been released; any
 	// read of its outputs is a lifecycle bug and panics loudly.
 	retired bool
@@ -133,6 +160,9 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	for _, p := range out.Payloads {
 		bytes += m.blockBytes(p)
 	}
+	if out.Payloads == nil {
+		bytes = int64(st.numReduce) * m.emptyBytes
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.retired {
@@ -141,7 +171,7 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	if mapTask < 0 || mapTask >= st.numMaps {
 		panic(fmt.Sprintf("shuffle %d: map task %d out of range [0,%d)", shuffleID, mapTask, st.numMaps))
 	}
-	if len(out.Payloads) != st.numReduce {
+	if out.Payloads != nil && len(out.Payloads) != st.numReduce {
 		panic(fmt.Sprintf("shuffle %d: got %d payloads, want %d", shuffleID, len(out.Payloads), st.numReduce))
 	}
 	if out.Cols != nil {
@@ -151,132 +181,188 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	} else if len(out.Boxed) != st.numReduce {
 		panic(fmt.Sprintf("shuffle %d: got %d boxed buckets, want %d", shuffleID, len(out.Boxed), st.numReduce))
 	}
-	if st.outputs[mapTask] == nil {
-		st.completed++
-	}
 	st.outputs[mapTask] = &mapOutput{node: node, out: out}
+	st.idx = nil
 	return bytes
 }
 
-// Complete reports whether every map task has registered output.
-func (m *Manager) Complete(shuffleID int) bool {
-	st := m.mustGet(shuffleID)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.completed == st.numMaps
+// reduceIndex is one shuffle's stored map outputs transposed for the
+// reduce side; immutable once built.
+type reduceIndex struct {
+	// missing is the lowest map task without output, -1 when complete.
+	missing int
+	// nodes are the map nodes holding output, sorted by name; bytes is
+	// the node-major matrix of input bytes (payload + per-block overhead):
+	// bytes[n*numReduce+r] is what reduce r reads from nodes[n].
+	nodes     []string
+	bytes     []int64
+	numReduce int
+	// blocks[starts[r]:starts[r+1]] are the map outputs whose bucket r
+	// holds at least one pair, in map-task order.
+	starts []int32
+	blocks []*mapOutput
 }
 
-// snapshotOutputs copies the output table header under the shuffle lock.
-// The *mapOutput entries are immutable once stored, so callers may read
-// them without the lock. Reading a retired generation panics: its arenas
-// have been released and any view handed out would be a use-after-free of
-// the zero-copy contract.
-func (st *state) snapshotOutputs(shuffleID int) []*mapOutput {
+// buildIndex transposes the outputs stored so far: per map output one scan
+// of its payload sizes (integer sums, so the totals do not depend on put
+// order) and one of its bucket boundaries; everything after that touches
+// non-empty blocks only. Callers hold st.mu.
+func (m *Manager) buildIndex(st *state) *reduceIndex {
+	nr := st.numReduce
+	ix := &reduceIndex{missing: -1, numReduce: nr, starts: make([]int32, nr+1)}
+	row := map[string]int{} // node -> matrix row
+	for i, mo := range st.outputs {
+		if mo == nil {
+			if ix.missing < 0 {
+				ix.missing = i
+			}
+		} else if _, ok := row[mo.node]; !ok {
+			row[mo.node] = 0
+			ix.nodes = append(ix.nodes, mo.node)
+		}
+	}
+	slices.Sort(ix.nodes)
+	for n, node := range ix.nodes {
+		row[node] = n
+	}
+	ix.bytes = make([]int64, len(ix.nodes)*nr)
+	allEmpty := make([]int64, len(ix.nodes)) // per node: bytes of outputs with nil Payloads, per reduce
+	// ids lists every output's non-empty buckets back to back; ends[i]
+	// closes map task i's run.
+	var ids []int32
+	ends := make([]int, len(st.outputs))
+	for i, mo := range st.outputs {
+		if mo != nil {
+			n := row[mo.node]
+			if mo.out.Payloads == nil {
+				allEmpty[n] += m.emptyBytes
+			}
+			sums := ix.bytes[n*nr:][:nr]
+			for r, p := range mo.out.Payloads {
+				sums[r] += m.blockBytes(p)
+			}
+			ids = mo.appendNonEmpty(ids)
+		}
+		ends[i] = len(ids)
+	}
+	for n, b := range allEmpty {
+		for r := n * nr; r < (n+1)*nr; r++ {
+			ix.bytes[r] += b
+		}
+	}
+	for _, r := range ids {
+		ix.starts[r+1]++
+	}
+	for r := 0; r < nr; r++ {
+		ix.starts[r+1] += ix.starts[r]
+	}
+	ix.blocks = make([]*mapOutput, len(ids))
+	next := slices.Clone(ix.starts[:nr])
+	lo := 0
+	for i, mo := range st.outputs {
+		for _, r := range ids[lo:ends[i]] {
+			ix.blocks[next[r]] = mo
+			next[r]++
+		}
+		lo = ends[i]
+	}
+	return ix
+}
+
+// index returns the shuffle's reduce-major index, building it if a write
+// dropped the last one. Reading a retired generation panics: its arenas
+// are released, so a view would break the zero-copy contract.
+func (m *Manager) index(shuffleID, reduce int) *reduceIndex {
+	st := m.mustGet(shuffleID)
+	if reduce < 0 || reduce >= st.numReduce {
+		panic(fmt.Sprintf("shuffle %d: reduce %d out of range [0,%d)", shuffleID, reduce, st.numReduce))
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.retired {
 		panic(fmt.Sprintf("shuffle %d: read after retirement", shuffleID))
 	}
-	outs := make([]*mapOutput, len(st.outputs))
-	copy(outs, st.outputs)
-	return outs
+	if st.idx == nil {
+		st.idx = m.buildIndex(st)
+	}
+	return st.idx
 }
 
-// ReduceView is one reduce partition's input: a window over every map
-// task's stored output, in map-task order (deterministic merge order
-// downstream). BlockInto streams zero-copy views that alias the map
-// tasks' arenas: they are valid until the shuffle generation retires and
-// must be deep-copied before being retained anywhere heap-lived (the
-// genlife rule enforces this contract statically).
-type ReduceView struct {
-	outs   []*mapOutput
-	reduce int
-}
-
-// Len reports the number of input blocks (one per map task).
-func (v ReduceView) Len() int { return len(v.outs) }
-
-// BlockInto writes block i's zero-copy view into dst, fully overwriting
-// it — the exact get-callback shape rdd.MergeReduceColN consumes, so a
-// reduce merge reuses one stack scratch block across the whole input.
-func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) {
-	v.outs[i].blockInto(v.reduce, dst)
-}
-
-// Blocks materializes the view as a slice of per-map blocks. The merge
-// path streams through BlockInto instead; this shape serves callers that
-// need random access to materialized views (tests, mostly).
-func (v ReduceView) Blocks() []*rdd.ColBlock {
-	out := make([]*rdd.ColBlock, len(v.outs))
-	for i := range out {
-		out[i] = new(rdd.ColBlock)
-		v.BlockInto(i, out[i])
+// nodeBytes reads reduce partition r's column of the byte matrix into a
+// fresh slice, sorted by node name.
+func (ix *reduceIndex) nodeBytes(r int) []NodeBytes {
+	out := make([]NodeBytes, len(ix.nodes))
+	for n, node := range ix.nodes {
+		out[n] = NodeBytes{Node: node, Bytes: ix.bytes[n*ix.numReduce+r]}
 	}
 	return out
 }
 
-// ReduceInput returns the reduce partition's input view over all map
-// outputs. Reading before every map task finished, or after the
-// generation retired, panics.
+// ReduceView is one reduce partition's input: the stored outputs of the
+// map tasks that wrote at least one pair for it, in map-task order
+// (deterministic merge order downstream), plus its locality profile.
+// Empty blocks are charged in NodeBytes but never visited. BlockInto
+// streams zero-copy views that alias the map tasks' arenas: they are valid
+// until the shuffle generation retires and must be deep-copied before
+// being retained anywhere heap-lived (the genlife rule enforces this
+// contract statically).
+type ReduceView struct {
+	idx    *reduceIndex
+	outs   []*mapOutput
+	reduce int
+}
+
+// Len reports the number of non-empty input blocks.
+func (v ReduceView) Len() int { return len(v.outs) }
+
+// BlockInto writes non-empty block i's zero-copy view into dst, fully
+// overwriting it — the exact get-callback shape rdd.MergeReduceColN
+// consumes, so a reduce merge reuses one stack scratch block across the
+// whole input.
+func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) {
+	v.outs[i].blockInto(v.reduce, dst)
+}
+
+// NodeBytes reports how many of the partition's input bytes (payload plus
+// per-block overhead, empty blocks included) live on each map node,
+// sorted by node name. The slice is the caller's own.
+func (v ReduceView) NodeBytes() []NodeBytes { return v.idx.nodeBytes(v.reduce) }
+
+// ReduceInput returns the reduce partition's input view. Reading before
+// every map task finished, or after the generation retired, panics.
 func (m *Manager) ReduceInput(shuffleID, reduce int) ReduceView {
-	st := m.mustGet(shuffleID)
-	checkReduce(st, shuffleID, reduce)
-	outs := st.snapshotOutputs(shuffleID)
-	for i, mo := range outs {
-		if mo == nil {
-			panic(fmt.Sprintf("shuffle %d: reduce read before map %d finished", shuffleID, i))
-		}
+	ix := m.index(shuffleID, reduce)
+	if ix.missing >= 0 {
+		panic(fmt.Sprintf("shuffle %d: reduce read before map %d finished", shuffleID, ix.missing))
 	}
-	return ReduceView{outs: outs, reduce: reduce}
+	return ReduceView{idx: ix, outs: ix.blocks[ix.starts[reduce]:ix.starts[reduce+1]], reduce: reduce}
 }
 
 // ReduceNodeBytes reports, for one reduce partition, how many input bytes
 // live on each map node — the locality signal for reduce placement —
-// sorted by node name. The profile is computed from one snapshot of the
-// output table; the returned slice is the caller's own.
+// sorted by node name, over the map outputs stored so far. The returned
+// slice is the caller's own.
 func (m *Manager) ReduceNodeBytes(shuffleID, reduce int) []NodeBytes {
-	st := m.mustGet(shuffleID)
-	checkReduce(st, shuffleID, reduce)
-	totals := map[string]int64{}
-	for _, mo := range st.snapshotOutputs(shuffleID) {
-		if mo == nil {
-			continue
-		}
-		totals[mo.node] += m.blockBytes(mo.out.Payloads[reduce])
-	}
-	nodes := make([]NodeBytes, 0, len(totals))
-	for n, b := range totals {
-		nodes = append(nodes, NodeBytes{Node: n, Bytes: b})
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Node < nodes[j].Node })
-	return nodes
+	return m.index(shuffleID, reduce).nodeBytes(reduce)
 }
 
 // BestReduceNode returns the node holding the most input for a reduce
-// partition across the given shuffles (a join reads several), with
-// deterministic tie-breaking. ok is false when no output exists yet.
-func (m *Manager) BestReduceNode(shuffleIDs []int, reduce int) (string, bool) {
+// partition across the given shuffles (a join reads several); ties go to
+// the lexicographically first node. ok is false when no output exists yet.
+func (m *Manager) BestReduceNode(shuffleIDs []int, reduce int) (best string, ok bool) {
 	totals := map[string]int64{}
 	for _, id := range shuffleIDs {
-		for _, nb := range m.ReduceNodeBytes(id, reduce) {
-			totals[nb.Node] += nb.Bytes
+		ix := m.index(id, reduce)
+		for n, node := range ix.nodes {
+			totals[node] += ix.bytes[n*ix.numReduce+reduce]
 		}
 	}
-	if len(totals) == 0 {
-		return "", false
-	}
-	nodes := make([]string, 0, len(totals))
-	for n := range totals {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	best := nodes[0]
-	for _, n := range nodes[1:] {
-		if totals[n] > totals[best] {
-			best = n
+	for node, b := range totals {
+		if !ok || b > totals[best] || b == totals[best] && node < best {
+			best, ok = node, true
 		}
 	}
-	return best, true
+	return best, ok
 }
 
 // RetireExcept releases every tracked shuffle whose id is not in live:
@@ -304,14 +390,14 @@ func (m *Manager) RetireExcept(live []int) int {
 		}
 	}
 	m.mu.RUnlock()
-	sort.Ints(ids)
+	slices.Sort(ids)
 	retired := 0
 	for _, id := range ids {
 		st := m.mustGet(id)
 		st.mu.Lock()
 		if !st.retired {
 			st.outputs = nil
-			st.completed = 0
+			st.idx = nil
 			st.retired = true
 			retired++
 		}
@@ -334,10 +420,4 @@ func (m *Manager) mustGet(id int) *state {
 		panic(fmt.Sprintf("shuffle: unknown shuffle id %d", id))
 	}
 	return st
-}
-
-func checkReduce(st *state, id, reduce int) {
-	if reduce < 0 || reduce >= st.numReduce {
-		panic(fmt.Sprintf("shuffle %d: reduce %d out of range [0,%d)", id, reduce, st.numReduce))
-	}
 }

@@ -14,6 +14,19 @@ func blocksFor(numReduce int, payload ...int64) MapOutput {
 	return MapOutput{Boxed: make([][]rdd.Pair, numReduce), Payloads: payloads}
 }
 
+// complete reports whether every map task of the shuffle has stored output.
+func complete(m *Manager, shuffleID int) bool { return m.index(shuffleID, 0).missing < 0 }
+
+// blocks materializes a view's non-empty blocks for random access.
+func blocks(v ReduceView) []*rdd.ColBlock {
+	out := make([]*rdd.ColBlock, v.Len())
+	for i := range out {
+		out[i] = new(rdd.ColBlock)
+		v.BlockInto(i, out[i])
+	}
+	return out
+}
+
 func TestRegisterAndWriteAccounting(t *testing.T) {
 	m := NewManager(10, 10)
 	m.Register(1, 2, 3)
@@ -22,14 +35,14 @@ func TestRegisterAndWriteAccounting(t *testing.T) {
 	if w != 330 {
 		t.Fatalf("write bytes = %d, want 330", w)
 	}
-	if m.Complete(1) {
+	if complete(m, 1) {
 		t.Fatalf("shuffle not complete with 1 of 2 maps")
 	}
 	// payload 100 + 3 blocks x 10 overhead (empty blocks cost the same here).
 	if w := m.PutMapOutput(1, 1, "B", blocksFor(3, 50, 0, 50)); w != 130 {
 		t.Fatalf("write bytes = %d, want 130", w)
 	}
-	if !m.Complete(1) {
+	if !complete(m, 1) {
 		t.Fatalf("shuffle should be complete")
 	}
 }
@@ -42,7 +55,7 @@ func TestReduceInputOrderedByMapTask(t *testing.T) {
 	// Insert out of order; read must be map-task ordered.
 	m.PutMapOutput(7, 1, "B", b1)
 	m.PutMapOutput(7, 0, "A", b0)
-	in := m.ReduceInput(7, 0).Blocks()
+	in := blocks(m.ReduceInput(7, 0))
 	if len(in) != 2 || in[0].Pairs[0].V != "m0" || in[1].Pairs[0].V != "m1" {
 		t.Fatalf("reduce input out of order: %v", in)
 	}
@@ -157,7 +170,7 @@ func TestReRegisterResets(t *testing.T) {
 	m.Register(1, 1, 1)
 	m.PutMapOutput(1, 0, "A", blocksFor(1, 10))
 	m.Register(1, 2, 2)
-	if m.Complete(1) {
+	if complete(m, 1) {
 		t.Fatalf("re-register should reset completion")
 	}
 	if m.NumReduce(1) != 2 {
