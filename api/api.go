@@ -93,9 +93,9 @@ type TrainRequest struct {
 	Shrink     int    `json:"shrink,omitempty"`
 	// SizeFractions, Partitions and Range override the default trial plan
 	// when non-empty (smaller grids make cheaper incremental updates).
-	SizeFractions  []float64 `json:"sizeFractions,omitempty"`
-	Partitions     []int     `json:"partitions,omitempty"`
-	Range *bool `json:"range,omitempty"`
+	SizeFractions []float64 `json:"sizeFractions,omitempty"`
+	Partitions    []int     `json:"partitions,omitempty"`
+	Range         *bool     `json:"range,omitempty"`
 	// TimeoutSeconds behaves as in SubmitRequest: 0 means the server
 	// default, larger values are clamped to it.
 	TimeoutSeconds float64 `json:"timeoutSeconds,omitempty"`
@@ -143,8 +143,8 @@ type Health struct {
 	QueueDepth    int     `json:"queueDepth"`
 	// ActiveJobs counts jobs currently executing on a worker; together with
 	// QueueDepth it tells a client whether submitted work has been admitted.
-	ActiveJobs int `json:"activeJobs"`
-	QueueCap   int `json:"queueCap"`
+	ActiveJobs int  `json:"activeJobs"`
+	QueueCap   int  `json:"queueCap"`
 	Draining   bool `json:"draining"`
 	// Store describes the durable profile store; empty when in-memory.
 	StorePath      string `json:"storePath,omitempty"`

@@ -69,6 +69,16 @@ gate "build gate CLIs"
 mkdir -p bin
 go build -o bin/ ./cmd/chopperlint ./cmd/chopperguard ./cmd/chopperplan ./cmd/chopperverify ./cmd/chopperkey ./cmd/chopperheap
 
+gate "gofmt"
+# Any file gofmt would rewrite fails the gate. gofmt walks directories, not
+# packages, so the nested bench/ module is covered too.
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+    echo "ci.sh: gofmt -l reports unformatted files:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 gate "vet"
 go vet ./...
 
@@ -139,10 +149,12 @@ gate "chopperbench (regression gate)"
 # kernels, the quick sweep, the chopperd serving stack under closed-loop
 # load, and the fleet saturation table (1/2/4 in-process shards behind the
 # router), then gates allocs/op (exact, machine-independent) against the
-# committed kernel rows, the parallel-sweep speedup (floor scaled to
-# GOMAXPROCS), zero dropped service requests, and zero dropped fleet
-# requests plus the 4-vs-1 shard scaling floor (also GOMAXPROCS-scaled)
-# against the committed baseline. Allocated bytes are bounded end to end by
+# committed kernel rows, zero dropped service requests, and zero dropped
+# fleet requests plus the 4-vs-1 shard scaling floor (GOMAXPROCS-scaled)
+# against the committed baseline. The parallel-sweep speedup floor is timed
+# — a ratio of two sub-second sweeps that failed at random on 2-vCPU guests
+# — so it is printed here and asserted only under -strict-time (ROADMAP
+# 1(d)). Allocated bytes are bounded end to end by
 # bench/'s 2% alloc_mb_per_round bound, not here. The heap
 # profile of the gate run is kept as an artifact (chopperbench-heap.pprof)
 # so allocation regressions can be diffed with `go tool pprof` without

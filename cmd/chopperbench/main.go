@@ -24,8 +24,9 @@
 //     matching shapes the sweep always gates at a loose 50% guard);
 //   - the end-to-end sweep speedup at -parallel workers vs sequential falls
 //     below the floor for this machine's GOMAXPROCS: >= 2.0 with 4+ procs,
-//     >= 1.3 with 2-3, not gated on a single-proc machine (run-level
-//     parallelism cannot buy wall time there; the kernel gates still apply);
+//     >= 1.3 with 2-3, no floor on a single-proc machine — only under
+//     -strict-time: a ratio of two sub-second wall times on a shared guest
+//     is a coin flip, so without the flag a miss is printed, not failed;
 //   - the chopperd service bench dropped any request under concurrent load
 //     (throughput and latency are machine-dependent and recorded for the
 //     baseline; throughput gates only under -strict-time);
@@ -352,9 +353,13 @@ func compareReports(cur, base Report, tol float64, strictTime bool) []string {
 	}
 	if floor, gated := speedupFloor(cur.GoMaxProcs); gated {
 		if cur.EndToEnd.Speedup < floor {
-			violations = append(violations, fmt.Sprintf(
-				"end-to-end speedup %.2fx below the %.1fx floor for GOMAXPROCS=%d",
-				cur.EndToEnd.Speedup, floor, cur.GoMaxProcs))
+			miss := fmt.Sprintf("end-to-end speedup %.2fx below the %.1fx floor for GOMAXPROCS=%d",
+				cur.EndToEnd.Speedup, floor, cur.GoMaxProcs)
+			if strictTime {
+				violations = append(violations, miss+" (-strict-time)")
+			} else {
+				fmt.Printf("  %s (timed: recorded, gated only under -strict-time)\n", miss)
+			}
 		}
 	} else {
 		fmt.Printf("  speedup gate skipped: GOMAXPROCS=%d leaves no room for run-level parallelism\n", cur.GoMaxProcs)

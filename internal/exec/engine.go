@@ -142,20 +142,17 @@ type task struct {
 	records  int64
 	srcBytes int64
 	srcNodes []string
-	cacheBy  map[string]int64 // cached-input bytes by node
-	shufBy   map[string]int64 // shuffle-input bytes by node
-	cost     float64          // logical byte-cost units
+	cacheBy  []shuffle.NodeBytes // cached-input bytes by node, sorted by node
+	shufBy   []shuffle.NodeBytes // shuffle-input bytes by node, sorted by node
+	cost     float64             // logical byte-cost units
 	pending  []pendingCache
 	mapOut   shuffle.MapOutput // map output (map stages only)
 	writeB   int64
 
-	// Derived once per task at the end of the compute pass, so the
-	// placement and speculation passes (which may evaluate the cost model
-	// several times per task) don't re-sort the byte maps on every call.
-	cacheKeys []string // sortedKeys(cacheBy)
-	shufKeys  []string // sortedKeys(shufBy)
-	cachePref []string // topNodes(cacheBy)
-	shufPref  []string // topNodes(shufBy)
+	// Derived once per task at the end of the compute pass (in parallel),
+	// so the sequential placement pass doesn't rank nodes per task.
+	cachePref []shuffle.NodeBytes // topNodes(cacheBy)
+	shufPref  []shuffle.NodeBytes // topNodes(shufBy); CoPartitionAware only
 
 	// Filled by the placement pass.
 	node   *cluster.Node
@@ -172,14 +169,7 @@ type pendingCache struct {
 }
 
 func (t *task) inputBytes() int64 {
-	var sum int64 = t.srcBytes
-	for _, b := range t.cacheBy {
-		sum += b
-	}
-	for _, b := range t.shufBy {
-		sum += b
-	}
-	return sum
+	return t.srcBytes + sumBytes(t.cacheBy) + sumBytes(t.shufBy)
 }
 
 // RunWave implements dag.StageRunner. CHOPPER mode overlaps the wave's
@@ -205,8 +195,8 @@ func (e *Engine) RunResult(st *dag.Stage, fn func(split int, rows []rdd.Row) (an
 // Materialize implements dag.StageRunner: driver-side evaluation with no
 // simulated cost and no cache mutation (used for range-bounds sampling).
 func (e *Engine) Materialize(r *rdd.RDD, split int) ([]rdd.Row, error) {
-	a := newAcct()
-	rows, _, err := e.materialize(r, split, a)
+	var a acct
+	rows, _, err := e.materialize(r, split, &a)
 	return rows, err
 }
 
@@ -285,13 +275,17 @@ func (e *Engine) RetireShufflesExcept(live []int) {
 func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (any, error)) ([]any, error) {
 	start := e.Now()
 
-	var tasks []*task
+	n := 0
+	for _, st := range stages {
+		n += st.NumTasks()
+	}
+	tasks := make([]task, 0, n) // one slab per wave; the passes address it by index
 	for _, st := range stages {
 		if st.OutDep != nil {
 			e.Shuffle.Register(st.OutDep.ShuffleID, st.NumTasks(), st.OutDep.Part.NumPartitions())
 		}
 		for split := 0; split < st.NumTasks(); split++ {
-			tasks = append(tasks, &task{stage: st, split: split, idx: split})
+			tasks = append(tasks, task{stage: st, split: split, idx: split})
 		}
 	}
 
@@ -318,9 +312,9 @@ func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (a
 	if resultFn == nil {
 		return nil, nil
 	}
-	out := make([]any, 0, len(tasks))
-	for _, t := range tasks {
-		out = append(out, t.result)
+	out := make([]any, len(tasks))
+	for i := range tasks {
+		out[i] = tasks[i].result
 	}
 	return out, nil
 }
@@ -330,7 +324,7 @@ func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (a
 // and record errors into an index-addressed scratch slice the engine reuses
 // across waves. The first error in task order is returned, matching what a
 // sequential loop would surface.
-func (e *Engine) computePass(tasks []*task) error {
+func (e *Engine) computePass(tasks []task) error {
 	n := len(tasks)
 	if n == 0 {
 		return nil
@@ -345,8 +339,8 @@ func (e *Engine) computePass(tasks []*task) error {
 	errs := e.takeErrScratch(n)
 	defer e.putErrScratch(errs)
 	if workers == 1 {
-		for i, t := range tasks {
-			errs[i] = e.computeTask(t)
+		for i := range tasks {
+			errs[i] = e.computeTask(&tasks[i])
 		}
 	} else {
 		var next atomic.Int64
@@ -360,7 +354,7 @@ func (e *Engine) computePass(tasks []*task) error {
 					if i >= n {
 						return
 					}
-					errs[i] = e.computeTask(tasks[i])
+					errs[i] = e.computeTask(&tasks[i])
 				}
 			}(errs, &next)
 		}
@@ -398,8 +392,8 @@ func (e *Engine) putErrScratch(s []error) {
 }
 
 func (e *Engine) computeTask(t *task) error {
-	a := newAcct()
-	rows, _, err := e.materialize(t.stage.Final, t.split, a)
+	var a acct
+	rows, _, err := e.materialize(t.stage.Final, t.split, &a)
 	if err != nil {
 		return fmt.Errorf("exec: stage %d task %d: %w", t.stage.ID, t.split, err)
 	}
@@ -411,46 +405,50 @@ func (e *Engine) computeTask(t *task) error {
 	t.shufBy = a.shufBy
 	t.cost = a.cost
 	t.pending = a.pending
-	t.cacheKeys = sortedKeys(t.cacheBy)
-	t.shufKeys = sortedKeys(t.shufBy)
 	t.cachePref = topNodes(t.cacheBy)
-	t.shufPref = topNodes(t.shufBy)
+	if e.CoPartitionAware { // vanilla placement ignores shuffle locality
+		t.shufPref = topNodes(t.shufBy)
+	}
 
 	if dep := t.stage.OutDep; dep != nil {
 		cols, buckets, err := rdd.PartitionPairsCol(rows, dep.Part, dep.Agg)
 		if err != nil {
 			return fmt.Errorf("exec: stage %d shuffle write: %w", t.stage.ID, err)
 		}
+		// Size the buckets that hold pairs; the rest are empty blocks,
+		// charged from their count alone.
 		scale := e.Ctx.LogicalScale
-		switch {
-		case cols != nil && cols.Empty():
-			// No rows: every block is empty, charged from the count alone.
-			t.writeB += int64(cols.NumBuckets()) * e.Shuffle.BlockOverhead(0)
-			t.mapOut = shuffle.MapOutput{Cols: cols}
-		case cols != nil:
-			n := cols.NumBuckets()
-			payloads := make([]int64, n)
-			for i := 0; i < n; i++ {
-				payload := int64(cols.LogicalBytes(i, scale))
-				payloads[i] = payload
-				t.writeB += payload + e.Shuffle.BlockOverhead(payload)
+		out := shuffle.MapOutput{Cols: cols, Boxed: buckets}
+		n := len(buckets)
+		if cols != nil {
+			n = cols.NumBuckets()
+			out.NonEmpty = cols.AppendNonEmpty(make([]int32, 0, min(n, cols.Len())))
+		} else {
+			for r, b := range buckets {
+				if len(b) > 0 {
+					out.NonEmpty = append(out.NonEmpty, int32(r))
+				}
 			}
-			t.mapOut = shuffle.MapOutput{Cols: cols, Payloads: payloads}
-		default:
-			payloads := make([]int64, len(buckets))
-			for i, b := range buckets {
-				payload := int64(rdd.LogicalPairsBytes(b, scale))
-				payloads[i] = payload
-				t.writeB += payload + e.Shuffle.BlockOverhead(payload)
-			}
-			t.mapOut = shuffle.MapOutput{Boxed: buckets, Payloads: payloads}
 		}
+		out.Payloads = make([]int64, len(out.NonEmpty))
+		for i, r := range out.NonEmpty {
+			var payload int64
+			if cols != nil {
+				payload = int64(cols.LogicalBytes(int(r), scale))
+			} else {
+				payload = int64(rdd.LogicalPairsBytes(buckets[r], scale))
+			}
+			out.Payloads[i] = payload
+			t.writeB += payload + e.Shuffle.BlockOverhead(payload)
+		}
+		t.writeB += int64(n-len(out.NonEmpty)) * e.Shuffle.BlockOverhead(0)
+		t.mapOut = out
 	}
 	return nil
 }
 
 // placementPass assigns tasks to cores in simulated time.
-func (e *Engine) placementPass(tasks []*task, waveStart float64) {
+func (e *Engine) placementPass(tasks []task, waveStart float64) {
 	// Cores are interleaved across nodes (A0,B0,...,A1,B1,...) so the
 	// round-robin tie-break spreads simultaneous tasks over machines.
 	var cores []*placementCore
@@ -495,7 +493,8 @@ func (e *Engine) placementPass(tasks []*task, waveStart float64) {
 		return cs[0]
 	}
 
-	for _, t := range tasks {
+	for i := range tasks {
+		t := &tasks[i]
 		rr++
 		dispatch := waveStart + float64(t.idx)*e.Params.DriverDispatchSec
 		prefs := e.preferredNodes(t)
@@ -528,9 +527,10 @@ func (e *Engine) placementPass(tasks []*task, waveStart float64) {
 // earliest-free core; the task finishes at the earlier attempt. Backups help
 // against slow nodes and unlucky placements, not against data skew — the
 // copy of a hot partition is just as large.
-func (e *Engine) speculatePass(tasks []*task, cores []*placementCore) {
+func (e *Engine) speculatePass(tasks []task, cores []*placementCore) {
 	byStage := map[*dag.Stage][]*task{}
-	for _, t := range tasks {
+	for i := range tasks {
+		t := &tasks[i]
 		byStage[t.stage] = append(byStage[t.stage], t)
 	}
 	mult := e.Params.SpeculationMultiplier
@@ -600,7 +600,7 @@ type placementCore struct {
 // (CHOPPER), existing cache locations, shuffle-input locality (CHOPPER),
 // then source block locations.
 func (e *Engine) preferredNodes(t *task) []string {
-	var prefs []string
+	prefs := make([]string, 0, 1+len(t.cachePref)+len(t.shufPref)+len(t.srcNodes))
 	if e.CoPartitionAware {
 		for _, p := range t.pending {
 			if p.part != nil {
@@ -609,15 +609,13 @@ func (e *Engine) preferredNodes(t *task) []string {
 			}
 		}
 	}
-	if len(t.cachePref) > 0 {
-		prefs = append(prefs, t.cachePref...)
+	for _, nb := range t.cachePref {
+		prefs = append(prefs, nb.Node)
 	}
-	if e.CoPartitionAware && len(t.shufPref) > 0 {
-		prefs = append(prefs, t.shufPref...)
+	for _, nb := range t.shufPref {
+		prefs = append(prefs, nb.Node)
 	}
-	if len(t.srcNodes) > 0 {
-		prefs = append(prefs, t.srcNodes...)
-	}
+	prefs = append(prefs, t.srcNodes...)
 	return dedup(prefs)
 }
 
@@ -651,34 +649,38 @@ func (e *Engine) pinNode(split int) string {
 	return workers[0].Name
 }
 
-func topNodes(byNode map[string]int64) []string {
-	type nb struct {
-		n string
-		b int64
+// topNodes returns by ranked from most to fewest bytes, ties by name.
+func topNodes(by []shuffle.NodeBytes) []shuffle.NodeBytes {
+	if len(by) < 2 {
+		return by
 	}
-	list := make([]nb, 0, len(byNode))
-	for n, b := range byNode {
-		list = append(list, nb{n, b})
-	}
-	slices.SortFunc(list, func(x, y nb) int {
-		if x.b != y.b {
-			return cmp.Compare(y.b, x.b)
+	ranked := slices.Clone(by)
+	slices.SortFunc(ranked, func(x, y shuffle.NodeBytes) int {
+		if x.Bytes != y.Bytes {
+			return cmp.Compare(y.Bytes, x.Bytes)
 		}
-		return strings.Compare(x.n, y.n)
+		return strings.Compare(x.Node, y.Node)
 	})
-	out := make([]string, len(list))
-	for i, e := range list {
-		out[i] = e.n
-	}
-	return out
+	return ranked
 }
 
+// addNode adds bytes to node's entry of by, keeping by sorted by node name.
+func addNode(by []shuffle.NodeBytes, node string, bytes int64) []shuffle.NodeBytes {
+	i, found := slices.BinarySearchFunc(by, node, func(e shuffle.NodeBytes, n string) int {
+		return strings.Compare(e.Node, n)
+	})
+	if found {
+		by[i].Bytes += bytes
+		return by
+	}
+	return slices.Insert(by, i, shuffle.NodeBytes{Node: node, Bytes: bytes})
+}
+
+// dedup drops repeated names in place, keeping first occurrences.
 func dedup(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
+	out := in[:0]
 	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
+		if !containsStr(out, s) {
 			out = append(out, s)
 		}
 	}
@@ -697,31 +699,20 @@ func (e *Engine) taskDuration(t *task, node *cluster.Node) float64 {
 			d += float64(t.srcBytes) * p.NetSecPerByte(node, e.bottleneckPeer(node))
 		}
 	}
-	// Accumulate in sorted key order: float addition is not associative, so
-	// summing in map order would leak iteration order into the timings. The
-	// sorted key lists are precomputed per task by the compute pass; tasks
-	// built elsewhere (tests, probes) fall back to sorting here.
-	cacheKeys, shufKeys := t.cacheKeys, t.shufKeys
-	if cacheKeys == nil && len(t.cacheBy) > 0 {
-		cacheKeys = sortedKeys(t.cacheBy)
-	}
-	if shufKeys == nil && len(t.shufBy) > 0 {
-		shufKeys = sortedKeys(t.shufBy)
-	}
-	for _, n := range cacheKeys {
-		b := t.cacheBy[n]
-		if n == node.Name {
-			d += p.MemReadSec(float64(b))
+	// Both profiles are sorted by node name: float addition is not
+	// associative, so the accumulation order is part of the timings.
+	for _, nb := range t.cacheBy {
+		if nb.Node == node.Name {
+			d += p.MemReadSec(float64(nb.Bytes))
 		} else {
-			d += float64(b) * p.NetSecPerByte(node, e.nodeOrSelf(n, node))
+			d += float64(nb.Bytes) * p.NetSecPerByte(node, e.nodeOrSelf(nb.Node, node))
 		}
 	}
-	for _, n := range shufKeys {
-		b := t.shufBy[n]
-		if n == node.Name {
-			d += p.DiskReadSec(float64(b))
+	for _, nb := range t.shufBy {
+		if nb.Node == node.Name {
+			d += p.DiskReadSec(float64(nb.Bytes))
 		} else {
-			d += float64(b) * p.NetSecPerByte(node, e.nodeOrSelf(n, node))
+			d += float64(nb.Bytes) * p.NetSecPerByte(node, e.nodeOrSelf(nb.Node, node))
 		}
 	}
 	d += p.ComputeSec(t.cost, 1.0, node) * p.MemPressurePenalty(float64(t.inputBytes()))
@@ -764,7 +755,7 @@ func containsStr(list []string, s string) bool {
 
 // commitPass publishes shuffle outputs and caches, evaluates result
 // closures, and emits metrics. Returns the round's end time.
-func (e *Engine) commitPass(stages []*dag.Stage, tasks []*task, start float64, resultFn func(int, []rdd.Row) (any, error)) (float64, error) {
+func (e *Engine) commitPass(stages []*dag.Stage, tasks []task, start float64, resultFn func(int, []rdd.Row) (any, error)) (float64, error) {
 	for _, st := range stages {
 		if e.Col != nil {
 			e.Col.BeginStage(st.ID, st.Signature, st.Name(), st.PartitionerName(), st.NumTasks(), start)
@@ -773,7 +764,8 @@ func (e *Engine) commitPass(stages []*dag.Stage, tasks []*task, start float64, r
 	end := start
 	var firstErr error
 	stageEnd := map[*dag.Stage]float64{}
-	for _, t := range tasks {
+	for i := range tasks {
+		t := &tasks[i]
 		if t.end > end {
 			end = t.end
 		}
@@ -793,11 +785,11 @@ func (e *Engine) commitPass(stages []*dag.Stage, tasks []*task, start float64, r
 			}
 		}
 		var local, remote int64
-		for n, b := range t.shufBy {
-			if n == t.node.Name {
-				local += b
+		for _, nb := range t.shufBy {
+			if nb.Node == t.node.Name {
+				local += nb.Bytes
 			} else {
-				remote += b
+				remote += nb.Bytes
 			}
 		}
 		if resultFn != nil && firstErr == nil {
@@ -831,19 +823,10 @@ func (e *Engine) commitPass(stages []*dag.Stage, tasks []*task, start float64, r
 	return end, firstErr
 }
 
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func sumBytes(m map[string]int64) int64 {
+func sumBytes(by []shuffle.NodeBytes) int64 {
 	var s int64
-	for _, b := range m {
-		s += b
+	for _, nb := range by {
+		s += nb.Bytes
 	}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"chopper/internal/cluster"
 	"chopper/internal/metrics"
 	"chopper/internal/rdd"
+	"chopper/internal/shuffle"
 )
 
 func testEngine() *Engine {
@@ -80,15 +81,15 @@ func TestTaskDurationComponents(t *testing.T) {
 	}
 
 	// Cached reads: local memory beats remote network.
-	cl := &task{cacheBy: map[string]int64{"A": 1e9}}
-	cr := &task{cacheBy: map[string]int64{"B": 1e9}}
+	cl := &task{cacheBy: []shuffle.NodeBytes{{Node: "A", Bytes: 1e9}}}
+	cr := &task{cacheBy: []shuffle.NodeBytes{{Node: "B", Bytes: 1e9}}}
 	if e.taskDuration(cr, nodeA) <= e.taskDuration(cl, nodeA) {
 		t.Fatalf("remote cache read must cost more")
 	}
 
 	// Shuffle reads: local disk beats remote network over 1 Gbps.
-	sl := &task{shufBy: map[string]int64{"A": 1e9}}
-	sr := &task{shufBy: map[string]int64{"D": 1e9}}
+	sl := &task{shufBy: []shuffle.NodeBytes{{Node: "A", Bytes: 1e9}}}
+	sr := &task{shufBy: []shuffle.NodeBytes{{Node: "D", Bytes: 1e9}}}
 	if e.taskDuration(sr, nodeA) <= e.taskDuration(sl, nodeA) {
 		t.Fatalf("remote shuffle read must cost more")
 	}
@@ -138,7 +139,7 @@ func TestEnsureSourceRegistersOnce(t *testing.T) {
 	if e.Blocks.File(f1) == nil {
 		t.Fatalf("block layout missing")
 	}
-	if e.Blocks.SplitBytes(f1, 0, 4) <= 0 {
+	if b, _ := e.Blocks.Split(f1, 0, 4); b <= 0 {
 		t.Fatalf("split bytes should be positive")
 	}
 }
@@ -152,7 +153,7 @@ func TestAcctMemoization(t *testing.T) {
 	})
 	// Within one task accountant, re-reading the same partition (as a
 	// diamond dependency would) must not recompute it.
-	a := newAcct()
+	a := new(acct)
 	if _, _, err := e.materialize(src, 0, a); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestAcctMemoization(t *testing.T) {
 		t.Fatalf("memo should prevent recomputation within a task: %d -> %d", first, calls)
 	}
 	// A fresh accountant recomputes (uncached RDD).
-	if _, _, err := e.materialize(src, 0, newAcct()); err != nil {
+	if _, _, err := e.materialize(src, 0, new(acct)); err != nil {
 		t.Fatal(err)
 	}
 	if calls == first {

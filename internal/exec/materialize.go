@@ -4,48 +4,46 @@ import (
 	"fmt"
 
 	"chopper/internal/rdd"
+	"chopper/internal/shuffle"
 	"chopper/internal/storage"
 )
 
 // acct accumulates the node-agnostic cost quantities of one task while its
 // partition is materialized.
 type acct struct {
-	srcBytes int64            // logical bytes read from generator sources
-	srcNodes []string         // preferred locations of those reads
-	cacheBy  map[string]int64 // cached-input logical bytes by holding node; made on first write
-	shufBy   map[string]int64 // shuffle-input logical bytes by map node; made on first write
-	cost     float64          // logical-byte cost units (bytes x op factor)
-	pending  []pendingCache   // partitions to cache after placement
-	memo     map[[2]int]memoEntry
+	srcBytes int64               // logical bytes read from generator sources
+	srcNodes []string            // preferred locations of those reads
+	cacheBy  []shuffle.NodeBytes // cached-input logical bytes by holding node, sorted by node
+	shufBy   []shuffle.NodeBytes // shuffle-input logical bytes by map node, sorted by node
+	cost     float64             // logical-byte cost units (bytes x op factor)
+	pending  []pendingCache      // partitions to cache after placement
+	// memo holds the partitions this task has materialized, scanned
+	// linearly: a stage pipeline is a handful of RDDs deep.
+	memo []memoEntry
 }
 
 type memoEntry struct {
-	rows  []rdd.Row
-	bytes float64
-}
-
-func newAcct() *acct {
-	return &acct{memo: map[[2]int]memoEntry{}}
+	rdd, split int
+	rows       []rdd.Row
+	bytes      float64
 }
 
 // materialize computes one partition of r, charging work to a. It returns
 // the rows and their logical byte size.
 func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64, error) {
-	key := [2]int{r.ID, split}
-	if m, ok := a.memo[key]; ok {
-		return m.rows, m.bytes, nil
+	for i := range a.memo {
+		if m := &a.memo[i]; m.rdd == r.ID && m.split == split {
+			return m.rows, m.bytes, nil
+		}
 	}
 	scale := e.Ctx.LogicalScale
 
 	// Cached partition available from an earlier stage?
 	if r.Cached {
 		if entry, ok := e.Cache.Peek(storage.CacheKey{RDD: r.ID, Split: split, Of: r.NumParts}); ok {
-			if a.cacheBy == nil {
-				a.cacheBy = map[string]int64{}
-			}
-			a.cacheBy[entry.Node] += entry.Bytes
+			a.cacheBy = addNode(a.cacheBy, entry.Node, entry.Bytes)
 			bytes := float64(entry.Bytes)
-			a.memo[key] = memoEntry{rows: entry.Rows, bytes: bytes}
+			a.memo = append(a.memo, memoEntry{rdd: r.ID, split: split, rows: entry.Rows, bytes: bytes})
 			return entry.Rows, bytes, nil
 		}
 	}
@@ -56,9 +54,9 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 	case len(r.Deps) == 0:
 		// Source: charge the split's logical share of the input file.
 		file := e.ensureSource(r)
-		sb := e.Blocks.SplitBytes(file, split, r.NumParts)
+		sb, locs := e.Blocks.Split(file, split, r.NumParts)
 		a.srcBytes += sb
-		if locs := e.Blocks.SplitLocations(file, split, r.NumParts); len(locs) > 0 && len(a.srcNodes) == 0 {
+		if len(locs) > 0 && len(a.srcNodes) == 0 {
 			a.srcNodes = locs
 		}
 		inBytes = float64(sb)
@@ -67,13 +65,22 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 		for i, d := range r.Deps {
 			switch dep := d.(type) {
 			case *rdd.NarrowDep:
+				splits := dep.Splits(split)
 				var rows []rdd.Row
-				for _, ps := range dep.Splits(split) {
+				for _, ps := range splits {
 					pr, pb, err := e.materialize(dep.P, ps, a)
 					if err != nil {
 						return nil, 0, err
 					}
-					rows = append(rows, pr...)
+					if len(splits) == 1 {
+						// One-to-one: hand over the parent's rows, which may
+						// be memoised or cached, without a copy. The cap
+						// clamp makes an append in the ComputeFn reallocate
+						// instead of writing into the shared backing array.
+						rows = pr[:len(pr):len(pr)]
+					} else {
+						rows = append(rows, pr...)
+					}
 					inBytes += pb
 				}
 				inputs[i] = rows
@@ -99,7 +106,7 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 			part:  r.Part,
 		})
 	}
-	a.memo[key] = memoEntry{rows: rows, bytes: outBytes}
+	a.memo = append(a.memo, memoEntry{rdd: r.ID, split: split, rows: rows, bytes: outBytes})
 	return rows, outBytes, nil
 }
 
@@ -108,11 +115,12 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 // map side finished panics inside the manager.
 func (e *Engine) shuffleRead(dep *rdd.ShuffleDep, reduce int, a *acct) ([]rdd.Row, float64) {
 	view := e.Shuffle.ReduceInput(dep.ShuffleID, reduce)
-	if a.shufBy == nil {
-		a.shufBy = map[string]int64{}
-	}
-	for _, nb := range view.NodeBytes() {
-		a.shufBy[nb.Node] += nb.Bytes
+	if nbs := view.NodeBytes(); a.shufBy == nil {
+		a.shufBy = nbs // our own slice, already sorted by node
+	} else {
+		for _, nb := range nbs {
+			a.shufBy = addNode(a.shufBy, nb.Node, nb.Bytes)
+		}
 	}
 	rows := rdd.MergeReduceColN(view.Len(), view.BlockInto, dep.Agg)
 	return rows, rdd.LogicalRowsBytes(rows, e.Ctx.LogicalScale)

@@ -1,0 +1,210 @@
+package exec_test
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"chopper/internal/rdd"
+	"chopper/internal/storage"
+	"chopper/internal/workloads"
+)
+
+// cacheCanary is the guard of rdd.ComputeFn's read-only-inputs contract.
+// The engine hands a narrow child its parent's memoised or cached rows
+// without a copy, so a ComputeFn that sorts, overwrites or appends in place
+// would corrupt a partition other tasks and later jobs read. The canary
+// prints every partition a Cached RDD computes at the moment its ComputeFn
+// returns — exactly what Cache.Put is about to receive; text, so the
+// snapshot is deep whatever the row types — and later compares what the
+// cache holds against it.
+type cacheCanary struct {
+	inner rdd.JobRunner
+
+	mu      sync.Mutex
+	watched map[int]bool
+	snap    map[storage.CacheKey]string
+}
+
+func watchCache(h *harness) *cacheCanary {
+	c := &cacheCanary{inner: h.sch, watched: map[int]bool{}, snap: map[storage.CacheKey]string{}}
+	h.ctx.SetRunner(c)
+	return c
+}
+
+// RunJob implements rdd.JobRunner: it wraps the ComputeFn of every Cached
+// RDD the job can reach, then runs the job on the real scheduler.
+func (c *cacheCanary) RunJob(target *rdd.RDD, fn func(int, []rdd.Row) (any, error)) ([]any, error) {
+	for _, r := range target.Lineage() {
+		if !r.Cached || c.watched[r.ID] {
+			continue
+		}
+		c.watched[r.ID] = true
+		r, compute := r, r.Compute
+		r.Compute = func(split int, in [][]rdd.Row) []rdd.Row {
+			rows := compute(split, in)
+			c.mu.Lock()
+			c.snap[storage.CacheKey{RDD: r.ID, Split: split, Of: r.NumParts}] = fmt.Sprint(rows)
+			c.mu.Unlock()
+			return rows
+		}
+	}
+	return c.inner.RunJob(target, fn)
+}
+
+// check compares every partition still cached with its snapshot and returns
+// how many it compared.
+func (c *cacheCanary) check(t *testing.T, cache *storage.MemStore) int {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	compared := 0
+	for key, want := range c.snap {
+		entry, ok := cache.Peek(key)
+		if !ok {
+			continue // evicted, or too large to cache
+		}
+		compared++
+		if got := fmt.Sprint(entry.Rows); got != want {
+			t.Errorf("cached partition %+v changed after it was computed:\n got %.300s\nwant %.300s", key, got, want)
+		}
+	}
+	return compared
+}
+
+// TestNarrowOpsLeaveInputsAlone runs every narrow constructor of
+// internal/rdd over a cached, hash-partitioned parent, twice: the first job
+// computes parent and child in one task (the child's input aliases the
+// task's memoised rows), the second reads the parent from the cache (the
+// input aliases the cached rows). The results must match the copying
+// LocalRunner oracle and the cached parent must never change.
+func TestNarrowOpsLeaveInputsAlone(t *testing.T) {
+	add := func(a, b any) any { return a.(float64) + b.(float64) }
+	base := func(ctx *rdd.Context) *rdd.RDD {
+		return pairSource(ctx, 600, 37).ReduceByKey(add, 4).Cache()
+	}
+	cases := []struct {
+		name  string
+		build func(b *rdd.RDD) *rdd.RDD
+	}{
+		{"Map", func(b *rdd.RDD) *rdd.RDD { return b.Map(func(r rdd.Row) rdd.Row { return r }) }},
+		{"Filter", func(b *rdd.RDD) *rdd.RDD {
+			return b.Filter(func(r rdd.Row) bool { return r.(rdd.Pair).K.(int)%2 == 0 })
+		}},
+		{"FlatMap", func(b *rdd.RDD) *rdd.RDD { return b.FlatMap(func(r rdd.Row) []rdd.Row { return []rdd.Row{r, r} }) }},
+		{"MapPartitions", func(b *rdd.RDD) *rdd.RDD {
+			return b.MapPartitions("head", 1, func(_ int, rows []rdd.Row) []rdd.Row { return rows[:len(rows)/2] })
+		}},
+		{"MapValues", func(b *rdd.RDD) *rdd.RDD { return b.MapValues(func(v any) any { return v.(float64) * 2 }) }},
+		{"KeyBy", func(b *rdd.RDD) *rdd.RDD { return b.KeyBy(func(r rdd.Row) any { return r.(rdd.Pair).K.(int) % 5 }) }},
+		{"Keys", func(b *rdd.RDD) *rdd.RDD { return b.Keys() }},
+		{"Values", func(b *rdd.RDD) *rdd.RDD { return b.Values() }},
+		{"Union", func(b *rdd.RDD) *rdd.RDD { return b.Union(b) }},
+		{"Coalesce", func(b *rdd.RDD) *rdd.RDD { return b.Coalesce(2) }},
+		{"Coalesce one-to-one", func(b *rdd.RDD) *rdd.RDD { return b.Coalesce(4) }},
+		{"Sample", func(b *rdd.RDD) *rdd.RDD { return b.Sample(0.5) }},
+		{"Glom", func(b *rdd.RDD) *rdd.RDD { return b.Glom() }},
+		{"CoGroup narrow side", func(b *rdd.RDD) *rdd.RDD {
+			return b.CoGroup(b.MapValues(func(v any) any { return v }), b.Part)
+		}},
+		{"Join narrow side", func(b *rdd.RDD) *rdd.RDD {
+			return b.Join(pairSource(b.Ctx, 300, 37), b.Part)
+		}},
+		{"SortByKey sortPartition", func(b *rdd.RDD) *rdd.RDD {
+			sorted := b.SortByKey(3)
+			sorted.Deps[0].Parent().Cache() // watch sortPartition's input, which it copies before sorting
+			return sorted
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lctx := rdd.NewContext(6)
+			lctx.LogicalScale = 1000
+			lctx.SetRunner(rdd.NewLocalRunner())
+			want, err := tc.build(base(lctx)).Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			h := newHarness(true, nil)
+			canary := watchCache(h)
+			child := tc.build(base(h.ctx))
+			for job := 0; job < 2; job++ {
+				got, err := child.Collect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("job %d diverged from the oracle:\n got %v\nwant %v", job, got, want)
+				}
+			}
+			if n := canary.check(t, h.eng.Cache); n < 4 {
+				t.Fatalf("compared %d cached partitions, want the parent's 4", n)
+			}
+		})
+	}
+}
+
+// TestAppendToAliasedInputReallocates pins the cap clamp: a source whose
+// partitions carry spare capacity is cached, and two children each append a
+// marker to their input. Without the clamp both appends would land in the
+// cached backing array — invisible through the parent's length, but the
+// second child's marker would overwrite the first's.
+func TestAppendToAliasedInputReallocates(t *testing.T) {
+	const n, spare = 5, 4
+	h := newHarness(false, nil)
+	canary := watchCache(h)
+	src := h.ctx.Generate("roomy", 3, 1000, func(split, _ int) []rdd.Row {
+		rows := make([]rdd.Row, n, n+spare)
+		for i := range rows {
+			rows[i] = split*100 + i
+		}
+		return rows
+	}).Cache()
+	tag := func(mark string) *rdd.RDD {
+		return src.MapPartitions("tag-"+mark, 1, func(_ int, rows []rdd.Row) []rdd.Row { return append(rows, mark) })
+	}
+	first := tag("first").Cache()
+	for _, r := range []*rdd.RDD{first, tag("second"), first} { // memoised alias, cached alias, re-read
+		if c, err := r.Count(); err != nil || c != 3*(n+1) {
+			t.Fatalf("count = %d, %v", c, err)
+		}
+	}
+	for split := 0; split < 3; split++ {
+		entry, ok := h.eng.Cache.Peek(storage.CacheKey{RDD: src.ID, Split: split, Of: 3})
+		if !ok {
+			t.Fatalf("source split %d not cached", split)
+		}
+		if len(entry.Rows) != n || cap(entry.Rows) != n+spare {
+			t.Fatalf("source split %d: len %d cap %d, want %d and %d", split, len(entry.Rows), cap(entry.Rows), n, n+spare)
+		}
+		if got := entry.Rows[:n+1][n]; got != nil {
+			t.Fatalf("source split %d: an append wrote %v into the cached backing array", split, got)
+		}
+	}
+	if canary.check(t, h.eng.Cache) != 6 {
+		t.Fatalf("want 3 source and 3 tagged partitions compared")
+	}
+}
+
+// TestWorkloadsLeaveCachedPartitionsAlone runs each built-in workload at
+// small scale, in both scheduling modes, under the canary.
+func TestWorkloadsLeaveCachedPartitionsAlone(t *testing.T) {
+	for _, w := range workloads.AllWithExtensions() {
+		for _, coPart := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/copartition=%v", w.Name(), coPart), func(t *testing.T) {
+				w, _ := workloads.ByName(w.Name()) // fresh instance: Shrink mutates
+				workloads.Shrink(w, 10)
+				h := newHarness(coPart, nil)
+				canary := watchCache(h)
+				if _, err := w.Run(h.ctx, w.DefaultInputBytes()); err != nil {
+					t.Fatal(err)
+				}
+				if n := canary.check(t, h.eng.Cache); n == 0 {
+					t.Fatalf("no cached partition was compared")
+				}
+			})
+		}
+	}
+}

@@ -221,7 +221,7 @@ type guardProgram struct {
 	fset  *token.FileSet
 	types map[string]*guardType // keyed by guardType.key
 	funcs map[string]*guardFunc
-	order []string              // sorted func names, the deterministic walk order
+	order []string // sorted func names, the deterministic walk order
 	byLit map[*ast.FuncLit]string
 
 	// summaries[f] reports whether every impure-typed result of f is a

@@ -95,12 +95,7 @@ type Collector struct {
 
 	stages []*StageMetric
 	open   map[int]*StageMetric
-
-	cpu       simclock.Recorder             // weight: busy cores
-	cpuByNode map[string]*simclock.Recorder // per-node busy cores
-	work      simclock.Recorder             // weight: per-task working-set bytes
-	net       simclock.Recorder             // weight: packets (tx+rx)
-	disk      simclock.Recorder             // weight: transactions
+	params cluster.CostParams // as last given to AddTask; sizes packets and disk transactions
 
 	memEvents []stepEvent // cached-bytes deltas
 
@@ -109,11 +104,7 @@ type Collector struct {
 
 // NewCollector creates an empty collector for one run.
 func NewCollector(workload, mode string) *Collector {
-	return &Collector{
-		Workload: workload, Mode: mode,
-		open:      map[int]*StageMetric{},
-		cpuByNode: map[string]*simclock.Recorder{},
-	}
+	return &Collector{Workload: workload, Mode: mode, open: map[int]*StageMetric{}}
 }
 
 // BeginStage opens a stage record.
@@ -126,6 +117,7 @@ func (c *Collector) BeginStage(id int, sig, name, partitioner string, numTasks i
 	st := &StageMetric{
 		ID: id, Signature: sig, Name: name, Partitioner: partitioner,
 		NumTasks: numTasks, Start: start,
+		Tasks: make([]TaskMetric, 0, numTasks),
 	}
 	c.open[id] = st
 	c.stages = append(c.stages, st)
@@ -146,8 +138,8 @@ func (c *Collector) EndStage(id int, end float64) {
 	}
 }
 
-// AddTask records a finished task into its open stage and updates the
-// resource timelines.
+// AddTask records a finished task into its open stage. The resource
+// timelines are not fed here: they are queries over these records.
 func (c *Collector) AddTask(tm TaskMetric, params cluster.CostParams) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -160,25 +152,37 @@ func (c *Collector) AddTask(tm TaskMetric, params cluster.CostParams) {
 	st.ShuffleRead += tm.ShuffleReadLocal + tm.ShuffleReadRemote
 	st.ShuffleWrite += tm.ShuffleWrite
 
-	c.cpu.Add(tm.Start, tm.End, 1)
-	rec, ok := c.cpuByNode[tm.Node]
-	if !ok {
-		rec = &simclock.Recorder{}
-		c.cpuByNode[tm.Node] = rec
+	c.params = params
+}
+
+// timeline replays the recorded tasks into an interval recorder, each
+// weighted by weight (tasks weighing nothing are left out). It walks the
+// stages in execution order and each stage's tasks as recorded — the order
+// AddTask ran in, so the bucket sums accumulate term for term as if the
+// recorder had been fed task by task.
+func (c *Collector) timeline(weight func(tm *TaskMetric) float64) *simclock.Recorder {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec := &simclock.Recorder{}
+	for _, st := range c.stages {
+		for i := range st.Tasks {
+			tm := &st.Tasks[i]
+			if w := weight(tm); w > 0 {
+				rec.Add(tm.Start, tm.End, w)
+			}
+		}
 	}
-	rec.Add(tm.Start, tm.End, 1)
-	if ws := float64(tm.InputBytes + tm.ShuffleReadLocal + tm.ShuffleReadRemote); ws > 0 {
-		c.work.Add(tm.Start, tm.End, ws)
-	}
-	if tm.ShuffleReadRemote > 0 {
-		// Remote fetches cross the network twice in interface counters
-		// (transmit on the source, receive on the reader).
-		pk := 2 * float64(tm.ShuffleReadRemote) / params.PacketBytes
-		c.net.Add(tm.Start, tm.End, pk)
-	}
-	diskBytes := float64(tm.InputBytes+tm.ShuffleWrite) + float64(tm.ShuffleReadLocal)
-	if diskBytes > 0 {
-		c.disk.Add(tm.Start, tm.End, diskBytes/params.DiskTransactionBytes)
+	return rec
+}
+
+// busyCores weighs each task as one busy core; node restricts the timeline
+// to one worker ("" for the whole cluster).
+func busyCores(node string) func(*TaskMetric) float64 {
+	return func(tm *TaskMetric) float64 {
+		if node != "" && tm.Node != node {
+			return 0
+		}
+		return 1
 	}
 }
 
@@ -280,7 +284,7 @@ func (c *Collector) horizon() float64 {
 // (busy worker cores over total worker cores), cf. paper Fig. 11.
 func (c *Collector) CPUSeries(topo *cluster.Topology, step float64) Series {
 	total := float64(topo.TotalWorkerCores())
-	vals := c.cpu.BucketMean(c.horizon(), step)
+	vals := c.timeline(busyCores("")).BucketMean(c.horizon(), step)
 	for i := range vals {
 		vals[i] = 100 * vals[i] / total
 	}
@@ -293,13 +297,7 @@ func (c *Collector) CPUSeriesByNode(topo *cluster.Topology, step float64) map[st
 	h := c.horizon()
 	out := map[string]Series{}
 	for _, n := range topo.Workers() {
-		c.mu.Lock()
-		rec := c.cpuByNode[n.Name]
-		c.mu.Unlock()
-		vals := make([]float64, int(math.Ceil(h/step)))
-		if rec != nil {
-			vals = rec.BucketMean(h, step)
-		}
+		vals := c.timeline(busyCores(n.Name)).BucketMean(h, step)
 		for i := range vals {
 			vals[i] = 100 * vals[i] / float64(n.Cores)
 		}
@@ -311,15 +309,11 @@ func (c *Collector) CPUSeriesByNode(topo *cluster.Topology, step float64) map[st
 // LoadImbalance reports max/mean busy core-seconds across workers (1.0 is
 // perfectly balanced).
 func (c *Collector) LoadImbalance(topo *cluster.Topology) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var loads []float64
 	for _, n := range topo.Workers() {
 		busy := 0.0
-		if rec := c.cpuByNode[n.Name]; rec != nil {
-			for _, iv := range rec.Sorted() {
-				busy += (iv.End - iv.Start) * iv.Weight / float64(n.Cores)
-			}
+		for _, iv := range c.timeline(busyCores(n.Name)).Sorted() {
+			busy += (iv.End - iv.Start) * iv.Weight / float64(n.Cores)
 		}
 		loads = append(loads, busy)
 	}
@@ -349,7 +343,10 @@ func (c *Collector) MemSeries(topo *cluster.Topology, step float64, baseFraction
 		totalMem += n.MemGB * 1e9
 	}
 	h := c.horizon()
-	vals := c.work.BucketMean(h, step)
+	// Working set: what each task holds while it runs.
+	vals := c.timeline(func(tm *TaskMetric) float64 {
+		return float64(tm.InputBytes + tm.ShuffleReadLocal + tm.ShuffleReadRemote)
+	}).BucketMean(h, step)
 	cached := c.cachedSeries(h, step)
 	for i := range vals {
 		used := vals[i] + cached[i] + baseFraction*totalMem
@@ -393,7 +390,11 @@ func (c *Collector) cachedSeries(horizon, step float64) []float64 {
 
 // NetSeries reports total packets (tx+rx) per second per bucket, Fig. 13.
 func (c *Collector) NetSeries(step float64) Series {
-	vals := c.net.BucketSum(c.horizon(), step)
+	// Remote fetches cross the network twice in interface counters
+	// (transmit on the source, receive on the reader).
+	vals := c.timeline(func(tm *TaskMetric) float64 {
+		return 2 * float64(tm.ShuffleReadRemote) / c.params.PacketBytes
+	}).BucketSum(c.horizon(), step)
 	for i := range vals {
 		vals[i] /= step
 	}
@@ -402,7 +403,10 @@ func (c *Collector) NetSeries(step float64) Series {
 
 // DiskSeries reports disk transactions per second per bucket, Fig. 14.
 func (c *Collector) DiskSeries(step float64) Series {
-	vals := c.disk.BucketSum(c.horizon(), step)
+	vals := c.timeline(func(tm *TaskMetric) float64 {
+		diskBytes := float64(tm.InputBytes+tm.ShuffleWrite) + float64(tm.ShuffleReadLocal)
+		return diskBytes / c.params.DiskTransactionBytes
+	}).BucketSum(c.horizon(), step)
 	for i := range vals {
 		vals[i] /= step
 	}

@@ -51,9 +51,9 @@ type val struct {
 	lit   *ast.FuncLit  // a function literal, stubbed when passed to the rdd API
 }
 
-func unknown() val           { return val{} }
-func knownNil() val          { return val{known: true, isNil: true} }
-func known(v any) val        { return val{known: true, rv: reflect.ValueOf(v)} }
+func unknown() val    { return val{} }
+func knownNil() val   { return val{known: true, isNil: true} }
+func known(v any) val { return val{known: true, rv: reflect.ValueOf(v)} }
 func knownRV(v reflect.Value) val {
 	if !v.IsValid() {
 		return knownNil()

@@ -137,8 +137,13 @@ func (a *ColBuckets) NumBuckets() int {
 	return len(a.starts) - 1
 }
 
-// Empty reports whether the arena is segment-less: no bucket holds a pair.
-func (a *ColBuckets) Empty() bool { return a.starts == nil }
+// Len reports the total number of pairs in the arena.
+func (a *ColBuckets) Len() int {
+	if a.starts == nil {
+		return 0
+	}
+	return int(a.starts[len(a.starts)-1])
+}
 
 // AppendNonEmpty appends the ids of the buckets holding at least one pair
 // to dst, ascending — one contiguous scan of starts, so a reader can index
@@ -150,6 +155,14 @@ func (a *ColBuckets) AppendNonEmpty(dst []int32) []int32 {
 		}
 	}
 	return dst
+}
+
+// BucketLen reports the number of pairs in bucket b.
+func (a *ColBuckets) BucketLen(b int) int {
+	if a.starts == nil {
+		return 0
+	}
+	return int(a.starts[b+1] - a.starts[b])
 }
 
 // Bucket returns the zero-copy view of reduce bucket b. The view aliases
@@ -406,26 +419,41 @@ func colCombineStr(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 	return emitColStr(p.NumPartitions(), keys, bucketOf, nil, vals), true, nil
 }
 
+// countBuckets starts an arena's shifted counting table: n+2 entries with
+// bucket b's item count at t[b+2]. After prefixStarts, t[b+1] is bucket b's
+// first slot; a writer places each item at t[b+1]++, which leaves every
+// t[b+1] at bucket b's end — bucket b+1's start — so t[:n+1] is the
+// finished arena's starts table and no second cursor table is needed.
+func countBuckets(n int, bucketOf []int32) []int32 {
+	t := make([]int32, n+2)
+	for _, b := range bucketOf {
+		t[b+2]++
+	}
+	return t
+}
+
+// prefixStarts turns the counts of a shifted counting table into bucket
+// starts (see countBuckets); t[len(t)-1] ends up as the total.
+func prefixStarts(t []int32) {
+	for i := 2; i < len(t); i++ {
+		t[i] += t[i-1]
+	}
+}
+
 // emitColInt scatters combine slots into a bucket-major int-key arena.
 // Exactly one of f64s/anys is non-nil and selects the value segment.
 func emitColInt(n int, keys []int64, bucketOf []int32, f64s []float64, anys []any) *ColBuckets {
-	starts := make([]int32, n+1)
-	for _, b := range bucketOf {
-		starts[b+1]++
-	}
-	for b := 0; b < n; b++ {
-		starts[b+1] += starts[b]
-	}
-	cursor := make([]int32, n)
+	next := countBuckets(n, bucketOf)
+	prefixStarts(next)
 	ints := make([]int64, len(keys))
-	a := &ColBuckets{starts: starts, ints: ints}
+	a := &ColBuckets{starts: next[:n+1], ints: ints}
 	if f64s != nil {
 		a.kind = ColIntF64
 		out := make([]float64, len(keys))
 		for s, k := range keys {
 			b := bucketOf[s]
-			pos := starts[b] + cursor[b]
-			cursor[b]++
+			pos := next[b+1]
+			next[b+1]++
 			ints[pos] = k
 			out[pos] = f64s[s]
 		}
@@ -436,8 +464,8 @@ func emitColInt(n int, keys []int64, bucketOf []int32, f64s []float64, anys []an
 	out := make([]any, len(keys))
 	for s, k := range keys {
 		b := bucketOf[s]
-		pos := starts[b] + cursor[b]
-		cursor[b]++
+		pos := next[b+1]
+		next[b+1]++
 		ints[pos] = k
 		out[pos] = anys[s]
 	}
@@ -450,29 +478,24 @@ func emitColInt(n int, keys []int64, bucketOf []int32, f64s []float64, anys []an
 // contiguous and the absolute offsets close over bucket boundaries (key
 // i ends where key i+1 starts, the last ends at len(bytes)).
 func emitColStr(n int, keys []string, bucketOf []int32, f64s []float64, anys []any) *ColBuckets {
-	starts := make([]int32, n+1)
-	byteStarts := make([]int32, n+1)
+	next := countBuckets(n, bucketOf)
+	nextByte := make([]int32, n+2) // the same shifted table over key bytes
 	for s, b := range bucketOf {
-		starts[b+1]++
-		byteStarts[b+1] += int32(len(keys[s]))
+		nextByte[b+2] += int32(len(keys[s]))
 	}
-	for b := 0; b < n; b++ {
-		starts[b+1] += starts[b]
-		byteStarts[b+1] += byteStarts[b]
-	}
-	cursor := make([]int32, n)
-	byteCursor := make([]int32, n)
-	bytes := make([]byte, byteStarts[n])
+	prefixStarts(next)
+	prefixStarts(nextByte)
+	bytes := make([]byte, nextByte[n+1])
 	offs := make([]int32, len(keys)+1)
-	offs[len(keys)] = byteStarts[n]
-	a := &ColBuckets{starts: starts, offs: offs, bytes: bytes}
+	offs[len(keys)] = nextByte[n+1]
+	a := &ColBuckets{starts: next[:n+1], offs: offs, bytes: bytes}
 	place := func(s int) int32 {
 		b := bucketOf[s]
-		pos := starts[b] + cursor[b]
-		cursor[b]++
-		off := byteStarts[b] + byteCursor[b]
+		pos := next[b+1]
+		next[b+1]++
+		off := nextByte[b+1]
 		copy(bytes[off:], keys[s])
-		byteCursor[b] += int32(len(keys[s]))
+		nextByte[b+1] += int32(len(keys[s]))
 		offs[pos] = off
 		return pos
 	}
@@ -501,7 +524,7 @@ func emitColStr(n int, keys []string, bucketOf []int32, f64s []float64, anys []a
 // their existing boxes in the any segment.
 func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, error) {
 	n := p.NumPartitions()
-	starts := make([]int32, n+1)
+	next := make([]int32, n+2) // shifted counting table, see countBuckets
 	allF64 := wantF64
 	for _, row := range rows {
 		pr, ok := row.(Pair)
@@ -516,23 +539,20 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 				allF64 = false
 			}
 		}
-		starts[p.PartitionFor(pr.K)+1]++
+		next[p.PartitionFor(pr.K)+2]++
 	}
-	for b := 0; b < n; b++ {
-		starts[b+1] += starts[b]
-	}
-	total := starts[n]
-	cursor := make([]int32, n)
+	prefixStarts(next)
+	total := next[n+1]
 	ints := make([]int64, total)
-	a := &ColBuckets{starts: starts, ints: ints}
+	a := &ColBuckets{starts: next[:n+1], ints: ints}
 	if allF64 {
 		a.kind = ColIntF64
 		f64s := make([]float64, total)
 		for _, row := range rows {
 			pr := row.(Pair)
 			b := p.PartitionFor(pr.K)
-			pos := starts[b] + cursor[b]
-			cursor[b]++
+			pos := next[b+1]
+			next[b+1]++
 			ints[pos] = int64(pr.K.(int))
 			f64s[pos] = pr.V.(float64)
 		}
@@ -544,8 +564,8 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 	for _, row := range rows {
 		pr := row.(Pair)
 		b := p.PartitionFor(pr.K)
-		pos := starts[b] + cursor[b]
-		cursor[b]++
+		pos := next[b+1]
+		next[b+1]++
 		ints[pos] = int64(pr.K.(int))
 		anys[pos] = pr.V
 	}

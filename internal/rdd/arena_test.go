@@ -289,9 +289,9 @@ func TestArenaOwnsEmptyInput(t *testing.T) {
 		if err != nil || cols == nil || boxed != nil {
 			t.Fatalf("empty input: cols=%v boxed=%v err=%v, want an arena only", cols, boxed, err)
 		}
-		if cols.NumBuckets() != 5 || !cols.Empty() || len(cols.AppendNonEmpty(nil)) != 0 {
-			t.Fatalf("empty arena: %d buckets, empty=%v, non-empty ids %v; want 5 buckets holding nothing",
-				cols.NumBuckets(), cols.Empty(), cols.AppendNonEmpty(nil))
+		if cols.NumBuckets() != 5 || cols.Len() != 0 || len(cols.AppendNonEmpty(nil)) != 0 {
+			t.Fatalf("empty arena: %d buckets, %d pairs, non-empty ids %v; want 5 buckets holding nothing",
+				cols.NumBuckets(), cols.Len(), cols.AppendNonEmpty(nil))
 		}
 		blocks := make([]*ColBlock, cols.NumBuckets())
 		for b := range blocks {
@@ -314,7 +314,7 @@ func TestAppendNonEmptyMatchesBuckets(t *testing.T) {
 	rows := []Row{Pair{K: 3, V: 1.0}, Pair{K: 40, V: 2.0}, Pair{K: 3, V: 3.0}, Pair{K: 17, V: 4.0}}
 	for _, agg := range []*Aggregator{nil, SumAggregator()} {
 		cols, _, err := PartitionPairsCol(rows, NewHashPartitioner(64), agg)
-		if err != nil || cols == nil || cols.Empty() {
+		if err != nil || cols == nil || cols.Len() == 0 {
 			t.Fatalf("typed rows: cols=%v err=%v, want a non-empty arena", cols, err)
 		}
 		want := []int32{-1}

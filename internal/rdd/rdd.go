@@ -115,8 +115,17 @@ func GroupAggregator() *Aggregator {
 
 // ComputeFn materializes one partition of an RDD given the materialized
 // inputs of each dependency (same order as Deps). For a NarrowDep the input
-// is the concatenation of the parent splits; for a ShuffleDep it is the
-// merged []Row of Pair records for this reduce partition.
+// is the parent split's rows (their concatenation when the child split
+// reads several); for a ShuffleDep it is the merged []Row of Pair records
+// for this reduce partition.
+//
+// Inputs are read-only. The engine hands a one-to-one narrow child its
+// parent's rows without copying them, so an input may alias a partition the
+// task keeps memoised for another reader, or one the cache holds for later
+// jobs: never assign to an input's elements, and copy before sorting (as
+// SortByKey's sortPartition does). Two things stay safe: returning an input
+// or a sub-slice of it as the output, and appending to an input — its
+// capacity is clamped to its length, so the append reallocates.
 type ComputeFn func(split int, inputs [][]Row) []Row
 
 // RDD is an immutable, partitioned, lazily evaluated dataset.

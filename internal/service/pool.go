@@ -123,7 +123,9 @@ func (p *workPool) exec(j *job) {
 		return
 	}
 	p.active.Add(1)
-	defer p.active.Add(-1)
 	v, err := j.run(j.ctx)
+	// Stop counting before the ack: once the handler holds the result, the
+	// job must no longer read as in flight (a drain decision may follow).
+	p.active.Add(-1)
 	j.done <- jobResult{v: v, err: err}
 }

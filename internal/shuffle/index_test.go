@@ -59,7 +59,7 @@ func randomOutput(t testing.TB, rng *rand.Rand, numReduce int) MapOutput {
 	if err != nil || cols == nil {
 		t.Fatalf("typed rows did not produce an arena: %v", err)
 	}
-	if cols.Empty() {
+	if cols.Len() == 0 {
 		return MapOutput{Cols: cols}
 	}
 	payloads := make([]int64, numReduce)
@@ -69,8 +69,29 @@ func randomOutput(t testing.TB, rng *rand.Rand, numReduce int) MapOutput {
 	return MapOutput{Cols: cols, Payloads: payloads}
 }
 
+// sparseForm rewrites a dense output the way the engine writes one: the
+// buckets that hold rows (or, in the hand-made boxed outputs, are charged a
+// payload) listed ascending, with their payloads alongside.
+func sparseForm(out MapOutput) MapOutput {
+	sp := MapOutput{Cols: out.Cols, Boxed: out.Boxed, NonEmpty: []int32{}}
+	for r, p := range out.Payloads {
+		rows := 0
+		if out.Cols != nil {
+			rows = out.Cols.BucketLen(r)
+		} else {
+			rows = len(out.Boxed[r])
+		}
+		if p != 0 || rows > 0 {
+			sp.NonEmpty = append(sp.NonEmpty, int32(r))
+			sp.Payloads = append(sp.Payloads, p)
+		}
+	}
+	return sp
+}
+
 // model is the brute-force reference: the outputs exactly as the test
-// wrote them, walked map task by map task for every question.
+// generated them, in dense form, walked map task by map task for every
+// question — whichever form the manager was handed.
 type model struct {
 	overhead, empty int64
 	numReduce       int
@@ -199,8 +220,12 @@ func runIndexScenario(t testing.TB, seed int64) {
 			for r := 0; r < md.numReduce; r++ {
 				want += md.blockBytes(mt, r)
 			}
-			if got := m.PutMapOutput(id, mt, md.nodes[mt], out); got != want {
-				t.Fatalf("map %d wrote %d bytes, want %d", mt, got, want)
+			fed := out
+			if rng.Intn(2) == 0 {
+				fed = sparseForm(out)
+			}
+			if got := m.PutMapOutput(id, mt, md.nodes[mt], fed); got != want {
+				t.Fatalf("map %d (sparse=%v) wrote %d bytes, want %d", mt, fed.NonEmpty != nil, got, want)
 			}
 		}
 		checkAgainstModel(t, m, id, md)
@@ -229,6 +254,72 @@ func FuzzShuffleIndex(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) { runIndexScenario(t, seed) })
+}
+
+// TestSparseEqualsDense stores the same outputs once in each form and
+// requires the two managers to answer everything identically.
+func TestSparseEqualsDense(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		numMaps, numReduce := 1+rng.Intn(10), 1+rng.Intn(12)
+		dense, sparse := NewManager(96, 8), NewManager(96, 8)
+		dense.Register(1, numMaps, numReduce)
+		sparse.Register(1, numMaps, numReduce)
+		for mt := 0; mt < numMaps; mt++ {
+			out, node := randomOutput(t, rng, numReduce), fmt.Sprintf("N%d", rng.Intn(3))
+			d, s := dense.PutMapOutput(1, mt, node, out), sparse.PutMapOutput(1, mt, node, sparseForm(out))
+			if d != s {
+				t.Fatalf("seed %d map %d: dense put wrote %d bytes, sparse %d", seed, mt, d, s)
+			}
+			if out.Payloads != nil && len(out.Payloads) != numReduce {
+				t.Fatalf("seed %d map %d: the put rewrote the caller's dense table", seed, mt)
+			}
+		}
+		for r := 0; r < numReduce; r++ {
+			if d, s := dense.ReduceNodeBytes(1, r), sparse.ReduceNodeBytes(1, r); !reflect.DeepEqual(d, s) {
+				t.Fatalf("seed %d reduce %d: node bytes dense %v, sparse %v", seed, r, d, s)
+			}
+			db, dok := dense.BestReduceNode([]int{1}, r)
+			sb, sok := sparse.BestReduceNode([]int{1}, r)
+			if db != sb || dok != sok {
+				t.Fatalf("seed %d reduce %d: best node dense %q/%v, sparse %q/%v", seed, r, db, dok, sb, sok)
+			}
+			dv, sv := dense.ReduceInput(1, r), sparse.ReduceInput(1, r)
+			if dv.Len() != sv.Len() || !reflect.DeepEqual(dv.NodeBytes(), sv.NodeBytes()) {
+				t.Fatalf("seed %d reduce %d: views differ: %d blocks %v vs %d blocks %v",
+					seed, r, dv.Len(), dv.NodeBytes(), sv.Len(), sv.NodeBytes())
+			}
+			for _, agg := range []*rdd.Aggregator{nil, rdd.SumAggregator()} {
+				d, s := rdd.MergeReduceColN(dv.Len(), dv.BlockInto, agg), rdd.MergeReduceColN(sv.Len(), sv.BlockInto, agg)
+				if !reflect.DeepEqual(d, s) {
+					t.Fatalf("seed %d reduce %d: merged rows dense %v, sparse %v", seed, r, d, s)
+				}
+			}
+		}
+	}
+}
+
+// TestMalformedSparseOutputPanics: ids that are unsorted, repeated, out of
+// range or not as many as the payloads are refused, naming the shuffle.
+func TestMalformedSparseOutputPanics(t *testing.T) {
+	m := NewManager(10, 1)
+	m.Register(3, 1, 4)
+	boxed := make([][]rdd.Pair, 4)
+	for name, out := range map[string]MapOutput{
+		"unsorted":        {Boxed: boxed, NonEmpty: []int32{2, 1}, Payloads: []int64{5, 5}},
+		"repeated":        {Boxed: boxed, NonEmpty: []int32{1, 1}, Payloads: []int64{5, 5}},
+		"past the end":    {Boxed: boxed, NonEmpty: []int32{1, 4}, Payloads: []int64{5, 5}},
+		"negative":        {Boxed: boxed, NonEmpty: []int32{-1, 2}, Payloads: []int64{5, 5}},
+		"fewer payloads":  {Boxed: boxed, NonEmpty: []int32{1, 2}, Payloads: []int64{5}},
+		"ids, no payload": {Boxed: boxed, NonEmpty: []int32{1}},
+	} {
+		if msg := panicMessage(func() { m.PutMapOutput(3, 0, "A", out) }); !strings.HasPrefix(msg, "shuffle 3: ") {
+			t.Errorf("%s: panic %q, want one naming shuffle 3", name, msg)
+		}
+	}
+	if complete(m, 3) {
+		t.Fatalf("a refused output was stored")
+	}
 }
 
 // TestViewHoldsOnlyNonEmptyBlocks pins the view's shape on a hand-built

@@ -16,15 +16,17 @@
 // The reduce side reads through one derived structure per shuffle, the
 // reduce-major index: the stored map outputs transposed, by the first read
 // after the last write, into a node x reduce byte matrix and a
-// reduce -> non-empty-blocks table. A reduce task then costs a column read
-// and a sub-slice instead of a walk over every map output, so a P x P job
-// stops paying P² host time for blocks that hold nothing (they are still
-// charged, from counts). One invalidation rule: any PutMapOutput, Register
-// or RetireExcept on the shuffle drops its index. A built index is
-// immutable, so readers use it outside the lock. It is a layout, not a
-// cache of answers — built once, read numReduce times, no hit/miss,
-// eviction or generation counter; a memo of per-(shuffle, reduce) answers
-// would never hit, because the engine asks each of them once.
+// reduce -> non-empty-blocks table, so a reduce task costs a column read
+// and a sub-slice. A map output is described by its non-empty buckets
+// (MapOutput's sparse form): neither a write nor the transposition walks
+// the blocks that hold nothing — they are charged from counts — so a P x P
+// job pays host time for its rows, not for P² blocks. What still grows with
+// the reduce count alone: one int32 boundary table inside each non-empty
+// arena (internal/rdd) and the node x reduce matrix of each index build.
+// One invalidation rule: any PutMapOutput, Register or RetireExcept on the
+// shuffle drops its index. A built index is immutable, so readers use it
+// outside the lock. It is a layout, not a cache of answers: the engine asks
+// each (shuffle, reduce) question once, so there is nothing to hit or evict.
 package shuffle
 
 import (
@@ -37,11 +39,17 @@ import (
 
 // MapOutput is the complete shuffle write of one map task: either the
 // columnar arena every reduce bucket slices out of (Cols) or the boxed
-// fallback buckets (Boxed), plus the per-reduce logical payload sizes.
+// fallback buckets (Boxed), plus the logical payload sizes of its blocks.
 // Storing the arena itself — not a materialized per-bucket block — keeps
-// the manager's footprint at O(maps + reduces) headers per shuffle
-// instead of O(maps x reduces): with wide shuffles the ~150-byte view
-// structs would otherwise dwarf the data they point at.
+// the manager at O(maps + non-empty blocks) per shuffle: with wide
+// shuffles ~150-byte per-block views would dwarf the data they point at.
+//
+// The sizes come sparse (NonEmpty set; what the engine writes): Payloads[i]
+// belongs to reduce bucket NonEmpty[i], and a bucket not listed holds no
+// pair, is never read, and is charged as an empty block from the count.
+// Or dense (NonEmpty nil): one Payloads entry per reduce bucket, converted
+// on entry — the manager stores the sparse form only. Both nil: every
+// block is empty (a map task without rows).
 type MapOutput struct {
 	// Cols is the map task's columnar arena (nil when the task fell back
 	// to boxed pairs). Bucket r of the arena is reduce partition r's input.
@@ -49,9 +57,11 @@ type MapOutput struct {
 	// Boxed holds the per-reduce boxed buckets of a fallback map task
 	// (nil when Cols is set).
 	Boxed [][]rdd.Pair
-	// Payloads is the logical serialized payload size per reduce bucket;
-	// nil means every block is empty (a map task without rows).
+	// Payloads are logical serialized payload sizes, one per listed bucket
+	// (sparse) or per reduce bucket (dense).
 	Payloads []int64
+	// NonEmpty lists the reduce buckets holding pairs, strictly ascending.
+	NonEmpty []int32
 }
 
 // NodeBytes is one entry of a reduce partition's locality profile: how many
@@ -67,9 +77,8 @@ type mapOutput struct {
 	out  MapOutput
 }
 
-// blockInto writes reduce bucket r's zero-copy view into dst, fully
-// overwriting it: the arena bucket view for columnar outputs, or a
-// ColNone wrapper over the boxed bucket.
+// blockInto overwrites dst with reduce bucket r's zero-copy view: the arena
+// bucket for columnar outputs, a ColNone wrapper over the boxed bucket.
 func (mo *mapOutput) blockInto(r int, dst *rdd.ColBlock) {
 	if mo.out.Cols != nil {
 		mo.out.Cols.BucketInto(r, dst)
@@ -78,18 +87,32 @@ func (mo *mapOutput) blockInto(r int, dst *rdd.ColBlock) {
 	*dst = rdd.ColBlock{Kind: rdd.ColNone, Pairs: mo.out.Boxed[r]}
 }
 
-// appendNonEmpty appends the ids of the reduce buckets holding at least
-// one pair to dst, ascending.
-func (mo *mapOutput) appendNonEmpty(dst []int32) []int32 {
+// rows reports how many pairs reduce bucket r holds.
+func (mo *mapOutput) rows(r int) int {
 	if mo.out.Cols != nil {
-		return mo.out.Cols.AppendNonEmpty(dst)
+		return mo.out.Cols.BucketLen(r)
 	}
-	for r, b := range mo.out.Boxed {
-		if len(b) > 0 {
-			dst = append(dst, int32(r))
+	return len(mo.out.Boxed[r])
+}
+
+// sparse converts a dense output to the stored form, listing every bucket
+// that is charged a payload or holds rows, in fresh slices: the caller may
+// put its dense output again.
+func sparse(out MapOutput) MapOutput {
+	mo := mapOutput{out: out}
+	hint := 0 // capacity hint: an arena has at most as many non-empty buckets as pairs
+	if out.Cols != nil {
+		hint = min(len(out.Payloads), out.Cols.Len())
+	}
+	ids, payloads := make([]int32, 0, hint), make([]int64, 0, hint)
+	for r, p := range out.Payloads {
+		if p != 0 || mo.rows(r) > 0 {
+			ids = append(ids, int32(r))
+			payloads = append(payloads, p)
 		}
 	}
-	return dst
+	out.NonEmpty, out.Payloads = ids, payloads
+	return out
 }
 
 type state struct {
@@ -153,15 +176,37 @@ func (m *Manager) Register(shuffleID, numMaps, numReduce int) {
 
 // PutMapOutput records the output map task mapTask wrote on node. It returns
 // the total bytes written (payload plus per-block overhead), the quantity
-// the metrics layer reports as shuffle write.
+// the metrics layer reports as shuffle write. A malformed output panics:
+// wrong bucket count, a dense table of the wrong length, sparse ids not
+// strictly ascending, out of range, or not as many as the payloads.
 func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutput) int64 {
 	st := m.mustGet(shuffleID)
-	var bytes int64
+	nr := st.numReduce
+	if out.Cols != nil {
+		if out.Cols.NumBuckets() != nr {
+			panic(fmt.Sprintf("shuffle %d: arena has %d buckets, want %d", shuffleID, out.Cols.NumBuckets(), nr))
+		}
+	} else if len(out.Boxed) != nr {
+		panic(fmt.Sprintf("shuffle %d: got %d boxed buckets, want %d", shuffleID, len(out.Boxed), nr))
+	}
+	if out.NonEmpty == nil && out.Payloads != nil {
+		if len(out.Payloads) != nr {
+			panic(fmt.Sprintf("shuffle %d: got %d payloads, want %d", shuffleID, len(out.Payloads), nr))
+		}
+		out = sparse(out)
+	} else if len(out.NonEmpty) != len(out.Payloads) {
+		panic(fmt.Sprintf("shuffle %d: got %d payloads for %d non-empty buckets", shuffleID, len(out.Payloads), len(out.NonEmpty)))
+	}
+	prev := int32(-1)
+	for _, r := range out.NonEmpty {
+		if r <= prev || int(r) >= nr {
+			panic(fmt.Sprintf("shuffle %d: non-empty bucket ids %v not ascending in [0,%d)", shuffleID, out.NonEmpty, nr))
+		}
+		prev = r
+	}
+	bytes := int64(nr-len(out.NonEmpty)) * m.emptyBytes
 	for _, p := range out.Payloads {
 		bytes += m.blockBytes(p)
-	}
-	if out.Payloads == nil {
-		bytes = int64(st.numReduce) * m.emptyBytes
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -170,16 +215,6 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	}
 	if mapTask < 0 || mapTask >= st.numMaps {
 		panic(fmt.Sprintf("shuffle %d: map task %d out of range [0,%d)", shuffleID, mapTask, st.numMaps))
-	}
-	if out.Payloads != nil && len(out.Payloads) != st.numReduce {
-		panic(fmt.Sprintf("shuffle %d: got %d payloads, want %d", shuffleID, len(out.Payloads), st.numReduce))
-	}
-	if out.Cols != nil {
-		if out.Cols.NumBuckets() != st.numReduce {
-			panic(fmt.Sprintf("shuffle %d: arena has %d buckets, want %d", shuffleID, out.Cols.NumBuckets(), st.numReduce))
-		}
-	} else if len(out.Boxed) != st.numReduce {
-		panic(fmt.Sprintf("shuffle %d: got %d boxed buckets, want %d", shuffleID, len(out.Boxed), st.numReduce))
 	}
 	st.outputs[mapTask] = &mapOutput{node: node, out: out}
 	st.idx = nil
@@ -203,69 +238,64 @@ type reduceIndex struct {
 	blocks []*mapOutput
 }
 
-// buildIndex transposes the outputs stored so far: per map output one scan
-// of its payload sizes (integer sums, so the totals do not depend on put
-// order) and one of its bucket boundaries; everything after that touches
-// non-empty blocks only. Callers hold st.mu.
+// buildIndex transposes the outputs stored so far, touching per map output
+// its listed buckets only: every block is first charged as empty from the
+// per-node output count, then each listed one is raised to its payload plus
+// overhead (integer sums: the totals do not depend on put order). Callers
+// hold st.mu.
 func (m *Manager) buildIndex(st *state) *reduceIndex {
 	nr := st.numReduce
-	ix := &reduceIndex{missing: -1, numReduce: nr, starts: make([]int32, nr+1)}
-	row := map[string]int{} // node -> matrix row
+	ix := &reduceIndex{missing: -1, numReduce: nr}
 	for i, mo := range st.outputs {
 		if mo == nil {
 			if ix.missing < 0 {
 				ix.missing = i
 			}
-		} else if _, ok := row[mo.node]; !ok {
-			row[mo.node] = 0
+		} else if !slices.Contains(ix.nodes, mo.node) { // a handful of nodes
 			ix.nodes = append(ix.nodes, mo.node)
 		}
 	}
 	slices.Sort(ix.nodes)
-	for n, node := range ix.nodes {
-		row[node] = n
-	}
 	ix.bytes = make([]int64, len(ix.nodes)*nr)
-	allEmpty := make([]int64, len(ix.nodes)) // per node: bytes of outputs with nil Payloads, per reduce
-	// ids lists every output's non-empty buckets back to back; ends[i]
-	// closes map task i's run.
-	var ids []int32
-	ends := make([]int, len(st.outputs))
-	for i, mo := range st.outputs {
-		if mo != nil {
-			n := row[mo.node]
-			if mo.out.Payloads == nil {
-				allEmpty[n] += m.emptyBytes
-			}
-			sums := ix.bytes[n*nr:][:nr]
-			for r, p := range mo.out.Payloads {
-				sums[r] += m.blockBytes(p)
-			}
-			ids = mo.appendNonEmpty(ids)
+	allEmpty := make([]int64, len(ix.nodes)) // per node: one empty block per output, per reduce
+	// A shifted counting table: reduce r's block count at next[r+2] becomes
+	// its first slot at next[r+1]; placing at next[r+1]++ leaves starts.
+	next := make([]int32, nr+2)
+	for _, mo := range st.outputs {
+		if mo == nil {
+			continue
 		}
-		ends[i] = len(ids)
+		n, _ := slices.BinarySearch(ix.nodes, mo.node) // its matrix row
+		allEmpty[n] += m.emptyBytes
+		sums := ix.bytes[n*nr:][:nr]
+		for i, r := range mo.out.NonEmpty {
+			sums[r] += m.blockBytes(mo.out.Payloads[i]) - m.emptyBytes
+			if mo.rows(int(r)) > 0 {
+				next[r+2]++
+			}
+		}
 	}
 	for n, b := range allEmpty {
 		for r := n * nr; r < (n+1)*nr; r++ {
 			ix.bytes[r] += b
 		}
 	}
-	for _, r := range ids {
-		ix.starts[r+1]++
+	for r := 2; r < len(next); r++ {
+		next[r] += next[r-1]
 	}
-	for r := 0; r < nr; r++ {
-		ix.starts[r+1] += ix.starts[r]
-	}
-	ix.blocks = make([]*mapOutput, len(ids))
-	next := slices.Clone(ix.starts[:nr])
-	lo := 0
-	for i, mo := range st.outputs {
-		for _, r := range ids[lo:ends[i]] {
-			ix.blocks[next[r]] = mo
-			next[r]++
+	ix.blocks = make([]*mapOutput, next[nr+1])
+	for _, mo := range st.outputs {
+		if mo == nil {
+			continue
 		}
-		lo = ends[i]
+		for _, r := range mo.out.NonEmpty {
+			if mo.rows(int(r)) > 0 {
+				ix.blocks[next[r+1]] = mo
+				next[r+1]++
+			}
+		}
 	}
+	ix.starts = next[:nr+1]
 	return ix
 }
 
@@ -404,12 +434,6 @@ func (m *Manager) RetireExcept(live []int) int {
 		st.mu.Unlock()
 	}
 	return retired
-}
-
-// NumReduce reports the reduce-side partition count of a shuffle.
-func (m *Manager) NumReduce(shuffleID int) int {
-	// numReduce is immutable after Register; no state lock needed.
-	return m.mustGet(shuffleID).numReduce
 }
 
 func (m *Manager) mustGet(id int) *state {

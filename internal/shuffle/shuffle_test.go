@@ -173,7 +173,7 @@ func TestReRegisterResets(t *testing.T) {
 	if complete(m, 1) {
 		t.Fatalf("re-register should reset completion")
 	}
-	if m.NumReduce(1) != 2 {
+	if m.mustGet(1).numReduce != 2 {
 		t.Fatalf("re-register should adopt new reduce count")
 	}
 }

@@ -9,8 +9,11 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"chopper/internal/rdd"
@@ -100,86 +103,52 @@ func (s *BlockStore) File(name string) []BlockInfo {
 	return s.files[name]
 }
 
-// SplitBytes reports the logical bytes covered by split of numSplits over
-// the file. Splits are byte ranges (like FileInputFormat with a goal size),
-// so they may cover partial blocks: a 7 GB file split 300 ways yields 300
-// near-equal ~24 MB splits even though blocks are 128 MB.
-func (s *BlockStore) SplitBytes(name string, split, numSplits int) int64 {
-	total := s.fileBytes(name)
-	lo, hi := byteRange(total, split, numSplits)
-	return hi - lo
-}
-
-func (s *BlockStore) fileBytes(name string) int64 {
-	var total int64
-	for _, b := range s.File(name) {
-		total += b.Bytes
+// Split reports the logical bytes covered by split of numSplits over the
+// file, and the nodes holding data of that byte range ordered by descending
+// bytes held (ties broken by name) — the task's preferred locations.
+// Splits are byte ranges (like FileInputFormat with a goal size), so they
+// may cover partial blocks: a 7 GB file split 300 ways yields 300
+// near-equal ~24 MB splits even though blocks are 128 MB. Only the blocks
+// the range overlaps are visited: every block but the last is full, so
+// block i starts at byte i x blockBytes.
+func (s *BlockStore) Split(name string, split, numSplits int) (int64, []string) {
+	blocks := s.File(name)
+	if len(blocks) == 0 || numSplits <= 0 || split < 0 || split >= numSplits {
+		return 0, nil
 	}
-	return total
-}
-
-func byteRange(total int64, split, numSplits int) (int64, int64) {
-	if numSplits <= 0 || split < 0 || split >= numSplits {
-		return 0, 0
-	}
+	total := int64(len(blocks)-1)*s.blockBytes + blocks[len(blocks)-1].Bytes
 	lo := int64(split) * total / int64(numSplits)
 	hi := int64(split+1) * total / int64(numSplits)
-	return lo, hi
-}
-
-// SplitLocations reports the nodes holding data of the given split's byte
-// range, ordered by descending bytes held (ties broken by name). Used as
-// task preferred locations.
-func (s *BlockStore) SplitLocations(name string, split, numSplits int) []string {
-	blocks := s.File(name)
-	total := s.fileBytes(name)
-	lo, hi := byteRange(total, split, numSplits)
-	byNode := map[string]int64{}
-	var off int64
-	for _, blk := range blocks {
-		blkLo, blkHi := off, off+blk.Bytes
-		off = blkHi
-		overlapLo, overlapHi := maxI64(lo, blkLo), minI64(hi, blkHi)
-		if overlapHi <= overlapLo {
-			continue
-		}
-		for _, n := range blk.Nodes {
-			byNode[n] += overlapHi - overlapLo
-		}
-	}
-	type nb struct {
+	type nodeBytes struct {
 		node  string
 		bytes int64
 	}
-	var list []nb
-	for n, b := range byNode {
-		list = append(list, nb{n, b})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].bytes != list[j].bytes {
-			return list[i].bytes > list[j].bytes
+	var held []nodeBytes
+	for i := lo / s.blockBytes; i < int64(len(blocks)) && i*s.blockBytes < hi; i++ {
+		blkLo := i * s.blockBytes
+		overlap := min(hi, blkLo+blocks[i].Bytes) - max(lo, blkLo)
+		if overlap <= 0 {
+			continue
 		}
-		return list[i].node < list[j].node
+		for _, n := range blocks[i].Nodes {
+			if j := slices.IndexFunc(held, func(h nodeBytes) bool { return h.node == n }); j >= 0 {
+				held[j].bytes += overlap
+			} else {
+				held = append(held, nodeBytes{n, overlap})
+			}
+		}
+	}
+	slices.SortFunc(held, func(x, y nodeBytes) int {
+		if x.bytes != y.bytes {
+			return cmp.Compare(y.bytes, x.bytes)
+		}
+		return strings.Compare(x.node, y.node)
 	})
-	out := make([]string, len(list))
-	for i, e := range list {
-		out[i] = e.node
+	locs := make([]string, len(held))
+	for i, h := range held {
+		locs[i] = h.node
 	}
-	return out
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return hi - lo, locs
 }
 
 // CacheKey identifies a cached RDD partition. Of is the partition count the

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -61,20 +63,23 @@ func TestSplitBytesCoverFile(t *testing.T) {
 	s.AddFile("f", 1050)
 	var sum int64
 	for i := 0; i < 4; i++ {
-		sum += s.SplitBytes("f", i, 4)
+		b, _ := s.Split("f", i, 4)
+		sum += b
 	}
 	if sum != 1050 {
 		t.Fatalf("splits must cover the file exactly: %d", sum)
 	}
-	if s.SplitBytes("f", 9, 4) != 0 || s.SplitBytes("f", -1, 4) != 0 {
-		t.Fatalf("out-of-range split should be empty")
+	for _, split := range []int{9, -1} {
+		if b, locs := s.Split("f", split, 4); b != 0 || len(locs) != 0 {
+			t.Fatalf("out-of-range split %d should be empty: %d bytes on %v", split, b, locs)
+		}
 	}
 }
 
 func TestSplitLocationsOrderedByBytes(t *testing.T) {
 	s := NewBlockStore(100, 1, workers)
 	s.AddFile("f", 1100) // 11 blocks round-robin over 5 workers
-	locs := s.SplitLocations("f", 0, 1)
+	_, locs := s.Split("f", 0, 1)
 	if len(locs) != 5 {
 		t.Fatalf("expected all workers to hold data: %v", locs)
 	}
@@ -175,7 +180,65 @@ func TestQuickMemStoreCapacityInvariant(t *testing.T) {
 	}
 }
 
-// Property: split locations are a subset of workers and SplitBytes is
+// splitFullWalk is the reference for Split: every block of the file is
+// visited, whether or not the split's byte range reaches it.
+func splitFullWalk(s *BlockStore, name string, split, numSplits int) (int64, []string) {
+	var total int64
+	for _, b := range s.File(name) {
+		total += b.Bytes
+	}
+	lo := int64(split) * total / int64(numSplits)
+	hi := int64(split+1) * total / int64(numSplits)
+	byNode := map[string]int64{}
+	var off int64
+	for _, blk := range s.File(name) {
+		blkLo, blkHi := off, off+blk.Bytes
+		off = blkHi
+		if overlap := min(hi, blkHi) - max(lo, blkLo); overlap > 0 {
+			for _, n := range blk.Nodes {
+				byNode[n] += overlap
+			}
+		}
+	}
+	locs := []string{}
+	for n := range byNode {
+		locs = append(locs, n)
+	}
+	sort.Slice(locs, func(i, j int) bool {
+		if byNode[locs[i]] != byNode[locs[j]] {
+			return byNode[locs[i]] > byNode[locs[j]]
+		}
+		return locs[i] < locs[j]
+	})
+	return hi - lo, locs
+}
+
+// Property: visiting only the overlapping blocks answers exactly what the
+// full walk answers — bytes and the (bytes desc, name asc) node order —
+// for whole files, partial last blocks, empty files and splits finer than
+// a byte.
+func TestSplitMatchesFullWalk(t *testing.T) {
+	f := func(fileBytes uint16, blockRaw, splitsRaw, replicasRaw uint8) bool {
+		s := NewBlockStore(int64(blockRaw)+1, int(replicasRaw%3)+1, workers)
+		s.AddFile("f", int64(fileBytes))
+		splits := int(splitsRaw)%40 + 1
+		for i := 0; i < splits; i++ {
+			gotB, gotLocs := s.Split("f", i, splits)
+			wantB, wantLocs := splitFullWalk(s, "f", i, splits)
+			if gotB != wantB || !reflect.DeepEqual(gotLocs, wantLocs) {
+				t.Logf("file %d B, block %d B, split %d/%d: got %d %v, want %d %v",
+					fileBytes, int64(blockRaw)+1, i, splits, gotB, gotLocs, wantB, wantLocs)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: split locations are a subset of workers and split bytes are
 // additive across any split count.
 func TestQuickSplitsAdditive(t *testing.T) {
 	f := func(fileKB uint16, splitsRaw uint8) bool {
@@ -185,8 +248,9 @@ func TestQuickSplitsAdditive(t *testing.T) {
 		s.AddFile("f", total)
 		var sum int64
 		for i := 0; i < splits; i++ {
-			sum += s.SplitBytes("f", i, splits)
-			for _, loc := range s.SplitLocations("f", i, splits) {
+			b, locs := s.Split("f", i, splits)
+			sum += b
+			for _, loc := range locs {
 				found := false
 				for _, w := range workers {
 					if w == loc {
