@@ -7,8 +7,9 @@
 # (with shuffled execution order, so inter-test state leaks cannot hide),
 # the race detector over every internal package, short native-fuzz runs of
 # the execution engine against its single-threaded oracle, of the shuffle
-# index against a brute-force walk and of the guard pipeline against
-# arbitrary source, the plan-IR invariant checker, and
+# kernels' pooled scratch (call sequences against the boxed tier), of the
+# shuffle index against a brute-force walk and of the guard pipeline
+# against arbitrary source, the plan-IR invariant checker, and
 # the symbolic plan extractor, chopperplan — the static plan-drift gate
 # diffing statically extracted stage graphs against the ones the scheduler
 # submits — chopperkey, the static key-flow gate (flow-sensitive key lint
@@ -188,6 +189,7 @@ go run ./cmd/chopperload -fleet-smoke -chopperd /tmp/chopperd.ci
 
 gate "fuzz (5s)"
 go test -run='^$' -fuzz=Fuzz -fuzztime=5s ./internal/exec
+go test -run='^$' -fuzz=FuzzKernelScratch -fuzztime=5s ./internal/rdd
 go test -run='^$' -fuzz=FuzzShuffleIndex -fuzztime=5s ./internal/shuffle
 go test -run='^$' -fuzz=FuzzPlanInvariants -fuzztime=5s ./internal/plan/verify
 go test -run='^$' -fuzz=FuzzSymbolicExtract -fuzztime=5s ./internal/plan/extract

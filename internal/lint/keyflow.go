@@ -417,7 +417,7 @@ var keyActionMethods = map[string]bool{
 // function-literal argument (-1: none). Shuffles preserve the key domain,
 // drop prior partitioning, and are where constkey fires.
 var keyShuffleMethods = map[string]bool{
-	"ReduceByKey": true, "ReduceByKeyPart": true, "CombineByKey": true,
+	"ReduceByKey": true, "ReduceByKeyPart": true, "SumByKey": true, "CombineByKey": true,
 	"GroupByKey": true, "AggregateByKey": true, "SortByKey": true,
 	"Distinct": true, "PartitionBy": true, "Repartition": true,
 }
@@ -631,7 +631,7 @@ func methodDisplay(m string) string {
 	switch m {
 	case "MapCost":
 		return "map"
-	case "ReduceByKeyPart":
+	case "ReduceByKeyPart", "SumByKey":
 		return "reduceByKey"
 	}
 	if m == "" {

@@ -127,6 +127,7 @@ func (r *RDD) PartitionBy(p Partitioner) *RDD                            { retur
 func (r *RDD) Repartition(n int) *RDD                                    { return r }
 func (r *RDD) ReduceByKey(f func(a, b any) any, n int) *RDD              { return r }
 func (r *RDD) ReduceByKeyPart(f func(a, b any) any, p Partitioner) *RDD  { return r }
+func (r *RDD) SumByKey(p Partitioner) *RDD                               { return r }
 func (r *RDD) GroupByKey(n int) *RDD                                     { return r }
 func (r *RDD) SortByKey(n int) *RDD                                      { return r }
 func (r *RDD) Distinct(n int) *RDD                                       { return r }

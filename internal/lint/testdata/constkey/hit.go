@@ -29,3 +29,12 @@ func BoolFlagShuffle(ctx *rdd.Context) *rdd.RDD {
 	})
 	return rows.GroupByKey(300)
 }
+
+// ConstSum is ConstReduce through SumByKey, which takes no closure: the
+// rule must know the method by name.
+func ConstSum(ctx *rdd.Context) *rdd.RDD {
+	rows := ctx.Generate("constRows", 0, 1<<20, func(split, total int) []rdd.Row {
+		return []rdd.Row{rdd.Pair{K: 0, V: 1.0}}
+	})
+	return rows.SumByKey(nil)
+}

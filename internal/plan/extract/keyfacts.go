@@ -380,7 +380,7 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 		t.facts[f.ID] = f
 
 	case "PartitionBy", "Repartition", "CombineByKey", "ReduceByKey",
-		"ReduceByKeyPart", "GroupByKey", "AggregateByKey":
+		"ReduceByKeyPart", "SumByKey", "GroupByKey", "AggregateByKey":
 		t.noteShuffle(call, name, recv, args, out)
 
 	case "SortByKey":
@@ -452,6 +452,7 @@ var shuffleArgIdx = map[string][2]int{
 	"CombineByKey":    {1, -1},
 	"ReduceByKey":     {-1, 1},
 	"ReduceByKeyPart": {1, -1},
+	"SumByKey":        {0, -1},
 	"GroupByKey":      {-1, 0},
 	"AggregateByKey":  {-1, 3},
 }
@@ -460,8 +461,8 @@ var shuffleArgIdx = map[string][2]int{
 var shuffleOps = map[string]string{
 	"PartitionBy": "partitionBy", "Repartition": "repartition",
 	"CombineByKey": "combineByKey", "ReduceByKey": "reduceByKey",
-	"ReduceByKeyPart": "reduceByKey", "GroupByKey": "groupByKey",
-	"AggregateByKey": "aggregateByKey",
+	"ReduceByKeyPart": "reduceByKey", "SumByKey": "reduceByKey",
+	"GroupByKey": "groupByKey", "AggregateByKey": "aggregateByKey",
 }
 
 // noteShuffle models the single-node hash shuffles: key facts pass through

@@ -104,6 +104,29 @@ func TestKeyFactsLattice(t *testing.T) {
 		t.Errorf("pagerank mapValues: partitioner not preserved (hasPart=%v partID=%d, cogroup partID=%d)", mv.HasPart, mv.PartID, cg.PartID)
 	}
 
+	// pagerank: SumByKey(part) is modelled as the reduceByKey shuffle it
+	// builds, carrying the explicit partitioner's identity — which is what
+	// keeps the next iteration's join narrow on the ranks side.
+	sum, ok := factByOp(reports["pagerank"], "reduceByKey")
+	if !ok {
+		t.Fatal("pagerank: no reduceByKey fact for SumByKey")
+	}
+	if sum.DepKinds != "s" || !sum.HasPart || sum.PartID != cg.PartID || sum.Keyed != extract.KeyedYes {
+		t.Errorf("pagerank SumByKey(part): got deps=%q hasPart=%v partID=%d keyed=%s, want a keyed shuffle under the cogroup's partitioner %d",
+			sum.DepKinds, sum.HasPart, sum.PartID, sum.Keyed, cg.PartID)
+	}
+
+	// sql: SumByKey(nil) takes the per-call default — a fresh synthetic
+	// (negative) hash identity, like ReduceByKey with n <= 0.
+	sum, ok = factByOp(reports["sql"], "reduceByKey")
+	if !ok {
+		t.Fatal("sql: no reduceByKey fact for SumByKey")
+	}
+	if sum.DepKinds != "s" || !sum.HasPart || sum.Scheme != "hash" || sum.PartID >= 0 {
+		t.Errorf("sql SumByKey(nil): got deps=%q part=%v/%s id=%d, want a shuffle under a fresh default hash partitioner",
+			sum.DepKinds, sum.HasPart, sum.Scheme, sum.PartID)
+	}
+
 	// sql: the join takes a nil partitioner, so neither side can be
 	// co-partitioned with the fresh default: shuffle-shuffle.
 	cg, ok = factByOp(reports["sql"], "cogroup")

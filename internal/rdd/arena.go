@@ -14,6 +14,15 @@
 // back to the boxed rows wholesale (ColNone); the boxed tier is the
 // reference semantics, pinned by the engine-vs-oracle fuzz.
 //
+// Kernel scratch: the combine and merge kernels keep their working set —
+// the key→slot map, the per-slot arrays, the sort index — in one pooled
+// kernelScratch instead of rebuilding it per call, so what a kernel
+// allocates is what it emits: the arena, or the merged []Row. A deferred
+// release clears the maps and the pointer-bearing arrays before pooling
+// (nothing of the last task stays reachable or leaks into the next call)
+// and drops a scratch grown past maxPooledSlots; nothing emitted aliases
+// it. See kernelScratch.
+//
 // Ownership: a ColBuckets arena belongs to one (shuffle, map task); the
 // shuffle manager holds it until the generation retires, then drops every
 // reference at once — whole-arena frees instead of per-pair garbage. The
@@ -23,8 +32,11 @@
 package rdd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // ColKind identifies the typed layout of a columnar block or arena.
@@ -244,11 +256,63 @@ func (a *ColBuckets) LogicalBytes(b int, scale float64) float64 {
 	return total
 }
 
-// colSizeHint estimates the distinct-key count of a combine from the row
-// count: key sets are typically a small fraction of the rows (that is why
-// map-side combine pays off at all); the maps and slot arrays grow cleanly
-// when a workload exceeds it.
-func colSizeHint(rows int) int { return rows/16 + 1 }
+// kernelScratch is the working set of one combine or merge kernel call:
+// the key→slot map (int or string), the per-slot arrays and the sort index.
+// Every kernel takes it from scratchPool and hands it back through a
+// deferred release, so the bail-outs, the non-pair error and a panicking
+// user aggregator all return it. Nothing a kernel emits aliases it: the
+// emitters copy the slots into fresh arena segments, the merges into a
+// fresh []Row.
+type kernelScratch struct {
+	intSlots map[int64]int32
+	strSlots map[string]int32
+	ints     []int64   // slot → int key
+	strs     []string  // slot → string key
+	buckets  []int32   // slot → reduce bucket (map side)
+	f64s     []float64 // slot → unboxed combiner
+	anys     []any     // slot → boxed combiner
+	idx      []int32   // slots in key order (reduce side)
+}
+
+// maxPooledSlots bounds the scratch the pool keeps: clearing a map costs
+// its capacity, not its length, so a scratch one fat task grew past this
+// is dropped instead of taxing every later release.
+const maxPooledSlots = 1 << 14
+
+// scratchPool is a pool rather than a per-worker field because the kernels
+// also run with no engine around them (LocalRunner, the fuzz oracle, the
+// layer probes) behind signatures that carry no worker.
+var scratchPool = sync.Pool{New: func() any {
+	return &kernelScratch{intSlots: map[int64]int32{}, strSlots: map[string]int32{}}
+}}
+
+// release empties the scratch and pools it. The maps and the used prefixes
+// of the pointer-bearing arrays are cleared — a pooled scratch must not
+// keep the last task's keys and combiners alive, nor leak its slots into
+// the next call — so every element within capacity stays zero.
+func (s *kernelScratch) release() {
+	if len(s.ints)+len(s.strs) > maxPooledSlots {
+		return
+	}
+	clear(s.intSlots)
+	clear(s.strSlots)
+	clear(s.strs)
+	clear(s.anys)
+	s.ints, s.strs, s.buckets = s.ints[:0], s.strs[:0], s.buckets[:0]
+	s.f64s, s.anys, s.idx = s.f64s[:0], s.anys[:0], s.idx[:0]
+	scratchPool.Put(s)
+}
+
+// sortedSlots returns the scratch's sort index holding the slots of keys
+// ordered by key. Keys are distinct, so the unstable sort is deterministic,
+// mirroring the boxed path.
+func sortedSlots[K cmp.Ordered](s *kernelScratch, keys []K) []int32 {
+	for i := range keys {
+		s.idx = append(s.idx, int32(i))
+	}
+	slices.SortFunc(s.idx, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	return s.idx
+}
 
 // aggAllF64 reports whether the aggregator carries the full set of unboxed
 // hooks the columnar F64 value segment needs on both shuffle sides.
@@ -302,14 +366,11 @@ func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets,
 // occurrence of a key lands in the same bucket, so the global
 // first-occurrence order filtered to one bucket is that bucket's own).
 func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBuckets, bool, error) {
-	hint := colSizeHint(len(rows))
-	slots := make(map[int]int32, hint)
-	keys := make([]int64, 0, hint)
-	bucketOf := make([]int32, 0, hint)
+	s := scratchPool.Get().(*kernelScratch)
+	defer s.release()
 
 	if f64 {
 		if agg.CreateF64 != nil && agg.MergeValueF64 != nil {
-			vals := make([]float64, 0, hint)
 			for _, row := range rows {
 				pr, ok := row.(Pair)
 				if !ok {
@@ -323,21 +384,20 @@ func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 				if !ok {
 					return nil, false, nil
 				}
-				if s, ok := slots[k]; ok {
-					vals[s] = agg.MergeValueF64(vals[s], v)
+				if sl, ok := s.intSlots[int64(k)]; ok {
+					s.f64s[sl] = agg.MergeValueF64(s.f64s[sl], v)
 				} else {
-					slots[k] = int32(len(keys))
-					keys = append(keys, int64(k))
-					bucketOf = append(bucketOf, int32(p.PartitionFor(pr.K)))
-					vals = append(vals, agg.CreateF64(v))
+					s.intSlots[int64(k)] = int32(len(s.ints))
+					s.ints = append(s.ints, int64(k))
+					s.buckets = append(s.buckets, int32(p.PartitionFor(pr.K)))
+					s.f64s = append(s.f64s, agg.CreateF64(v))
 				}
 			}
-			return emitColInt(p.NumPartitions(), keys, bucketOf, vals, nil), true, nil
+			return emitColInt(p.NumPartitions(), s.ints, s.buckets, s.f64s, nil), true, nil
 		}
 		return nil, false, nil
 	}
 
-	vals := make([]any, 0, hint)
 	for _, row := range rows {
 		pr, ok := row.(Pair)
 		if !ok {
@@ -347,29 +407,26 @@ func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 		if !ok {
 			return nil, false, nil
 		}
-		if s, ok := slots[k]; ok {
-			vals[s] = agg.MergeValue(vals[s], pr.V)
+		if sl, ok := s.intSlots[int64(k)]; ok {
+			s.anys[sl] = agg.MergeValue(s.anys[sl], pr.V)
 		} else {
-			slots[k] = int32(len(keys))
-			keys = append(keys, int64(k))
-			bucketOf = append(bucketOf, int32(p.PartitionFor(pr.K)))
-			vals = append(vals, agg.Create(pr.V))
+			s.intSlots[int64(k)] = int32(len(s.ints))
+			s.ints = append(s.ints, int64(k))
+			s.buckets = append(s.buckets, int32(p.PartitionFor(pr.K)))
+			s.anys = append(s.anys, agg.Create(pr.V))
 		}
 	}
-	return emitColInt(p.NumPartitions(), keys, bucketOf, nil, vals), true, nil
+	return emitColInt(p.NumPartitions(), s.ints, s.buckets, nil, s.anys), true, nil
 }
 
 // colCombineStr is colCombineInt for string keys; emission additionally
 // packs the keys into the arena's shared byte segment, bucket-contiguous.
 func colCombineStr(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBuckets, bool, error) {
-	hint := colSizeHint(len(rows))
-	slots := make(map[string]int32, hint)
-	keys := make([]string, 0, hint)
-	bucketOf := make([]int32, 0, hint)
+	s := scratchPool.Get().(*kernelScratch)
+	defer s.release()
 
 	if f64 {
 		if agg.CreateF64 != nil && agg.MergeValueF64 != nil {
-			vals := make([]float64, 0, hint)
 			for _, row := range rows {
 				pr, ok := row.(Pair)
 				if !ok {
@@ -383,21 +440,20 @@ func colCombineStr(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 				if !ok {
 					return nil, false, nil
 				}
-				if s, ok := slots[k]; ok {
-					vals[s] = agg.MergeValueF64(vals[s], v)
+				if sl, ok := s.strSlots[k]; ok {
+					s.f64s[sl] = agg.MergeValueF64(s.f64s[sl], v)
 				} else {
-					slots[k] = int32(len(keys))
-					keys = append(keys, k)
-					bucketOf = append(bucketOf, int32(p.PartitionFor(pr.K)))
-					vals = append(vals, agg.CreateF64(v))
+					s.strSlots[k] = int32(len(s.strs))
+					s.strs = append(s.strs, k)
+					s.buckets = append(s.buckets, int32(p.PartitionFor(pr.K)))
+					s.f64s = append(s.f64s, agg.CreateF64(v))
 				}
 			}
-			return emitColStr(p.NumPartitions(), keys, bucketOf, vals, nil), true, nil
+			return emitColStr(p.NumPartitions(), s.strs, s.buckets, s.f64s, nil), true, nil
 		}
 		return nil, false, nil
 	}
 
-	vals := make([]any, 0, hint)
 	for _, row := range rows {
 		pr, ok := row.(Pair)
 		if !ok {
@@ -407,16 +463,16 @@ func colCombineStr(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 		if !ok {
 			return nil, false, nil
 		}
-		if s, ok := slots[k]; ok {
-			vals[s] = agg.MergeValue(vals[s], pr.V)
+		if sl, ok := s.strSlots[k]; ok {
+			s.anys[sl] = agg.MergeValue(s.anys[sl], pr.V)
 		} else {
-			slots[k] = int32(len(keys))
-			keys = append(keys, k)
-			bucketOf = append(bucketOf, int32(p.PartitionFor(pr.K)))
-			vals = append(vals, agg.Create(pr.V))
+			s.strSlots[k] = int32(len(s.strs))
+			s.strs = append(s.strs, k)
+			s.buckets = append(s.buckets, int32(p.PartitionFor(pr.K)))
+			s.anys = append(s.anys, agg.Create(pr.V))
 		}
 	}
-	return emitColStr(p.NumPartitions(), keys, bucketOf, nil, vals), true, nil
+	return emitColStr(p.NumPartitions(), s.strs, s.buckets, nil, s.anys), true, nil
 }
 
 // countBuckets starts an arena's shifted counting table: n+2 entries with
@@ -588,10 +644,10 @@ func MergeReduceCol(blocks []*ColBlock, agg *Aggregator) []Row {
 // map-task order, possibly more than once). The engine feeds it straight
 // from the per-map arenas through shuffle.ReduceView.BlockInto, so a
 // reduce merge never materializes a heap-resident slice of ~150-byte
-// block headers — one stack scratch block is reused across the input.
+// block headers — one block header is reused across each pass.
 func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 	kind := ColNone
-	total, maxLen := 0, 0
+	total := 0
 	mixed := false
 	var blk ColBlock
 	for i := 0; i < n; i++ {
@@ -601,9 +657,6 @@ func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 			continue
 		}
 		total += l
-		if l > maxLen {
-			maxLen = l
-		}
 		switch k := blk.Kind; {
 		case k == ColNone:
 			mixed = true
@@ -622,23 +675,23 @@ func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 			if agg == nil {
 				return concatColIntF64(n, get, total)
 			}
-			if out, ok := mergeColIntF64(n, get, maxLen, agg); ok {
+			if out, ok := mergeColIntF64(n, get, agg); ok {
 				return out
 			}
 		case ColIntAny:
 			if agg == nil {
 				return concatColIntAny(n, get, total)
 			}
-			return mergeColIntAny(n, get, maxLen, agg)
+			return mergeColIntAny(n, get, agg)
 		case ColStrF64:
 			if agg != nil {
-				if out, ok := mergeColStrF64(n, get, maxLen, agg); ok {
+				if out, ok := mergeColStrF64(n, get, agg); ok {
 					return out
 				}
 			}
 		case ColStrAny:
 			if agg != nil {
-				return mergeColStrAny(n, get, maxLen, agg)
+				return mergeColStrAny(n, get, agg)
 			}
 		}
 	}
@@ -711,38 +764,39 @@ func stableKeyOrder(keys []int64) []int32 {
 // mergeColIntF64 is the unboxed reduce-side fold for int/float64 blocks,
 // mirroring mergeBlocksGeneric with the aggregator's F64 hooks: map-task
 // order, per-key fold in pair order, first-occurrence key tracking, sorted
-// emission.
-func mergeColIntF64(n int, get func(int, *ColBlock), hint int, agg *Aggregator) ([]Row, bool) {
+// emission. Per-key state lives in slot arrays, so a repeated key costs
+// one map lookup and an array store — no map assignment.
+func mergeColIntF64(n int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bool) {
 	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
-		acc := make(map[int64]float64, hint)
-		order := make([]int64, 0, hint)
+		s := scratchPool.Get().(*kernelScratch)
+		defer s.release()
 		var blk ColBlock
 		for bi := 0; bi < n; bi++ {
 			get(bi, &blk)
-			ints, f64s := blk.Int, blk.F64
-			for i, k := range ints {
+			f64s := blk.F64
+			for i, k := range blk.Int {
 				v := f64s[i]
-				if cur, ok := acc[k]; ok {
+				if sl, ok := s.intSlots[k]; ok {
 					if agg.MapSideCombine {
-						acc[k] = agg.MergeCombinersF64(cur, v)
+						s.f64s[sl] = agg.MergeCombinersF64(s.f64s[sl], v)
 					} else {
-						acc[k] = agg.MergeValueF64(cur, v)
+						s.f64s[sl] = agg.MergeValueF64(s.f64s[sl], v)
 					}
 				} else {
+					s.intSlots[k] = int32(len(s.ints))
+					s.ints = append(s.ints, k)
 					if agg.MapSideCombine {
-						acc[k] = v // already a combiner from the map side
+						s.f64s = append(s.f64s, v) // already a combiner from the map side
 					} else {
-						acc[k] = agg.CreateF64(v)
+						s.f64s = append(s.f64s, agg.CreateF64(v))
 					}
-					order = append(order, k)
 				}
 			}
 		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		out := make([]Row, len(order))
-		for i, k := range order {
+		out := make([]Row, len(s.ints))
+		for i, sl := range sortedSlots(s, s.ints) {
 			//lint:ignore boxf64 emission boxes once per key at the typed-region boundary; the per-record accumulation stays unboxed
-			out[i] = Pair{K: int(k), V: acc[k]}
+			out[i] = Pair{K: int(s.ints[sl]), V: s.f64s[sl]}
 		}
 		return out, true
 	}
@@ -752,35 +806,35 @@ func mergeColIntF64(n int, get func(int, *ColBlock), hint int, agg *Aggregator) 
 // mergeColIntAny folds int-keyed boxed values, mirroring mergeBlocksGeneric
 // (the values were boxed at the source, so the fold itself adds no new
 // boxes).
-func mergeColIntAny(n int, get func(int, *ColBlock), hint int, agg *Aggregator) []Row {
-	acc := make(map[int64]any, hint)
-	order := make([]int64, 0, hint)
+func mergeColIntAny(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
+	s := scratchPool.Get().(*kernelScratch)
+	defer s.release()
 	var blk ColBlock
 	for bi := 0; bi < n; bi++ {
 		get(bi, &blk)
-		ints, anys := blk.Int, blk.Any
-		for i, k := range ints {
+		anys := blk.Any
+		for i, k := range blk.Int {
 			v := anys[i]
-			if cur, ok := acc[k]; ok {
+			if sl, ok := s.intSlots[k]; ok {
 				if agg.MapSideCombine {
-					acc[k] = agg.MergeCombiners(cur, v)
+					s.anys[sl] = agg.MergeCombiners(s.anys[sl], v)
 				} else {
-					acc[k] = agg.MergeValue(cur, v)
+					s.anys[sl] = agg.MergeValue(s.anys[sl], v)
 				}
 			} else {
+				s.intSlots[k] = int32(len(s.ints))
+				s.ints = append(s.ints, k)
 				if agg.MapSideCombine {
-					acc[k] = v // already a combiner from the map side
+					s.anys = append(s.anys, v) // already a combiner from the map side
 				} else {
-					acc[k] = agg.Create(v)
+					s.anys = append(s.anys, agg.Create(v))
 				}
-				order = append(order, k)
 			}
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	out := make([]Row, len(order))
-	for i, k := range order {
-		out[i] = Pair{K: int(k), V: acc[k]}
+	out := make([]Row, len(s.ints))
+	for i, sl := range sortedSlots(s, s.ints) {
+		out[i] = Pair{K: int(s.ints[sl]), V: s.anys[sl]}
 	}
 	return out
 }
@@ -789,40 +843,38 @@ func mergeColIntAny(n int, get func(int, *ColBlock), hint int, agg *Aggregator) 
 // through the allocation-free m[string(bytes)] form; the key string is
 // allocated exactly once per distinct key, at slot creation, and per-key
 // state lives in slot arrays so no map assignment re-converts the key.
-func mergeColStrF64(n int, get func(int, *ColBlock), hint int, agg *Aggregator) ([]Row, bool) {
+func mergeColStrF64(n int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bool) {
 	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
-		slots := make(map[string]int32, hint)
-		keys := make([]string, 0, hint)
-		vals := make([]float64, 0, hint)
+		s := scratchPool.Get().(*kernelScratch)
+		defer s.release()
 		var blk ColBlock
 		for bi := 0; bi < n; bi++ {
 			get(bi, &blk)
 			for i := range blk.F64 {
 				kb := blk.strKey(i)
 				v := blk.F64[i]
-				if s, ok := slots[string(kb)]; ok {
+				if sl, ok := s.strSlots[string(kb)]; ok {
 					if agg.MapSideCombine {
-						vals[s] = agg.MergeCombinersF64(vals[s], v)
+						s.f64s[sl] = agg.MergeCombinersF64(s.f64s[sl], v)
 					} else {
-						vals[s] = agg.MergeValueF64(vals[s], v)
+						s.f64s[sl] = agg.MergeValueF64(s.f64s[sl], v)
 					}
 				} else {
 					k := string(kb)
-					slots[k] = int32(len(keys))
-					keys = append(keys, k)
+					s.strSlots[k] = int32(len(s.strs))
+					s.strs = append(s.strs, k)
 					if agg.MapSideCombine {
-						vals = append(vals, v) // already a combiner from the map side
+						s.f64s = append(s.f64s, v) // already a combiner from the map side
 					} else {
-						vals = append(vals, agg.CreateF64(v))
+						s.f64s = append(s.f64s, agg.CreateF64(v))
 					}
 				}
 			}
 		}
-		idx := sortedStrSlots(keys)
-		out := make([]Row, len(keys))
-		for i, s := range idx {
+		out := make([]Row, len(s.strs))
+		for i, sl := range sortedSlots(s, s.strs) {
 			//lint:ignore boxf64 emission boxes once per key at the typed-region boundary; the per-record accumulation stays unboxed
-			out[i] = Pair{K: keys[s], V: vals[s]}
+			out[i] = Pair{K: s.strs[sl], V: s.f64s[sl]}
 		}
 		return out, true
 	}
@@ -830,49 +882,36 @@ func mergeColStrF64(n int, get func(int, *ColBlock), hint int, agg *Aggregator) 
 }
 
 // mergeColStrAny folds string-keyed boxed values.
-func mergeColStrAny(n int, get func(int, *ColBlock), hint int, agg *Aggregator) []Row {
-	slots := make(map[string]int32, hint)
-	keys := make([]string, 0, hint)
-	vals := make([]any, 0, hint)
+func mergeColStrAny(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
+	s := scratchPool.Get().(*kernelScratch)
+	defer s.release()
 	var blk ColBlock
 	for bi := 0; bi < n; bi++ {
 		get(bi, &blk)
 		for i := range blk.Any {
 			kb := blk.strKey(i)
 			v := blk.Any[i]
-			if s, ok := slots[string(kb)]; ok {
+			if sl, ok := s.strSlots[string(kb)]; ok {
 				if agg.MapSideCombine {
-					vals[s] = agg.MergeCombiners(vals[s], v)
+					s.anys[sl] = agg.MergeCombiners(s.anys[sl], v)
 				} else {
-					vals[s] = agg.MergeValue(vals[s], v)
+					s.anys[sl] = agg.MergeValue(s.anys[sl], v)
 				}
 			} else {
 				k := string(kb)
-				slots[k] = int32(len(keys))
-				keys = append(keys, k)
+				s.strSlots[k] = int32(len(s.strs))
+				s.strs = append(s.strs, k)
 				if agg.MapSideCombine {
-					vals = append(vals, v) // already a combiner from the map side
+					s.anys = append(s.anys, v) // already a combiner from the map side
 				} else {
-					vals = append(vals, agg.Create(v))
+					s.anys = append(s.anys, agg.Create(v))
 				}
 			}
 		}
 	}
-	idx := sortedStrSlots(keys)
-	out := make([]Row, len(keys))
-	for i, s := range idx {
-		out[i] = Pair{K: keys[s], V: vals[s]}
+	out := make([]Row, len(s.strs))
+	for i, sl := range sortedSlots(s, s.strs) {
+		out[i] = Pair{K: s.strs[sl], V: s.anys[sl]}
 	}
 	return out
-}
-
-// sortedStrSlots returns slot indices ordered by key (keys are distinct,
-// so the unstable sort is deterministic, mirroring the boxed path).
-func sortedStrSlots(keys []string) []int32 {
-	idx := make([]int32, len(keys))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(i, j int) bool { return keys[idx[i]] < keys[idx[j]] })
-	return idx
 }

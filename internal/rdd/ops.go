@@ -45,12 +45,24 @@ func (r *RDD) Filter(pred func(Row) bool) *RDD {
 	})
 }
 
-// FlatMap applies f and concatenates the results.
+// FlatMap applies f and concatenates the results, once: every f(row) is
+// kept until the total is known, then copied into one exact-size slice
+// (the output is often several times the input; growing it by doubling
+// copied it about twice over).
 func (r *RDD) FlatMap(f func(Row) []Row) *RDD {
 	return r.narrowChild("flatMap", 1.2, func(split int, in [][]Row) []Row {
-		var out []Row
-		for _, row := range in[0] {
-			out = append(out, f(row)...)
+		parts := make([][]Row, len(in[0]))
+		total := 0
+		for i, row := range in[0] {
+			parts[i] = f(row)
+			total += len(parts[i])
+		}
+		if total == 0 {
+			return nil
+		}
+		out := make([]Row, 0, total)
+		for _, part := range parts {
+			out = append(out, part...)
 		}
 		return out
 	})
@@ -214,6 +226,15 @@ func (r *RDD) resolvePartitioner(n int) (Partitioner, bool) {
 	return r.Ctx.defaultPartitioner(), false
 }
 
+// orDefault maps an optional explicit partitioner to a partitioner and a
+// fixed flag: nil is the tunable context default.
+func (r *RDD) orDefault(p Partitioner) (Partitioner, bool) {
+	if p == nil {
+		return r.Ctx.defaultPartitioner(), false
+	}
+	return p, true
+}
+
 // PartitionBy redistributes pairs using p (always a shuffle; user-fixed).
 func (r *RDD) PartitionBy(p Partitioner) *RDD {
 	return r.shuffled("partitionBy", p, true, nil, false)
@@ -229,10 +250,7 @@ func (r *RDD) Repartition(n int) *RDD {
 // CombineByKey shuffles with full combine semantics under the given
 // partitioner (nil for the context default).
 func (r *RDD) CombineByKey(agg *Aggregator, p Partitioner) *RDD {
-	fixed := p != nil
-	if p == nil {
-		p = r.Ctx.defaultPartitioner()
-	}
+	p, fixed := r.orDefault(p)
 	return r.shuffled("combineByKey", p, fixed, agg, false)
 }
 
@@ -247,6 +265,16 @@ func (r *RDD) ReduceByKey(f func(a, b any) any, n int) *RDD {
 // ReduceByKeyPart is ReduceByKey with an explicit partitioner (user-fixed).
 func (r *RDD) ReduceByKeyPart(f func(a, b any) any, p Partitioner) *RDD {
 	return r.shuffled("reduceByKey", p, true, ReduceAggregator(f), false)
+}
+
+// SumByKey adds float64 values per key under p (nil for the tunable
+// default): ReduceByKey with the float sum — the same "reduceByKey" op, so
+// signatures and plans do not tell them apart — but through SumAggregator's
+// unboxed hooks, so the columnar kernels fold raw float64 segments and box
+// once per key on emission instead of once per merge.
+func (r *RDD) SumByKey(p Partitioner) *RDD {
+	p, fixed := r.orDefault(p)
+	return r.shuffled("reduceByKey", p, fixed, SumAggregator(), false)
 }
 
 // GroupByKey groups values per key into []any over n partitions.
@@ -316,10 +344,7 @@ func (r *RDD) SortByKey(n int) *RDD {
 // narrow dependency — no shuffle — which is how co-partitioned joins
 // eliminate shuffle traffic (paper Section III-C).
 func (r *RDD) CoGroup(o *RDD, p Partitioner) *RDD {
-	fixed := p != nil
-	if p == nil {
-		p = r.Ctx.defaultPartitioner()
-	}
+	p, fixed := r.orDefault(p)
 	parents := []*RDD{r, o}
 	deps := make([]Dependency, len(parents))
 	narrow := make([]bool, len(parents))

@@ -109,6 +109,63 @@ func TestMapFilterFlatMap(t *testing.T) {
 	}
 }
 
+// TestFlatMapConcatenatesOnce covers what building the output in one
+// exact-size slice could change: nil and empty results among the rows,
+// large fan-out, row order, nil for a partition without output, and the
+// inputs (f's own slices) left as they were.
+func TestFlatMapConcatenatesOnce(t *testing.T) {
+	ctx := testCtx(2)
+	r := ctx.Parallelize(intRows(8), 2)
+	kept := map[int][]Row{}
+	fm := r.FlatMap(func(x Row) []Row {
+		switch n := x.(int); n % 4 {
+		case 0:
+			return nil
+		case 1:
+			return []Row{}
+		case 2:
+			out := make([]Row, 1000, 2000) // spare capacity must not be written
+			for i := range out {
+				out[i] = n*10000 + i
+			}
+			kept[n] = out
+			return out
+		default:
+			return []Row{n}
+		}
+	})
+	got, err := fm.Collect() // unsorted: partitions, then rows, in order
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Row
+	for n := 0; n < 8; n++ {
+		switch n % 4 {
+		case 2:
+			for i := 0; i < 1000; i++ {
+				want = append(want, n*10000+i)
+			}
+		case 3:
+			want = append(want, n)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flatMap: %d rows, want %d in input order (first %v)", len(got), len(want), got[:min(5, len(got))])
+	}
+	for n, out := range kept {
+		if len(out) != 1000 || out[0] != n*10000 || out[999] != n*10000+999 || out[:1001][1000] != nil {
+			t.Fatalf("flatMap changed the slice f returned for row %d", n)
+		}
+	}
+	none := fm.Compute(0, [][]Row{{0, 1, 4, 5}})
+	if none != nil {
+		t.Fatalf("flatMap of rows without output = %#v, want nil", none)
+	}
+	if exact := fm.Compute(0, [][]Row{{2, 3}}); len(exact) != 1001 || cap(exact) != 1001 {
+		t.Fatalf("flatMap output len %d cap %d, want one exact-size slice of 1001", len(exact), cap(exact))
+	}
+}
+
 func TestMapPartitionsSeesWholePartition(t *testing.T) {
 	ctx := testCtx(2)
 	r := ctx.Parallelize(intRows(10), 2)
@@ -168,6 +225,55 @@ func TestReduceByKey(t *testing.T) {
 	fixed := r.ReduceByKey(func(a, b any) any { return a }, 7)
 	if !fixed.Deps[0].(*ShuffleDep).Fixed || fixed.NumParts != 7 {
 		t.Fatalf("explicit-count shuffle should be fixed with 7 parts")
+	}
+}
+
+// TestSumByKeyIsReduceByKeyWithTheFloatSum: the same op name, partitioner
+// conventions and rows as ReduceByKey / ReduceByKeyPart with the boxed
+// sum; only the aggregator carries the unboxed hooks.
+func TestSumByKeyIsReduceByKeyWithTheFloatSum(t *testing.T) {
+	add := func(a, b any) any { return a.(float64) + b.(float64) }
+	ctx := testCtx(4)
+	var rows []Row
+	for i := 0; i < 500; i++ {
+		rows = append(rows, Pair{K: i % 37, V: 0.1 * float64(i)})
+	}
+	src := ctx.Parallelize(rows, 5)
+	part := NewHashPartitioner(3)
+	for _, tc := range []struct {
+		name        string
+		sum, boxed  *RDD
+		fixed       bool
+		numParts    int
+		samePartObj bool
+	}{
+		{"default", src.SumByKey(nil), src.ReduceByKey(add, 0), false, 4, false},
+		{"explicit", src.SumByKey(part), src.ReduceByKeyPart(add, part), true, 3, true},
+	} {
+		dep, ref := tc.sum.Deps[0].(*ShuffleDep), tc.boxed.Deps[0].(*ShuffleDep)
+		if tc.sum.Op != "reduceByKey" || tc.sum.Op != tc.boxed.Op || tc.sum.NumParts != tc.numParts {
+			t.Fatalf("%s: op %q x%d, want reduceByKey x%d", tc.name, tc.sum.Op, tc.sum.NumParts, tc.numParts)
+		}
+		if dep.Fixed != tc.fixed || dep.Fixed != ref.Fixed || dep.WantRange != ref.WantRange {
+			t.Fatalf("%s: fixed=%v, want %v like ReduceByKey", tc.name, dep.Fixed, tc.fixed)
+		}
+		if tc.samePartObj && (dep.Part != part || tc.sum.Part != part) {
+			t.Fatalf("%s: the explicit partitioner was not kept", tc.name)
+		}
+		if !aggAllF64(dep.Agg) || !dep.Agg.MapSideCombine || aggAllF64(ref.Agg) {
+			t.Fatalf("%s: SumByKey must carry the F64 hooks (and ReduceByKey cannot)", tc.name)
+		}
+		got, err := tc.sum.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.boxed.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 37 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: SumByKey rows differ from ReduceByKey's:\n got %v\nwant %v", tc.name, got, want)
+		}
 	}
 }
 

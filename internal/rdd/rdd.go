@@ -61,7 +61,10 @@ func (d *ShuffleDep) Parent() *RDD { return d.P }
 // all three are set and the values flowing through a combine kernel are
 // float64, the columnar kernels (PartitionPairsCol, MergeReduceColN)
 // accumulate in raw float64 segments and box only once per distinct key on
-// output, instead of once per record. The hooks MUST compute exactly what
+// output, instead of once per record. SumAggregator is the one constructor
+// that sets them and (*RDD).SumByKey the method that shuffles under it —
+// how the SQL and PageRank built-ins sum; ReduceByKey's func(a, b any) any
+// cannot carry them. The hooks MUST compute exactly what
 // their boxed counterparts compute (same operations in the same order —
 // float addition is not associative), or the engine and the single-threaded
 // oracle diverge.

@@ -248,9 +248,13 @@ func RowBytes(r Row) int64 {
 		}
 		return sum
 	case [][]any:
+		// Inner slices are sized in place: RowBytes(e) would box each one.
 		var sum int64 = 24
 		for _, e := range v {
-			sum += RowBytes(e)
+			sum += 24
+			for _, x := range e {
+				sum += RowBytes(x)
+			}
 		}
 		return sum
 	case []Pair:

@@ -86,6 +86,40 @@ func TestRowBytes(t *testing.T) {
 	}
 }
 
+// cogroupBytesBoxed is RowBytes' cogroup case as it was: each side sized
+// through RowBytes, which boxes the inner slice.
+func cogroupBytesBoxed(v [][]any) int64 {
+	var sum int64 = 24
+	for _, e := range v {
+		sum += RowBytes(e)
+	}
+	return sum
+}
+
+// TestRowBytesSizesCogroupRowsInPlace: a cogroup row ([][]any under a
+// pair) is sized without allocating, to the same integer as before.
+func TestRowBytesSizesCogroupRowsInPlace(t *testing.T) {
+	f := func(left []float64, right []string, key int) bool {
+		sides := [][]any{make([]any, len(left)), make([]any, len(right))}
+		for i, v := range left {
+			sides[0][i] = v
+		}
+		for i, v := range right {
+			sides[1][i] = v
+		}
+		return RowBytes(sides) == cogroupBytesBoxed(sides) &&
+			RowBytes(Pair{K: key, V: sides}) == 8+cogroupBytesBoxed(sides)+8 &&
+			RowBytes([][]any{}) == 24 && RowBytes([][]any{nil}) == 48
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	var row Row = Pair{K: 7, V: [][]any{{1.5, 2.5, "x"}, {[]float64{1, 2}}}}
+	if n := testing.AllocsPerRun(100, func() { RowBytes(row) }); n != 0 {
+		t.Fatalf("RowBytes allocated %v objects sizing a cogroup row, want 0", n)
+	}
+}
+
 func TestRowsBytesSums(t *testing.T) {
 	rows := []Row{1, "ab", []float64{1}}
 	want := RowBytes(1) + RowBytes("ab") + RowBytes([]float64{1})

@@ -1,0 +1,492 @@
+package rdd
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime/debug"
+	"sync"
+	"testing"
+)
+
+// The combine and merge kernels share one pooled working set
+// (kernelScratch). These tests cover what pooling can break: state leaking
+// from one call into the next (also after a bail-out, an error or a
+// panic), emitted data aliasing the scratch, the pool keeping a task's keys
+// and combiners alive, concurrent use, and allocations growing with the
+// input again. The boxed tier in split.go, which has no scratch, is the
+// reference throughout.
+
+// Flaws a scratchCall can plant in its input or aggregator.
+const (
+	flawNone       = iota
+	flawHetero     // a key of another type at row `at`: the kernel bails mid-scan
+	flawHeteroVal  // a non-float64 value (under a key of its own) at row `at`: the F64 kernel bails mid-scan
+	flawNonPair    // a non-pair row at row `at`: the kernel returns an error
+	flawMapPanic   // the aggregator panics on its `at`-th map-side merge
+	flawMergePanic // the aggregator panics on its `at`-th reduce-side merge
+)
+
+// Aggregator shapes of a scratchCall.
+const (
+	aggSum    = iota // SumAggregator: map-side combine through the F64 hooks
+	aggBoxed         // a boxed reduce function: map-side combine, any values
+	aggGroup         // GroupAggregator: scatter on the map side, reduce-only fold
+	aggNone          // plain repartition
+	aggShapes        // count
+)
+
+// scratchCall is one shuffle — a few map tasks partitioned, every reduce
+// partition merged — in a sequence run on one goroutine, so consecutive
+// calls reuse the same pooled scratch.
+type scratchCall struct {
+	strKeys  bool
+	f64Vals  bool
+	agg      int
+	rows     int
+	keys     int
+	flaw, at int
+}
+
+func (c scratchCall) String() string {
+	return fmt.Sprintf("{str=%v f64=%v agg=%d rows=%d keys=%d flaw=%d at=%d}", c.strKeys, c.f64Vals, c.agg, c.rows, c.keys, c.flaw, c.at)
+}
+
+// tripwire wraps every merge hook of agg so that the at-th merge of the
+// chosen side panics: MergeValue(F64) is the map side's merge of a
+// map-side-combining aggregator, MergeCombiners(F64) its reduce side's.
+func tripwire(agg *Aggregator, mapSide bool, at int) *Aggregator {
+	a := *agg
+	calls := 0
+	trip := func() {
+		if calls++; calls > at {
+			panic("scratch test: aggregator gives up")
+		}
+	}
+	if mapSide {
+		mv := a.MergeValue
+		a.MergeValue = func(acc, v any) any { trip(); return mv(acc, v) }
+		if mvf := a.MergeValueF64; mvf != nil {
+			a.MergeValueF64 = func(acc, v float64) float64 { trip(); return mvf(acc, v) }
+		}
+		return &a
+	}
+	mc := a.MergeCombiners
+	a.MergeCombiners = func(x, y any) any { trip(); return mc(x, y) }
+	if mcf := a.MergeCombinersF64; mcf != nil {
+		a.MergeCombinersF64 = func(x, y float64) float64 { trip(); return mcf(x, y) }
+	}
+	return &a
+}
+
+// panics runs f and reports whether it panicked.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// build generates the call's rows and aggregator from rng.
+func (c scratchCall) build(rng *rand.Rand) ([]Row, *Aggregator) {
+	rows := make([]Row, c.rows)
+	for i := range rows {
+		var k any = rng.Intn(c.keys)*7919 - 3
+		if c.strKeys {
+			k = fmt.Sprintf("key-%d", rng.Intn(c.keys))
+		}
+		var v any = rng.Float64() * 100
+		if !c.f64Vals && i%2 == 1 {
+			v = fmt.Sprintf("v%d", i)
+		}
+		rows[i] = Pair{K: k, V: v}
+	}
+	if c.at < len(rows) {
+		switch c.flaw {
+		case flawHetero:
+			// int64 orders with int (CompareKeys), so the boxed fallback
+			// can still merge; nothing orders with a string.
+			rows[c.at] = Pair{K: int64(-10 - c.at), V: rows[c.at].(Pair).V}
+		case flawHeteroVal:
+			// Never merged (the key is its own), so a float-asserting
+			// aggregator survives it on the boxed fallback.
+			rows[c.at] = Pair{K: -10 - c.at, V: "not a float"}
+			if c.strKeys {
+				rows[c.at] = Pair{K: fmt.Sprint("odd-", c.at), V: "not a float"}
+			}
+		case flawNonPair:
+			rows[c.at] = "not a pair"
+		}
+	}
+	var agg *Aggregator
+	switch c.agg {
+	case aggSum:
+		agg = SumAggregator()
+		if !c.f64Vals {
+			agg = ReduceAggregator(func(a, b any) any { return fmt.Sprint(a, "+", b) })
+		}
+	case aggBoxed:
+		agg = ReduceAggregator(func(a, b any) any { return fmt.Sprint(a, "|", b) })
+	case aggGroup:
+		agg = GroupAggregator()
+	}
+	return rows, agg
+}
+
+// run executes the call on both tiers and compares them, content and
+// order: every bucket of every map task, then every merged reduce
+// partition.
+func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	const maps, parts = 3, 4
+	rows, agg := c.build(rng)
+	p := NewHashPartitioner(parts)
+
+	if c.flaw == flawMapPanic || c.flaw == flawMergePanic {
+		if agg == nil || !agg.MapSideCombine {
+			return // nothing merges on that side
+		}
+		tripped := tripwire(agg, c.flaw == flawMapPanic, c.at)
+		panics(func() {
+			cols, boxed, err := PartitionPairsCol(rows, p, tripped)
+			if err != nil || boxed != nil {
+				t.Fatalf("%v: columnar partition: boxed=%v err=%v", c, boxed != nil, err)
+			}
+			for b := 0; b < parts; b++ {
+				blk := cols.Bucket(b)
+				MergeReduceCol([]*ColBlock{&blk, &blk}, tripped)
+			}
+		})
+		return // whether it tripped or not: the next call is the check
+	}
+
+	boxedBlocks := make([][][]Pair, parts)
+	colBlocks := make([][]*ColBlock, parts)
+	for m := 0; m < maps; m++ {
+		split := rows[m*len(rows)/maps : (m+1)*len(rows)/maps]
+		want, wantErr := partitionPairs(split, p, agg)
+		cols, boxed, err := PartitionPairsCol(split, p, agg)
+		if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%v map %d: error %v, want %v", c, m, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		for b := 0; b < parts; b++ {
+			blk := &ColBlock{Kind: ColNone}
+			if cols != nil {
+				cols.BucketInto(b, blk)
+			} else {
+				blk.Pairs = boxed[b]
+			}
+			if got := blk.AppendPairs(nil); !pairsEqual(got, want[b]) {
+				t.Fatalf("%v map %d bucket %d:\n got %v\nwant %v", c, m, b, got, want[b])
+			}
+			boxedBlocks[b] = append(boxedBlocks[b], want[b])
+			colBlocks[b] = append(colBlocks[b], blk)
+		}
+	}
+	if c.flaw == flawHetero && c.strKeys {
+		return // an int64 among string keys cannot be ordered by either tier
+	}
+	for b := 0; b < parts; b++ {
+		want := mergeReduceBlocks(boxedBlocks[b], agg)
+		if got := MergeReduceCol(colBlocks[b], agg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v reduce %d:\n got %v\nwant %v", c, b, got, want)
+		}
+	}
+}
+
+// randomCalls draws a sequence of n calls from rng, small inputs mostly.
+func randomCalls(rng *rand.Rand, n int) []scratchCall {
+	sizes := []int{0, 1, 2, 9, 40, 300, 300, 2000, 10000}
+	calls := make([]scratchCall, n)
+	for i := range calls {
+		c := scratchCall{
+			strKeys: rng.Intn(2) == 0,
+			f64Vals: rng.Intn(3) != 0,
+			agg:     rng.Intn(aggShapes),
+			rows:    sizes[rng.Intn(len(sizes))],
+		}
+		c.keys = 1 + rng.Intn(c.rows+1)
+		if rng.Intn(3) == 0 {
+			c.flaw = 1 + rng.Intn(flawMergePanic)
+			c.at = rng.Intn(c.rows + 1)
+		}
+		calls[i] = c
+	}
+	return calls
+}
+
+// TestKernelScratchSequences runs fixed and seeded call sequences: every
+// aggregator shape over both key types and value kinds at sizes 0 to 10^4,
+// each flaw followed by clean calls on the scratch it left behind.
+func TestKernelScratchSequences(t *testing.T) {
+	var fixed []scratchCall
+	for _, rows := range []int{0, 1, 300, 10000} {
+		for _, strKeys := range []bool{false, true} {
+			for _, f64Vals := range []bool{true, false} {
+				for agg := 0; agg < aggShapes; agg++ {
+					fixed = append(fixed, scratchCall{strKeys: strKeys, f64Vals: f64Vals, agg: agg, rows: rows, keys: rows/3 + 1})
+				}
+			}
+		}
+	}
+	for _, strKeys := range []bool{false, true} {
+		for flaw := flawHetero; flaw <= flawMergePanic; flaw++ {
+			for _, agg := range []int{aggSum, aggBoxed} {
+				// The flaw strikes mid-scan, with slots already filled; the
+				// clean calls after it have fewer and then more keys.
+				fixed = append(fixed,
+					scratchCall{strKeys: strKeys, f64Vals: true, agg: agg, rows: 400, keys: 60, flaw: flaw, at: 37},
+					scratchCall{strKeys: strKeys, f64Vals: true, agg: agg, rows: 200, keys: 20},
+					scratchCall{strKeys: strKeys, f64Vals: agg == aggSum, agg: agg, rows: 900, keys: 500})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(18))
+	for _, c := range fixed {
+		c.run(t, rng)
+	}
+	// The planted panics must really fire, or the sequences above prove
+	// nothing about that path.
+	for _, mapSide := range []bool{true, false} {
+		agg := tripwire(SumAggregator(), mapSide, 5)
+		rows, _ := scratchCall{f64Vals: true, rows: 100, keys: 10}.build(rng)
+		if !panics(func() {
+			cols, _, _ := PartitionPairsCol(rows, NewHashPartitioner(1), agg)
+			blk := cols.Bucket(0)
+			MergeReduceCol([]*ColBlock{&blk, &blk}, agg)
+		}) {
+			t.Fatalf("tripwire (map side %v) did not fire", mapSide)
+		}
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, c := range randomCalls(rng, 8) {
+			c.run(t, rng)
+		}
+	}
+}
+
+// FuzzKernelScratch explores call sequences; ci.sh runs it for 5 s.
+func FuzzKernelScratch(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seed, uint8(6))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		for _, c := range randomCalls(rng, 1+int(n%8)) {
+			c.run(t, rng)
+		}
+	})
+}
+
+// shuffleOnce partitions rows as one map task and merges reduce partition
+// 0 of a single-partition shuffle: one pass through a combine kernel and
+// one through a merge kernel.
+func shuffleOnce(t testing.TB, rows []Row, agg *Aggregator) (*ColBuckets, []Row) {
+	t.Helper()
+	cols, boxed, err := PartitionPairsCol(rows, NewHashPartitioner(1), agg)
+	if err != nil || boxed != nil {
+		t.Fatalf("columnar partition: boxed=%v err=%v", boxed != nil, err)
+	}
+	blk := cols.Bucket(0)
+	return cols, MergeReduceCol([]*ColBlock{&blk, &blk}, agg)
+}
+
+// TestKernelOutputsDoNotAliasScratch: what call 1 emitted — the arena and
+// the merged rows — still equals a deep snapshot after call 2 rewrote the
+// same scratch with other keys and values of the same shape.
+func TestKernelOutputsDoNotAliasScratch(t *testing.T) {
+	for _, strKeys := range []bool{false, true} {
+		for _, agg := range []int{aggSum, aggBoxed} {
+			rng := rand.New(rand.NewSource(7))
+			c := scratchCall{strKeys: strKeys, f64Vals: true, agg: agg, rows: 500, keys: 120}
+			rows1, a := c.build(rng)
+			cols, merged := shuffleOnce(t, rows1, a)
+			blk := cols.Bucket(0)
+			wantArena, wantMerged := fmt.Sprint(blk.AppendPairs(nil)), fmt.Sprint(merged)
+
+			rows2, _ := c.build(rng)
+			shuffleOnce(t, rows2, a)
+
+			if got := fmt.Sprint(blk.AppendPairs(nil)); got != wantArena {
+				t.Fatalf("%v: call 2 changed call 1's arena:\n got %.200s\nwant %.200s", c, got, wantArena)
+			}
+			if got := fmt.Sprint(merged); got != wantMerged {
+				t.Fatalf("%v: call 2 changed call 1's merged rows:\n got %.200s\nwant %.200s", c, got, wantMerged)
+			}
+		}
+	}
+}
+
+// TestScratchReleaseRetainsNothing is the white-box retention check: after
+// release the maps are empty and no element within the capacity of the
+// pointer-bearing arrays is non-zero, so a pooled scratch keeps no key,
+// combiner or arena of the task before alive; and a scratch grown past
+// maxPooledSlots is left to the collector instead.
+func TestScratchReleaseRetainsNothing(t *testing.T) {
+	fill := func(slots int) *kernelScratch {
+		s := scratchPool.Get().(*kernelScratch)
+		for i := 0; i < slots; i++ {
+			k := fmt.Sprintf("key-%d", i)
+			s.intSlots[int64(i)] = int32(i)
+			s.strSlots[k] = int32(i)
+			s.strs = append(s.strs, k)
+			s.anys = append(s.anys, &k)
+			s.f64s = append(s.f64s, 1)
+			s.buckets = append(s.buckets, 1)
+		}
+		sortedSlots(s, s.strs)
+		return s
+	}
+
+	s := fill(maxPooledSlots)
+	s.release()
+	if len(s.intSlots)+len(s.strSlots) != 0 {
+		t.Fatalf("release left %d int and %d string slots", len(s.intSlots), len(s.strSlots))
+	}
+	if len(s.ints)+len(s.strs)+len(s.buckets)+len(s.f64s)+len(s.anys)+len(s.idx) != 0 {
+		t.Fatalf("release left a non-empty slot array: %+v", s)
+	}
+	if cap(s.strs) < maxPooledSlots || cap(s.anys) < maxPooledSlots {
+		t.Fatalf("release gave up the arrays' capacity: %d, %d", cap(s.strs), cap(s.anys))
+	}
+	for i, k := range s.strs[:cap(s.strs)] {
+		if k != "" {
+			t.Fatalf("released scratch still holds key %q at slot %d", k, i)
+		}
+	}
+	for i, v := range s.anys[:cap(s.anys)] {
+		if v != nil {
+			t.Fatalf("released scratch still holds a combiner at slot %d", i)
+		}
+	}
+	// Without the race detector (under which sync.Pool drops Puts at
+	// random) the pool hands the same scratch straight back.
+	if got := scratchPool.Get().(*kernelScratch); !raceEnabled && got != s {
+		t.Fatalf("a scratch of maxPooledSlots slots was not pooled")
+	}
+
+	fat := fill(maxPooledSlots + 1)
+	fat.release()
+	if len(fat.strs) != maxPooledSlots+1 {
+		t.Fatalf("an oversized scratch was emptied (%d slots left); it should be dropped as it is", len(fat.strs))
+	}
+	if got := scratchPool.Get().(*kernelScratch); got == fat {
+		t.Fatalf("a scratch of %d slots was pooled; the bound is %d", maxPooledSlots+1, maxPooledSlots)
+	}
+
+	// The same through a real kernel call: int keys, one past the bound.
+	rows := make([]Row, maxPooledSlots+1)
+	for i := range rows {
+		rows[i] = Pair{K: i, V: 1.0}
+	}
+	shuffleOnce(t, rows, SumAggregator())
+	if got := scratchPool.Get().(*kernelScratch); cap(got.ints) > maxPooledSlots {
+		t.Fatalf("the pool holds a scratch with room for %d slots after an oversized task", cap(got.ints))
+	}
+}
+
+// TestKernelsConcurrently hammers both kernels from 8 goroutines (under
+// ci.sh's -race gate); every result must equal the one computed alone.
+func TestKernelsConcurrently(t *testing.T) {
+	const workers, iters = 8, 60
+	type job struct {
+		rows          []Row
+		agg           *Aggregator
+		arena, merged string
+	}
+	jobs := make([]job, workers)
+	for w := range jobs {
+		rng := rand.New(rand.NewSource(int64(w)))
+		c := scratchCall{strKeys: w%2 == 1, f64Vals: true, agg: w % 4 / 2, rows: 300 + 50*w, keys: 40 + 10*w}
+		rows, agg := c.build(rng)
+		cols, merged := shuffleOnce(t, rows, agg)
+		blk := cols.Bucket(0)
+		jobs[w] = job{rows, agg, fmt.Sprint(blk.AppendPairs(nil)), fmt.Sprint(merged)}
+	}
+	var wg sync.WaitGroup
+	for w := range jobs {
+		wg.Add(1)
+		go func(w int, j job) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				cols, boxed, err := PartitionPairsCol(j.rows, NewHashPartitioner(1), j.agg)
+				if err != nil || boxed != nil {
+					t.Errorf("worker %d: columnar partition: boxed=%v err=%v", w, boxed != nil, err)
+					return
+				}
+				blk := cols.Bucket(0)
+				merged := MergeReduceCol([]*ColBlock{&blk, &blk}, j.agg)
+				if got := fmt.Sprint(blk.AppendPairs(nil)); got != j.arena {
+					t.Errorf("worker %d iteration %d: arena differs from the sequential one", w, i)
+					return
+				}
+				if got := fmt.Sprint(merged); got != j.merged {
+					t.Errorf("worker %d iteration %d: merged rows differ from the sequential ones", w, i)
+					return
+				}
+			}
+		}(w, jobs[w])
+	}
+	wg.Wait()
+}
+
+// TestWarmKernelsAllocateOnlyTheirOutput is the steady-state scaling
+// guard, counts only: once the pooled scratch has grown to a task's size,
+// a combine allocates its arena and a merge its output rows — nothing that
+// grows with the distinct keys or the block count. The collector is off
+// for the measurement because it empties sync.Pools.
+func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	p := NewHashPartitioner(8)
+	agg := SumAggregator()
+	combine := func(keys int) float64 {
+		rows := make([]Row, 2*keys)
+		for i := range rows {
+			rows[i] = Pair{K: (i % keys) * 7919, V: float64(i)}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if cols, _, err := PartitionPairsCol(rows, p, agg); err != nil || cols.Kind() != ColIntF64 || cols.Len() != keys {
+				t.Fatalf("combine of %d keys: %v, %v", keys, cols, err)
+			}
+		})
+	}
+	small, large := combine(100), combine(10000)
+	t.Logf("warm PartitionPairsCol: %v objects at 100 distinct keys, %v at 10000", small, large)
+	if small != large || small > 5 {
+		t.Fatalf("warm PartitionPairsCol allocated %v objects at 100 distinct keys and %v at 10000; want the arena (at most 5) both times", small, large)
+	}
+
+	// 512 keys >= 256 (smaller ints box for free) spread over the blocks;
+	// every key occurs in two of them.
+	const keys = 512
+	merge := func(blocks int) float64 {
+		blks := make([]*ColBlock, blocks)
+		for b := range blks {
+			blks[b] = &ColBlock{Kind: ColIntF64}
+		}
+		for i := 0; i < 2*keys; i++ {
+			b := blks[i%blocks]
+			b.Int = append(b.Int, int64(1000+i%keys))
+			b.F64 = append(b.F64, float64(i))
+		}
+		return testing.AllocsPerRun(20, func() {
+			if out := MergeReduceCol(blks, agg); len(out) != keys {
+				t.Fatalf("merge of %d blocks: %d rows, want %d", blocks, len(out), keys)
+			}
+		})
+	}
+	few, many := merge(16), merge(256)
+	t.Logf("warm MergeReduceCol: %v objects at 16 blocks, %v at 256", few, many)
+	// One []Row, three boxes per key (the Pair, its key, its sum), and the
+	// two scratch block headers the get callback makes escape.
+	if few != many || few > 1+3*keys+2 {
+		t.Fatalf("warm MergeReduceCol allocated %v objects at 16 blocks and %v at 256; want %d both times", few, many, 1+3*keys+2)
+	}
+}

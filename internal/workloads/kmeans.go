@@ -98,7 +98,7 @@ func (k *KMeans) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	setScale(ctx, inputBytes, int64(k.Rows)*physRow)
 
 	source := ctx.Generate("kmeansInput", 0, inputBytes, func(split, total int) []rdd.Row {
-		var rows []rdd.Row
+		rows := strideBuf(k.Rows, split, total)
 		strideRows(k.Rows, split, total, func(i int) {
 			rows = append(rows, k.point(i))
 		})

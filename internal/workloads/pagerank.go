@@ -64,7 +64,7 @@ func (p *PageRank) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	// against them. Sharing the partitioner makes the link side narrow.
 	part := rdd.NewHashPartitioner(ctx.DefaultParallelism)
 	source := ctx.Generate("pagerankLinks", 0, inputBytes, func(split, total int) []rdd.Row {
-		var rows []rdd.Row
+		rows := strideBuf(p.Pages, split, total)
 		strideRows(p.Pages, split, total, func(i int) {
 			rows = append(rows, rdd.Pair{K: i, V: adjacency{Out: p.outLinks(i)}})
 		})
@@ -92,7 +92,8 @@ func (p *PageRank) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 			if len(adj.Out) == 0 {
 				return nil
 			}
-			share := rank / float64(len(adj.Out))
+			// Boxed once per page, not once per out-edge.
+			var share any = rank / float64(len(adj.Out))
 			out := make([]rdd.Row, len(adj.Out))
 			for i, dst := range adj.Out {
 				out[i] = rdd.Pair{K: dst, V: share}
@@ -100,7 +101,7 @@ func (p *PageRank) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 			return out
 		})
 		ranks = contribs.
-			ReduceByKeyPart(func(a, b any) any { return a.(float64) + b.(float64) }, part).
+			SumByKey(part).
 			MapValues(func(v any) any { return (1 - p.Damping) + p.Damping*v.(float64) })
 	}
 

@@ -85,7 +85,7 @@ func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	setScale(ctx, inputBytes, int64(p.Rows)*physRow)
 
 	source := ctx.Generate("pcaInput", 0, inputBytes, func(split, total int) []rdd.Row {
-		var rows []rdd.Row
+		rows := strideBuf(p.Rows, split, total)
 		strideRows(p.Rows, split, total, func(i int) {
 			rows = append(rows, p.vector(i))
 		})

@@ -47,7 +47,7 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	custBytes := inputBytes - ordersBytes
 
 	orders := ctx.Generate("ordersTable", 0, ordersBytes, func(split, total int) []rdd.Row {
-		var rows []rdd.Row
+		rows := strideBuf(s.Orders, split, total)
 		strideRows(s.Orders, split, total, func(i int) {
 			cust := zipfIndex(s.Seed, int64(i), s.Customers)
 			amount := 10 + det01(s.Seed+5, int64(i))*990
@@ -56,7 +56,7 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 		return rows
 	})
 	customers := ctx.Generate("customersTable", 0, custBytes, func(split, total int) []rdd.Row {
-		var rows []rdd.Row
+		rows := strideBuf(s.Customers, split, total)
 		strideRows(s.Customers, split, total, func(i int) {
 			rows = append(rows, rdd.Pair{K: i, V: regions[i%len(regions)]})
 		})
@@ -67,7 +67,7 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	revenue := orders.
 		Filter(func(r rdd.Row) bool { return r.(rdd.Pair).V.(float64) >= 20 }).
 		MapCost("projectOrder", 8.0, func(r rdd.Row) rdd.Row { return r }).
-		ReduceByKey(func(a, b any) any { return a.(float64) + b.(float64) }, 0).
+		SumByKey(nil).
 		Cache()
 	aggCount, err := revenue.Count()
 	if err != nil {

@@ -119,6 +119,16 @@ func strideRows(nRows, split, total int, fn func(i int)) {
 	}
 }
 
+// strideBuf returns an empty row slice with room for every index
+// strideRows assigns to split — nil when there is none, as growing from
+// nil gave.
+func strideBuf(nRows, split, total int) []rdd.Row {
+	if split >= nRows {
+		return nil
+	}
+	return make([]rdd.Row, 0, (nRows-split+total-1)/total)
+}
+
 // setScale configures the context's logical scale so that physBytes of
 // physical data represent inputBytes of logical data.
 func setScale(ctx *rdd.Context, inputBytes, physBytes int64) {

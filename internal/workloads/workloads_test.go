@@ -328,3 +328,24 @@ func TestKMeansConvergesOnSeparatedClusters(t *testing.T) {
 		t.Fatalf("kmeans failed to converge: wssse per point %v", perPoint)
 	}
 }
+
+// TestBuiltinChecksumsPinned pins every built-in's Result.Checksum, bit for
+// bit, to the values the tree produced before SQL and PageRank moved their
+// float sums to SumByKey and the generators and PageRank's contribution
+// closure stopped growing and boxing per element: same floats added in the
+// same order, whichever tier carries them.
+func TestBuiltinChecksumsPinned(t *testing.T) {
+	want := map[string]uint64{
+		"kmeans":   0x40eb21946d1f4832,
+		"pca":      0x4115766b2af97f92,
+		"sql":      0x413eb80efdba4846,
+		"pagerank": 0x4078e90e69ad42c2,
+	}
+	for _, w := range workloads.AllWithExtensions() {
+		workloads.Shrink(w, 10)
+		res, _, _ := runEngine(t, w, w.DefaultInputBytes(), w.Name() == "pagerank", nil)
+		if got := math.Float64bits(res.Checksum); got != want[w.Name()] {
+			t.Errorf("%s checksum = %#x (%v), want %#x (%v)", w.Name(), got, res.Checksum, want[w.Name()], math.Float64frombits(want[w.Name()]))
+		}
+	}
+}
