@@ -10,17 +10,17 @@
 //  1. compute pass (parallel, node-agnostic): materialize every task's rows,
 //     accounting input/shuffle/cost bytes;
 //  2. placement pass (sequential, deterministic): list-schedule tasks onto
-//     executor cores in simulated time, honoring preferred locations with a
-//     bounded locality wait, then derive each task's duration from the cost
-//     model on its chosen node;
+//     executor cores in simulated time, honoring each task's preferred node
+//     (resolved by the compute pass) with a bounded locality wait, then
+//     derive each task's duration from the cost model on its chosen node.
+//     Core availability is one contiguous array and a core is picked in
+//     one scan; nothing is allocated per task;
 //  3. commit pass: register shuffle outputs, cache partitions, and emit
 //     metrics at the simulated timestamps.
 package exec
 
 import (
-	"cmp"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -72,11 +72,12 @@ type Engine struct {
 	// core once most of their stage has finished.
 	Speculate bool
 
-	mu         sync.Mutex
-	now        float64
-	srcFiles   map[int]string // source RDD id -> block-store file
-	workerList []*cluster.Node
-	errScratch []error // computePass error slice, reused across waves
+	mu          sync.Mutex
+	now         float64
+	srcFiles    map[int]string // source RDD id -> block-store file
+	workerList  []*cluster.Node
+	errScratch  []error // computePass error slice, reused across waves
+	taskScratch []task  // the wave's task slab, reused across waves
 }
 
 // New creates an engine over the given topology and cost model.
@@ -148,11 +149,7 @@ type task struct {
 	pending  []pendingCache
 	mapOut   shuffle.MapOutput // map output (map stages only)
 	writeB   int64
-
-	// Derived once per task at the end of the compute pass (in parallel),
-	// so the sequential placement pass doesn't rank nodes per task.
-	cachePref []shuffle.NodeBytes // topNodes(cacheBy)
-	shufPref  []shuffle.NodeBytes // topNodes(shufBy); CoPartitionAware only
+	pref     int32 // index of the preferred wave worker, -1 for none (see prefer)
 
 	// Filled by the placement pass.
 	node   *cluster.Node
@@ -274,12 +271,15 @@ func (e *Engine) RetireShufflesExcept(live []int) {
 // runStages executes a set of independent stages as one scheduling round.
 func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (any, error)) ([]any, error) {
 	start := e.Now()
+	// Nodes die only between rounds (KillNode from AfterStage), so one
+	// snapshot serves both passes.
+	workers := e.aliveSnapshot()
 
 	n := 0
 	for _, st := range stages {
 		n += st.NumTasks()
 	}
-	tasks := make([]task, 0, n) // one slab per wave; the passes address it by index
+	tasks := takeSlab(e, &e.taskScratch, n) // the passes address it by index
 	for _, st := range stages {
 		if st.OutDep != nil {
 			e.Shuffle.Register(st.OutDep.ShuffleID, st.NumTasks(), st.OutDep.Part.NumPartitions())
@@ -288,11 +288,12 @@ func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (a
 			tasks = append(tasks, task{stage: st, split: split, idx: split})
 		}
 	}
+	defer putSlab(e, &e.taskScratch, tasks)
 
-	if err := e.computePass(tasks); err != nil {
+	if err := e.computePass(tasks, workers); err != nil {
 		return nil, err
 	}
-	e.placementPass(tasks, start)
+	e.placementPass(tasks, start, workers)
 	end, err := e.commitPass(stages, tasks, start, resultFn)
 
 	e.mu.Lock()
@@ -324,7 +325,7 @@ func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (a
 // and record errors into an index-addressed scratch slice the engine reuses
 // across waves. The first error in task order is returned, matching what a
 // sequential loop would surface.
-func (e *Engine) computePass(tasks []task) error {
+func (e *Engine) computePass(tasks []task, alive []*cluster.Node) error {
 	n := len(tasks)
 	if n == 0 {
 		return nil
@@ -336,11 +337,11 @@ func (e *Engine) computePass(tasks []task) error {
 	if workers > n {
 		workers = n
 	}
-	errs := e.takeErrScratch(n)
-	defer e.putErrScratch(errs)
+	errs := takeSlab(e, &e.errScratch, n)[:n]
+	defer putSlab(e, &e.errScratch, errs)
 	if workers == 1 {
 		for i := range tasks {
-			errs[i] = e.computeTask(&tasks[i])
+			errs[i] = e.computeTask(&tasks[i], alive)
 		}
 	} else {
 		var next atomic.Int64
@@ -354,7 +355,7 @@ func (e *Engine) computePass(tasks []task) error {
 					if i >= n {
 						return
 					}
-					errs[i] = e.computeTask(&tasks[i])
+					errs[i] = e.computeTask(&tasks[i], alive)
 				}
 			}(errs, &next)
 		}
@@ -368,30 +369,31 @@ func (e *Engine) computePass(tasks []task) error {
 	return nil
 }
 
-// takeErrScratch hands out the engine's reusable error slice, cleared and
-// sized to n.
-func (e *Engine) takeErrScratch(n int) []error {
+// takeSlab hands out one of the engine's per-wave slabs, *slot, empty with
+// room for n; a wave running meanwhile finds nil and allocates its own.
+func takeSlab[T any](e *Engine, slot *[]T, n int) []T {
 	e.mu.Lock()
-	s := e.errScratch
-	e.errScratch = nil
+	s := *slot
+	*slot = nil
 	e.mu.Unlock()
 	if cap(s) < n {
-		s = make([]error, n)
+		s = make([]T, 0, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nil
-	}
-	return s
+	return s[:0]
 }
 
-func (e *Engine) putErrScratch(s []error) {
+// putSlab clears a slab once its wave is done, so it keeps nothing of the
+// wave alive (rows, arenas, errors), and stores it back in *slot.
+func putSlab[T any](e *Engine, slot *[]T, s []T) {
+	clear(s)
 	e.mu.Lock()
-	e.errScratch = s
+	*slot = s
 	e.mu.Unlock()
 }
 
-func (e *Engine) computeTask(t *task) error {
+// computeTask materializes one task and resolves its preferred node among
+// the wave's workers.
+func (e *Engine) computeTask(t *task, workers []*cluster.Node) error {
 	var a acct
 	rows, _, err := e.materialize(t.stage.Final, t.split, &a)
 	if err != nil {
@@ -405,10 +407,7 @@ func (e *Engine) computeTask(t *task) error {
 	t.shufBy = a.shufBy
 	t.cost = a.cost
 	t.pending = a.pending
-	t.cachePref = topNodes(t.cacheBy)
-	if e.CoPartitionAware { // vanilla placement ignores shuffle locality
-		t.shufPref = topNodes(t.shufBy)
-	}
+	t.pref = e.prefer(t, workers)
 
 	if dep := t.stage.OutDep; dep != nil {
 		cols, buckets, err := rdd.PartitionPairsCol(rows, dep.Part, dep.Agg)
@@ -421,8 +420,9 @@ func (e *Engine) computeTask(t *task) error {
 		out := shuffle.MapOutput{Cols: cols, Boxed: buckets}
 		n := len(buckets)
 		if cols != nil {
+			// The arena's own list: listed bucket i is at arena position i.
 			n = cols.NumBuckets()
-			out.NonEmpty = cols.AppendNonEmpty(make([]int32, 0, min(n, cols.Len())))
+			out.NonEmpty = cols.NonEmpty()
 		} else {
 			for r, b := range buckets {
 				if len(b) > 0 {
@@ -430,11 +430,13 @@ func (e *Engine) computeTask(t *task) error {
 				}
 			}
 		}
-		out.Payloads = make([]int64, len(out.NonEmpty))
+		if len(out.NonEmpty) > 0 { // else both stay nil: a task without rows
+			out.Payloads = make([]int64, len(out.NonEmpty))
+		}
 		for i, r := range out.NonEmpty {
 			var payload int64
 			if cols != nil {
-				payload = int64(cols.LogicalBytes(int(r), scale))
+				payload = int64(cols.BlockLogicalBytes(i, scale))
 			} else {
 				payload = int64(rdd.LogicalPairsBytes(buckets[r], scale))
 			}
@@ -448,77 +450,90 @@ func (e *Engine) computeTask(t *task) error {
 }
 
 // placementPass assigns tasks to cores in simulated time.
-func (e *Engine) placementPass(tasks []task, waveStart float64) {
-	// Cores are interleaved across nodes (A0,B0,...,A1,B1,...) so the
-	// round-robin tie-break spreads simultaneous tasks over machines.
-	var cores []*placementCore
-	byNode := map[string][]*placementCore{}
-	maxCores := 0
-	workers := e.aliveSnapshot()
-	for _, w := range workers {
-		if w.Cores > maxCores {
-			maxCores = w.Cores
-		}
-	}
-	for i := 0; i < maxCores; i++ {
-		for _, w := range workers {
-			if i >= w.Cores {
-				continue
-			}
-			c := &placementCore{node: w, avail: waveStart}
-			cores = append(cores, c)
-			byNode[w.Name] = append(byNode[w.Name], c)
-		}
+func (e *Engine) placementPass(tasks []task, waveStart float64, workers []*cluster.Node) {
+	cs := newCoreSet(workers, waveStart)
+	peers := make([]*cluster.Node, len(workers))
+	for i, w := range workers {
+		peers[i] = bottleneckPeer(w, workers)
 	}
 	// Ties on availability are broken round-robin so equal-readiness cores
 	// spread tasks across executors the way Spark's task scheduler does,
 	// instead of piling every task on the first node.
 	rr := 0
-	earliest := func(cs []*placementCore) *placementCore {
-		if len(cs) == 0 {
-			return nil
-		}
-		min := math.Inf(1)
-		for _, c := range cs {
-			if c.avail < min {
-				min = c.avail
-			}
-		}
-		for k := 0; k < len(cs); k++ {
-			c := cs[(rr+k)%len(cs)]
-			if c.avail == min {
-				return c
-			}
-		}
-		return cs[0]
-	}
-
 	for i := range tasks {
 		t := &tasks[i]
 		rr++
 		dispatch := waveStart + float64(t.idx)*e.Params.DriverDispatchSec
-		prefs := e.preferredNodes(t)
-		chosen := earliest(cores)
-		for _, p := range prefs {
-			if pc := earliest(byNode[p]); pc != nil {
-				if pc.avail <= chosen.avail+e.Params.LocalityWaitSec {
-					chosen = pc
-				}
-				break // only the top preference gets the locality wait
+		chosen := cs.earliest(cs.all, rr)
+		if t.pref >= 0 { // only the top preference gets the locality wait
+			if pc := cs.earliest(cs.byNode[t.pref], rr); cs.avail[pc] <= cs.avail[chosen]+e.Params.LocalityWaitSec {
+				chosen = pc
 			}
 		}
-		t.node = chosen.node
-		t.start = chosen.avail
+		w := cs.node[chosen]
+		t.node = workers[w]
+		t.start = cs.avail[chosen]
 		if dispatch > t.start {
 			t.start = dispatch
 		}
-		t.end = t.start + e.taskDuration(t, chosen.node)*e.Params.Jitter(t.stage.ID, t.split)
-		chosen.avail = t.end
+		t.end = t.start + e.taskDuration(t, t.node, peers[w])*e.Params.Jitter(t.stage.ID, t.split)
+		cs.avail[chosen] = t.end
 	}
 
 	if e.Speculate {
-		e.speculatePass(tasks, cores)
+		e.speculatePass(tasks, cs, workers, peers)
 	}
+}
+
+// coreSet is the executor cores of one wave during list scheduling. Cores
+// are interleaved across nodes (A0,B0,...,A1,B1,...) so the round-robin
+// tie-break spreads simultaneous tasks over machines.
+type coreSet struct {
+	avail  []float64 // core → simulated time it is next free
+	node   []int32   // core → index of its worker
+	all    []int32   // every core
+	byNode [][]int32 // worker index → its cores
+}
+
+func newCoreSet(workers []*cluster.Node, start float64) *coreSet {
+	maxCores := 0
+	for _, w := range workers {
+		maxCores = max(maxCores, w.Cores)
+	}
+	cs := &coreSet{byNode: make([][]int32, len(workers))}
+	for k := 0; k < maxCores; k++ {
+		for i, w := range workers {
+			if k < w.Cores {
+				c := int32(len(cs.avail))
+				cs.avail = append(cs.avail, start)
+				cs.node = append(cs.node, int32(i))
+				cs.all = append(cs.all, c)
+				cs.byNode[i] = append(cs.byNode[i], c)
+			}
+		}
+	}
+	return cs
+}
+
+// earliest returns the core of cores that is free first; among equally
+// free ones, the first in cyclic order from position rr mod len(cores).
+// One scan: starting there, only a strictly earlier core displaces the one
+// held.
+func (cs *coreSet) earliest(cores []int32, rr int) int32 {
+	start := rr % len(cores)
+	best := cores[start]
+	first := cs.avail[best]
+	for _, c := range cores[start+1:] {
+		if cs.avail[c] < first {
+			best, first = c, cs.avail[c]
+		}
+	}
+	for _, c := range cores[:start] {
+		if cs.avail[c] < first {
+			best, first = c, cs.avail[c]
+		}
+	}
+	return best
 }
 
 // speculatePass models spark.speculation: for each stage with enough tasks,
@@ -527,7 +542,7 @@ func (e *Engine) placementPass(tasks []task, waveStart float64) {
 // earliest-free core; the task finishes at the earlier attempt. Backups help
 // against slow nodes and unlucky placements, not against data skew — the
 // copy of a hot partition is just as large.
-func (e *Engine) speculatePass(tasks []task, cores []*placementCore) {
+func (e *Engine) speculatePass(tasks []task, cs *coreSet, workers, peers []*cluster.Node) {
 	byStage := map[*dag.Stage][]*task{}
 	for i := range tasks {
 		t := &tasks[i]
@@ -566,57 +581,73 @@ func (e *Engine) speculatePass(tasks []task, cores []*placementCore) {
 			if t.end-t.start <= mult*median || t.end <= detect {
 				continue
 			}
-			// Backup attempt on the earliest-free core.
-			var best *placementCore
-			for _, c := range cores {
-				if best == nil || c.avail < best.avail {
-					best = c
-				}
-			}
-			if best == nil {
-				continue
-			}
-			start := best.avail
+			// Backup attempt on the earliest-free core (the first of them).
+			best := cs.earliest(cs.all, 0)
+			start := cs.avail[best]
 			if detect > start {
 				start = detect
 			}
-			dur := e.taskDuration(t, best.node) * e.Params.Jitter(t.stage.ID, t.split+1000003)
+			w := cs.node[best]
+			dur := e.taskDuration(t, workers[w], peers[w]) * e.Params.Jitter(t.stage.ID, t.split+1000003)
 			if start+dur < t.end {
 				t.end = start + dur
-				t.node = best.node
-				best.avail = t.end
+				t.node = workers[w]
+				cs.avail[best] = t.end
 			}
 		}
 	}
 }
 
-// placementCore is one executor core's availability during list scheduling.
-type placementCore struct {
-	node  *cluster.Node
-	avail float64
-}
-
-// preferredNodes ranks candidate nodes for a task: pinned cache placement
-// (CHOPPER), existing cache locations, shuffle-input locality (CHOPPER),
-// then source block locations.
-func (e *Engine) preferredNodes(t *task) []string {
-	prefs := make([]string, 0, 1+len(t.cachePref)+len(t.shufPref)+len(t.srcNodes))
+// prefer returns the index in workers of the node t should wait for, -1
+// for none: the first live worker among pinned cache placement (CHOPPER),
+// the node caching the most of the task's input, the node holding the
+// most of its shuffle input (CHOPPER), and the source block locations.
+// Byte ties go to the first node by name, the order both profiles keep.
+func (e *Engine) prefer(t *task, workers []*cluster.Node) int32 {
 	if e.CoPartitionAware {
 		for _, p := range t.pending {
 			if p.part != nil {
-				prefs = append(prefs, e.pinNode(t.split))
-				break
+				return int32(pinNode(t.split, workers))
 			}
 		}
 	}
-	for _, nb := range t.cachePref {
-		prefs = append(prefs, nb.Node)
+	if w := heaviest(t.cacheBy, workers); w >= 0 {
+		return w
 	}
-	for _, nb := range t.shufPref {
-		prefs = append(prefs, nb.Node)
+	if e.CoPartitionAware { // vanilla placement ignores shuffle locality
+		if w := heaviest(t.shufBy, workers); w >= 0 {
+			return w
+		}
 	}
-	prefs = append(prefs, t.srcNodes...)
-	return dedup(prefs)
+	for _, name := range t.srcNodes {
+		if w := workerIndex(workers, name); w >= 0 {
+			return w
+		}
+	}
+	return -1
+}
+
+// heaviest returns the index in workers of the live node of by holding
+// the most bytes, the first by name on a tie, or -1.
+func heaviest(by []shuffle.NodeBytes, workers []*cluster.Node) int32 {
+	best, most := int32(-1), int64(0)
+	for _, nb := range by {
+		if w := workerIndex(workers, nb.Node); w >= 0 && (best < 0 || nb.Bytes > most) {
+			best, most = w, nb.Bytes
+		}
+	}
+	return best
+}
+
+// workerIndex returns the index of the named node in workers, -1 if it is
+// not a live worker.
+func workerIndex(workers []*cluster.Node, name string) int32 {
+	for i, w := range workers {
+		if w.Name == name {
+			return int32(i)
+		}
+	}
+	return -1
 }
 
 // aliveSnapshot returns the current worker list under the lock.
@@ -628,40 +659,25 @@ func (e *Engine) aliveSnapshot() []*cluster.Node {
 	return out
 }
 
-// pinNode deterministically maps a partition id to a worker, weighted by
-// core count, so equal splits of co-partitioned RDDs land on the same
-// machine (the paper's "partitions in the same key range on the same
-// machine"). The mapping depends only on the split so runs are reproducible
-// regardless of how many partitioner instances were created before.
-func (e *Engine) pinNode(split int) string {
-	workers := e.aliveSnapshot()
+// pinNode deterministically maps a partition id to the index of a worker,
+// weighted by core count, so equal splits of co-partitioned RDDs land on
+// the same machine (the paper's "partitions in the same key range on the
+// same machine"). The mapping depends only on the split and the live
+// workers, so runs are reproducible regardless of how many partitioner
+// instances were created before.
+func pinNode(split int, workers []*cluster.Node) int {
 	total := 0
 	for _, w := range workers {
 		total += w.Cores
 	}
 	slot := (split * 7919) % total
-	for _, w := range workers {
+	for i, w := range workers {
 		if slot < w.Cores {
-			return w.Name
+			return i
 		}
 		slot -= w.Cores
 	}
-	return workers[0].Name
-}
-
-// topNodes returns by ranked from most to fewest bytes, ties by name.
-func topNodes(by []shuffle.NodeBytes) []shuffle.NodeBytes {
-	if len(by) < 2 {
-		return by
-	}
-	ranked := slices.Clone(by)
-	slices.SortFunc(ranked, func(x, y shuffle.NodeBytes) int {
-		if x.Bytes != y.Bytes {
-			return cmp.Compare(y.Bytes, x.Bytes)
-		}
-		return strings.Compare(x.Node, y.Node)
-	})
-	return ranked
+	return 0
 }
 
 // addNode adds bytes to node's entry of by, keeping by sorted by node name.
@@ -676,19 +692,9 @@ func addNode(by []shuffle.NodeBytes, node string, bytes int64) []shuffle.NodeByt
 	return slices.Insert(by, i, shuffle.NodeBytes{Node: node, Bytes: bytes})
 }
 
-// dedup drops repeated names in place, keeping first occurrences.
-func dedup(in []string) []string {
-	out := in[:0]
-	for _, s := range in {
-		if !containsStr(out, s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// taskDuration evaluates the cost model for a task on a node.
-func (e *Engine) taskDuration(t *task, node *cluster.Node) float64 {
+// taskDuration evaluates the cost model for a task on a node; peer is the
+// node's bottleneck peer among the wave's workers (see bottleneckPeer).
+func (e *Engine) taskDuration(t *task, node, peer *cluster.Node) float64 {
 	p := e.Params
 	d := p.TaskFixedSec
 
@@ -696,7 +702,7 @@ func (e *Engine) taskDuration(t *task, node *cluster.Node) float64 {
 		d += p.DiskReadSec(float64(t.srcBytes))
 		if !containsStr(t.srcNodes, node.Name) {
 			// Non-local HDFS read also crosses the network.
-			d += float64(t.srcBytes) * p.NetSecPerByte(node, e.bottleneckPeer(node))
+			d += float64(t.srcBytes) * p.NetSecPerByte(node, peer)
 		}
 	}
 	// Both profiles are sorted by node name: float addition is not
@@ -730,10 +736,11 @@ func (e *Engine) nodeOrSelf(name string, fallback *cluster.Node) *cluster.Node {
 }
 
 // bottleneckPeer picks a representative remote peer for source reads: the
-// slowest-linked worker, a conservative stand-in for an unknown replica.
-func (e *Engine) bottleneckPeer(node *cluster.Node) *cluster.Node {
+// slowest-linked other worker, a conservative stand-in for an unknown
+// replica (the node itself when it is the only one).
+func bottleneckPeer(node *cluster.Node, workers []*cluster.Node) *cluster.Node {
 	best := node
-	for _, w := range e.aliveSnapshot() {
+	for _, w := range workers {
 		if w.Name == node.Name {
 			continue
 		}

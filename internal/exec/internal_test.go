@@ -17,15 +17,15 @@ func testEngine() *Engine {
 }
 
 func TestPinNodeDeterministicAndBalanced(t *testing.T) {
-	e := testEngine()
+	workers := testEngine().aliveSnapshot()
 	counts := map[string]int{}
 	for split := 0; split < 1120; split++ {
-		n1 := e.pinNode(split)
-		n2 := e.pinNode(split)
+		n1 := pinNode(split, workers)
+		n2 := pinNode(split, workers)
 		if n1 != n2 {
 			t.Fatalf("pinNode not deterministic for split %d", split)
 		}
-		counts[n1]++
+		counts[workers[n1].Name]++
 	}
 	// Core-weighted: 32-core nodes get ~4x the splits of 8-core nodes.
 	if counts["A"] < 2*counts["D"] {
@@ -43,8 +43,9 @@ func TestPinNodeAfterFailure(t *testing.T) {
 	if err := e.KillNode("A"); err != nil {
 		t.Fatal(err)
 	}
+	workers := e.aliveSnapshot()
 	for split := 0; split < 200; split++ {
-		if e.pinNode(split) == "A" {
+		if workers[pinNode(split, workers)].Name == "A" {
 			t.Fatalf("dead node must not be pinned")
 		}
 	}
@@ -53,7 +54,7 @@ func TestPinNodeAfterFailure(t *testing.T) {
 func TestBottleneckPeerPrefersSlowLink(t *testing.T) {
 	e := testEngine()
 	fast := e.Topo.Node("A")
-	peer := e.bottleneckPeer(fast)
+	peer := bottleneckPeer(fast, e.aliveSnapshot())
 	if peer.LinkGbps != 1 {
 		t.Fatalf("bottleneck peer should be a 1 Gbps node, got %+v", peer)
 	}
@@ -65,8 +66,10 @@ func TestBottleneckPeerPrefersSlowLink(t *testing.T) {
 func TestTaskDurationComponents(t *testing.T) {
 	e := testEngine()
 	nodeA := e.Topo.Node("A")
+	peer := bottleneckPeer(nodeA, e.aliveSnapshot())
+	duration := func(t *task) float64 { return e.taskDuration(t, nodeA, peer) }
 	base := &task{cost: 1e9} // 1 logical GB of factor-1 compute
-	d0 := e.taskDuration(base, nodeA)
+	d0 := duration(base)
 	wantCompute := e.Params.ComputeSec(1e9, 1, nodeA)
 	if math.Abs(d0-(e.Params.TaskFixedSec+wantCompute)) > 1e-9 {
 		t.Fatalf("pure-compute duration wrong: %v", d0)
@@ -75,7 +78,7 @@ func TestTaskDurationComponents(t *testing.T) {
 	// Local source read adds disk time; remote adds network too.
 	local := &task{srcBytes: 1e9, srcNodes: []string{"A"}}
 	remote := &task{srcBytes: 1e9, srcNodes: []string{"B"}}
-	dl, dr := e.taskDuration(local, nodeA), e.taskDuration(remote, nodeA)
+	dl, dr := duration(local), duration(remote)
 	if dr <= dl {
 		t.Fatalf("remote source read must cost more: %v vs %v", dr, dl)
 	}
@@ -83,29 +86,29 @@ func TestTaskDurationComponents(t *testing.T) {
 	// Cached reads: local memory beats remote network.
 	cl := &task{cacheBy: []shuffle.NodeBytes{{Node: "A", Bytes: 1e9}}}
 	cr := &task{cacheBy: []shuffle.NodeBytes{{Node: "B", Bytes: 1e9}}}
-	if e.taskDuration(cr, nodeA) <= e.taskDuration(cl, nodeA) {
+	if duration(cr) <= duration(cl) {
 		t.Fatalf("remote cache read must cost more")
 	}
 
 	// Shuffle reads: local disk beats remote network over 1 Gbps.
 	sl := &task{shufBy: []shuffle.NodeBytes{{Node: "A", Bytes: 1e9}}}
 	sr := &task{shufBy: []shuffle.NodeBytes{{Node: "D", Bytes: 1e9}}}
-	if e.taskDuration(sr, nodeA) <= e.taskDuration(sl, nodeA) {
+	if duration(sr) <= duration(sl) {
 		t.Fatalf("remote shuffle read must cost more")
 	}
 
 	// Memory pressure multiplies compute.
 	pressured := &task{cost: 1e9, srcBytes: int64(4 * e.Params.MemPressureBytes), srcNodes: []string{"A"}}
-	dp := e.taskDuration(pressured, nodeA)
+	dp := duration(pressured)
 	unpressured := &task{cost: 1e9, srcBytes: 1, srcNodes: []string{"A"}}
-	du := e.taskDuration(unpressured, nodeA)
+	du := duration(unpressured)
 	if dp <= du {
 		t.Fatalf("memory pressure should slow the task: %v vs %v", dp, du)
 	}
 
 	// Shuffle writes add disk-write time.
 	writer := &task{writeB: 1e9}
-	if e.taskDuration(writer, nodeA) <= e.Params.TaskFixedSec {
+	if duration(writer) <= e.Params.TaskFixedSec {
 		t.Fatalf("shuffle write should cost time")
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"chopper/internal/dag"
@@ -25,42 +26,64 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestMapTaskCostFollowsRowsNotReducers is the machine-independent scaling
 // guard of the map side: one task of 40 int-keyed rows, through
-// PartitionPairsCol and computeTask's sizing, allocates the same number of
-// objects whether the shuffle has 150 or 900 reduce partitions, and its
-// bytes grow by one int32 table — the arena's bucket boundaries — and
-// nothing else.
+// PartitionPairsCol and computeTask's sizing, allocates the same objects
+// and the same bytes at 150, 900 and 9,000 reduce partitions — the arena
+// records its non-empty buckets only and the per-bucket cursor is pooled.
+// The keys land in 40 distinct buckets at every count, so each arena lists
+// the same number. The collector is off for the measurement because it
+// empties sync.Pools.
 func TestMapTaskCostFollowsRowsNotReducers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const rows = 40
+	counts := []int{150, 900, 9000}
+	var keys []int
+	taken := make([]map[int]bool, len(counts))
+	for i := range taken {
+		taken[i] = map[int]bool{}
+	}
+next:
+	for k := 0; len(keys) < rows; k += 7919 {
+		for i, n := range counts {
+			if taken[i][rdd.NewHashPartitioner(n).PartitionFor(k)] {
+				continue next
+			}
+		}
+		for i, n := range counts {
+			taken[i][rdd.NewHashPartitioner(n).PartitionFor(k)] = true
+		}
+		keys = append(keys, k)
+	}
 	measure := func(numReduce int) (objects, bytes float64) {
 		e := testEngine()
+		workers := e.aliveSnapshot()
 		src := e.Ctx.Generate("tiny", 1, 1<<20, func(_, _ int) []rdd.Row {
 			out := make([]rdd.Row, rows)
 			for i := range out {
-				out[i] = rdd.Pair{K: i * 7919, V: 1.0}
+				out[i] = rdd.Pair{K: keys[i], V: 1.0}
 			}
 			return out
 		})
 		st := &dag.Stage{Final: src, OutDep: &rdd.ShuffleDep{P: src, Part: rdd.NewHashPartitioner(numReduce)}}
 		run := func() {
 			tk := task{stage: st}
-			if err := e.computeTask(&tk); err != nil {
+			if err := e.computeTask(&tk, workers); err != nil {
 				t.Fatal(err)
 			}
-			if n := len(tk.mapOut.NonEmpty); n == 0 || n > rows || tk.mapOut.Cols == nil {
-				t.Fatalf("map output lists %d non-empty buckets of a %d-row arena", n, rows)
+			if n := len(tk.mapOut.NonEmpty); n != rows || tk.mapOut.Cols == nil {
+				t.Fatalf("map output lists %d non-empty buckets of a %d-row arena, want %d", n, rows, rows)
 			}
 		}
 		return testing.AllocsPerRun(100, run), bytesPerRun(100, run)
 	}
-	smallObjs, smallBytes := measure(150)
-	largeObjs, largeBytes := measure(900)
-	t.Logf("map task: %v objects, %.0f bytes at 150 reduce partitions; %v objects, %.0f bytes at 900", smallObjs, smallBytes, largeObjs, largeBytes)
-	if smallObjs != largeObjs {
-		t.Fatalf("objects per map task: %v at 150 reduce partitions, %v at 900; want the same", smallObjs, largeObjs)
-	}
-	// 4 B x 750 more boundaries, rounded up by the allocator's size classes.
-	if grow := largeBytes - smallBytes; grow < 0 || grow > 4*750+1024 {
-		t.Fatalf("bytes per map task grew by %.0f (%.0f -> %.0f) over 750 more reduce partitions; want at most one int32 table", grow, smallBytes, largeBytes)
+	objs, bytes := measure(counts[0])
+	t.Logf("map task: %v objects, %.0f bytes at %d reduce partitions", objs, bytes, counts[0])
+	for _, n := range counts[1:] {
+		if o, b := measure(n); o != objs || b != bytes {
+			t.Fatalf("map task: %v objects, %.0f bytes at %d reduce partitions; %v, %.0f at %d; want the same", objs, bytes, counts[0], o, b, n)
+		}
 	}
 }
 

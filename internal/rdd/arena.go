@@ -14,14 +14,15 @@
 // back to the boxed rows wholesale (ColNone); the boxed tier is the
 // reference semantics, pinned by the engine-vs-oracle fuzz.
 //
-// Kernel scratch: the combine and merge kernels keep their working set —
-// the key→slot map, the per-slot arrays, the sort index — in one pooled
-// kernelScratch instead of rebuilding it per call, so what a kernel
-// allocates is what it emits: the arena, or the merged []Row. A deferred
-// release clears the maps and the pointer-bearing arrays before pooling
-// (nothing of the last task stays reachable or leaks into the next call)
-// and drops a scratch grown past maxPooledSlots; nothing emitted aliases
-// it. See kernelScratch.
+// Kernel scratch: the shuffle kernels keep their working set — the
+// key→slot map, the per-slot arrays, the sort index, the map side's
+// per-bucket cursor — in one pooled kernelScratch instead of rebuilding it
+// per call, so what a kernel allocates is what it emits: the arena, whose
+// size follows its pairs and not the reduce count, or the merged []Row. A
+// deferred release clears the maps, the pointer-bearing arrays and the
+// touched cursor entries before pooling (nothing of the last task stays
+// reachable or leaks into the next call) and drops a scratch grown past
+// maxPooledSlots; nothing emitted aliases it. See kernelScratch.
 //
 // Ownership: a ColBuckets arena belongs to one (shuffle, map task); the
 // shuffle manager holds it until the generation retires, then drops every
@@ -121,33 +122,34 @@ func (c *ColBlock) AppendPairs(dst []Pair) []Pair {
 	return dst
 }
 
-// ColBuckets is one map task's shuffle arena: every reduce bucket's pairs
-// in typed segments, bucket-major. Bucket b owns slot range
-// [starts[b], starts[b+1]); Bucket slices views out of the segments
-// without copying.
+// ColBuckets is one map task's shuffle arena: the pairs of its non-empty
+// reduce buckets in typed segments, bucket-major. It records those buckets
+// only — their ids ascending and where each starts — so it costs its pairs,
+// whatever the reduce count: the bucket at position i, NonEmpty()[i], owns
+// slot range [starts[i], starts[i+1]), and every bucket not listed is
+// empty. Readers that walk the arena address buckets by position
+// (BlockInto, BlockLogicalBytes); the by-id accessors (BucketInto, Bucket,
+// BucketLen, LogicalBytes) binary-search the ids.
 type ColBuckets struct {
-	kind ColKind
-	// starts has numBuckets+1 entries; it is nil in the segment-less arena
-	// of a map task without rows, which carries only its bucket count.
-	starts  []int32
-	buckets int
-	ints    []int64
-	offs    []int32 // len totalPairs+1 (string kinds)
-	bytes   []byte
-	f64     []float64
-	anys    []any
+	kind    ColKind
+	buckets int // the reduce-partition count
+	// ids and starts share one allocation of 2·len(ids)+1 int32: the ids,
+	// then the starts with the total closing them. Both are nil in the
+	// segment-less arena of a map task without rows.
+	ids    []int32
+	starts []int32
+	ints   []int64
+	offs   []int32 // len totalPairs+1 (string kinds)
+	bytes  []byte
+	f64    []float64
+	anys   []any
 }
 
 // Kind reports the arena's typed layout.
 func (a *ColBuckets) Kind() ColKind { return a.kind }
 
 // NumBuckets reports the reduce-partition count the arena was built for.
-func (a *ColBuckets) NumBuckets() int {
-	if a.starts == nil {
-		return a.buckets
-	}
-	return len(a.starts) - 1
-}
+func (a *ColBuckets) NumBuckets() int { return a.buckets }
 
 // Len reports the total number of pairs in the arena.
 func (a *ColBuckets) Len() int {
@@ -157,24 +159,23 @@ func (a *ColBuckets) Len() int {
 	return int(a.starts[len(a.starts)-1])
 }
 
-// AppendNonEmpty appends the ids of the buckets holding at least one pair
-// to dst, ascending — one contiguous scan of starts, so a reader can index
-// which blocks carry rows without building a view of each.
-func (a *ColBuckets) AppendNonEmpty(dst []int32) []int32 {
-	for b := 0; b+1 < len(a.starts); b++ {
-		if a.starts[b] != a.starts[b+1] {
-			dst = append(dst, int32(b))
-		}
-	}
-	return dst
+// NonEmpty reports the ids of the buckets holding at least one pair,
+// ascending: entry i is the bucket at position i. The slice is the arena's
+// own (capacity-clamped), to be read and never written.
+func (a *ColBuckets) NonEmpty() []int32 { return a.ids }
+
+// position finds bucket b among the non-empty ones.
+func (a *ColBuckets) position(b int) (int, bool) {
+	return slices.BinarySearch(a.ids, int32(b))
 }
 
 // BucketLen reports the number of pairs in bucket b.
 func (a *ColBuckets) BucketLen(b int) int {
-	if a.starts == nil {
+	i, ok := a.position(b)
+	if !ok {
 		return 0
 	}
-	return int(a.starts[b+1] - a.starts[b])
+	return int(a.starts[i+1] - a.starts[i])
 }
 
 // Bucket returns the zero-copy view of reduce bucket b. The view aliases
@@ -186,18 +187,22 @@ func (a *ColBuckets) Bucket(b int) ColBlock {
 	return blk
 }
 
-// BucketInto writes bucket b's view into dst in place, sparing the
-// ~150-byte struct copy Bucket's by-value return costs on the map-side
-// hot path (one call per reduce bucket per task).
+// BucketInto writes bucket b's view into dst in place (an empty view of
+// the arena's kind when b holds nothing), sparing the ~150-byte struct
+// copy Bucket's by-value return costs.
 func (a *ColBuckets) BucketInto(b int, dst *ColBlock) {
+	if i, ok := a.position(b); ok {
+		a.BlockInto(i, dst)
+		return
+	}
 	*dst = ColBlock{Kind: a.kind}
-	if a.starts == nil {
-		return
-	}
-	lo, hi := a.starts[b], a.starts[b+1]
-	if lo == hi {
-		return
-	}
+}
+
+// BlockInto writes the view of the bucket at position i — bucket
+// NonEmpty()[i] — into dst, fully overwriting it.
+func (a *ColBuckets) BlockInto(i int, dst *ColBlock) {
+	*dst = ColBlock{Kind: a.kind}
+	lo, hi := a.starts[i], a.starts[i+1]
 	switch a.kind {
 	case ColIntF64:
 		dst.Int = a.ints[lo:hi:hi]
@@ -221,10 +226,15 @@ func (a *ColBuckets) BucketInto(b int, dst *ColBlock) {
 // the simulated shuffle volumes are byte-identical to the boxed layout
 // (float addition is not associative; the loop order matters).
 func (a *ColBuckets) LogicalBytes(b int, scale float64) float64 {
-	if a.starts == nil {
-		return 0
+	if i, ok := a.position(b); ok {
+		return a.BlockLogicalBytes(i, scale)
 	}
-	lo, hi := int(a.starts[b]), int(a.starts[b+1])
+	return 0
+}
+
+// BlockLogicalBytes is LogicalBytes for the bucket at position i.
+func (a *ColBuckets) BlockLogicalBytes(i int, scale float64) float64 {
+	lo, hi := int(a.starts[i]), int(a.starts[i+1])
 	total := 0.0
 	switch a.kind {
 	case ColIntF64:
@@ -268,15 +278,23 @@ type kernelScratch struct {
 	strSlots map[string]int32
 	ints     []int64   // slot → int key
 	strs     []string  // slot → string key
-	buckets  []int32   // slot → reduce bucket (map side)
+	buckets  []int32   // slot (row, when scattering) → reduce bucket (map side)
 	f64s     []float64 // slot → unboxed combiner
 	anys     []any     // slot → boxed combiner
-	idx      []int32   // slots in key order (reduce side)
+	idx      []int32   // slots in key order (reduce side), in arena order (emitColStr)
+	// cursor is the map side's per-bucket counter and write cursor, one
+	// entry per reduce bucket, all zero between calls: layout touches only
+	// the entries of the buckets it is handed, listed in touched, and
+	// release zeroes exactly those.
+	cursor  []int32
+	touched []int32
 }
 
-// maxPooledSlots bounds the scratch the pool keeps: clearing a map costs
-// its capacity, not its length, so a scratch one fat task grew past this
-// is dropped instead of taxing every later release.
+// maxPooledSlots bounds the scratch the pool keeps, counting slots, rows
+// and cursor entries alike: clearing a map costs its capacity, not its
+// length, and a pooled array keeps its memory, so a scratch one fat task
+// (or one very wide shuffle) grew past this is dropped instead of taxing
+// every later call.
 const maxPooledSlots = 1 << 14
 
 // scratchPool is a pool rather than a per-worker field because the kernels
@@ -289,10 +307,14 @@ var scratchPool = sync.Pool{New: func() any {
 // release empties the scratch and pools it. The maps and the used prefixes
 // of the pointer-bearing arrays are cleared — a pooled scratch must not
 // keep the last task's keys and combiners alive, nor leak its slots into
-// the next call — so every element within capacity stays zero.
+// the next call — so every element within capacity stays zero; so does
+// every cursor entry, whichever way the call left.
 func (s *kernelScratch) release() {
-	if len(s.ints)+len(s.strs) > maxPooledSlots {
+	if max(len(s.ints)+len(s.strs), len(s.buckets), len(s.cursor)) > maxPooledSlots {
 		return
+	}
+	for _, b := range s.touched {
+		s.cursor[b] = 0
 	}
 	clear(s.intSlots)
 	clear(s.strSlots)
@@ -300,7 +322,49 @@ func (s *kernelScratch) release() {
 	clear(s.anys)
 	s.ints, s.strs, s.buckets = s.ints[:0], s.strs[:0], s.buckets[:0]
 	s.f64s, s.anys, s.idx = s.f64s[:0], s.anys[:0], s.idx[:0]
+	s.touched = s.touched[:0]
 	scratchPool.Put(s)
+}
+
+// layout starts the arena of n reduce buckets over items whose buckets are
+// bucketOf: it counts the items per bucket in the cursor, records the
+// non-empty buckets ascending with their starts in the arena's one index
+// table, and leaves cursor[b] at bucket b's first slot, so the caller
+// places item j at cursor[bucketOf[j]]++ — each bucket in item order.
+// It writes only the cursor entries of the buckets it is handed.
+func (s *kernelScratch) layout(n int, bucketOf []int32) *ColBuckets {
+	if len(s.cursor) < n {
+		s.cursor = make([]int32, n) // the old one is all zero: nothing to carry over
+	}
+	cur := s.cursor
+	for _, b := range bucketOf {
+		if cur[b] == 0 {
+			s.touched = append(s.touched, b)
+		}
+		cur[b]++
+	}
+	k := len(s.touched)
+	t := make([]int32, 2*k+1)
+	ids, starts := t[:k:k], t[k:]
+	if 16*k < n { // few buckets of many: sort them rather than scan the cursor
+		copy(ids, s.touched)
+		slices.Sort(ids)
+	} else {
+		i := 0
+		for b, c := range cur[:n] {
+			if c != 0 {
+				ids[i] = int32(b)
+				i++
+			}
+		}
+	}
+	pos := int32(0)
+	for i, b := range ids {
+		starts[i] = pos
+		pos, cur[b] = pos+cur[b], pos
+	}
+	starts[k] = pos
+	return &ColBuckets{buckets: n, ids: ids, starts: starts}
 }
 
 // sortedSlots returns the scratch's sort index holding the slots of keys
@@ -393,7 +457,7 @@ func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 					s.f64s = append(s.f64s, agg.CreateF64(v))
 				}
 			}
-			return emitColInt(p.NumPartitions(), s.ints, s.buckets, s.f64s, nil), true, nil
+			return emitColInt(s, p.NumPartitions(), true), true, nil
 		}
 		return nil, false, nil
 	}
@@ -416,7 +480,7 @@ func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 			s.anys = append(s.anys, agg.Create(pr.V))
 		}
 	}
-	return emitColInt(p.NumPartitions(), s.ints, s.buckets, nil, s.anys), true, nil
+	return emitColInt(s, p.NumPartitions(), false), true, nil
 }
 
 // colCombineStr is colCombineInt for string keys; emission additionally
@@ -449,7 +513,7 @@ func colCombineStr(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 					s.f64s = append(s.f64s, agg.CreateF64(v))
 				}
 			}
-			return emitColStr(p.NumPartitions(), s.strs, s.buckets, s.f64s, nil), true, nil
+			return emitColStr(s, p.NumPartitions(), true), true, nil
 		}
 		return nil, false, nil
 	}
@@ -472,115 +536,96 @@ func colCombineStr(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 			s.anys = append(s.anys, agg.Create(pr.V))
 		}
 	}
-	return emitColStr(p.NumPartitions(), s.strs, s.buckets, nil, s.anys), true, nil
+	return emitColStr(s, p.NumPartitions(), false), true, nil
 }
 
-// countBuckets starts an arena's shifted counting table: n+2 entries with
-// bucket b's item count at t[b+2]. After prefixStarts, t[b+1] is bucket b's
-// first slot; a writer places each item at t[b+1]++, which leaves every
-// t[b+1] at bucket b's end — bucket b+1's start — so t[:n+1] is the
-// finished arena's starts table and no second cursor table is needed.
-func countBuckets(n int, bucketOf []int32) []int32 {
-	t := make([]int32, n+2)
-	for _, b := range bucketOf {
-		t[b+2]++
-	}
-	return t
-}
-
-// prefixStarts turns the counts of a shifted counting table into bucket
-// starts (see countBuckets); t[len(t)-1] ends up as the total.
-func prefixStarts(t []int32) {
-	for i := 2; i < len(t); i++ {
-		t[i] += t[i-1]
-	}
-}
-
-// emitColInt scatters combine slots into a bucket-major int-key arena.
-// Exactly one of f64s/anys is non-nil and selects the value segment.
-func emitColInt(n int, keys []int64, bucketOf []int32, f64s []float64, anys []any) *ColBuckets {
-	next := countBuckets(n, bucketOf)
-	prefixStarts(next)
+// emitColInt scatters combine slots into a bucket-major int-key arena;
+// f64 selects the value segment (the slots' f64s, else their anys).
+func emitColInt(s *kernelScratch, n int, f64 bool) *ColBuckets {
+	a := s.layout(n, s.buckets)
+	cur, keys := s.cursor, s.ints
 	ints := make([]int64, len(keys))
-	a := &ColBuckets{starts: next[:n+1], ints: ints}
-	if f64s != nil {
+	a.ints = ints
+	if f64 {
 		a.kind = ColIntF64
 		out := make([]float64, len(keys))
-		for s, k := range keys {
-			b := bucketOf[s]
-			pos := next[b+1]
-			next[b+1]++
+		for sl, k := range keys {
+			b := s.buckets[sl]
+			pos := cur[b]
+			cur[b]++
 			ints[pos] = k
-			out[pos] = f64s[s]
+			out[pos] = s.f64s[sl]
 		}
 		a.f64 = out
 		return a
 	}
 	a.kind = ColIntAny
 	out := make([]any, len(keys))
-	for s, k := range keys {
-		b := bucketOf[s]
-		pos := next[b+1]
-		next[b+1]++
+	for sl, k := range keys {
+		b := s.buckets[sl]
+		pos := cur[b]
+		cur[b]++
 		ints[pos] = k
-		out[pos] = anys[s]
+		out[pos] = s.anys[sl]
 	}
 	a.anys = out
 	return a
 }
 
 // emitColStr scatters combine slots into a bucket-major string-key arena:
-// slot keys pack into one shared byte segment so each bucket's keys are
-// contiguous and the absolute offsets close over bucket boundaries (key
-// i ends where key i+1 starts, the last ends at len(bytes)).
-func emitColStr(n int, keys []string, bucketOf []int32, f64s []float64, anys []any) *ColBuckets {
-	next := countBuckets(n, bucketOf)
-	nextByte := make([]int32, n+2) // the same shifted table over key bytes
-	for s, b := range bucketOf {
-		nextByte[b+2] += int32(len(keys[s]))
+// the slots are first ordered by arena position (in the scratch's idx),
+// then their keys pack in that order into one shared byte segment, so each
+// bucket's keys are contiguous and the absolute offsets close over bucket
+// boundaries (key i ends where key i+1 starts, the last ends at
+// len(bytes)).
+func emitColStr(s *kernelScratch, n int, f64 bool) *ColBuckets {
+	a := s.layout(n, s.buckets)
+	cur, keys := s.cursor, s.strs
+	s.idx = slices.Grow(s.idx[:0], len(keys))[:len(keys)]
+	order := s.idx
+	size := 0
+	for sl, b := range s.buckets {
+		order[cur[b]] = int32(sl)
+		cur[b]++
+		size += len(keys[sl])
 	}
-	prefixStarts(next)
-	prefixStarts(nextByte)
-	bytes := make([]byte, nextByte[n+1])
+	bytes := make([]byte, size)
 	offs := make([]int32, len(keys)+1)
-	offs[len(keys)] = nextByte[n+1]
-	a := &ColBuckets{starts: next[:n+1], offs: offs, bytes: bytes}
-	place := func(s int) int32 {
-		b := bucketOf[s]
-		pos := next[b+1]
-		next[b+1]++
-		off := nextByte[b+1]
-		copy(bytes[off:], keys[s])
-		nextByte[b+1] += int32(len(keys[s]))
-		offs[pos] = off
-		return pos
+	off := 0
+	for pos, sl := range order {
+		offs[pos] = int32(off)
+		off += copy(bytes[off:], keys[sl])
 	}
-	if f64s != nil {
+	offs[len(keys)] = int32(off)
+	a.offs, a.bytes = offs, bytes
+	if f64 {
 		a.kind = ColStrF64
 		out := make([]float64, len(keys))
-		for s := range keys {
-			out[place(s)] = f64s[s]
+		for pos, sl := range order {
+			out[pos] = s.f64s[sl]
 		}
 		a.f64 = out
 		return a
 	}
 	a.kind = ColStrAny
 	out := make([]any, len(keys))
-	for s := range keys {
-		out[place(s)] = anys[s]
+	for pos, sl := range order {
+		out[pos] = s.anys[sl]
 	}
 	a.anys = out
 	return a
 }
 
-// colScatterInt is the combine-free arena writer for int keys: two passes
-// (count and validate, then place) instead of the boxed path's per-row
-// index scratch, each row in its bucket in input order. wantF64 moves
-// all-float64 values into the unboxed segment; otherwise values keep
-// their existing boxes in the any segment.
+// colScatterInt is the combine-free arena writer for int keys: one pass
+// validates the rows and records each one's bucket (one PartitionFor call
+// per row), the second places each row in its bucket in input order.
+// wantF64 moves all-float64 values into the unboxed segment; otherwise
+// values keep their existing boxes in the any segment.
 func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, error) {
-	n := p.NumPartitions()
-	next := make([]int32, n+2) // shifted counting table, see countBuckets
+	s := scratchPool.Get().(*kernelScratch)
+	defer s.release()
+
+	s.buckets = slices.Grow(s.buckets, len(rows))
 	allF64 := wantF64
 	for _, row := range rows {
 		pr, ok := row.(Pair)
@@ -595,20 +640,20 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 				allF64 = false
 			}
 		}
-		next[p.PartitionFor(pr.K)+2]++
+		s.buckets = append(s.buckets, int32(p.PartitionFor(pr.K)))
 	}
-	prefixStarts(next)
-	total := next[n+1]
-	ints := make([]int64, total)
-	a := &ColBuckets{starts: next[:n+1], ints: ints}
+	a := s.layout(p.NumPartitions(), s.buckets)
+	cur := s.cursor
+	ints := make([]int64, len(rows))
+	a.ints = ints
 	if allF64 {
 		a.kind = ColIntF64
-		f64s := make([]float64, total)
-		for _, row := range rows {
+		f64s := make([]float64, len(rows))
+		for i, row := range rows {
 			pr := row.(Pair)
-			b := p.PartitionFor(pr.K)
-			pos := next[b+1]
-			next[b+1]++
+			b := s.buckets[i]
+			pos := cur[b]
+			cur[b]++
 			ints[pos] = int64(pr.K.(int))
 			f64s[pos] = pr.V.(float64)
 		}
@@ -616,12 +661,12 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 		return a, true, nil
 	}
 	a.kind = ColIntAny
-	anys := make([]any, total)
-	for _, row := range rows {
+	anys := make([]any, len(rows))
+	for i, row := range rows {
 		pr := row.(Pair)
-		b := p.PartitionFor(pr.K)
-		pos := next[b+1]
-		next[b+1]++
+		b := s.buckets[i]
+		pos := cur[b]
+		cur[b]++
 		ints[pos] = int64(pr.K.(int))
 		anys[pos] = pr.V
 	}

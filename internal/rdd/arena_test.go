@@ -289,9 +289,9 @@ func TestArenaOwnsEmptyInput(t *testing.T) {
 		if err != nil || cols == nil || boxed != nil {
 			t.Fatalf("empty input: cols=%v boxed=%v err=%v, want an arena only", cols, boxed, err)
 		}
-		if cols.NumBuckets() != 5 || cols.Len() != 0 || len(cols.AppendNonEmpty(nil)) != 0 {
+		if cols.NumBuckets() != 5 || cols.Len() != 0 || len(cols.NonEmpty()) != 0 {
 			t.Fatalf("empty arena: %d buckets, %d pairs, non-empty ids %v; want 5 buckets holding nothing",
-				cols.NumBuckets(), cols.Len(), cols.AppendNonEmpty(nil))
+				cols.NumBuckets(), cols.Len(), cols.NonEmpty())
 		}
 		blocks := make([]*ColBlock, cols.NumBuckets())
 		for b := range blocks {
@@ -307,24 +307,31 @@ func TestArenaOwnsEmptyInput(t *testing.T) {
 	}
 }
 
-// TestAppendNonEmptyMatchesBuckets: the ids the shuffle index is built from
-// are exactly the buckets whose view holds a pair, ascending, appended
-// after whatever dst already held.
-func TestAppendNonEmptyMatchesBuckets(t *testing.T) {
+// TestNonEmptyMatchesBuckets: the ids the shuffle index is built from are
+// exactly the buckets whose view holds a pair, ascending, and the view at
+// each position is the bucket's own.
+func TestNonEmptyMatchesBuckets(t *testing.T) {
 	rows := []Row{Pair{K: 3, V: 1.0}, Pair{K: 40, V: 2.0}, Pair{K: 3, V: 3.0}, Pair{K: 17, V: 4.0}}
 	for _, agg := range []*Aggregator{nil, SumAggregator()} {
 		cols, _, err := PartitionPairsCol(rows, NewHashPartitioner(64), agg)
 		if err != nil || cols == nil || cols.Len() == 0 {
 			t.Fatalf("typed rows: cols=%v err=%v, want a non-empty arena", cols, err)
 		}
-		want := []int32{-1}
+		var want []int32
 		for b := 0; b < cols.NumBuckets(); b++ {
 			if blk := cols.Bucket(b); blk.Len() > 0 {
 				want = append(want, int32(b))
 			}
 		}
-		if got := cols.AppendNonEmpty([]int32{-1}); !reflect.DeepEqual(got, want) || len(got) < 3 {
+		if got := cols.NonEmpty(); !reflect.DeepEqual(got, want) || len(got) < 2 {
 			t.Fatalf("non-empty bucket ids = %v, want %v", got, want)
+		}
+		for i, b := range cols.NonEmpty() {
+			var blk ColBlock
+			cols.BlockInto(i, &blk)
+			if want := cols.Bucket(int(b)); !reflect.DeepEqual(blk, want) {
+				t.Fatalf("position %d: view %+v, want bucket %d's %+v", i, blk, b, want)
+			}
 		}
 	}
 }

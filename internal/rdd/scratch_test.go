@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -13,9 +14,9 @@ import (
 // (kernelScratch). These tests cover what pooling can break: state leaking
 // from one call into the next (also after a bail-out, an error or a
 // panic), emitted data aliasing the scratch, the pool keeping a task's keys
-// and combiners alive, concurrent use, and allocations growing with the
-// input again. The boxed tier in split.go, which has no scratch, is the
-// reference throughout.
+// and combiners alive, a per-bucket cursor left dirty, concurrent use, and
+// allocations growing with the input again. The boxed tier in split.go,
+// which has no scratch, is the reference throughout.
 
 // Flaws a scratchCall can plant in its input or aggregator.
 const (
@@ -36,20 +37,38 @@ const (
 	aggShapes        // count
 )
 
-// scratchCall is one shuffle — a few map tasks partitioned, every reduce
-// partition merged — in a sequence run on one goroutine, so consecutive
-// calls reuse the same pooled scratch.
+// scratchCall is one shuffle — a few map tasks partitioned over parts
+// reduce partitions, every reduce partition merged — in a sequence run on
+// one goroutine, so consecutive calls reuse the same pooled scratch.
 type scratchCall struct {
 	strKeys  bool
 	f64Vals  bool
 	agg      int
 	rows     int
 	keys     int
+	parts    int
 	flaw, at int
 }
 
 func (c scratchCall) String() string {
-	return fmt.Sprintf("{str=%v f64=%v agg=%d rows=%d keys=%d flaw=%d at=%d}", c.strKeys, c.f64Vals, c.agg, c.rows, c.keys, c.flaw, c.at)
+	return fmt.Sprintf("{str=%v f64=%v agg=%d rows=%d keys=%d parts=%d flaw=%d at=%d}", c.strKeys, c.f64Vals, c.agg, c.rows, c.keys, c.parts, c.flaw, c.at)
+}
+
+// checkPooledScratch takes a scratch from the pool and requires what every
+// pooled one holds between calls: an all-zero cursor and no touched
+// buckets, or the next layout would count from stale entries.
+func checkPooledScratch(t *testing.T, c scratchCall) {
+	s := scratchPool.Get().(*kernelScratch)
+	defer scratchPool.Put(s)
+	if len(s.touched) != 0 {
+		t.Errorf("%v: the pooled scratch lists %d touched buckets", c, len(s.touched))
+	}
+	for b, n := range s.cursor {
+		if n != 0 {
+			t.Errorf("%v: the pooled cursor holds %d at bucket %d of %d", c, n, b, len(s.cursor))
+			return
+		}
+	}
 }
 
 // tripwire wraps every merge hook of agg so that the at-th merge of the
@@ -133,11 +152,14 @@ func (c scratchCall) build(rng *rand.Rand) ([]Row, *Aggregator) {
 }
 
 // run executes the call on both tiers and compares them, content and
-// order: every bucket of every map task, then every merged reduce
-// partition.
+// order: every bucket of every map task, by id and by position, then every
+// merged reduce partition; after it, whichever way it ended, the pooled
+// scratch must be clean.
 func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
 	t.Helper()
-	const maps, parts = 3, 4
+	defer checkPooledScratch(t, c)
+	const maps = 3
+	parts := c.parts
 	rows, agg := c.build(rng)
 	p := NewHashPartitioner(parts)
 
@@ -171,6 +193,24 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
 		if err != nil {
 			return
 		}
+		if cols != nil {
+			var ids []int32
+			for b, pairs := range want {
+				if len(pairs) > 0 {
+					ids = append(ids, int32(b))
+				}
+			}
+			if got := cols.NonEmpty(); !slices.Equal(got, ids) {
+				t.Fatalf("%v map %d: non-empty buckets %v, want %v", c, m, got, ids)
+			}
+			for i, b := range ids {
+				var blk ColBlock
+				cols.BlockInto(i, &blk)
+				if got := blk.AppendPairs(nil); !pairsEqual(got, want[b]) {
+					t.Fatalf("%v map %d position %d (bucket %d):\n got %v\nwant %v", c, m, i, b, got, want[b])
+				}
+			}
+		}
 		for b := 0; b < parts; b++ {
 			blk := &ColBlock{Kind: ColNone}
 			if cols != nil {
@@ -196,7 +236,9 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
 	}
 }
 
-// randomCalls draws a sequence of n calls from rng, small inputs mostly.
+// randomCalls draws a sequence of n calls from rng, small inputs mostly;
+// one in four is a wide shuffle, up to 4096 reduce partitions over at most
+// 10 rows.
 func randomCalls(rng *rand.Rand, n int) []scratchCall {
 	sizes := []int{0, 1, 2, 9, 40, 300, 300, 2000, 10000}
 	calls := make([]scratchCall, n)
@@ -206,6 +248,10 @@ func randomCalls(rng *rand.Rand, n int) []scratchCall {
 			f64Vals: rng.Intn(3) != 0,
 			agg:     rng.Intn(aggShapes),
 			rows:    sizes[rng.Intn(len(sizes))],
+			parts:   4,
+		}
+		if rng.Intn(4) == 0 {
+			c.rows, c.parts = rng.Intn(11), 1+rng.Intn(4096)
 		}
 		c.keys = 1 + rng.Intn(c.rows+1)
 		if rng.Intn(3) == 0 {
@@ -218,15 +264,17 @@ func randomCalls(rng *rand.Rand, n int) []scratchCall {
 }
 
 // TestKernelScratchSequences runs fixed and seeded call sequences: every
-// aggregator shape over both key types and value kinds at sizes 0 to 10^4,
-// each flaw followed by clean calls on the scratch it left behind.
+// aggregator shape over both key types and value kinds at sizes 0 to 10^4
+// and as wide shuffles (10 rows over 4096 partitions, then 4 partitions
+// again), each flaw followed by clean calls on the scratch it left behind.
 func TestKernelScratchSequences(t *testing.T) {
 	var fixed []scratchCall
-	for _, rows := range []int{0, 1, 300, 10000} {
+	for _, shape := range [][2]int{{0, 4}, {1, 4}, {300, 4}, {10000, 4}, {10, 4096}, {9, 4}} {
+		rows, parts := shape[0], shape[1]
 		for _, strKeys := range []bool{false, true} {
 			for _, f64Vals := range []bool{true, false} {
 				for agg := 0; agg < aggShapes; agg++ {
-					fixed = append(fixed, scratchCall{strKeys: strKeys, f64Vals: f64Vals, agg: agg, rows: rows, keys: rows/3 + 1})
+					fixed = append(fixed, scratchCall{strKeys: strKeys, f64Vals: f64Vals, agg: agg, rows: rows, keys: rows/3 + 1, parts: parts})
 				}
 			}
 		}
@@ -237,9 +285,9 @@ func TestKernelScratchSequences(t *testing.T) {
 				// The flaw strikes mid-scan, with slots already filled; the
 				// clean calls after it have fewer and then more keys.
 				fixed = append(fixed,
-					scratchCall{strKeys: strKeys, f64Vals: true, agg: agg, rows: 400, keys: 60, flaw: flaw, at: 37},
-					scratchCall{strKeys: strKeys, f64Vals: true, agg: agg, rows: 200, keys: 20},
-					scratchCall{strKeys: strKeys, f64Vals: agg == aggSum, agg: agg, rows: 900, keys: 500})
+					scratchCall{strKeys: strKeys, f64Vals: true, agg: agg, rows: 400, keys: 60, parts: 4, flaw: flaw, at: 37},
+					scratchCall{strKeys: strKeys, f64Vals: true, agg: agg, rows: 200, keys: 20, parts: 4},
+					scratchCall{strKeys: strKeys, f64Vals: agg == aggSum, agg: agg, rows: 900, keys: 500, parts: 4})
 			}
 		}
 	}
@@ -321,10 +369,11 @@ func TestKernelOutputsDoNotAliasScratch(t *testing.T) {
 }
 
 // TestScratchReleaseRetainsNothing is the white-box retention check: after
-// release the maps are empty and no element within the capacity of the
-// pointer-bearing arrays is non-zero, so a pooled scratch keeps no key,
-// combiner or arena of the task before alive; and a scratch grown past
-// maxPooledSlots is left to the collector instead.
+// release the maps are empty, no element within the capacity of the
+// pointer-bearing arrays is non-zero and the cursor is all zero, so a
+// pooled scratch keeps no key, combiner or arena of the task before alive;
+// and a scratch grown past maxPooledSlots — in slots or in cursor entries —
+// is left to the collector instead.
 func TestScratchReleaseRetainsNothing(t *testing.T) {
 	fill := func(slots int) *kernelScratch {
 		s := scratchPool.Get().(*kernelScratch)
@@ -385,6 +434,24 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 	shuffleOnce(t, rows, SumAggregator())
 	if got := scratchPool.Get().(*kernelScratch); cap(got.ints) > maxPooledSlots {
 		t.Fatalf("the pool holds a scratch with room for %d slots after an oversized task", cap(got.ints))
+	}
+
+	// The cursor counts against the bound: a layout over maxPooledSlots
+	// buckets is released all zero and pooled, one over 2^20 is dropped.
+	s = scratchPool.Get().(*kernelScratch)
+	s.layout(maxPooledSlots, []int32{7, 3, 7, maxPooledSlots - 1})
+	s.release()
+	if len(s.touched) != 0 || slices.ContainsFunc(s.cursor, func(n int32) bool { return n != 0 }) {
+		t.Fatalf("release left touched buckets %v or a non-zero cursor entry", s.touched)
+	}
+	if got := scratchPool.Get().(*kernelScratch); !raceEnabled && got != s {
+		t.Fatalf("a scratch with a %d-entry cursor was not pooled", maxPooledSlots)
+	}
+	wide := scratchPool.Get().(*kernelScratch)
+	wide.layout(1<<20, []int32{5, 1<<20 - 1})
+	wide.release()
+	if got := scratchPool.Get().(*kernelScratch); got == wide {
+		t.Fatalf("a scratch with a 2^20-entry cursor was pooled; the bound is %d", maxPooledSlots)
 	}
 }
 

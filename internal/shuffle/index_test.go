@@ -299,6 +299,41 @@ func TestSparseEqualsDense(t *testing.T) {
 	}
 }
 
+// TestChargedEmptyArenaBuckets: an output may charge a payload to an arena
+// bucket that holds no pair (densely, or in a hand-made sparse list), so
+// it lists buckets the arena does not and PutMapOutput must resolve arena
+// positions by search; every answer must still match the brute-force walk.
+func TestChargedEmptyArenaBuckets(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewManager(96, 8)
+		md := &model{overhead: 96, empty: 8, numReduce: 1 + rng.Intn(12)}
+		numMaps := 1 + rng.Intn(6)
+		md.nodes, md.outs = make([]string, numMaps), make([]*MapOutput, numMaps)
+		m.Register(1, numMaps, md.numReduce)
+		for mt := 0; mt < numMaps; mt++ {
+			out := randomOutput(t, rng, md.numReduce)
+			if out.Cols != nil {
+				if out.Payloads == nil {
+					out.Payloads = make([]int64, md.numReduce)
+				}
+				for r := range out.Payloads {
+					if out.Payloads[r] == 0 && rng.Intn(2) == 0 {
+						out.Payloads[r] = int64(1 + rng.Intn(100))
+					}
+				}
+			}
+			md.nodes[mt], md.outs[mt] = fmt.Sprintf("N%d", rng.Intn(3)), &out
+			fed := out
+			if rng.Intn(2) == 0 {
+				fed = sparseForm(out)
+			}
+			m.PutMapOutput(1, mt, md.nodes[mt], fed)
+		}
+		checkAgainstModel(t, m, 1, md)
+	}
+}
+
 // TestMalformedSparseOutputPanics: ids that are unsorted, repeated, out of
 // range or not as many as the payloads are refused, naming the shuffle.
 func TestMalformedSparseOutputPanics(t *testing.T) {

@@ -20,9 +20,10 @@
 // and a sub-slice. A map output is described by its non-empty buckets
 // (MapOutput's sparse form): neither a write nor the transposition walks
 // the blocks that hold nothing — they are charged from counts — so a P x P
-// job pays host time for its rows, not for P² blocks. What still grows with
-// the reduce count alone: one int32 boundary table inside each non-empty
-// arena (internal/rdd) and the node x reduce matrix of each index build.
+// job pays host time for its rows, not for P² blocks. Each index entry
+// carries its block's position in the map task's arena, resolved once per
+// write, so a read does no search. What still grows with the reduce count
+// alone: the node x reduce matrix of each index build.
 // One invalidation rule: any PutMapOutput, Register or RetireExcept on the
 // shuffle drops its index. A built index is immutable, so readers use it
 // outside the lock. It is a layout, not a cache of answers: the engine asks
@@ -61,6 +62,9 @@ type MapOutput struct {
 	// (sparse) or per reduce bucket (dense).
 	Payloads []int64
 	// NonEmpty lists the reduce buckets holding pairs, strictly ascending.
+	// The engine hands over its arena's own list (Cols.NonEmpty()), which
+	// the manager reads but never writes; it then addresses the arena by
+	// position without a search.
 	NonEmpty []int32
 }
 
@@ -75,16 +79,24 @@ type NodeBytes struct {
 type mapOutput struct {
 	node string
 	out  MapOutput
+	// pos[i] is the arena position of listed bucket out.NonEmpty[i], -1
+	// when the arena holds no pair for it; nil when the output lists
+	// exactly the arena's buckets (position i is listed bucket i) or is
+	// boxed.
+	pos []int32
 }
 
-// blockInto overwrites dst with reduce bucket r's zero-copy view: the arena
-// bucket for columnar outputs, a ColNone wrapper over the boxed bucket.
-func (mo *mapOutput) blockInto(r int, dst *rdd.ColBlock) {
-	if mo.out.Cols != nil {
-		mo.out.Cols.BucketInto(r, dst)
-		return
+// block reports where listed bucket i lives — its arena position (unused
+// for boxed outputs) — and whether it holds any pair.
+func (mo *mapOutput) block(i int) (pos int32, ok bool) {
+	switch {
+	case mo.out.Cols == nil:
+		return -1, len(mo.out.Boxed[mo.out.NonEmpty[i]]) > 0
+	case mo.pos == nil:
+		return int32(i), true
+	default:
+		return mo.pos[i], mo.pos[i] >= 0
 	}
-	*dst = rdd.ColBlock{Kind: rdd.ColNone, Pairs: mo.out.Boxed[r]}
 }
 
 // rows reports how many pairs reduce bucket r holds.
@@ -208,6 +220,22 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	for _, p := range out.Payloads {
 		bytes += m.blockBytes(p)
 	}
+	mo := &mapOutput{node: node, out: out}
+	if out.Cols != nil {
+		// Resolve arena positions once, so reads need no search: the
+		// engine lists exactly its arena's buckets; dense or hand-made
+		// outputs may list others, or leave some out.
+		if ids := out.Cols.NonEmpty(); !slices.Equal(out.NonEmpty, ids) {
+			mo.pos = make([]int32, len(out.NonEmpty))
+			for i, r := range out.NonEmpty {
+				p, ok := slices.BinarySearch(ids, r)
+				if !ok {
+					p = -1
+				}
+				mo.pos[i] = int32(p)
+			}
+		}
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.retired {
@@ -216,7 +244,7 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	if mapTask < 0 || mapTask >= st.numMaps {
 		panic(fmt.Sprintf("shuffle %d: map task %d out of range [0,%d)", shuffleID, mapTask, st.numMaps))
 	}
-	st.outputs[mapTask] = &mapOutput{node: node, out: out}
+	st.outputs[mapTask] = mo
 	st.idx = nil
 	return bytes
 }
@@ -232,10 +260,17 @@ type reduceIndex struct {
 	nodes     []string
 	bytes     []int64
 	numReduce int
-	// blocks[starts[r]:starts[r+1]] are the map outputs whose bucket r
-	// holds at least one pair, in map-task order.
+	// blocks[starts[r]:starts[r+1]] are the blocks of reduce r that hold
+	// at least one pair, in map-task order.
 	starts []int32
-	blocks []*mapOutput
+	blocks []blockRef
+}
+
+// blockRef is one non-empty block: its map output and, for an arena, the
+// bucket's position in it.
+type blockRef struct {
+	mo  *mapOutput
+	pos int32
 }
 
 // buildIndex transposes the outputs stored so far, touching per map output
@@ -270,7 +305,7 @@ func (m *Manager) buildIndex(st *state) *reduceIndex {
 		sums := ix.bytes[n*nr:][:nr]
 		for i, r := range mo.out.NonEmpty {
 			sums[r] += m.blockBytes(mo.out.Payloads[i]) - m.emptyBytes
-			if mo.rows(int(r)) > 0 {
+			if _, ok := mo.block(i); ok {
 				next[r+2]++
 			}
 		}
@@ -283,14 +318,14 @@ func (m *Manager) buildIndex(st *state) *reduceIndex {
 	for r := 2; r < len(next); r++ {
 		next[r] += next[r-1]
 	}
-	ix.blocks = make([]*mapOutput, next[nr+1])
+	ix.blocks = make([]blockRef, next[nr+1])
 	for _, mo := range st.outputs {
 		if mo == nil {
 			continue
 		}
-		for _, r := range mo.out.NonEmpty {
-			if mo.rows(int(r)) > 0 {
-				ix.blocks[next[r+1]] = mo
+		for i, r := range mo.out.NonEmpty {
+			if pos, ok := mo.block(i); ok {
+				ix.blocks[next[r+1]] = blockRef{mo: mo, pos: pos}
 				next[r+1]++
 			}
 		}
@@ -338,19 +373,24 @@ func (ix *reduceIndex) nodeBytes(r int) []NodeBytes {
 // contract statically).
 type ReduceView struct {
 	idx    *reduceIndex
-	outs   []*mapOutput
+	blocks []blockRef
 	reduce int
 }
 
 // Len reports the number of non-empty input blocks.
-func (v ReduceView) Len() int { return len(v.outs) }
+func (v ReduceView) Len() int { return len(v.blocks) }
 
 // BlockInto writes non-empty block i's zero-copy view into dst, fully
 // overwriting it — the exact get-callback shape rdd.MergeReduceColN
 // consumes, so a reduce merge reuses one stack scratch block across the
 // whole input.
 func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) {
-	v.outs[i].blockInto(v.reduce, dst)
+	b := v.blocks[i]
+	if cols := b.mo.out.Cols; cols != nil {
+		cols.BlockInto(int(b.pos), dst)
+		return
+	}
+	*dst = rdd.ColBlock{Kind: rdd.ColNone, Pairs: b.mo.out.Boxed[v.reduce]}
 }
 
 // NodeBytes reports how many of the partition's input bytes (payload plus
@@ -365,7 +405,7 @@ func (m *Manager) ReduceInput(shuffleID, reduce int) ReduceView {
 	if ix.missing >= 0 {
 		panic(fmt.Sprintf("shuffle %d: reduce read before map %d finished", shuffleID, ix.missing))
 	}
-	return ReduceView{idx: ix, outs: ix.blocks[ix.starts[reduce]:ix.starts[reduce+1]], reduce: reduce}
+	return ReduceView{idx: ix, blocks: ix.blocks[ix.starts[reduce]:ix.starts[reduce+1]], reduce: reduce}
 }
 
 // ReduceNodeBytes reports, for one reduce partition, how many input bytes
