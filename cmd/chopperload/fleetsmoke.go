@@ -168,18 +168,29 @@ func runFleetSmoke(ctx context.Context, binary string) error {
 			return fmt.Errorf("%s owns %s but has runs %v", check.addr, check.owns, runs)
 		}
 	}
-	// The merged fleet view shows both workloads trained.
-	merged, err := rcl.Workloads(ctx)
-	if err != nil {
-		return fmt.Errorf("merged workloads: %w", err)
-	}
-	for _, want := range []string{wl0, wl1} {
-		found := false
-		for _, info := range merged.Workloads {
-			found = found || (info.Name == want && info.Runs > 0)
+	// The merged fleet view shows both workloads trained. The router may
+	// read a shard from its replica, which pulls the records a moment after
+	// the primary acknowledged them, so the view converges: poll it.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		merged, err := rcl.Workloads(ctx)
+		if err != nil {
+			return fmt.Errorf("merged workloads: %w", err)
 		}
-		if !found {
-			return fmt.Errorf("merged /v1/workloads missing trained %s: %+v", want, merged.Workloads)
+		missing := ""
+		for _, want := range []string{wl0, wl1} {
+			found := false
+			for _, info := range merged.Workloads {
+				found = found || (info.Name == want && info.Runs > 0)
+			}
+			if !found {
+				missing = want
+			}
+		}
+		if missing == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("merged /v1/workloads missing trained %s: %+v", missing, merged.Workloads)
 		}
 	}
 	fstep("writes landed on owning primaries; merged workload view ok")

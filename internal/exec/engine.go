@@ -8,7 +8,10 @@
 // Execution of one wave proceeds in three passes:
 //
 //  1. compute pass (parallel, node-agnostic): materialize every task's rows,
-//     accounting input/shuffle/cost bytes;
+//     accounting input/shuffle/cost bytes. A task allocates its rows, its
+//     map-output arena and the records it hands on, whatever its pipeline
+//     depth: workers reuse one pipeline scratch, one-to-one dependencies
+//     skip Splits, and locality profiles are adopted read-only;
 //  2. placement pass (sequential, deterministic): list-schedule tasks onto
 //     executor cores in simulated time, honoring each task's preferred node
 //     (resolved by the compute pass) with a bounded locality wait, then
@@ -22,14 +25,13 @@ package exec
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"chopper/internal/cluster"
 	"chopper/internal/dag"
+	"chopper/internal/freelist"
 	"chopper/internal/metrics"
 	"chopper/internal/rdd"
 	"chopper/internal/shuffle"
@@ -72,12 +74,36 @@ type Engine struct {
 	// core once most of their stage has finished.
 	Speculate bool
 
-	mu          sync.Mutex
-	now         float64
-	srcFiles    map[int]string // source RDD id -> block-store file
-	workerList  []*cluster.Node
-	errScratch  []error // computePass error slice, reused across waves
-	taskScratch []task  // the wave's task slab, reused across waves
+	mu         sync.Mutex
+	now        float64
+	srcFiles   map[int]string // source RDD id -> block-store file
+	workerList []*cluster.Node
+}
+
+// Scratch shared by every engine in the process (a tuning sweep builds one
+// per run), each returned emptied so it keeps nothing of a finished wave.
+var (
+	taskSlabs   slabPool[task]
+	errSlabs    slabPool[error]
+	workerAccts freelist.List[*acct]
+)
+
+// slabPool hands out slabs of T, cleared when they come back.
+type slabPool[T any] struct{ list freelist.List[[]T] }
+
+// take returns an empty slab with room for n.
+func (p *slabPool[T]) take(n int) []T {
+	s := p.list.Get()
+	if cap(s) < n {
+		s = make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// put clears s, the slab as its wave used it, and keeps it for the next.
+func (p *slabPool[T]) put(s []T) {
+	clear(s)
+	p.list.Put(s[:0])
 }
 
 // New creates an engine over the given topology and cost model.
@@ -146,7 +172,8 @@ type task struct {
 	cacheBy  []shuffle.NodeBytes // cached-input bytes by node, sorted by node
 	shufBy   []shuffle.NodeBytes // shuffle-input bytes by node, sorted by node
 	cost     float64             // logical byte-cost units
-	pending  []pendingCache
+	pending  []pendingCache      // in pend when the stage caches one RDD, as stages mostly do
+	pend     [1]pendingCache
 	mapOut   shuffle.MapOutput // map output (map stages only)
 	writeB   int64
 	pref     int32 // index of the preferred wave worker, -1 for none (see prefer)
@@ -279,7 +306,7 @@ func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (a
 	for _, st := range stages {
 		n += st.NumTasks()
 	}
-	tasks := takeSlab(e, &e.taskScratch, n) // the passes address it by index
+	tasks := taskSlabs.take(n) // the passes address it by index
 	for _, st := range stages {
 		if st.OutDep != nil {
 			e.Shuffle.Register(st.OutDep.ShuffleID, st.NumTasks(), st.OutDep.Part.NumPartitions())
@@ -288,7 +315,7 @@ func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (a
 			tasks = append(tasks, task{stage: st, split: split, idx: split})
 		}
 	}
-	defer putSlab(e, &e.taskScratch, tasks)
+	defer taskSlabs.put(tasks)
 
 	if err := e.computePass(tasks, workers); err != nil {
 		return nil, err
@@ -322,9 +349,9 @@ func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (a
 
 // computePass materializes every task in parallel (node-agnostic). Workers
 // pull task indexes from a shared counter — no goroutine-per-task churn —
-// and record errors into an index-addressed scratch slice the engine reuses
-// across waves. The first error in task order is returned, matching what a
-// sequential loop would surface.
+// each with its own pipeline scratch, and record errors into an
+// index-addressed pooled slice. The first error in task order is returned,
+// matching what a sequential loop would surface.
 func (e *Engine) computePass(tasks []task, alive []*cluster.Node) error {
 	n := len(tasks)
 	if n == 0 {
@@ -337,27 +364,19 @@ func (e *Engine) computePass(tasks []task, alive []*cluster.Node) error {
 	if workers > n {
 		workers = n
 	}
-	errs := takeSlab(e, &e.errScratch, n)[:n]
-	defer putSlab(e, &e.errScratch, errs)
+	errs := errSlabs.take(n)[:n]
+	defer errSlabs.put(errs)
+	var next atomic.Int64
 	if workers == 1 {
-		for i := range tasks {
-			errs[i] = e.computeTask(&tasks[i], alive)
-		}
+		e.computeTasks(tasks, alive, errs, &next)
 	} else {
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(errs []error, next *atomic.Int64) {
+			go func() {
 				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					errs[i] = e.computeTask(&tasks[i], alive)
-				}
-			}(errs, &next)
+				e.computeTasks(tasks, alive, errs, &next)
+			}()
 		}
 		wg.Wait()
 	}
@@ -369,33 +388,25 @@ func (e *Engine) computePass(tasks []task, alive []*cluster.Node) error {
 	return nil
 }
 
-// takeSlab hands out one of the engine's per-wave slabs, *slot, empty with
-// room for n; a wave running meanwhile finds nil and allocates its own.
-func takeSlab[T any](e *Engine, slot *[]T, n int) []T {
-	e.mu.Lock()
-	s := *slot
-	*slot = nil
-	e.mu.Unlock()
-	if cap(s) < n {
-		s = make([]T, 0, n)
+// computeTasks is one compute worker: it claims task indexes from next until
+// none is left, runs each on its pipeline scratch and records its error.
+func (e *Engine) computeTasks(tasks []task, alive []*cluster.Node, errs []error, next *atomic.Int64) {
+	a := workerAccts.Get()
+	if a == nil {
+		a = new(acct)
 	}
-	return s[:0]
+	defer workerAccts.Put(a)
+	for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+		errs[i] = e.computeTask(&tasks[i], alive, a)
+	}
 }
 
-// putSlab clears a slab once its wave is done, so it keeps nothing of the
-// wave alive (rows, arenas, errors), and stores it back in *slot.
-func putSlab[T any](e *Engine, slot *[]T, s []T) {
-	clear(s)
-	e.mu.Lock()
-	*slot = s
-	e.mu.Unlock()
-}
-
-// computeTask materializes one task and resolves its preferred node among
-// the wave's workers.
-func (e *Engine) computeTask(t *task, workers []*cluster.Node) error {
-	var a acct
-	rows, _, err := e.materialize(t.stage.Final, t.split, &a)
+// computeTask materializes one task on a worker's pipeline scratch a,
+// released again before it returns, and resolves the task's preferred node
+// among the wave's workers.
+func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
+	defer release(a)
+	rows, _, err := e.materialize(t.stage.Final, t.split, a)
 	if err != nil {
 		return fmt.Errorf("exec: stage %d task %d: %w", t.stage.ID, t.split, err)
 	}
@@ -406,7 +417,7 @@ func (e *Engine) computeTask(t *task, workers []*cluster.Node) error {
 	t.cacheBy = a.cacheBy
 	t.shufBy = a.shufBy
 	t.cost = a.cost
-	t.pending = a.pending
+	t.pending = append(t.pend[:0], a.pending...)
 	t.pref = e.prefer(t, workers)
 
 	if dep := t.stage.OutDep; dep != nil {
@@ -678,18 +689,6 @@ func pinNode(split int, workers []*cluster.Node) int {
 		slot -= w.Cores
 	}
 	return 0
-}
-
-// addNode adds bytes to node's entry of by, keeping by sorted by node name.
-func addNode(by []shuffle.NodeBytes, node string, bytes int64) []shuffle.NodeBytes {
-	i, found := slices.BinarySearchFunc(by, node, func(e shuffle.NodeBytes, n string) int {
-		return strings.Compare(e.Node, n)
-	})
-	if found {
-		by[i].Bytes += bytes
-		return by
-	}
-	return slices.Insert(by, i, shuffle.NodeBytes{Node: node, Bytes: bytes})
 }
 
 // taskDuration evaluates the cost model for a task on a node; peer is the

@@ -2,12 +2,17 @@ package exec
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"chopper/internal/cluster"
+	"chopper/internal/dag"
 	"chopper/internal/metrics"
 	"chopper/internal/rdd"
 	"chopper/internal/shuffle"
+	"chopper/internal/storage"
 )
 
 func testEngine() *Engine {
@@ -173,5 +178,108 @@ func TestAcctMemoization(t *testing.T) {
 	}
 	if calls == first {
 		t.Fatalf("fresh task should recompute an uncached partition")
+	}
+
+	// So does the next task on a worker's reused scratch, and once a task
+	// is done the scratch references none of its rows: memo entries and
+	// input windows are cleared up to their capacity.
+	st := &dag.Stage{Final: src.Map(func(r rdd.Row) rdd.Row { return r })}
+	workers := e.aliveSnapshot()
+	scratch := new(acct)
+	for i := 0; i < 2; i++ {
+		before := calls
+		tk := task{stage: st}
+		if err := e.computeTask(&tk, workers, scratch); err != nil || len(tk.rows) != 1 {
+			t.Fatalf("task %d: %d rows, %v", i, len(tk.rows), err)
+		}
+		if calls != before+1 {
+			t.Fatalf("task %d on a reused scratch computed the source %d times, want once", i, calls-before)
+		}
+		if cap(scratch.memo) == 0 || cap(scratch.ins) == 0 {
+			t.Fatalf("the scratch kept no capacity for the next task")
+		}
+		for _, m := range scratch.memo[:cap(scratch.memo)] {
+			if m.rows != nil {
+				t.Fatalf("task %d left memoised rows %v in the worker scratch", i, m.rows)
+			}
+		}
+		for _, in := range scratch.ins[:cap(scratch.ins)] {
+			if in != nil {
+				t.Fatalf("task %d left input rows %v in the worker scratch", i, in)
+			}
+		}
+	}
+}
+
+// TestMergedProfileLeavesIndexAlone: a reduce task adopts its shuffle
+// index's locality row read-only. A task reading a cogroup over two
+// shuffles plus a cached input merges three profiles; it must hold their
+// sums, and both shuffles must report afterwards exactly what they
+// reported before it ran.
+func TestMergedProfileLeavesIndexAlone(t *testing.T) {
+	const parts = 6
+	e := testEngine()
+	p := rdd.NewHashPartitioner(parts)
+	cached := e.Ctx.Generate("cached", parts, 1<<20, nil).Cache()
+	cached.Part = p
+	for s := 0; s < parts; s++ {
+		e.Cache.Put(storage.CacheKey{RDD: cached.ID, Split: s, Of: parts}, "C", 1000, []rdd.Row{rdd.Pair{K: s, V: 1.0}})
+	}
+	source := func(name string, rows int) *rdd.RDD {
+		return e.Ctx.Generate(name, 8, 1<<20, func(split, total int) []rdd.Row {
+			var out []rdd.Row
+			for k := split; k < rows; k += total {
+				out = append(out, rdd.Pair{K: k, V: 1.0})
+			}
+			return out
+		})
+	}
+	cg := source("left", 200).CoGroup(source("right", 100), p)
+	final := cg.CoGroup(cached, p)
+	var mapStages []*dag.Stage
+	for i, d := range cg.Deps {
+		dep := d.(*rdd.ShuffleDep)
+		dep.ShuffleID = i + 1
+		mapStages = append(mapStages, &dag.Stage{ID: i, Final: dep.P, OutDep: dep})
+	}
+	if err := e.RunWave(mapStages); err != nil {
+		t.Fatal(err)
+	}
+	profiles := func() [][]shuffle.NodeBytes {
+		var out [][]shuffle.NodeBytes
+		for _, id := range []int{1, 2} {
+			for r := 0; r < parts; r++ {
+				out = append(out, e.Shuffle.ReduceNodeBytes(id, r))
+			}
+		}
+		return out
+	}
+	before := profiles()
+
+	workers := e.aliveSnapshot()
+	scratch := new(acct)
+	for r := 0; r < parts; r++ {
+		tk := task{stage: &dag.Stage{ID: 2, Final: final}, split: r}
+		if err := e.computeTask(&tk, workers, scratch); err != nil {
+			t.Fatal(err)
+		}
+		sums := map[string]int64{}
+		for _, nb := range append(slices.Clone(before[r]), before[parts+r]...) {
+			sums[nb.Node] += nb.Bytes
+		}
+		var want []shuffle.NodeBytes
+		for node, b := range sums {
+			want = append(want, shuffle.NodeBytes{Node: node, Bytes: b})
+		}
+		slices.SortFunc(want, func(x, y shuffle.NodeBytes) int { return strings.Compare(x.Node, y.Node) })
+		if !reflect.DeepEqual(tk.shufBy, want) {
+			t.Fatalf("reduce %d: merged shuffle profile %v, want %v", r, tk.shufBy, want)
+		}
+		if want := []shuffle.NodeBytes{{Node: "C", Bytes: 1000}}; !reflect.DeepEqual(tk.cacheBy, want) {
+			t.Fatalf("reduce %d: cached-input profile %v, want %v", r, tk.cacheBy, want)
+		}
+	}
+	if after := profiles(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("reduce tasks rewrote the shuffle index:\nbefore %v\n after %v", before, after)
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"chopper/internal/rdd"
 	"chopper/internal/shuffle"
@@ -9,23 +10,37 @@ import (
 )
 
 // acct accumulates the node-agnostic cost quantities of one task while its
-// partition is materialized.
+// partition is materialized. A compute worker reuses one across its tasks
+// (release empties it in between); a zero acct serves a one-off evaluation.
 type acct struct {
 	srcBytes int64               // logical bytes read from generator sources
-	srcNodes []string            // preferred locations of those reads
+	srcNodes []string            // preferred locations of those reads (read-only)
 	cacheBy  []shuffle.NodeBytes // cached-input logical bytes by holding node, sorted by node
-	shufBy   []shuffle.NodeBytes // shuffle-input logical bytes by map node, sorted by node
+	shufBy   []shuffle.NodeBytes // shuffle-input logical bytes by map node, sorted by node (read-only)
 	cost     float64             // logical-byte cost units (bytes x op factor)
-	pending  []pendingCache      // partitions to cache after placement
+	pending  []pendingCache      // partitions to cache after placement (copied to the task)
 	// memo holds the partitions this task has materialized, scanned
 	// linearly: a stage pipeline is a handful of RDDs deep.
 	memo []memoEntry
+	// ins is a stack of Compute input windows: each materialize call
+	// reserves one slot per dependency above its parents' windows.
+	ins [][]rdd.Row
 }
 
 type memoEntry struct {
 	rdd, split int
 	rows       []rdd.Row
 	bytes      float64
+}
+
+// release resets a worker's scratch for its next task, dropping every row
+// it referenced; the task keeps its profiles and its copy of the pending
+// list. A function, not a method: only the worker holding a touches it.
+func release(a *acct) {
+	clear(a.memo)
+	clear(a.ins[:cap(a.ins)])
+	clear(a.pending)
+	*a = acct{memo: a.memo[:0], ins: a.ins[:0], pending: a.pending[:0]}
 }
 
 // materialize computes one partition of r, charging work to a. It returns
@@ -41,7 +56,7 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 	// Cached partition available from an earlier stage?
 	if r.Cached {
 		if entry, ok := e.Cache.Peek(storage.CacheKey{RDD: r.ID, Split: split, Of: r.NumParts}); ok {
-			a.cacheBy = addNode(a.cacheBy, entry.Node, entry.Bytes)
+			a.cacheBy = mergeProfiles(a.cacheBy, []shuffle.NodeBytes{{Node: entry.Node, Bytes: entry.Bytes}})
 			bytes := float64(entry.Bytes)
 			a.memo = append(a.memo, memoEntry{rdd: r.ID, split: split, rows: entry.Rows, bytes: bytes})
 			return entry.Rows, bytes, nil
@@ -61,11 +76,19 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 		}
 		inBytes = float64(sb)
 	default:
-		inputs = make([][]rdd.Row, len(r.Deps))
+		// Reserve this RDD's window (every slot is filled before Compute
+		// reads it); a parent's recursion may grow, and so move, the
+		// stack, so slots are filled by offset.
+		base, n := len(a.ins), len(r.Deps)
+		a.ins = slices.Grow(a.ins, n)[:base+n]
 		for i, d := range r.Deps {
 			switch dep := d.(type) {
 			case *rdd.NarrowDep:
-				splits := dep.Splits(split)
+				one := [1]int{split}
+				splits := one[:]
+				if !dep.IsOneToOne() {
+					splits = dep.Splits(split)
+				}
 				var rows []rdd.Row
 				for _, ps := range splits {
 					pr, pb, err := e.materialize(dep.P, ps, a)
@@ -73,7 +96,7 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 						return nil, 0, err
 					}
 					if len(splits) == 1 {
-						// One-to-one: hand over the parent's rows, which may
+						// One parent split: hand over its rows, which may
 						// be memoised or cached, without a copy. The cap
 						// clamp makes an append in the ComputeFn reallocate
 						// instead of writing into the shared backing array.
@@ -83,19 +106,21 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 					}
 					inBytes += pb
 				}
-				inputs[i] = rows
+				a.ins[base+i] = rows
 			case *rdd.ShuffleDep:
 				rows, rb := e.shuffleRead(dep, split, a)
-				inputs[i] = rows
+				a.ins[base+i] = rows
 				inBytes += rb
 			default:
 				return nil, 0, fmt.Errorf("exec: unknown dependency %T", d)
 			}
 		}
+		inputs = a.ins[base : base+n : base+n]
 	}
 
 	a.cost += inBytes * r.CostFactor
 	rows := r.Compute(split, inputs)
+	a.ins = a.ins[:len(a.ins)-len(inputs)] // pop the window
 	outBytes := rdd.LogicalRowsBytes(rows, scale)
 
 	if r.Cached {
@@ -115,13 +140,37 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 // map side finished panics inside the manager.
 func (e *Engine) shuffleRead(dep *rdd.ShuffleDep, reduce int, a *acct) ([]rdd.Row, float64) {
 	view := e.Shuffle.ReduceInput(dep.ShuffleID, reduce)
-	if nbs := view.NodeBytes(); a.shufBy == nil {
-		a.shufBy = nbs // our own slice, already sorted by node
-	} else {
-		for _, nb := range nbs {
-			a.shufBy = addNode(a.shufBy, nb.Node, nb.Bytes)
-		}
-	}
+	a.shufBy = mergeProfiles(a.shufBy, view.NodeBytes())
 	rows := rdd.MergeReduceColN(view.Len(), view.BlockInto, dep.Agg)
 	return rows, rdd.LogicalRowsBytes(rows, e.Ctx.LogicalScale)
+}
+
+// mergeProfiles returns the union of two locality profiles, both sorted by
+// node, with the bytes of a node present in both summed. Neither input is
+// written: an empty side yields the other as is (so a task reading one
+// shuffle adopts the index's read-only row), and a merge is one fresh
+// slice of exactly the union's length.
+func mergeProfiles(x, y []shuffle.NodeBytes) []shuffle.NodeBytes {
+	if len(x) == 0 {
+		return y
+	}
+	if len(y) == 0 {
+		return x
+	}
+	var buf [16]shuffle.NodeBytes
+	out := buf[:0]
+	for len(x) > 0 || len(y) > 0 {
+		var nb shuffle.NodeBytes
+		switch {
+		case len(y) == 0 || len(x) > 0 && x[0].Node < y[0].Node:
+			nb, x = x[0], x[1:]
+		case len(x) == 0 || y[0].Node < x[0].Node:
+			nb, y = y[0], y[1:]
+		default:
+			nb = shuffle.NodeBytes{Node: x[0].Node, Bytes: x[0].Bytes + y[0].Bytes}
+			x, y = x[1:], y[1:]
+		}
+		out = append(out, nb)
+	}
+	return slices.Clone(out)
 }

@@ -3,6 +3,7 @@ package exec_test
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"chopper/internal/rdd"
@@ -54,4 +55,45 @@ func TestComputePoolParallelRuns(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSlabPoolAcrossEngines: the task and error slabs come from pools
+// every engine in the process shares, and the experiments driver runs
+// sweep points — one engine each — concurrently. Two engines run
+// multi-wave jobs at once, repeatedly; a slab handed to two waves at once
+// or reused before it was cleared shows as a result that differs from the
+// oracle, and under -race as a reported race.
+func TestSlabPoolAcrossEngines(t *testing.T) {
+	add := func(a, b any) any { return a.(float64) + b.(float64) }
+	build := func(ctx *rdd.Context, parts int) *rdd.RDD {
+		return pairSource(ctx, 900, 41).
+			ReduceByKey(add, parts).
+			MapValues(func(v any) any { return v.(float64) + 1 }).
+			ReduceByKey(add, parts/2)
+	}
+	lctx := rdd.NewContext(6)
+	lctx.SetRunner(rdd.NewLocalRunner())
+	want := sumByKey(t, build(lctx, 12))
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := newHarness(g == 0, nil)
+			h.eng.ComputeWorkers = 3
+			for job := 0; job < 6; job++ {
+				got, err := build(h.ctx, 12+8*g+job).CollectPairsMap()
+				if err != nil {
+					t.Errorf("engine %d job %d: %v", g, job, err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("engine %d job %d diverged from the oracle:\n got %v\nwant %v", g, job, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

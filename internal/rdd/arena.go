@@ -37,7 +37,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
+
+	"chopper/internal/freelist"
 )
 
 // ColKind identifies the typed layout of a columnar block or arena.
@@ -268,7 +269,7 @@ func (a *ColBuckets) BlockLogicalBytes(i int, scale float64) float64 {
 
 // kernelScratch is the working set of one combine or merge kernel call:
 // the key→slot map (int or string), the per-slot arrays and the sort index.
-// Every kernel takes it from scratchPool and hands it back through a
+// Every kernel takes it with takeScratch and hands it back through a
 // deferred release, so the bail-outs, the non-pair error and a panicking
 // user aggregator all return it. Nothing a kernel emits aliases it: the
 // emitters copy the slots into fresh arena segments, the merges into a
@@ -288,21 +289,35 @@ type kernelScratch struct {
 	// release zeroes exactly those.
 	cursor  []int32
 	touched []int32
+	class   int // the scratchPools entry it serves and returns to
 }
 
 // maxPooledSlots bounds the scratch the pool keeps, counting slots, rows
-// and cursor entries alike: clearing a map costs its capacity, not its
-// length, and a pooled array keeps its memory, so a scratch one fat task
-// (or one very wide shuffle) grew past this is dropped instead of taxing
-// every later call.
+// and cursor entries alike: a pooled map or array keeps its memory, so a
+// scratch one fat task (or one very wide shuffle) grew past this is
+// dropped instead of being held for every later call.
 const maxPooledSlots = 1 << 14
 
-// scratchPool is a pool rather than a per-worker field because the kernels
-// also run with no engine around them (LocalRunner, the fuzz oracle, the
-// layer probes) behind signatures that carry no worker.
-var scratchPool = sync.Pool{New: func() any {
-	return &kernelScratch{intSlots: map[int64]int32{}, strSlots: map[string]int32{}}
-}}
+// scratchPools are pools, not per-worker fields, because the kernels also
+// run with no engine around them (LocalRunner, the fuzz oracle, the layer
+// probes); free lists, not sync.Pools, so a call's allocations do not
+// depend on GC timing; and one per size class of call (class c: at most
+// 64·2^c pairs, the last one larger) because a pooled map keeps its peak
+// capacity and clear costs all of it: a small call must not pay for a
+// large one.
+var scratchPools [10]freelist.List[*kernelScratch]
+
+// takeScratch returns a scratch of the size class of a call over pairs.
+func takeScratch(pairs int) *kernelScratch {
+	c := 0
+	for limit := 64; pairs > limit && c < len(scratchPools)-1; limit *= 2 {
+		c++
+	}
+	if s := scratchPools[c].Get(); s != nil {
+		return s
+	}
+	return &kernelScratch{intSlots: map[int64]int32{}, strSlots: map[string]int32{}, class: c}
+}
 
 // release empties the scratch and pools it. The maps and the used prefixes
 // of the pointer-bearing arrays are cleared — a pooled scratch must not
@@ -323,7 +338,7 @@ func (s *kernelScratch) release() {
 	s.ints, s.strs, s.buckets = s.ints[:0], s.strs[:0], s.buckets[:0]
 	s.f64s, s.anys, s.idx = s.f64s[:0], s.anys[:0], s.idx[:0]
 	s.touched = s.touched[:0]
-	scratchPool.Put(s)
+	scratchPools[s.class].Put(s)
 }
 
 // layout starts the arena of n reduce buckets over items whose buckets are
@@ -430,7 +445,7 @@ func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets,
 // occurrence of a key lands in the same bucket, so the global
 // first-occurrence order filtered to one bucket is that bucket's own).
 func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBuckets, bool, error) {
-	s := scratchPool.Get().(*kernelScratch)
+	s := takeScratch(len(rows))
 	defer s.release()
 
 	if f64 {
@@ -486,7 +501,7 @@ func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 // colCombineStr is colCombineInt for string keys; emission additionally
 // packs the keys into the arena's shared byte segment, bucket-contiguous.
 func colCombineStr(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBuckets, bool, error) {
-	s := scratchPool.Get().(*kernelScratch)
+	s := takeScratch(len(rows))
 	defer s.release()
 
 	if f64 {
@@ -622,7 +637,7 @@ func emitColStr(s *kernelScratch, n int, f64 bool) *ColBuckets {
 // wantF64 moves all-float64 values into the unboxed segment; otherwise
 // values keep their existing boxes in the any segment.
 func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, error) {
-	s := scratchPool.Get().(*kernelScratch)
+	s := takeScratch(len(rows))
 	defer s.release()
 
 	s.buckets = slices.Grow(s.buckets, len(rows))
@@ -720,23 +735,23 @@ func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 			if agg == nil {
 				return concatColIntF64(n, get, total)
 			}
-			if out, ok := mergeColIntF64(n, get, agg); ok {
+			if out, ok := mergeColIntF64(n, total, get, agg); ok {
 				return out
 			}
 		case ColIntAny:
 			if agg == nil {
 				return concatColIntAny(n, get, total)
 			}
-			return mergeColIntAny(n, get, agg)
+			return mergeColIntAny(n, total, get, agg)
 		case ColStrF64:
 			if agg != nil {
-				if out, ok := mergeColStrF64(n, get, agg); ok {
+				if out, ok := mergeColStrF64(n, total, get, agg); ok {
 					return out
 				}
 			}
 		case ColStrAny:
 			if agg != nil {
-				return mergeColStrAny(n, get, agg)
+				return mergeColStrAny(n, total, get, agg)
 			}
 		}
 	}
@@ -811,9 +826,9 @@ func stableKeyOrder(keys []int64) []int32 {
 // order, per-key fold in pair order, first-occurrence key tracking, sorted
 // emission. Per-key state lives in slot arrays, so a repeated key costs
 // one map lookup and an array store — no map assignment.
-func mergeColIntF64(n int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bool) {
+func mergeColIntF64(n, total int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bool) {
 	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
-		s := scratchPool.Get().(*kernelScratch)
+		s := takeScratch(total)
 		defer s.release()
 		var blk ColBlock
 		for bi := 0; bi < n; bi++ {
@@ -851,8 +866,8 @@ func mergeColIntF64(n int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bo
 // mergeColIntAny folds int-keyed boxed values, mirroring mergeBlocksGeneric
 // (the values were boxed at the source, so the fold itself adds no new
 // boxes).
-func mergeColIntAny(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
-	s := scratchPool.Get().(*kernelScratch)
+func mergeColIntAny(n, total int, get func(int, *ColBlock), agg *Aggregator) []Row {
+	s := takeScratch(total)
 	defer s.release()
 	var blk ColBlock
 	for bi := 0; bi < n; bi++ {
@@ -888,9 +903,9 @@ func mergeColIntAny(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 // through the allocation-free m[string(bytes)] form; the key string is
 // allocated exactly once per distinct key, at slot creation, and per-key
 // state lives in slot arrays so no map assignment re-converts the key.
-func mergeColStrF64(n int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bool) {
+func mergeColStrF64(n, total int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bool) {
 	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
-		s := scratchPool.Get().(*kernelScratch)
+		s := takeScratch(total)
 		defer s.release()
 		var blk ColBlock
 		for bi := 0; bi < n; bi++ {
@@ -927,8 +942,8 @@ func mergeColStrF64(n int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bo
 }
 
 // mergeColStrAny folds string-keyed boxed values.
-func mergeColStrAny(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
-	s := scratchPool.Get().(*kernelScratch)
+func mergeColStrAny(n, total int, get func(int, *ColBlock), agg *Aggregator) []Row {
+	s := takeScratch(total)
 	defer s.release()
 	var blk ColBlock
 	for bi := 0; bi < n; bi++ {

@@ -32,12 +32,28 @@ func (r *RDD) MapCost(name string, cost float64, f func(Row) Row) *RDD {
 	})
 }
 
-// Filter keeps rows satisfying pred.
+// Filter keeps rows satisfying pred, calling it once per row into a keep
+// bitmap (stack-held up to 2048 rows), then fills an exact-size output.
 func (r *RDD) Filter(pred func(Row) bool) *RDD {
 	return r.narrowChild("filter", 0.4, func(split int, in [][]Row) []Row {
-		var out []Row
-		for _, row := range in[0] {
+		rows, buf := in[0], [32]uint64{}
+		keep := buf[:]
+		if words := (len(rows) + 63) / 64; words > len(buf) {
+			keep = make([]uint64, words)
+		}
+		n := 0
+		for i, row := range rows {
 			if pred(row) {
+				keep[i/64] |= 1 << (i % 64)
+				n++
+			}
+		}
+		if n == 0 {
+			return nil
+		}
+		out := make([]Row, 0, n)
+		for i, row := range rows {
+			if keep[i/64]&(1<<(i%64)) != 0 {
 				out = append(out, row)
 			}
 		}

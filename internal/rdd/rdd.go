@@ -13,18 +13,26 @@ type Dependency interface {
 // NarrowDep is a dependency where each child partition reads a bounded set
 // of parent partitions (map, filter, coalesce, co-partitioned join...).
 // Narrow dependencies pipeline inside a single stage.
+//
+// OneToOne marks its dependency (see IsOneToOne), so an evaluator may skip
+// Splits, and the slice it allocates, for child split s reading split s.
 type NarrowDep struct {
 	P *RDD
 	// Splits maps a child split to the parent splits it consumes.
 	Splits func(childSplit int) []int
+
+	oneToOne bool
 }
 
 // Parent returns the parent RDD.
 func (d *NarrowDep) Parent() *RDD { return d.P }
 
+// IsOneToOne reports whether d was built by OneToOne: Splits(s) is [s].
+func (d *NarrowDep) IsOneToOne() bool { return d.oneToOne }
+
 // OneToOne builds the identity narrow dependency.
 func OneToOne(parent *RDD) *NarrowDep {
-	return &NarrowDep{P: parent, Splits: func(s int) []int { return []int{s} }}
+	return &NarrowDep{P: parent, Splits: func(s int) []int { return []int{s} }, oneToOne: true}
 }
 
 // ShuffleDep is a wide dependency: every child partition may read from every
@@ -121,6 +129,10 @@ func GroupAggregator() *Aggregator {
 // is the parent split's rows (their concatenation when the child split
 // reads several); for a ShuffleDep it is the merged []Row of Pair records
 // for this reduce partition.
+//
+// The outer inputs slice is valid only during the call — the engine reuses
+// its backing array for the task's next RDD — so never retain or capture
+// it; retaining an inner slice is fine.
 //
 // Inputs are read-only. The engine hands a one-to-one narrow child its
 // parent's rows without copying them, so an input may alias a partition the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -54,19 +53,22 @@ func (c scratchCall) String() string {
 	return fmt.Sprintf("{str=%v f64=%v agg=%d rows=%d keys=%d parts=%d flaw=%d at=%d}", c.strKeys, c.f64Vals, c.agg, c.rows, c.keys, c.parts, c.flaw, c.at)
 }
 
-// checkPooledScratch takes a scratch from the pool and requires what every
-// pooled one holds between calls: an all-zero cursor and no touched
-// buckets, or the next layout would count from stale entries.
+// checkPooledScratch takes a scratch from each size class's pool and
+// requires what every pooled one holds between calls: an all-zero cursor
+// and no touched buckets, or the next layout would count from stale
+// entries.
 func checkPooledScratch(t *testing.T, c scratchCall) {
-	s := scratchPool.Get().(*kernelScratch)
-	defer scratchPool.Put(s)
-	if len(s.touched) != 0 {
-		t.Errorf("%v: the pooled scratch lists %d touched buckets", c, len(s.touched))
-	}
-	for b, n := range s.cursor {
-		if n != 0 {
-			t.Errorf("%v: the pooled cursor holds %d at bucket %d of %d", c, n, b, len(s.cursor))
-			return
+	for c := range scratchPools {
+		s := takeScratch(64 << c)
+		scratchPools[s.class].Put(s)
+		if len(s.touched) != 0 {
+			t.Errorf("%v: the pooled scratch lists %d touched buckets", c, len(s.touched))
+		}
+		for b, n := range s.cursor {
+			if n != 0 {
+				t.Errorf("%v: the pooled cursor holds %d at bucket %d of %d", c, n, b, len(s.cursor))
+				return
+			}
 		}
 	}
 }
@@ -376,7 +378,7 @@ func TestKernelOutputsDoNotAliasScratch(t *testing.T) {
 // is left to the collector instead.
 func TestScratchReleaseRetainsNothing(t *testing.T) {
 	fill := func(slots int) *kernelScratch {
-		s := scratchPool.Get().(*kernelScratch)
+		s := takeScratch(0)
 		for i := 0; i < slots; i++ {
 			k := fmt.Sprintf("key-%d", i)
 			s.intSlots[int64(i)] = int32(i)
@@ -411,9 +413,8 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 			t.Fatalf("released scratch still holds a combiner at slot %d", i)
 		}
 	}
-	// Without the race detector (under which sync.Pool drops Puts at
-	// random) the pool hands the same scratch straight back.
-	if got := scratchPool.Get().(*kernelScratch); !raceEnabled && got != s {
+	// The pool hands the same scratch straight back.
+	if got := takeScratch(0); got != s {
 		t.Fatalf("a scratch of maxPooledSlots slots was not pooled")
 	}
 
@@ -422,7 +423,7 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 	if len(fat.strs) != maxPooledSlots+1 {
 		t.Fatalf("an oversized scratch was emptied (%d slots left); it should be dropped as it is", len(fat.strs))
 	}
-	if got := scratchPool.Get().(*kernelScratch); got == fat {
+	if got := takeScratch(0); got == fat {
 		t.Fatalf("a scratch of %d slots was pooled; the bound is %d", maxPooledSlots+1, maxPooledSlots)
 	}
 
@@ -432,25 +433,25 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 		rows[i] = Pair{K: i, V: 1.0}
 	}
 	shuffleOnce(t, rows, SumAggregator())
-	if got := scratchPool.Get().(*kernelScratch); cap(got.ints) > maxPooledSlots {
+	if got := takeScratch(len(rows)); cap(got.ints) > maxPooledSlots {
 		t.Fatalf("the pool holds a scratch with room for %d slots after an oversized task", cap(got.ints))
 	}
 
 	// The cursor counts against the bound: a layout over maxPooledSlots
 	// buckets is released all zero and pooled, one over 2^20 is dropped.
-	s = scratchPool.Get().(*kernelScratch)
+	s = takeScratch(0)
 	s.layout(maxPooledSlots, []int32{7, 3, 7, maxPooledSlots - 1})
 	s.release()
 	if len(s.touched) != 0 || slices.ContainsFunc(s.cursor, func(n int32) bool { return n != 0 }) {
 		t.Fatalf("release left touched buckets %v or a non-zero cursor entry", s.touched)
 	}
-	if got := scratchPool.Get().(*kernelScratch); !raceEnabled && got != s {
+	if got := takeScratch(0); got != s {
 		t.Fatalf("a scratch with a %d-entry cursor was not pooled", maxPooledSlots)
 	}
-	wide := scratchPool.Get().(*kernelScratch)
+	wide := takeScratch(0)
 	wide.layout(1<<20, []int32{5, 1<<20 - 1})
 	wide.release()
-	if got := scratchPool.Get().(*kernelScratch); got == wide {
+	if got := takeScratch(0); got == wide {
 		t.Fatalf("a scratch with a 2^20-entry cursor was pooled; the bound is %d", maxPooledSlots)
 	}
 }
@@ -503,13 +504,8 @@ func TestKernelsConcurrently(t *testing.T) {
 // TestWarmKernelsAllocateOnlyTheirOutput is the steady-state scaling
 // guard, counts only: once the pooled scratch has grown to a task's size,
 // a combine allocates its arena and a merge its output rows — nothing that
-// grows with the distinct keys or the block count. The collector is off
-// for the measurement because it empties sync.Pools.
+// grows with the distinct keys or the block count.
 func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	p := NewHashPartitioner(8)
 	agg := SumAggregator()

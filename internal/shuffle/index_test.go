@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -407,7 +408,8 @@ func sealedSquare(t testing.TB, n int) *Manager {
 
 // TestReduceReadAllocsIndependentOfMaps is the machine-independent scaling
 // guard: one reduce read (view plus locality profile) on a sealed shuffle
-// allocates the same small constant at 150 and at 900 map tasks.
+// allocates nothing at 150 and at 900 map tasks — the view's profile is
+// the index's own row.
 func TestReduceReadAllocsIndependentOfMaps(t *testing.T) {
 	allocs := func(n int) float64 {
 		m := sealedSquare(t, n)
@@ -422,8 +424,45 @@ func TestReduceReadAllocsIndependentOfMaps(t *testing.T) {
 		})
 	}
 	small, large := allocs(150), allocs(900)
-	if small != large || small > 1 {
-		t.Fatalf("allocs per reduce read: %v at 150 maps, %v at 900; want the same constant <= 1", small, large)
+	if small != 0 || large != 0 {
+		t.Fatalf("allocs per reduce read: %v at 150 maps, %v at 900; want 0", small, large)
+	}
+}
+
+// TestRePutLeavesLiveViewAlone: a map task's first put lands in the
+// Register-time slab; a re-put must not rewrite that record, because a view
+// taken before it still points there. The old view keeps merging the old
+// rows and reporting the old profile; a new view sees the new output.
+func TestRePutLeavesLiveViewAlone(t *testing.T) {
+	m := NewManager(10, 1)
+	m.Register(1, 2, 1)
+	put := func(mt int, node string, v float64) {
+		out, _, err := rdd.PartitionPairsCol([]rdd.Row{rdd.Pair{K: mt, V: v}}, rdd.NewHashPartitioner(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.PutMapOutput(1, mt, node, MapOutput{Cols: out, NonEmpty: out.NonEmpty(), Payloads: []int64{5}})
+	}
+	put(0, "A", 1)
+	put(1, "B", 2)
+	old := m.ReduceInput(1, 0)
+	oldRows := rdd.MergeReduceColN(old.Len(), old.BlockInto, nil)
+	oldProfile := slices.Clone(old.NodeBytes())
+
+	put(0, "B", 3)
+	if got := rdd.MergeReduceColN(old.Len(), old.BlockInto, nil); !reflect.DeepEqual(got, oldRows) {
+		t.Fatalf("a re-put changed a live view's rows: %v, was %v", got, oldRows)
+	}
+	if !reflect.DeepEqual(old.NodeBytes(), oldProfile) {
+		t.Fatalf("a re-put changed a live view's profile: %v, was %v", old.NodeBytes(), oldProfile)
+	}
+	fresh := m.ReduceInput(1, 0)
+	want := []rdd.Row{rdd.Pair{K: 0, V: 3.0}, rdd.Pair{K: 1, V: 2.0}}
+	if got := rdd.MergeReduceColN(fresh.Len(), fresh.BlockInto, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a view after the re-put merged %v, want %v", got, want)
+	}
+	if got := fresh.NodeBytes(); !reflect.DeepEqual(got, []NodeBytes{{Node: "B", Bytes: 30}}) {
+		t.Fatalf("a view after the re-put reports %v, want all 30 bytes on B", got)
 	}
 }
 

@@ -15,19 +15,21 @@
 //
 // The reduce side reads through one derived structure per shuffle, the
 // reduce-major index: the stored map outputs transposed, by the first read
-// after the last write, into a node x reduce byte matrix and a
-// reduce -> non-empty-blocks table, so a reduce task costs a column read
-// and a sub-slice. A map output is described by its non-empty buckets
-// (MapOutput's sparse form): neither a write nor the transposition walks
-// the blocks that hold nothing — they are charged from counts — so a P x P
-// job pays host time for its rows, not for P² blocks. Each index entry
-// carries its block's position in the map task's arena, resolved once per
-// write, so a read does no search. What still grows with the reduce count
-// alone: the node x reduce matrix of each index build.
+// after the last write, into a reduce x node locality table and a
+// reduce -> non-empty-blocks table: a reduce read is two sub-slices, the
+// first its read-only locality profile. A map output is described by its
+// non-empty buckets (MapOutput's sparse form): neither a write nor the
+// transposition walks the blocks that hold nothing — they are charged from
+// counts — so a P x P job pays host time for its rows, not for P² blocks.
+// Each index entry carries its block's position in the map task's arena,
+// resolved once per write, so a read does no search. What still grows with
+// the reduce count alone: the locality table of each index build. Map
+// outputs are recorded in one slab per Register.
 // One invalidation rule: any PutMapOutput, Register or RetireExcept on the
 // shuffle drops its index. A built index is immutable, so readers use it
-// outside the lock. It is a layout, not a cache of answers: the engine asks
-// each (shuffle, reduce) question once, so there is nothing to hit or evict.
+// outside the lock; a re-put never rewrites the record an older index
+// points at. It is a layout, not a cache of answers: the engine asks each
+// (shuffle, reduce) question once, so there is nothing to hit or evict.
 package shuffle
 
 import (
@@ -132,6 +134,9 @@ type state struct {
 	numMaps   int
 	numReduce int
 	outputs   []*mapOutput
+	// recs holds each map task's first put; a re-put allocates its own
+	// record, so a record an index may hold is never rewritten.
+	recs []mapOutput
 	// idx is the reduce-major index over outputs; nil until the first
 	// read after the last write builds it.
 	idx *reduceIndex
@@ -183,6 +188,7 @@ func (m *Manager) Register(shuffleID, numMaps, numReduce int) {
 		numMaps:   numMaps,
 		numReduce: numReduce,
 		outputs:   make([]*mapOutput, numMaps),
+		recs:      make([]mapOutput, numMaps),
 	}
 }
 
@@ -220,7 +226,7 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	for _, p := range out.Payloads {
 		bytes += m.blockBytes(p)
 	}
-	mo := &mapOutput{node: node, out: out}
+	mo := mapOutput{node: node, out: out}
 	if out.Cols != nil {
 		// Resolve arena positions once, so reads need no search: the
 		// engine lists exactly its arena's buckets; dense or hand-made
@@ -244,7 +250,12 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	if mapTask < 0 || mapTask >= st.numMaps {
 		panic(fmt.Sprintf("shuffle %d: map task %d out of range [0,%d)", shuffleID, mapTask, st.numMaps))
 	}
-	st.outputs[mapTask] = mo
+	rec := &st.recs[mapTask]
+	if st.outputs[mapTask] != nil {
+		rec = new(mapOutput)
+	}
+	*rec = mo
+	st.outputs[mapTask] = rec
 	st.idx = nil
 	return bytes
 }
@@ -254,12 +265,13 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 type reduceIndex struct {
 	// missing is the lowest map task without output, -1 when complete.
 	missing int
-	// nodes are the map nodes holding output, sorted by name; bytes is
-	// the node-major matrix of input bytes (payload + per-block overhead):
-	// bytes[n*numReduce+r] is what reduce r reads from nodes[n].
-	nodes     []string
-	bytes     []int64
-	numReduce int
+	// profiles holds a row per listed reduce partition after row 0, shared
+	// by the unlisted ones (all blocks empty): rows[r] is reduce r's, width
+	// entries of input bytes (payload + per-block overhead) by map node,
+	// sorted by name; views hand rows out as is, so none is ever written.
+	profiles []NodeBytes
+	rows     []int32
+	width    int
 	// blocks[starts[r]:starts[r+1]] are the blocks of reduce r that hold
 	// at least one pair, in map-task order.
 	starts []int32
@@ -280,19 +292,31 @@ type blockRef struct {
 // hold st.mu.
 func (m *Manager) buildIndex(st *state) *reduceIndex {
 	nr := st.numReduce
-	ix := &reduceIndex{missing: -1, numReduce: nr}
+	ix := &reduceIndex{missing: -1, rows: make([]int32, nr)}
+	var nodes []string
+	listed := int32(0)
 	for i, mo := range st.outputs {
 		if mo == nil {
 			if ix.missing < 0 {
 				ix.missing = i
 			}
-		} else if !slices.Contains(ix.nodes, mo.node) { // a handful of nodes
-			ix.nodes = append(ix.nodes, mo.node)
+			continue
+		}
+		if !slices.Contains(nodes, mo.node) { // a handful of nodes
+			nodes = append(nodes, mo.node)
+		}
+		for _, r := range mo.out.NonEmpty {
+			if ix.rows[r] == 0 {
+				listed++
+				ix.rows[r] = listed
+			}
 		}
 	}
-	slices.Sort(ix.nodes)
-	ix.bytes = make([]int64, len(ix.nodes)*nr)
-	allEmpty := make([]int64, len(ix.nodes)) // per node: one empty block per output, per reduce
+	slices.Sort(nodes)
+	w := len(nodes)
+	ix.width = w
+	ix.profiles = make([]NodeBytes, (int(listed)+1)*w)
+	allEmpty := make([]int64, w) // per node: one empty block per output, per reduce
 	// A shifted counting table: reduce r's block count at next[r+2] becomes
 	// its first slot at next[r+1]; placing at next[r+1]++ leaves starts.
 	next := make([]int32, nr+2)
@@ -300,20 +324,18 @@ func (m *Manager) buildIndex(st *state) *reduceIndex {
 		if mo == nil {
 			continue
 		}
-		n, _ := slices.BinarySearch(ix.nodes, mo.node) // its matrix row
+		n, _ := slices.BinarySearch(nodes, mo.node) // its column in every row
 		allEmpty[n] += m.emptyBytes
-		sums := ix.bytes[n*nr:][:nr]
 		for i, r := range mo.out.NonEmpty {
-			sums[r] += m.blockBytes(mo.out.Payloads[i]) - m.emptyBytes
+			ix.profiles[int(ix.rows[r])*w+n].Bytes += m.blockBytes(mo.out.Payloads[i]) - m.emptyBytes
 			if _, ok := mo.block(i); ok {
 				next[r+2]++
 			}
 		}
 	}
-	for n, b := range allEmpty {
-		for r := n * nr; r < (n+1)*nr; r++ {
-			ix.bytes[r] += b
-		}
+	for i := range ix.profiles {
+		n := i % w
+		ix.profiles[i] = NodeBytes{Node: nodes[n], Bytes: ix.profiles[i].Bytes + allEmpty[n]}
 	}
 	for r := 2; r < len(next); r++ {
 		next[r] += next[r-1]
@@ -353,14 +375,11 @@ func (m *Manager) index(shuffleID, reduce int) *reduceIndex {
 	return st.idx
 }
 
-// nodeBytes reads reduce partition r's column of the byte matrix into a
-// fresh slice, sorted by node name.
-func (ix *reduceIndex) nodeBytes(r int) []NodeBytes {
-	out := make([]NodeBytes, len(ix.nodes))
-	for n, node := range ix.nodes {
-		out[n] = NodeBytes{Node: node, Bytes: ix.bytes[n*ix.numReduce+r]}
-	}
-	return out
+// profile returns reduce partition r's row of the locality table, sorted by
+// node name, capacity clamped; callers must not write it.
+func (ix *reduceIndex) profile(r int) []NodeBytes {
+	lo := int(ix.rows[r]) * ix.width
+	return ix.profiles[lo : lo+ix.width : lo+ix.width]
 }
 
 // ReduceView is one reduce partition's input: the stored outputs of the
@@ -395,8 +414,9 @@ func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) {
 
 // NodeBytes reports how many of the partition's input bytes (payload plus
 // per-block overhead, empty blocks included) live on each map node,
-// sorted by node name. The slice is the caller's own.
-func (v ReduceView) NodeBytes() []NodeBytes { return v.idx.nodeBytes(v.reduce) }
+// sorted by node name. The slice is the index's own row, shared by every
+// reader of the partition and read-only: copy it before changing it.
+func (v ReduceView) NodeBytes() []NodeBytes { return v.idx.profile(v.reduce) }
 
 // ReduceInput returns the reduce partition's input view. Reading before
 // every map task finished, or after the generation retired, panics.
@@ -413,7 +433,7 @@ func (m *Manager) ReduceInput(shuffleID, reduce int) ReduceView {
 // sorted by node name, over the map outputs stored so far. The returned
 // slice is the caller's own.
 func (m *Manager) ReduceNodeBytes(shuffleID, reduce int) []NodeBytes {
-	return m.index(shuffleID, reduce).nodeBytes(reduce)
+	return slices.Clone(m.index(shuffleID, reduce).profile(reduce))
 }
 
 // BestReduceNode returns the node holding the most input for a reduce
@@ -422,9 +442,8 @@ func (m *Manager) ReduceNodeBytes(shuffleID, reduce int) []NodeBytes {
 func (m *Manager) BestReduceNode(shuffleIDs []int, reduce int) (best string, ok bool) {
 	totals := map[string]int64{}
 	for _, id := range shuffleIDs {
-		ix := m.index(id, reduce)
-		for n, node := range ix.nodes {
-			totals[node] += ix.bytes[n*ix.numReduce+reduce]
+		for _, nb := range m.index(id, reduce).profile(reduce) {
+			totals[nb.Node] += nb.Bytes
 		}
 	}
 	for node, b := range totals {
@@ -466,7 +485,7 @@ func (m *Manager) RetireExcept(live []int) int {
 		st := m.mustGet(id)
 		st.mu.Lock()
 		if !st.retired {
-			st.outputs = nil
+			st.outputs, st.recs = nil, nil
 			st.idx = nil
 			st.retired = true
 			retired++

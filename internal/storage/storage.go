@@ -66,8 +66,8 @@ func NewBlockStore(blockBytes int64, replicas int, workers []string) *BlockStore
 func (s *BlockStore) BlockBytes() int64 { return s.blockBytes }
 
 // AddFile registers a logical file of totalBytes, placing its blocks
-// round-robin (with replication) across workers. Re-adding a file replaces
-// its layout deterministically.
+// round-robin (with replication) across workers; each block's replica list
+// is sorted by name. Re-adding a file replaces its layout deterministically.
 func (s *BlockStore) AddFile(name string, totalBytes int64) []BlockInfo {
 	if totalBytes < 0 {
 		panic(fmt.Sprintf("storage: negative file size %d", totalBytes))
@@ -90,6 +90,7 @@ func (s *BlockStore) AddFile(name string, totalBytes int64) []BlockInfo {
 		for r := 0; r < s.replicas; r++ {
 			nodes = append(nodes, s.workers[(i+r)%len(s.workers)])
 		}
+		slices.Sort(nodes)
 		blocks[i] = BlockInfo{Index: i, Bytes: sz, Nodes: nodes}
 	}
 	s.files[name] = blocks
@@ -111,6 +112,10 @@ func (s *BlockStore) File(name string) []BlockInfo {
 // near-equal ~24 MB splits even though blocks are 128 MB. Only the blocks
 // the range overlaps are visited: every block but the last is full, so
 // block i starts at byte i x blockBytes.
+//
+// The returned locations are read-only. A range inside one block holds
+// equal bytes on every replica, so its order is the block's name-sorted
+// replica list, returned as is (capacity clamped) without allocating.
 func (s *BlockStore) Split(name string, split, numSplits int) (int64, []string) {
 	blocks := s.File(name)
 	if len(blocks) == 0 || numSplits <= 0 || split < 0 || split >= numSplits {
@@ -119,11 +124,16 @@ func (s *BlockStore) Split(name string, split, numSplits int) (int64, []string) 
 	total := int64(len(blocks)-1)*s.blockBytes + blocks[len(blocks)-1].Bytes
 	lo := int64(split) * total / int64(numSplits)
 	hi := int64(split+1) * total / int64(numSplits)
+	if hi > lo && lo/s.blockBytes == (hi-1)/s.blockBytes {
+		nodes := blocks[lo/s.blockBytes].Nodes
+		return hi - lo, nodes[:len(nodes):len(nodes)]
+	}
 	type nodeBytes struct {
 		node  string
 		bytes int64
 	}
-	var held []nodeBytes
+	var buf [8]nodeBytes
+	held := buf[:0]
 	for i := lo / s.blockBytes; i < int64(len(blocks)) && i*s.blockBytes < hi; i++ {
 		blkLo := i * s.blockBytes
 		overlap := min(hi, blkLo+blocks[i].Bytes) - max(lo, blkLo)

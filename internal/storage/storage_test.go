@@ -238,6 +238,52 @@ func TestSplitMatchesFullWalk(t *testing.T) {
 	}
 }
 
+// TestSplitMatchesWalk: a split inside one block is answered with the
+// block's own name-sorted replica list, without allocating; over a table of
+// layouts — replica lists that wrap around the worker ring included — it
+// must be exactly what the general walk answers, and capacity-clamped so an
+// append cannot write into the layout.
+func TestSplitMatchesWalk(t *testing.T) {
+	for _, tc := range []struct {
+		fileBytes, blockBytes int64
+		splits, replicas      int
+	}{
+		{1000, 100, 20, 1},
+		{1000, 100, 20, 2},
+		{1000, 100, 30, 3},
+		{1050, 100, 11, 2},
+		{5, 128, 7, 2}, // finer than a byte: some splits are empty
+		{3 << 30, 128 << 20, 300, 2},
+		{7 << 30, 128 << 20, 150, 3},
+	} {
+		s := NewBlockStore(tc.blockBytes, tc.replicas, workers)
+		s.AddFile("f", tc.fileBytes)
+		oneBlock := 0
+		for i := 0; i < tc.splits; i++ {
+			gotB, gotLocs := s.Split("f", i, tc.splits)
+			wantB, wantLocs := splitFullWalk(s, "f", i, tc.splits)
+			if gotB != wantB || !reflect.DeepEqual(gotLocs, wantLocs) {
+				t.Fatalf("%+v split %d: got %d %v, want %d %v", tc, i, gotB, gotLocs, wantB, wantLocs)
+			}
+			lo := int64(i) * tc.fileBytes / int64(tc.splits)
+			hi := int64(i+1) * tc.fileBytes / int64(tc.splits)
+			if hi == lo || lo/tc.blockBytes != (hi-1)/tc.blockBytes {
+				continue
+			}
+			oneBlock++
+			if cap(gotLocs) != len(gotLocs) {
+				t.Fatalf("%+v split %d: locations %v have spare capacity %d", tc, i, gotLocs, cap(gotLocs))
+			}
+			if a := testing.AllocsPerRun(20, func() { s.Split("f", i, tc.splits) }); a != 0 {
+				t.Fatalf("%+v split %d lies in one block but allocated %v objects", tc, i, a)
+			}
+		}
+		if oneBlock == 0 {
+			t.Fatalf("%+v: no split inside one block", tc)
+		}
+	}
+}
+
 // Property: split locations are a subset of workers and split bytes are
 // additive across any split count.
 func TestQuickSplitsAdditive(t *testing.T) {
