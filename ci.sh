@@ -9,7 +9,8 @@
 # the execution engine against its single-threaded oracle, of task
 # placement against the reference list scheduler, of the shuffle
 # kernels' pooled scratch (call sequences against the boxed tier), of the
-# shuffle index against a brute-force walk and of the guard pipeline
+# shuffle index against a brute-force walk, of the daemon's map-free query
+# parser against url.ParseQuery and of the guard pipeline
 # against arbitrary source, the plan-IR invariant checker, and
 # the symbolic plan extractor, chopperplan — the static plan-drift gate
 # diffing statically extracted stage graphs against the ones the scheduler
@@ -198,6 +199,7 @@ go test -run='^$' -fuzz=FuzzSymbolicExtract -fuzztime=5s ./internal/plan/extract
 go test -run='^$' -fuzz=FuzzLockContract -fuzztime=5s ./internal/lint
 go test -run='^$' -fuzz=FuzzKeyFacts -fuzztime=5s ./internal/lint
 go test -run='^$' -fuzz=FuzzHeapFacts -fuzztime=5s ./internal/lint
+go test -run='^$' -fuzz=FuzzQueryGet -fuzztime=5s ./internal/service
 
 gate "chopperplan"
 # Static plan-drift gate: symbolically extract every workload's stage

@@ -63,11 +63,12 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do performs one request: body (when non-nil) is sent as JSON, and the
-// raw response bytes are returned after status checking. Transport-level
-// failures fail over through Fallbacks; the request body is re-marshaled
-// bytes, so every attempt sends the identical payload.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, body any) ([]byte, error) {
+// do performs one request: query (when non-empty) is the encoded query
+// string, body (when non-nil) is sent as JSON, and the raw response bytes
+// are returned after status checking. Transport-level failures fail over
+// through Fallbacks; the request body is marshaled once, so every attempt
+// sends the identical payload.
+func (c *Client) do(ctx context.Context, method, path, query string, body any) ([]byte, error) {
 	var payload []byte
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -76,27 +77,54 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		}
 		payload = b
 	}
-	var lastErr error
-	for _, base := range append([]string{c.Base}, c.Fallbacks...) {
-		raw, err := c.doOnce(ctx, base, method, path, query, payload)
-		if err == nil {
-			return raw, nil
+	raw, err := c.doOnce(ctx, c.Base, method, path, query, payload)
+	for _, base := range c.Fallbacks {
+		if err == nil || !failsOver(ctx, err) {
+			break
 		}
-		lastErr = err
-		var apiErr *APIError
-		if errors.As(err, &apiErr) || ctx.Err() != nil {
-			return nil, err
-		}
+		raw, err = c.doOnce(ctx, base, method, path, query, payload)
 	}
-	return nil, lastErr
+	if err != nil {
+		return nil, err
+	}
+	return raw, nil
+}
+
+// failsOver reports whether a failed attempt should move on to the next
+// target: a transport failure does, the daemon's own answer (*APIError) or
+// the caller giving up does not.
+func failsOver(ctx context.Context, err error) bool {
+	var apiErr *APIError
+	return !errors.As(err, &apiErr) && ctx.Err() == nil
+}
+
+// maxExactBody caps the declared Content-Length a response body is read
+// into with one up-front allocation; a larger or undeclared length grows
+// the buffer as bytes arrive, so a bogus header cannot make the client
+// allocate what the peer never sends.
+const maxExactBody = 1 << 20
+
+// readBody reads a response body whole.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxExactBody {
+		return io.ReadAll(resp.Body)
+	}
+	raw := make([]byte, n)
+	// A body cut short of its declared length fails here (io.ErrUnexpectedEOF).
+	if _, err := io.ReadFull(resp.Body, raw); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // doOnce performs one request against one target.
-func (c *Client) doOnce(ctx context.Context, base, method, path string, query url.Values, payload []byte) ([]byte, error) {
-	u := base + path
-	if len(query) > 0 {
-		u += "?" + query.Encode()
+func (c *Client) doOnce(ctx context.Context, base, method, path, query string, payload []byte) ([]byte, error) {
+	sep := ""
+	if query != "" {
+		sep = "?"
 	}
+	u := base + path + sep + query
 	var rd io.Reader
 	if payload != nil {
 		rd = bytes.NewReader(payload)
@@ -118,7 +146,7 @@ func (c *Client) doOnce(ctx context.Context, base, method, path string, query ur
 		_, _ = io.Copy(io.Discard, resp.Body)
 		_ = resp.Body.Close()
 	}()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("client: read response: %w", err)
 	}
@@ -144,7 +172,7 @@ func apiError(resp *http.Response, raw []byte) *APIError {
 }
 
 // getJSON is do + unmarshal.
-func (c *Client) getJSON(ctx context.Context, method, path string, query url.Values, body, out any) error {
+func (c *Client) getJSON(ctx context.Context, method, path, query string, body, out any) error {
 	raw, err := c.do(ctx, method, path, query, body)
 	if err != nil {
 		return err
@@ -158,7 +186,7 @@ func (c *Client) getJSON(ctx context.Context, method, path string, query url.Val
 // Submit runs one workload job.
 func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (*api.SubmitResponse, error) {
 	var out api.SubmitResponse
-	if err := c.getJSON(ctx, http.MethodPost, "/v1/jobs", nil, req, &out); err != nil {
+	if err := c.getJSON(ctx, http.MethodPost, "/v1/jobs", "", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -167,19 +195,22 @@ func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (*api.Submit
 // Train runs incremental profiling for a workload.
 func (c *Client) Train(ctx context.Context, req api.TrainRequest) (*api.TrainResponse, error) {
 	var out api.TrainResponse
-	if err := c.getJSON(ctx, http.MethodPost, "/v1/train", nil, req, &out); err != nil {
+	if err := c.getJSON(ctx, http.MethodPost, "/v1/train", "", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// recommendQuery builds the shared read-endpoint query.
-func recommendQuery(workload string, inputBytes int64) url.Values {
-	q := url.Values{"workload": {workload}}
-	if inputBytes > 0 {
-		q.Set("inputBytes", strconv.FormatInt(inputBytes, 10))
+// recommendQuery builds the shared read-endpoint query string in
+// url.Values.Encode's form: keys sorted, so inputBytes (when set) precedes
+// workload.
+func recommendQuery(workload string, inputBytes int64) string {
+	w := url.QueryEscape(workload)
+	if inputBytes <= 0 {
+		return "workload=" + w
 	}
-	return q
+	var n [20]byte
+	return "inputBytes=" + string(strconv.AppendInt(n[:0], inputBytes, 10)) + "&workload=" + w
 }
 
 // Recommend fetches the tuned partition schemes for a workload.
@@ -209,7 +240,7 @@ func (c *Client) Explain(ctx context.Context, workload string, inputBytes int64)
 // Workloads lists the built-in workloads and their profile state.
 func (c *Client) Workloads(ctx context.Context) (*api.WorkloadsResponse, error) {
 	var out api.WorkloadsResponse
-	if err := c.getJSON(ctx, http.MethodGet, "/v1/workloads", nil, nil, &out); err != nil {
+	if err := c.getJSON(ctx, http.MethodGet, "/v1/workloads", "", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -218,7 +249,7 @@ func (c *Client) Workloads(ctx context.Context) (*api.WorkloadsResponse, error) 
 // Health fetches /healthz.
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 	var out api.Health
-	if err := c.getJSON(ctx, http.MethodGet, "/healthz", nil, nil, &out); err != nil {
+	if err := c.getJSON(ctx, http.MethodGet, "/healthz", "", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -226,7 +257,7 @@ func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 
 // Metrics fetches the Prometheus text exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	raw, err := c.do(ctx, http.MethodGet, "/metrics", nil, nil)
+	raw, err := c.do(ctx, http.MethodGet, "/metrics", "", nil)
 	if err != nil {
 		return "", err
 	}

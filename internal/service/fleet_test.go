@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -12,28 +13,35 @@ import (
 	"chopper/client"
 )
 
-// waitSynced polls a replica's /healthz until it reports a fully caught-up
-// stream (or the deadline passes). The synced/lag gauges describe the
-// replica's last completed poll cycle — stale by up to one poll interval if
-// the primary was being written during the cycle — so the caller also
-// passes the primary's client and waitSynced requires the replica's own
-// journal to hold at least as many records as the (now quiescent) primary's.
-func waitSynced(t *testing.T, cl, primary *client.Client) *api.Health {
+// waitSynced polls a replica's /healthz until it has applied the whole
+// journal of its (now quiescent) primary: the replica's replication epoch is
+// the primary's and its position has reached the primary's journal size, both
+// from the primary's /v1/repl/status. The replicator advances that position
+// only after the shipped records went through AddRun, so from then on reads
+// see them. Journal parity is not enough — a segment is journaled before it
+// is applied — and neither is the lag gauge, which is measured against the
+// primary size the replica's last poll saw.
+func waitSynced(t *testing.T, cl *client.Client, primaryURL string) *api.Health {
 	t.Helper()
-	ph, err := primary.Health(context.Background())
+	resp, err := http.Get(primaryURL + "/v1/repl/status")
 	if err != nil {
-		t.Fatalf("primary health: %v", err)
+		t.Fatalf("primary repl status: %v", err)
+	}
+	var ps api.ReplStatus
+	err = json.NewDecoder(resp.Body).Decode(&ps)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("primary repl status: %v", err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		h, err := cl.Health(context.Background())
-		if err == nil && h.ReplicationSynced && h.ReplicationLagBytes == 0 &&
-			h.Status == "ok" && h.JournalRecords >= ph.JournalRecords {
+		if err == nil && h.Status == "ok" && h.ReplicationEpoch == ps.Epoch && h.ReplicationPos >= ps.JournalSize {
 			return h
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never synced; last health: %+v err=%v (primary has %d records)",
-				h, err, ph.JournalRecords)
+			t.Fatalf("replica never applied the primary's journal (epoch %d, %d bytes); last health: %+v err=%v",
+				ps.Epoch, ps.JournalSize, h, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -70,7 +78,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	}
 
 	smallTrain(t, pcl, "kmeans")
-	h := waitSynced(t, rcl, pcl)
+	h := waitSynced(t, rcl, pcl.Base)
 	if h.Role != "replica" || h.ReplicationPos == 0 || h.ReplicationEpoch == 0 {
 		t.Fatalf("replica health missing replication state: %+v", h)
 	}
@@ -106,7 +114,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	if _, err := pcl.Submit(ctx, api.SubmitRequest{Workload: "kmeans", Shrink: 24}); err != nil {
 		t.Fatal(err)
 	}
-	waitSynced(t, rcl, pcl)
+	waitSynced(t, rcl, pcl.Base)
 	second := same("after a shipped record")
 	if bytes.Equal(first, second) {
 		t.Fatal("a recorded submit did not change the recommendation body (run count)")
@@ -120,14 +128,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	if _, err := pcl.Submit(ctx, api.SubmitRequest{Workload: "kmeans", Shrink: 24}); err != nil {
 		t.Fatal(err)
 	}
-	// waitSynced alone can report the replica's last pre-compaction cycle;
-	// the epoch says the image has been installed.
-	for deadline := time.Now().Add(15 * time.Second); waitSynced(t, rcl, pcl).ReplicationEpoch != psrv.store.Epoch(); {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never reached epoch %d after primary compaction", psrv.store.Epoch())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitSynced(t, rcl, pcl.Base)
 	if third := same("after a bootstrap"); bytes.Equal(second, third) {
 		t.Fatal("the replica's answer did not move across the bootstrap swap")
 	}

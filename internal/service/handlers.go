@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -75,14 +78,32 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON renders v with a status code.
+// renderJSON is every JSON body's form: two-space indent, trailing newline.
+// A value that does not encode renders as nil, an empty body after the
+// status line, which is all the client can still be told.
+func renderJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if enc.Encode(v) != nil {
+		return nil
+	}
+	return buf.Bytes()
+}
+
+// writeJSON renders v and writes it with a status code.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, renderJSON(v))
+}
+
+// writeBody writes an already rendered JSON body with a status code. It is
+// one Write, so net/http sets Content-Length itself when the body fits its
+// response buffer.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	// The client is gone if this fails; nothing useful to do with the error.
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 // writeError renders err as the api.Error body, mapping admission and job
@@ -200,50 +221,84 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // workloadParams parses the ?workload= and ?inputBytes= query parameters
-// shared by the read-only endpoints.
-func (s *Server) workloadParams(r *http.Request) (string, int64, error) {
-	name := r.URL.Query().Get("workload")
-	wl, err := workloads.ByName(name)
-	if err != nil {
-		return "", 0, httpErrf(http.StatusNotFound, "service: unknown workload %q", name)
+// shared by the read-only endpoints into the workload's plan slot and the
+// input size (the workload's default when omitted).
+func (s *Server) workloadParams(r *http.Request) (*planSlot, int64, error) {
+	name := queryGet(r.URL.RawQuery, "workload")
+	slot, ok := s.plans[name]
+	if !ok {
+		return nil, 0, httpErrf(http.StatusNotFound, "service: unknown workload %q", name)
 	}
-	bytes := wl.DefaultInputBytes()
-	if raw := r.URL.Query().Get("inputBytes"); raw != "" {
+	bytes := slot.defaultBytes
+	if raw := queryGet(r.URL.RawQuery, "inputBytes"); raw != "" {
 		n, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || n <= 0 {
-			return "", 0, httpErrf(http.StatusBadRequest, "service: bad inputBytes %q", raw)
+			return nil, 0, httpErrf(http.StatusBadRequest, "service: bad inputBytes %q", raw)
 		}
 		bytes = n
 	}
-	return name, bytes, nil
+	return slot, bytes, nil
+}
+
+// queryGet is url.ParseQuery(raw).Get(key) without building the map: the
+// value of the first pair whose key unescapes to key, skipping — as
+// ParseQuery does — empty pairs, pairs holding a ';', and pairs whose key or
+// value fails to unescape.
+func queryGet(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, ok := queryUnescape(k); !ok || k != key {
+			continue
+		}
+		if v, ok := queryUnescape(v); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// queryUnescape is url.QueryUnescape, returning s itself when it holds
+// nothing to unescape.
+func queryUnescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
 }
 
 // handleRecommend answers the read-only tuning question. It runs entirely on
 // the handler goroutine against the workload's plan entry — never through
 // the worker pool — so recommendations stay fast while training runs, and
-// schemes and counts always describe one DB generation.
+// schemes and counts always describe one DB generation. The body was
+// rendered when the answer was first derived; a hit only writes it.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	name, bytes, err := s.workloadParams(r)
+	slot, bytes, err := s.workloadParams(r)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	a, err := s.answer(name, bytes)
+	a, err := s.answer(slot, bytes)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, a.resp)
+	writeBody(w, http.StatusOK, a.body)
 }
 
 // handleExplain renders the optimizer's per-stage reasoning as text.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	name, bytes, err := s.workloadParams(r)
+	slot, bytes, err := s.workloadParams(r)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	text, err := s.explain(name, bytes)
+	text, err := s.explain(slot, bytes)
 	if err != nil {
 		s.writeError(w, r, err)
 		return

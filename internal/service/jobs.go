@@ -53,7 +53,7 @@ func (s *Server) runSubmit(ctx context.Context, req api.SubmitRequest) (*api.Sub
 	resp := &api.SubmitResponse{Workload: req.Workload, Mode: "spark", InputBytes: bytes}
 	var extra []chopper.Option
 	if req.Tuned {
-		a, err := s.answer(req.Workload, bytes)
+		a, err := s.answer(s.plans[req.Workload], bytes)
 		if err != nil {
 			return nil, err
 		}
@@ -124,10 +124,10 @@ func (s *Server) runTrain(ctx context.Context, req api.TrainRequest) (*api.Train
 
 // explain renders the optimizer's per-stage reasoning over the workload's
 // plan entry (the report itself is not memoized).
-func (s *Server) explain(workload string, inputBytes int64) (string, error) {
-	ex, err := s.entry(workload).opt.Explain(workload, float64(inputBytes))
+func (s *Server) explain(slot *planSlot, inputBytes int64) (string, error) {
+	ex, err := s.entry(slot).opt.Explain(slot.name, float64(inputBytes))
 	if err != nil {
-		return "", httpErrf(http.StatusConflict, "service: workload %q not trained: %v", workload, err)
+		return "", httpErrf(http.StatusConflict, "service: workload %q not trained: %v", slot.name, err)
 	}
 	return ex.String(), nil
 }

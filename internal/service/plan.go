@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http"
+	"sync/atomic"
 
 	"chopper"
 	"chopper/api"
@@ -28,20 +29,30 @@ type planEntry struct {
 	answers       map[int64]*planAnswer // by inputBytes
 }
 
-// planAnswer is one memoized optimizer result: the configuration and the
-// recommend body built from it, or the error to report instead.
+// planAnswer is one memoized optimizer result: the configuration, the
+// recommend response built from it and that response rendered, or the error
+// to report instead. A hit writes body as it is.
 type planAnswer struct {
 	cf   *chopper.ConfigFile
 	resp *api.RecommendResponse
+	body []byte
 	err  error
 }
 
-// entry returns the workload's published entry, replacing it first when the
-// DB generation has moved past it.
-func (s *Server) entry(workload string) *planEntry {
-	slot := s.plans[workload]
+// planSlot is one built-in workload's place on the read path, fixed at New:
+// its name, its default input size, and its published entry.
+type planSlot struct {
+	name         string
+	defaultBytes int64
+	entry        atomic.Pointer[planEntry]
+}
+
+// entry returns the slot's published entry, replacing it first when the DB
+// generation has moved past it.
+func (s *Server) entry(slot *planSlot) *planEntry {
+	workload := slot.name
 	for {
-		e := slot.Load()
+		e := slot.entry.Load()
 		if e != nil && e.gen == s.db.Generation(workload) {
 			return e
 		}
@@ -54,24 +65,25 @@ func (s *Server) entry(workload string) *planEntry {
 		}
 		// Publish only over the entry the staleness decision was made on; if
 		// another request got there first, decide again on what it published.
-		if slot.CompareAndSwap(e, fresh) {
+		if slot.entry.CompareAndSwap(e, fresh) {
 			s.planRebuild.Inc()
 			return fresh
 		}
 	}
 }
 
-// answer returns the tuned configuration of (workload, inputBytes) at the
-// current generation, running the optimizer only the first time that pair is
-// asked for.
-func (s *Server) answer(workload string, inputBytes int64) (*planAnswer, error) {
-	e := s.entry(workload)
+// answer returns the tuned configuration of (slot's workload, inputBytes) at
+// the current generation, running the optimizer and rendering the body only
+// the first time that pair is asked for.
+func (s *Server) answer(slot *planSlot, inputBytes int64) (*planAnswer, error) {
+	e := s.entry(slot)
 	a, ok := e.answers[inputBytes]
 	if ok {
 		s.planHit.Inc()
 		return a, a.err
 	}
 	s.planMiss.Inc()
+	workload := slot.name
 	a = &planAnswer{}
 	if cf, err := e.opt.GenerateConfig(workload, float64(inputBytes)); err != nil {
 		a.err = httpErrf(http.StatusConflict, "service: workload %q not trained: %v", workload, err)
@@ -84,6 +96,7 @@ func (s *Server) answer(workload string, inputBytes int64) (*planAnswer, error) 
 			Runs:       e.runs,
 			Samples:    e.samples,
 		}
+		a.body = renderJSON(a.resp)
 	}
 	next := *e
 	next.answers = map[int64]*planAnswer{inputBytes: a}
@@ -94,6 +107,6 @@ func (s *Server) answer(workload string, inputBytes int64) (*planAnswer, error) 
 	}
 	// Losing this race (a newer generation, or another new answer) only
 	// means the answer is computed again the next time it is asked for.
-	s.plans[workload].CompareAndSwap(e, &next)
+	slot.entry.CompareAndSwap(e, &next)
 	return a, a.err
 }

@@ -105,10 +105,10 @@ type Server struct {
 	start    time.Time
 	draining atomic.Bool
 
-	// plans is the read path: each built-in workload's published entry
-	// (plan.go); the map is fixed at New. The three counters are
-	// chopperd_plan_cache_total's series.
-	plans                          map[string]*atomic.Pointer[planEntry]
+	// plans is the read path: each built-in workload's slot (plan.go); the
+	// map is fixed at New. The three counters are chopperd_plan_cache_total's
+	// series.
+	plans                          map[string]*planSlot
 	planHit, planMiss, planRebuild *metrics.Counter
 
 	// repl is the journal puller (replica role only); replStop ends its
@@ -148,14 +148,14 @@ func New(cfg Config) (*Server, error) {
 		reg:          metrics.NewRegistry(),
 		start:        time.Now(),
 		shutdownDone: make(chan struct{}),
-		plans:        map[string]*atomic.Pointer[planEntry]{},
+		plans:        map[string]*planSlot{},
 	}
 	const cacheHelp = "config lookups answered from the plan entry (hit) or by an optimizer pass (miss), and entries re-cloned because the workload generation moved (rebuild)"
 	s.planHit = s.reg.Counter("chopperd_plan_cache_total", cacheHelp, "result=hit")
 	s.planMiss = s.reg.Counter("chopperd_plan_cache_total", cacheHelp, "result=miss")
 	s.planRebuild = s.reg.Counter("chopperd_plan_cache_total", cacheHelp, "result=rebuild")
 	for _, w := range workloads.AllWithExtensions() {
-		s.plans[w.Name()] = new(atomic.Pointer[planEntry])
+		s.plans[w.Name()] = &planSlot{name: w.Name(), defaultBytes: w.DefaultInputBytes()}
 	}
 	if cfg.StorePath != "" {
 		store, db, err := core.OpenStore(cfg.StorePath)
@@ -219,7 +219,7 @@ func (s *Server) registerGauges() {
 			name := w.Name()
 			s.reg.Gauge("chopperd_db_samples", "profile-store observations", "workload="+name).Set(int64(s.db.SampleCount(name)))
 			s.reg.Gauge("chopperd_db_runs", "profile-store recorded runs", "workload="+name).Set(int64(s.db.RunCount(name)))
-			if e := s.plans[name].Load(); e != nil {
+			if e := s.plans[name].entry.Load(); e != nil {
 				s.reg.Gauge("chopperd_plan_generation", "DB generation (process-local) the workload's published plan entry was cut from", "workload="+name).Set(int64(e.gen))
 			}
 		}
