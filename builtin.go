@@ -24,15 +24,6 @@ func Builtin(name string) (*BuiltinApp, error) {
 	return &BuiltinApp{w: w, bytes: w.DefaultInputBytes()}, nil
 }
 
-// BuiltinNames lists the available built-in workloads.
-func BuiltinNames() []string {
-	var out []string
-	for _, w := range workloads.AllWithExtensions() {
-		out = append(out, w.Name())
-	}
-	return out
-}
-
 // Name implements App.
 func (b *BuiltinApp) Name() string { return b.w.Name() }
 

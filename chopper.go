@@ -22,8 +22,6 @@
 package chopper
 
 import (
-	"fmt"
-	"os"
 	"sync"
 
 	"chopper/internal/cluster"
@@ -52,8 +50,6 @@ type (
 	Aggregator = rdd.Aggregator
 	// Topology is a simulated cluster.
 	Topology = cluster.Topology
-	// CostParams are the simulator's cost-model knobs.
-	CostParams = cluster.CostParams
 	// StageMetric is one executed stage's record.
 	StageMetric = metrics.StageMetric
 	// JoinedValue is the value type produced by RDD.Join.
@@ -72,41 +68,24 @@ func NewRangePartitioner(n int, sample []any) Partitioner {
 	return rdd.NewRangePartitionerFromSample(n, sample)
 }
 
-// PaperCluster returns the paper's 6-node heterogeneous evaluation cluster.
-func PaperCluster() *Topology { return cluster.PaperCluster() }
-
 // UniformCluster returns a homogeneous n-worker cluster.
 func UniformCluster(n, cores int, speedGHz float64) *Topology {
 	return cluster.UniformCluster(n, cores, speedGHz)
 }
 
-// LoadTopology reads a cluster description from a JSON file.
-func LoadTopology(path string) (*Topology, error) { return cluster.LoadTopology(path) }
-
-// SaveTopology writes a cluster description to a JSON file.
-func SaveTopology(path string, t *Topology) error { return cluster.SaveTopology(path, t) }
-
 // Option configures a Session.
 type Option func(*sessionConfig)
 
 type sessionConfig struct {
-	topo         *cluster.Topology
-	params       cluster.CostParams
-	parallelism  int
-	mode         string
-	coPartition  bool
-	speculate    bool
-	cfg          dag.StageConfigurator
-	verifyOff    bool
-	verifyLog    bool
-	onViolations func([]verify.Violation)
+	topo        *cluster.Topology
+	parallelism int
+	mode        string
+	coPartition bool
+	cfg         dag.StageConfigurator
 }
 
 // WithTopology selects the simulated cluster (default: the paper cluster).
 func WithTopology(t *Topology) Option { return func(c *sessionConfig) { c.topo = t } }
-
-// WithCostParams overrides the cost model.
-func WithCostParams(p CostParams) Option { return func(c *sessionConfig) { c.params = p } }
 
 // WithDefaultParallelism sets spark.default.parallelism (default 300, the
 // paper's vanilla configuration).
@@ -132,7 +111,11 @@ func WithDynamicTuning(path string) Option {
 	}
 }
 
-// Session is a driver connected to a simulated cluster.
+// Session is a driver connected to a simulated cluster. It verifies every
+// job's stage graph right after configuration is applied (acyclicity,
+// shuffle boundaries at wide deps, co-partitioned joins, partition counts
+// within the executors' memory budget, partitioner/key-type compatibility)
+// and aborts the job on any breach.
 type Session struct {
 	opts []Option
 	ctx  *rdd.Context
@@ -163,7 +146,6 @@ func NewSession(opts ...Option) *Session {
 func (s *Session) Reset(extra ...Option) {
 	sc := sessionConfig{
 		topo:        cluster.PaperCluster(),
-		params:      cluster.DefaultCostParams(),
 		parallelism: 300,
 		mode:        "spark",
 	}
@@ -175,27 +157,12 @@ func (s *Session) Reset(extra ...Option) {
 	}
 	ctx := rdd.NewContext(sc.parallelism)
 	col := metrics.NewCollector("session", sc.mode)
-	eng := exec.New(sc.topo, sc.params, ctx, col, sc.coPartition)
-	eng.Speculate = sc.speculate
+	eng := exec.New(sc.topo, cluster.DefaultCostParams(), ctx, col, sc.coPartition)
 	sch := dag.NewScheduler(ctx, eng)
 	sch.Configurator = sc.cfg
 	rec := core.NewRecorder()
 	sch.OnJob = rec.OnJob
-	if !sc.verifyOff {
-		lim := verify.DefaultLimits(sc.topo)
-		switch {
-		case sc.onViolations != nil:
-			sch.Verify = verify.ObservingHook(lim, sc.onViolations)
-		case sc.verifyLog:
-			sch.Verify = verify.ObservingHook(lim, func(vs []verify.Violation) {
-				for _, v := range vs {
-					fmt.Fprintf(os.Stderr, "chopper: plan verifier: %s\n", v)
-				}
-			})
-		default:
-			sch.Verify = verify.Hook(lim)
-		}
-	}
+	sch.Verify = verify.Hook(verify.DefaultLimits(sc.topo))
 	s.ctx, s.eng, s.sch, s.col, s.rec = ctx, eng, sch, col, rec
 }
 
@@ -277,10 +244,6 @@ func (s *Session) harvest(db *core.DB, workload string, inputBytes float64, isDe
 	s.rec.Harvest(db, workload, inputBytes, s.col, isDefault)
 }
 
-// WithSpeculation enables speculative execution (spark.speculation):
-// straggling tasks get a backup attempt on a free core. Off by default.
-func WithSpeculation() Option { return func(c *sessionConfig) { c.speculate = true } }
-
 // WithConfigurator attaches an arbitrary stage configurator (advanced use:
 // uniform force-all sweeps, custom tuning policies). It does not enable the
 // co-partition-aware scheduler; combine with WithTuning for that.
@@ -288,60 +251,18 @@ func WithConfigurator(cfg dag.StageConfigurator) Option {
 	return func(c *sessionConfig) { c.cfg = cfg }
 }
 
-// PlanViolation is one plan-IR invariant breach reported by the built-in
-// verifier (internal/plan/verify).
-type PlanViolation = verify.Violation
-
-// Sessions verify every job's stage graph right after configuration is
-// applied (acyclicity, shuffle boundaries at wide deps, co-partitioned
-// joins, partition counts within the executors' memory budget, partitioner/
-// key-type compatibility) and abort the job on any breach — the strict mode
-// tests want. The options below relax that for production-style drivers.
-
-// WithLenientVerifier logs plan-verifier violations to stderr instead of
-// aborting the job.
-func WithLenientVerifier() Option {
-	return func(c *sessionConfig) { c.verifyLog = true }
-}
-
-// WithPlanObserver routes plan-verifier violations to fn instead of aborting
-// the job (chopperverify uses this to collect violations across workloads).
-func WithPlanObserver(fn func([]PlanViolation)) Option {
-	return func(c *sessionConfig) { c.onViolations = fn }
-}
-
-// WithoutVerifier disables plan verification entirely (benchmarking only).
-func WithoutVerifier() Option {
-	return func(c *sessionConfig) { c.verifyOff = true }
-}
-
 // KillNode fails a worker at the current simulated time: it stops receiving
 // tasks and its cached partitions are lost (recomputed from lineage on next
 // use) — the paper's future-work fault scenario.
 func (s *Session) KillNode(name string) error { return s.eng.KillNode(name) }
 
-// FailNodeAfterStage schedules a node failure to trigger right after the
-// stage with the given id completes.
-func (s *Session) FailNodeAfterStage(stageID int, node string) {
-	s.eng.AfterStage = func(done int) {
-		if done == stageID {
-			_ = s.eng.KillNode(node)
-		}
-	}
-}
-
 // AliveWorkers reports the workers still accepting tasks.
 func (s *Session) AliveWorkers() []string { return s.eng.AliveWorkers() }
 
 // Trace exports everything run so far as an event log (Spark event-log
-// analogue) for offline inspection, Gantt rendering, or persistence.
+// analogue) for inspection and Gantt rendering.
 func (s *Session) Trace(includeTasks bool) *trace.Log {
 	return trace.FromCollector(s.col, includeTasks)
-}
-
-// SaveTrace writes the session's event log to a JSON file.
-func (s *Session) SaveTrace(path string, includeTasks bool) error {
-	return s.Trace(includeTasks).Save(path)
 }
 
 // Explain renders an RDD's lineage as a text tree with stage boundaries —

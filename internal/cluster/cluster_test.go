@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"os"
 	"testing"
 	"testing/quick"
 )
@@ -189,53 +188,5 @@ func TestQuickComputeLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTopologySaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/topo.json"
-	if err := SaveTopology(path, PaperCluster()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTopology(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Nodes) != 6 || got.TotalWorkerCores() != 112 {
-		t.Fatalf("round trip lost nodes: %d workers %d cores", len(got.Workers()), got.TotalWorkerCores())
-	}
-	f := got.Node("F")
-	if f == nil || !f.IsMaster {
-		t.Fatalf("master flag lost")
-	}
-}
-
-func TestLoadTopologyDefaultsAndErrors(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/min.json"
-	minimal := `{"nodes":[{"name":"a","cores":4,"speedGHz":2.0}]}`
-	if err := os.WriteFile(path, []byte(minimal), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTopology(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Nodes[0].MemGB != 64 || got.Nodes[0].LinkGbps != 10 {
-		t.Fatalf("defaults not applied: %+v", got.Nodes[0])
-	}
-	if _, err := LoadTopology(dir + "/missing.json"); err == nil {
-		t.Fatalf("missing file should error")
-	}
-	bad := dir + "/bad.json"
-	os.WriteFile(bad, []byte("{"), 0o644)
-	if _, err := LoadTopology(bad); err == nil {
-		t.Fatalf("corrupt file should error")
-	}
-	invalid := dir + "/invalid.json"
-	os.WriteFile(invalid, []byte(`{"nodes":[{"name":"a","cores":0,"speedGHz":1}]}`), 0o644)
-	if _, err := LoadTopology(invalid); err == nil {
-		t.Fatalf("invalid topology should fail validation")
 	}
 }

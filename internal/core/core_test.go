@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -81,13 +82,24 @@ func TestDBAddRunMergesNodes(t *testing.T) {
 	}
 }
 
+// saveSnapshot writes db's snapshot JSON to a temp file and returns its path.
+func saveSnapshot(t *testing.T, db *DB) string {
+	t.Helper()
+	data, err := db.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestDBSaveLoadRoundTrip(t *testing.T) {
 	db := NewDB()
 	seedStage(db, "w", "s1", "hash", 500, 60, 2e-4, StageObservation{Name: "map:a"})
-	path := filepath.Join(t.TempDir(), "db.json")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	path := saveSnapshot(t, db)
 	got, err := LoadDB(path)
 	if err != nil {
 		t.Fatal(err)
@@ -459,11 +471,7 @@ func TestGenerationMovesOnMutationOnly(t *testing.T) {
 func TestGenerationIsNotSerialised(t *testing.T) {
 	a := NewDB()
 	seedStage(a, "w", "s1", "hash", 400, 60, 2e-4, StageObservation{})
-	path := filepath.Join(t.TempDir(), "db.json")
-	if err := a.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadDB(path)
+	b, err := LoadDB(saveSnapshot(t, a))
 	if err != nil {
 		t.Fatal(err)
 	}

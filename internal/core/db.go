@@ -363,16 +363,7 @@ func (db *DB) marshalSnapshotWith(capture func()) ([]byte, error) {
 	return data, nil
 }
 
-// Save persists the database as JSON.
-func (db *DB) Save(path string) error {
-	data, err := db.MarshalSnapshot()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// LoadDB reads a database saved by Save.
+// LoadDB reads a database snapshot (the JSON MarshalSnapshot renders).
 func LoadDB(path string) (*DB, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

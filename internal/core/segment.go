@@ -88,14 +88,6 @@ func (s *Store) Epoch() int64 {
 	return s.epoch
 }
 
-// SetEpoch adopts an epoch (a replica taking the primary's stream identity
-// during bootstrap) and persists it.
-func (s *Store) SetEpoch(epoch int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.setEpochLocked(epoch)
-}
-
 func (s *Store) setEpochLocked(epoch int64) error {
 	if epoch <= 0 {
 		return fmt.Errorf("core: store: bad epoch %d", epoch)

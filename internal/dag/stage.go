@@ -61,15 +61,6 @@ func (s *Stage) PartitionerName() string {
 	return "input"
 }
 
-// InShuffleIDs lists the shuffle ids this stage reads.
-func (s *Stage) InShuffleIDs() []int {
-	out := make([]int, len(s.InDeps))
-	for i, d := range s.InDeps {
-		out[i] = d.ShuffleID
-	}
-	return out
-}
-
 // Fixed reports whether the stage's partitioning is user-pinned: every input
 // shuffle is fixed, or (for source stages) the source itself is pinned.
 func (s *Stage) Fixed() bool {

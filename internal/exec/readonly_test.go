@@ -104,7 +104,6 @@ func TestNarrowOpsLeaveInputsAlone(t *testing.T) {
 		{"Coalesce", func(b *rdd.RDD) *rdd.RDD { return b.Coalesce(2) }},
 		{"Coalesce one-to-one", func(b *rdd.RDD) *rdd.RDD { return b.Coalesce(4) }},
 		{"Sample", func(b *rdd.RDD) *rdd.RDD { return b.Sample(0.5) }},
-		{"Glom", func(b *rdd.RDD) *rdd.RDD { return b.Glom() }},
 		{"CoGroup narrow side", func(b *rdd.RDD) *rdd.RDD {
 			return b.CoGroup(b.MapValues(func(v any) any { return v }), b.Part)
 		}},

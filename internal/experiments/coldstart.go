@@ -94,18 +94,3 @@ func coldStartRun(w workloads.Workload, bytes int64, f *config.File) (float64, e
 	}
 	return rt.Col.TotalTime(), nil
 }
-
-// ColdStartTable renders the comparison for cmd/experiments and
-// EXPERIMENTS.md.
-func ColdStartTable(rows []ColdStartRow) Table {
-	t := Table{
-		Title:  "Cold-start seeding: first-run wall time, default vs statically seeded plan",
-		Header: []string{"workload", "seeded stages", "default(s)", "seeded(s)", "speedup"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Workload, fmt.Sprint(r.Entries), f1(r.DefaultTime), f1(r.SeededTime), f2(r.Speedup()),
-		})
-	}
-	return t
-}

@@ -31,8 +31,8 @@ import (
 var defaultParallel atomic.Int64
 
 // SetParallelism sets the process-wide default worker count used by Map and
-// Run (the -parallel flag of cmd/experiments and cmd/chopperbench). n <= 0
-// resets to the GOMAXPROCS default.
+// Run (the -parallel flag of cmd/experiments). n <= 0 resets to the
+// GOMAXPROCS default.
 func SetParallelism(n int) {
 	if n < 0 {
 		n = 0

@@ -7,33 +7,6 @@ import (
 	"chopper/internal/lint"
 )
 
-// TestGuardRepoIsClean runs the chopperguard family over the real tree:
-// the lock and durability contracts of internal/core and internal/service
-// must hold. This is the same sweep ci.sh enforces via cmd/chopperguard.
-func TestGuardRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	root := moduleRoot(t)
-	prog, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := prog.Loader.Match([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		pkg, err := prog.Package(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range lint.Run(pkg, lint.Guard()) {
-			t.Errorf("%s", d)
-		}
-	}
-}
-
 // TestGuardRuleNames pins the -rules surface: every guard rule resolves by
 // name alongside the chopperlint suite.
 func TestGuardRuleNames(t *testing.T) {

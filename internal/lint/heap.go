@@ -1,8 +1,8 @@
 // heap.go is the core of the chopperheap rule family (hotalloc, boxf64,
 // genlife, prealloc): static allocation-site and buffer-lifetime analysis
 // of the wave hot path. ROADMAP item 4 (columnar arenas, GC out of the
-// wave loop) needs a contract before an implementation — chopperbench
-// catches allocation regressions at runtime with tolerance slack, but
+// wave loop) needs a contract before an implementation — the AllocsPerRun
+// tests catch allocation regressions at runtime for the shapes they pin, but
 // nothing stops a PR from quietly re-boxing the f64 kernels or retaining a
 // slice of a generation-invalidated shuffle buffer. chopperheap makes
 // those regressions fail CI deterministically; see DESIGN.md §6f.

@@ -12,34 +12,6 @@ import (
 	"chopper/internal/lint"
 )
 
-// TestHeapRepoIsClean runs the chopperheap rule family over the real tree
-// under a whole-program load: the gate cmd/chopperheap enforces in CI,
-// kept as a test so `go test ./...` alone catches a new hot-path
-// allocation site, a boxed F64 fallback, or an escaping shuffle slice.
-func TestHeapRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	root := moduleRoot(t)
-	prog, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := prog.Loader.Match([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		pkg, err := prog.Package(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range lint.Run(pkg, lint.Heap()) {
-			t.Errorf("%s", d)
-		}
-	}
-}
-
 // TestHeapBudgetMatchesSweep pins the committed heapbudget.json to a fresh
 // sweep: the file must be byte-identical to what `chopperheap
 // -write-budget` would emit, so a hot-path allocation change cannot land
@@ -48,16 +20,12 @@ func TestHeapBudgetMatchesSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	root := moduleRoot(t)
-	prog, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := repoProgram(t)
 	want, err := lint.HeapBudgetJSON(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(root, lint.HeapBudgetFile))
+	got, err := os.ReadFile(filepath.Join(prog.Loader.ModRoot, lint.HeapBudgetFile))
 	if err != nil {
 		t.Fatalf("committed budget missing (run `go run ./cmd/chopperheap -write-budget`): %v", err)
 	}
@@ -237,15 +205,14 @@ func TestHeapBudgetGate(t *testing.T) {
 }
 
 // TestProgramConcurrentRuleFamilies runs the guard, key, and heap families
-// concurrently against one shared lint.Program and checks the combined
-// output is byte-identical to a sequential run on a fresh Program: the
-// Fact cache must be safe under concurrent whole-program fact computation
-// (this runs under -race in CI).
+// concurrently against one fresh lint.Program and checks the combined
+// output is byte-identical to a sequential run on the shared one: the Fact
+// cache must be safe under concurrent whole-program fact computation (this
+// runs under -race in CI).
 func TestProgramConcurrentRuleFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module repeatedly")
 	}
-	root := moduleRoot(t)
 	families := map[string][]*lint.Analyzer{
 		"guard": lint.Guard(),
 		"key":   lint.Key(),
@@ -272,10 +239,7 @@ func TestProgramConcurrentRuleFamilies(t *testing.T) {
 		return b.String(), nil
 	}
 
-	seqProg, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqProg := repoProgram(t)
 	sequential := map[string]string{}
 	for name, fam := range families {
 		out, err := runFamily(seqProg, fam)
@@ -285,7 +249,7 @@ func TestProgramConcurrentRuleFamilies(t *testing.T) {
 		sequential[name] = out
 	}
 
-	conProg, err := lint.NewProgram(root)
+	conProg, err := lint.NewProgram(seqProg.Loader.ModRoot)
 	if err != nil {
 		t.Fatal(err)
 	}

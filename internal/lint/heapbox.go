@@ -3,9 +3,9 @@
 // `agg.CreateF64 != nil`-style check, calling the boxed counterpart hook
 // (Create/MergeValue/MergeCombiners on the same base) or boxing a float64
 // into an interface inside a loop silently re-introduces the per-record
-// allocations the typed path exists to eliminate — chopperbench would
-// catch it at runtime with tolerance slack, this rule catches it at lint
-// time, deterministically.
+// allocations the typed path exists to eliminate — the AllocsPerRun tests
+// would catch it at runtime for the shapes they pin, this rule catches it
+// at lint time for every call site.
 package lint
 
 import (

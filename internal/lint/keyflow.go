@@ -85,11 +85,6 @@ type keyState struct {
 	sites map[token.Pos]bool
 }
 
-func (s keyState) withSites(sites map[token.Pos]bool) keyState {
-	s.sites = sites
-	return s
-}
-
 func cloneSites(in map[token.Pos]bool) map[token.Pos]bool {
 	if len(in) == 0 {
 		return nil
@@ -409,8 +404,7 @@ func rddMethodOf(f *File, ce *ast.CallExpr) string {
 var keyActionMethods = map[string]bool{
 	"Collect": true, "Count": true, "Reduce": true, "Take": true,
 	"First": true, "CollectPairsMap": true, "CountByKey": true,
-	"TakeSample": true, "SumFloat": true, "SortedKeys": true,
-	"FloatStats": true, "Histogram": true, "TopByKey": true,
+	"TakeSample": true, "SumFloat": true, "TopByKey": true,
 }
 
 // keyShuffleMethods maps each shuffle transform to the index of its
@@ -424,11 +418,7 @@ var keyShuffleMethods = map[string]bool{
 
 // keyCogroupMethods are the two-input key-matching transforms where
 // keydrift fires and partitioning pays off.
-var keyCogroupMethods = map[string]bool{
-	"Join": true, "CoGroup": true, "LeftOuterJoin": true,
-	"RightOuterJoin": true, "FullOuterJoin": true,
-	"SubtractByKey": true, "IntersectKeys": true,
-}
+var keyCogroupMethods = map[string]bool{"Join": true, "CoGroup": true}
 
 // evalRDDExpr abstractly evaluates an RDD-producing (or action) expression,
 // recording events when ev is non-nil. Every sub-expression it interprets
@@ -535,7 +525,7 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 		}
 		return out
 
-	case m == "KeyBy" || m == "Keys" || m == "Values" || m == "Glom":
+	case m == "KeyBy" || m == "Keys" || m == "Values":
 		if ev != nil {
 			ev.kill(recv, methodDisplay(m))
 		}
@@ -579,11 +569,7 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 						op, recv.key.Type, canonNote(recv.key), other.key.Type, canonNote(other.key))))
 			}
 		}
-		if m == "SubtractByKey" || m == "IntersectKeys" {
-			out.key = recv.key
-		} else {
-			out.key = joinKeyExpr(recv.key, other.key)
-		}
+		out.key = joinKeyExpr(recv.key, other.key)
 		return out
 
 	case keyActionMethods[m]:

@@ -9,33 +9,6 @@ import (
 	"chopper/internal/lint"
 )
 
-// TestKeyRepoIsClean runs the chopperkey rule family over the real tree:
-// the gate cmd/chopperkey enforces in CI, kept as a test so `go test ./...`
-// alone catches regressions.
-func TestKeyRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	root := moduleRoot(t)
-	prog, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := prog.Loader.Match([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		pkg, err := prog.Package(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range lint.Run(pkg, lint.Key()) {
-			t.Errorf("%s", d)
-		}
-	}
-}
-
 // TestStaleKeySuppression pins the satellite requirement that the
 // suppression audit covers the chopperkey rules: a lint:ignore naming a
 // chopperkey rule that matches no finding must be reported as stale.
@@ -133,8 +106,6 @@ func (r *RDD) SortByKey(n int) *RDD                                      { retur
 func (r *RDD) Distinct(n int) *RDD                                       { return r }
 func (r *RDD) Join(o *RDD, p Partitioner) *RDD                           { return r }
 func (r *RDD) CoGroup(o *RDD, p Partitioner) *RDD                        { return r }
-func (r *RDD) LeftOuterJoin(o *RDD, p Partitioner) *RDD                  { return r }
-func (r *RDD) SubtractByKey(o *RDD, p Partitioner) *RDD                  { return r }
 func (r *RDD) Count() (int64, error)                                     { return 0, nil }
 func (r *RDD) SumFloat() (float64, error)                                { return 0, nil }
 func (r *RDD) CountByKey() (map[any]int64, error)                        { return nil, nil }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"chopper/internal/lint"
@@ -168,21 +169,33 @@ func OK() time.Time { return time.Now() }
 	})
 }
 
-// TestRepoIsClean runs the full suite over the real tree: the gate that
-// CI enforces, kept as a test so `go test ./...` alone catches regressions.
-func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
+// repoProgram returns the one whole-module load the repo-wide tests share.
+// Type-checking the module dominates their cost, and a Program caches every
+// package and whole-program fact, so each further sweep over it is cheap.
+func repoProgram(t *testing.T) *lint.Program {
+	t.Helper()
+	repoOnce.Do(func() {
+		root, err := lint.FindModuleRoot(".")
+		if err == nil {
+			repoProg, err = lint.NewProgram(root)
+		}
+		repoErr = err
+	})
+	if repoErr != nil {
+		t.Fatal(repoErr)
 	}
-	root := moduleRoot(t)
-	// Load through a shared Program, as chopperlint does: packages are
-	// type-checked once and the whole-program lockorder graph spans the
-	// scheduler/engine/shuffle packages instead of degrading to
-	// per-package scope.
-	prog, err := lint.NewProgram(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return repoProg
+}
+
+var (
+	repoOnce sync.Once
+	repoProg *lint.Program
+	repoErr  error
+)
+
+// runOverRepo runs analyzers over every package of prog's module.
+func runOverRepo(t *testing.T, prog *lint.Program, analyzers []*lint.Analyzer) []lint.Diagnostic {
+	t.Helper()
 	dirs, err := prog.Loader.Match([]string{"./..."})
 	if err != nil {
 		t.Fatal(err)
@@ -190,14 +203,43 @@ func TestRepoIsClean(t *testing.T) {
 	if len(dirs) < 10 {
 		t.Fatalf("suspiciously few packages matched: %v", dirs)
 	}
+	var diags []lint.Diagnostic
 	for _, dir := range dirs {
 		pkg, err := prog.Package(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range lint.Run(pkg, lint.All()) {
-			t.Errorf("%s", d)
-		}
+		diags = append(diags, lint.Run(pkg, analyzers)...)
+	}
+	return diags
+}
+
+// TestRepoIsClean runs every rule family over the real tree — the
+// chopperlint suite, the chopperguard lock and durability contracts, the
+// chopperkey key-flow rules and the chopperheap allocation rules — so `go
+// test ./...` alone catches what the ci.sh gates enforce. One shared
+// Program serves all four, as it does in chopperlint: the whole-program
+// lockorder graph spans the scheduler/engine/shuffle packages instead of
+// degrading to per-package scope.
+func TestRepoIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	prog := repoProgram(t)
+	for _, fam := range []struct {
+		name      string
+		analyzers []*lint.Analyzer
+	}{
+		{"lint", lint.All()},
+		{"guard", lint.Guard()},
+		{"key", lint.Key()},
+		{"heap", lint.Heap()},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			for _, d := range runOverRepo(t, prog, fam.analyzers) {
+				t.Errorf("%s", d)
+			}
+		})
 	}
 }
 

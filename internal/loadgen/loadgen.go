@@ -5,8 +5,8 @@
 // shared histogram. A run can spread its workers across several targets
 // (shard primaries, replicas, or a fleet router) and rotate through several
 // workloads, reporting a per-shard and per-target breakdown next to the
-// merged totals. cmd/chopperload drives it from the command line;
-// chopperbench uses it to measure service throughput.
+// merged totals. cmd/chopperload drives it from the command line and from
+// its smoke harnesses.
 package loadgen
 
 import (

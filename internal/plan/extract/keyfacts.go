@@ -320,20 +320,14 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 		}
 		t.facts[f.ID] = f
 
-	case "MapPartitions", "Glom":
-		op, litIdx := "glom", -1
-		if name == "MapPartitions" {
-			litIdx = 2
-			op = ""
-			if len(args) > 0 && args[0].Kind() == reflect.String {
-				op = args[0].String()
-			}
+	case "MapPartitions":
+		op := ""
+		if len(args) > 0 && args[0].Kind() == reflect.String {
+			op = args[0].String()
 		}
 		nodes := t.take(call, firstRDDResult(out), op)
 		f := &KeyFacts{ID: nodes[0].ID, Op: op, DepKinds: "n"}
-		if name == "Glom" {
-			f.Keyed = KeyedNo
-		} else if k, ok := t.scanKey(t.funcLitAt(call, litIdx, env)); ok {
+		if k, ok := t.scanKey(t.funcLitAt(call, 2, env)); ok {
 			// Unlike the lint rule, the tracker keeps the cardinality of
 			// partition-level rewrites: a provable Pair{K: 0} per split is
 			// exactly what lets cold-start seeding shrink the reduce side.
@@ -410,29 +404,11 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 		nodes := t.take(call, firstRDDResult(out), "cogroup")
 		t.noteCoGroupNode(call, nodes[0], recv, rddArg(args, 0), partArg(args, 1))
 
-	case "Join", "LeftOuterJoin", "RightOuterJoin", "FullOuterJoin",
-		"SubtractByKey", "IntersectKeys":
-		childOp := map[string]string{
-			"Join": "join", "LeftOuterJoin": "leftOuterJoin",
-			"RightOuterJoin": "rightOuterJoin", "FullOuterJoin": "fullOuterJoin",
-			"SubtractByKey": "subtractByKey", "IntersectKeys": "intersectKeys",
-		}[name]
-		nodes := t.take(call, firstRDDResult(out), "cogroup", childOp)
+	case "Join":
+		nodes := t.take(call, firstRDDResult(out), "cogroup", "join")
 		cg := t.noteCoGroupNode(call, nodes[0], recv, rddArg(args, 0), partArg(args, 1))
-		child := &KeyFacts{ID: nodes[1].ID, Op: childOp, Keyed: KeyedYes, DepKinds: "n",
-			HasPart: true, Scheme: cg.Scheme, PartID: cg.PartID}
-		if name == "SubtractByKey" || name == "IntersectKeys" {
-			// Rows keep the receiver's keys (and values); the other side only
-			// filters.
-			child.Prov = t.parentFacts(call, recv).Prov
-			child.Card = t.parentFacts(call, recv).Card
-			child.Bound = t.parentFacts(call, recv).Bound
-		} else {
-			child.Prov = cg.Prov
-			child.Card = cg.Card
-			child.Bound = cg.Bound
-		}
-		t.facts[child.ID] = child
+		t.facts[nodes[1].ID] = &KeyFacts{ID: nodes[1].ID, Op: "join", Keyed: KeyedYes, DepKinds: "n",
+			HasPart: true, Scheme: cg.Scheme, PartID: cg.PartID, Prov: cg.Prov, Card: cg.Card, Bound: cg.Bound}
 
 	default:
 		// A lineage-building method the model does not cover would leave

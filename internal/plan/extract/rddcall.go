@@ -14,8 +14,7 @@ import (
 var actionNames = map[string]bool{
 	"Collect": true, "Count": true, "Reduce": true, "Take": true,
 	"First": true, "CollectPairsMap": true, "CountByKey": true,
-	"TakeSample": true, "SumFloat": true, "SortedKeys": true,
-	"FloatStats": true, "Histogram": true, "TopByKey": true,
+	"TakeSample": true, "SumFloat": true, "TopByKey": true,
 }
 
 // rddPackageFuncs are the package-level rdd constructors workloads call

@@ -1,7 +1,6 @@
-// Package profiling wraps runtime/pprof for the command-line tools: both
-// cmd/experiments and cmd/chopperbench expose -cpuprofile/-memprofile flags
-// through these two helpers, and chopperd mounts the live pprof endpoints
-// via AttachPprof.
+// Package profiling wraps runtime/pprof: cmd/experiments exposes its
+// -cpuprofile/-memprofile flags through StartCPU and WriteHeap, and chopperd
+// mounts the live pprof endpoints via AttachPprof.
 package profiling
 
 import (

@@ -206,16 +206,34 @@ func (r *RDD) SumFloat() (float64, error) {
 	return s, nil
 }
 
-// SortedKeys collects and sorts the keys of a pair RDD (test helper action).
-func (r *RDD) SortedKeys() ([]any, error) {
-	rows, err := r.Collect()
+// TopByKey returns the n pairs with the largest keys, in descending key
+// order (CompareKeys); pairs with equal keys keep partition order. Rows must
+// be pairs with comparable keys.
+func (r *RDD) TopByKey(n int) ([]Pair, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	parts, err := r.runJob(func(_ int, rows []Row) (any, error) {
+		local := make([]Pair, 0, len(rows))
+		for _, row := range rows {
+			local = append(local, row.(Pair))
+		}
+		sort.Slice(local, func(i, j int) bool { return CompareKeys(local[i].K, local[j].K) > 0 })
+		if len(local) > n {
+			local = local[:n]
+		}
+		return local, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]any, len(rows))
-	for i, row := range rows {
-		keys[i] = row.(Pair).K
+	var all []Pair
+	for _, raw := range parts {
+		all = append(all, raw.([]Pair)...)
 	}
-	sort.Slice(keys, func(i, j int) bool { return CompareKeys(keys[i], keys[j]) < 0 })
-	return keys, nil
+	sort.SliceStable(all, func(i, j int) bool { return CompareKeys(all[i].K, all[j].K) > 0 })
+	if len(all) > n {
+		all = all[:n]
+	}
+	return all, nil
 }

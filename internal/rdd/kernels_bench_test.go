@@ -6,9 +6,10 @@ import (
 )
 
 // The shuffle kernels (PartitionPairsCol, MergeReduceCol, the payload
-// sizers) are measured and gated by cmd/chopperbench against BENCH_10.json
-// and by bench/'s per-layer rdd.* rows; only the key hash, which neither
-// covers on its own, is benchmarked here.
+// sizers) have their allocation counts pinned by
+// TestWarmKernelsAllocateOnlyTheirOutput and their times measured by
+// bench/'s per-layer rdd.* rows; only the key hash, which neither covers on
+// its own, is benchmarked here.
 
 func BenchmarkKeyHashString(b *testing.B) {
 	keys := make([]any, 64)

@@ -536,6 +536,26 @@ func TestTakeSampleBounded(t *testing.T) {
 	}
 }
 
+func TestTopByKey(t *testing.T) {
+	ctx := testCtx(3)
+	r := ctx.Parallelize([]Row{Pair{K: 3, V: "c"}, Pair{K: 1, V: "a"}, Pair{K: 9, V: "i"}, Pair{K: 5, V: "e"}}, 3)
+	top, err := r.TopByKey(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(top) != 2 || top[0].K != 9 || top[1].K != 5 {
+		t.Fatalf("top = %v", top)
+	}
+	none, err := r.TopByKey(0)
+	if err != nil || none != nil {
+		t.Fatalf("top(0) should be empty")
+	}
+	all, err := r.TopByKey(100)
+	if err != nil || len(all) != 4 {
+		t.Fatalf("top(100) should return everything: %v", all)
+	}
+}
+
 func TestLineage(t *testing.T) {
 	ctx := testCtx(2)
 	a := ctx.Parallelize(intRows(4), 2)

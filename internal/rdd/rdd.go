@@ -246,9 +246,6 @@ func NewContext(defaultParallelism int) *Context {
 // SetRunner attaches the job runner (the DAG scheduler).
 func (c *Context) SetRunner(r JobRunner) { c.runner = r }
 
-// Runner returns the attached job runner, or nil.
-func (c *Context) Runner() JobRunner { return c.runner }
-
 func (c *Context) newID() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

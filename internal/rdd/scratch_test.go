@@ -501,55 +501,105 @@ func TestKernelsConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWarmKernelsAllocateOnlyTheirOutput is the steady-state scaling
-// guard, counts only: once the pooled scratch has grown to a task's size,
-// a combine allocates its arena and a merge its output rows — nothing that
-// grows with the distinct keys or the block count.
+// TestWarmKernelsAllocateOnlyTheirOutput is the steady-state allocation
+// guard, counts only: once the pooled scratch has grown to a task's size, a
+// combine or partition allocates its arena, a merge its output rows, and a
+// sizing pass nothing. Each row pins the exact count at two sizes — distinct
+// keys for the map side, blocks for the reduce side — so the count neither
+// creeps up nor grows with the keys or the block count.
 func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
-
 	p := NewHashPartitioner(8)
-	agg := SumAggregator()
-	combine := func(keys int) float64 {
-		rows := make([]Row, 2*keys)
-		for i := range rows {
-			rows[i] = Pair{K: (i % keys) * 7919, V: float64(i)}
+	sum := SumAggregator()
+	// Int keys are spread to >= 256 (smaller ints box for free); string
+	// keys are distinct 9-byte strings.
+	intRows := func(rows, keys int) []Row {
+		out := make([]Row, rows)
+		for i := range out {
+			out[i] = Pair{K: 1000 + (i%keys)*7919, V: float64(i)}
 		}
-		return testing.AllocsPerRun(20, func() {
-			if cols, _, err := PartitionPairsCol(rows, p, agg); err != nil || cols.Kind() != ColIntF64 || cols.Len() != keys {
-				t.Fatalf("combine of %d keys: %v, %v", keys, cols, err)
+		return out
+	}
+	strRows := func(rows, keys int) []Row {
+		out := make([]Row, rows)
+		for i := range out {
+			out[i] = Pair{K: fmt.Sprintf("key-%05d", i%keys), V: float64(i)}
+		}
+		return out
+	}
+	// arena partitions rows over nparts buckets, failing if it falls back
+	// to the boxed tier.
+	arena := func(t *testing.T, rows []Row, nparts int, agg *Aggregator) *ColBuckets {
+		cols, _, err := PartitionPairsCol(rows, NewHashPartitioner(nparts), agg)
+		if err != nil || cols == nil {
+			t.Fatalf("%d rows fell back to the boxed tier: %v", len(rows), err)
+		}
+		return cols
+	}
+	partition := func(rows func(int, int) []Row, agg *Aggregator, kind ColKind) func(*testing.T, int) func() {
+		return func(t *testing.T, keys int) func() {
+			in := rows(2*keys, keys)
+			return func() {
+				if cols, _, err := PartitionPairsCol(in, p, agg); err != nil || cols == nil || cols.Kind() != kind {
+					t.Fatalf("partition of %d rows: %v, %v", len(in), cols, err)
+				}
 			}
-		})
+		}
 	}
-	small, large := combine(100), combine(10000)
-	t.Logf("warm PartitionPairsCol: %v objects at 100 distinct keys, %v at 10000", small, large)
-	if small != large || small > 5 {
-		t.Fatalf("warm PartitionPairsCol allocated %v objects at 100 distinct keys and %v at 10000; want the arena (at most 5) both times", small, large)
-	}
-
-	// 512 keys >= 256 (smaller ints box for free) spread over the blocks;
-	// every key occurs in two of them.
+	// merge splits 512 keys, each occurring twice, over the given number of
+	// map tasks, each writing one bucket: the views a reduce task reads.
 	const keys = 512
-	merge := func(blocks int) float64 {
-		blks := make([]*ColBlock, blocks)
-		for b := range blks {
-			blks[b] = &ColBlock{Kind: ColIntF64}
+	merge := func(rows func(int, int) []Row, agg *Aggregator, want int) func(*testing.T, int) func() {
+		return func(t *testing.T, blocks int) func() {
+			in := rows(2*keys, keys)
+			blks := make([]*ColBlock, blocks)
+			for m := range blks {
+				blk := arena(t, in[m*len(in)/blocks:(m+1)*len(in)/blocks], 1, agg).Bucket(0)
+				blks[m] = &blk
+			}
+			return func() {
+				if out := MergeReduceCol(blks, agg); len(out) != want {
+					t.Fatalf("merge of %d blocks: %d rows, want %d", blocks, len(out), want)
+				}
+			}
 		}
-		for i := 0; i < 2*keys; i++ {
-			b := blks[i%blocks]
-			b.Int = append(b.Int, int64(1000+i%keys))
-			b.F64 = append(b.F64, float64(i))
-		}
-		return testing.AllocsPerRun(20, func() {
-			if out := MergeReduceCol(blks, agg); len(out) != keys {
-				t.Fatalf("merge of %d blocks: %d rows, want %d", blocks, len(out), keys)
+	}
+	// The aggregator-free partition keeps every row in its scratch, so its
+	// larger size stays under maxPooledSlots rows (a bigger scratch is not
+	// pooled, by design).
+	cases := []struct {
+		name  string
+		sizes [2]int // the two key or block counts the count must hold across
+		run   func(t *testing.T, n int) func()
+		want  float64
+	}{
+		{"int-key combine", [2]int{100, 10000}, partition(intRows, sum, ColIntF64), 4},
+		{"string-key combine", [2]int{100, 10000}, partition(strRows, sum, ColStrF64), 5},
+		{"aggregator-free partition", [2]int{100, 5000}, partition(intRows, nil, ColIntF64), 4},
+		// One []Row, the boxes of each emitted row (the Pair, its key, its
+		// value; a string key is one more) and the scratch block headers
+		// the get callback makes escape.
+		{"int-key merge", [2]int{16, 256}, merge(intRows, sum, keys), 1539},
+		{"string-key merge", [2]int{16, 256}, merge(strRows, sum, keys), 2051},
+		{"no-aggregator merge", [2]int{16, 256}, merge(intRows, nil, 2*keys), 3079},
+		{"LogicalPairsBytes", [2]int{100, 10000}, func(_ *testing.T, k int) func() {
+			pairs := make([]Pair, 2*k)
+			for i, r := range intRows(2*k, k) {
+				pairs[i] = r.(Pair)
+			}
+			return func() { LogicalPairsBytes(pairs, 1000) }
+		}, 0},
+		{"ColBuckets.LogicalBytes", [2]int{100, 10000}, func(t *testing.T, k int) func() {
+			cols := arena(t, intRows(2*k, k), 1, nil)
+			return func() { cols.LogicalBytes(0, 1000) }
+		}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, n := range c.sizes {
+				if got := testing.AllocsPerRun(20, c.run(t, n)); got != c.want {
+					t.Errorf("warm %s at %d: %v objects per call, want %v", c.name, n, got, c.want)
+				}
 			}
 		})
-	}
-	few, many := merge(16), merge(256)
-	t.Logf("warm MergeReduceCol: %v objects at 16 blocks, %v at 256", few, many)
-	// One []Row, three boxes per key (the Pair, its key, its sum), and the
-	// two scratch block headers the get callback makes escape.
-	if few != many || few > 1+3*keys+2 {
-		t.Fatalf("warm MergeReduceCol allocated %v objects at 16 blocks and %v at 256; want %d both times", few, many, 1+3*keys+2)
 	}
 }

@@ -335,6 +335,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopRepl()
 	return err
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }

@@ -62,9 +62,6 @@ func NewBlockStore(blockBytes int64, replicas int, workers []string) *BlockStore
 	}
 }
 
-// BlockBytes reports the configured block size.
-func (s *BlockStore) BlockBytes() int64 { return s.blockBytes }
-
 // AddFile registers a logical file of totalBytes, placing its blocks
 // round-robin (with replication) across workers; each block's replica list
 // is sorted by name. Re-adding a file replaces its layout deterministically.

@@ -1,6 +1,8 @@
 // Package trace exports a run's execution history in a Spark-event-log-like
 // JSON form and renders text Gantt charts of stage timelines — the
 // diagnostics surface for inspecting what the scheduler and optimizer did.
+// The JSON form is also the byte-comparable record the determinism tests
+// diff across runs.
 package trace
 
 import (
@@ -8,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"sort"
 	"strings"
 
 	"chopper/internal/metrics"
@@ -89,29 +89,6 @@ func (l *Log) Write(w io.Writer) error {
 	return enc.Encode(l)
 }
 
-// Save writes the log to a file.
-func (l *Log) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return l.Write(f)
-}
-
-// Load reads a log written by Save.
-func Load(path string) (*Log, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	l := &Log{}
-	if err := json.Unmarshal(data, l); err != nil {
-		return nil, fmt.Errorf("trace: parse %s: %w", path, err)
-	}
-	return l, nil
-}
-
 // Gantt renders a text timeline of the stages: one row per stage, bars
 // proportional to [Start, End) over the run, at the given terminal width.
 func (l *Log) Gantt(width int) string {
@@ -150,47 +127,6 @@ func (l *Log) Gantt(width int) string {
 			name = name[:22]
 		}
 		fmt.Fprintf(&b, "%-4d %-22s |%s| %.1fs\n", s.ID, name, line, s.End-s.Start)
-	}
-	return b.String()
-}
-
-// NodeLoad summarizes busy seconds per node from task events (requires a
-// log exported with includeTasks).
-func (l *Log) NodeLoad() map[string]float64 {
-	out := map[string]float64{}
-	for _, st := range l.Stages {
-		for _, t := range st.Tasks {
-			out[t.Node] += t.End - t.Start
-		}
-	}
-	return out
-}
-
-// Summary renders headline counters of the run.
-func (l *Log) Summary() string {
-	var tasks int
-	var shuffleR, shuffleW, input int64
-	for _, s := range l.Stages {
-		tasks += s.NumTasks
-		shuffleR += s.ShuffleRead
-		shuffleW += s.ShuffleWrite
-		input += s.InputBytes
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "workload=%s mode=%s\n", l.Workload, l.Mode)
-	fmt.Fprintf(&b, "stages=%d tasks=%d simulated=%.1fs\n", len(l.Stages), tasks, l.TotalTime)
-	fmt.Fprintf(&b, "input=%.2fGB shuffleRead=%.2fGB shuffleWrite=%.2fGB\n",
-		float64(input)/1e9, float64(shuffleR)/1e9, float64(shuffleW)/1e9)
-	load := l.NodeLoad()
-	if len(load) > 0 {
-		nodes := make([]string, 0, len(load))
-		for n := range load {
-			nodes = append(nodes, n)
-		}
-		sort.Strings(nodes)
-		for _, n := range nodes {
-			fmt.Fprintf(&b, "node %-3s busy %.1f core-seconds\n", n, load[n])
-		}
 	}
 	return b.String()
 }

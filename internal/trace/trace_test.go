@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -40,28 +39,16 @@ func TestFromCollector(t *testing.T) {
 	}
 }
 
-func TestWriteSaveLoadRoundTrip(t *testing.T) {
+func TestWriteJSON(t *testing.T) {
 	l := FromCollector(sampleCollector(), true)
 	var buf bytes.Buffer
 	if err := l.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "\"workload\": \"demo\"") {
-		t.Fatalf("json missing fields:\n%s", buf.String())
-	}
-	path := filepath.Join(t.TempDir(), "run.json")
-	if err := l.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalTime != l.TotalTime || len(got.Stages) != 2 || got.Stages[1].Tasks[0].ShuffleReadRemote != 20 {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatalf("missing file should error")
+	for _, want := range []string{"\"workload\": \"demo\"", "\"totalTime\": 14", "\"shuffleReadRemote\": 20"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("json missing %s:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -85,18 +72,4 @@ func TestGantt(t *testing.T) {
 	}
 	// Tiny widths clamp instead of panicking.
 	_ = l.Gantt(1)
-}
-
-func TestNodeLoadAndSummary(t *testing.T) {
-	l := FromCollector(sampleCollector(), true)
-	load := l.NodeLoad()
-	if load["A"] != 12 || load["B"] != 10 {
-		t.Fatalf("node load wrong: %v", load)
-	}
-	sum := l.Summary()
-	for _, want := range []string{"workload=demo", "stages=2 tasks=3", "node A", "node B"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary missing %q:\n%s", want, sum)
-		}
-	}
 }

@@ -130,17 +130,6 @@ func (t *Tuner) Optimize(app App) (*ConfigFile, error) {
 	return o.GenerateConfig(app.Name(), float64(app.InputBytes()))
 }
 
-// Explain reports, per stage, the observations the tuner has and the
-// decision the optimizer makes — the human-readable companion to Optimize.
-func (t *Tuner) Explain(app App) (string, error) {
-	o := core.NewOptimizer(t.DB)
-	ex, err := o.Explain(app.Name(), float64(app.InputBytes()))
-	if err != nil {
-		return "", err
-	}
-	return ex.String(), nil
-}
-
 // Train is Profile followed by Optimize — the full offline pipeline.
 func (t *Tuner) Train(app App) (*ConfigFile, error) {
 	if err := t.Profile(app); err != nil {
