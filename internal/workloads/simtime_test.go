@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -9,13 +10,14 @@ import (
 	"chopper/internal/exec"
 	"chopper/internal/metrics"
 	"chopper/internal/rdd"
+	"chopper/internal/trace"
 	"chopper/internal/workloads"
 )
 
-// simulatedEnd runs the named built-in (shrunk by 10) on a fresh
-// paper-cluster engine, adjusted by setup, and returns the simulated time
-// it ends at.
-func simulatedEnd(t *testing.T, name string, coPart bool, setup func(*exec.Engine)) float64 {
+// pinnedRun runs the named built-in (shrunk by 10) on a fresh paper-cluster
+// engine, adjusted by setup, and returns its result, the engine and the
+// collector that recorded it.
+func pinnedRun(t *testing.T, name string, coPart bool, setup func(*exec.Engine)) (workloads.Result, *exec.Engine, *metrics.Collector) {
 	t.Helper()
 	w, err := workloads.ByName(name)
 	if err != nil {
@@ -23,14 +25,23 @@ func simulatedEnd(t *testing.T, name string, coPart bool, setup func(*exec.Engin
 	}
 	workloads.Shrink(w, 10)
 	ctx := rdd.NewContext(300)
-	eng := exec.New(cluster.PaperCluster(), cluster.DefaultCostParams(), ctx, metrics.NewCollector(name, "test"), coPart)
+	col := metrics.NewCollector(name, "test")
+	eng := exec.New(cluster.PaperCluster(), cluster.DefaultCostParams(), ctx, col, coPart)
 	dag.NewScheduler(ctx, eng)
 	if setup != nil {
 		setup(eng)
 	}
-	if _, err := w.Run(ctx, w.DefaultInputBytes()); err != nil {
+	res, err := w.Run(ctx, w.DefaultInputBytes())
+	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	return res, eng, col
+}
+
+// simulatedEnd returns the simulated time pinnedRun's run ends at.
+func simulatedEnd(t *testing.T, name string, coPart bool, setup func(*exec.Engine)) float64 {
+	t.Helper()
+	_, eng, _ := pinnedRun(t, name, coPart, setup)
 	return eng.Now()
 }
 
@@ -72,6 +83,43 @@ func TestSimulatedTimePinned(t *testing.T) {
 		if bits := math.Float64bits(now); bits != run.want {
 			t.Errorf("%s (co-partition-aware %v, adjusted %v) ends at %v (%#x), want %v (%#x)",
 				run.workload, run.coPart, run.setup != nil, now, bits, math.Float64frombits(run.want), run.want)
+		}
+	}
+}
+
+// TestResultsAndTracesPinned pins what every built-in computes and what the
+// engine records doing it, in both scheduling modes: the checksum's bits,
+// and an FNV-64 of the run's full event log — every stage and task with
+// its node, times, input, shuffle and record counts. A host-side change to
+// how rows are produced or shuffled that moves one value, one byte of
+// accounting or one task's record count fails here, naming the run.
+func TestResultsAndTracesPinned(t *testing.T) {
+	for _, run := range []struct {
+		workload string
+		coPart   bool
+		checksum uint64
+		trace    uint64
+	}{
+		{"kmeans", false, 0x40eb21946d1f4832, 0x627a87df65ab1567},
+		{"pca", false, 0x4115766b2af97f92, 0xafded2286d365fd7},
+		{"sql", false, 0x413eb80efdba4846, 0x6296dc990382ea3f},
+		{"pagerank", false, 0x4078e90e69ad42c2, 0xea9ed8e09ccccbf5},
+		{"kmeans", true, 0x40eb21946d1f4832, 0xf6db6b04e6250016},
+		{"pca", true, 0x4115766b2af97f92, 0xf602aff73d573e90},
+		{"sql", true, 0x413eb80efdba4846, 0x92c6a759579cbd50},
+		{"pagerank", true, 0x4078e90e69ad42c2, 0x606dc9be84468b18},
+	} {
+		res, _, col := pinnedRun(t, run.workload, run.coPart, nil)
+		h := fnv.New64a()
+		if err := trace.FromCollector(col, true).Write(h); err != nil {
+			t.Fatal(err)
+		}
+		if bits := math.Float64bits(res.Checksum); bits != run.checksum {
+			t.Errorf("%s (co-partition-aware %v): checksum %v (%#x), want %v (%#x)",
+				run.workload, run.coPart, res.Checksum, bits, math.Float64frombits(run.checksum), run.checksum)
+		}
+		if sum := h.Sum64(); sum != run.trace {
+			t.Errorf("%s (co-partition-aware %v): event log hashes to %#x, want %#x", run.workload, run.coPart, sum, run.trace)
 		}
 	}
 }
