@@ -166,6 +166,8 @@ type task struct {
 
 	// Filled by the compute pass.
 	rows     []rdd.Row
+	col      rdd.ColBlock // a result task's typed Final, as rows[0] hands it on
+	part     [1]rdd.Row   // rows' backing array when it carries col
 	records  int64
 	srcBytes int64
 	srcNodes []string
@@ -404,14 +406,38 @@ func (e *Engine) computeTasks(tasks []task, alive []*cluster.Node, errs []error,
 // computeTask materializes one task on a worker's pipeline scratch a,
 // released again before it returns, and resolves the task's preferred node
 // among the wave's workers.
+//
+// A Final with a Typed compute that nothing caches is computed as columns
+// when all its rows feed are folds: a result stage's action gets the task's
+// own block (SumFloat adds it in place; any other action boxes it, as the
+// Final's Compute would), and a map stage whose aggregator CombinesF64
+// folds the worker's block straight into its arena.
 func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 	defer release(a)
-	rows, _, err := e.materialize(t.stage.Final, t.split, a)
+	fin, dep := t.stage.Final, t.stage.OutDep
+	var typed *rdd.ColBlock
+	if fin.Typed != nil && !fin.Cached {
+		if dep == nil {
+			typed = &t.col
+		} else if dep.Agg.CombinesF64() {
+			typed = &a.col
+		}
+	}
+	var err error
+	if typed != nil {
+		err = e.materializeTyped(fin, t.split, a, typed)
+		t.records = int64(typed.Len())
+		if dep == nil {
+			t.part[0] = rdd.ColPart(typed)
+			t.rows = t.part[:]
+		}
+	} else {
+		t.rows, _, err = e.materialize(fin, t.split, a)
+		t.records = int64(len(t.rows))
+	}
 	if err != nil {
 		return fmt.Errorf("exec: stage %d task %d: %w", t.stage.ID, t.split, err)
 	}
-	t.rows = rows
-	t.records = int64(len(rows))
 	t.srcBytes = a.srcBytes
 	t.srcNodes = a.srcNodes
 	t.cacheBy = a.cacheBy
@@ -420,8 +446,14 @@ func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 	t.pending = append(t.pend[:0], a.pending...)
 	t.pref = e.prefer(t, workers)
 
-	if dep := t.stage.OutDep; dep != nil {
-		cols, buckets, err := rdd.PartitionPairsCol(rows, dep.Part, dep.Agg)
+	if dep != nil {
+		var cols *rdd.ColBuckets
+		var buckets [][]rdd.Pair
+		if typed != nil {
+			cols, buckets, err = rdd.PartitionTypedCol(typed, dep.Part, dep.Agg)
+		} else {
+			cols, buckets, err = rdd.PartitionPairsCol(t.rows, dep.Part, dep.Agg)
+		}
 		if err != nil {
 			return fmt.Errorf("exec: stage %d shuffle write: %w", t.stage.ID, err)
 		}

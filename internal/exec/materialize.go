@@ -25,6 +25,9 @@ type acct struct {
 	// ins is a stack of Compute input windows: each materialize call
 	// reserves one slot per dependency above its parents' windows.
 	ins [][]rdd.Row
+	// col receives the columns of a map task's typed Final, folded into the
+	// map output before the task ends; its capacity carries over.
+	col rdd.ColBlock
 }
 
 type memoEntry struct {
@@ -40,7 +43,8 @@ func release(a *acct) {
 	clear(a.memo)
 	clear(a.ins[:cap(a.ins)])
 	clear(a.pending)
-	*a = acct{memo: a.memo[:0], ins: a.ins[:0], pending: a.pending[:0]}
+	*a = acct{memo: a.memo[:0], ins: a.ins[:0], pending: a.pending[:0],
+		col: rdd.ColBlock{Int: a.col.Int[:0], F64: a.col.F64[:0]}}
 }
 
 // materialize computes one partition of r, charging work to a. It returns
@@ -63,62 +67,10 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 		}
 	}
 
-	var inputs [][]rdd.Row
-	var inBytes float64
-	switch {
-	case len(r.Deps) == 0:
-		// Source: charge the split's logical share of the input file.
-		file := e.ensureSource(r)
-		sb, locs := e.Blocks.Split(file, split, r.NumParts)
-		a.srcBytes += sb
-		if len(locs) > 0 && len(a.srcNodes) == 0 {
-			a.srcNodes = locs
-		}
-		inBytes = float64(sb)
-	default:
-		// Reserve this RDD's window (every slot is filled before Compute
-		// reads it); a parent's recursion may grow, and so move, the
-		// stack, so slots are filled by offset.
-		base, n := len(a.ins), len(r.Deps)
-		a.ins = slices.Grow(a.ins, n)[:base+n]
-		for i, d := range r.Deps {
-			switch dep := d.(type) {
-			case *rdd.NarrowDep:
-				one := [1]int{split}
-				splits := one[:]
-				if !dep.IsOneToOne() {
-					splits = dep.Splits(split)
-				}
-				var rows []rdd.Row
-				for _, ps := range splits {
-					pr, pb, err := e.materialize(dep.P, ps, a)
-					if err != nil {
-						return nil, 0, err
-					}
-					if len(splits) == 1 {
-						// One parent split: hand over its rows, which may
-						// be memoised or cached, without a copy. The cap
-						// clamp makes an append in the ComputeFn reallocate
-						// instead of writing into the shared backing array.
-						rows = pr[:len(pr):len(pr)]
-					} else {
-						rows = append(rows, pr...)
-					}
-					inBytes += pb
-				}
-				a.ins[base+i] = rows
-			case *rdd.ShuffleDep:
-				rows, rb := e.shuffleRead(dep, split, a)
-				a.ins[base+i] = rows
-				inBytes += rb
-			default:
-				return nil, 0, fmt.Errorf("exec: unknown dependency %T", d)
-			}
-		}
-		inputs = a.ins[base : base+n : base+n]
+	inputs, err := e.gather(r, split, a)
+	if err != nil {
+		return nil, 0, err
 	}
-
-	a.cost += inBytes * r.CostFactor
 	rows := r.Compute(split, inputs)
 	a.ins = a.ins[:len(a.ins)-len(inputs)] // pop the window
 	outBytes := rdd.LogicalRowsBytes(rows, scale)
@@ -133,6 +85,78 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 	}
 	a.memo = append(a.memo, memoEntry{rdd: r.ID, split: split, rows: rows, bytes: outBytes})
 	return rows, outBytes, nil
+}
+
+// materializeTyped computes one partition of r through its Typed compute
+// into dst, charging work to a exactly as materialize does; the columns
+// are neither memoised nor cached (r is its stage's un-cached Final).
+func (e *Engine) materializeTyped(r *rdd.RDD, split int, a *acct, dst *rdd.ColBlock) error {
+	inputs, err := e.gather(r, split, a)
+	if err != nil {
+		return err
+	}
+	r.Typed(split, inputs, dst)
+	a.ins = a.ins[:len(a.ins)-len(inputs)] // pop the window
+	return nil
+}
+
+// gather materializes the inputs of one partition of r and charges its
+// compute cost to a: for a source, the split's logical share of the input
+// file (and no inputs); otherwise a window of the input stack holding one
+// slot per dependency, which the caller pops after computing.
+func (e *Engine) gather(r *rdd.RDD, split int, a *acct) ([][]rdd.Row, error) {
+	if len(r.Deps) == 0 {
+		file := e.ensureSource(r)
+		sb, locs := e.Blocks.Split(file, split, r.NumParts)
+		a.srcBytes += sb
+		if len(locs) > 0 && len(a.srcNodes) == 0 {
+			a.srcNodes = locs
+		}
+		a.cost += float64(sb) * r.CostFactor
+		return nil, nil
+	}
+	// Reserve this RDD's window (every slot is filled before Compute reads
+	// it); a parent's recursion may grow, and so move, the stack, so slots
+	// are filled by offset.
+	var inBytes float64
+	base, n := len(a.ins), len(r.Deps)
+	a.ins = slices.Grow(a.ins, n)[:base+n]
+	for i, d := range r.Deps {
+		switch dep := d.(type) {
+		case *rdd.NarrowDep:
+			one := [1]int{split}
+			splits := one[:]
+			if !dep.IsOneToOne() {
+				splits = dep.Splits(split)
+			}
+			var rows []rdd.Row
+			for _, ps := range splits {
+				pr, pb, err := e.materialize(dep.P, ps, a)
+				if err != nil {
+					return nil, err
+				}
+				if len(splits) == 1 {
+					// One parent split: hand over its rows, which may be
+					// memoised or cached, without a copy. The cap clamp
+					// makes an append in the ComputeFn reallocate instead
+					// of writing into the shared backing array.
+					rows = pr[:len(pr):len(pr)]
+				} else {
+					rows = append(rows, pr...)
+				}
+				inBytes += pb
+			}
+			a.ins[base+i] = rows
+		case *rdd.ShuffleDep:
+			rows, rb := e.shuffleRead(dep, split, a)
+			a.ins[base+i] = rows
+			inBytes += rb
+		default:
+			return nil, fmt.Errorf("exec: unknown dependency %T", d)
+		}
+	}
+	a.cost += inBytes * r.CostFactor
+	return a.ins[base : base+n : base+n], nil
 }
 
 // shuffleRead fetches and merges the reduce input of dep for one partition.

@@ -188,3 +188,73 @@ func TestFilterAllocatesOnlyItsOutput(t *testing.T) {
 		checkOutputsOnly(t, fmt.Sprintf("filter over %d cached rows", rows), objs, 2, bytes-rowsBytes(rows/4))
 	}
 }
+
+// sumFloatFn returns the per-partition closure SumFloat hands its job
+// runner, captured by a stub runner on a throwaway context.
+func sumFloatFn(t *testing.T) func(int, []rdd.Row) (any, error) {
+	ctx := rdd.NewContext(1)
+	stub := &stubRunner{}
+	ctx.SetRunner(stub)
+	if _, err := ctx.Generate("none", 1, 1, nil).SumFloat(); err != nil {
+		t.Fatal(err)
+	}
+	return stub.fn
+}
+
+// stubRunner records the closure of the one job it is handed and returns
+// a zero partial sum.
+type stubRunner struct {
+	fn func(int, []rdd.Row) (any, error)
+}
+
+func (s *stubRunner) RunJob(_ *rdd.RDD, fn func(int, []rdd.Row) (any, error)) ([]any, error) {
+	s.fn = fn
+	return []any{0.0}, nil
+}
+
+// TestTypedFoldTasksAllocateNoRows: a task whose rows exist only to be
+// folded allocates the same objects at 1k and 10k rows — none per row.
+// A MapFloat → SumFloat result task allocates its one float64 column, the
+// cached-input profile and the boxed partial sum; a FlatMapFloatPairs map
+// task under SumByKey's aggregator folds the worker's reused column block
+// straight into its arena.
+func TestTypedFoldTasksAllocateNoRows(t *testing.T) {
+	sum := sumFloatFn(t)
+	measure := func(rows int, fold bool) float64 {
+		e := testEngine()
+		workers := e.aliveSnapshot()
+		base := cachedBase(e, rows)
+		st := &dag.Stage{Final: base.MapFloat("score", 0.8, func(r rdd.Row) float64 { return r.(rdd.Pair).V.(float64) }), IsResult: true}
+		if fold {
+			fm := base.FlatMapFloatPairs(func(r rdd.Row, emit func(int, float64)) {
+				k := r.(rdd.Pair).K.(int)
+				emit(k%50, 1)
+				emit(k%50+50, 0.5)
+			})
+			st = &dag.Stage{Final: fm, OutDep: &rdd.ShuffleDep{P: fm, Part: rdd.NewHashPartitioner(64), Agg: rdd.SumAggregator()}}
+		}
+		scratch, tk := new(acct), new(task) // a task lives in the wave's slab
+		return testing.AllocsPerRun(100, func() {
+			*tk = task{stage: st}
+			if err := e.computeTask(tk, workers, scratch); err != nil {
+				t.Fatal(err)
+			}
+			if fold {
+				if tk.mapOut.Cols == nil || tk.records != int64(2*rows) {
+					t.Fatalf("map task: %d records, arena %v", tk.records, tk.mapOut.Cols != nil)
+				}
+				return
+			}
+			if s, err := sum(0, tk.rows); err != nil || s.(float64) != float64(rows) || tk.records != int64(rows) {
+				t.Fatalf("result task: sum %v, %v, %d records; want %d", s, err, tk.records, rows)
+			}
+		})
+	}
+	for _, fold := range []bool{false, true} {
+		small, large := measure(1000, fold), measure(10000, fold)
+		t.Logf("fold into arena %v: %v objects at 1k rows, %v at 10k", fold, small, large)
+		if small != large {
+			t.Errorf("fold into arena %v: %v objects at 1k rows, %v at 10k; want the same", fold, small, large)
+		}
+	}
+}

@@ -106,11 +106,15 @@ func (p *RangePartitioner) Identity() int64    { return p.id }
 func (p *RangePartitioner) Bounds() []any { return p.bounds }
 
 func (p *RangePartitioner) PartitionFor(key any) int {
-	// Binary search the first bound >= key.
+	return p.search(func(bound any) int { return CompareKeys(bound, key) })
+}
+
+// search binary-searches the first bound cmp does not order below the key.
+func (p *RangePartitioner) search(cmp func(bound any) int) int {
 	lo, hi := 0, len(p.bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if CompareKeys(p.bounds[mid], key) < 0 {
+		if cmp(p.bounds[mid]) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -120,6 +124,30 @@ func (p *RangePartitioner) PartitionFor(key any) int {
 		lo = p.n - 1
 	}
 	return lo
+}
+
+// partitionInt is p.PartitionFor(int(k)) without boxing the key: the
+// built-in partitioners route an int key directly — by KeyHash's int hash,
+// or by CompareKeys' integer order against the range bounds — and any
+// other partitioner gets the boxed key.
+func partitionInt(p Partitioner, k int64) int {
+	switch p := p.(type) {
+	case *HashPartitioner:
+		return int(mix(uint64(k)) % uint64(p.n))
+	case *RangePartitioner:
+		return p.search(func(bound any) int {
+			switch b := bound.(type) {
+			case int:
+				return cmpInt64(int64(b), k)
+			case int32:
+				return cmpInt64(int64(b), k)
+			case int64:
+				return cmpInt64(b, k)
+			}
+			return CompareKeys(bound, int(k))
+		})
+	}
+	return p.PartitionFor(int(k))
 }
 
 // SchemeName is a partitioner kind used by the optimizer and config files.

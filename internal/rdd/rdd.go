@@ -161,6 +161,11 @@ type RDD struct {
 
 	Compute ComputeFn
 
+	// Typed, when non-nil, computes a partition as columns (see typed.go):
+	// set by MapFloat and FlatMapFloatPairs, whose Compute boxes what it
+	// emits. An evaluator that only folds the rows may call it instead.
+	Typed TypedFn
+
 	// CostFactor scales the CPU cost of this operator per logical byte of
 	// its input (1.0 = baseline scan). The executor sums factors along the
 	// pipelined chain of a stage.

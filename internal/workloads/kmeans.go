@@ -38,19 +38,17 @@ func (k *KMeans) Name() string { return "kmeans" }
 // DefaultInputBytes implements Workload (Table I: 21.8 GB).
 func (k *KMeans) DefaultInputBytes() int64 { return int64(21.8 * GB) }
 
-// point generates the i-th data point: cluster centers on a scaled simplex
-// with deterministic Gaussian noise.
-func (k *KMeans) point(i int) []float64 {
+// point writes the i-th data point into p (k.Dim long): cluster centers on
+// a scaled simplex with deterministic Gaussian noise.
+func (k *KMeans) point(i int, p []float64) {
 	c := i % k.K
-	p := make([]float64, k.Dim)
-	for d := 0; d < k.Dim; d++ {
+	for d := range p {
 		center := 0.0
 		if d%k.K == c {
 			center = 10
 		}
 		p[d] = center + detNorm(k.Seed+int64(d), int64(i))
 	}
-	return p
 }
 
 // sumCount is the combiner value of the Lloyd reduce: vector sum + count.
@@ -99,8 +97,11 @@ func (k *KMeans) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 
 	source := ctx.Generate("kmeansInput", 0, inputBytes, func(split, total int) []rdd.Row {
 		rows := strideBuf(k.Rows, split, total)
+		next := vectorSlab(cap(rows), k.Dim)
 		strideRows(k.Rows, split, total, func(i int) {
-			rows = append(rows, k.point(i))
+			p := next()
+			k.point(i, p)
+			rows = append(rows, p)
 		})
 		return rows
 	})
@@ -140,7 +141,7 @@ func (k *KMeans) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 		}
 		cur := centers
 		// Evaluate candidate quality (stages 3,5,...): distance scan.
-		eval := points.MapCost("scoreCandidates", 0.8, func(r rdd.Row) rdd.Row {
+		eval := points.MapFloat("scoreCandidates", 0.8, func(r rdd.Row) float64 {
 			if len(cur) == 0 {
 				return 0.0
 			}
@@ -213,7 +214,7 @@ func (k *KMeans) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 
 	// Stage 18: WSSSE pass.
 	final := centers
-	wsse, err := points.MapCost("wssse", 0.8, func(r rdd.Row) rdd.Row {
+	wsse, err := points.MapFloat("wssse", 0.8, func(r rdd.Row) float64 {
 		_, d := nearest(r.([]float64), final)
 		return d
 	}).SumFloat()

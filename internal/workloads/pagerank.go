@@ -84,21 +84,18 @@ func (p *PageRank) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 
 	ranks := links.MapValues(func(any) any { return 1.0 })
 	for it := 0; it < p.Iterations; it++ {
-		contribs := links.Join(ranks, part).FlatMap(func(r rdd.Row) []rdd.Row {
+		contribs := links.Join(ranks, part).FlatMapFloatPairs(func(r rdd.Row, emit func(int, float64)) {
 			pr := r.(rdd.Pair)
 			jv := pr.V.(rdd.JoinedValue)
 			adj := jv.Left.(adjacency)
 			rank := jv.Right.(float64)
 			if len(adj.Out) == 0 {
-				return nil
+				return
 			}
-			// Boxed once per page, not once per out-edge.
-			var share any = rank / float64(len(adj.Out))
-			out := make([]rdd.Row, len(adj.Out))
-			for i, dst := range adj.Out {
-				out[i] = rdd.Pair{K: dst, V: share}
+			share := rank / float64(len(adj.Out))
+			for _, dst := range adj.Out {
+				emit(dst, share)
 			}
-			return out
 		})
 		ranks = contribs.
 			SumByKey(part).

@@ -35,16 +35,14 @@ func (p *PCA) Name() string { return "pca" }
 // DefaultInputBytes implements Workload (Table I: 27.6 GB).
 func (p *PCA) DefaultInputBytes() int64 { return int64(27.6 * GB) }
 
-// vector generates the i-th sample: a low-rank signal plus noise, so the
-// data genuinely has dominant principal components.
-func (p *PCA) vector(i int) []float64 {
-	v := make([]float64, p.Dim)
+// vector writes the i-th sample into v (p.Dim long): a low-rank signal
+// plus noise, so the data genuinely has dominant principal components.
+func (p *PCA) vector(i int, v []float64) {
 	s1 := detNorm(p.Seed, int64(i)) * 5
 	s2 := detNorm(p.Seed+99, int64(i)) * 2
-	for d := 0; d < p.Dim; d++ {
+	for d := range v {
 		v[d] = s1*float64((d%3)+1)/3 + s2*float64(d%2) + detNorm(p.Seed+int64(d)+7, int64(i))*0.5
 	}
-	return v
 }
 
 // vecVal is a vector combiner value with a count.
@@ -86,8 +84,11 @@ func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 
 	source := ctx.Generate("pcaInput", 0, inputBytes, func(split, total int) []rdd.Row {
 		rows := strideBuf(p.Rows, split, total)
+		next := vectorSlab(cap(rows), p.Dim)
 		strideRows(p.Rows, split, total, func(i int) {
-			rows = append(rows, p.vector(i))
+			v := next()
+			p.vector(i, v)
+			rows = append(rows, v)
 		})
 		return rows
 	})
@@ -223,7 +224,7 @@ func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	}
 
 	// Final stage: project the data and sum squared projections.
-	energy, err := vectors.MapCost("project", 1.2, func(r rdd.Row) rdd.Row {
+	energy, err := vectors.MapFloat("project", 1.2, func(r rdd.Row) float64 {
 		x := r.([]float64)
 		s := 0.0
 		for _, comp := range comps {

@@ -129,6 +129,18 @@ func strideBuf(nRows, split, total int) []rdd.Row {
 	return make([]rdd.Row, 0, (nRows-split+total-1)/total)
 }
 
+// vectorSlab returns a generator of n dim-long vectors carved, in order,
+// from one slab: each is capacity-clamped, so an append to one reallocates
+// instead of running into the next. A split's vectors cost one allocation.
+func vectorSlab(n, dim int) func() []float64 {
+	slab := make([]float64, n*dim)
+	return func() []float64 {
+		v := slab[:dim:dim]
+		slab = slab[dim:]
+		return v
+	}
+}
+
 // setScale configures the context's logical scale so that physBytes of
 // physical data represent inputBytes of logical data.
 func setScale(ctx *rdd.Context, inputBytes, physBytes int64) {
