@@ -117,6 +117,44 @@ func ScanKeyExpr(info *types.Info, lit *ast.FuncLit) (KeyExpr, bool) {
 		}
 		return true
 	})
+	return joinKeyExprs(info, keys, scopes)
+}
+
+// ScanEmitKeyExpr is ScanKeyExpr for a FlatMapFloatPairs closure, which
+// builds no Pair literals: its keys are the first arguments of its calls
+// to emit, its second parameter.
+func ScanEmitKeyExpr(info *types.Info, lit *ast.FuncLit) (KeyExpr, bool) {
+	if info == nil || lit == nil {
+		return KeyExpr{}, false
+	}
+	var emit types.Object
+	for obj, i := range litParams(info, lit) {
+		if i == 1 {
+			emit = obj
+		}
+	}
+	if emit == nil {
+		return KeyExpr{}, false
+	}
+	var keys []ast.Expr
+	var scopes []*ast.FuncLit
+	ast.Inspect(lit, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && info.Uses[id] == emit {
+			keys = append(keys, call.Args[0])
+			scopes = append(scopes, enclosingLit(lit, call.Args[0]))
+		}
+		return true
+	})
+	return joinKeyExprs(info, keys, scopes)
+}
+
+// joinKeyExprs analyzes every key expression in its enclosing closure and
+// joins them; ok=false when there are none.
+func joinKeyExprs(info *types.Info, keys []ast.Expr, scopes []*ast.FuncLit) (KeyExpr, bool) {
 	if len(keys) == 0 {
 		return KeyExpr{}, false
 	}
