@@ -22,6 +22,10 @@
 //	GET  /v1/repl/bootstrap               -> ReplBootstrap
 package api
 
+// MaxRequestBytes bounds every request body chopperd and the fleet router
+// read: a larger one is refused with 413 before it is decoded.
+const MaxRequestBytes = 1 << 20
+
 // Error is the JSON error body every non-2xx /v1 response carries.
 type Error struct {
 	Status int    `json:"status"`

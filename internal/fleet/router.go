@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -141,9 +142,13 @@ func (r *Router) probe(backend string) backendState {
 // handleWrite forwards a mutating request to the owning shard's primary,
 // with bounded retries on transport-level failures.
 func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, api.MaxRequestBytes))
 	if err != nil {
-		r.writeError(w, http.StatusBadRequest, fmt.Sprintf("fleet: read request body: %v", err))
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		r.writeError(w, status, fmt.Sprintf("fleet: read request body: %v", err))
 		return
 	}
 	var probe struct {

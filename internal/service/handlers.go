@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -184,14 +185,27 @@ func (s *Server) rejectReadOnly(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// decodeBody decodes the JSON request body into v, reading at most
+// api.MaxRequestBytes of it: a longer body is a 413, malformed JSON a 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(v)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		return httpErrf(http.StatusRequestEntityTooLarge, "service: %s body exceeds %d bytes", what, tooBig.Limit)
+	}
+	if err != nil {
+		return httpErrf(http.StatusBadRequest, "service: bad %s body: %v", what, err)
+	}
+	return nil
+}
+
 // handleSubmit runs one workload job through a pooled session.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w, r) {
 		return
 	}
 	var req api.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, httpErrf(http.StatusBadRequest, "service: bad submit body: %v", err))
+	if err := decodeBody(w, r, "submit", &req); err != nil {
+		s.writeError(w, r, err)
 		return
 	}
 	v, ok := s.runJob(w, r, req.TimeoutSeconds, func(ctx context.Context) (any, error) {
@@ -208,8 +222,8 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.TrainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, httpErrf(http.StatusBadRequest, "service: bad train body: %v", err))
+	if err := decodeBody(w, r, "train", &req); err != nil {
+		s.writeError(w, r, err)
 		return
 	}
 	v, ok := s.runJob(w, r, req.TimeoutSeconds, func(ctx context.Context) (any, error) {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -290,5 +291,41 @@ func TestOpsEndpoints(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestRequestBodiesBounded: both body-reading endpoints read at most
+// api.MaxRequestBytes. A 2 MiB body — one JSON string the decoder must
+// read to the end to reject — gets 413 promptly, without a job running,
+// and malformed JSON still gets 400.
+func TestRequestBodiesBounded(t *testing.T) {
+	srv, _, _ := startTestServer(t, Config{})
+	huge := `{"workload":"kmeans","pad":"` + strings.Repeat("a", 2<<20) + `"}`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/jobs", huge, http.StatusRequestEntityTooLarge},
+		{"/v1/train", huge, http.StatusRequestEntityTooLarge},
+		{"/v1/jobs", `{"workload":`, http.StatusBadRequest},
+		{"/v1/train", `not json`, http.StatusBadRequest},
+	} {
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		srv.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		elapsed := time.Since(start)
+		var body api.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s (%d bytes): error body %q: %v", tc.path, len(tc.body), rec.Body.String(), err)
+		}
+		if rec.Code != tc.want || body.Status != tc.want {
+			t.Errorf("%s (%d bytes): status %d, body %+v; want %d", tc.path, len(tc.body), rec.Code, body, tc.want)
+		}
+		if elapsed > 5*time.Second {
+			t.Errorf("%s (%d bytes): answered after %v, want promptly", tc.path, len(tc.body), elapsed)
+		}
+	}
+	if n := srv.pool.depth(); n != 0 {
+		t.Fatalf("%d jobs queued by refused requests", n)
 	}
 }
