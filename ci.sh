@@ -6,7 +6,8 @@
 # chopperguard lock-contract/durability-protocol verifier, the test suite
 # (with shuffled execution order, so inter-test state leaks cannot hide),
 # the race detector over every internal package, short native-fuzz runs of
-# the execution engine against its single-threaded oracle, of task
+# the execution engine against its single-threaded oracle, of its typed
+# fold tier against the oracle's boxed rows, of task
 # placement against the reference list scheduler, of the shuffle
 # kernels' pooled scratch (call sequences against the boxed tier), of the
 # shuffle index against a brute-force walk, of the daemon's map-free query
@@ -186,6 +187,7 @@ go run ./cmd/chopperload -fleet-smoke -chopperd /tmp/chopperd.ci
 gate "fuzz (5s)"
 go test -run='^$' -fuzz=FuzzEngineMatchesOracle -fuzztime=5s ./internal/exec
 go test -run='^$' -fuzz=FuzzPlacement -fuzztime=5s ./internal/exec
+go test -run='^$' -fuzz=FuzzTypedFoldMatchesBoxed -fuzztime=5s ./internal/exec
 go test -run='^$' -fuzz=FuzzKernelScratch -fuzztime=5s ./internal/rdd
 go test -run='^$' -fuzz=FuzzShuffleIndex -fuzztime=5s ./internal/shuffle
 go test -run='^$' -fuzz=FuzzPlanInvariants -fuzztime=5s ./internal/plan/verify
