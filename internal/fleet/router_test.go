@@ -126,6 +126,20 @@ func TestRouterRoutesWritesToOwningPrimary(t *testing.T) {
 			t.Errorf("%s leaked to non-owning shard %d", name, 1-shard)
 		}
 	}
+	// A body past api.MaxRequestBytes is refused with 413 and reaches no
+	// primary.
+	huge := `{"workload":"kmeans","pad":"` + strings.Repeat("a", api.MaxRequestBytes) + `"}`
+	resp, err := http.Post(front.URL+"/v1/train", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close() // status checked; body irrelevant
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized train: %s, want 413", resp.Status)
+	}
+	if n := len(recs[0].seen()) + len(recs[1].seen()); n != len(builtinNames) {
+		t.Fatalf("primaries saw %d writes, want %d", n, len(builtinNames))
+	}
 }
 
 func TestRouterReadFailoverOnDeadReplica(t *testing.T) {
