@@ -26,6 +26,19 @@ package api
 // read: a larger one is refused with 413 before it is decoded.
 const MaxRequestBytes = 1 << 20
 
+// Bounds on what a submit or train request may ask for, checked before
+// any job is queued; a request outside them is refused with 400. Neither
+// may carry a negative inputBytes or shrink, and every size fraction of a
+// train request's plan must be finite and in (0, 1].
+const (
+	// MaxPartitions bounds each partition count a train request lists;
+	// the least is 1.
+	MaxPartitions = 1 << 14
+	// MaxPlanEntries bounds the length of each list in a train request's
+	// plan.
+	MaxPlanEntries = 32
+)
+
 // Error is the JSON error body every non-2xx /v1 response carries.
 type Error struct {
 	Status int    `json:"status"`

@@ -189,6 +189,7 @@ go test -run='^$' -fuzz=FuzzEngineMatchesOracle -fuzztime=5s ./internal/exec
 go test -run='^$' -fuzz=FuzzPlacement -fuzztime=5s ./internal/exec
 go test -run='^$' -fuzz=FuzzTypedFoldMatchesBoxed -fuzztime=5s ./internal/exec
 go test -run='^$' -fuzz=FuzzKernelScratch -fuzztime=5s ./internal/rdd
+go test -run='^$' -fuzz=FuzzCoGroupMatchesReference -fuzztime=5s ./internal/rdd
 go test -run='^$' -fuzz=FuzzShuffleIndex -fuzztime=5s ./internal/shuffle
 go test -run='^$' -fuzz=FuzzPlanInvariants -fuzztime=5s ./internal/plan/verify
 go test -run='^$' -fuzz=FuzzSymbolicExtract -fuzztime=5s ./internal/plan/extract

@@ -145,6 +145,65 @@ func TestNarrowOpsLeaveInputsAlone(t *testing.T) {
 	}
 }
 
+// TestCoGroupSidesStayInTheirWindows pins CoGroup's aliasing contract over a
+// cached narrow side and a shuffled one. A task's sides are windows of
+// shared slabs or the shuffle's merged groups themselves, so a consumer's
+// append to one key's side (or side pair) must reallocate instead of
+// overwriting the next group, and a cached cogroup must read the same after
+// a downstream Join has run over it twice.
+func TestCoGroupSidesStayInTheirWindows(t *testing.T) {
+	add := func(a, b any) any { return a.(float64) + b.(float64) }
+	// jobs lists, in run order, an appending consumer of the cogroup, the
+	// join twice and the cogroup itself.
+	jobs := func(ctx *rdd.Context) []*rdd.RDD {
+		narrow := pairSource(ctx, 600, 37).ReduceByKey(add, 4).Cache()
+		join := narrow.Join(pairSource(ctx, 300, 37), narrow.Part)
+		cg := join.Deps[0].Parent().Cache()
+		if _, ok := cg.Deps[0].(*rdd.NarrowDep); !ok {
+			t.Fatalf("cached side: %T, want a narrow dependency", cg.Deps[0])
+		}
+		if _, ok := cg.Deps[1].(*rdd.ShuffleDep); !ok {
+			t.Fatalf("loose side: %T, want a shuffle dependency", cg.Deps[1])
+		}
+		poke := cg.Map(func(r rdd.Row) rdd.Row {
+			pr := r.(rdd.Pair)
+			sides := pr.V.([][]any)
+			n := len(append(sides, nil))
+			for _, side := range sides {
+				n += len(append(side, "marker"))
+			}
+			return rdd.Pair{K: pr.K, V: n}
+		})
+		return []*rdd.RDD{poke, join, join, cg}
+	}
+	lctx := rdd.NewContext(6)
+	lctx.LogicalScale = 1000
+	lctx.SetRunner(rdd.NewLocalRunner())
+	var want [][]rdd.Row
+	for _, r := range jobs(lctx) {
+		rows, err := r.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rows)
+	}
+
+	h := newHarness(true, nil)
+	canary := watchCache(h)
+	for i, r := range jobs(h.ctx) {
+		got, err := r.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("job %d (%s) diverged from the oracle:\n got %.300v\nwant %.300v", i, r.Op, got, want[i])
+		}
+	}
+	if n := canary.check(t, h.eng.Cache); n < 8 {
+		t.Fatalf("compared %d cached partitions, want the narrow side's 4 and the cogroup's 4", n)
+	}
+}
+
 // TestAppendToAliasedInputReallocates pins the cap clamp: a source whose
 // partitions carry spare capacity is cached, and two children each append a
 // marker to their input. Without the clamp both appends would land in the

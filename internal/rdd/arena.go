@@ -270,22 +270,27 @@ func (a *ColBuckets) BlockLogicalBytes(i int, scale float64) float64 {
 	return total
 }
 
-// kernelScratch is the working set of one combine or merge kernel call:
-// the key→slot map (int or string), the per-slot arrays and the sort index.
+// kernelScratch is the working set of one combine, merge or cogroup kernel
+// call: the key→slot map (int, string or, for coGroup, any), the per-slot
+// arrays and the sort index.
 // Every kernel takes it with takeScratch and hands it back through a
 // deferred release, so the bail-outs, the non-pair error and a panicking
 // user aggregator all return it. Nothing a kernel emits aliases it: the
-// emitters copy the slots into fresh arena segments, the merges into a
-// fresh []Row.
+// emitters copy the slots into fresh arena segments, the merges and coGroup
+// into a fresh []Row.
 type kernelScratch struct {
 	intSlots map[int64]int32
 	strSlots map[string]int32
-	ints     []int64   // slot → int key
-	strs     []string  // slot → string key
-	buckets  []int32   // slot (row, when scattering) → reduce bucket (map side)
-	f64s     []float64 // slot → unboxed combiner
-	anys     []any     // slot → boxed combiner
-	idx      []int32   // slots in key order (reduce side), in arena order (emitColStr)
+	anySlots map[any]int32 // key → group slot (coGroup)
+	ints     []int64       // slot → int key
+	strs     []string      // slot → string key
+	buckets  []int32       // slot (row, when scattering) → reduce bucket (map side); record → group slot (coGroup)
+	f64s     []float64     // slot → unboxed combiner
+	anys     []any         // slot → boxed combiner; group slot → key (coGroup)
+	// idx holds the slots in key order (reduce side, coGroup) or in arena
+	// order (emitColStr); coGroup first counts its values per (group, side)
+	// in it.
+	idx []int32
 	// cursor is the map side's per-bucket counter and write cursor, one
 	// entry per reduce bucket, all zero between calls: layout touches only
 	// the entries of the buckets it is handed, listed in touched, and
@@ -319,7 +324,7 @@ func takeScratch(pairs int) *kernelScratch {
 	if s := scratchPools[c].Get(); s != nil {
 		return s
 	}
-	return &kernelScratch{intSlots: map[int64]int32{}, strSlots: map[string]int32{}, class: c}
+	return &kernelScratch{intSlots: map[int64]int32{}, strSlots: map[string]int32{}, anySlots: map[any]int32{}, class: c}
 }
 
 // release empties the scratch and pools it. The maps and the used prefixes
@@ -336,6 +341,7 @@ func (s *kernelScratch) release() {
 	}
 	clear(s.intSlots)
 	clear(s.strSlots)
+	clear(s.anySlots)
 	clear(s.strs)
 	clear(s.anys)
 	s.ints, s.strs, s.buckets = s.ints[:0], s.strs[:0], s.buckets[:0]

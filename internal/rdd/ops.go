@@ -1,7 +1,9 @@
 package rdd
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -355,10 +357,21 @@ func (r *RDD) SortByKey(n int) *RDD {
 // ---------- cogroup / join ----------
 
 // CoGroup groups r and o by key under partitioner p (nil for the default).
-// Output rows are Pair{K, [][]any{valuesFromR, valuesFromO}}, keys sorted.
+// Output rows are Pair{K, [][]any{valuesFromR, valuesFromO}}, keys sorted;
+// keys CompareKeys ties (int 3 and int64 3) keep their first appearance
+// order, r's records before o's. A side without values is nil.
 // A parent already partitioned by p (same Identity) is consumed through a
 // narrow dependency — no shuffle — which is how co-partitioned joins
 // eliminate shuffle traffic (paper Section III-C).
+//
+// A task's groups share storage: every key's side pair is a two-element
+// window of one [][]any slab, every narrow side's values a window of one
+// []any slab, and a shuffled side is the key's merged group itself, not a
+// copy (a repeated key's groups are concatenated into a fresh slice).
+// Every window and adopted group is capacity-clamped, so an append to a
+// side reallocates instead of running into the next group or the shuffle
+// read's rows; assigning to a side's elements would not, so the rows are
+// read-only, like every ComputeFn input.
 func (r *RDD) CoGroup(o *RDD, p Partitioner) *RDD {
 	p, fixed := r.orDefault(p)
 	parents := []*RDD{r, o}
@@ -373,34 +386,7 @@ func (r *RDD) CoGroup(o *RDD, p Partitioner) *RDD {
 		}
 	}
 	child := r.Ctx.newRDD("cogroup", p.NumPartitions(), deps, func(split int, in [][]Row) []Row {
-		groups := map[any]*[2][]any{}
-		var order []any
-		add := func(src int, k any, vs ...any) {
-			g, ok := groups[k]
-			if !ok {
-				g = &[2][]any{}
-				groups[k] = g
-				order = append(order, k)
-			}
-			g[src] = append(g[src], vs...)
-		}
-		for i := range in {
-			for _, row := range in[i] {
-				pr := row.(Pair)
-				if narrow[i] {
-					add(i, pr.K, pr.V)
-				} else {
-					add(i, pr.K, pr.V.([]any)...)
-				}
-			}
-		}
-		sort.Slice(order, func(a, b int) bool { return CompareKeys(order[a], order[b]) < 0 })
-		out := make([]Row, len(order))
-		for i, k := range order {
-			g := groups[k]
-			out[i] = Pair{K: k, V: [][]any{g[0], g[1]}}
-		}
-		return out
+		return coGroup(in, narrow)
 	})
 	child.Part = p
 	child.CostFactor = 1.6
@@ -417,6 +403,83 @@ func (r *RDD) CoGroup(o *RDD, p Partitioner) *RDD {
 	return child
 }
 
+// coGroup is CoGroup's compute. narrow[i] tells whether input i holds a
+// co-partitioned parent's pairs, one value each, or a shuffle's merged
+// groups, one []any per key. The key→slot map and the per-slot arrays are
+// the pooled kernel scratch's. One pass gives every distinct key a group
+// slot in first appearance order, notes each record's slot and counts the
+// narrow values per (group, side); the slabs are cut by those counts, and a
+// second pass fills them. A warm task allocates its output, the two slabs
+// (no values slab when no side is narrow) and, per key, the Pair and its
+// [][]any header.
+func coGroup(in [][]Row, narrow []bool) []Row {
+	s := takeScratch(len(in[0]) + len(in[1]))
+	defer s.release()
+	values := 0
+	for i, rows := range in {
+		for _, row := range rows {
+			k := row.(Pair).K
+			sl, ok := s.anySlots[k]
+			if !ok {
+				sl = int32(len(s.anys))
+				s.anySlots[k] = sl
+				s.anys = append(s.anys, k)
+				s.idx = append(s.idx, 0, 0)
+			}
+			s.buckets = append(s.buckets, sl)
+			if narrow[i] {
+				s.idx[2*int(sl)+i]++
+				values++
+			}
+		}
+	}
+	sides := make([][]any, len(s.idx))
+	var slab []any
+	if values > 0 {
+		slab = make([]any, values)
+	}
+	off := 0
+	for j, n := range s.idx {
+		if n > 0 {
+			sides[j] = slab[off : off : off+int(n)]
+			off += int(n)
+		}
+	}
+	slots := s.buckets
+	for i, rows := range in {
+		for r, row := range rows {
+			v, j := row.(Pair).V, 2*int(slots[r])+i
+			switch {
+			case narrow[i]:
+				sides[j] = append(sides[j], v)
+			case sides[j] == nil:
+				// A merged group: its key is unique in the shuffle's output.
+				if vs := v.([]any); len(vs) > 0 {
+					sides[j] = vs[:len(vs):len(vs)]
+				}
+			default:
+				sides[j] = slices.Clip(append(sides[j], v.([]any)...))
+			}
+		}
+		slots = slots[len(rows):]
+	}
+	keys, order := s.anys, s.idx[:0] // the counts are spent; 2 per key leave room
+	for sl := range keys {
+		order = append(order, int32(sl))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := CompareKeys(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b) // ties keep first appearance order
+	})
+	out := make([]Row, len(order))
+	for i, sl := range order {
+		out[i] = Pair{K: keys[sl], V: sides[2*sl : 2*sl+2 : 2*sl+2]}
+	}
+	return out
+}
+
 // JoinedValue is the value type produced by Join: one value from each side.
 type JoinedValue struct {
 	Left, Right any
@@ -426,11 +489,23 @@ type JoinedValue struct {
 func (j JoinedValue) LogicalBytes() int64 { return RowBytes(j.Left) + RowBytes(j.Right) + 8 }
 
 // Join inner-joins two pair RDDs by key under partitioner p (nil for the
-// default), emitting Pair{K, JoinedValue} for each match combination.
+// default), emitting Pair{K, JoinedValue} for each match combination, left
+// value major. A task counts its matches first and fills one output of
+// exactly that length (nil when nothing matches), so it allocates the
+// output and, per match, the Pair and its JoinedValue; the joined values
+// are the cogroup's own (see CoGroup), not copies.
 func (r *RDD) Join(o *RDD, p Partitioner) *RDD {
 	cg := r.CoGroup(o, p)
 	joined := cg.narrowChild("join", 1.2, func(split int, in [][]Row) []Row {
-		var out []Row
+		n := 0
+		for _, row := range in[0] {
+			sides := row.(Pair).V.([][]any)
+			n += len(sides[0]) * len(sides[1])
+		}
+		if n == 0 {
+			return nil
+		}
+		out := make([]Row, 0, n)
 		for _, row := range in[0] {
 			pr := row.(Pair)
 			sides := pr.V.([][]any)

@@ -383,6 +383,7 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 			k := fmt.Sprintf("key-%d", i)
 			s.intSlots[int64(i)] = int32(i)
 			s.strSlots[k] = int32(i)
+			s.anySlots[k] = int32(i)
 			s.strs = append(s.strs, k)
 			s.anys = append(s.anys, &k)
 			s.f64s = append(s.f64s, 1)
@@ -394,8 +395,8 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 
 	s := fill(maxPooledSlots)
 	s.release()
-	if len(s.intSlots)+len(s.strSlots) != 0 {
-		t.Fatalf("release left %d int and %d string slots", len(s.intSlots), len(s.strSlots))
+	if len(s.intSlots)+len(s.strSlots)+len(s.anySlots) != 0 {
+		t.Fatalf("release left %d int, %d string and %d boxed-key slots", len(s.intSlots), len(s.strSlots), len(s.anySlots))
 	}
 	if len(s.ints)+len(s.strs)+len(s.buckets)+len(s.f64s)+len(s.anys)+len(s.idx) != 0 {
 		t.Fatalf("release left a non-empty slot array: %+v", s)
@@ -601,5 +602,63 @@ func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWarmCoGroupAllocatesTwoPerKey pins a warm cogroup task at its output,
+// its slabs and, per key, the output Pair and its [][]any header: k keys
+// cost 2k + 3 objects over two narrow sides and 2k + 2 over two shuffled
+// ones (no values slab), the same constant at 16 and at 1024 keys. A warm
+// join task over m matches costs its output and, per match, the Pair and
+// its JoinedValue: 2m + 1.
+func TestWarmCoGroupAllocatesTwoPerKey(t *testing.T) {
+	ctx := NewContext(2)
+	p := NewHashPartitioner(1)
+	byP, loose := ctx.Parallelize(nil, 1).PartitionBy(p), ctx.Parallelize(nil, 1)
+	// Keys >= 256 and values boxed up front: reading the input boxes
+	// nothing. Each key has two values per side, as two records (narrow) or
+	// as one merged group (shuffled).
+	input := func(keys int, narrow bool) []Row {
+		var rows []Row
+		for k := 0; k < keys; k++ {
+			key, a, b := any(1000+k*7919), any(float64(k)), any(float64(-k))
+			if narrow {
+				rows = append(rows, Pair{K: key, V: a}, Pair{K: key, V: b})
+			} else {
+				rows = append(rows, Pair{K: key, V: []any{a, b}})
+			}
+		}
+		return rows
+	}
+	for _, keys := range []int{16, 1024} {
+		for _, c := range []struct {
+			name   string
+			cg     *RDD
+			narrow bool
+			extra  float64
+		}{
+			{"narrow/narrow cogroup", byP.CoGroup(byP, p), true, 3},
+			{"shuffled/shuffled cogroup", loose.CoGroup(loose, p), false, 2},
+		} {
+			in := [][]Row{input(keys, c.narrow), input(keys, c.narrow)}
+			got := testing.AllocsPerRun(20, func() {
+				if out := c.cg.Compute(0, in); len(out) != keys {
+					t.Fatalf("%s: %d rows, want %d", c.name, len(out), keys)
+				}
+			})
+			if want := 2*float64(keys) + c.extra; got != want {
+				t.Errorf("warm %s over %d keys: %v objects per call, want %v", c.name, keys, got, want)
+			}
+		}
+		cogrouped := [][]Row{byP.CoGroup(byP, p).Compute(0, [][]Row{input(keys, true), input(keys, true)})}
+		join, matches := byP.Join(byP, p), 4*keys
+		got := testing.AllocsPerRun(20, func() {
+			if out := join.Compute(0, cogrouped); len(out) != matches {
+				t.Fatalf("join: %d rows, want %d", len(out), matches)
+			}
+		})
+		if want := 2*float64(matches) + 1; got != want {
+			t.Errorf("warm join over %d matches: %v objects per call, want %v", matches, got, want)
+		}
 	}
 }

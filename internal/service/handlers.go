@@ -208,6 +208,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
+	if err := checkSizes(req.InputBytes, req.Shrink); err != nil {
+		s.writeError(w, r, err)
+		return
+	}
 	v, ok := s.runJob(w, r, req.TimeoutSeconds, func(ctx context.Context) (any, error) {
 		return s.runSubmit(ctx, req)
 	})
@@ -223,6 +227,10 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	}
 	var req api.TrainRequest
 	if err := decodeBody(w, r, "train", &req); err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	if err := checkTrain(req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}

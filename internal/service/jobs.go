@@ -27,6 +27,39 @@ func (s *Server) buildApp(workload string, inputBytes int64, shrink int) (*chopp
 	return app, bytes, nil
 }
 
+// checkSizes refuses a negative input size or shrink factor.
+func checkSizes(inputBytes int64, shrink int) error {
+	if inputBytes < 0 || shrink < 0 {
+		return httpErrf(http.StatusBadRequest, "service: negative inputBytes %d or shrink %d", inputBytes, shrink)
+	}
+	return nil
+}
+
+// checkTrain refuses a train request whose plan no run can honour in
+// bounded work: more than api.MaxPlanEntries entries in a list, a size
+// fraction outside (0, 1] (NaN and ±Inf included), or a partition count
+// outside [1, api.MaxPartitions].
+func checkTrain(req api.TrainRequest) error {
+	if err := checkSizes(req.InputBytes, req.Shrink); err != nil {
+		return err
+	}
+	if len(req.SizeFractions) > api.MaxPlanEntries || len(req.Partitions) > api.MaxPlanEntries {
+		return httpErrf(http.StatusBadRequest, "service: %d size fractions and %d partition counts; at most %d each",
+			len(req.SizeFractions), len(req.Partitions), api.MaxPlanEntries)
+	}
+	for _, f := range req.SizeFractions {
+		if !(f > 0 && f <= 1) {
+			return httpErrf(http.StatusBadRequest, "service: size fraction %v outside (0, 1]", f)
+		}
+	}
+	for _, n := range req.Partitions {
+		if n < 1 || n > api.MaxPartitions {
+			return httpErrf(http.StatusBadRequest, "service: partition count %d outside [1, %d]", n, api.MaxPartitions)
+		}
+	}
+	return nil
+}
+
 // schemeEntries converts a generated configuration to wire form.
 func schemeEntries(cf *chopper.ConfigFile) []api.SchemeEntry {
 	out := make([]api.SchemeEntry, 0, len(cf.Entries))

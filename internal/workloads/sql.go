@@ -41,6 +41,9 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	physOrder := int64(40)
 	physCust := int64(32)
 	physTotal := int64(s.Orders)*physOrder + int64(s.Customers)*physCust
+	if physTotal <= 0 {
+		return Result{}, fmt.Errorf("sql: empty input")
+	}
 	setScale(ctx, inputBytes, physTotal)
 
 	ordersBytes := inputBytes * (int64(s.Orders) * physOrder) / physTotal
