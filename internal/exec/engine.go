@@ -411,7 +411,8 @@ func (e *Engine) computeTasks(tasks []task, alive []*cluster.Node, errs []error,
 // when all its rows feed are folds: a result stage's action gets the task's
 // own block (SumFloat adds it in place; any other action boxes it, as the
 // Final's Compute would), and a map stage whose aggregator CombinesF64
-// folds the worker's block straight into its arena.
+// folds the worker's block straight into its arena. Typed parents up the
+// chain are pulled as columns too (see materializeTyped).
 func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 	defer release(a)
 	fin, dep := t.stage.Final, t.stage.OutDep
@@ -425,7 +426,7 @@ func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 	}
 	var err error
 	if typed != nil {
-		err = e.materializeTyped(fin, t.split, a, typed)
+		_, err = e.materializeTyped(fin, t.split, a, typed)
 		t.records = int64(typed.Len())
 		if dep == nil {
 			t.part[0] = rdd.ColPart(typed)

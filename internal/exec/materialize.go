@@ -28,6 +28,19 @@ type acct struct {
 	// col receives the columns of a map task's typed Final, folded into the
 	// map output before the task ends; its capacity carries over.
 	col rdd.ColBlock
+	// parents holds the columns of the typed parents materializeTyped
+	// pulls, one per pipeline depth below the Final (the first nparents
+	// in use); blocks and their capacity carry over between tasks.
+	parents  []*typedParent
+	nparents int
+}
+
+// typedParent is one typed parent's partition as its child's Typed
+// compute receives it: the block, as the one ColPart row of its input.
+type typedParent struct {
+	blk rdd.ColBlock
+	row [1]rdd.Row
+	in  [1][]rdd.Row
 }
 
 type memoEntry struct {
@@ -43,8 +56,12 @@ func release(a *acct) {
 	clear(a.memo)
 	clear(a.ins[:cap(a.ins)])
 	clear(a.pending)
+	for _, p := range a.parents[:a.nparents] {
+		*p = typedParent{blk: rdd.ColBlock{Int: p.blk.Int[:0], F64: p.blk.F64[:0]}}
+	}
 	*a = acct{memo: a.memo[:0], ins: a.ins[:0], pending: a.pending[:0],
-		col: rdd.ColBlock{Int: a.col.Int[:0], F64: a.col.F64[:0]}}
+		col:     rdd.ColBlock{Int: a.col.Int[:0], F64: a.col.F64[:0]},
+		parents: a.parents}
 }
 
 // materialize computes one partition of r, charging work to a. It returns
@@ -88,16 +105,52 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 }
 
 // materializeTyped computes one partition of r through its Typed compute
-// into dst, charging work to a exactly as materialize does; the columns
-// are neither memoised nor cached (r is its stage's un-cached Final).
-func (e *Engine) materializeTyped(r *rdd.RDD, split int, a *acct, dst *rdd.ColBlock) error {
-	inputs, err := e.gather(r, split, a)
-	if err != nil {
-		return err
+// into dst, charging work to a exactly as materialize does, and returns
+// the block's logical byte size; the columns are neither memoised nor
+// cached (r is its stage's un-cached Final, or reached from it as below).
+//
+// When r's one dependency is one-to-one on a parent with a Typed compute
+// that nothing caches, the parent is pulled the same way, into a block of
+// the worker's scratch, and handed to r as columns. Nothing else in the
+// stage reads that parent: every RDD of the stage other than the Final is
+// an ancestor of the Final's one parent, and so on down the chain.
+func (e *Engine) materializeTyped(r *rdd.RDD, split int, a *acct, dst *rdd.ColBlock) (float64, error) {
+	if p := pullableParent(r); p != nil {
+		if a.nparents == len(a.parents) {
+			a.parents = append(a.parents, new(typedParent))
+		}
+		in := a.parents[a.nparents]
+		a.nparents++
+		pb, err := e.materializeTyped(p, split, a, &in.blk)
+		if err != nil {
+			return 0, err
+		}
+		a.cost += pb * r.CostFactor // gather's charge for a one-input RDD
+		in.row[0] = rdd.ColPart(&in.blk)
+		in.in[0] = in.row[:]
+		r.Typed(split, in.in[:], dst)
+	} else {
+		inputs, err := e.gather(r, split, a)
+		if err != nil {
+			return 0, err
+		}
+		r.Typed(split, inputs, dst)
+		a.ins = a.ins[:len(a.ins)-len(inputs)] // pop the window
 	}
-	r.Typed(split, inputs, dst)
-	a.ins = a.ins[:len(a.ins)-len(inputs)] // pop the window
-	return nil
+	return dst.LogicalBytes(e.Ctx.LogicalScale), nil
+}
+
+// pullableParent returns the parent materializeTyped pulls as columns for
+// r, nil when r reads rows.
+func pullableParent(r *rdd.RDD) *rdd.RDD {
+	if len(r.Deps) != 1 {
+		return nil
+	}
+	dep, ok := r.Deps[0].(*rdd.NarrowDep)
+	if !ok || !dep.IsOneToOne() || dep.P.Typed == nil || dep.P.Cached {
+		return nil
+	}
+	return dep.P
 }
 
 // gather materializes the inputs of one partition of r and charges its

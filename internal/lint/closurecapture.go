@@ -19,6 +19,7 @@ var transformMethods = map[string]bool{
 	"Filter":            true,
 	"FlatMap":           true,
 	"FlatMapFloatPairs": true,
+	"MapFloatPairs":     true,
 	"MapPartitions":     true,
 	"MapValues":         true,
 	"KeyBy":             true,

@@ -120,16 +120,17 @@ func ScanKeyExpr(info *types.Info, lit *ast.FuncLit) (KeyExpr, bool) {
 	return joinKeyExprs(info, keys, scopes)
 }
 
-// ScanEmitKeyExpr is ScanKeyExpr for a FlatMapFloatPairs closure, which
-// builds no Pair literals: its keys are the first arguments of its calls
-// to emit, its second parameter.
+// ScanEmitKeyExpr is ScanKeyExpr for a FlatMapFloatPairs closure or a
+// GenerateFloatPairs generator, which build no Pair literals: their keys
+// are the first arguments of their calls to emit, their last parameter.
 func ScanEmitKeyExpr(info *types.Info, lit *ast.FuncLit) (KeyExpr, bool) {
 	if info == nil || lit == nil {
 		return KeyExpr{}, false
 	}
 	var emit types.Object
-	for obj, i := range litParams(info, lit) {
-		if i == 1 {
+	params := litParams(info, lit)
+	for obj, i := range params {
+		if i == len(params)-1 {
 			emit = obj
 		}
 	}
@@ -150,6 +151,40 @@ func ScanEmitKeyExpr(info *types.Info, lit *ast.FuncLit) (KeyExpr, bool) {
 		return true
 	})
 	return joinKeyExprs(info, keys, scopes)
+}
+
+// ScanReturnKeyExpr is ScanKeyExpr for a MapFloatPairs closure, which
+// builds no Pair literals: its keys are the first results of its return
+// statements. same reports that every one of them is the closure's key
+// parameter, so its output keeps its input's key; ok=false when it has no
+// such return.
+func ScanReturnKeyExpr(info *types.Info, lit *ast.FuncLit) (k KeyExpr, same, ok bool) {
+	if info == nil || lit == nil || lit.Body == nil {
+		return KeyExpr{}, false, false
+	}
+	params := litParams(info, lit)
+	var keys []ast.Expr
+	var scopes []*ast.FuncLit
+	same = true
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false // a nested closure's returns are its own
+		case *ast.ReturnStmt:
+			if len(x.Results) == 0 {
+				return true
+			}
+			keys = append(keys, x.Results[0])
+			scopes = append(scopes, lit)
+			id, isIdent := ast.Unparen(x.Results[0]).(*ast.Ident)
+			if i, isParam := params[info.Uses[id]]; !isIdent || !isParam || i != 0 {
+				same = false
+			}
+		}
+		return true
+	})
+	k, ok = joinKeyExprs(info, keys, scopes)
+	return k, same && ok, ok
 }
 
 // joinKeyExprs analyzes every key expression in its enclosing closure and

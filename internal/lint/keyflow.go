@@ -442,7 +442,7 @@ func evalRDDExpr(f *File, e ast.Expr, facts keyFlowFacts, ev *keyEvents, consume
 		}
 		sel := ast.Unparen(x.Fun).(*ast.SelectorExpr)
 		consumed[x.Fun] = true
-		if m == "Generate" || m == "Parallelize" {
+		if m == "Generate" || m == "GenerateFloatPairs" || m == "Parallelize" {
 			consumed[sel.X] = true
 			return evalSourceCall(f, m, x)
 		}
@@ -452,13 +452,18 @@ func evalRDDExpr(f *File, e ast.Expr, facts keyFlowFacts, ev *keyEvents, consume
 	return keyState{}
 }
 
-// evalSourceCall models ctx.Generate / ctx.Parallelize: a fresh RDD whose
-// key summary comes from the generator closure's Pair literals.
+// evalSourceCall models ctx.Generate / ctx.GenerateFloatPairs /
+// ctx.Parallelize: a fresh RDD whose key summary comes from the generator
+// closure's Pair literals or emit calls.
 func evalSourceCall(f *File, method string, call *ast.CallExpr) keyState {
 	st := keyState{isRDD: true}
-	if method == "Generate" && len(call.Args) == 4 {
+	scan := ScanKeyExpr
+	if method == "GenerateFloatPairs" {
+		scan = ScanEmitKeyExpr
+	}
+	if method != "Parallelize" && len(call.Args) == 4 {
 		if lit, ok := ast.Unparen(call.Args[3]).(*ast.FuncLit); ok {
-			if k, ok := ScanKeyExpr(f.Info, lit); ok {
+			if k, ok := scan(f.Info, lit); ok {
 				st.key = k
 			}
 		}
@@ -490,12 +495,13 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 		return recv
 
 	case m == "Map" || m == "MapCost" || m == "Filter" || m == "FlatMap" ||
-		m == "Coalesce" || m == "Sample" || m == "MapFloat" || m == "FlatMapFloatPairs":
+		m == "Coalesce" || m == "Sample" || m == "MapFloat" || m == "FlatMapFloatPairs" ||
+		m == "MapFloatPairs":
 		if ev != nil {
 			ev.kill(recv, methodDisplay(m))
 		}
 		litIdx := 0
-		if m == "MapCost" || m == "MapFloat" {
+		if m == "MapCost" || m == "MapFloat" || m == "MapFloatPairs" {
 			litIdx = 2
 		}
 		switch {
@@ -504,6 +510,13 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 			out.key = recv.key
 		case m == "FlatMapFloatPairs":
 			if k, ok := ScanEmitKeyExpr(f.Info, funcLitArg(call, 0)); ok {
+				out.key = k
+			}
+		case m == "MapFloatPairs":
+			switch k, same, ok := ScanReturnKeyExpr(f.Info, funcLitArg(call, litIdx)); {
+			case same:
+				out.key = recv.key
+			case ok:
 				out.key = k
 			}
 		case IdentityClosure(f.Info, funcLitArg(call, litIdx)):
@@ -619,7 +632,7 @@ func canonNote(k KeyExpr) string {
 // diagnostics (matching the op labels in stage plans).
 func methodDisplay(m string) string {
 	switch m {
-	case "MapCost", "MapFloat":
+	case "MapCost", "MapFloat", "MapFloatPairs":
 		return "map"
 	case "FlatMapFloatPairs":
 		return "flatMap"

@@ -252,18 +252,22 @@ func joinKeyFacts(f *KeyFacts, a, b *KeyFacts) {
 	}
 }
 
-// noteContext models the two source constructors.
+// noteContext models the three source constructors.
 func (t *keyTracker) noteContext(call *ast.CallExpr, name string, args []reflect.Value, out []val) {
 	switch name {
-	case "Generate":
+	case "Generate", "GenerateFloatPairs":
 		op := ""
 		if len(args) > 0 && args[0].Kind() == reflect.String {
 			op = args[0].String()
 		}
 		nodes := t.take(call, firstRDDResult(out), op)
 		f := &KeyFacts{ID: nodes[0].ID, Op: op}
+		scan := t.scanKey
+		if name == "GenerateFloatPairs" {
+			scan = func(lit *ast.FuncLit) (lint.KeyExpr, bool) { return lint.ScanEmitKeyExpr(t.in.info, lit) }
+		}
 		if lit := t.funcLitAt(call, 3, nil); lit != nil {
-			if k, ok := t.scanKey(lit); ok {
+			if k, ok := scan(lit); ok {
 				setKeyFrom(f, k)
 			} else {
 				f.Keyed = KeyedNo
@@ -315,6 +319,21 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 			if k, ok := lint.ScanEmitKeyExpr(t.in.info, lit); ok {
 				setKeyFrom(f, k)
 			}
+		}
+		t.facts[f.ID] = f
+
+	case "MapFloatPairs":
+		op := ""
+		if len(args) > 0 && args[0].Kind() == reflect.String {
+			op = args[0].String()
+		}
+		nodes := t.take(call, firstRDDResult(out), op)
+		f := &KeyFacts{ID: nodes[0].ID, Op: op, DepKinds: "n"}
+		switch k, same, ok := lint.ScanReturnKeyExpr(t.in.info, t.funcLitAt(call, 2, env)); {
+		case same:
+			inheritKey(f, t.parentFacts(call, recv))
+		case ok:
+			setKeyFrom(f, k)
 		}
 		t.facts[f.ID] = f
 

@@ -46,17 +46,22 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	}
 	setScale(ctx, inputBytes, physTotal)
 
-	ordersBytes := inputBytes * (int64(s.Orders) * physOrder) / physTotal
+	// The orders' share, inputBytes·ordersPhys/physTotal truncated, taken
+	// as quotient and remainder: exact in int64 at every input size, since
+	// the remainder's product stays under physTotal² (physTotal, the bytes
+	// of rows held in memory, stays far below 2^31.5).
+	ordersPhys := int64(s.Orders) * physOrder
+	ordersBytes := inputBytes/physTotal*ordersPhys + inputBytes%physTotal*ordersPhys/physTotal
 	custBytes := inputBytes - ordersBytes
 
-	orders := ctx.Generate("ordersTable", 0, ordersBytes, func(split, total int) []rdd.Row {
-		rows := strideBuf(s.Orders, split, total)
+	// The orders scan stays in int/float64 columns from the generator to
+	// the map-side combine: no order row is boxed on the engine.
+	orders := ctx.GenerateFloatPairs("ordersTable", 0, ordersBytes, func(split, total int, emit func(int, float64)) {
 		strideRows(s.Orders, split, total, func(i int) {
 			cust := zipfIndex(s.Seed, int64(i), s.Customers)
 			amount := 10 + det01(s.Seed+5, int64(i))*990
-			rows = append(rows, rdd.Pair{K: cust, V: amount})
+			emit(cust, amount)
 		})
-		return rows
 	})
 	customers := ctx.Generate("customersTable", 0, custBytes, func(split, total int) []rdd.Row {
 		rows := strideBuf(s.Customers, split, total)
@@ -68,8 +73,8 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 
 	// Stages 0-1: filter + aggregate revenue per customer, cache, count.
 	revenue := orders.
-		Filter(func(r rdd.Row) bool { return r.(rdd.Pair).V.(float64) >= 20 }).
-		MapCost("projectOrder", 8.0, func(r rdd.Row) rdd.Row { return r }).
+		MapFloatPairs("filter", 0.4, func(cust int, amount float64) (int, float64, bool) { return cust, amount, amount >= 20 }).
+		MapFloatPairs("projectOrder", 8.0, func(cust int, amount float64) (int, float64, bool) { return cust, amount, true }).
 		SumByKey(nil).
 		Cache()
 	aggCount, err := revenue.Count()
