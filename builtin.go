@@ -35,22 +35,7 @@ func (b *BuiltinApp) SetInputBytes(n int64) { b.bytes = n }
 
 // Shrink scales the physical dataset down by the given factor for fast
 // demonstration runs (logical size and cost model are unchanged).
-func (b *BuiltinApp) Shrink(factor int) {
-	if factor <= 1 {
-		return
-	}
-	switch w := b.w.(type) {
-	case *workloads.KMeans:
-		w.Rows /= factor
-	case *workloads.PCA:
-		w.Rows /= factor
-	case *workloads.SQL:
-		w.Orders /= factor
-		w.Customers /= factor
-	case *workloads.PageRank:
-		w.Pages /= factor
-	}
-}
+func (b *BuiltinApp) Shrink(factor int) { workloads.Shrink(b.w, factor) }
 
 // Run implements App.
 func (b *BuiltinApp) Run(sess *Session, inputBytes int64) error {

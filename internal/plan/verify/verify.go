@@ -28,6 +28,7 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -489,6 +490,10 @@ func checkRangeBounds(label string, depIdx int, rp *rdd.RangePartitioner) (out [
 	return out
 }
 
+// ErrPlan is what every error Error returns wraps: the plan a job asked
+// for breaks an invariant, so no run of it can go ahead.
+var ErrPlan = errors.New("plan verification failed")
+
 // Error bundles violations into one error for strict callers.
 func Error(vs []Violation) error {
 	if len(vs) == 0 {
@@ -498,7 +503,7 @@ func Error(vs []Violation) error {
 	for i, v := range vs {
 		msgs[i] = v.String()
 	}
-	return fmt.Errorf("plan verification failed:\n\t%s", strings.Join(msgs, "\n\t"))
+	return fmt.Errorf("%w:\n\t%s", ErrPlan, strings.Join(msgs, "\n\t"))
 }
 
 // Hook returns a strict Scheduler.Verify implementation: any violation

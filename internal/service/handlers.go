@@ -186,9 +186,12 @@ func (s *Server) rejectReadOnly(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // decodeBody decodes the JSON request body into v, reading at most
-// api.MaxRequestBytes of it: a longer body is a 413, malformed JSON a 400.
+// api.MaxRequestBytes of it: a longer body is a 413, malformed JSON or a
+// field v does not have a 400.
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) error {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 		return httpErrf(http.StatusRequestEntityTooLarge, "service: %s body exceeds %d bytes", what, tooBig.Limit)
 	}
@@ -208,7 +211,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	if err := checkSizes(req.InputBytes, req.Shrink); err != nil {
+	if err := s.checkSizes(req.Workload, req.InputBytes, req.Shrink); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -230,7 +233,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	if err := checkTrain(req); err != nil {
+	if err := s.checkTrain(req); err != nil {
 		s.writeError(w, r, err)
 		return
 	}

@@ -2,10 +2,13 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http"
 
 	"chopper"
 	"chopper/api"
+	"chopper/internal/plan/verify"
+	"chopper/internal/workloads"
 )
 
 // buildApp resolves a built-in workload and applies the request's shrink and
@@ -27,20 +30,43 @@ func (s *Server) buildApp(workload string, inputBytes int64, shrink int) (*chopp
 	return app, bytes, nil
 }
 
-// checkSizes refuses a negative input size or shrink factor.
-func checkSizes(inputBytes int64, shrink int) error {
+// checkSizes refuses a negative input size or shrink factor, and a shrink
+// factor (the server's default when none is given) that leaves the
+// workload a table without rows. An unknown workload is left to
+// buildApp's 404.
+func (s *Server) checkSizes(workload string, inputBytes int64, shrink int) error {
 	if inputBytes < 0 || shrink < 0 {
 		return httpErrf(http.StatusBadRequest, "service: negative inputBytes %d or shrink %d", inputBytes, shrink)
 	}
+	w, err := workloads.ByName(workload)
+	if err != nil {
+		return nil
+	}
+	if shrink == 0 {
+		shrink = s.cfg.Shrink
+	}
+	if workloads.Shrink(w, shrink); workloads.Empty(w) {
+		return httpErrf(http.StatusBadRequest, "service: shrink %d leaves %s without rows", shrink, workload)
+	}
 	return nil
+}
+
+// runStatus is the status of a run that failed with err: 422 when the
+// plan verifier refused the plan the request asks for — an input too large
+// for the executors' memory at the run's partition counts — else fallback.
+func runStatus(err error, fallback int) int {
+	if errors.Is(err, verify.ErrPlan) {
+		return http.StatusUnprocessableEntity
+	}
+	return fallback
 }
 
 // checkTrain refuses a train request whose plan no run can honour in
 // bounded work: more than api.MaxPlanEntries entries in a list, a size
 // fraction outside (0, 1] (NaN and ±Inf included), or a partition count
 // outside [1, api.MaxPartitions].
-func checkTrain(req api.TrainRequest) error {
-	if err := checkSizes(req.InputBytes, req.Shrink); err != nil {
+func (s *Server) checkTrain(req api.TrainRequest) error {
+	if err := s.checkSizes(req.Workload, req.InputBytes, req.Shrink); err != nil {
 		return err
 	}
 	if len(req.SizeFractions) > api.MaxPlanEntries || len(req.Partitions) > api.MaxPlanEntries {
@@ -100,7 +126,7 @@ func (s *Server) runSubmit(ctx context.Context, req api.SubmitRequest) (*api.Sub
 	sess := s.sessions.Acquire(extra...)
 	defer s.sessions.Release(sess)
 	if err := app.Run(sess, bytes); err != nil {
-		return nil, httpErrf(http.StatusInternalServerError, "service: %s run failed: %v", req.Workload, err)
+		return nil, httpErrf(runStatus(err, http.StatusInternalServerError), "service: %s run failed: %v", req.Workload, err)
 	}
 	if !req.NoRecord {
 		(&chopper.Tuner{DB: s.db}).Observe(sess, app, bytes)
@@ -145,7 +171,7 @@ func (s *Server) runTrain(ctx context.Context, req api.TrainRequest) (*api.Train
 	tuner := &chopper.Tuner{DB: s.db, Plan: plan, SessionOptions: s.cfg.SessionOptions}
 	before := s.db.RunCount(req.Workload)
 	if err := tuner.ProfileContext(ctx, app); err != nil {
-		return nil, httpErrf(http.StatusGatewayTimeout, "service: training %s stopped: %v", req.Workload, err)
+		return nil, httpErrf(runStatus(err, http.StatusGatewayTimeout), "service: training %s stopped: %v", req.Workload, err)
 	}
 	return &api.TrainResponse{
 		Workload:     req.Workload,

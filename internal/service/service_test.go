@@ -332,10 +332,12 @@ func TestRequestBodiesBounded(t *testing.T) {
 	}
 }
 
-// TestHostileInputsAnsweredPromptly: numbers no run can honour get their
-// status within a second — 400 before any job is queued for a negative size
-// or an out-of-bounds trial plan, the run's own error for a workload shrunk
-// to nothing — and the daemon still answers /healthz afterwards.
+// TestHostileInputsAnsweredPromptly: requests no run can honour get a 4xx
+// within a second — 400 before any job is queued for an unknown field, a
+// negative size, an out-of-bounds trial plan or a shrink factor that leaves
+// a table without rows; 422 from the job, before any stage runs, for an
+// input the plan verifier finds too large for the executors' memory — and
+// the daemon still answers /healthz afterwards.
 func TestHostileInputsAnsweredPromptly(t *testing.T) {
 	srv, cl, _ := startTestServer(t, Config{})
 	tooMany := "[" + strings.Repeat("100,", api.MaxPlanEntries) + "100]"
@@ -357,9 +359,15 @@ func TestHostileInputsAnsweredPromptly(t *testing.T) {
 		{"/v1/train", train(`"sizeFractions":[0]`), http.StatusBadRequest},
 		{"/v1/train", train(`"sizeFractions":[-0.5]`), http.StatusBadRequest},
 		{"/v1/train", train(`"sizeFractions":[1.0000001]`), http.StatusBadRequest},
+		{"/v1/jobs", `{"workload":"sql","bogusField":1}`, http.StatusBadRequest},
+		{"/v1/train", train(`"bogusField":1`), http.StatusBadRequest},
+		{"/v1/jobs", `{"workload":"sql","shrink":2000}`, http.StatusBadRequest}, // no customers left
+		{"/v1/train", train(`"inputBytes":9223372036854775807,"sizeFractions":[1],"partitions":[100]`), http.StatusUnprocessableEntity},
 	}
 	for _, w := range []string{"kmeans", "pca", "sql", "pagerank"} {
-		cases = append(cases, request{"/v1/jobs", `{"workload":"` + w + `","shrink":1000000}`, http.StatusInternalServerError})
+		cases = append(cases,
+			request{"/v1/jobs", `{"workload":"` + w + `","shrink":1000000}`, http.StatusBadRequest},
+			request{"/v1/jobs", `{"workload":"` + w + `","shrink":24,"inputBytes":9223372036854775807}`, http.StatusUnprocessableEntity})
 	}
 	for _, tc := range cases {
 		start := time.Now()
@@ -375,12 +383,12 @@ func TestHostileInputsAnsweredPromptly(t *testing.T) {
 	}
 	// JSON has no NaN or Inf; a caller building the request in Go can.
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		err := checkTrain(api.TrainRequest{Workload: "kmeans", SizeFractions: []float64{f}})
+		err := srv.checkTrain(api.TrainRequest{Workload: "kmeans", SizeFractions: []float64{f}})
 		if he, ok := err.(*httpError); !ok || he.status != http.StatusBadRequest {
 			t.Errorf("size fraction %v: %v, want a 400", f, err)
 		}
 	}
-	if err := checkTrain(smallGrid("kmeans")); err != nil {
+	if err := srv.checkTrain(smallGrid("kmeans")); err != nil {
 		t.Fatalf("the small grid is refused: %v", err)
 	}
 	if _, err := cl.Health(context.Background()); err != nil {

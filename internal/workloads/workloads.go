@@ -79,6 +79,22 @@ func Shrink(w Workload, factor int) {
 	}
 }
 
+// Empty reports whether w has a table without physical rows, as a shrink
+// factor larger than the table leaves it: such a workload cannot run.
+func Empty(w Workload) bool {
+	switch w := w.(type) {
+	case *KMeans:
+		return w.Rows <= 0
+	case *PCA:
+		return w.Rows <= 0
+	case *SQL:
+		return w.Orders <= 0 || w.Customers <= 0
+	case *PageRank:
+		return w.Pages <= 0
+	}
+	return false
+}
+
 // det01 maps (seed, i) to a deterministic pseudo-uniform float in [0, 1).
 func det01(seed, i int64) float64 {
 	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9

@@ -2,6 +2,7 @@ package workloads_test
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"chopper/internal/cluster"
@@ -346,6 +347,61 @@ func TestBuiltinChecksumsPinned(t *testing.T) {
 		res, _, _ := runEngine(t, w, w.DefaultInputBytes(), w.Name() == "pagerank", nil)
 		if got := math.Float64bits(res.Checksum); got != want[w.Name()] {
 			t.Errorf("%s checksum = %#x (%v), want %#x (%v)", w.Name(), got, res.Checksum, want[w.Name()], math.Float64frombits(want[w.Name()]))
+		}
+	}
+}
+
+// sourceBytes is a JobRunner that records the SourceBytes of every source
+// its jobs reach, by op name, and runs each job over empty partitions.
+type sourceBytes map[string]int64
+
+// RunJob implements rdd.JobRunner.
+func (s sourceBytes) RunJob(target *rdd.RDD, fn func(int, []rdd.Row) (any, error)) ([]any, error) {
+	for _, r := range target.Lineage() {
+		if len(r.Deps) == 0 {
+			s[r.Op] = r.SourceBytes
+		}
+	}
+	out := make([]any, target.NumParts)
+	for split := range out {
+		res, err := fn(split, nil)
+		if err != nil {
+			return nil, err
+		}
+		out[split] = res
+	}
+	return out, nil
+}
+
+// TestSQLSplitsHugeInputsExactly: SQL divides its input between the orders
+// and the customers table in proportion to their physical bytes. At inputs
+// where the product of the input and the orders' bytes passes 2^63 — 6 TB
+// at the paper's size and at the benchmark's doubled one, and the largest
+// int64 — both shares stay non-negative and still add up to the input, and
+// at every size the orders share is the exact truncated quotient (at the
+// paper's 34.5 GB, the one plain int64 arithmetic gives).
+func TestSQLSplitsHugeInputsExactly(t *testing.T) {
+	for _, orders := range []int{40000, 80000} {
+		for _, input := range []int64{int64(34.5 * workloads.GB), 6e12, math.MaxInt64} {
+			w := workloads.NewSQL()
+			w.Orders = orders
+			got := sourceBytes{}
+			ctx := rdd.NewContext(4)
+			ctx.SetRunner(got)
+			if _, err := w.Run(ctx, input); err == nil {
+				t.Fatal("a run over empty partitions joined rows")
+			}
+			o, c := got["ordersTable"], got["customersTable"]
+			t.Logf("orders %d, input %d: orders table %d bytes, customers %d", orders, input, o, c)
+			if o < 0 || c < 0 || o+c != input {
+				t.Fatalf("orders %d, input %d: split into %d + %d", orders, input, o, c)
+			}
+			physOrders := int64(orders) * 40
+			want := new(big.Int).Mul(big.NewInt(input), big.NewInt(physOrders))
+			want.Quo(want, big.NewInt(physOrders+int64(w.Customers)*32))
+			if !want.IsInt64() || o != want.Int64() {
+				t.Fatalf("orders %d, input %d: orders share %d, want %v", orders, input, o, want)
+			}
 		}
 	}
 }
