@@ -258,3 +258,43 @@ func TestTypedFoldTasksAllocateNoRows(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmOrderScanAllocatesOnlyItsMapOutput pins a warm map task of SQL's
+// order-scan shape — a GenerateFloatPairs source, a filter and a map by
+// MapFloatPairs, SumByKey's map-side combine — at its map output: the
+// arena's four objects (the ColBuckets, its key and value segments and its
+// non-empty bucket list) and the payload sizes computeTask records, the
+// same five objects at 1k and 20k rows. The source, the filter and the map
+// compute into the worker's reused column blocks, and the generator's emit
+// func comes from a pool.
+func TestWarmOrderScanAllocatesOnlyItsMapOutput(t *testing.T) {
+	const keys = 64
+	measure := func(rows int) float64 {
+		e := testEngine()
+		workers := e.aliveSnapshot()
+		src := e.Ctx.GenerateFloatPairs("orders", 1, 1<<20, func(_, _ int, emit func(int, float64)) {
+			for i := range rows {
+				emit(1000+(i%keys)*7919, float64(i%97))
+			}
+		})
+		mapped := src.
+			MapFloatPairs("filter", 0.4, func(k int, v float64) (int, float64, bool) { return k, v, v >= 20 }).
+			MapFloatPairs("projectOrder", 8.0, func(k int, v float64) (int, float64, bool) { return k, v, true })
+		st := &dag.Stage{Final: mapped, OutDep: &rdd.ShuffleDep{P: mapped, Part: rdd.NewHashPartitioner(8), Agg: rdd.SumAggregator()}}
+		scratch, tk := new(acct), new(task) // a task lives in the wave's slab
+		return testing.AllocsPerRun(100, func() {
+			*tk = task{stage: st}
+			if err := e.computeTask(tk, workers, scratch); err != nil {
+				t.Fatal(err)
+			}
+			if tk.mapOut.Cols == nil || tk.records == 0 || tk.records >= int64(rows) {
+				t.Fatalf("map task: %d records of %d rows, arena %v", tk.records, rows, tk.mapOut.Cols != nil)
+			}
+		})
+	}
+	for _, rows := range []int{1000, 20000} {
+		if got := measure(rows); got != 5 {
+			t.Errorf("warm order-scan map task over %d rows: %v objects, want 5", rows, got)
+		}
+	}
+}

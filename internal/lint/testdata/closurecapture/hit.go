@@ -52,3 +52,12 @@ func Deflate(r *rdd.RDD, iters int) []*rdd.RDD {
 	}
 	return out
 }
+
+// KeptPairs counts the pairs a typed filter keeps in a captured variable.
+func KeptPairs(r *rdd.RDD) *rdd.RDD {
+	kept := 0
+	return r.MapFloatPairs("filter", 0.4, func(k int, v float64) (int, float64, bool) {
+		kept++
+		return k, v, v > 0
+	})
+}

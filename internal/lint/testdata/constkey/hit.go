@@ -38,3 +38,26 @@ func ConstSum(ctx *rdd.Context) *rdd.RDD {
 	})
 	return rows.SumByKey(nil)
 }
+
+// TypedModuloSum re-keys typed pairs by k%4 in a MapFloatPairs closure:
+// the key is the first result of its return, and four values of it feed
+// the shuffle.
+func TypedModuloSum(ctx *rdd.Context) *rdd.RDD {
+	rows := ctx.GenerateFloatPairs("typedRows", 0, 1<<20, func(split, total int, emit func(int, float64)) {
+		emit(split, 1)
+	})
+	return rows.MapFloatPairs("bucket", 1.0, func(k int, v float64) (int, float64, bool) {
+		return k % 4, v, true
+	}).SumByKey(nil)
+}
+
+// TypedConstSum emits the constant key 0 from a typed source, and the
+// MapFloatPairs filter passes it through unchanged.
+func TypedConstSum(ctx *rdd.Context) *rdd.RDD {
+	rows := ctx.GenerateFloatPairs("typedConst", 0, 1<<20, func(split, total int, emit func(int, float64)) {
+		emit(0, float64(split))
+	})
+	return rows.MapFloatPairs("filter", 0.4, func(k int, v float64) (int, float64, bool) {
+		return k, v, v > 0
+	}).SumByKey(nil)
+}

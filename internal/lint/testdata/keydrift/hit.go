@@ -31,3 +31,15 @@ func RekeyedCoGroup(ctx *rdd.Context) *rdd.RDD {
 	})
 	return base.CoGroup(tagged, nil)
 }
+
+// TypedJoin keys the typed orders by the split index (int), carried through
+// a MapFloatPairs filter, but the names side by its string rendering.
+func TypedJoin(ctx *rdd.Context) *rdd.RDD {
+	orders := ctx.GenerateFloatPairs("orders", 0, 1<<20, func(split, total int, emit func(int, float64)) {
+		emit(split, 1)
+	}).MapFloatPairs("filter", 0.4, func(k int, v float64) (int, float64, bool) { return k, v, v > 0 })
+	names := ctx.Generate("names", 0, 1<<20, func(split, total int) []rdd.Row {
+		return []rdd.Row{rdd.Pair{K: fmt.Sprint(split), V: split}}
+	})
+	return orders.Join(names, nil)
+}

@@ -138,7 +138,9 @@ func TestKeyFactsLattice(t *testing.T) {
 	}
 
 	// sql: the orders source's key is data-dependent (zipfIndex of the row
-	// index), and filter + identity map preserve its provenance verbatim.
+	// index, the key its generator emits), and the filter and projectOrder
+	// closures, which return their key parameter, preserve its provenance
+	// verbatim.
 	src, ok := factByOp(reports["sql"], "ordersTable")
 	if !ok {
 		t.Fatal("sql: no ordersTable fact")
@@ -152,6 +154,13 @@ func TestKeyFactsLattice(t *testing.T) {
 	}
 	if flt.Prov != src.Prov || flt.Card != src.Card {
 		t.Errorf("sql filter: provenance not preserved (got %q/%s, want %q/%s)", flt.Prov, flt.Card, src.Prov, src.Card)
+	}
+	proj, ok := factByOp(reports["sql"], "projectOrder")
+	if !ok {
+		t.Fatal("sql: no projectOrder fact")
+	}
+	if proj.Prov != src.Prov || proj.Card != src.Card {
+		t.Errorf("sql projectOrder: provenance not preserved (got %q/%s, want %q/%s)", proj.Prov, proj.Card, src.Prov, src.Card)
 	}
 
 	// pca: the partial-mean rewrite keys every partition's contribution by

@@ -589,6 +589,10 @@ func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
 			}
 			return func() { LogicalPairsBytes(pairs, 1000) }
 		}, 0},
+		{"ColBlock.LogicalBytes", [2]int{100, 10000}, func(_ *testing.T, k int) func() {
+			blk := &ColBlock{Kind: ColIntF64, Int: make([]int64, 2*k), F64: make([]float64, 2*k)}
+			return func() { blk.LogicalBytes(1000) }
+		}, 0},
 		{"ColBuckets.LogicalBytes", [2]int{100, 10000}, func(t *testing.T, k int) func() {
 			cols := arena(t, intRows(2*k, k), 1, nil)
 			return func() { cols.LogicalBytes(0, 1000) }

@@ -170,9 +170,9 @@ func (c *ColBlock) LogicalBytes(scale float64) float64 {
 	var row float64
 	switch c.Kind {
 	case ColF64:
-		row = float64(RowBytes(0.0))
+		row = 8 // RowBytes of a float64
 	case ColIntF64:
-		row = float64(PairBytes(Pair{K: 0, V: 0.0}))
+		row = 24 // PairBytes of a Pair{int, float64}: key, value and header
 	default:
 		panic("rdd: sizing a block no typed producer emits")
 	}

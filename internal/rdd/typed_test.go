@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -91,6 +92,82 @@ func TestTypedComputeMatchesBoxedOps(t *testing.T) {
 		}).Compute(0, [][]Row{in})
 		if !reflect.DeepEqual(gotFlat, wantFlat) {
 			t.Fatalf("FlatMapFloatPairs over %d rows: %v, want %v", n, gotFlat, wantFlat)
+		}
+	}
+}
+
+// TestTypedPairChainMatchesRowOps: GenerateFloatPairs' Gen and Compute
+// return the rows the equivalent Generate returns, and MapFloatPairs'
+// Compute the rows of the Filter and MapCost it stands for; its typed
+// compute fills the same block from its parent's columns (one ColPart row,
+// as the engine hands them over) as from the parent's rows, empty
+// partitions included.
+func TestTypedPairChainMatchesRowOps(t *testing.T) {
+	ctx := NewContext(2)
+	gen := func(split, total int, emit func(int, float64)) {
+		for i := split; i < 37; i += total {
+			emit(i%5-1, float64(i)/3)
+		}
+	}
+	typedSrc := ctx.GenerateFloatPairs("orders", 0, 1, gen)
+	rowSrc := ctx.Generate("orders", 0, 1, func(split, total int) []Row {
+		var out []Row
+		gen(split, total, func(k int, v float64) { out = append(out, Pair{K: k, V: v}) })
+		return out
+	})
+	if typedSrc.Op != rowSrc.Op || typedSrc.Fixed || typedSrc.Gen == nil || typedSrc.NumParts != rowSrc.NumParts {
+		t.Fatalf("typed source %+v differs from its Generate twin %+v", typedSrc, rowSrc)
+	}
+	m := typedSrc.MapFloatPairs("filter", 0.4, func(k int, v float64) (int, float64, bool) { return k * 2, v + 1, k%2 != 0 })
+	filter := rowSrc.Filter(func(r Row) bool { return r.(Pair).K.(int)%2 != 0 })
+	project := filter.MapCost("project", 8.0, func(r Row) Row { p := r.(Pair); return Pair{K: p.K.(int) * 2, V: p.V.(float64) + 1} })
+	for _, total := range []int{1, 4, 40} {
+		for split := range total {
+			rows := rowSrc.Gen(split, total)
+			if got := typedSrc.Gen(split, total); !reflect.DeepEqual(got, rows) {
+				t.Fatalf("split %d/%d: GenerateFloatPairs gives %v, want %v", split, total, got, rows)
+			}
+			var blk ColBlock
+			typedSrc.NumParts = total
+			typedSrc.Typed(split, nil, &blk)
+			if got := typedSrc.Compute(split, nil); !reflect.DeepEqual(got, rows) || !reflect.DeepEqual(blk.boxed(), rows) {
+				t.Fatalf("split %d/%d: typed source computes %v and %v, want %v", split, total, got, blk.boxed(), rows)
+			}
+			// MapCost gives an empty slice where MapFloatPairs gives nil.
+			wantRows := project.Compute(split, [][]Row{filter.Compute(split, [][]Row{rows})})
+			if got := m.Compute(split, [][]Row{rows}); len(got)+len(wantRows) > 0 && !reflect.DeepEqual(got, wantRows) {
+				t.Fatalf("split %d/%d: MapFloatPairs computes %v, want %v", split, total, got, wantRows)
+			}
+			var fromRows, fromCols ColBlock
+			m.Typed(split, [][]Row{rows}, &fromRows)
+			m.Typed(split, [][]Row{{ColPart(&blk)}}, &fromCols)
+			if !reflect.DeepEqual(fromRows, fromCols) {
+				t.Fatalf("split %d/%d: MapFloatPairs fills %+v from rows, %+v from columns", split, total, fromRows, fromCols)
+			}
+		}
+	}
+}
+
+// TestColBlockLogicalBytes: a typed block's logical size is bit for bit
+// LogicalRowsBytes of the rows it boxes into, at scales whose per-row size
+// a product would round differently from a row-by-row sum.
+func TestColBlockLogicalBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, scale := range []float64{1, 1000, 1000 / math.Pi, 1234.5678, 1e-3} {
+		for _, n := range []int{0, 1, 3, 77, 1000} {
+			pairs := ColBlock{Kind: ColIntF64}
+			scalars := ColBlock{Kind: ColF64}
+			for range n {
+				pairs.Int = append(pairs.Int, int64(rng.Intn(1<<20)))
+				pairs.F64 = append(pairs.F64, rng.NormFloat64())
+				scalars.F64 = append(scalars.F64, rng.NormFloat64())
+			}
+			for _, blk := range []*ColBlock{&pairs, &scalars} {
+				got, want := blk.LogicalBytes(scale), LogicalRowsBytes(blk.boxed(), scale)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("kind %d, %d rows at scale %v: %v bytes, want %v", blk.Kind, n, scale, got, want)
+				}
+			}
 		}
 	}
 }
