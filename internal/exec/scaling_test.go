@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"chopper/internal/dag"
@@ -13,10 +14,15 @@ import (
 // bytesPerRun reports the heap bytes one call of f allocates, from the
 // runtime's cumulative counter (no timing, so it reads the same on any
 // machine). Like testing.AllocsPerRun it runs at GOMAXPROCS 1, so other
-// goroutines hardly add to the count.
+// goroutines hardly add to the count. The counter books small pointer-free
+// objects by the 16-byte tiny block they open, and a collection retires
+// the open block: one landing inside the window adds up to a block's worth,
+// so the window starts right after a collection and holds the next off.
 func bytesPerRun(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
