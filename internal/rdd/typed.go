@@ -104,14 +104,15 @@ func (r *RDD) MapFloatPairs(name string, cost float64, f func(k int, v float64) 
 				vals = append(vals, v)
 			}
 		}
-		if src := partCols(in[0]); src != nil {
+		if src := partCols(in[0]); src != nil && src.Kind == ColIntF64 {
 			keys, vals = slices.Grow(keys, len(src.Int)), slices.Grow(vals, len(src.Int))
 			for i, k := range src.Int {
 				keep(int(k), src.F64[i])
 			}
 		} else {
-			keys, vals = slices.Grow(keys, len(in[0])), slices.Grow(vals, len(in[0]))
-			for _, row := range in[0] {
+			rows := rowsOf(in[0])
+			keys, vals = slices.Grow(keys, len(rows)), slices.Grow(vals, len(rows))
+			for _, row := range rows {
 				p := row.(Pair)
 				keep(p.K.(int), p.V.(float64))
 			}
