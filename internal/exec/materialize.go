@@ -28,24 +28,27 @@ type acct struct {
 	// col receives the columns of a map task's typed Final, folded into the
 	// map output before the task ends; its capacity carries over.
 	col rdd.ColBlock
-	// parents holds the columns of the typed parents materializeTyped
-	// pulls, one per pipeline depth below the Final (the first nparents
-	// in use); blocks and their capacity carry over between tasks.
+	// parents holds the columns of the inputs pullCols hands over, one per
+	// pull in the task (the first nparents in use); blocks and their
+	// capacity carry over between tasks.
 	parents  []*typedParent
 	nparents int
 }
 
-// typedParent is one typed parent's partition as its child's Typed
-// compute receives it: the block, as the one ColPart row of its input.
+// typedParent is one input's partition as a typed child's compute
+// receives it: the block, as the one ColPart row of its input slice.
 type typedParent struct {
 	blk rdd.ColBlock
 	row [1]rdd.Row
-	in  [1][]rdd.Row
 }
 
+// memoEntry is a partition the task has materialized: its rows, or, when
+// pullCols handed it over as columns, its block (rows nil until a reader
+// wants them).
 type memoEntry struct {
 	rdd, split int
 	rows       []rdd.Row
+	col        *typedParent
 	bytes      float64
 }
 
@@ -57,7 +60,9 @@ func release(a *acct) {
 	clear(a.ins[:cap(a.ins)])
 	clear(a.pending)
 	for _, p := range a.parents[:a.nparents] {
-		*p = typedParent{blk: rdd.ColBlock{Int: p.blk.Int[:0], F64: p.blk.F64[:0]}}
+		b := &p.blk
+		clear(b.Any)
+		*p = typedParent{blk: rdd.ColBlock{Int: b.Int[:0], Offs: b.Offs[:0], F64: b.F64[:0], Any: b.Any[:0]}}
 	}
 	*a = acct{memo: a.memo[:0], ins: a.ins[:0], pending: a.pending[:0],
 		col:     rdd.ColBlock{Int: a.col.Int[:0], F64: a.col.F64[:0]},
@@ -69,6 +74,16 @@ func release(a *acct) {
 func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64, error) {
 	for i := range a.memo {
 		if m := &a.memo[i]; m.rdd == r.ID && m.split == split {
+			if m.rows == nil && m.col != nil {
+				// Pulled as columns for a typed reader earlier in the
+				// task and charged then: box it by computing the rows
+				// again, uncharged, as the driver-side Materialize does.
+				rows, _, err := e.materialize(r, split, new(acct))
+				if err != nil {
+					return nil, 0, err
+				}
+				m.rows = rows
+			}
 			return m.rows, m.bytes, nil
 		}
 	}
@@ -84,7 +99,7 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 		}
 	}
 
-	inputs, err := e.gather(r, split, a)
+	inputs, err := e.gather(r, split, a, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -107,57 +122,89 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 // materializeTyped computes one partition of r through its Typed compute
 // into dst, charging work to a exactly as materialize does, and returns
 // the block's logical byte size; the columns are neither memoised nor
-// cached (r is its stage's un-cached Final, or reached from it as below).
-//
-// When r's one dependency is one-to-one on a parent with a Typed compute
-// that nothing caches, the parent is pulled the same way, into a block of
-// the worker's scratch, and handed to r as columns. Nothing else in the
-// stage reads that parent: every RDD of the stage other than the Final is
-// an ancestor of the Final's one parent, and so on down the chain.
+// cached (r is its stage's un-cached Final, or pulled by pullCols, which
+// memoises them). gather hands r each input as columns where the producer
+// can give them.
 func (e *Engine) materializeTyped(r *rdd.RDD, split int, a *acct, dst *rdd.ColBlock) (float64, error) {
-	if p := pullableParent(r); p != nil {
-		if a.nparents == len(a.parents) {
-			a.parents = append(a.parents, new(typedParent))
-		}
-		in := a.parents[a.nparents]
-		a.nparents++
-		pb, err := e.materializeTyped(p, split, a, &in.blk)
-		if err != nil {
-			return 0, err
-		}
-		a.cost += pb * r.CostFactor // gather's charge for a one-input RDD
-		in.row[0] = rdd.ColPart(&in.blk)
-		in.in[0] = in.row[:]
-		r.Typed(split, in.in[:], dst)
-	} else {
-		inputs, err := e.gather(r, split, a)
-		if err != nil {
-			return 0, err
-		}
-		r.Typed(split, inputs, dst)
-		a.ins = a.ins[:len(a.ins)-len(inputs)] // pop the window
+	inputs, err := e.gather(r, split, a, true)
+	if err != nil {
+		return 0, err
 	}
+	r.Typed(split, inputs, dst)
+	a.ins = a.ins[:len(a.ins)-len(inputs)] // pop the window
 	return dst.LogicalBytes(e.Ctx.LogicalScale), nil
 }
 
-// pullableParent returns the parent materializeTyped pulls as columns for
-// r, nil when r reads rows.
-func pullableParent(r *rdd.RDD) *rdd.RDD {
-	if len(r.Deps) != 1 {
+// pullCols hands p, a one-to-one parent of a typed RDD, over as the one
+// ColPart row of a block of the worker's scratch, with its logical byte
+// size, when p can give columns: p has a Typed compute and nothing caches
+// it, or p is the reduce side of a shuffle under an aggregator that
+// CombinesF64 (SumByKey) — p's partition is its merged input, unchanged —
+// whose blocks are all ColIntF64. Either way p is charged exactly as
+// materialize charges it. ok is false when p gives rows instead — also
+// when this task already materialized p's rows — and nothing is charged.
+func (e *Engine) pullCols(p *rdd.RDD, split int, a *acct) (in []rdd.Row, bytes float64, ok bool, err error) {
+	var sum *rdd.ShuffleDep
+	if p.Cached {
+		return nil, 0, false, nil
+	}
+	if p.Typed == nil {
+		if sum = sumShuffle(p); sum == nil {
+			return nil, 0, false, nil
+		}
+	}
+	for i := range a.memo {
+		if m := &a.memo[i]; m.rdd == p.ID && m.split == split {
+			if m.col == nil {
+				return nil, 0, false, nil
+			}
+			return m.col.row[:], m.bytes, true, nil
+		}
+	}
+	if a.nparents == len(a.parents) {
+		a.parents = append(a.parents, new(typedParent))
+	}
+	slot := a.parents[a.nparents]
+	a.nparents++ // taken before p's own pulls
+	if sum != nil {
+		view := e.Shuffle.ReduceInput(sum.ShuffleID, split)
+		if !rdd.MergeTypedCol(view.Len(), view.BlockInto, sum.Agg, &slot.blk) {
+			a.nparents-- // untouched: nothing pulled since
+			return nil, 0, false, nil
+		}
+		a.shufBy = mergeProfiles(a.shufBy, view.NodeBytes())
+		bytes = slot.blk.LogicalBytes(e.Ctx.LogicalScale)
+		a.cost += bytes * p.CostFactor // gather's charge for p's shuffle input
+	} else if bytes, err = e.materializeTyped(p, split, a, &slot.blk); err != nil {
+		return nil, 0, false, err
+	}
+	a.memo = append(a.memo, memoEntry{rdd: p.ID, split: split, col: slot, bytes: bytes})
+	slot.row[0] = rdd.ColPart(&slot.blk)
+	return slot.row[:], bytes, true, nil
+}
+
+// sumShuffle returns the shuffle p is the reduce side of when its
+// aggregator CombinesF64, nil otherwise. Every RDD whose one dependency
+// is a ShuffleDep is such a reduce side: its partition is the merged
+// reduce input, unchanged.
+func sumShuffle(p *rdd.RDD) *rdd.ShuffleDep {
+	if len(p.Deps) != 1 {
 		return nil
 	}
-	dep, ok := r.Deps[0].(*rdd.NarrowDep)
-	if !ok || !dep.IsOneToOne() || dep.P.Typed == nil || dep.P.Cached {
+	sd, ok := p.Deps[0].(*rdd.ShuffleDep)
+	if !ok || !sd.Agg.CombinesF64() {
 		return nil
 	}
-	return dep.P
+	return sd
 }
 
 // gather materializes the inputs of one partition of r and charges its
 // compute cost to a: for a source, the split's logical share of the input
 // file (and no inputs); otherwise a window of the input stack holding one
-// slot per dependency, which the caller pops after computing.
-func (e *Engine) gather(r *rdd.RDD, split int, a *acct) ([][]rdd.Row, error) {
+// slot per dependency, which the caller pops after computing. For a typed
+// r (cols), a one-to-one parent that can give columns is pulled as
+// columns (see pullCols); every other input arrives as rows.
+func (e *Engine) gather(r *rdd.RDD, split int, a *acct, cols bool) ([][]rdd.Row, error) {
 	if len(r.Deps) == 0 {
 		file := e.ensureSource(r)
 		sb, locs := e.Blocks.Split(file, split, r.NumParts)
@@ -177,6 +224,17 @@ func (e *Engine) gather(r *rdd.RDD, split int, a *acct) ([][]rdd.Row, error) {
 	for i, d := range r.Deps {
 		switch dep := d.(type) {
 		case *rdd.NarrowDep:
+			if cols && dep.IsOneToOne() {
+				in, pb, ok, err := e.pullCols(dep.P, split, a)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					a.ins[base+i] = in
+					inBytes += pb
+					continue
+				}
+			}
 			one := [1]int{split}
 			splits := one[:]
 			if !dep.IsOneToOne() {

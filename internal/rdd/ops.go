@@ -373,6 +373,15 @@ func (r *RDD) SortByKey(n int) *RDD {
 // read's rows; assigning to a side's elements would not, so the rows are
 // read-only, like every ComputeFn input.
 func (r *RDD) CoGroup(o *RDD, p Partitioner) *RDD {
+	child, narrow := r.coGroupOf(o, p)
+	child.Compute = func(split int, in [][]Row) []Row { return coGroup(in, narrow) }
+	return child
+}
+
+// coGroupOf builds CoGroup's RDD without its compute, and tells which of
+// its two inputs are co-partitioned parents read through a narrow
+// dependency rather than shuffled.
+func (r *RDD) coGroupOf(o *RDD, p Partitioner) (*RDD, []bool) {
 	p, fixed := r.orDefault(p)
 	parents := []*RDD{r, o}
 	deps := make([]Dependency, len(parents))
@@ -385,9 +394,7 @@ func (r *RDD) CoGroup(o *RDD, p Partitioner) *RDD {
 			deps[i] = &ShuffleDep{P: par, Part: p, Agg: GroupAggregator(), Fixed: fixed}
 		}
 	}
-	child := r.Ctx.newRDD("cogroup", p.NumPartitions(), deps, func(split int, in [][]Row) []Row {
-		return coGroup(in, narrow)
-	})
+	child := r.Ctx.newRDD("cogroup", p.NumPartitions(), deps, nil)
 	child.Part = p
 	child.CostFactor = 1.6
 	// Follow a retuned shuffle input if present; co-partitioned (all-narrow)
@@ -400,7 +407,7 @@ func (r *RDD) CoGroup(o *RDD, p Partitioner) *RDD {
 		}
 		return child.Part.NumPartitions()
 	}
-	return child
+	return child, narrow
 }
 
 // coGroup is CoGroup's compute. narrow[i] tells whether input i holds a
