@@ -304,3 +304,65 @@ func TestWarmOrderScanAllocatesOnlyItsMapOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmPageRankIterationAllocatesOnlyItsMapOutput pins a warm map task
+// of PageRank's iteration — the ranks' SumByKey shuffle read merged into a
+// column block, MapFloatValues, JoinFlatMapFloatPairs' cogroup with the
+// cached links, its join and its flatMap, SumByKey's map-side combine — at
+// its map output and the cached-input profile: the arena's four objects,
+// the payload sizes computeTask records and the one-entry profile, the
+// same six objects at 1k and 8k pages. Every RDD of the chain computes
+// into the worker's reused column blocks; no key, group or match is boxed.
+func TestWarmPageRankIterationAllocatesOnlyItsMapOutput(t *testing.T) {
+	measure := func(pages int) float64 {
+		e := testEngine()
+		workers := e.aliveSnapshot()
+		part := rdd.NewHashPartitioner(1)
+		links := e.Ctx.Generate("links", 1, 1<<20, nil).PartitionBy(part).Cache()
+		adj := make([]rdd.Row, pages)
+		for i := range adj {
+			adj[i] = rdd.Pair{K: i, V: []int{(i*7 + 1) % pages, (i*13 + 2) % pages, (i + 3) % pages}}
+		}
+		e.Cache.Put(storage.CacheKey{RDD: links.ID, Split: 0, Of: 1}, "A", 1<<20, adj)
+
+		// The last iteration's shuffle: one map task's contributions.
+		prev := e.Ctx.GenerateFloatPairs("contribs", 1, 1<<20, func(_, _ int, emit func(int, float64)) {
+			for i := range pages {
+				emit(i, 1/float64(i+1))
+			}
+		})
+		summed := prev.SumByKey(part)
+		in := summed.Deps[0].(*rdd.ShuffleDep)
+		in.ShuffleID = 1
+		e.Shuffle.Register(1, 1, 1)
+		mapTask := &task{stage: &dag.Stage{Final: prev, OutDep: in}}
+		if err := e.computeTask(mapTask, workers, new(acct)); err != nil {
+			t.Fatal(err)
+		}
+		e.Shuffle.PutMapOutput(1, 0, "A", mapTask.mapOut)
+
+		ranks := summed.MapFloatValues(func(v float64) float64 { return 0.15 + 0.85*v })
+		contribs := links.JoinFlatMapFloatPairs(ranks, part, func(_ int, left rdd.Row, rank float64, emit func(int, float64)) {
+			out := left.([]int)
+			for _, dst := range out {
+				emit(dst, rank/float64(len(out)))
+			}
+		})
+		st := &dag.Stage{Final: contribs, OutDep: &rdd.ShuffleDep{P: contribs, Part: part, Agg: rdd.SumAggregator()}}
+		scratch, tk := new(acct), new(task) // a task lives in the wave's slab
+		return testing.AllocsPerRun(100, func() {
+			*tk = task{stage: st}
+			if err := e.computeTask(tk, workers, scratch); err != nil {
+				t.Fatal(err)
+			}
+			if tk.mapOut.Cols == nil || tk.records != int64(3*pages) || tk.shufBy == nil || tk.cacheBy == nil {
+				t.Fatalf("map task: %d records of %d pages, arena %v", tk.records, pages, tk.mapOut.Cols != nil)
+			}
+		})
+	}
+	for _, pages := range []int{1000, 8000} {
+		if got := measure(pages); got != 6 {
+			t.Errorf("warm pagerank iteration map task over %d pages: %v objects, want 6", pages, got)
+		}
+	}
+}
