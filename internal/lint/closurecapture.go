@@ -13,19 +13,21 @@ import (
 // lineage re-execution, and runs them concurrently across partitions, so they
 // must be pure functions of their arguments.
 var transformMethods = map[string]bool{
-	"Map":               true,
-	"MapCost":           true,
-	"MapFloat":          true,
-	"Filter":            true,
-	"FlatMap":           true,
-	"FlatMapFloatPairs": true,
-	"MapFloatPairs":     true,
-	"MapPartitions":     true,
-	"MapValues":         true,
-	"KeyBy":             true,
-	"ReduceByKey":       true,
-	"ReduceByKeyPart":   true,
-	"AggregateByKey":    true,
+	"Map":                   true,
+	"MapCost":               true,
+	"MapFloat":              true,
+	"Filter":                true,
+	"FlatMap":               true,
+	"FlatMapFloatPairs":     true,
+	"MapFloatPairs":         true,
+	"MapFloatValues":        true,
+	"JoinFlatMapFloatPairs": true,
+	"MapPartitions":         true,
+	"MapValues":             true,
+	"KeyBy":                 true,
+	"ReduceByKey":           true,
+	"ReduceByKeyPart":       true,
+	"AggregateByKey":        true,
 }
 
 // ClosureCapture flags function literals passed to RDD transforms that are

@@ -490,9 +490,18 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 	case m == "Persist" || m == "Cache":
 		return recv
 
-	case m == "MapValues":
-		// The only narrow transform that carries the partitioner through.
+	case m == "MapValues" || m == "MapFloatValues":
+		// The only narrow transforms that carry the partitioner through.
 		return recv
+
+	case m == "JoinFlatMapFloatPairs":
+		// Join's events on both sides, then a flatMap keyed by its emit
+		// calls (the closure's emit is its last parameter).
+		applyRDDMethod(f, "Join", call, recv, facts, ev, consumed)
+		if k, ok := ScanEmitKeyExpr(f.Info, funcLitArg(call, 2)); ok {
+			out.key = k
+		}
+		return out
 
 	case m == "Map" || m == "MapCost" || m == "Filter" || m == "FlatMap" ||
 		m == "Coalesce" || m == "Sample" || m == "MapFloat" || m == "FlatMapFloatPairs" ||

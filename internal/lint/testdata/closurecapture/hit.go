@@ -61,3 +61,17 @@ func KeptPairs(r *rdd.RDD) *rdd.RDD {
 		return k, v, v > 0
 	})
 }
+
+// SharesSeen counts the matches a typed join sees in a captured variable,
+// and damps the ranks by a factor it reassigns after the transform.
+func SharesSeen(links, ranks *rdd.RDD) *rdd.RDD {
+	matches := 0
+	shares := links.JoinFlatMapFloatPairs(ranks, nil, func(k int, _ rdd.Row, rank float64, emit func(int, float64)) {
+		matches++
+		emit(k, rank)
+	})
+	damping := 0.85
+	damped := shares.SumByKey(nil).MapFloatValues(func(v float64) float64 { return damping * v })
+	damping = 0.5
+	return damped
+}

@@ -61,3 +61,15 @@ func TypedConstSum(ctx *rdd.Context) *rdd.RDD {
 		return k, v, v > 0
 	}).SumByKey(nil)
 }
+
+// TypedJoinConstSum sends every match's share to key 0: the typed join's
+// flatMap emits a constant key into SumByKey.
+func TypedJoinConstSum(ctx *rdd.Context) *rdd.RDD {
+	links := ctx.Generate("links", 0, 1<<20, func(split, total int) []rdd.Row {
+		return []rdd.Row{rdd.Pair{K: split, V: 1.0}}
+	})
+	ranks := links.MapFloatValues(func(v float64) float64 { return v / 2 })
+	return links.JoinFlatMapFloatPairs(ranks, nil, func(_ int, _ rdd.Row, rank float64, emit func(int, float64)) {
+		emit(0, rank)
+	}).SumByKey(nil)
+}

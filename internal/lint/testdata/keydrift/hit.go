@@ -43,3 +43,17 @@ func TypedJoin(ctx *rdd.Context) *rdd.RDD {
 	})
 	return orders.Join(names, nil)
 }
+
+// TypedIterJoin joins int-keyed links against ranks keyed by their string
+// rendering, through the typed join.
+func TypedIterJoin(ctx *rdd.Context) *rdd.RDD {
+	links := ctx.Generate("links", 0, 1<<20, func(split, total int) []rdd.Row {
+		return []rdd.Row{rdd.Pair{K: split, V: []int{split}}}
+	})
+	ranks := ctx.Generate("ranks", 0, 1<<20, func(split, total int) []rdd.Row {
+		return []rdd.Row{rdd.Pair{K: fmt.Sprint(split), V: 1.0}}
+	})
+	return links.JoinFlatMapFloatPairs(ranks, nil, func(k int, _ rdd.Row, rank float64, emit func(int, float64)) {
+		emit(k, rank)
+	})
+}

@@ -366,7 +366,7 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 		}
 		t.facts[f.ID] = f
 
-	case "MapValues":
+	case "MapValues", "MapFloatValues":
 		nodes := t.take(call, firstRDDResult(out), "mapValues")
 		par := t.parentFacts(call, recv)
 		f := &KeyFacts{ID: nodes[0].ID, Op: "mapValues", DepKinds: "n",
@@ -435,11 +435,26 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 		nodes := t.take(call, firstRDDResult(out), "cogroup")
 		t.noteCoGroupNode(call, nodes[0], recv, rddArg(args, 0), partArg(args, 1))
 
-	case "Join":
-		nodes := t.take(call, firstRDDResult(out), "cogroup", "join")
+	case "Join", "JoinFlatMapFloatPairs":
+		// JoinFlatMapFloatPairs is Join followed by FlatMapFloatPairs: the
+		// same cogroup and join, then a flatMap keyed by its emit calls.
+		ops := []string{"cogroup", "join"}
+		if name == "JoinFlatMapFloatPairs" {
+			ops = append(ops, "flatMap")
+		}
+		nodes := t.take(call, firstRDDResult(out), ops...)
 		cg := t.noteCoGroupNode(call, nodes[0], recv, rddArg(args, 0), partArg(args, 1))
 		t.facts[nodes[1].ID] = &KeyFacts{ID: nodes[1].ID, Op: "join", Keyed: KeyedYes, DepKinds: "n",
 			HasPart: true, Scheme: cg.Scheme, PartID: cg.PartID, Prov: cg.Prov, Card: cg.Card, Bound: cg.Bound}
+		if len(nodes) == 3 {
+			f := &KeyFacts{ID: nodes[2].ID, Op: "flatMap", DepKinds: "n"}
+			if lit := t.funcLitAt(call, 2, env); lit != nil {
+				if k, ok := lint.ScanEmitKeyExpr(t.in.info, lit); ok {
+					setKeyFrom(f, k)
+				}
+			}
+			t.facts[f.ID] = f
+		}
 
 	default:
 		// A lineage-building method the model does not cover would leave

@@ -104,6 +104,17 @@ func TestKeyFactsLattice(t *testing.T) {
 		t.Errorf("pagerank mapValues: partitioner not preserved (hasPart=%v partID=%d, cogroup partID=%d)", mv.HasPart, mv.PartID, cg.PartID)
 	}
 
+	// pagerank: JoinFlatMapFloatPairs' flatMap is keyed by its emit calls
+	// (the out-link dst), after the cogroup and join Join would build.
+	fm, ok := factByOp(reports["pagerank"], "flatMap")
+	if !ok {
+		t.Fatal("pagerank: no flatMap fact")
+	}
+	if fm.Keyed != extract.KeyedYes || fm.Prov != "dst" || fm.DepKinds != "n" || fm.HasPart {
+		t.Errorf("pagerank flatMap: got keyed=%s prov=%q deps=%q hasPart=%v, want a narrow flatMap keyed by dst with no partitioner",
+			fm.Keyed, fm.Prov, fm.DepKinds, fm.HasPart)
+	}
+
 	// pagerank: SumByKey(part) is modelled as the reduceByKey shuffle it
 	// builds, carrying the explicit partitioner's identity — which is what
 	// keeps the next iteration's join narrow on the ranks side.
