@@ -5,7 +5,7 @@
 # the full gate: vet, the chopperlint determinism/correctness suite, the
 # chopperguard lock-contract/durability-protocol verifier, the test suite
 # (with shuffled execution order, so inter-test state leaks cannot hide),
-# the race detector over every internal package, short native-fuzz runs of
+# the exact-count pins rerun 20 times under GC pressure, the race detector over every internal package, short native-fuzz runs of
 # the execution engine against its single-threaded oracle, of its typed
 # fold tier against the oracle's boxed rows, of task
 # placement against the reference list scheduler, of the shuffle
@@ -150,6 +150,14 @@ bin/chopperlint -merge chopperlint.json chopperguard.json chopperkey.json choppe
 
 gate "test (shuffled)"
 go test -shuffle=on ./...
+
+gate "exact counts under GC pressure"
+# The allocation, task-cost and bookkeeping pins count exact objects, so a
+# pin that passes only when no collection lands in its window is a flake
+# waiting to happen. GOGC=5 collects every few hundred kilobytes — the
+# condition that once failed one such pin 13 times in 30 — and each pin
+# runs 20 times: none may fail once.
+GOGC=5 go test -count=20 -run 'Allocat|TaskCost|Bookkeeping' ./internal/exec ./internal/rdd ./internal/service
 
 gate "race"
 go test -race ./internal/...

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +189,89 @@ func TestQuickComputeLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCostConstantsPinned pins the cost model's constants field by field:
+// every CostParams field DefaultCostParams sets, every field of every node
+// of the paper topology, and the executor memory. Floats compare by their
+// bits, so any change of a constant — and a field added or dropped — fails
+// and names the field. Simulated times everywhere derive from these.
+func TestCostConstantsPinned(t *testing.T) {
+	// same reports whether got pins want: equal bits for a float, equal
+	// values otherwise.
+	same := func(got reflect.Value, want any) bool {
+		if got.Kind() == reflect.Float64 {
+			w, ok := want.(float64)
+			return ok && math.Float64bits(got.Float()) == math.Float64bits(w)
+		}
+		return reflect.DeepEqual(got.Interface(), want)
+	}
+	params := map[string]any{
+		"TaskFixedSec":              3.0,
+		"ComputeSecPerGBPerGHz":     130.0,
+		"DiskReadMBps":              180.0,
+		"DiskWriteMBps":             140.0,
+		"MemReadGBps":               2.0,
+		"MemPressureBytes":          48e6,
+		"MemPressureFactor":         2.0,
+		"MemPressureCap":            1.8,
+		"ShuffleBlockOverheadBytes": 96.0,
+		"ShuffleEmptyBlockBytes":    8.0,
+		"NetEfficiency":             0.7,
+		"LocalityWaitSec":           3.0,
+		"DriverDispatchSec":         0.004,
+		"PacketBytes":               1500.0,
+		"DiskTransactionBytes":      65536.0,
+		"TaskJitterFrac":            0.12,
+		"SpeculationMultiplier":     1.5,
+		"SpeculationQuantile":       0.75,
+	}
+	p := reflect.ValueOf(DefaultCostParams())
+	for i := range p.NumField() {
+		name := p.Type().Field(i).Name
+		want, ok := params[name]
+		if !ok {
+			t.Errorf("CostParams.%s = %v is not pinned", name, p.Field(i))
+			continue
+		}
+		if !same(p.Field(i), want) {
+			t.Errorf("CostParams.%s = %v, pinned %v", name, p.Field(i), want)
+		}
+		delete(params, name)
+	}
+	for name := range params {
+		t.Errorf("pinned CostParams.%s is no field", name)
+	}
+
+	nodes := []map[string]any{
+		{"Name": "A", "Cores": 32, "SpeedGHz": 2.0, "MemGB": 64.0, "LinkGbps": 10.0, "IsMaster": false},
+		{"Name": "B", "Cores": 32, "SpeedGHz": 2.0, "MemGB": 64.0, "LinkGbps": 10.0, "IsMaster": false},
+		{"Name": "C", "Cores": 32, "SpeedGHz": 2.0, "MemGB": 64.0, "LinkGbps": 10.0, "IsMaster": false},
+		{"Name": "D", "Cores": 8, "SpeedGHz": 2.3, "MemGB": 48.0, "LinkGbps": 1.0, "IsMaster": false},
+		{"Name": "E", "Cores": 8, "SpeedGHz": 2.3, "MemGB": 48.0, "LinkGbps": 1.0, "IsMaster": false},
+		{"Name": "F", "Cores": 8, "SpeedGHz": 2.5, "MemGB": 64.0, "LinkGbps": 1.0, "IsMaster": true},
+	}
+	topo := PaperCluster()
+	if len(topo.Nodes) != len(nodes) {
+		t.Fatalf("paper topology has %d nodes, pinned %d", len(topo.Nodes), len(nodes))
+	}
+	for i, n := range topo.Nodes {
+		v := reflect.ValueOf(*n)
+		for j := range v.NumField() {
+			name := v.Type().Field(j).Name
+			want, ok := nodes[i][name]
+			if !ok {
+				t.Errorf("node %d: Node.%s = %v is not pinned", i, name, v.Field(j))
+			} else if !same(v.Field(j), want) {
+				t.Errorf("node %d: Node.%s = %v, pinned %v", i, name, v.Field(j), want)
+			}
+		}
+		if v.NumField() != len(nodes[i]) {
+			t.Errorf("node %d: %d fields, %d pinned", i, v.NumField(), len(nodes[i]))
+		}
+	}
+	if math.Float64bits(ExecutorMemGB) != math.Float64bits(40) {
+		t.Errorf("ExecutorMemGB = %v, pinned 40", ExecutorMemGB)
 	}
 }

@@ -53,9 +53,11 @@ func (s *Server) checkSizes(workload string, inputBytes int64, shrink int) error
 
 // runStatus is the status of a run that failed with err: 422 when the
 // plan verifier refused the plan the request asks for — an input too large
-// for the executors' memory at the run's partition counts — else fallback.
+// for the executors' memory at the run's partition counts — or when the
+// shrunk input is too small for the workload to compute its result, else
+// fallback.
 func runStatus(err error, fallback int) int {
-	if errors.Is(err, verify.ErrPlan) {
+	if errors.Is(err, verify.ErrPlan) || errors.Is(err, workloads.ErrInputTooSmall) {
 		return http.StatusUnprocessableEntity
 	}
 	return fallback

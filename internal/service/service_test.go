@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -363,6 +365,8 @@ func TestHostileInputsAnsweredPromptly(t *testing.T) {
 		{"/v1/train", train(`"bogusField":1`), http.StatusBadRequest},
 		{"/v1/jobs", `{"workload":"sql","shrink":2000}`, http.StatusBadRequest}, // no customers left
 		{"/v1/train", train(`"inputBytes":9223372036854775807,"sizeFractions":[1],"partitions":[100]`), http.StatusUnprocessableEntity},
+		{"/v1/jobs", `{"workload":"kmeans","shrink":1000}`, http.StatusUnprocessableEntity}, // fewer points than centers
+		{"/v1/jobs", `{"workload":"pca","shrink":15000}`, http.StatusUnprocessableEntity},   // a degenerate power iteration
 	}
 	for _, w := range []string{"kmeans", "pca", "sql", "pagerank"} {
 		cases = append(cases,
@@ -393,5 +397,81 @@ func TestHostileInputsAnsweredPromptly(t *testing.T) {
 	}
 	if _, err := cl.Health(context.Background()); err != nil {
 		t.Fatalf("healthz after hostile inputs: %v", err)
+	}
+}
+
+// TestHostileQueriesAnsweredPromptly: the read endpoints answer hostile
+// query strings — an inputBytes of 1, 2⁶³−1, 2⁶⁴ (overflow), 0, negative or
+// not a number; an empty, unknown or untrained workload; a repeated
+// inputBytes key, of which the first counts — within 1 s each, with the
+// status the request deserves, and every 2xx body lists partition counts
+// in [1, api.MaxPartitions]. kmeans at 2⁶³−1 bytes gets 150 partitions
+// per stage, the model's answer at that size.
+func TestHostileQueriesAnsweredPromptly(t *testing.T) {
+	srv, cl, _ := startTestServer(t, Config{})
+	smallTrain(t, cl, "kmeans")
+	cases := []struct {
+		query string
+		want  int
+	}{
+		{"workload=kmeans&inputBytes=1", http.StatusOK},
+		{"workload=kmeans&inputBytes=9223372036854775807", http.StatusOK},
+		{"workload=kmeans&inputBytes=18446744073709551616", http.StatusBadRequest},
+		{"workload=kmeans&inputBytes=0", http.StatusBadRequest},
+		{"workload=kmeans&inputBytes=-5", http.StatusBadRequest},
+		{"workload=kmeans&inputBytes=abc", http.StatusBadRequest},
+		{"workload=", http.StatusNotFound},
+		{"", http.StatusNotFound},
+		{"workload=nosuch", http.StatusNotFound},
+		{"workload=pca", http.StatusConflict},
+		{"workload=kmeans&inputBytes=abc&inputBytes=1", http.StatusBadRequest},
+		{"workload=kmeans&inputBytes=9223372036854775807&inputBytes=abc", http.StatusOK},
+	}
+	explainCounts := regexp.MustCompile(`-> \S+ x(\d+)`)
+	for _, path := range []string{"/v1/recommend", "/v1/explain"} {
+		for _, tc := range cases {
+			target := path + "?" + tc.query
+			start := time.Now()
+			rec := httptest.NewRecorder()
+			srv.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+			elapsed := time.Since(start)
+			body := rec.Body.String()
+			if rec.Code != tc.want {
+				t.Errorf("%s: status %d (%s), want %d", target, rec.Code, strings.TrimSpace(body), tc.want)
+				continue
+			}
+			if elapsed > time.Second {
+				t.Errorf("%s: answered after %v, want within 1 s", target, elapsed)
+			}
+			if rec.Code != http.StatusOK {
+				continue
+			}
+			var counts []int
+			if path == "/v1/recommend" {
+				var resp api.RecommendResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatalf("%s: %v", target, err)
+				}
+				for _, s := range resp.Schemes {
+					counts = append(counts, s.NumPartitions)
+				}
+			} else {
+				for _, m := range explainCounts.FindAllStringSubmatch(body, -1) {
+					n, _ := strconv.Atoi(m[1])
+					counts = append(counts, n)
+				}
+			}
+			if len(counts) == 0 {
+				t.Errorf("%s: no partition counts in %s", target, body)
+			}
+			for _, n := range counts {
+				if n < 1 || n > api.MaxPartitions {
+					t.Errorf("%s: %d partitions, outside [1, %d]", target, n, api.MaxPartitions)
+				}
+				if strings.Contains(tc.query, "inputBytes=9223372036854775807") && n != 150 {
+					t.Errorf("%s: %d partitions, want 150", target, n)
+				}
+			}
+		}
 	}
 }

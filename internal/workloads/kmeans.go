@@ -153,7 +153,7 @@ func (k *KMeans) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 		}
 	}
 	if len(centers) < k.K {
-		return Result{}, fmt.Errorf("kmeans: init produced %d centers, need %d", len(centers), k.K)
+		return Result{}, fmt.Errorf("kmeans: init produced %d centers, need %d: %w", len(centers), k.K, ErrInputTooSmall)
 	}
 	centers = centers[:k.K]
 

@@ -98,7 +98,7 @@ func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 		return Result{}, err
 	}
 	if n == 0 {
-		return Result{}, fmt.Errorf("pca: empty input")
+		return Result{}, fmt.Errorf("pca: empty input: %w", ErrInputTooSmall)
 	}
 
 	// Stages 1-2: mean vector.
@@ -211,7 +211,7 @@ func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 			acc := res[0].(vecVal).Vec
 			norm := linalg.Norm2(acc)
 			if norm == 0 {
-				return Result{}, fmt.Errorf("pca: power iteration degenerated")
+				return Result{}, fmt.Errorf("pca: power iteration degenerated: %w", ErrInputTooSmall)
 			}
 			for j := range acc {
 				acc[j] /= norm

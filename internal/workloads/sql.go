@@ -42,7 +42,7 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	physCust := int64(32)
 	physTotal := int64(s.Orders)*physOrder + int64(s.Customers)*physCust
 	if physTotal <= 0 {
-		return Result{}, fmt.Errorf("sql: empty input")
+		return Result{}, fmt.Errorf("sql: empty input: %w", ErrInputTooSmall)
 	}
 	setScale(ctx, inputBytes, physTotal)
 
@@ -109,7 +109,7 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 		byRegion[pr.K.(string)] += pr.V.(float64)
 	}
 	if len(byRegion) == 0 {
-		return Result{}, fmt.Errorf("sql: join produced no rows")
+		return Result{}, fmt.Errorf("sql: join produced no rows: %w", ErrInputTooSmall)
 	}
 
 	total := 0.0

@@ -10,6 +10,7 @@
 package workloads
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -78,6 +79,13 @@ func Shrink(w Workload, factor int) {
 		w.Pages /= factor
 	}
 }
+
+// ErrInputTooSmall marks a run whose input, shrunk, holds too few rows for
+// the workload to compute its result: fewer points than KMeans' centers,
+// no PCA rows or a degenerate power iteration, an empty PageRank graph, an
+// SQL table or join without rows. A request for such a run is the
+// caller's to change, not a failure of the service.
+var ErrInputTooSmall = errors.New("workloads: input too small to run")
 
 // Empty reports whether w has a table without physical rows, as a shrink
 // factor larger than the table leaves it: such a workload cannot run.
