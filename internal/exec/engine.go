@@ -411,8 +411,9 @@ func (e *Engine) computeTasks(tasks []task, alive []*cluster.Node, errs []error,
 // when all its rows feed are folds: a result stage's action gets the task's
 // own block (SumFloat adds it in place; any other action boxes it, as the
 // Final's Compute would), and a map stage whose aggregator CombinesF64
-// folds the worker's block straight into its arena. Typed parents up the
-// chain are pulled as columns too (see materializeTyped).
+// folds the worker's block straight into its arena. Its inputs, and
+// theirs up the chain, come as columns where the producer can give them
+// (see pullCols).
 func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 	defer release(a)
 	fin, dep := t.stage.Final, t.stage.OutDep

@@ -162,8 +162,8 @@ type RDD struct {
 	Compute ComputeFn
 
 	// Typed, when non-nil, computes a partition as columns (see typed.go):
-	// set by MapFloat and FlatMapFloatPairs, whose Compute boxes what it
-	// emits. An evaluator that only folds the rows may call it instead.
+	// set by the typed producers there, whose Compute boxes what it emits.
+	// An evaluator that only folds the rows may call it instead.
 	Typed TypedFn
 
 	// CostFactor scales the CPU cost of this operator per logical byte of
