@@ -35,16 +35,20 @@
 #
 # Reachability census (run by hand, not a gate): build every production
 # entry point with coverage over the module, drive it, and list the
-# functions nothing entered; the second listing adds the gate CLIs.
+# functions nothing entered. The first listing is production alone; the
+# second adds the benchmark, so `diff production.txt with-bench.txt`
+# names what only a bench probe reaches; the third adds the gate CLIs.
 #   d=$(mktemp -d); mkdir $d/cov; export GOCOVERDIR=$d/cov; c="-cover -coverpkg=chopper/..."
 #   go build $c -o $d/ ./cmd/... ./examples/... && (cd bench && go build $c -o $d/bench .)
 #   $d/experiments -quick >/dev/null; for e in kmeans pagerank pca quickstart sqlanalytics; do $d/$e >/dev/null; done
 #   $d/chopperload -smoke -chopperd $d/chopperd && $d/chopperload -fleet-smoke -chopperd $d/chopperd
+#   unreached() { go tool covdata func -i $d/cov | awk '$NF == "0.0%"' | grep -v '^chopper/bench' > $d/$1.txt; }
+#   unreached production
 #   for w in engine-compute engine-shuffle tune-sweep serve-read fleet-write; do
 #     $d/bench --workload $w --seconds 1 --trace 1 --outdir $d/out >/dev/null; done
-#   go tool covdata func -i $d/cov | awk '$NF == "0.0%"' | grep -v '^chopper/bench' > $d/production.txt
+#   unreached with-bench
 #   for g in lint guard key heap; do $d/chopper$g ./...; done; for g in plan key verify; do $d/chopper$g -workload=all; done
-#   go tool covdata func -i $d/cov | awk '$NF == "0.0%"' | grep -v '^chopper/bench' > $d/with-gates.txt
+#   unreached with-gates
 set -euo pipefail
 cd "$(dirname "$0")"
 

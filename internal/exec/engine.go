@@ -450,41 +450,24 @@ func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 
 	if dep != nil {
 		var cols *rdd.ColBuckets
-		var buckets [][]rdd.Pair
 		if typed != nil {
-			cols, buckets, err = rdd.PartitionTypedCol(typed, dep.Part, dep.Agg)
+			cols, _, err = rdd.PartitionTypedCol(typed, dep.Part, dep.Agg)
 		} else {
-			cols, buckets, err = rdd.PartitionPairsCol(t.rows, dep.Part, dep.Agg)
+			cols, _, err = rdd.PartitionPairsCol(t.rows, dep.Part, dep.Agg)
 		}
 		if err != nil {
 			return fmt.Errorf("exec: stage %d shuffle write: %w", t.stage.ID, err)
 		}
 		// Size the buckets that hold pairs; the rest are empty blocks,
-		// charged from their count alone.
-		scale := e.Ctx.LogicalScale
-		out := shuffle.MapOutput{Cols: cols, Boxed: buckets}
-		n := len(buckets)
-		if cols != nil {
-			// The arena's own list: listed bucket i is at arena position i.
-			n = cols.NumBuckets()
-			out.NonEmpty = cols.NonEmpty()
-		} else {
-			for r, b := range buckets {
-				if len(b) > 0 {
-					out.NonEmpty = append(out.NonEmpty, int32(r))
-				}
-			}
-		}
+		// charged from their count alone. The arena's own list: listed
+		// bucket i is at arena position i.
+		out := shuffle.MapOutput{Cols: cols, NonEmpty: cols.NonEmpty()}
+		n := cols.NumBuckets()
 		if len(out.NonEmpty) > 0 { // else both stay nil: a task without rows
 			out.Payloads = make([]int64, len(out.NonEmpty))
 		}
-		for i, r := range out.NonEmpty {
-			var payload int64
-			if cols != nil {
-				payload = int64(cols.BlockLogicalBytes(i, scale))
-			} else {
-				payload = int64(rdd.LogicalPairsBytes(buckets[r], scale))
-			}
+		for i := range out.NonEmpty {
+			payload := int64(cols.BlockLogicalBytes(i, e.Ctx.LogicalScale))
 			out.Payloads[i] = payload
 			t.writeB += payload + e.Shuffle.BlockOverhead(payload)
 		}

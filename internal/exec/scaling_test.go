@@ -221,8 +221,8 @@ func (s *stubRunner) RunJob(_ *rdd.RDD, fn func(int, []rdd.Row) (any, error)) ([
 // TestTypedFoldTasksAllocateNoRows: a task whose rows exist only to be
 // folded allocates the same objects at 1k and 10k rows — none per row.
 // A MapFloat → SumFloat result task allocates its one float64 column, the
-// cached-input profile and the boxed partial sum; a FlatMapFloatPairs map
-// task under SumByKey's aggregator folds the worker's reused column block
+// cached-input profile and the boxed partial sum; a MapFloatPairs map task
+// under SumByKey's aggregator folds the worker's reused column block
 // straight into its arena.
 func TestTypedFoldTasksAllocateNoRows(t *testing.T) {
 	sum := sumFloatFn(t)
@@ -232,10 +232,8 @@ func TestTypedFoldTasksAllocateNoRows(t *testing.T) {
 		base := cachedBase(e, rows)
 		st := &dag.Stage{Final: base.MapFloat("score", 0.8, func(r rdd.Row) float64 { return r.(rdd.Pair).V.(float64) }), IsResult: true}
 		if fold {
-			fm := base.FlatMapFloatPairs(func(r rdd.Row, emit func(int, float64)) {
-				k := r.(rdd.Pair).K.(int)
-				emit(k%50, 1)
-				emit(k%50+50, 0.5)
+			fm := base.MapFloatPairs("fold", 1.2, func(k int, v float64) (int, float64, bool) {
+				return k % 50, v / 2, true
 			})
 			st = &dag.Stage{Final: fm, OutDep: &rdd.ShuffleDep{P: fm, Part: rdd.NewHashPartitioner(64), Agg: rdd.SumAggregator()}}
 		}
@@ -246,8 +244,9 @@ func TestTypedFoldTasksAllocateNoRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fold {
-				if tk.mapOut.Cols == nil || tk.records != int64(2*rows) {
-					t.Fatalf("map task: %d records, arena %v", tk.records, tk.mapOut.Cols != nil)
+				var blk rdd.ColBlock
+				if tk.mapOut.Cols.BlockInto(0, &blk); blk.Kind != rdd.ColIntF64 || tk.records != int64(rows) {
+					t.Fatalf("map task: %d records, arena of kind %v", tk.records, blk.Kind)
 				}
 				return
 			}

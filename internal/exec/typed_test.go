@@ -42,9 +42,9 @@ func foldPartitioner(scheme uint8, reduce int, sample []any) rdd.Partitioner {
 }
 
 // typedFolds runs the two fold-only pipelines over one seeded dataset on
-// ctx: MapFloat → SumFloat, and FlatMapFloatPairs → SumByKey → Collect
+// ctx: MapFloat → SumFloat, and GenerateFloatPairs → SumByKey → Collect
 // under a hash (explicit or the tunable default) or range partitioner of
-// the given count. The source is pinned at parts partitions.
+// the given count. The sources are pinned at parts partitions.
 func typedFolds(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int, scheme uint8) (float64, []rdd.Row) {
 	t.Helper()
 	data, sample := foldData(seed)
@@ -62,12 +62,13 @@ func typedFolds(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := src.FlatMapFloatPairs(func(r rdd.Row, emit func(int, float64)) {
-		p := r.(rdd.Pair)
-		k, v := p.K.(int), p.V.(float64)
-		emit(k, v)
-		if k%3 == 0 {
-			emit(k/3+1000, v*0.25)
+	rows, err := ctx.GenerateFloatPairs("typed-pairs", parts, int64(len(data))*24+1, func(split, total int, emit func(int, float64)) {
+		for i := split; i < len(data); i += total {
+			k, v := data[i].K.(int), data[i].V.(float64)
+			emit(k, v)
+			if k%3 == 0 {
+				emit(k/3+1000, v*0.25)
+			}
 		}
 	}).SumByKey(foldPartitioner(scheme, reduce, sample)).Collect()
 	if err != nil {
@@ -145,8 +146,8 @@ func orderScan(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int, sc
 // cached, initial ranks by MapValues, then per iteration a join of links
 // and ranks whose matches emit rank shares to the out-links, summed by
 // SumByKey and damped — built from the typed ops (JoinFlatMapFloatPairs,
-// MapFloatValues) or from the row ops they stand for (Join,
-// FlatMapFloatPairs, MapValues) under the same op names and cost factors.
+// MapFloatValues) or from the row ops they stand for (Join, FlatMap,
+// MapValues) under the same op names and cost factors.
 // The final ranks are cached, as PageRank caches them, and collected.
 func pageRankIters(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int, typed bool) []rdd.Row {
 	t.Helper()
@@ -182,9 +183,9 @@ func pageRankIters(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int
 			}).SumByKey(part).MapFloatValues(damp)
 			continue
 		}
-		ranks = linked.Join(ranks, part).FlatMapFloatPairs(func(r rdd.Row, emit func(int, float64)) {
+		ranks = linked.Join(ranks, part).FlatMap(func(r rdd.Row) []rdd.Row {
 			jv := r.(rdd.Pair).V.(rdd.JoinedValue)
-			share(jv.Left, jv.Right.(float64), emit)
+			return emitted(func(emit func(int, float64)) { share(jv.Left, jv.Right.(float64), emit) })
 		}).SumByKey(part).MapValues(func(v any) any { return damp(v.(float64)) })
 	}
 	rows, err := ranks.Cache().Collect()
@@ -198,7 +199,7 @@ func pageRankIters(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int
 // ctx: ranks (pairs partitioned by a hash partitioner of reduce partitions,
 // values damped by MapFloatValues or MapValues) joined with itself, and
 // joined with a MapValues over it, each join's matches summed by SumByKey
-// — built from JoinFlatMapFloatPairs or from Join and FlatMapFloatPairs.
+// — built from JoinFlatMapFloatPairs or from Join and FlatMap.
 // It returns both sums' rows, the self-join's first.
 func typedReuse(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int, typed bool) []rdd.Row {
 	t.Helper()
@@ -226,10 +227,10 @@ func typedReuse(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int, t
 		if typed {
 			return ranks.JoinFlatMapFloatPairs(other, part, share)
 		}
-		return ranks.Join(other, part).FlatMapFloatPairs(func(r rdd.Row, emit func(int, float64)) {
+		return ranks.Join(other, part).FlatMap(func(r rdd.Row) []rdd.Row {
 			p := r.(rdd.Pair)
 			jv := p.V.(rdd.JoinedValue)
-			share(p.K.(int), jv.Left, jv.Right.(float64), emit)
+			return emitted(func(emit func(int, float64)) { share(p.K.(int), jv.Left, jv.Right.(float64), emit) })
 		})
 	}
 	var all []rdd.Row
@@ -241,6 +242,13 @@ func typedReuse(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int, t
 		all = append(all, rows...)
 	}
 	return all
+}
+
+// emitted returns the pairs f emits, in order, as FlatMap rows.
+func emitted(f func(emit func(int, float64))) []rdd.Row {
+	var out []rdd.Row
+	f(func(k int, v float64) { out = append(out, rdd.Pair{K: k, V: v}) })
+	return out
 }
 
 // sameSums fails unless two SumByKey results hold the same keys and the
@@ -259,7 +267,7 @@ func sameSums(t *testing.T, what string, got, want []rdd.Row) {
 }
 
 // FuzzTypedFoldMatchesBoxed: the engine's typed tier — MapFloat columns
-// summed in place by SumFloat, FlatMapFloatPairs columns folded straight
+// summed in place by SumFloat, GenerateFloatPairs columns folded straight
 // into the map-side arena, SQL's order scan carried as columns from a
 // GenerateFloatPairs source through two MapFloatPairs into that arena, and
 // PageRank's iteration carried as columns from the SumByKey shuffle read

@@ -18,7 +18,6 @@ var transformMethods = map[string]bool{
 	"MapFloat":              true,
 	"Filter":                true,
 	"FlatMap":               true,
-	"FlatMapFloatPairs":     true,
 	"MapFloatPairs":         true,
 	"MapFloatValues":        true,
 	"JoinFlatMapFloatPairs": true,

@@ -69,7 +69,6 @@ type heapRoot struct {
 var heapRoots = []heapRoot{
 	{"chopper/internal/exec", "Engine", "computePass"},
 	{"chopper/internal/rdd", "", "PartitionPairsCol"},
-	{"chopper/internal/rdd", "", "MergeReduceCol"},
 	{"chopper/internal/rdd", "", "MergeReduceColN"},
 	{"chopper/internal/rdd", "", "PairBytes"},
 	{"chopper/internal/shuffle", "Manager", "ReduceInput"},

@@ -120,7 +120,7 @@ func ScanKeyExpr(info *types.Info, lit *ast.FuncLit) (KeyExpr, bool) {
 	return joinKeyExprs(info, keys, scopes)
 }
 
-// ScanEmitKeyExpr is ScanKeyExpr for a FlatMapFloatPairs closure or a
+// ScanEmitKeyExpr is ScanKeyExpr for a JoinFlatMapFloatPairs closure or a
 // GenerateFloatPairs generator, which build no Pair literals: their keys
 // are the first arguments of their calls to emit, their last parameter.
 func ScanEmitKeyExpr(info *types.Info, lit *ast.FuncLit) (KeyExpr, bool) {

@@ -504,8 +504,7 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 		return out
 
 	case m == "Map" || m == "MapCost" || m == "Filter" || m == "FlatMap" ||
-		m == "Coalesce" || m == "Sample" || m == "MapFloat" || m == "FlatMapFloatPairs" ||
-		m == "MapFloatPairs":
+		m == "Coalesce" || m == "Sample" || m == "MapFloat" || m == "MapFloatPairs":
 		if ev != nil {
 			ev.kill(recv, methodDisplay(m))
 		}
@@ -517,10 +516,6 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 		case m == "Filter" || m == "Coalesce" || m == "Sample":
 			// Records pass through unchanged; only the partitioner is lost.
 			out.key = recv.key
-		case m == "FlatMapFloatPairs":
-			if k, ok := ScanEmitKeyExpr(f.Info, funcLitArg(call, 0)); ok {
-				out.key = k
-			}
 		case m == "MapFloatPairs":
 			switch k, same, ok := ScanReturnKeyExpr(f.Info, funcLitArg(call, litIdx)); {
 			case same:
@@ -643,8 +638,6 @@ func methodDisplay(m string) string {
 	switch m {
 	case "MapCost", "MapFloat", "MapFloatPairs":
 		return "map"
-	case "FlatMapFloatPairs":
-		return "flatMap"
 	case "ReduceByKeyPart", "SumByKey":
 		return "reduceByKey"
 	}

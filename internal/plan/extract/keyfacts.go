@@ -312,16 +312,6 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 		}
 		t.facts[f.ID] = f
 
-	case "FlatMapFloatPairs":
-		nodes := t.take(call, firstRDDResult(out), "flatMap")
-		f := &KeyFacts{ID: nodes[0].ID, Op: "flatMap", DepKinds: "n"}
-		if lit := t.funcLitAt(call, 0, env); lit != nil {
-			if k, ok := lint.ScanEmitKeyExpr(t.in.info, lit); ok {
-				setKeyFrom(f, k)
-			}
-		}
-		t.facts[f.ID] = f
-
 	case "MapFloatPairs":
 		op := ""
 		if len(args) > 0 && args[0].Kind() == reflect.String {
@@ -436,8 +426,8 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 		t.noteCoGroupNode(call, nodes[0], recv, rddArg(args, 0), partArg(args, 1))
 
 	case "Join", "JoinFlatMapFloatPairs":
-		// JoinFlatMapFloatPairs is Join followed by FlatMapFloatPairs: the
-		// same cogroup and join, then a flatMap keyed by its emit calls.
+		// JoinFlatMapFloatPairs is Join followed by FlatMap: the same
+		// cogroup and join, then a flatMap keyed by its emit calls.
 		ops := []string{"cogroup", "join"}
 		if name == "JoinFlatMapFloatPairs" {
 			ops = append(ops, "flatMap")

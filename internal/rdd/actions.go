@@ -15,7 +15,7 @@ var ErrNoRunner = errors.New("rdd: context has no job runner attached")
 func (r *RDD) runJob(fn func(split int, rows []Row) (any, error)) ([]any, error) {
 	return r.runParts(func(split int, rows []Row) (any, error) {
 		if blk := partCols(rows); blk != nil {
-			rows = blk.boxed()
+			rows = blk.Rows()
 		}
 		return fn(split, rows)
 	})
@@ -214,7 +214,7 @@ func (r *RDD) SumFloat() (float64, error) {
 				}
 				return s, nil
 			}
-			rows = blk.boxed()
+			rows = blk.Rows()
 		}
 		for _, row := range rows {
 			s += row.(float64)

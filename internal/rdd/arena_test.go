@@ -32,19 +32,22 @@ func colViaArena(t *testing.T, rows []Row, p Partitioner, agg *Aggregator) ([]*C
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cols == nil {
-		out := make([]*ColBlock, len(boxed))
-		for i := range boxed {
-			out[i] = &ColBlock{Kind: ColNone, Pairs: boxed[i]}
-		}
-		return out, false
-	}
+	return bucketViews(cols), boxed == nil
+}
+
+// bucketViews returns the view of every bucket of an arena, by bucket.
+func bucketViews(cols *ColBuckets) []*ColBlock {
 	out := make([]*ColBlock, cols.NumBuckets())
 	for b := range out {
-		blk := cols.Bucket(b)
-		out[b] = &blk
+		out[b] = new(ColBlock)
+		cols.BucketInto(b, out[b])
 	}
-	return out, true
+	return out
+}
+
+// mergeViews merges blocks, in order, with MergeReduceColN.
+func mergeViews(blocks []*ColBlock, agg *Aggregator) []Row {
+	return MergeReduceColN(len(blocks), func(i int, dst *ColBlock) { *dst = *blocks[i] }, agg)
 }
 
 // TestArenaMatchesBoxedPartition pins the write-side contract: for every
@@ -86,7 +89,7 @@ func TestArenaMatchesBoxedPartition(t *testing.T) {
 }
 
 // TestArenaMergeMatchesBoxed pins the read-side contract end to end:
-// arena views merged with MergeReduceCol equal the boxed
+// arena views merged with MergeReduceColN equal the boxed
 // partitionPairs+mergeReduceBlocks pipeline, including float64 fold order.
 func TestArenaMergeMatchesBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -116,7 +119,7 @@ func TestArenaMergeMatchesBoxed(t *testing.T) {
 					colBlocks = append(colBlocks, cb[reduce])
 				}
 				want := mergeReduceBlocks(boxedBlocks, agg)
-				got := MergeReduceCol(colBlocks, agg)
+				got := mergeViews(colBlocks, agg)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s/%s reduce %d:\n got %v\nwant %v", rn, an, reduce, got, want)
 				}
@@ -152,7 +155,7 @@ func TestArenaMergeMixedKinds(t *testing.T) {
 		t.Fatalf("kind probe: want columnar+boxed mix, got %v/%v", gotBlocks[0].Kind, gotBlocks[1].Kind)
 	}
 	want := mergeReduceBlocks(wantBlocks, agg)
-	got := MergeReduceCol(gotBlocks, agg)
+	got := mergeViews(gotBlocks, agg)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("mixed-kind merge diverged:\n got %v\nwant %v", got, want)
 	}
@@ -182,9 +185,6 @@ func TestArenaLogicalBytesMatchesBoxed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cols == nil {
-				continue // boxed fallback shares LogicalPairsBytes outright
-			}
 			for _, scale := range []float64{1, 1000.0 / 3.0} {
 				for b := range boxed {
 					want := LogicalPairsBytes(boxed[b], scale)
@@ -212,9 +212,9 @@ func TestArenaKindSelection(t *testing.T) {
 		want ColKind
 	}{
 		{"combine int f64", intF64, SumAggregator(), ColIntF64},
-		{"combine str f64", strF64, SumAggregator(), ColStrF64},
+		{"combine str f64 stays boxed", strF64, SumAggregator(), ColNone},
 		{"combine int any", intStr, ReduceAggregator(func(a, b any) any { return a }), ColIntAny},
-		{"combine str any", strStr, ReduceAggregator(func(a, b any) any { return a }), ColStrAny},
+		{"combine str any stays boxed", strStr, ReduceAggregator(func(a, b any) any { return a }), ColNone},
 		{"scatter int f64", intF64, nil, ColIntF64},
 		{"scatter int any under group", intF64, GroupAggregator(), ColIntAny},
 		{"scatter int any values", intStr, nil, ColIntAny},
@@ -226,23 +226,19 @@ func TestArenaKindSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := ColNone
-		if cols != nil {
-			got = cols.Kind()
+		if cols == nil || cols.kind != tc.want {
+			t.Fatalf("%s: arena %+v, want kind %v", tc.name, cols, tc.want)
 		}
-		if got != tc.want {
-			t.Errorf("%s: kind %v, want %v", tc.name, got, tc.want)
-		}
-		if (cols == nil) == (boxed == nil) {
-			t.Errorf("%s: exactly one result must be non-nil", tc.name)
+		if (boxed == nil) == (tc.want == ColNone) {
+			t.Errorf("%s: boxed buckets %v; they must be returned exactly when the boxed tier ran", tc.name, boxed)
 		}
 	}
 }
 
-// TestStringKeysWithoutMapSideCombine pins, against hand-written rows, the
-// two shapes that have no columnar writer and so cross the shuffle in the
-// boxed tier: string keys under a reduce-only aggregator and string keys
-// with no aggregator at all.
+// TestStringKeysWithoutMapSideCombine pins, against hand-written rows, two
+// string-keyed shapes, which cross the shuffle in the boxed tier as every
+// key type but int does: string keys under a reduce-only aggregator and
+// string keys with no aggregator at all.
 func TestStringKeysWithoutMapSideCombine(t *testing.T) {
 	maps := [][]Row{
 		{Pair{K: "b", V: 1.0}, Pair{K: "a", V: 2.0}, Pair{K: "b", V: 3.0}},
@@ -274,7 +270,7 @@ func TestStringKeysWithoutMapSideCombine(t *testing.T) {
 			}
 			blocks = append(blocks, cb[0])
 		}
-		if got := MergeReduceCol(blocks, tc.agg); !reflect.DeepEqual(got, tc.want) {
+		if got := mergeViews(blocks, tc.agg); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, tc.want)
 		}
 	}
@@ -293,15 +289,13 @@ func TestArenaOwnsEmptyInput(t *testing.T) {
 			t.Fatalf("empty arena: %d buckets, %d pairs, non-empty ids %v; want 5 buckets holding nothing",
 				cols.NumBuckets(), cols.Len(), cols.NonEmpty())
 		}
-		blocks := make([]*ColBlock, cols.NumBuckets())
-		for b := range blocks {
-			blk := cols.Bucket(b)
-			blocks[b] = &blk
+		blocks := bucketViews(cols)
+		for b, blk := range blocks {
 			if blk.Len() != 0 || cols.LogicalBytes(b, 1000) != 0 {
 				t.Fatalf("bucket %d of an empty arena: len %d, %v bytes", b, blk.Len(), cols.LogicalBytes(b, 1000))
 			}
 		}
-		if got := MergeReduceCol(blocks, agg); got == nil || len(got) != 0 {
+		if got := mergeViews(blocks, agg); got == nil || len(got) != 0 {
 			t.Fatalf("merging empty views: got %#v, want non-nil empty rows", got)
 		}
 	}
@@ -317,9 +311,10 @@ func TestNonEmptyMatchesBuckets(t *testing.T) {
 		if err != nil || cols == nil || cols.Len() == 0 {
 			t.Fatalf("typed rows: cols=%v err=%v, want a non-empty arena", cols, err)
 		}
+		views := bucketViews(cols)
 		var want []int32
-		for b := 0; b < cols.NumBuckets(); b++ {
-			if blk := cols.Bucket(b); blk.Len() > 0 {
+		for b, blk := range views {
+			if blk.Len() > 0 {
 				want = append(want, int32(b))
 			}
 		}
@@ -329,7 +324,7 @@ func TestNonEmptyMatchesBuckets(t *testing.T) {
 		for i, b := range cols.NonEmpty() {
 			var blk ColBlock
 			cols.BlockInto(i, &blk)
-			if want := cols.Bucket(int(b)); !reflect.DeepEqual(blk, want) {
+			if want := views[b]; !reflect.DeepEqual(&blk, want) {
 				t.Fatalf("position %d: view %+v, want bucket %d's %+v", i, blk, b, want)
 			}
 		}

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The shuffle kernels (PartitionPairsCol, MergeReduceCol, the payload
+// The shuffle kernels (PartitionPairsCol, MergeReduceColN, the payload
 // sizers) have their allocation counts pinned by
 // TestWarmKernelsAllocateOnlyTheirOutput and their times measured by
 // bench/'s per-layer rdd.* rows; only the key hash, which neither covers on

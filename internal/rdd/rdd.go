@@ -66,10 +66,11 @@ func (d *ShuffleDep) Parent() *RDD { return d.P }
 // Aggregator describes combine semantics for a shuffle (Spark's Aggregator).
 //
 // The F64 hooks are optional unboxed twins of the interface functions: when
-// all three are set and the values flowing through a combine kernel are
-// float64, the columnar kernels (PartitionPairsCol, MergeReduceColN)
-// accumulate in raw float64 segments and box only once per distinct key on
-// output, instead of once per record. SumAggregator is the one constructor
+// all three are set and the pairs flowing through a combine kernel are
+// int-keyed with float64 values, the columnar kernels (PartitionPairsCol,
+// MergeReduceColN) accumulate in raw float64 segments and box only once
+// per distinct key on output, instead of once per record. Under any other
+// key type the boxed tier folds through the interface functions alone. SumAggregator is the one constructor
 // that sets them and (*RDD).SumByKey the method that shuffles under it —
 // how the SQL and PageRank built-ins sum; ReduceByKey's func(a, b any) any
 // cannot carry them. The hooks MUST compute exactly what

@@ -295,15 +295,6 @@ func RowsBytes(rows []Row) int64 {
 	return sum
 }
 
-// PairsBytes sums RowBytes over a slice of pairs.
-func PairsBytes(pairs []Pair) int64 {
-	var sum int64
-	for i := range pairs {
-		sum += PairBytes(pairs[i])
-	}
-	return sum
-}
-
 // FormatKey renders a key for config files and debugging.
 func FormatKey(k any) string {
 	switch v := k.(type) {

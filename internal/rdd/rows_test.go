@@ -126,10 +126,6 @@ func TestRowsBytesSums(t *testing.T) {
 	if got := RowsBytes(rows); got != want {
 		t.Fatalf("RowsBytes = %d, want %d", got, want)
 	}
-	pairs := []Pair{{K: 1, V: 2}, {K: 3, V: 4}}
-	if got := PairsBytes(pairs); got != 2*RowBytes(Pair{K: 1, V: 2}) {
-		t.Fatalf("PairsBytes = %d", got)
-	}
 }
 
 func TestFormatKey(t *testing.T) {

@@ -48,7 +48,7 @@ func TestTypedColMatchesBoxedArena(t *testing.T) {
 			}
 			for an, agg := range aggs {
 				gotCols, gotBoxed, gotErr := PartitionTypedCol(blk, p, agg)
-				wantCols, wantBoxed, wantErr := PartitionPairsCol(blk.boxed(), p, agg)
+				wantCols, wantBoxed, wantErr := PartitionPairsCol(blk.Rows(), p, agg)
 				if !reflect.DeepEqual(gotCols, wantCols) || !reflect.DeepEqual(gotBoxed, wantBoxed) || !reflect.DeepEqual(gotErr, wantErr) {
 					t.Fatalf("trial %d %s/%d/%s, %d pairs: typed arena differs from the boxed rows'", trial, pn, reduce, an, n)
 				}
@@ -62,10 +62,9 @@ func TestTypedColMatchesBoxedArena(t *testing.T) {
 	}
 }
 
-// TestTypedComputeMatchesBoxedOps: the Compute MapFloat and
-// FlatMapFloatPairs derive from their typed compute returns exactly the
-// rows MapCost and FlatMap return for the same closure, empty partitions
-// included (MapCost gives an empty slice, FlatMap nil).
+// TestTypedComputeMatchesBoxedOps: the Compute MapFloat derives from its
+// typed compute returns exactly the rows MapCost returns for the same
+// closure, empty partitions included (an empty slice, not nil).
 func TestTypedComputeMatchesBoxedOps(t *testing.T) {
 	ctx := NewContext(2)
 	for _, n := range []int{0, 1, 37} {
@@ -79,21 +78,6 @@ func TestTypedComputeMatchesBoxedOps(t *testing.T) {
 		wantMap := src.MapCost("score", 0.8, func(r Row) Row { return score(r) }).Compute(0, [][]Row{in})
 		if !reflect.DeepEqual(gotMap, wantMap) {
 			t.Fatalf("MapFloat over %d rows: %v, want %v", n, gotMap, wantMap)
-		}
-		gotFlat := src.FlatMapFloatPairs(func(r Row, emit func(int, float64)) {
-			if p := r.(Pair); p.K.(int) != 0 {
-				emit(p.K.(int), p.V.(float64))
-				emit(-p.K.(int), 1)
-			}
-		}).Compute(0, [][]Row{in})
-		wantFlat := src.FlatMap(func(r Row) []Row {
-			if p := r.(Pair); p.K.(int) != 0 {
-				return []Row{Pair{K: p.K.(int), V: p.V.(float64)}, Pair{K: -p.K.(int), V: 1.0}}
-			}
-			return nil
-		}).Compute(0, [][]Row{in})
-		if !reflect.DeepEqual(gotFlat, wantFlat) {
-			t.Fatalf("FlatMapFloatPairs over %d rows: %v, want %v", n, gotFlat, wantFlat)
 		}
 	}
 }
@@ -132,8 +116,8 @@ func TestTypedPairChainMatchesRowOps(t *testing.T) {
 			var blk ColBlock
 			typedSrc.NumParts = total
 			typedSrc.Typed(split, nil, &blk)
-			if got := typedSrc.Compute(split, nil); !reflect.DeepEqual(got, rows) || !reflect.DeepEqual(blk.boxed(), rows) {
-				t.Fatalf("split %d/%d: typed source computes %v and %v, want %v", split, total, got, blk.boxed(), rows)
+			if got := typedSrc.Compute(split, nil); !reflect.DeepEqual(got, rows) || !reflect.DeepEqual(blk.Rows(), rows) {
+				t.Fatalf("split %d/%d: typed source computes %v and %v, want %v", split, total, got, blk.Rows(), rows)
 			}
 			// MapCost gives an empty slice where MapFloatPairs gives nil.
 			wantRows := project.Compute(split, [][]Row{filter.Compute(split, [][]Row{rows})})
@@ -165,7 +149,7 @@ func TestColBlockLogicalBytes(t *testing.T) {
 				scalars.F64 = append(scalars.F64, rng.NormFloat64())
 			}
 			for _, blk := range []*ColBlock{&pairs, &scalars} {
-				got, want := blk.LogicalBytes(scale), LogicalRowsBytes(blk.boxed(), scale)
+				got, want := blk.LogicalBytes(scale), LogicalRowsBytes(blk.Rows(), scale)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("kind %d, %d rows at scale %v: %v bytes, want %v", blk.Kind, n, scale, got, want)
 				}
@@ -226,11 +210,10 @@ func floatCols(rows []Row) *ColBlock {
 }
 
 // TestTypedJoinMatchesRowOps: JoinFlatMapFloatPairs builds the three RDDs
-// Join(o, p).FlatMapFloatPairs builds — ops, cost factors, dependency
-// kinds, partitioners and counts — and over 400 drawn task inputs each of
-// them boxes exactly the rows of its row twin (CoGroup, Join,
-// FlatMapFloatPairs; by reflect.DeepEqual, so a nil side is told from an
-// empty one), fills the same block from its input's columns as from its
+// Join(o, p).FlatMap builds — ops, cost factors, dependency kinds,
+// partitioners and counts — and over 400 drawn task inputs each of them
+// boxes exactly the rows of its row twin (CoGroup, Join, FlatMap; by
+// reflect.DeepEqual, so a nil side is told from an empty one), fills the same block from its input's columns as from its
 // rows (a typed right side, the cogroup's group block, the join's
 // matches), and sizes each block bit for bit as LogicalRowsBytes sizes its
 // rows.
@@ -243,10 +226,12 @@ func TestTypedJoinMatchesRowOps(t *testing.T) {
 			emit(-k, right)
 		}
 	}
-	rowF := func(r Row, emit func(int, float64)) {
+	rowF := func(r Row) []Row {
 		pr := r.(Pair)
 		jv := pr.V.(JoinedValue)
-		f(pr.K.(int), jv.Left, jv.Right.(float64), emit)
+		var out []Row
+		f(pr.K.(int), jv.Left, jv.Right.(float64), func(k int, v float64) { out = append(out, Pair{K: k, V: v}) })
+		return out
 	}
 	for seed := int64(0); seed < 400; seed++ {
 		in, narrow := drawJoin(rand.New(rand.NewSource(seed)))
@@ -259,7 +244,7 @@ func TestTypedJoinMatchesRowOps(t *testing.T) {
 		}
 		left, right := parent(0), parent(1)
 		flat := left.JoinFlatMapFloatPairs(right, p, f)
-		rowFlat := left.Join(right, p).FlatMapFloatPairs(rowF)
+		rowFlat := left.Join(right, p).FlatMap(rowF)
 		typed, rowOps := flat.Lineage(), rowFlat.Lineage()
 		if len(typed) != len(rowOps) {
 			t.Fatalf("lineage of %d RDDs, the row ops' %d", len(typed), len(rowOps))
@@ -399,7 +384,7 @@ func TestMergeTypedColMatchesBoxedMerge(t *testing.T) {
 			boxed[i] = b.AppendPairs(nil)
 		}
 		want := mergeReduceBlocks(boxed, agg)
-		got := dst.boxed()
+		got := dst.Rows()
 		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: MergeTypedCol gives %v, the boxed merge %v", trial, got, want)
 		}
@@ -414,9 +399,9 @@ func TestMergeTypedColMatchesBoxedMerge(t *testing.T) {
 		t.Errorf("a warm MergeTypedCol into a reused block allocates %v objects", n)
 	}
 	before := dst
-	mixed := []*ColBlock{{Kind: ColIntF64, Int: []int64{1}, F64: []float64{1}}, {Kind: ColStrF64, Offs: []int32{0, 1}, Bytes: []byte("a"), F64: []float64{2}}}
+	mixed := []*ColBlock{{Kind: ColIntF64, Int: []int64{1}, F64: []float64{1}}, {Kind: ColNone, Pairs: []Pair{{K: "a", V: 2.0}}}}
 	if MergeTypedCol(2, func(i int, b *ColBlock) { *b = *mixed[i] }, agg, &dst) || !reflect.DeepEqual(dst, before) {
-		t.Fatal("MergeTypedCol merged a string-keyed block")
+		t.Fatal("MergeTypedCol merged a boxed string-keyed block")
 	}
 	reduce := ReduceAggregator(func(a, b any) any { return a.(float64) + b.(float64) })
 	if MergeTypedCol(1, func(i int, b *ColBlock) { *b = *mixed[0] }, reduce, &dst) || !reflect.DeepEqual(dst, before) {

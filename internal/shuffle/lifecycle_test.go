@@ -57,7 +57,7 @@ func TestRetireExceptLifecycle(t *testing.T) {
 	if !complete(m, 2) {
 		t.Fatalf("live shuffle lost its outputs")
 	}
-	if got := rdd.MergeReduceCol(blocks(m.ReduceInput(2, 0)), agg); len(got) == 0 {
+	if got := merge(blocks(m.ReduceInput(2, 0)), agg); len(got) == 0 {
 		t.Fatalf("live shuffle reduce input empty")
 	}
 
@@ -100,7 +100,9 @@ func putCanaryArena(t *testing.T, m *Manager, c *arenaCanary) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cols == nil || cols.Kind() != rdd.ColIntAny {
+	var blk rdd.ColBlock
+	cols.BlockInto(0, &blk)
+	if blk.Kind != rdd.ColIntAny {
 		t.Fatalf("canary rows must land in an any-value arena, got %+v", cols)
 	}
 	payloads := make([]int64, 2)
@@ -171,7 +173,7 @@ func TestConcurrentGenerations(t *testing.T) {
 
 	// Retain a pre-retirement view and its merged value.
 	view := blocks(m.ReduceInput(1, 0))
-	want := rdd.MergeReduceCol(view, agg)
+	want := merge(view, agg)
 
 	// Generation 2: writers, locality readers, and the retirement of
 	// generation 1 all run concurrently.
@@ -207,7 +209,7 @@ func TestConcurrentGenerations(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = rdd.MergeReduceCol(blocks(m.ReduceInput(2, i%reduces)), agg)
+			results[i] = merge(blocks(m.ReduceInput(2, i%reduces)), agg)
 		}(i)
 	}
 	wg.Wait()
@@ -218,7 +220,7 @@ func TestConcurrentGenerations(t *testing.T) {
 	}
 
 	// The retained generation-1 view is untouched by retirement.
-	if got := rdd.MergeReduceCol(view, agg); !reflect.DeepEqual(got, want) {
+	if got := merge(view, agg); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pre-retirement view changed:\n got %v\nwant %v", got, want)
 	}
 }
