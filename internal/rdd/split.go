@@ -1,10 +1,11 @@
 // split.go is the boxed tier of the shuffle: one interface-keyed
 // implementation of the map-side split and the reduce-side merge. It is
-// the engine's fallback for rows the columnar arenas (arena.go) cannot
-// type — untyped or mixed keys — LocalRunner's whole shuffle, and thereby
-// the reference the engine-vs-oracle fuzz and the arena equivalence tests
-// compare the columnar tier against. It stays small and obviously correct
-// rather than fast.
+// the engine's tier for the rows the columnar arenas (arena.go) do not
+// type — keys of any type but int, or of mixed types — whose buckets the
+// engine's map output then carries in a ColNone arena; LocalRunner's whole
+// shuffle; and thereby the reference the engine-vs-oracle fuzz and the
+// arena equivalence tests compare the columnar tier against. It stays
+// small and obviously correct rather than fast.
 package rdd
 
 import (
