@@ -40,9 +40,9 @@ import (
 	"chopper/internal/rdd"
 )
 
-// MapOutput is the complete shuffle write of one map task: either the
-// columnar arena every reduce bucket slices out of (Cols) or the boxed
-// fallback buckets (Boxed), plus the logical payload sizes of its blocks.
+// MapOutput is the complete shuffle write of one map task: the arena every
+// reduce bucket slices out of (Cols; columnar, or the boxed tier's buckets
+// in a ColNone arena), plus the logical payload sizes of its blocks.
 // Storing the arena itself — not a materialized per-bucket block — keeps
 // the manager at O(maps + non-empty blocks) per shuffle: with wide
 // shuffles ~150-byte per-block views would dwarf the data they point at.
@@ -54,12 +54,9 @@ import (
 // on entry — the manager stores the sparse form only. Both nil: every
 // block is empty (a map task without rows).
 type MapOutput struct {
-	// Cols is the map task's columnar arena (nil when the task fell back
-	// to boxed pairs). Bucket r of the arena is reduce partition r's input.
+	// Cols is the map task's arena. Bucket r of the arena is reduce
+	// partition r's input.
 	Cols *rdd.ColBuckets
-	// Boxed holds the per-reduce boxed buckets of a fallback map task
-	// (nil when Cols is set).
-	Boxed [][]rdd.Pair
 	// Payloads are logical serialized payload sizes, one per listed bucket
 	// (sparse) or per reduce bucket (dense).
 	Payloads []int64
@@ -83,44 +80,27 @@ type mapOutput struct {
 	out  MapOutput
 	// pos[i] is the arena position of listed bucket out.NonEmpty[i], -1
 	// when the arena holds no pair for it; nil when the output lists
-	// exactly the arena's buckets (position i is listed bucket i) or is
-	// boxed.
+	// exactly the arena's buckets (position i is listed bucket i).
 	pos []int32
 }
 
-// block reports where listed bucket i lives — its arena position (unused
-// for boxed outputs) — and whether it holds any pair.
+// block reports where listed bucket i lives — its arena position — and
+// whether it holds any pair.
 func (mo *mapOutput) block(i int) (pos int32, ok bool) {
-	switch {
-	case mo.out.Cols == nil:
-		return -1, len(mo.out.Boxed[mo.out.NonEmpty[i]]) > 0
-	case mo.pos == nil:
+	if mo.pos == nil {
 		return int32(i), true
-	default:
-		return mo.pos[i], mo.pos[i] >= 0
 	}
-}
-
-// rows reports how many pairs reduce bucket r holds.
-func (mo *mapOutput) rows(r int) int {
-	if mo.out.Cols != nil {
-		return mo.out.Cols.BucketLen(r)
-	}
-	return len(mo.out.Boxed[r])
+	return mo.pos[i], mo.pos[i] >= 0
 }
 
 // sparse converts a dense output to the stored form, listing every bucket
 // that is charged a payload or holds rows, in fresh slices: the caller may
 // put its dense output again.
 func sparse(out MapOutput) MapOutput {
-	mo := mapOutput{out: out}
-	hint := 0 // capacity hint: an arena has at most as many non-empty buckets as pairs
-	if out.Cols != nil {
-		hint = min(len(out.Payloads), out.Cols.Len())
-	}
+	hint := min(len(out.Payloads), out.Cols.Len()) // an arena has at most as many non-empty buckets as pairs
 	ids, payloads := make([]int32, 0, hint), make([]int64, 0, hint)
 	for r, p := range out.Payloads {
-		if p != 0 || mo.rows(r) > 0 {
+		if p != 0 || out.Cols.BucketLen(r) > 0 {
 			ids = append(ids, int32(r))
 			payloads = append(payloads, p)
 		}
@@ -195,17 +175,17 @@ func (m *Manager) Register(shuffleID, numMaps, numReduce int) {
 // PutMapOutput records the output map task mapTask wrote on node. It returns
 // the total bytes written (payload plus per-block overhead), the quantity
 // the metrics layer reports as shuffle write. A malformed output panics:
-// wrong bucket count, a dense table of the wrong length, sparse ids not
-// strictly ascending, out of range, or not as many as the payloads.
+// no arena, wrong bucket count, a dense table of the wrong length, sparse
+// ids not strictly ascending, out of range, or not as many as the
+// payloads.
 func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutput) int64 {
 	st := m.mustGet(shuffleID)
 	nr := st.numReduce
-	if out.Cols != nil {
-		if out.Cols.NumBuckets() != nr {
-			panic(fmt.Sprintf("shuffle %d: arena has %d buckets, want %d", shuffleID, out.Cols.NumBuckets(), nr))
-		}
-	} else if len(out.Boxed) != nr {
-		panic(fmt.Sprintf("shuffle %d: got %d boxed buckets, want %d", shuffleID, len(out.Boxed), nr))
+	if out.Cols == nil {
+		panic(fmt.Sprintf("shuffle %d: map output without an arena", shuffleID))
+	}
+	if out.Cols.NumBuckets() != nr {
+		panic(fmt.Sprintf("shuffle %d: arena has %d buckets, want %d", shuffleID, out.Cols.NumBuckets(), nr))
 	}
 	if out.NonEmpty == nil && out.Payloads != nil {
 		if len(out.Payloads) != nr {
@@ -227,19 +207,17 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 		bytes += m.blockBytes(p)
 	}
 	mo := mapOutput{node: node, out: out}
-	if out.Cols != nil {
-		// Resolve arena positions once, so reads need no search: the
-		// engine lists exactly its arena's buckets; dense or hand-made
-		// outputs may list others, or leave some out.
-		if ids := out.Cols.NonEmpty(); !slices.Equal(out.NonEmpty, ids) {
-			mo.pos = make([]int32, len(out.NonEmpty))
-			for i, r := range out.NonEmpty {
-				p, ok := slices.BinarySearch(ids, r)
-				if !ok {
-					p = -1
-				}
-				mo.pos[i] = int32(p)
+	// Resolve arena positions once, so reads need no search: the engine
+	// lists exactly its arena's buckets; dense or hand-made outputs may
+	// list others, or leave some out.
+	if ids := out.Cols.NonEmpty(); !slices.Equal(out.NonEmpty, ids) {
+		mo.pos = make([]int32, len(out.NonEmpty))
+		for i, r := range out.NonEmpty {
+			p, ok := slices.BinarySearch(ids, r)
+			if !ok {
+				p = -1
 			}
+			mo.pos[i] = int32(p)
 		}
 	}
 	st.mu.Lock()
@@ -405,11 +383,7 @@ func (v ReduceView) Len() int { return len(v.blocks) }
 // whole input.
 func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) {
 	b := v.blocks[i]
-	if cols := b.mo.out.Cols; cols != nil {
-		cols.BlockInto(int(b.pos), dst)
-		return
-	}
-	*dst = rdd.ColBlock{Kind: rdd.ColNone, Pairs: b.mo.out.Boxed[v.reduce]}
+	b.mo.out.Cols.BlockInto(int(b.pos), dst)
 }
 
 // NodeBytes reports how many of the partition's input bytes (payload plus
