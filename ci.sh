@@ -5,12 +5,16 @@
 # the full gate: vet, the chopperlint determinism/correctness suite, the
 # chopperguard lock-contract/durability-protocol verifier, the test suite
 # (with shuffled execution order, so inter-test state leaks cannot hide),
-# the exact-count pins rerun 20 times under GC pressure, the race detector over every internal package, short native-fuzz runs of
+# the exact-count pins rerun 20 times under GC pressure, the race detector
+# over every internal package, the built-ins' bit-exact pins and
+# numeric-kernel oracle under GOARCH=386 (an interleaved kernel may not
+# drift across architectures), short native-fuzz runs of
 # the execution engine against its single-threaded oracle, of its typed
 # fold tier against the oracle's boxed rows, of task
 # placement against the reference list scheduler, of the shuffle
 # kernels' pooled scratch (call sequences against the boxed tier), of the
-# shuffle index against a brute-force walk, of the daemon's map-free query
+# shuffle index against a brute-force walk, of KMeans' interleaved nearest-
+# centre kernel against its scalar loop, of the daemon's map-free query
 # parser against url.ParseQuery and of the guard pipeline
 # against arbitrary source, the plan-IR invariant checker, and
 # the symbolic plan extractor, chopperplan — the static plan-drift gate
@@ -173,6 +177,14 @@ gate "race (parallel sweep)"
 # sweep above is ever narrowed.
 go test -race -run 'TestParallelMatchesSequential' -count=1 ./internal/experiments
 
+gate "bit-exact kernels (GOARCH=386)"
+# The built-ins' numeric kernels run independent sums side by side but keep
+# every sum's own operation order, so their results are bit-identical to
+# the scalar loops on any IEEE-754 target. Re-run the checksum, simulated-
+# time and trace pins plus the scalar-loop oracle on a 32-bit target, so a
+# rewritten kernel cannot drift across architectures.
+GOARCH=386 go test -run 'Pinned|MatchScalar' ./internal/workloads
+
 gate "bench module (build + test)"
 # bench/ is a nested module outside ./...: build and test it here so a
 # signature change that breaks the BENCHMARK.json harness fails CI instead
@@ -203,6 +215,7 @@ go test -run='^$' -fuzz=FuzzTypedFoldMatchesBoxed -fuzztime=5s ./internal/exec
 go test -run='^$' -fuzz=FuzzKernelScratch -fuzztime=5s ./internal/rdd
 go test -run='^$' -fuzz=FuzzCoGroupMatchesReference -fuzztime=5s ./internal/rdd
 go test -run='^$' -fuzz=FuzzShuffleIndex -fuzztime=5s ./internal/shuffle
+go test -run='^$' -fuzz=FuzzNearestMatchesScalar -fuzztime=5s ./internal/workloads
 go test -run='^$' -fuzz=FuzzPlanInvariants -fuzztime=5s ./internal/plan/verify
 go test -run='^$' -fuzz=FuzzSymbolicExtract -fuzztime=5s ./internal/plan/extract
 go test -run='^$' -fuzz=FuzzLockContract -fuzztime=5s ./internal/lint

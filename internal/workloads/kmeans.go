@@ -75,12 +75,43 @@ func contentHash(p []float64, seed int64) uint64 {
 	return h
 }
 
+// nearest returns the index of the centre closest to p and its squared
+// distance. Ties go to the lowest index and a NaN distance never wins.
+// Four centres share each pass over p, one accumulator apiece, so the
+// core is not waiting on a single chain of adds; every distance still sums
+// j = 0…len(p)−1 in order and the compares run in centre order, so index
+// and distance are bit-identical to one centre at a time.
 func nearest(p []float64, centers [][]float64) (int, float64) {
 	best, bestD := 0, math.Inf(1)
-	for c, ctr := range centers {
+	c := 0
+	for ; c+4 <= len(centers); c += 4 {
+		c0, c1, c2, c3 := centers[c][:len(p)], centers[c+1][:len(p)], centers[c+2][:len(p)], centers[c+3][:len(p)]
+		var d0, d1, d2, d3 float64
+		for j, x := range p {
+			e0, e1, e2, e3 := x-c0[j], x-c1[j], x-c2[j], x-c3[j]
+			d0 += e0 * e0
+			d1 += e1 * e1
+			d2 += e2 * e2
+			d3 += e3 * e3
+		}
+		if d0 < bestD {
+			best, bestD = c, d0
+		}
+		if d1 < bestD {
+			best, bestD = c+1, d1
+		}
+		if d2 < bestD {
+			best, bestD = c+2, d2
+		}
+		if d3 < bestD {
+			best, bestD = c+3, d3
+		}
+	}
+	for ; c < len(centers); c++ {
+		ctr := centers[c][:len(p)]
 		d := 0.0
-		for j := range p {
-			diff := p[j] - ctr[j]
+		for j, x := range p {
+			diff := x - ctr[j]
 			d += diff * diff
 		}
 		if d < bestD {

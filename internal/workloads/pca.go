@@ -77,6 +77,95 @@ func addVecs(a, b []float64) []float64 {
 	return out
 }
 
+// The kernels below keep every sum's own operation order and only run
+// independent sums side by side, so their results are bit-identical to
+// one-sum-at-a-time loops (kernels_test.go keeps those as the oracle).
+// All vectors are len(mean) long.
+
+// covPartial sums the outer products (x−mean)(x−mean)ᵀ of the rows into
+// acc, a zeroed row-major len(mean)² matrix. It accumulates the upper
+// triangle only and mirrors it once at the end: acc[a][b] and acc[b][a]
+// would receive the same products in the same row order, and
+// multiplication commutes.
+func covPartial(acc []float64, rows []rdd.Row, mean []float64) {
+	dim := len(mean)
+	for _, r := range rows {
+		v := r.([]float64)[:dim]
+		for a, va := range v {
+			da := va - mean[a]
+			vb := v[a:]
+			row, mb := acc[a*dim+a:][:len(vb)], mean[a:][:len(vb)]
+			for b, x := range vb {
+				row[b] += da * (x - mb[b])
+			}
+		}
+	}
+	for a := 0; a < dim; a++ {
+		for b := a + 1; b < dim; b++ {
+			acc[b*dim+a] = acc[a*dim+b]
+		}
+	}
+}
+
+// powerPartial adds ((x−mean)·cur)(x−mean) of every row into acc. Rows go
+// two per pass: their dot products are independent chains, and each
+// acc[j] still receives row i's term before row i+1's.
+func powerPartial(acc []float64, rows []rdd.Row, mean, cur []float64) {
+	dim := len(mean)
+	acc, cur = acc[:dim], cur[:dim]
+	i := 0
+	for ; i+1 < len(rows); i += 2 {
+		x0, x1 := rows[i].([]float64)[:dim], rows[i+1].([]float64)[:dim]
+		dot0, dot1 := 0.0, 0.0
+		for j, m := range mean {
+			dot0 += (x0[j] - m) * cur[j]
+			dot1 += (x1[j] - m) * cur[j]
+		}
+		for j, m := range mean {
+			acc[j] += dot0 * (x0[j] - m)
+			acc[j] += dot1 * (x1[j] - m)
+		}
+	}
+	if i < len(rows) {
+		x := rows[i].([]float64)[:dim]
+		dot := 0.0
+		for j, m := range mean {
+			dot += (x[j] - m) * cur[j]
+		}
+		for j, m := range mean {
+			acc[j] += dot * (x[j] - m)
+		}
+	}
+}
+
+// projectEnergy returns Σ_c ((x−mean)·comps[c])², the squares added in
+// component order. Components go two per pass over x.
+func projectEnergy(x, mean []float64, comps [][]float64) float64 {
+	x = x[:len(mean)]
+	s := 0.0
+	c := 0
+	for ; c+1 < len(comps); c += 2 {
+		u, w := comps[c][:len(x)], comps[c+1][:len(x)]
+		du, dw := 0.0, 0.0
+		for j, m := range mean {
+			d := x[j] - m
+			du += d * u[j]
+			dw += d * w[j]
+		}
+		s += du * du
+		s += dw * dw
+	}
+	if c < len(comps) {
+		u := comps[c][:len(x)]
+		dot := 0.0
+		for j, m := range mean {
+			dot += (x[j] - m) * u[j]
+		}
+		s += dot * dot
+	}
+	return s
+}
+
 // Run implements Workload.
 func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	physRow := int64(8*p.Dim) + 16
@@ -130,18 +219,8 @@ func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	// Stages 3-4: covariance matrix accumulation (heavy outer products).
 	covJob := vectors.MapPartitions("outerProducts", 3.5, func(_ int, rows []rdd.Row) []rdd.Row {
 		acc := make([]float64, p.Dim*p.Dim)
-		var cnt int64
-		for _, r := range rows {
-			v := r.([]float64)
-			for a := 0; a < p.Dim; a++ {
-				da := v[a] - mean[a]
-				for b := 0; b < p.Dim; b++ {
-					acc[a*p.Dim+b] += da * (v[b] - mean[b])
-				}
-			}
-			cnt++
-		}
-		return []rdd.Row{rdd.Pair{K: 0, V: matVal{M: acc, N: cnt}}}
+		covPartial(acc, rows, mean)
+		return []rdd.Row{rdd.Pair{K: 0, V: matVal{M: acc, N: int64(len(rows))}}}
 	}).ReduceByKey(func(a, b any) any {
 		x, y := a.(matVal), b.(matVal)
 		m := make([]float64, len(x.M))
@@ -182,16 +261,7 @@ func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 			deflate := comps
 			iter := vectors.MapPartitions("powerStep", 2.0, func(_ int, rows []rdd.Row) []rdd.Row {
 				acc := make([]float64, p.Dim)
-				for _, r := range rows {
-					x := r.([]float64)
-					dot := 0.0
-					for j := range x {
-						dot += (x[j] - mean[j]) * cur[j]
-					}
-					for j := range x {
-						acc[j] += dot * (x[j] - mean[j])
-					}
-				}
+				powerPartial(acc, rows, mean, cur)
 				// Deflate previously extracted components.
 				for _, comp := range deflate {
 					proj := linalg.Dot(acc, comp)
@@ -225,16 +295,7 @@ func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 
 	// Final stage: project the data and sum squared projections.
 	energy, err := vectors.MapFloat("project", 1.2, func(r rdd.Row) float64 {
-		x := r.([]float64)
-		s := 0.0
-		for _, comp := range comps {
-			dot := 0.0
-			for j := range x {
-				dot += (x[j] - mean[j]) * comp[j]
-			}
-			s += dot * dot
-		}
-		return s
+		return projectEnergy(r.([]float64), mean, comps)
 	}).SumFloat()
 	if err != nil {
 		return Result{}, err
