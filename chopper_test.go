@@ -36,9 +36,13 @@ func wordish(rows, keys int) chopper.AppFunc {
 func TestSessionRunsPipeline(t *testing.T) {
 	sess := chopper.NewSession()
 	data := sess.Parallelize([]chopper.Row{1, 2, 3, 4, 5}, 2)
-	sum, err := data.Reduce(func(a, b chopper.Row) chopper.Row { return a.(int) + b.(int) })
-	if err != nil || sum.(int) != 15 {
-		t.Fatalf("reduce = %v err=%v", sum, err)
+	rows, err := data.Collect()
+	sum := 0
+	for _, r := range rows {
+		sum += r.(int)
+	}
+	if err != nil || sum != 15 {
+		t.Fatalf("sum = %v err=%v", sum, err)
 	}
 	if sess.Elapsed() <= 0 {
 		t.Fatalf("simulated time should advance")

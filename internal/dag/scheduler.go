@@ -472,7 +472,7 @@ func (s *Scheduler) insertRepartition(target *rdd.RDD, st *Stage, spec SchemeSpe
 	repDep.Fixed = true // the optimizer chose it; don't retune it again
 	rep.Part = part
 
-	// Rewire all one-to-one narrow consumers and downstream shuffles of head
+	// Rewire all narrow consumers and downstream shuffles of head
 	// (other than rep's own dependency) to read from rep.
 	for _, r := range target.Lineage() {
 		if r == rep {

@@ -239,19 +239,40 @@ func TestSchedulerPrunesCachedParentStages(t *testing.T) {
 	}
 }
 
+// TestSchedulerSamplesRangeBounds requests range partitioning the way a
+// tuned run does, through a configuration entry for the reduce stage: the
+// scheduler must sample bounds before the map stage runs, clear WantRange,
+// and every reduce partition must hold exactly the keys its bound range
+// names.
 func TestSchedulerSamplesRangeBounds(t *testing.T) {
+	// Each output row is the reduced key, tagged with the split holding it.
+	build := func(c *rdd.Context) (*rdd.RDD, *rdd.RDD) {
+		red := pairGen(c, 60, 60).ReduceByKey(func(a, b any) any { return a.(float64) + b.(float64) }, 0)
+		return red, red.MapPartitions("tag", 1, func(split int, rows []rdd.Row) []rdd.Row {
+			out := make([]rdd.Row, len(rows))
+			for i, row := range rows {
+				out[i] = rdd.Pair{K: split, V: row.(rdd.Pair).K}
+			}
+			return out
+		})
+	}
 	ctx := rdd.NewContext(4)
-	fr := newFakeRunner()
-	NewScheduler(ctx, fr)
-	sorted := pairGen(ctx, 60, 60).SortByKey(4)
-	rows, err := sorted.Collect()
-	if err != nil {
+	s := NewScheduler(ctx, newFakeRunner())
+	var sig string
+	s.OnJob = func(infos []StageInfo) { sig = infos[len(infos)-1].Signature }
+	_, tagged := build(ctx)
+	if _, err := tagged.Count(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(rows); i++ {
-		if rdd.CompareKeys(rows[i-1].(rdd.Pair).K, rows[i].(rdd.Pair).K) > 0 {
-			t.Fatalf("sortByKey output unsorted at %d", i)
-		}
+
+	ctx2 := rdd.NewContext(4)
+	fr := newFakeRunner()
+	s2 := NewScheduler(ctx2, fr)
+	s2.Configurator = mapCfg{sig: {Scheme: rdd.SchemeRange, NumPartitions: 4}}
+	red, tagged := build(ctx2)
+	rows, err := tagged.Collect()
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The scheduler must have replaced the pending range partitioner.
 	mapStage := fr.waves[0][0]
@@ -261,6 +282,15 @@ func TestSchedulerSamplesRangeBounds(t *testing.T) {
 	}
 	if mapStage.OutDep.WantRange {
 		t.Fatalf("WantRange should be cleared after sampling")
+	}
+	if len(rows) != 60 || red.NumParts != 4 {
+		t.Fatalf("got %d rows over %d partitions, want 60 over 4", len(rows), red.NumParts)
+	}
+	for _, row := range rows {
+		p := row.(rdd.Pair)
+		if want := rp.PartitionFor(p.V); p.K.(int) != want {
+			t.Fatalf("key %v landed in partition %d, its bound range names %d", p.V, p.K, want)
+		}
 	}
 }
 

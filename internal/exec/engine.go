@@ -10,8 +10,8 @@
 //  1. compute pass (parallel, node-agnostic): materialize every task's rows,
 //     accounting input/shuffle/cost bytes. A task allocates its rows, its
 //     map-output arena and the records it hands on, whatever its pipeline
-//     depth: workers reuse one pipeline scratch, one-to-one dependencies
-//     skip Splits, and locality profiles are adopted read-only;
+//     depth: workers reuse one pipeline scratch, narrow inputs are the
+//     parents' rows uncopied, and locality profiles are adopted read-only;
 //  2. placement pass (sequential, deterministic): list-schedule tasks onto
 //     executor cores in simulated time, honoring each task's preferred node
 //     (resolved by the compute pass) with a bounded locality wait, then

@@ -83,18 +83,6 @@ func TestKeyKindsOnTheEngine(t *testing.T) {
 			"0x40081ae49d42f782/0/6482880 0x40193033db674178/6482880/0",
 			"0x40081ae49d42f782/0/6482880 0x401934d855fc4b34/6482880/0",
 		}},
-		{"string SortByKey", func(ctx *rdd.Context) *rdd.RDD {
-			return wordPairs(ctx, "words").SortByKey(3)
-		}, [2]string{
-			"0x40081ae3e5d8a8a3/0/6481728 0x401aa10d2d4d6297/6481728/0",
-			"0x40081ae3e5d8a8a3/0/6481728 0x401aac9651f74a56/6481728/0",
-		}},
-		{"string Distinct", func(ctx *rdd.Context) *rdd.RDD {
-			return wordPairs(ctx, "words").Keys().Distinct(4)
-		}, [2]string{
-			"0x40085abe206cd295/0/3422304 0x401946a66734f1ea/3422304/0",
-			"0x40085abe206cd295/0/3422304 0x40194ac6e8c2f3cc/3422304/0",
-		}},
 		{"string Join", func(ctx *rdd.Context) *rdd.RDD {
 			return wordPairs(ctx, "left").Join(wordPairs(ctx, "right").ReduceByKey(concat, 3), nil)
 		}, [2]string{

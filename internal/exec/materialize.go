@@ -132,7 +132,7 @@ func (e *Engine) materializeTyped(r *rdd.RDD, split int, a *acct, dst *rdd.ColBl
 	return dst.LogicalBytes(e.Ctx.LogicalScale), nil
 }
 
-// pullCols hands p, a one-to-one parent of a typed RDD, over as the one
+// pullCols hands p, a narrow parent of a typed RDD, over as the one
 // ColPart row of a block of the worker's scratch, with its logical byte
 // size, when p can give columns: p has a Typed compute and nothing caches
 // it, or p is the reduce side of a shuffle under an aggregator that
@@ -199,8 +199,8 @@ func sumShuffle(p *rdd.RDD) *rdd.ShuffleDep {
 // compute cost to a: for a source, the split's logical share of the input
 // file (and no inputs); otherwise a window of the input stack holding one
 // slot per dependency, which the caller pops after computing. For a typed
-// r (cols), a one-to-one parent that can give columns is pulled as
-// columns (see pullCols); every other input arrives as rows.
+// r (cols), a narrow parent that can give columns is pulled as columns
+// (see pullCols); every other input arrives as rows.
 func (e *Engine) gather(r *rdd.RDD, split int, a *acct, cols bool) ([][]rdd.Row, error) {
 	if len(r.Deps) == 0 {
 		file := e.ensureSource(r)
@@ -221,7 +221,7 @@ func (e *Engine) gather(r *rdd.RDD, split int, a *acct, cols bool) ([][]rdd.Row,
 	for i, d := range r.Deps {
 		switch dep := d.(type) {
 		case *rdd.NarrowDep:
-			if cols && dep.IsOneToOne() {
+			if cols {
 				in, pb, ok, err := e.pullCols(dep.P, split, a)
 				if err != nil {
 					return nil, err
@@ -232,29 +232,16 @@ func (e *Engine) gather(r *rdd.RDD, split int, a *acct, cols bool) ([][]rdd.Row,
 					continue
 				}
 			}
-			one := [1]int{split}
-			splits := one[:]
-			if !dep.IsOneToOne() {
-				splits = dep.Splits(split)
+			pr, pb, err := e.materialize(dep.P, split, a)
+			if err != nil {
+				return nil, err
 			}
-			var rows []rdd.Row
-			for _, ps := range splits {
-				pr, pb, err := e.materialize(dep.P, ps, a)
-				if err != nil {
-					return nil, err
-				}
-				if len(splits) == 1 {
-					// One parent split: hand over its rows, which may be
-					// memoised or cached, without a copy. The cap clamp
-					// makes an append in the ComputeFn reallocate instead
-					// of writing into the shared backing array.
-					rows = pr[:len(pr):len(pr)]
-				} else {
-					rows = append(rows, pr...)
-				}
-				inBytes += pb
-			}
-			a.ins[base+i] = rows
+			// Hand over the parent's rows, which may be memoised or
+			// cached, without a copy. The cap clamp makes an append in
+			// the ComputeFn reallocate instead of writing into the shared
+			// backing array.
+			a.ins[base+i] = pr[:len(pr):len(pr)]
+			inBytes += pb
 		case *rdd.ShuffleDep:
 			rows, rb := e.shuffleRead(dep, split, a)
 			a.ins[base+i] = rows

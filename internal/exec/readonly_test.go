@@ -97,23 +97,12 @@ func TestNarrowOpsLeaveInputsAlone(t *testing.T) {
 			return b.MapPartitions("head", 1, func(_ int, rows []rdd.Row) []rdd.Row { return rows[:len(rows)/2] })
 		}},
 		{"MapValues", func(b *rdd.RDD) *rdd.RDD { return b.MapValues(func(v any) any { return v.(float64) * 2 }) }},
-		{"KeyBy", func(b *rdd.RDD) *rdd.RDD { return b.KeyBy(func(r rdd.Row) any { return r.(rdd.Pair).K.(int) % 5 }) }},
-		{"Keys", func(b *rdd.RDD) *rdd.RDD { return b.Keys() }},
 		{"Values", func(b *rdd.RDD) *rdd.RDD { return b.Values() }},
-		{"Union", func(b *rdd.RDD) *rdd.RDD { return b.Union(b) }},
-		{"Coalesce", func(b *rdd.RDD) *rdd.RDD { return b.Coalesce(2) }},
-		{"Coalesce one-to-one", func(b *rdd.RDD) *rdd.RDD { return b.Coalesce(4) }},
-		{"Sample", func(b *rdd.RDD) *rdd.RDD { return b.Sample(0.5) }},
 		{"CoGroup narrow side", func(b *rdd.RDD) *rdd.RDD {
 			return b.CoGroup(b.MapValues(func(v any) any { return v }), b.Part)
 		}},
 		{"Join narrow side", func(b *rdd.RDD) *rdd.RDD {
 			return b.Join(pairSource(b.Ctx, 300, 37), b.Part)
-		}},
-		{"SortByKey sortPartition", func(b *rdd.RDD) *rdd.RDD {
-			sorted := b.SortByKey(3)
-			sorted.Deps[0].Parent().Cache() // watch sortPartition's input, which it copies before sorting
-			return sorted
 		}},
 	}
 	for _, tc := range cases {

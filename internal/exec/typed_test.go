@@ -81,7 +81,6 @@ func typedFolds(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int, s
 const (
 	scanChain  = iota // source → filter → map → SumByKey
 	scanCached        // the filter cached
-	scanUnion         // the map's output unioned with the filter's, a second reader of the filter
 	scanShapes
 )
 
@@ -128,9 +127,6 @@ func orderScan(t *testing.T, ctx *rdd.Context, seed int64, parts, reduce int, sc
 			k, v := project(p.K.(int), p.V.(float64))
 			return rdd.Pair{K: k, V: v}
 		})
-	}
-	if shape == scanUnion {
-		mapped = mapped.Union(filtered)
 	}
 	rows, err := mapped.SumByKey(foldPartitioner(scheme, reduce, sample)).Collect()
 	if err != nil {
@@ -279,8 +275,8 @@ func sameSums(t *testing.T, what string, got, want []rdd.Row) {
 // stand for, in their rows and in every task's simulated end at a
 // fractional logical scale, where a cost charged other than row by row
 // shows. The engine never calls the order scan's boxed Computes unless the
-// shape makes it read rows — a cached filter, or a filter a Union reads
-// beside the map — nor the iteration's unless the RDD is cached. A typed
+// shape makes it read rows — a cached filter — nor the iteration's unless
+// the RDD is cached. A typed
 // parent the cogroup reads on both sides, or beside a row op reading it,
 // is charged once, as the row ops charge it.
 func FuzzTypedFoldMatchesBoxed(f *testing.F) {

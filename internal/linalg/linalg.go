@@ -1,8 +1,9 @@
 // Package linalg provides the small dense linear-algebra kernel the
-// reproduction needs: Gaussian elimination with partial pivoting,
+// reproduction needs: Gaussian elimination with partial pivoting and
 // ridge-regularized least squares via normal equations (used to fit
-// CHOPPER's per-stage performance models, Eqs. 1-2 of the paper), and
-// symmetric power iteration with deflation (used by the PCA workload).
+// CHOPPER's per-stage performance models, Eqs. 1-2 of the paper), plus the
+// dense matrix, product and norm helpers the PCA workload's driver uses
+// around its distributed power iterations.
 package linalg
 
 import (
@@ -193,54 +194,4 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// PowerIteration finds the dominant eigenpair of a symmetric matrix using
-// deterministic power iteration.
-func PowerIteration(s *Matrix, iters int) (vec []float64, val float64, err error) {
-	if s.Rows != s.Cols {
-		return nil, 0, errors.New("linalg: power iteration needs a square matrix")
-	}
-	n := s.Rows
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1.0 / math.Sqrt(float64(n))
-	}
-	for it := 0; it < iters; it++ {
-		w := s.MulVec(v)
-		nw := Norm2(w)
-		if nw < 1e-300 {
-			return nil, 0, errors.New("linalg: power iteration degenerated")
-		}
-		for i := range w {
-			w[i] /= nw
-		}
-		v = w
-	}
-	sv := s.MulVec(v)
-	return v, Dot(v, sv), nil
-}
-
-// TopEigen returns the k largest eigenpairs of a symmetric matrix via power
-// iteration with deflation. Eigenvectors are returned row-wise.
-func TopEigen(s *Matrix, k, iters int) (vecs [][]float64, vals []float64, err error) {
-	if k <= 0 || k > s.Rows {
-		return nil, nil, fmt.Errorf("linalg: k=%d out of range", k)
-	}
-	work := s.Clone()
-	for c := 0; c < k; c++ {
-		v, lambda, err := PowerIteration(work, iters)
-		if err != nil {
-			return nil, nil, err
-		}
-		vecs = append(vecs, v)
-		vals = append(vals, lambda)
-		// Deflate: work -= lambda v v'.
-		for i := 0; i < work.Rows; i++ {
-			for j := 0; j < work.Cols; j++ {
-				work.Add(i, j, -lambda*v[i]*v[j])
-			}
-		}
-	}
-	return vecs, vals, nil
 }

@@ -136,46 +136,6 @@ func TestMulVecAndDot(t *testing.T) {
 	}
 }
 
-func TestPowerIterationDominantPair(t *testing.T) {
-	// Symmetric matrix with known eigenpairs: diag(5, 1) rotated 45 deg.
-	s := NewMatrix(2, 2)
-	s.Set(0, 0, 3)
-	s.Set(0, 1, 2)
-	s.Set(1, 0, 2)
-	s.Set(1, 1, 3)
-	v, lambda, err := PowerIteration(s, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(lambda, 5, 1e-6) {
-		t.Fatalf("lambda = %v, want 5", lambda)
-	}
-	if !almostEq(math.Abs(v[0]), math.Sqrt(0.5), 1e-6) {
-		t.Fatalf("eigvec = %v", v)
-	}
-}
-
-func TestTopEigenDeflation(t *testing.T) {
-	s := NewMatrix(3, 3)
-	// diag(9, 4, 1) — already diagonal, eigvals 9, 4, 1.
-	s.Set(0, 0, 9)
-	s.Set(1, 1, 4)
-	s.Set(2, 2, 1)
-	vecs, vals, err := TopEigen(s, 2, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(vals[0], 9, 1e-6) || !almostEq(vals[1], 4, 1e-5) {
-		t.Fatalf("eigvals = %v", vals)
-	}
-	if !almostEq(math.Abs(vecs[0][0]), 1, 1e-5) || !almostEq(math.Abs(vecs[1][1]), 1, 1e-4) {
-		t.Fatalf("eigvecs = %v", vecs)
-	}
-	if _, _, err := TopEigen(s, 0, 10); err == nil {
-		t.Fatalf("k=0 should error")
-	}
-}
-
 // Property: SolveLinear solution actually satisfies A x = b for random
 // well-conditioned systems.
 func TestQuickSolveResidual(t *testing.T) {

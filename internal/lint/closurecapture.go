@@ -23,10 +23,8 @@ var transformMethods = map[string]bool{
 	"JoinFlatMapFloatPairs": true,
 	"MapPartitions":         true,
 	"MapValues":             true,
-	"KeyBy":                 true,
 	"ReduceByKey":           true,
 	"ReduceByKeyPart":       true,
-	"AggregateByKey":        true,
 }
 
 // ClosureCapture flags function literals passed to RDD transforms that are

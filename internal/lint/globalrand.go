@@ -8,7 +8,7 @@ import (
 
 // randConstructors are the math/rand package-level names that build an
 // explicitly seeded generator — the pattern library code must use (see
-// internal/rdd/ops.go Sample). Everything else at package level draws from
+// testdata/globalrand/clean.go). Everything else at package level draws from
 // the shared global source, whose sequence depends on call interleaving and
 // on every other package in the process.
 var randConstructors = map[string]bool{

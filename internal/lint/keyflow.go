@@ -402,18 +402,16 @@ func rddMethodOf(f *File, ce *ast.CallExpr) string {
 // partitioning state (a live partitionBy reaching an action is not waste —
 // the analysis cannot prove the action's plan ignores it).
 var keyActionMethods = map[string]bool{
-	"Collect": true, "Count": true, "Reduce": true, "Take": true,
-	"First": true, "CollectPairsMap": true, "CountByKey": true,
-	"TakeSample": true, "SumFloat": true, "TopByKey": true,
+	"Collect": true, "Count": true, "CollectPairsMap": true,
+	"SumFloat": true, "TopByKey": true,
 }
 
 // keyShuffleMethods maps each shuffle transform to the index of its
 // function-literal argument (-1: none). Shuffles preserve the key domain,
 // drop prior partitioning, and are where constkey fires.
 var keyShuffleMethods = map[string]bool{
-	"ReduceByKey": true, "ReduceByKeyPart": true, "SumByKey": true, "CombineByKey": true,
-	"GroupByKey": true, "AggregateByKey": true, "SortByKey": true,
-	"Distinct": true, "PartitionBy": true, "Repartition": true,
+	"ReduceByKey": true, "ReduceByKeyPart": true, "SumByKey": true,
+	"GroupByKey": true, "PartitionBy": true, "Repartition": true,
 }
 
 // keyCogroupMethods are the two-input key-matching transforms where
@@ -504,7 +502,7 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 		return out
 
 	case m == "Map" || m == "MapCost" || m == "Filter" || m == "FlatMap" ||
-		m == "Coalesce" || m == "Sample" || m == "MapFloat" || m == "MapFloatPairs":
+		m == "MapFloat" || m == "MapFloatPairs":
 		if ev != nil {
 			ev.kill(recv, methodDisplay(m))
 		}
@@ -513,7 +511,7 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 			litIdx = 2
 		}
 		switch {
-		case m == "Filter" || m == "Coalesce" || m == "Sample":
+		case m == "Filter":
 			// Records pass through unchanged; only the partitioner is lost.
 			out.key = recv.key
 		case m == "MapFloatPairs":
@@ -546,19 +544,10 @@ func applyRDDMethod(f *File, m string, call *ast.CallExpr, recv keyState, facts 
 		}
 		return out
 
-	case m == "KeyBy" || m == "Keys" || m == "Values":
+	case m == "Values":
 		if ev != nil {
-			ev.kill(recv, methodDisplay(m))
+			ev.kill(recv, "values")
 		}
-		return out
-
-	case m == "Union":
-		other := evalArgRDD(f, call, 0, facts, ev, consumed)
-		if ev != nil {
-			ev.kill(recv, "union")
-			ev.kill(other, "union")
-		}
-		out.key = joinKeyExpr(recv.key, other.key)
 		return out
 
 	case keyShuffleMethods[m]:

@@ -88,12 +88,7 @@ func (r *RDD) Filter(pred func(Row) bool) *RDD                           { retur
 func (r *RDD) FlatMap(f func(Row) []Row) *RDD                            { return r }
 func (r *RDD) MapPartitions(name string, cost float64, f func(int, []Row) []Row) *RDD { return r }
 func (r *RDD) MapValues(f func(any) any) *RDD                            { return r }
-func (r *RDD) KeyBy(f func(Row) any) *RDD                                { return r }
-func (r *RDD) Keys() *RDD                                                { return r }
 func (r *RDD) Values() *RDD                                              { return r }
-func (r *RDD) Union(o *RDD) *RDD                                         { return r }
-func (r *RDD) Coalesce(n int) *RDD                                       { return r }
-func (r *RDD) Sample(fraction float64) *RDD                              { return r }
 func (r *RDD) Persist() *RDD                                             { return r }
 func (r *RDD) Cache() *RDD                                               { return r }
 func (r *RDD) PartitionBy(p Partitioner) *RDD                            { return r }
@@ -102,13 +97,10 @@ func (r *RDD) ReduceByKey(f func(a, b any) any, n int) *RDD              { retur
 func (r *RDD) ReduceByKeyPart(f func(a, b any) any, p Partitioner) *RDD  { return r }
 func (r *RDD) SumByKey(p Partitioner) *RDD                               { return r }
 func (r *RDD) GroupByKey(n int) *RDD                                     { return r }
-func (r *RDD) SortByKey(n int) *RDD                                      { return r }
-func (r *RDD) Distinct(n int) *RDD                                       { return r }
 func (r *RDD) Join(o *RDD, p Partitioner) *RDD                           { return r }
 func (r *RDD) CoGroup(o *RDD, p Partitioner) *RDD                        { return r }
 func (r *RDD) Count() (int64, error)                                     { return 0, nil }
 func (r *RDD) SumFloat() (float64, error)                                { return 0, nil }
-func (r *RDD) CountByKey() (map[any]int64, error)                        { return nil, nil }
 func (r *RDD) Collect() ([]Row, error)                                   { return nil, nil }
 `
 

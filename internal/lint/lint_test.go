@@ -3,6 +3,10 @@ package lint_test
 import (
 	"encoding/json"
 	"flag"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,15 +58,16 @@ func moduleRoot(t *testing.T) string {
 }
 
 // TestGolden checks each analyzer against its fixture package: hits fire,
-// suppressed hits stay silent, clean files report nothing.
+// suppressed hits stay silent, clean files report nothing. One loader
+// serves every fixture: it caches only the packages fixtures import (the
+// standard library and real module packages), never a fixture itself.
 func TestGolden(t *testing.T) {
-	root := moduleRoot(t)
+	ld, err := lint.NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range goldenCases {
 		t.Run(tc.dir, func(t *testing.T) {
-			ld, err := lint.NewLoader(root)
-			if err != nil {
-				t.Fatal(err)
-			}
 			dir := filepath.Join("testdata", tc.dir)
 			pkg, err := ld.LoadDir(dir, tc.path)
 			if err != nil {
@@ -240,6 +245,133 @@ func TestRepoIsClean(t *testing.T) {
 				t.Errorf("%s", d)
 			}
 		})
+	}
+}
+
+// surfaceExempt are the exported *rdd.RDD and *rdd.Context methods kept
+// without a non-test caller, each for the test that needs it.
+var surfaceExempt = map[string]bool{
+	"RDD.Map":        true, // FuzzEngineMatchesOracle draws it
+	"RDD.FlatMap":    true, // FuzzEngineMatchesOracle draws it
+	"RDD.GroupByKey": true, // FuzzEngineMatchesOracle draws it
+}
+
+// TestRDDSurfaceHasCallers fails for every exported method of *rdd.RDD
+// and *rdd.Context that no non-test code in the module reaches: a use
+// counts when it sits outside every such method, or inside one that is
+// itself reached (so a method only an unused one calls is unused too).
+// The RDD layer carries no Spark surface that nothing runs. String is
+// exempt as fmt.Stringer's method, and surfaceExempt lists the rest.
+func TestRDDSurfaceHasCallers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	const rddPath = "chopper/internal/rdd"
+	prog := repoProgram(t)
+	// methodKey names an exported method of RDD or Context, "" for
+	// anything else.
+	methodKey := func(fn *types.Func) string {
+		sig := fn.Type().(*types.Signature)
+		if fn.Pkg() == nil || fn.Pkg().Path() != rddPath || sig.Recv() == nil || !fn.Exported() {
+			return ""
+		}
+		recv := sig.Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		if !ok || (named.Obj().Name() != "RDD" && named.Obj().Name() != "Context") {
+			return ""
+		}
+		return named.Obj().Name() + "." + fn.Name()
+	}
+
+	rddPkg, err := prog.PackageByPath(rddPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type body struct {
+		key        string
+		file       string
+		start, end int
+	}
+	var bodies []body
+	for _, f := range rddPkg.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, ok := rddPkg.Info.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			if key := methodKey(fn); key != "" && key != "RDD.String" {
+				start, end := rddPkg.Fset.Position(fd.Body.Pos()), rddPkg.Fset.Position(fd.Body.End())
+				bodies = append(bodies, body{key, start.Filename, start.Offset, end.Offset})
+			}
+		}
+	}
+	if len(bodies) < 10 {
+		t.Fatalf("found only %d exported RDD and Context methods", len(bodies))
+	}
+	// enclosing names the method whose body holds pos, "" for none.
+	enclosing := func(pos token.Position) string {
+		for _, b := range bodies {
+			if pos.Filename == b.file && pos.Offset >= b.start && pos.Offset < b.end {
+				return b.key
+			}
+		}
+		return ""
+	}
+
+	dirs, err := prog.Loader.Match([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers := map[string]map[string]bool{} // method -> enclosing method of each use
+	for _, dir := range dirs {
+		pkg, err := prog.Package(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, obj := range pkg.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			if key := methodKey(fn); key != "" {
+				if callers[key] == nil {
+					callers[key] = map[string]bool{}
+				}
+				callers[key][enclosing(pkg.Fset.Position(id.Pos()))] = true
+			}
+		}
+	}
+	// reach returns the methods reached from code outside every method
+	// and from the seeds.
+	reach := func(seeds map[string]bool) map[string]bool {
+		live := maps.Clone(seeds)
+		for changed := true; changed; {
+			changed = false
+			for key, from := range callers {
+				for c := range from {
+					if !live[key] && (c == "" || c != key && live[c]) {
+						live[key], changed = true, true
+					}
+				}
+			}
+		}
+		return live
+	}
+	used, live := reach(map[string]bool{}), reach(surfaceExempt)
+	for _, b := range bodies {
+		switch {
+		case !live[b.key]:
+			t.Errorf("rdd method %s has no caller outside tests: delete it, or exempt it naming the test that needs it", b.key)
+		case used[b.key] && surfaceExempt[b.key]:
+			t.Errorf("rdd method %s is exempt but has a caller: drop the exemption", b.key)
+		}
 	}
 }
 

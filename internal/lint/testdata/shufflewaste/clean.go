@@ -24,7 +24,7 @@ func PartitionThroughMapValues(ctx *rdd.Context) {
 	})
 	keyed := rows.PartitionBy(rdd.NewHashPartitioner(16)).
 		MapValues(func(v any) any { return v.(float64) * 2 })
-	keyed.CountByKey()
+	keyed.CollectPairsMap()
 }
 
 // PartitionEscapes hands the partitioned RDD to a helper the analysis

@@ -201,18 +201,6 @@ func partArg(args []reflect.Value, i int) rdd.Partitioner {
 	return p
 }
 
-// intArg extracts an int argument (0 when unreadable).
-func intArg(args []reflect.Value, i int) int {
-	if i < 0 || i >= len(args) {
-		return 0
-	}
-	v := args[i]
-	if !v.IsValid() || !v.CanInt() {
-		return 0
-	}
-	return int(v.Int())
-}
-
 // scanKey summarizes the key expressions of a closure's Pair literals.
 func (t *keyTracker) scanKey(lit *ast.FuncLit) (lint.KeyExpr, bool) {
 	if lit == nil {
@@ -235,21 +223,6 @@ func inheritKey(f *KeyFacts, p *KeyFacts) {
 	f.Prov = p.Prov
 	f.Card = p.Card
 	f.Bound = p.Bound
-}
-
-// joinKeyFacts merges the key halves of two parents (union/join): facts
-// survive only where the sides agree.
-func joinKeyFacts(f *KeyFacts, a, b *KeyFacts) {
-	if a.Keyed == b.Keyed {
-		f.Keyed = a.Keyed
-	}
-	if a.Prov == b.Prov {
-		f.Prov = a.Prov
-	}
-	if a.Card == b.Card && a.Bound == b.Bound {
-		f.Card = a.Card
-		f.Bound = a.Bound
-	}
 }
 
 // noteContext models the three source constructors.
@@ -364,62 +337,13 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 		inheritKey(f, par)
 		t.facts[f.ID] = f
 
-	case "KeyBy":
-		nodes := t.take(call, firstRDDResult(out), "keyBy")
-		t.facts[nodes[0].ID] = &KeyFacts{ID: nodes[0].ID, Op: "keyBy", Keyed: KeyedYes, DepKinds: "n"}
+	case "Values":
+		nodes := t.take(call, firstRDDResult(out), "values")
+		t.facts[nodes[0].ID] = &KeyFacts{ID: nodes[0].ID, Op: "values", Keyed: KeyedNo, DepKinds: "n"}
 
-	case "Keys", "Values":
-		op := "keys"
-		if name == "Values" {
-			op = "values"
-		}
-		nodes := t.take(call, firstRDDResult(out), op)
-		t.facts[nodes[0].ID] = &KeyFacts{ID: nodes[0].ID, Op: op, Keyed: KeyedNo, DepKinds: "n"}
-
-	case "Coalesce", "Sample":
-		op := "coalesce"
-		if name == "Sample" {
-			op = "sample"
-		}
-		nodes := t.take(call, firstRDDResult(out), op)
-		f := &KeyFacts{ID: nodes[0].ID, Op: op, DepKinds: "n"}
-		inheritKey(f, t.parentFacts(call, recv))
-		t.facts[f.ID] = f
-
-	case "Union":
-		nodes := t.take(call, firstRDDResult(out), "union")
-		f := &KeyFacts{ID: nodes[0].ID, Op: "union", DepKinds: "nn"}
-		if other := rddArg(args, 0); other != nil {
-			joinKeyFacts(f, t.parentFacts(call, recv), t.parentFacts(call, other))
-		}
-		t.facts[f.ID] = f
-
-	case "PartitionBy", "Repartition", "CombineByKey", "ReduceByKey",
-		"ReduceByKeyPart", "SumByKey", "GroupByKey", "AggregateByKey":
+	case "PartitionBy", "Repartition", "ReduceByKey", "ReduceByKeyPart",
+		"SumByKey", "GroupByKey":
 		t.noteShuffle(call, name, recv, args, out)
-
-	case "SortByKey":
-		nodes := t.take(call, firstRDDResult(out), "sortByKey", "sortPartition")
-		par := t.parentFacts(call, recv)
-		pid := t.syn() // fresh pending RangePartitioner
-		sh := &KeyFacts{ID: nodes[0].ID, Op: "sortByKey", DepKinds: "s",
-			HasPart: true, Scheme: string(rdd.SchemeRange), PartID: pid}
-		inheritKey(sh, par)
-		t.facts[sh.ID] = sh
-		srt := &KeyFacts{ID: nodes[1].ID, Op: "sortPartition", DepKinds: "n",
-			HasPart: true, Scheme: string(rdd.SchemeRange), PartID: pid}
-		inheritKey(srt, par)
-		t.facts[srt.ID] = srt
-
-	case "Distinct":
-		nodes := t.take(call, firstRDDResult(out), "distinctKey", "distinct", "values")
-		keyed := &KeyFacts{ID: nodes[0].ID, Op: "distinctKey", Keyed: KeyedYes, DepKinds: "n"}
-		t.facts[keyed.ID] = keyed
-		sh := &KeyFacts{ID: nodes[1].ID, Op: "distinct", Keyed: KeyedYes, DepKinds: "s",
-			HasPart: true, Scheme: string(rdd.SchemeHash), PartID: t.syn()}
-		t.facts[sh.ID] = sh
-		vals := &KeyFacts{ID: nodes[2].ID, Op: "values", Keyed: KeyedNo, DepKinds: "n"}
-		t.facts[vals.ID] = vals
 
 	case "CoGroup":
 		nodes := t.take(call, firstRDDResult(out), "cogroup")
@@ -461,20 +385,17 @@ func (t *keyTracker) noteRDD(call *ast.CallExpr, name string, recv *rdd.RDD, arg
 var shuffleArgIdx = map[string][2]int{
 	"PartitionBy":     {0, -1},
 	"Repartition":     {-1, 0},
-	"CombineByKey":    {1, -1},
 	"ReduceByKey":     {-1, 1},
 	"ReduceByKeyPart": {1, -1},
 	"SumByKey":        {0, -1},
 	"GroupByKey":      {-1, 0},
-	"AggregateByKey":  {-1, 3},
 }
 
 // shuffleOps maps method names to runtime op strings.
 var shuffleOps = map[string]string{
 	"PartitionBy": "partitionBy", "Repartition": "repartition",
-	"CombineByKey": "combineByKey", "ReduceByKey": "reduceByKey",
-	"ReduceByKeyPart": "reduceByKey", "SumByKey": "reduceByKey",
-	"GroupByKey": "groupByKey", "AggregateByKey": "aggregateByKey",
+	"ReduceByKey": "reduceByKey", "ReduceByKeyPart": "reduceByKey",
+	"SumByKey": "reduceByKey", "GroupByKey": "groupByKey",
 }
 
 // noteShuffle models the single-node hash shuffles: key facts pass through

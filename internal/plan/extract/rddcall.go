@@ -12,9 +12,8 @@ import (
 // invokes them (the context has no runner); it records the lineage they
 // would submit and models their results as unknown data with a nil error.
 var actionNames = map[string]bool{
-	"Collect": true, "Count": true, "Reduce": true, "Take": true,
-	"First": true, "CollectPairsMap": true, "CountByKey": true,
-	"TakeSample": true, "SumFloat": true, "TopByKey": true,
+	"Collect": true, "Count": true, "CollectPairsMap": true,
+	"SumFloat": true, "TopByKey": true,
 }
 
 // rddPackageFuncs are the package-level rdd constructors workloads call

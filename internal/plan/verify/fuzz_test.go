@@ -9,8 +9,10 @@ import (
 
 // FuzzPlanInvariants drives the public RDD API from fuzz input to build
 // arbitrary (but well-formed) lineage DAGs and asserts the verifier accepts
-// every plan the API can express: the invariants must hold by construction,
-// so any finding here is a verifier false positive or an API bug.
+// every plan the API can express, and every plan a configuration asking
+// for range partitioning makes of it: the invariants must hold by
+// construction, so any finding here is a verifier false positive or an API
+// bug.
 func FuzzPlanInvariants(f *testing.F) {
 	f.Add([]byte{4, 0, 2, 8})
 	f.Add([]byte{2, 4, 3, 5, 1})
@@ -36,6 +38,10 @@ func FuzzPlanInvariants(f *testing.F) {
 			n := int(data[i])%lim.MaxPartitions + 1
 			return n
 		}
+		// first reduces without assuming a value type: a join's output
+		// carries JoinedValue.
+		first := func(a, b any) any { return a }
+		ranged := map[*rdd.ShuffleDep]int{}
 		ops := 0
 		for i := 1; i < len(data) && ops < 12; i++ {
 			ops++
@@ -46,14 +52,16 @@ func FuzzPlanInvariants(f *testing.F) {
 				r = r.Filter(func(row rdd.Row) bool { return true })
 			case 2:
 				i++
-				r = r.ReduceByKey(add, count(i))
+				r = r.ReduceByKey(first, count(i))
 			case 3:
+				// A tunable reduce the configuration makes range partitioned.
 				i++
-				r = r.SortByKey(count(i))
+				r = r.ReduceByKey(first, 0)
+				ranged[r.Deps[0].(*rdd.ShuffleDep)] = count(i)
 			case 4:
 				i++
 				other := pairSource(ctx, "side", int(data[0])%16+1, 1e8).
-					ReduceByKey(add, count(i))
+					ReduceByKey(first, count(i))
 				r = r.Join(other, nil)
 			case 5:
 				i++
@@ -63,6 +71,12 @@ func FuzzPlanInvariants(f *testing.F) {
 
 		if vs := verify.Plan(r, nil, lim); len(vs) > 0 {
 			t.Fatalf("verifier rejected an API-built plan (input %v): %v", data, vs)
+		}
+		if err := runRanged(r, ranged, lim); err != nil {
+			t.Fatalf("verifier rejected a configured plan (input %v): %v", data, err)
+		}
+		if vs := verify.Plan(r, nil, lim); len(vs) > 0 {
+			t.Fatalf("verifier rejected a sampled plan (input %v): %v", data, vs)
 		}
 	})
 }

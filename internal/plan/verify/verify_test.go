@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chopper/internal/cluster"
+	"chopper/internal/config"
 	"chopper/internal/dag"
 	"chopper/internal/plan/verify"
 	"chopper/internal/rdd"
@@ -53,7 +54,6 @@ func TestAcceptsRealPlans(t *testing.T) {
 		"join": pairSource(ctx, "b", 4, 1e9).
 			Join(pairSource(ctx, "c", 4, 1e9), nil).
 			ReduceByKey(func(a, b any) any { return a }, 6),
-		"sort": pairSource(ctx, "d", 4, 1e9).SortByKey(4),
 		"copartitioned-join": func() *rdd.RDD {
 			p := rdd.NewHashPartitioner(6)
 			l := pairSource(ctx, "e", 4, 1e9).ReduceByKeyPart(add, p)
@@ -65,6 +65,69 @@ func TestAcceptsRealPlans(t *testing.T) {
 		if vs := verify.Plan(final, nil, lim); len(vs) > 0 {
 			t.Errorf("%s: clean plan rejected: %v", name, vs)
 		}
+	}
+}
+
+// localStages runs a job's stages on the single-threaded reference
+// evaluator. A map stage needs no work, because LocalRunner computes a
+// shuffle when it is read, so a job is planned, configured, verified and
+// range-sampled as on the engine.
+type localStages struct{ *rdd.LocalRunner }
+
+func (localStages) RunWave([]*dag.Stage) error { return nil }
+
+func (l localStages) RunResult(st *dag.Stage, fn func(int, []rdd.Row) (any, error)) ([]any, error) {
+	return l.RunJob(st.Final, fn)
+}
+
+func (localStages) CachedComplete(*rdd.RDD) bool { return false }
+
+// runRanged runs final as a tuned job under the strict verifier, asking
+// for range partitioning the way a trained configuration does: every stage
+// reading a shuffle in ranged gets a config.Static entry with Scheme range
+// and that shuffle's partition count.
+func runRanged(final *rdd.RDD, ranged map[*rdd.ShuffleDep]int, lim verify.Limits) error {
+	f := &config.File{}
+	_, topo := dag.BuildPlan(final, nil)
+	for _, st := range topo {
+		for _, dep := range st.InDeps {
+			if n, ok := ranged[dep]; ok {
+				f.Set(config.Entry{Signature: st.Signature, Scheme: rdd.SchemeRange, NumPartitions: n})
+			}
+		}
+	}
+	sch := dag.NewScheduler(final.Ctx, localStages{rdd.NewLocalRunner()})
+	sch.Configurator = &config.Static{F: f}
+	sch.Verify = verify.Hook(lim)
+	_, err := final.Count()
+	return err
+}
+
+// TestAcceptsConfiguredRangePlan configures a reduce stage as range
+// partitioned: the verifier accepts the plan with its bounds still
+// pending, and again once the scheduler has sampled them. A dependency
+// that wants range bounds but carries a hash partitioner is rejected.
+func TestAcceptsConfiguredRangePlan(t *testing.T) {
+	lim := verify.DefaultLimits(nil)
+	ctx := rdd.NewContext(4)
+	red := pairSource(ctx, "d", 4, 1e9).ReduceByKey(add, 0)
+	dep := red.Deps[0].(*rdd.ShuffleDep)
+	if err := runRanged(red, map[*rdd.ShuffleDep]int{dep: 4}, lim); err != nil {
+		t.Fatalf("configured range plan rejected: %v", err)
+	}
+	if rp, ok := dep.Part.(*rdd.RangePartitioner); !ok || len(rp.Bounds()) == 0 || dep.WantRange {
+		t.Fatalf("range bounds not sampled: %T WantRange=%v", dep.Part, dep.WantRange)
+	}
+	if vs := verify.Plan(red, nil, lim); len(vs) > 0 {
+		t.Fatalf("sampled range plan rejected: %v", vs)
+	}
+
+	dep.Part, dep.WantRange = rdd.NewHashPartitioner(red.NumParts), true
+	red.Part = dep.Part
+	vs := verify.Plan(red, nil, lim)
+	wantCheck(t, vs, "partitioner-compat")
+	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "wants range bounds") {
+		t.Fatalf("want one wants-range violation, got %v", vs)
 	}
 }
 

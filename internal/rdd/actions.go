@@ -63,63 +63,6 @@ func (r *RDD) Count() (int64, error) {
 	return n, nil
 }
 
-// Reduce folds all rows with f. Returns an error on an empty RDD.
-func (r *RDD) Reduce(f func(a, b Row) Row) (Row, error) {
-	parts, err := r.runJob(func(_ int, rows []Row) (any, error) {
-		if len(rows) == 0 {
-			return nil, nil
-		}
-		acc := rows[0]
-		for _, row := range rows[1:] {
-			acc = f(acc, row)
-		}
-		return acc, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var acc Row
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if acc == nil {
-			acc = p
-		} else {
-			acc = f(acc, p)
-		}
-	}
-	if acc == nil {
-		return nil, errors.New("rdd: reduce of empty RDD")
-	}
-	return acc, nil
-}
-
-// Take returns up to n rows in partition order. Like an eager Spark take
-// over a simulated cluster, it evaluates the full dataset.
-func (r *RDD) Take(n int) ([]Row, error) {
-	all, err := r.Collect()
-	if err != nil {
-		return nil, err
-	}
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all, nil
-}
-
-// First returns the first row.
-func (r *RDD) First() (Row, error) {
-	rows, err := r.Take(1)
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, errors.New("rdd: first on empty RDD")
-	}
-	return rows[0], nil
-}
-
 // CollectPairsMap collects a pair RDD into a key-value map at the driver.
 // Duplicate keys keep the last value in partition order.
 func (r *RDD) CollectPairsMap() (map[any]any, error) {
@@ -136,70 +79,6 @@ func (r *RDD) CollectPairsMap() (map[any]any, error) {
 		m[p.K] = p.V
 	}
 	return m, nil
-}
-
-// CountByKey counts rows per key at the driver (no shuffle, like Spark's
-// countByKey which collects map-side counts).
-func (r *RDD) CountByKey() (map[any]int64, error) {
-	parts, err := r.runJob(func(_ int, rows []Row) (any, error) {
-		m := map[any]int64{}
-		for _, row := range rows {
-			p, ok := row.(Pair)
-			if !ok {
-				return nil, fmt.Errorf("rdd: CountByKey on non-pair row %T", row)
-			}
-			m[p.K]++
-		}
-		return m, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := map[any]int64{}
-	for _, p := range parts {
-		for k, v := range p.(map[any]int64) {
-			out[k] += v
-		}
-	}
-	return out, nil
-}
-
-// TakeSample returns up to n rows sampled deterministically (driver-side
-// selection over a per-partition pre-sample, seeded by the context).
-func (r *RDD) TakeSample(n int) ([]Row, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	parts, err := r.runJob(func(split int, rows []Row) (any, error) {
-		// Deterministic stride sample of up to n rows per partition.
-		if len(rows) <= n {
-			out := make([]Row, len(rows))
-			copy(out, rows)
-			return out, nil
-		}
-		out := make([]Row, 0, n)
-		stride := len(rows) / n
-		for i := 0; i < n; i++ {
-			out = append(out, rows[i*stride])
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []Row
-	for _, p := range parts {
-		all = append(all, p.([]Row)...)
-	}
-	if len(all) > n {
-		stride := len(all) / n
-		picked := make([]Row, 0, n)
-		for i := 0; i < n; i++ {
-			picked = append(picked, all[i*stride])
-		}
-		all = picked
-	}
-	return all, nil
 }
 
 // SumFloat sums an RDD of float64 rows. A partition produced as a ColF64

@@ -22,9 +22,6 @@ func NewLocalRunner() *LocalRunner {
 // RunJob evaluates fn over every partition of target.
 func (l *LocalRunner) RunJob(target *RDD, fn func(split int, rows []Row) (any, error)) ([]any, error) {
 	PropagateCounts(target)
-	if err := l.prepareRangePartitioners(target); err != nil {
-		return nil, err
-	}
 	out := make([]any, target.NumParts)
 	for s := 0; s < target.NumParts; s++ {
 		rows, err := l.Materialize(target, s)
@@ -38,45 +35,6 @@ func (l *LocalRunner) RunJob(target *RDD, fn func(split int, rows []Row) (any, e
 		out[s] = res
 	}
 	return out, nil
-}
-
-// prepareRangePartitioners fills pending range-partitioner bounds by
-// sampling parent data, mirroring what the DAG scheduler does pre-shuffle.
-func (l *LocalRunner) prepareRangePartitioners(final *RDD) error {
-	for _, r := range final.Lineage() {
-		for _, d := range r.Deps {
-			sd, ok := d.(*ShuffleDep)
-			if !ok || !sd.WantRange {
-				continue
-			}
-			rp, ok := sd.Part.(*RangePartitioner)
-			if !ok || len(rp.Bounds()) > 0 {
-				continue
-			}
-			parts := make([][]Row, sd.P.NumParts)
-			for s := range parts {
-				rows, err := l.Materialize(sd.P, s)
-				if err != nil {
-					return err
-				}
-				parts[s] = rows
-			}
-			sample := SampleKeysForRange(parts, 20)
-			fresh := NewRangePartitionerFromSample(rp.NumPartitions(), sample)
-			sd.Part = fresh
-			// Keep descendants that alias the partitioner coherent.
-			relinkPartitioner(final, rp, fresh)
-		}
-	}
-	return nil
-}
-
-func relinkPartitioner(final *RDD, old, fresh Partitioner) {
-	for _, r := range final.Lineage() {
-		if r.Part != nil && r.Part.Identity() == old.Identity() {
-			r.Part = fresh
-		}
-	}
 }
 
 // Materialize evaluates one partition of r recursively.
@@ -94,13 +52,9 @@ func (l *LocalRunner) Materialize(r *RDD, split int) ([]Row, error) {
 	for i, d := range r.Deps {
 		switch dep := d.(type) {
 		case *NarrowDep:
-			var rows []Row
-			for _, ps := range dep.Splits(split) {
-				pr, err := l.Materialize(dep.P, ps)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, pr...)
+			rows, err := l.Materialize(dep.P, split)
+			if err != nil {
+				return nil, err
 			}
 			inputs[i] = rows
 		case *ShuffleDep:

@@ -2,15 +2,13 @@ package rdd
 
 import (
 	"cmp"
-	"math/rand"
 	"slices"
-	"sort"
 )
 
 // ---------- narrow transformations ----------
 
 func (r *RDD) narrowChild(op string, cost float64, compute ComputeFn) *RDD {
-	dep := OneToOne(r)
+	dep := &NarrowDep{P: r}
 	child := r.Ctx.newRDD(op, r.NumParts, []Dependency{dep}, compute)
 	child.CostFactor = cost
 	// Read the parent through the dependency: graph rewrites (repartition
@@ -108,28 +106,6 @@ func (r *RDD) MapValues(f func(any) any) *RDD {
 	return child
 }
 
-// KeyBy converts rows into pairs keyed by f(row).
-func (r *RDD) KeyBy(f func(Row) any) *RDD {
-	return r.narrowChild("keyBy", 0.6, func(split int, in [][]Row) []Row {
-		out := make([]Row, len(in[0]))
-		for i, row := range in[0] {
-			out[i] = Pair{K: f(row), V: row}
-		}
-		return out
-	})
-}
-
-// Keys projects pair keys.
-func (r *RDD) Keys() *RDD {
-	return r.narrowChild("keys", 0.3, func(split int, in [][]Row) []Row {
-		out := make([]Row, len(in[0]))
-		for i, row := range in[0] {
-			out[i] = row.(Pair).K
-		}
-		return out
-	})
-}
-
 // Values projects pair values.
 func (r *RDD) Values() *RDD {
 	return r.narrowChild("values", 0.3, func(split int, in [][]Row) []Row {
@@ -139,75 +115,6 @@ func (r *RDD) Values() *RDD {
 		}
 		return out
 	})
-}
-
-// Union concatenates two RDDs partition-wise (narrow).
-func (r *RDD) Union(o *RDD) *RDD {
-	left, right := r, o
-	child := r.Ctx.newRDD("union", left.NumParts+right.NumParts, []Dependency{
-		&NarrowDep{P: left, Splits: func(s int) []int {
-			if s < left.NumParts {
-				return []int{s}
-			}
-			return nil
-		}},
-		&NarrowDep{P: right, Splits: func(s int) []int {
-			if s >= left.NumParts {
-				return []int{s - left.NumParts}
-			}
-			return nil
-		}},
-	}, func(split int, in [][]Row) []Row {
-		if split < left.NumParts {
-			return in[0]
-		}
-		return in[1]
-	})
-	child.CostFactor = 0.1
-	child.Recount = func() int { return left.NumParts + right.NumParts }
-	return child
-}
-
-// Coalesce reduces the partition count to n without a shuffle by grouping
-// contiguous parent splits.
-func (r *RDD) Coalesce(n int) *RDD {
-	if n <= 0 {
-		n = 1
-	}
-	parent := r
-	child := r.Ctx.newRDD("coalesce", minInt(n, parent.NumParts), []Dependency{
-		&NarrowDep{P: parent, Splits: func(s int) []int {
-			m := minInt(n, parent.NumParts)
-			lo := s * parent.NumParts / m
-			hi := (s + 1) * parent.NumParts / m
-			out := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				out = append(out, i)
-			}
-			return out
-		}},
-	}, func(split int, in [][]Row) []Row { return in[0] })
-	child.CostFactor = 0.1
-	child.Recount = func() int { return minInt(n, parent.NumParts) }
-	return child
-}
-
-// Sample keeps each row independently with the given probability, using a
-// deterministic per-partition stream derived from the context seed.
-func (r *RDD) Sample(fraction float64) *RDD {
-	parent := r
-	child := r.narrowChild("sample", 0.4, nil)
-	child.Compute = func(split int, in [][]Row) []Row {
-		rng := rand.New(rand.NewSource(parent.Ctx.Seed*1e6 + int64(child.ID)*7919 + int64(split)))
-		var out []Row
-		for _, row := range in[0] {
-			if rng.Float64() < fraction {
-				out = append(out, row)
-			}
-		}
-		return out
-	}
-	return child
 }
 
 // Persist marks the RDD for in-memory caching after first computation.
@@ -223,8 +130,8 @@ func (r *RDD) Cache() *RDD { return r.Persist() }
 // ---------- wide (shuffle) transformations ----------
 
 // shuffled constructs the reduce-side RDD of a shuffle.
-func (r *RDD) shuffled(op string, p Partitioner, fixed bool, agg *Aggregator, wantRange bool) *RDD {
-	dep := &ShuffleDep{P: r, Part: p, Agg: agg, Fixed: fixed, WantRange: wantRange}
+func (r *RDD) shuffled(op string, p Partitioner, fixed bool, agg *Aggregator) *RDD {
+	dep := &ShuffleDep{P: r, Part: p, Agg: agg, Fixed: fixed}
 	child := r.Ctx.newRDD(op, p.NumPartitions(), []Dependency{dep}, func(split int, in [][]Row) []Row {
 		return in[0]
 	})
@@ -255,34 +162,27 @@ func (r *RDD) orDefault(p Partitioner) (Partitioner, bool) {
 
 // PartitionBy redistributes pairs using p (always a shuffle; user-fixed).
 func (r *RDD) PartitionBy(p Partitioner) *RDD {
-	return r.shuffled("partitionBy", p, true, nil, false)
+	return r.shuffled("partitionBy", p, true, nil)
 }
 
 // Repartition redistributes rows over n hash partitions (user-fixed when
 // n > 0, tunable when n <= 0).
 func (r *RDD) Repartition(n int) *RDD {
 	p, fixed := r.resolvePartitioner(n)
-	return r.shuffled("repartition", p, fixed, nil, false)
-}
-
-// CombineByKey shuffles with full combine semantics under the given
-// partitioner (nil for the context default).
-func (r *RDD) CombineByKey(agg *Aggregator, p Partitioner) *RDD {
-	p, fixed := r.orDefault(p)
-	return r.shuffled("combineByKey", p, fixed, agg, false)
+	return r.shuffled("repartition", p, fixed, nil)
 }
 
 // ReduceByKey merges values per key with f over n partitions (n <= 0 for
 // the tunable default).
 func (r *RDD) ReduceByKey(f func(a, b any) any, n int) *RDD {
 	p, fixed := r.resolvePartitioner(n)
-	rdd := r.shuffled("reduceByKey", p, fixed, ReduceAggregator(f), false)
+	rdd := r.shuffled("reduceByKey", p, fixed, ReduceAggregator(f))
 	return rdd
 }
 
 // ReduceByKeyPart is ReduceByKey with an explicit partitioner (user-fixed).
 func (r *RDD) ReduceByKeyPart(f func(a, b any) any, p Partitioner) *RDD {
-	return r.shuffled("reduceByKey", p, true, ReduceAggregator(f), false)
+	return r.shuffled("reduceByKey", p, true, ReduceAggregator(f))
 }
 
 // SumByKey adds float64 values per key under p (nil for the tunable
@@ -292,66 +192,13 @@ func (r *RDD) ReduceByKeyPart(f func(a, b any) any, p Partitioner) *RDD {
 // once per key on emission instead of once per merge.
 func (r *RDD) SumByKey(p Partitioner) *RDD {
 	p, fixed := r.orDefault(p)
-	return r.shuffled("reduceByKey", p, fixed, SumAggregator(), false)
+	return r.shuffled("reduceByKey", p, fixed, SumAggregator())
 }
 
 // GroupByKey groups values per key into []any over n partitions.
 func (r *RDD) GroupByKey(n int) *RDD {
 	p, fixed := r.resolvePartitioner(n)
-	return r.shuffled("groupByKey", p, fixed, GroupAggregator(), false)
-}
-
-// AggregateByKey folds values into an accumulator created by zero.
-func (r *RDD) AggregateByKey(zero func() any, seq func(acc any, v any) any, comb func(a, b any) any, n int) *RDD {
-	p, fixed := r.resolvePartitioner(n)
-	agg := &Aggregator{
-		Create:         func(v any) any { return seq(zero(), v) },
-		MergeValue:     seq,
-		MergeCombiners: comb,
-		MapSideCombine: true,
-	}
-	return r.shuffled("aggregateByKey", p, fixed, agg, false)
-}
-
-// Distinct removes duplicate rows via a keyed shuffle.
-func (r *RDD) Distinct(n int) *RDD {
-	keyed := r.narrowChild("distinctKey", 0.5, func(split int, in [][]Row) []Row {
-		out := make([]Row, len(in[0]))
-		for i, row := range in[0] {
-			out[i] = Pair{K: FormatKey(row), V: row}
-		}
-		return out
-	})
-	p, fixed := keyed.resolvePartitioner(n)
-	first := &Aggregator{
-		Create:         func(v any) any { return v },
-		MergeValue:     func(acc, v any) any { return acc },
-		MergeCombiners: func(a, b any) any { return a },
-		MapSideCombine: true,
-	}
-	red := keyed.shuffled("distinct", p, fixed, first, false)
-	return red.Values()
-}
-
-// SortByKey globally sorts pairs by key using a sampled range partitioner
-// over n partitions; each output partition is locally sorted and partition
-// ranges are globally ordered.
-func (r *RDD) SortByKey(n int) *RDD {
-	if n <= 0 {
-		n = r.Ctx.DefaultParallelism
-	}
-	pending := NewRangePartitionerFromSample(n, nil) // bounds filled by scheduler sampling
-	child := r.shuffled("sortByKey", pending, n > 0, nil, true)
-	sorted := child.MapPartitions("sortPartition", 1.5, func(split int, rows []Row) []Row {
-		out := make([]Row, len(rows))
-		copy(out, rows)
-		sort.SliceStable(out, func(i, j int) bool {
-			return CompareKeys(out[i].(Pair).K, out[j].(Pair).K) < 0
-		})
-		return out
-	})
-	sorted.Part = pending
-	return sorted
+	return r.shuffled("groupByKey", p, fixed, GroupAggregator())
 }
 
 // ---------- cogroup / join ----------
@@ -388,7 +235,7 @@ func (r *RDD) coGroupOf(o *RDD, p Partitioner) (*RDD, []bool) {
 	narrow := make([]bool, len(parents))
 	for i, par := range parents {
 		if par.Part != nil && par.Part.Identity() == p.Identity() {
-			deps[i] = OneToOne(par)
+			deps[i] = &NarrowDep{P: par}
 			narrow[i] = true
 		} else {
 			deps[i] = &ShuffleDep{P: par, Part: p, Agg: GroupAggregator(), Fixed: fixed}
@@ -526,11 +373,4 @@ func (r *RDD) Join(o *RDD, p Partitioner) *RDD {
 	})
 	joined.Part = cg.Part
 	return joined
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

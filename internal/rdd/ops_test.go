@@ -182,31 +182,6 @@ func TestMapPartitionsSeesWholePartition(t *testing.T) {
 	}
 }
 
-func TestUnionAndCoalesce(t *testing.T) {
-	ctx := testCtx(2)
-	a := ctx.Parallelize(intRows(5), 2)
-	b := ctx.Parallelize([]Row{10, 11}, 1)
-	u := a.Union(b)
-	if u.NumParts != 3 {
-		t.Fatalf("union partitions = %d, want 3", u.NumParts)
-	}
-	got := collectInts(t, u)
-	if !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 10, 11}) {
-		t.Fatalf("union rows: %v", got)
-	}
-	co := u.Coalesce(2)
-	if co.NumParts != 2 {
-		t.Fatalf("coalesce partitions = %d", co.NumParts)
-	}
-	if got := collectInts(t, co); len(got) != 7 {
-		t.Fatalf("coalesce dropped rows: %v", got)
-	}
-	one := u.Coalesce(0)
-	if one.NumParts != 1 {
-		t.Fatalf("coalesce(0) should clamp to 1")
-	}
-}
-
 func TestReduceByKey(t *testing.T) {
 	ctx := testCtx(3)
 	var rows []Row
@@ -277,7 +252,7 @@ func TestSumByKeyIsReduceByKeyWithTheFloatSum(t *testing.T) {
 	}
 }
 
-func TestGroupByKeyAndAggregateByKey(t *testing.T) {
+func TestGroupByKey(t *testing.T) {
 	ctx := testCtx(2)
 	rows := []Row{
 		Pair{K: "a", V: 1.0}, Pair{K: "b", V: 2.0},
@@ -287,44 +262,6 @@ func TestGroupByKeyAndAggregateByKey(t *testing.T) {
 	g := pairsToMap(t, r.GroupByKey(2))
 	if len(g["a"].([]any)) != 3 || len(g["b"].([]any)) != 2 {
 		t.Fatalf("groupByKey wrong: %v", g)
-	}
-	agg := r.AggregateByKey(
-		func() any { return 0.0 },
-		func(acc, v any) any { return acc.(float64) + v.(float64) },
-		func(a, b any) any { return a.(float64) + b.(float64) }, 2)
-	am := pairsToMap(t, agg)
-	if am["a"].(float64) != 9 || am["b"].(float64) != 6 {
-		t.Fatalf("aggregateByKey wrong: %v", am)
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	ctx := testCtx(3)
-	r := ctx.Parallelize([]Row{1, 2, 2, 3, 3, 3, 1}, 3)
-	got := collectInts(t, r.Distinct(2))
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("distinct = %v", got)
-	}
-}
-
-func TestSortByKeyGlobalOrder(t *testing.T) {
-	ctx := testCtx(3)
-	var rows []Row
-	for _, k := range []int{9, 3, 7, 1, 8, 2, 6, 0, 5, 4} {
-		rows = append(rows, Pair{K: k, V: k * 10})
-	}
-	r := ctx.Parallelize(rows, 3)
-	sorted, err := r.SortByKey(3).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(sorted); i++ {
-		if CompareKeys(sorted[i-1].(Pair).K, sorted[i].(Pair).K) > 0 {
-			t.Fatalf("not globally sorted at %d: %v", i, sorted)
-		}
-	}
-	if len(sorted) != 10 {
-		t.Fatalf("sort lost rows: %d", len(sorted))
 	}
 }
 
@@ -411,35 +348,12 @@ func TestMapValuesPreservesPartitioner(t *testing.T) {
 	}
 }
 
-func TestKeysValuesKeyBy(t *testing.T) {
+func TestValues(t *testing.T) {
 	ctx := testCtx(2)
 	r := ctx.Parallelize([]Row{Pair{K: 1, V: "a"}, Pair{K: 2, V: "b"}}, 1)
-	ks := collectInts(t, r.Keys())
-	if !reflect.DeepEqual(ks, []int{1, 2}) {
-		t.Fatalf("keys = %v", ks)
-	}
 	vs, _ := r.Values().Collect()
 	if len(vs) != 2 {
 		t.Fatalf("values = %v", vs)
-	}
-	kb := ctx.Parallelize(intRows(4), 2).KeyBy(func(r Row) any { return r.(int) % 2 })
-	cnt, err := kb.CountByKey()
-	if err != nil || cnt[0] != 2 || cnt[1] != 2 {
-		t.Fatalf("keyBy/countByKey wrong: %v %v", cnt, err)
-	}
-}
-
-func TestSampleDeterministic(t *testing.T) {
-	ctx := testCtx(2)
-	r := ctx.Parallelize(intRows(1000), 4)
-	s := r.Sample(0.1)
-	a := collectInts(t, s)
-	b := collectInts(t, s)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("sample must be deterministic")
-	}
-	if len(a) < 50 || len(a) > 200 {
-		t.Fatalf("sample size implausible: %d", len(a))
 	}
 }
 
@@ -467,7 +381,7 @@ func TestPropagateCounts(t *testing.T) {
 	ctx := testCtx(4)
 	src := ctx.Generate("src", 0, 100, func(split, total int) []Row { return nil })
 	m := src.Map(func(r Row) Row { return r }).Filter(func(Row) bool { return true })
-	red := m.KeyBy(func(r Row) any { return 0 }).ReduceByKey(func(a, b any) any { return a }, 0)
+	red := m.Map(func(r Row) Row { return Pair{K: 0, V: r} }).ReduceByKey(func(a, b any) any { return a }, 0)
 	tail := red.MapValues(func(v any) any { return v })
 
 	src.NumParts = 9
@@ -490,49 +404,12 @@ func TestActionsWithoutRunner(t *testing.T) {
 	}
 }
 
-func TestReduceAction(t *testing.T) {
-	ctx := testCtx(3)
-	r := ctx.Parallelize(intRows(10), 3)
-	sum, err := r.Reduce(func(a, b Row) Row { return a.(int) + b.(int) })
-	if err != nil || sum.(int) != 45 {
-		t.Fatalf("reduce = %v err=%v", sum, err)
-	}
-	empty := ctx.Parallelize(nil, 0)
-	if _, err := empty.Reduce(func(a, b Row) Row { return a }); err == nil {
-		t.Fatalf("reduce of empty should error")
-	}
-}
-
-func TestTakeFirstSumFloat(t *testing.T) {
+func TestSumFloat(t *testing.T) {
 	ctx := testCtx(2)
 	r := ctx.Parallelize([]Row{1.0, 2.0, 3.0}, 2)
-	got, err := r.Take(2)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("take: %v %v", got, err)
-	}
-	f, err := r.First()
-	if err != nil || f.(float64) != 1.0 {
-		t.Fatalf("first: %v %v", f, err)
-	}
 	s, err := r.SumFloat()
 	if err != nil || s != 6.0 {
 		t.Fatalf("sumFloat: %v %v", s, err)
-	}
-}
-
-func TestTakeSampleBounded(t *testing.T) {
-	ctx := testCtx(3)
-	r := ctx.Parallelize(intRows(100), 3)
-	s, err := r.TakeSample(5)
-	if err != nil || len(s) != 5 {
-		t.Fatalf("takeSample: %d %v", len(s), err)
-	}
-	s2, _ := r.TakeSample(5)
-	if !reflect.DeepEqual(s, s2) {
-		t.Fatalf("takeSample must be deterministic")
-	}
-	if s0, _ := r.TakeSample(0); s0 != nil {
-		t.Fatalf("takeSample(0) should be empty")
 	}
 }
 

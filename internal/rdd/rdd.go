@@ -10,30 +10,15 @@ type Dependency interface {
 	Parent() *RDD
 }
 
-// NarrowDep is a dependency where each child partition reads a bounded set
-// of parent partitions (map, filter, coalesce, co-partitioned join...).
-// Narrow dependencies pipeline inside a single stage.
-//
-// OneToOne marks its dependency (see IsOneToOne), so an evaluator may skip
-// Splits, and the slice it allocates, for child split s reading split s.
+// NarrowDep is a dependency where child split s reads exactly split s of
+// its parent (map, filter, co-partitioned join...). Narrow dependencies
+// pipeline inside a single stage.
 type NarrowDep struct {
 	P *RDD
-	// Splits maps a child split to the parent splits it consumes.
-	Splits func(childSplit int) []int
-
-	oneToOne bool
 }
 
 // Parent returns the parent RDD.
 func (d *NarrowDep) Parent() *RDD { return d.P }
-
-// IsOneToOne reports whether d was built by OneToOne: Splits(s) is [s].
-func (d *NarrowDep) IsOneToOne() bool { return d.oneToOne }
-
-// OneToOne builds the identity narrow dependency.
-func OneToOne(parent *RDD) *NarrowDep {
-	return &NarrowDep{P: parent, Splits: func(s int) []int { return []int{s} }, oneToOne: true}
-}
 
 // ShuffleDep is a wide dependency: every child partition may read from every
 // parent partition, via the shuffle subsystem. It forms a stage boundary.
@@ -127,21 +112,20 @@ func GroupAggregator() *Aggregator {
 
 // ComputeFn materializes one partition of an RDD given the materialized
 // inputs of each dependency (same order as Deps). For a NarrowDep the input
-// is the parent split's rows (their concatenation when the child split
-// reads several); for a ShuffleDep it is the merged []Row of Pair records
-// for this reduce partition.
+// is the parent split's rows; for a ShuffleDep it is the merged []Row of
+// Pair records for this reduce partition.
 //
 // The outer inputs slice is valid only during the call — the engine reuses
 // its backing array for the task's next RDD — so never retain or capture
 // it; retaining an inner slice is fine.
 //
-// Inputs are read-only. The engine hands a one-to-one narrow child its
-// parent's rows without copying them, so an input may alias a partition the
-// task keeps memoised for another reader, or one the cache holds for later
-// jobs: never assign to an input's elements, and copy before sorting (as
-// SortByKey's sortPartition does). Two things stay safe: returning an input
-// or a sub-slice of it as the output, and appending to an input — its
-// capacity is clamped to its length, so the append reallocates.
+// Inputs are read-only. The engine hands a narrow child its parent's rows
+// without copying them, so an input may alias a partition the task keeps
+// memoised for another reader, or one the cache holds for later jobs:
+// never assign to an input's elements, and copy before sorting. Two things
+// stay safe: returning an input or a sub-slice of it as the output, and
+// appending to an input — its capacity is clamped to its length, so the
+// append reallocates.
 type ComputeFn func(split int, inputs [][]Row) []Row
 
 // RDD is an immutable, partitioned, lazily evaluated dataset.
@@ -234,9 +218,6 @@ type Context struct {
 	// multi-GB inputs. 1.0 means physical == logical.
 	LogicalScale float64
 
-	// Seed drives all deterministic pseudo-randomness (sampling ops).
-	Seed int64
-
 	runner JobRunner
 }
 
@@ -246,7 +227,7 @@ func NewContext(defaultParallelism int) *Context {
 	if defaultParallelism <= 0 {
 		defaultParallelism = 2
 	}
-	return &Context{DefaultParallelism: defaultParallelism, LogicalScale: 1.0, Seed: 42}
+	return &Context{DefaultParallelism: defaultParallelism, LogicalScale: 1.0}
 }
 
 // SetRunner attaches the job runner (the DAG scheduler).

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strconv"
 )
 
 // Row is a single record of an RDD.
@@ -293,20 +292,4 @@ func RowsBytes(rows []Row) int64 {
 		sum += RowBytes(r)
 	}
 	return sum
-}
-
-// FormatKey renders a key for config files and debugging.
-func FormatKey(k any) string {
-	switch v := k.(type) {
-	case int:
-		return strconv.Itoa(v)
-	case int64:
-		return strconv.FormatInt(v, 10)
-	case string:
-		return v
-	case float64:
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	default:
-		return fmt.Sprintf("%v", v)
-	}
 }

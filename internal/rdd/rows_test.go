@@ -128,15 +128,6 @@ func TestRowsBytesSums(t *testing.T) {
 	}
 }
 
-func TestFormatKey(t *testing.T) {
-	if FormatKey(12) != "12" || FormatKey(int64(-3)) != "-3" || FormatKey("k") != "k" {
-		t.Fatalf("FormatKey basic cases failed")
-	}
-	if FormatKey(2.5) != "2.5" {
-		t.Fatalf("FormatKey(2.5) = %q", FormatKey(2.5))
-	}
-}
-
 // Property: CompareKeys is a strict weak ordering for int keys (antisymmetry
 // and transitivity on a sample).
 func TestQuickCompareAntisymmetric(t *testing.T) {

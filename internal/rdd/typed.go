@@ -24,7 +24,7 @@ import (
 // TypedFn computes one partition of an RDD as columns into dst from the
 // same inputs a ComputeFn receives (and under the same read-only contract),
 // except that an evaluator may hand an input over as columns, as the one
-// ColPart row of that input's slice: a one-to-one parent's partition
+// ColPart row of that input's slice: a narrow parent's partition
 // computed by the parent's Typed compute, or the reduce side of a shuffle
 // under an aggregator that CombinesF64, merged by MergeTypedCol. It
 // overwrites dst's kind and columns, reusing their capacity: dst may come
