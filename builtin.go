@@ -4,9 +4,11 @@ import (
 	"chopper/internal/workloads"
 )
 
-// BuiltinApp wraps one of the paper's three SparkBench workloads (kmeans,
-// pca, sql) as a tunable App. Rows controls the physical dataset size
-// (logical size is the paper's Table I value unless overridden).
+// BuiltinApp wraps one of the built-in workloads (the paper's kmeans, pca
+// and sql, or the extension pagerank) as a tunable App. Shrink controls
+// the physical dataset size (logical size is the paper's Table I value
+// unless overridden). An app run again replays the source partitions its
+// earlier runs recorded, to the same bits.
 type BuiltinApp struct {
 	w     workloads.Workload
 	bytes int64

@@ -290,3 +290,35 @@ func TestDynamicReconfigurationMidWorkload(t *testing.T) {
 		t.Fatalf("updated configuration not adopted: %d tasks", all[len(all)-1].NumTasks)
 	}
 }
+
+// TestFullSizeSimulatedTimePinned pins, bit for bit, the simulated time
+// each built-in ends at full size on a vanilla session — what the
+// benchmark's exec.sim_s reports — on one app run three times: the
+// generating run, the one recording its source partitions and the one
+// replaying them.
+func TestFullSizeSimulatedTimePinned(t *testing.T) {
+	for _, pin := range []struct {
+		name string
+		want uint64
+	}{
+		{"kmeans", 0x408c7d3d3f294df7},
+		{"pca", 0x408e0e990804fcbe},
+		{"sql", 0x4074fa4bf7e5cd56},
+		{"pagerank", 0x40827060a5fe094f},
+	} {
+		app, err := chopper.Builtin(pin.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phase := range []string{"generating", "recording", "replayed"} {
+			sess := chopper.NewSession()
+			if err := app.Run(sess, app.InputBytes()); err != nil {
+				t.Fatalf("%s, %s run: %v", pin.name, phase, err)
+			}
+			if now := sess.Elapsed(); math.Float64bits(now) != pin.want {
+				t.Errorf("%s, %s run: ends at %v (%#x), want %v (%#x)",
+					pin.name, phase, now, math.Float64bits(now), math.Float64frombits(pin.want), pin.want)
+			}
+		}
+	}
+}

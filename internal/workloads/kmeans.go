@@ -25,6 +25,8 @@ type KMeans struct {
 	InitRounds int // sampling rounds (2 stages each)
 	Iterations int // Lloyd iterations (2 stages each)
 	Seed       int64
+
+	memo sourceMemo
 }
 
 // NewKMeans returns the paper-shaped KMeans workload.
@@ -136,6 +138,7 @@ func (k *KMeans) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 		})
 		return rows
 	})
+	k.memo.wrap(genParams{int64(k.Rows), int64(k.Dim), int64(k.K), k.Seed}, source)
 	// Stage 0/1: parse is the expensive text-to-vector conversion in
 	// SparkBench; cost factor calibrated to the paper's long stage 0.
 	points := source.MapCost("parsePoint", 15.0, func(r rdd.Row) rdd.Row { return r }).Cache()

@@ -17,6 +17,8 @@ type PageRank struct {
 	Iterations int
 	Damping    float64
 	Seed       int64
+
+	memo sourceMemo
 }
 
 // NewPageRank returns a laptop-scale PageRank.
@@ -70,6 +72,7 @@ func (p *PageRank) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 		})
 		return rows
 	})
+	p.memo.wrap(genParams{int64(p.Pages), int64(p.AvgDegree), p.Seed}, source)
 	links := source.
 		MapCost("parseLinks", 6.0, func(r rdd.Row) rdd.Row { return r }).
 		PartitionBy(part).

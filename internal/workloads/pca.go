@@ -22,6 +22,8 @@ type PCA struct {
 	Components int
 	PowerIters int // distributed iterations per component
 	Seed       int64
+
+	memo sourceMemo
 }
 
 // NewPCA returns the paper-shaped PCA workload.
@@ -181,6 +183,7 @@ func (p *PCA) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 		})
 		return rows
 	})
+	p.memo.wrap(genParams{int64(p.Rows), int64(p.Dim), p.Seed}, source)
 	vectors := source.MapCost("parseVector", 5.0, func(r rdd.Row) rdd.Row { return r }).Cache()
 	n, err := vectors.Count() // stage 0
 	if err != nil {

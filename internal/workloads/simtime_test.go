@@ -24,6 +24,13 @@ func pinnedRun(t *testing.T, name string, coPart bool, setup func(*exec.Engine))
 		t.Fatal(err)
 	}
 	workloads.Shrink(w, 10)
+	return runOn(t, w, coPart, setup)
+}
+
+// runOn is pinnedRun on the value w, which it does not shrink.
+func runOn(t *testing.T, w workloads.Workload, coPart bool, setup func(*exec.Engine)) (workloads.Result, *exec.Engine, *metrics.Collector) {
+	t.Helper()
+	name := w.Name()
 	ctx := rdd.NewContext(300)
 	col := metrics.NewCollector(name, "test")
 	eng := exec.New(cluster.PaperCluster(), cluster.DefaultCostParams(), ctx, col, coPart)
@@ -120,6 +127,65 @@ func TestResultsAndTracesPinned(t *testing.T) {
 		}
 		if sum := h.Sum64(); sum != run.trace {
 			t.Errorf("%s (co-partition-aware %v): event log hashes to %#x, want %#x", run.workload, run.coPart, sum, run.trace)
+		}
+	}
+}
+
+// TestReplayedRunsPinned runs each built-in value of the pins above three
+// times, in both scheduling modes and under speculation and a node loss:
+// the first run generates its sources, the second records their
+// partitions and the third replays them. The first run is the one
+// TestSimulatedTimePinned, TestResultsAndTracesPinned and
+// TestBuiltinChecksumsPinned fix; the other two must end at the same
+// simulated time, compute the same checksum and log the same events, bit
+// for bit.
+func TestReplayedRunsPinned(t *testing.T) {
+	speculate := func(e *exec.Engine) { e.Speculate = true }
+	killC := func(e *exec.Engine) {
+		stages := 0
+		e.AfterStage = func(int) {
+			if stages++; stages == 2 {
+				if err := e.KillNode("C"); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	type bits struct{ now, checksum, trace uint64 }
+	runBits := func(w workloads.Workload, coPart bool, setup func(*exec.Engine)) bits {
+		res, eng, col := runOn(t, w, coPart, setup)
+		h := fnv.New64a()
+		if err := trace.FromCollector(col, true).Write(h); err != nil {
+			t.Fatal(err)
+		}
+		return bits{math.Float64bits(eng.Now()), math.Float64bits(res.Checksum), h.Sum64()}
+	}
+	for _, run := range []struct {
+		workload string
+		coPart   bool
+		setup    func(*exec.Engine)
+	}{
+		{"kmeans", false, nil}, {"pca", false, nil}, {"sql", false, nil}, {"pagerank", false, nil},
+		{"kmeans", true, nil}, {"pca", true, nil}, {"sql", true, nil}, {"pagerank", true, nil},
+		{"sql", false, speculate},
+		{"kmeans", true, killC},
+	} {
+		w, err := workloads.ByName(run.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workloads.Shrink(w, 10)
+		want := runBits(w, run.coPart, run.setup) // generated, as the pins above run it
+		for _, phase := range []string{"recording", "replayed"} {
+			if got := runBits(w, run.coPart, run.setup); got != want {
+				t.Errorf("%s (co-partition-aware %v, adjusted %v), %s run: end, checksum and event log bits %#x, the generated run's %#x",
+					run.workload, run.coPart, run.setup != nil, phase, got, want)
+			}
+		}
+		recorded := 0
+		workloads.RecordedForTest(w, func(string, int, int, []rdd.Row) { recorded++ })
+		if recorded == 0 {
+			t.Errorf("%s (co-partition-aware %v): three runs recorded no partition", run.workload, run.coPart)
 		}
 	}
 }

@@ -21,6 +21,8 @@ type SQL struct {
 	Orders    int // physical order rows
 	Customers int // physical customer rows
 	Seed      int64
+
+	memo sourceMemo
 }
 
 // NewSQL returns the paper-shaped SQL workload.
@@ -70,6 +72,7 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 		})
 		return rows
 	})
+	s.memo.wrap(genParams{int64(s.Orders), int64(s.Customers), s.Seed}, orders, customers)
 
 	// Stages 0-1: filter + aggregate revenue per customer, cache, count.
 	revenue := orders.

@@ -1,6 +1,9 @@
-// Package workloads implements the three SparkBench workloads the paper
-// evaluates — KMeans, PCA and SQL — together with their deterministic data
-// generators, built purely on the RDD API.
+// Package workloads implements four workloads — the three SparkBench
+// workloads the paper evaluates, KMeans, PCA and SQL, and PageRank as an
+// extension — together with their deterministic data generators, built
+// purely on the RDD API. Each workload value replays the source
+// partitions it recorded on an earlier run instead of generating them
+// again (memo.go).
 //
 // Physical-vs-logical scaling: each workload materializes a laptop-sized
 // physical dataset (tens of thousands of rows) and sets the context's
@@ -30,7 +33,7 @@ type Result struct {
 
 // Workload is a runnable benchmark application.
 type Workload interface {
-	// Name is the registry key ("kmeans", "pca", "sql").
+	// Name is the registry key ("kmeans", "pca", "sql", "pagerank").
 	Name() string
 	// DefaultInputBytes is the paper's Table I input size.
 	DefaultInputBytes() int64

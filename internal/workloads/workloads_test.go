@@ -3,6 +3,7 @@ package workloads_test
 import (
 	"math"
 	"math/big"
+	"sync"
 	"testing"
 
 	"chopper/internal/cluster"
@@ -401,6 +402,42 @@ func TestSQLSplitsHugeInputsExactly(t *testing.T) {
 			want.Quo(want, big.NewInt(physOrders+int64(w.Customers)*32))
 			if !want.IsInt64() || o != want.Int64() {
 				t.Fatalf("orders %d, input %d: orders share %d, want %v", orders, input, o, want)
+			}
+		}
+	}
+}
+
+// TestConcurrentRunsOfOneValue runs one SQL value — a typed source and a
+// row source — on two engines at once, twice, after one run alone: the
+// concurrent runs record the same partitions side by side, then replay
+// them side by side, and every run computes the lone run's checksum. Run
+// under -race, it guards the memo's locking and the recorded rows' shared
+// read-only use.
+func TestConcurrentRunsOfOneValue(t *testing.T) {
+	w := workloads.NewSQL()
+	workloads.Shrink(w, 10)
+	want, _, _ := runEngine(t, w, w.DefaultInputBytes(), false, nil)
+	for round := range 2 {
+		var got [2]workloads.Result
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx := rdd.NewContext(300)
+				eng := exec.New(cluster.PaperCluster(), cluster.DefaultCostParams(), ctx, metrics.NewCollector(w.Name(), "test"), i == 1)
+				dag.NewScheduler(ctx, eng)
+				got[i], errs[i] = w.Run(ctx, w.DefaultInputBytes())
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if math.Float64bits(got[i].Checksum) != math.Float64bits(want.Checksum) {
+				t.Errorf("round %d, engine %d: checksum %v, want %v", round, i, got[i].Checksum, want.Checksum)
 			}
 		}
 	}
