@@ -82,7 +82,7 @@ func BenchmarkFig3Stage0TimeVsPartitions(b *testing.B) {
 		logTable(b, m.Fig3())
 		worst, best := 0.0, 1e18
 		for j := range m.Partitions {
-			d := m.Runs[j].Col.StageByID(0).Duration()
+			d := m.Runs[j].Metrics().StageByID(0).Duration()
 			if d > worst {
 				worst = d
 			}
@@ -142,8 +142,8 @@ func BenchmarkTable2KMeansStage0(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		logTable(b, ev.TableII())
 	}
-	b.ReportMetric(ev.KMeans.Chopper.Col.StageByID(0).Duration(), "chopper_s")
-	b.ReportMetric(ev.KMeans.Spark.Col.StageByID(0).Duration(), "spark_s")
+	b.ReportMetric(ev.KMeans.Chopper.Metrics().StageByID(0).Duration(), "chopper_s")
+	b.ReportMetric(ev.KMeans.Spark.Metrics().StageByID(0).Duration(), "spark_s")
 }
 
 // BenchmarkTable3ChosenPartitions regenerates Table III.
@@ -171,8 +171,8 @@ func BenchmarkFig10SQLStageTimes(b *testing.B) {
 		t := ev.Fig10()
 		logTable(b, t)
 	}
-	chS := ev.SQL.Chopper.Col.Stages()
-	spS := ev.SQL.Spark.Col.Stages()
+	chS := ev.SQL.Chopper.Metrics().Stages()
+	spS := ev.SQL.Spark.Metrics().Stages()
 	chJoin := chS[len(chS)-1].End - chS[4].Start
 	spJoin := spS[len(spS)-1].End - spS[4].Start
 	speedup = spJoin / chJoin
@@ -185,8 +185,8 @@ func BenchmarkFig11CPUUtilization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		logTable(b, ev.Fig11().Table())
 	}
-	b.ReportMetric(ev.KMeans.Chopper.Col.CPUSeries(ev.KMeans.Chopper.Eng.Topo, 20).Mean(), "kmeans_chopper_cpu_%")
-	b.ReportMetric(ev.KMeans.Spark.Col.CPUSeries(ev.KMeans.Spark.Eng.Topo, 20).Mean(), "kmeans_spark_cpu_%")
+	b.ReportMetric(ev.KMeans.Chopper.Metrics().CPUSeries(ev.KMeans.Chopper.Topology(), 20).Mean(), "kmeans_chopper_cpu_%")
+	b.ReportMetric(ev.KMeans.Spark.Metrics().CPUSeries(ev.KMeans.Spark.Topology(), 20).Mean(), "kmeans_spark_cpu_%")
 }
 
 // BenchmarkFig12MemoryUtilization regenerates Fig. 12.

@@ -33,6 +33,7 @@ import (
 	"chopper/internal/plan"
 	"chopper/internal/plan/verify"
 	"chopper/internal/rdd"
+	"chopper/internal/session"
 	"chopper/internal/trace"
 )
 
@@ -73,42 +74,43 @@ func UniformCluster(n, cores int, speedGHz float64) *Topology {
 	return cluster.UniformCluster(n, cores, speedGHz)
 }
 
-// Option configures a Session.
-type Option func(*sessionConfig)
-
-type sessionConfig struct {
-	topo        *cluster.Topology
-	parallelism int
-	mode        string
-	coPartition bool
-	cfg         dag.StageConfigurator
-}
+// Option configures a Session (and a Tuner's profiling sessions).
+type Option func(*session.Config)
 
 // WithTopology selects the simulated cluster (default: the paper cluster).
-func WithTopology(t *Topology) Option { return func(c *sessionConfig) { c.topo = t } }
+func WithTopology(t *Topology) Option { return func(c *session.Config) { c.Topo = t } }
 
 // WithDefaultParallelism sets spark.default.parallelism (default 300, the
 // paper's vanilla configuration).
-func WithDefaultParallelism(n int) Option { return func(c *sessionConfig) { c.parallelism = n } }
+func WithDefaultParallelism(n int) Option { return func(c *session.Config) { c.Parallelism = n } }
 
 // WithTuning applies a generated CHOPPER configuration and enables the
 // co-partition-aware scheduler extensions.
 func WithTuning(f *ConfigFile) Option {
-	return func(c *sessionConfig) {
-		c.cfg = &config.Static{F: f}
-		c.coPartition = true
-		c.mode = "chopper"
+	return func(c *session.Config) {
+		c.Configurator = &config.Static{F: f}
+		c.CoPartition = true
 	}
 }
 
 // WithDynamicTuning is WithTuning backed by a configuration file path that
 // is re-read before every job, enabling the paper's dynamic updates.
 func WithDynamicTuning(path string) Option {
-	return func(c *sessionConfig) {
-		c.cfg = config.NewDynamic(path)
-		c.coPartition = true
-		c.mode = "chopper"
+	return func(c *session.Config) {
+		c.Configurator = config.NewDynamic(path)
+		c.CoPartition = true
 	}
+}
+
+// configure applies option groups, in order, over the vanilla defaults.
+func configure(groups ...[]Option) session.Config {
+	sc := session.Defaults()
+	for _, opts := range groups {
+		for _, o := range opts {
+			o(&sc)
+		}
+	}
+	return sc
 }
 
 // Session is a driver connected to a simulated cluster. It verifies every
@@ -144,25 +146,27 @@ func NewSession(opts ...Option) *Session {
 // session shares — and keeps — that topology's state across resets. The
 // default paper cluster is rebuilt fresh each time.
 func (s *Session) Reset(extra ...Option) {
-	sc := sessionConfig{
-		topo:        cluster.PaperCluster(),
-		parallelism: 300,
-		mode:        "spark",
+	sc := configure(s.opts, extra)
+	mode := "spark"
+	if sc.CoPartition {
+		mode = "chopper"
 	}
-	for _, o := range s.opts {
-		o(&sc)
+	ctx := rdd.NewContext(sc.Parallelism)
+	col := metrics.NewCollector("session", mode)
+	eng := exec.New(sc.Topo, sc.Params, ctx, col, sc.CoPartition)
+	if sc.Engine != nil {
+		sc.Engine(eng)
 	}
-	for _, o := range extra {
-		o(&sc)
-	}
-	ctx := rdd.NewContext(sc.parallelism)
-	col := metrics.NewCollector("session", sc.mode)
-	eng := exec.New(sc.topo, cluster.DefaultCostParams(), ctx, col, sc.coPartition)
 	sch := dag.NewScheduler(ctx, eng)
-	sch.Configurator = sc.cfg
+	sch.Configurator = sc.Configurator
 	rec := core.NewRecorder()
 	sch.OnJob = rec.OnJob
-	sch.Verify = verify.Hook(verify.DefaultLimits(sc.topo))
+	sch.OnPlan = sc.OnPlan
+	lim := verify.DefaultLimits(sc.Topo)
+	sch.Verify = verify.Hook(lim)
+	if sc.OnPlanViolations != nil {
+		sch.Verify = verify.ObservingHook(lim, sc.OnPlanViolations)
+	}
 	s.ctx, s.eng, s.sch, s.col, s.rec = ctx, eng, sch, col, rec
 }
 
@@ -248,7 +252,7 @@ func (s *Session) harvest(db *core.DB, workload string, inputBytes float64, isDe
 // uniform force-all sweeps, custom tuning policies). It does not enable the
 // co-partition-aware scheduler; combine with WithTuning for that.
 func WithConfigurator(cfg dag.StageConfigurator) Option {
-	return func(c *sessionConfig) { c.cfg = cfg }
+	return func(c *session.Config) { c.Configurator = cfg }
 }
 
 // KillNode fails a worker at the current simulated time: it stops receiving

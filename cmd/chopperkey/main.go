@@ -33,9 +33,11 @@ import (
 	"os"
 	"path/filepath"
 
-	"chopper/internal/experiments"
+	"chopper"
+	"chopper/internal/core"
 	"chopper/internal/lint"
 	"chopper/internal/plan/extract"
+	"chopper/internal/session"
 	"chopper/internal/workloads"
 )
 
@@ -151,12 +153,13 @@ func driftGate(name string, shrink int, r *reporter) error {
 	for _, w := range targets {
 		workloads.Shrink(w, shrink)
 		bytes := w.DefaultInputBytes()
-		rep, err := ex.Extract(w, bytes, experiments.DefaultParallelism)
+		rep, err := ex.Extract(w, bytes, core.DefaultParallelism)
 		if err != nil {
 			return err
 		}
 		var keys extract.KeyCapture
-		if _, _, err := experiments.RunWorkload(w, bytes, experiments.Options{OnPlan: keys.Hook()}); err != nil {
+		sess := chopper.NewSession(func(c *session.Config) { c.OnPlan = keys.Hook() })
+		if _, err := w.Run(sess.Context(), bytes); err != nil {
 			return err
 		}
 		for _, d := range extract.KeyDrift(rep, keys.Jobs()) {

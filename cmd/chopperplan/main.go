@@ -31,11 +31,13 @@ import (
 	"fmt"
 	"os"
 
+	"chopper"
 	"chopper/internal/cluster"
-	"chopper/internal/experiments"
+	"chopper/internal/core"
 	"chopper/internal/lint"
 	"chopper/internal/plan/extract"
 	"chopper/internal/plan/verify"
+	"chopper/internal/session"
 	"chopper/internal/workloads"
 )
 
@@ -110,7 +112,7 @@ func run(name string, shrink int, verbose, jsonOut bool) int {
 // through r.
 func gate(ex *extract.Extractor, w workloads.Workload, verbose bool, r *reporter) error {
 	bytes := w.DefaultInputBytes()
-	rep, err := ex.Extract(w, bytes, experiments.DefaultParallelism)
+	rep, err := ex.Extract(w, bytes, core.DefaultParallelism)
 	if err != nil {
 		return err
 	}
@@ -130,7 +132,8 @@ func gate(ex *extract.Extractor, w workloads.Workload, verbose bool, r *reporter
 	}
 
 	var cap extract.Capture
-	if _, _, err := experiments.RunWorkload(w, bytes, experiments.Options{OnPlan: cap.Hook()}); err != nil {
+	sess := chopper.NewSession(func(c *session.Config) { c.OnPlan = cap.Hook() })
+	if _, err := w.Run(sess.Context(), bytes); err != nil {
 		return err
 	}
 	for _, d := range extract.Drift(rep, cap.Jobs()) {

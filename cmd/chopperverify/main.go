@@ -31,14 +31,15 @@ import (
 	"fmt"
 	"os"
 
+	"chopper"
 	"chopper/internal/cluster"
 	"chopper/internal/core"
 	"chopper/internal/dag"
-	"chopper/internal/experiments"
 	"chopper/internal/lint"
 	"chopper/internal/plan/extract"
 	"chopper/internal/plan/verify"
 	"chopper/internal/rdd"
+	"chopper/internal/session"
 	"chopper/internal/workloads"
 )
 
@@ -119,17 +120,20 @@ func run(name string, shrink int, verbose, static, jsonOut bool) int {
 // diffs them against the vanilla run's submitted plans (the chopperplan
 // drift gate, inline). Returns the count.
 func verifyWorkload(w workloads.Workload, ex *extract.Extractor, verbose bool, r *reporter) error {
-	planObserver := func(label string) func([]verify.Violation) {
-		return func(vs []verify.Violation) {
-			for _, v := range vs {
-				r.finding("plan", w.Name()+"/"+label, v.String())
+	// observe routes the plan verifier's findings (and, in the pipeline,
+	// the configuration verifier's) to r instead of aborting the run.
+	observe := func(label string) chopper.Option {
+		return func(c *session.Config) {
+			c.OnPlanViolations = func(vs []verify.Violation) {
+				for _, v := range vs {
+					r.finding("plan", w.Name()+"/"+label, v.String())
+				}
 			}
-		}
-	}
-	schemeObserver := func(label string) func(string, []core.SchemeViolation) {
-		return func(_ string, vs []core.SchemeViolation) {
-			for _, v := range vs {
-				r.finding("config", w.Name()+"/"+label, v.String())
+			c.OnSchemeViolations = func(_ string, vs []core.SchemeViolation) error {
+				for _, v := range vs {
+					r.finding("config", w.Name()+"/"+label, v.String())
+				}
+				return nil
 			}
 		}
 	}
@@ -147,7 +151,7 @@ func verifyWorkload(w workloads.Workload, ex *extract.Extractor, verbose bool, r
 	if ex != nil {
 		step("static-extract")
 		var err error
-		if rep, err = ex.Extract(w, bytes, experiments.DefaultParallelism); err != nil {
+		if rep, err = ex.Extract(w, bytes, core.DefaultParallelism); err != nil {
 			return err
 		}
 		for _, v := range rep.Verify(verify.DefaultLimits(cluster.PaperCluster())) {
@@ -168,11 +172,12 @@ func verifyWorkload(w workloads.Workload, ex *extract.Extractor, verbose bool, r
 	}
 	for _, f := range forced {
 		step(f.label)
-		opt := experiments.Options{Configurator: f.cfg, OnPlanViolations: planObserver(f.label)}
+		opts := []chopper.Option{chopper.WithConfigurator(f.cfg), observe(f.label)}
 		if rep != nil && f.cfg == nil {
-			opt.OnPlan = cap.Hook()
+			opts = append(opts, func(c *session.Config) { c.OnPlan = cap.Hook() })
 		}
-		if _, _, err := experiments.RunWorkload(w, bytes, opt); err != nil {
+		sess := chopper.NewSession(opts...)
+		if _, err := w.Run(sess.Context(), bytes); err != nil {
 			return err
 		}
 	}
@@ -186,19 +191,17 @@ func verifyWorkload(w workloads.Workload, ex *extract.Extractor, verbose bool, r
 	// verifier), tuned co-partitioned run (plan verifier over the retuned
 	// stage graphs).
 	step("chopper-pipeline")
-	plan := experiments.ProfilePlan{
-		SizeFractions: []float64{0.5, 1.0},
-		Partitions:    []int{150, 300, 450, 600},
-		Schemes:       []rdd.SchemeName{rdd.SchemeHash, rdd.SchemeRange},
+	tuner := &chopper.Tuner{
+		DB:             core.NewDB(),
+		Plan:           chopper.TrialPlan{SizeFractions: []float64{0.5, 1.0}, Partitions: []int{150, 300, 450, 600}, Range: true},
+		SessionOptions: []chopper.Option{observe("chopper-pipeline")},
 	}
-	opt := experiments.Options{
-		OnPlanViolations:   planObserver("chopper-pipeline"),
-		OnSchemeViolations: schemeObserver("chopper-pipeline"),
-	}
-	if _, err := experiments.Compare(w, bytes, plan, opt); err != nil {
+	app := chopper.AppFunc{AppName: w.Name(), Bytes: bytes, Fn: func(sess *chopper.Session, b int64) error {
+		_, err := w.Run(sess.Context(), b)
 		return err
-	}
-	return nil
+	}}
+	_, _, _, err := tuner.RunComparison(app)
+	return err
 }
 
 func fail(err error) int {

@@ -25,6 +25,11 @@ type StageScheme struct {
 	InsertRepartition bool
 }
 
+// DefaultParallelism is the vanilla configuration's spark.default.parallelism
+// ("set to 300 for all the workloads" in the paper's evaluation): the
+// partition count a session uses and the optimizer normalizes costs by.
+const DefaultParallelism = 300
+
 // Optimizer computes partition schemes from the workload DB — the paper's
 // partition optimizer component.
 type Optimizer struct {
@@ -39,7 +44,7 @@ type Optimizer struct {
 	Gamma float64
 
 	// DefaultParallelism is the reference P used for cost normalization
-	// (the vanilla configuration, 300 in the paper's evaluation).
+	// (the vanilla configuration, DefaultParallelism).
 	DefaultParallelism int
 
 	// Candidates is the searched grid of partition counts.
@@ -85,7 +90,7 @@ func NewOptimizer(db *DB) *Optimizer {
 		Alpha:                   0.5,
 		Beta:                    0.5,
 		Gamma:                   1.5,
-		DefaultParallelism:      300,
+		DefaultParallelism:      DefaultParallelism,
 		Candidates:              defaultCandidates,
 		Features:                model.FullFeatures,
 		Ridge:                   1e-6,

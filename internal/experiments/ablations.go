@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"chopper"
 	"chopper/internal/cluster"
 	"chopper/internal/config"
 	"chopper/internal/core"
+	"chopper/internal/exec"
 	"chopper/internal/experiments/driver"
 	"chopper/internal/model"
 	"chopper/internal/rdd"
@@ -43,18 +45,25 @@ func configFromSchemes(workload string, schemes []core.StageScheme) *config.File
 	return f
 }
 
-// runWithConfig executes a workload under a given configuration + scheduler
-// mode and reports the total simulated time.
-func runWithConfig(w workloads.Workload, bytes int64, cf *config.File, coPart bool, mode string) (float64, error) {
-	opt := Options{Mode: mode, CoPartition: coPart}
+// runWithConfig executes a workload tuned by cf (vanilla when nil) and
+// reports the total simulated time.
+func runWithConfig(w workloads.Workload, bytes int64, cf *config.File) (float64, error) {
+	var opts []chopper.Option
 	if cf != nil {
-		opt.Configurator = &config.Static{F: cf}
+		opts = append(opts, chopper.WithTuning(cf))
 	}
-	rt, _, err := RunWorkload(w, bytes, opt)
+	sess, _, err := runSession(w, bytes, opts...)
 	if err != nil {
 		return 0, err
 	}
-	return rt.Col.TotalTime(), nil
+	return elapsed(sess), nil
+}
+
+// profile runs the evaluation's profiling grid for w and returns the
+// statistics.
+func profile(w workloads.Workload, bytes int64, quick bool) (*core.DB, error) {
+	tn := newTuner(quick)
+	return tn.DB, tn.Profile(&app{w: w, bytes: bytes})
 }
 
 // AblationGlobalVsPerStage compares Algorithm 2 (per-stage optima) against
@@ -62,13 +71,13 @@ func runWithConfig(w workloads.Workload, bytes int64, cf *config.File, coPart bo
 func AblationGlobalVsPerStage(quick bool) (Table, error) {
 	_, _, s := evalWorkloads(quick)
 	bytes := s.DefaultInputBytes()
-	db := core.NewDB()
-	if err := Profile(db, s, bytes, evalPlan(quick), Options{}); err != nil {
+	db, err := profile(s, bytes, quick)
+	if err != nil {
 		return Table{}, err
 	}
 	o := core.NewOptimizer(db)
 
-	vanilla, err := runWithConfig(s, bytes, nil, false, "spark")
+	vanilla, err := runWithConfig(s, bytes, nil)
 	if err != nil {
 		return Table{}, err
 	}
@@ -76,7 +85,7 @@ func AblationGlobalVsPerStage(quick bool) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	tPer, err := runWithConfig(s, bytes, configFromSchemes(s.Name(), perStage), true, "alg2")
+	tPer, err := runWithConfig(s, bytes, configFromSchemes(s.Name(), perStage))
 	if err != nil {
 		return Table{}, err
 	}
@@ -84,7 +93,7 @@ func AblationGlobalVsPerStage(quick bool) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	tGlobal, err := runWithConfig(s, bytes, configFromSchemes(s.Name(), global), true, "alg3")
+	tGlobal, err := runWithConfig(s, bytes, configFromSchemes(s.Name(), global))
 	if err != nil {
 		return Table{}, err
 	}
@@ -148,11 +157,11 @@ func AblationGammaSensitivity(quick bool) (Table, error) {
 	}
 	w := &fixedJoin{inner: inner, fixedP: 8} // badly pinned
 	bytes := w.DefaultInputBytes()
-	db := core.NewDB()
-	if err := Profile(db, w, bytes, evalPlan(quick), Options{}); err != nil {
+	db, err := profile(w, bytes, quick)
+	if err != nil {
 		return Table{}, err
 	}
-	vanilla, err := runWithConfig(w, bytes, nil, false, "spark")
+	vanilla, err := runWithConfig(w, bytes, nil)
 	if err != nil {
 		return Table{}, err
 	}
@@ -174,7 +183,7 @@ func AblationGammaSensitivity(quick bool) (Table, error) {
 				inserted = true
 			}
 		}
-		tt, err := runWithConfig(w, bytes, configFromSchemes(w.Name(), schemes), true, fmt.Sprintf("gamma%.1f", gamma))
+		tt, err := runWithConfig(w, bytes, configFromSchemes(w.Name(), schemes))
 		if err != nil {
 			return Table{}, err
 		}
@@ -194,8 +203,8 @@ func AblationGammaSensitivity(quick bool) (Table, error) {
 func AblationPartitionerChoice(quick bool) (Table, error) {
 	_, _, s := evalWorkloads(quick)
 	bytes := s.DefaultInputBytes()
-	db := core.NewDB()
-	if err := Profile(db, s, bytes, evalPlan(quick), Options{}); err != nil {
+	db, err := profile(s, bytes, quick)
+	if err != nil {
 		return Table{}, err
 	}
 	o := core.NewOptimizer(db)
@@ -211,15 +220,15 @@ func AblationPartitionerChoice(quick bool) (Table, error) {
 		}
 		return f
 	}
-	tHash, err := runWithConfig(s, bytes, force(rdd.SchemeHash), true, "hash-only")
+	tHash, err := runWithConfig(s, bytes, force(rdd.SchemeHash))
 	if err != nil {
 		return Table{}, err
 	}
-	tRange, err := runWithConfig(s, bytes, force(rdd.SchemeRange), true, "range-only")
+	tRange, err := runWithConfig(s, bytes, force(rdd.SchemeRange))
 	if err != nil {
 		return Table{}, err
 	}
-	tFree, err := runWithConfig(s, bytes, configFromSchemes(s.Name(), free), true, "chopper")
+	tFree, err := runWithConfig(s, bytes, configFromSchemes(s.Name(), free))
 	if err != nil {
 		return Table{}, err
 	}
@@ -239,8 +248,8 @@ func AblationPartitionerChoice(quick bool) (Table, error) {
 func AblationModelFeatures(quick bool) (Table, error) {
 	k := quickKMeans(quick)
 	bytes := k.DefaultInputBytes()
-	db := core.NewDB()
-	if err := Profile(db, k, bytes, evalPlan(quick), Options{}); err != nil {
+	db, err := profile(k, bytes, quick)
+	if err != nil {
 		return Table{}, err
 	}
 	run := func(set model.FeatureSet) (float64, error) {
@@ -250,7 +259,7 @@ func AblationModelFeatures(quick bool) (Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		return runWithConfig(k, bytes, configFromSchemes(k.Name(), schemes), true, set.String())
+		return runWithConfig(k, bytes, configFromSchemes(k.Name(), schemes))
 	}
 	tFull, err := run(model.FullFeatures)
 	if err != nil {
@@ -260,7 +269,7 @@ func AblationModelFeatures(quick bool) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	vanilla, err := runWithConfig(k, bytes, nil, false, "spark")
+	vanilla, err := runWithConfig(k, bytes, nil)
 	if err != nil {
 		return Table{}, err
 	}
@@ -282,37 +291,38 @@ func AblationModelFeatures(quick bool) (Table, error) {
 func AblationSpeculationVsPartitioning(quick bool) (Table, error) {
 	_, _, s := evalWorkloads(quick)
 	bytes := s.DefaultInputBytes()
-	trained, err := Train(s, bytes, evalPlan(quick), Options{})
+	cf, err := newTuner(quick).Train(&app{w: s, bytes: bytes})
 	if err != nil {
 		return Table{}, err
 	}
 
-	run := func(mode string, speculate, tuned bool) (float64, error) {
-		opt := Options{Mode: mode}
-		if tuned {
-			opt.CoPartition = true
-			opt.Configurator = &config.Static{F: trained.Config}
+	run := func(speculate, tuned bool) (float64, error) {
+		var opts []chopper.Option
+		if speculate {
+			opts = append(opts, engine(func(e *exec.Engine) { e.Speculate = true }))
 		}
-		rt := NewRuntime(s.Name(), opt)
-		rt.Eng.Speculate = speculate
-		if _, err := s.Run(rt.Ctx, bytes); err != nil {
+		if tuned {
+			opts = append(opts, chopper.WithTuning(cf))
+		}
+		sess, _, err := runSession(s, bytes, opts...)
+		if err != nil {
 			return 0, err
 		}
-		return rt.Col.TotalTime(), nil
+		return elapsed(sess), nil
 	}
-	vanilla, err := run("spark", false, false)
+	vanilla, err := run(false, false)
 	if err != nil {
 		return Table{}, err
 	}
-	spec, err := run("spark+speculation", true, false)
+	spec, err := run(true, false)
 	if err != nil {
 		return Table{}, err
 	}
-	tuned, err := run("chopper", false, true)
+	tuned, err := run(false, true)
 	if err != nil {
 		return Table{}, err
 	}
-	both, err := run("chopper+speculation", true, true)
+	both, err := run(true, true)
 	if err != nil {
 		return Table{}, err
 	}
@@ -342,26 +352,11 @@ func AblationHeterogeneity(quick bool) (Table, error) {
 	bytes := k.DefaultInputBytes()
 
 	measure := func(topo *cluster.Topology) (float64, float64, error) {
-		opt := Options{Topo: topo}
-		trained, err := Train(k, bytes, evalPlan(quick), opt)
+		c, err := compare(k, bytes, quick, chopper.WithTopology(topo))
 		if err != nil {
 			return 0, 0, err
 		}
-		sparkOpt := opt
-		sparkOpt.Mode = "spark"
-		spark, _, err := RunWorkload(k, bytes, sparkOpt)
-		if err != nil {
-			return 0, 0, err
-		}
-		tunedOpt := opt
-		tunedOpt.Mode = "chopper"
-		tunedOpt.CoPartition = true
-		tunedOpt.Configurator = &config.Static{F: trained.Config}
-		tuned, _, err := RunWorkload(k, bytes, tunedOpt)
-		if err != nil {
-			return 0, 0, err
-		}
-		return spark.Col.TotalTime(), tuned.Col.TotalTime(), nil
+		return elapsed(c.Spark), elapsed(c.Chopper), nil
 	}
 
 	hs, hc, err := measure(cluster.PaperCluster())

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"chopper/internal/config"
+	"chopper"
 	"chopper/internal/core"
 	"chopper/internal/model"
 )
@@ -17,17 +17,12 @@ import (
 func ModelAccuracy(quick bool) (Table, float64, error) {
 	k, _, _ := evalWorkloads(quick)
 	bytes := k.DefaultInputBytes()
-	trained, err := Train(k, bytes, evalPlan(quick), Options{})
+	tn := newTuner(quick)
+	cf, err := tn.Train(&app{w: k, bytes: bytes})
 	if err != nil {
 		return Table{}, 0, err
 	}
-
-	opt := Options{
-		Mode:         "chopper",
-		CoPartition:  true,
-		Configurator: &config.Static{F: trained.Config},
-	}
-	rt, _, err := RunWorkload(k, bytes, opt)
+	sess, _, err := runSession(k, bytes, chopper.WithTuning(cf))
 	if err != nil {
 		return Table{}, 0, err
 	}
@@ -38,13 +33,13 @@ func ModelAccuracy(quick bool) (Table, float64, error) {
 	}
 	var sumAbsErr, n float64
 	seen := map[string]bool{}
-	for _, st := range rt.Col.Stages() {
+	for _, st := range sess.Metrics().Stages() {
 		if seen[st.Signature] {
 			continue // iterative stages: report each signature once
 		}
 		seen[st.Signature] = true
 		d := float64(st.InputBytes + st.ShuffleRead)
-		sm, err := core_FitForAccuracy(trained, st.Signature, st.Partitioner, d)
+		sm, err := core_FitForAccuracy(tn.DB, st.Signature, st.Partitioner, d)
 		if err != nil {
 			continue
 		}
@@ -72,11 +67,11 @@ func ModelAccuracy(quick bool) (Table, float64, error) {
 
 // core_FitForAccuracy fits the evaluation model the optimizer would use for
 // the stage, preferring the scheme the stage actually ran under.
-func core_FitForAccuracy(tr *TrainedChopper, sig, scheme string, d float64) (*model.StageModels, error) {
+func core_FitForAccuracy(db *core.DB, sig, scheme string, d float64) (*model.StageModels, error) {
 	order := []string{scheme, "hash", "range", "input"}
 	var lastErr error
 	for _, s := range order {
-		samples := tr.DB.SamplesFor("kmeans", sig, s)
+		samples := db.SamplesFor("kmeans", sig, s)
 		if d > 0 {
 			var local []model.Sample
 			for _, sm := range samples {
@@ -105,8 +100,9 @@ func core_FitForAccuracy(tr *TrainedChopper, sig, scheme string, d float64) (*mo
 func OnlineRetraining(quick bool, rounds int) (Table, error) {
 	k, _, _ := evalWorkloads(quick)
 	bytes := k.DefaultInputBytes()
-	db := core.NewDB()
-	if err := Profile(db, k, bytes, evalPlan(quick), Options{}); err != nil {
+	a := &app{w: k, bytes: bytes}
+	tn := newTuner(quick)
+	if err := tn.Profile(a); err != nil {
 		return Table{}, err
 	}
 
@@ -114,32 +110,27 @@ func OnlineRetraining(quick bool, rounds int) (Table, error) {
 		Title:  "Extension — online retraining from production runs (KMeans)",
 		Header: []string{"round", "time(s)", "db samples"},
 	}
-	vanilla, _, err := RunWorkload(k, bytes, Options{Mode: "spark"})
+	vanilla, _, err := runSession(k, bytes)
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = append(t.Rows, []string{"vanilla", f1(vanilla.Col.TotalTime()), fmt.Sprintf("%d", db.SampleCount(k.Name()))})
+	t.Rows = append(t.Rows, []string{"vanilla", f1(elapsed(vanilla)), fmt.Sprintf("%d", tn.DB.SampleCount(k.Name()))})
 
 	for round := 1; round <= rounds; round++ {
-		o := core.NewOptimizer(db)
-		cf, err := o.GenerateConfig(k.Name(), float64(bytes))
+		cf, err := tn.Optimize(a)
 		if err != nil {
 			return Table{}, err
 		}
-		rt, _, err := RunWorkload(k, bytes, Options{
-			Mode:         fmt.Sprintf("chopper-r%d", round),
-			CoPartition:  true,
-			Configurator: &config.Static{F: cf},
-		})
+		sess, _, err := runSession(k, bytes, chopper.WithTuning(cf))
 		if err != nil {
 			return Table{}, err
 		}
 		// Production statistics feed the next round.
-		rt.Rec.Harvest(db, k.Name(), float64(bytes), rt.Col, false)
+		tn.Observe(sess, a, bytes)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", round),
-			f1(rt.Col.TotalTime()),
-			fmt.Sprintf("%d", db.SampleCount(k.Name())),
+			f1(elapsed(sess)),
+			fmt.Sprintf("%d", tn.DB.SampleCount(k.Name())),
 		})
 	}
 	return t, nil

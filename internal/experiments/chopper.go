@@ -2,162 +2,103 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
+	"chopper"
 	"chopper/internal/config"
 	"chopper/internal/core"
-	"chopper/internal/dag"
+	"chopper/internal/exec"
 	"chopper/internal/experiments/driver"
-	"chopper/internal/rdd"
+	"chopper/internal/session"
 	"chopper/internal/workloads"
 )
 
-// ProfilePlan describes CHOPPER's lightweight test runs for one workload:
-// a default run (the normalization reference) plus sweeps over partition
-// counts, schemes and sampled input sizes (paper Section III-B).
-type ProfilePlan struct {
-	SizeFractions []float64
-	Partitions    []int
-	Schemes       []rdd.SchemeName
+// The harness runs CHOPPER's offline pipeline through the public Session and
+// Tuner; the options below are the internal ones it adds.
+
+// gridWidth runs a Tuner's profiling grid on the driver pool's width (the
+// -parallel flag of cmd/experiments).
+func gridWidth(c *session.Config) { c.GridWidth = driver.Parallelism() }
+
+// engine adjusts every session's engine before it runs (speculation,
+// failure injection).
+func engine(fn func(*exec.Engine)) chopper.Option {
+	return func(c *session.Config) { c.Engine = fn }
 }
 
-// DefaultProfilePlan returns the standard test-run grid.
-func DefaultProfilePlan() ProfilePlan {
-	return ProfilePlan{
-		SizeFractions: []float64{0.4, 0.7, 1.0},
-		Partitions:    []int{150, 300, 450, 600, 900},
-		Schemes:       []rdd.SchemeName{rdd.SchemeHash, rdd.SchemeRange},
-	}
+// app adapts a workload to chopper.App at a fixed logical input size. It
+// keeps the last two sessions it ran on: after Tuner.RunComparison those are
+// the vanilla and the tuned run.
+type app struct {
+	w     workloads.Workload
+	bytes int64
+	mu    sync.Mutex
+	last  [2]*chopper.Session
 }
 
-// RunCount reports how many test runs the plan performs (plus one default).
-func (p ProfilePlan) RunCount() int {
-	return 1 + len(p.SizeFractions)*len(p.Partitions)*len(p.Schemes)
-}
+func (a *app) Name() string      { return a.w.Name() }
+func (a *app) InputBytes() int64 { return a.bytes }
 
-// Profile executes the plan for a workload, filling db with observations.
-// The test runs are independent (each builds a fresh stack) and execute on
-// the driver worker pool; harvesting mutates the shared DB, whose float
-// accumulation is order-sensitive, so it happens after the pool drains,
-// sequentially in grid order — exactly the order the sequential loop used.
-func Profile(db *core.DB, w workloads.Workload, targetBytes int64, plan ProfilePlan, opt Options) error {
-	opt = opt.withDefaults()
-
-	type profileRun struct {
-		bytes     int64
-		opt       Options
-		isDefault bool
-		label     string
+func (a *app) Run(sess *chopper.Session, bytes int64) error {
+	if _, err := a.w.Run(sess.Context(), bytes); err != nil {
+		return fmt.Errorf("experiments: %s run: %w", a.w.Name(), err)
 	}
-	// Default run first: the vanilla configuration is the cost reference.
-	defOpt := opt
-	defOpt.Configurator = nil
-	defOpt.CoPartition = false
-	runs := []profileRun{{bytes: targetBytes, opt: defOpt, isDefault: true, label: "default profile run"}}
-	for _, frac := range plan.SizeFractions {
-		bytes := int64(frac * float64(targetBytes))
-		for _, scheme := range plan.Schemes {
-			for _, p := range plan.Partitions {
-				runOpt := opt
-				runOpt.CoPartition = false
-				runOpt.Configurator = &core.ForceAll{Spec: dag.SchemeSpec{Scheme: scheme, NumPartitions: p}}
-				runs = append(runs, profileRun{
-					bytes: bytes,
-					opt:   runOpt,
-					label: fmt.Sprintf("profile run (%s,%d,%.1f)", scheme, p, frac),
-				})
-			}
-		}
-	}
-
-	rts, err := driver.Map(len(runs), func(i int) (*Runtime, error) {
-		rt, _, err := RunWorkload(w, runs[i].bytes, runs[i].opt)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", runs[i].label, err)
-		}
-		return rt, nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, rt := range rts {
-		rt.Rec.Harvest(db, w.Name(), float64(runs[i].bytes), rt.Col, runs[i].isDefault)
-	}
+	a.mu.Lock()
+	a.last = [2]*chopper.Session{a.last[1], sess}
+	a.mu.Unlock()
 	return nil
 }
 
-// TrainedChopper is a ready-to-run CHOPPER for one workload.
-type TrainedChopper struct {
-	DB     *core.DB
-	Opt    *core.Optimizer
-	Config *config.File
+// newTuner returns a tuner over a fresh DB with the evaluation's profiling
+// plan, its grid on the driver pool.
+func newTuner(quick bool, opts ...chopper.Option) *chopper.Tuner {
+	return &chopper.Tuner{
+		DB:             core.NewDB(),
+		Plan:           evalPlan(quick),
+		SessionOptions: append([]chopper.Option{gridWidth}, opts...),
+	}
 }
 
-// Train profiles the workload and generates its configuration file —
-// the full CHOPPER pipeline up to (but not including) the optimized run.
-// Model training happens offline, outside any measured run.
-func Train(w workloads.Workload, targetBytes int64, plan ProfilePlan, opt Options) (*TrainedChopper, error) {
-	db := core.NewDB()
-	if err := Profile(db, w, targetBytes, plan, opt); err != nil {
-		return nil, err
-	}
-	optimizer := core.NewOptimizer(db)
-	optimizer.DefaultParallelism = opt.withDefaults().DefaultParallelism
-	if opt.OnSchemeViolations != nil {
-		optimizer.OnViolation = func(workload string, vs []core.SchemeViolation) error {
-			opt.OnSchemeViolations(workload, vs)
-			return nil
-		}
-	}
-	cf, err := optimizer.GenerateConfig(w.Name(), float64(targetBytes))
+// runSession executes w at bytes on a fresh session built from opts.
+func runSession(w workloads.Workload, bytes int64, opts ...chopper.Option) (*chopper.Session, workloads.Result, error) {
+	sess := chopper.NewSession(opts...)
+	res, err := w.Run(sess.Context(), bytes)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: generate config: %w", err)
+		return nil, res, fmt.Errorf("experiments: %s run: %w", w.Name(), err)
 	}
-	return &TrainedChopper{DB: db, Opt: optimizer, Config: cf}, nil
+	return sess, res, nil
 }
+
+// elapsed reports a session's total simulated time.
+func elapsed(s *chopper.Session) float64 { return s.Metrics().TotalTime() }
 
 // Compared holds a vanilla-vs-CHOPPER pair of runs on one workload.
 type Compared struct {
 	Workload string
-	Spark    *Runtime
-	Chopper  *Runtime
-	Trained  *TrainedChopper
+	Spark    *chopper.Session
+	Chopper  *chopper.Session
+	Config   *config.File // the trained configuration the Chopper run applied
+	DB       *core.DB     // the profiling statistics it was trained on
 }
 
 // Improvement reports the relative execution-time gain of CHOPPER.
 func (c Compared) Improvement() float64 {
-	s, ch := c.Spark.Col.TotalTime(), c.Chopper.Col.TotalTime()
+	s, ch := elapsed(c.Spark), elapsed(c.Chopper)
 	if s <= 0 {
 		return 0
 	}
 	return (s - ch) / s * 100
 }
 
-// Compare trains CHOPPER for a workload and executes both systems at the
-// given input size. The chopper run uses the generated configuration plus
-// the co-partition-aware scheduler.
-func Compare(w workloads.Workload, inputBytes int64, plan ProfilePlan, opt Options) (Compared, error) {
-	opt = opt.withDefaults()
-	trained, err := Train(w, inputBytes, plan, opt)
+// compare trains CHOPPER for w at bytes and runs both systems there
+// (Tuner.RunComparison: the tuned run applies the generated configuration
+// plus the co-partition-aware scheduler).
+func compare(w workloads.Workload, bytes int64, quick bool, opts ...chopper.Option) (Compared, error) {
+	a := &app{w: w, bytes: bytes}
+	tn := newTuner(quick, opts...)
+	_, _, cf, err := tn.RunComparison(a)
 	if err != nil {
 		return Compared{}, err
 	}
-
-	sparkOpt := opt
-	sparkOpt.Mode = "spark"
-	sparkOpt.CoPartition = false
-	sparkOpt.Configurator = nil
-	spark, _, err := RunWorkload(w, inputBytes, sparkOpt)
-	if err != nil {
-		return Compared{}, err
-	}
-
-	chopperOpt := opt
-	chopperOpt.Mode = "chopper"
-	chopperOpt.CoPartition = true
-	chopperOpt.Configurator = &config.Static{F: trained.Config}
-	chopper, _, err := RunWorkload(w, inputBytes, chopperOpt)
-	if err != nil {
-		return Compared{}, err
-	}
-	return Compared{Workload: w.Name(), Spark: spark, Chopper: chopper, Trained: trained}, nil
+	return Compared{Workload: w.Name(), Spark: a.last[0], Chopper: a.last[1], Config: cf, DB: tn.DB}, nil
 }

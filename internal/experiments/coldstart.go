@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"chopper"
 	"chopper/internal/config"
 	"chopper/internal/core"
 	"chopper/internal/plan/extract"
@@ -39,7 +40,6 @@ func ColdStartSeeding(names []string, inputScale float64) ([]ColdStartRow, error
 		return nil, err
 	}
 	opt := core.NewOptimizer(nil)
-	opt.DefaultParallelism = DefaultParallelism
 
 	var out []ColdStartRow
 	for _, name := range names {
@@ -52,7 +52,7 @@ func ColdStartSeeding(names []string, inputScale float64) ([]ColdStartRow, error
 			bytes = int64(float64(bytes) * inputScale)
 		}
 
-		rep, err := ex.Extract(w, bytes, DefaultParallelism)
+		rep, err := ex.Extract(w, bytes, core.DefaultParallelism)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: cold-start extract %s: %w", name, err)
 		}
@@ -82,15 +82,13 @@ func ColdStartSeeding(names []string, inputScale float64) ([]ColdStartRow, error
 // coldStartRun executes one fresh (unprofiled) run and returns its simulated
 // wall time; a nil file runs the default plan.
 func coldStartRun(w workloads.Workload, bytes int64, f *config.File) (float64, error) {
-	var opt Options
-	opt.Mode = "spark"
+	var opts []chopper.Option
 	if f != nil && len(f.Entries) > 0 {
-		opt.Configurator = &config.Static{F: f}
-		opt.Mode = "chopper"
+		opts = append(opts, chopper.WithConfigurator(&config.Static{F: f}))
 	}
-	rt, _, err := RunWorkload(w, bytes, opt)
+	sess, _, err := runSession(w, bytes, opts...)
 	if err != nil {
 		return 0, err
 	}
-	return rt.Col.TotalTime(), nil
+	return elapsed(sess), nil
 }

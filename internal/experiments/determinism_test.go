@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"testing"
 
-	"chopper/internal/trace"
+	"chopper"
+	"chopper/internal/session"
 	"chopper/internal/workloads"
 )
 
@@ -18,25 +19,16 @@ import (
 // iteration order leaks into the simulated timeline — exactly the defect
 // class chopperlint's walltime/globalrand/maporder rules exist to prevent.
 func TestDeterministicTrace(t *testing.T) {
-	modes := []struct {
-		name string
-		opt  Options
-	}{
-		{"spark", Options{Mode: "spark"}},
-		{"chopper", Options{Mode: "chopper", CoPartition: true}},
-	}
-	for _, mode := range modes {
+	for _, mode := range schedulingModes {
 		t.Run(mode.name, func(t *testing.T) {
 			run := func() []byte {
 				w := &workloads.PageRank{Pages: 900, AvgDegree: 6, Iterations: 3, Damping: 0.85, Seed: 7}
-				opt := mode.opt
-				opt.DefaultParallelism = 24
-				rt, _, err := RunWorkload(w, 256<<20, opt)
+				sess, _, err := runSession(w, 256<<20, chopper.WithDefaultParallelism(24), mode.opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if err := trace.FromCollector(rt.Col, true).Write(&buf); err != nil {
+				if err := sess.Trace(true).Write(&buf); err != nil {
 					t.Fatal(err)
 				}
 				return buf.Bytes()
@@ -47,6 +39,17 @@ func TestDeterministicTrace(t *testing.T) {
 			}
 		})
 	}
+}
+
+// schedulingModes are the two scheduler modes a run's trace must be stable
+// under: vanilla, and the co-partition-aware extensions with no
+// configuration.
+var schedulingModes = []struct {
+	name string
+	opt  chopper.Option
+}{
+	{"spark", func(*session.Config) {}},
+	{"chopper", func(c *session.Config) { c.CoPartition = true }},
 }
 
 // firstTraceDiff renders the first differing line of two trace logs.

@@ -1,8 +1,8 @@
 // Package driver is the experiment harness's worker pool: it executes the
-// independent runs of a sweep (motivation partition counts, profiling-plan
-// grid points, evaluation workloads, ablation rows) concurrently with
-// bounded parallelism while keeping every observable result byte-identical
-// to a sequential execution.
+// independent runs of a sweep (motivation partition counts, evaluation
+// workloads, ablation rows, and — through chopper.Tuner.ProfileContext —
+// profiling-grid points) concurrently with bounded parallelism while keeping
+// every observable result byte-identical to a sequential execution.
 //
 // The determinism argument is structural, not accidental:
 //

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"chopper"
 	"chopper/internal/metrics"
 	"chopper/internal/rdd"
 	"chopper/internal/workloads"
@@ -49,10 +51,20 @@ func TestTableIMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestProfilePlanRunCount pins the Tuner's default grid: one default run
+// plus sizes x schemes x partition counts.
 func TestProfilePlanRunCount(t *testing.T) {
-	p := DefaultProfilePlan()
-	if p.RunCount() != 1+3*5*2 {
-		t.Fatalf("default plan run count = %d", p.RunCount())
+	var runs atomic.Int64
+	app := chopper.AppFunc{AppName: "count", Bytes: 1 << 20, Fn: func(sess *chopper.Session, _ int64) error {
+		runs.Add(1)
+		_, err := sess.Parallelize([]rdd.Row{rdd.Pair{K: 1, V: 1.0}}, 1).Count()
+		return err
+	}}
+	if err := newTuner(false).Profile(app); err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load(); n != 1+3*5*2 {
+		t.Fatalf("default plan run count = %d", n)
 	}
 }
 
@@ -65,9 +77,9 @@ func TestMotivationShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fig. 3 shape: P=100 must be the worst stage-0 configuration.
-	d100 := stageDur(m.Runs[0].Col, 0)
-	d300 := stageDur(m.Runs[1].Col, 0)
-	d500 := stageDur(m.Runs[2].Col, 0)
+	d100 := stageDur(m.Runs[0].Metrics(), 0)
+	d300 := stageDur(m.Runs[1].Metrics(), 0)
+	d500 := stageDur(m.Runs[2].Metrics(), 0)
 	if d100 <= d300 || d100 <= d500 {
 		t.Fatalf("stage 0 should be worst at P=100: %v %v %v", d100, d300, d500)
 	}
@@ -105,20 +117,20 @@ func TestEvaluationReproducesPaperShapes(t *testing.T) {
 		}
 	}
 	// Table II: stage 0 faster under CHOPPER.
-	s0c := stageDur(ev.KMeans.Chopper.Col, 0)
-	s0s := stageDur(ev.KMeans.Spark.Col, 0)
+	s0c := stageDur(ev.KMeans.Chopper.Metrics(), 0)
+	s0s := stageDur(ev.KMeans.Spark.Metrics(), 0)
 	if s0c >= s0s {
 		t.Fatalf("Table II: chopper stage 0 (%.1f) should beat spark (%.1f)", s0c, s0s)
 	}
 	// Table III: spark fixed at 300 everywhere; chopper varies per stage
 	// and keeps iterative stages consistent.
-	spark := ev.KMeans.Spark.Col.Stages()
+	spark := ev.KMeans.Spark.Metrics().Stages()
 	for _, st := range spark {
 		if st.NumTasks != 300 {
 			t.Fatalf("vanilla should run 300 partitions everywhere, stage %d has %d", st.ID, st.NumTasks)
 		}
 	}
-	ch := ev.KMeans.Chopper.Col.Stages()
+	ch := ev.KMeans.Chopper.Metrics().Stages()
 	varied := false
 	for _, st := range ch {
 		if st.NumTasks != 300 {
@@ -132,8 +144,8 @@ func TestEvaluationReproducesPaperShapes(t *testing.T) {
 		t.Fatalf("iterative reduce stages should share a partition count")
 	}
 	// Fig. 9: SQL shuffle volume per stage no worse under CHOPPER overall.
-	chS := sqlPaperStages(ev.SQL.Chopper.Col)
-	spS := sqlPaperStages(ev.SQL.Spark.Col)
+	chS := sqlPaperStages(ev.SQL.Chopper.Metrics())
+	spS := sqlPaperStages(ev.SQL.Spark.Metrics())
 	var chTot, spTot int64
 	for i := 0; i < 4; i++ {
 		chTot += chS[i].shuffle
@@ -209,8 +221,11 @@ func TestAblationsRun(t *testing.T) {
 
 func TestRunWorkloadErrorPath(t *testing.T) {
 	bad := badWorkload{}
-	if _, _, err := RunWorkload(bad, 100, Options{}); err == nil {
+	if _, _, err := runSession(bad, 100); err == nil {
 		t.Fatalf("expected error from failing workload")
+	}
+	if err := newTuner(true).Profile(&app{w: bad, bytes: 100}); err == nil {
+		t.Fatalf("expected error from profiling a failing workload")
 	}
 }
 

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"chopper/internal/config"
+	"chopper"
+	"chopper/internal/exec"
 )
 
 // FailureResult is one row of the fault-tolerance study.
@@ -24,30 +25,30 @@ type FailureResult struct {
 func RunFailureStudy(quick bool, failAfterStage int) ([]FailureResult, Table, error) {
 	k, _, _ := evalWorkloads(quick)
 	bytes := k.DefaultInputBytes()
-	trained, err := Train(k, bytes, evalPlan(quick), Options{})
+	cf, err := newTuner(quick).Train(&app{w: k, bytes: bytes})
 	if err != nil {
 		return nil, Table{}, err
 	}
 
 	run := func(mode string, tuned bool, fail bool) (float64, float64, error) {
-		opt := Options{Mode: mode}
+		var opts []chopper.Option
 		if tuned {
-			opt.CoPartition = true
-			opt.Configurator = &config.Static{F: trained.Config}
+			opts = append(opts, chopper.WithTuning(cf))
 		}
-		rt := NewRuntime(k.Name(), opt)
 		if fail {
-			rt.Eng.AfterStage = func(done int) {
-				if done == failAfterStage {
-					_ = rt.Eng.KillNode("C")
+			opts = append(opts, engine(func(e *exec.Engine) {
+				e.AfterStage = func(done int) {
+					if done == failAfterStage {
+						_ = e.KillNode("C")
+					}
 				}
-			}
+			}))
 		}
-		res, err := k.Run(rt.Ctx, bytes)
+		sess, res, err := runSession(k, bytes, opts...)
 		if err != nil {
 			return 0, 0, fmt.Errorf("experiments: failure study %s: %w", mode, err)
 		}
-		return rt.Col.TotalTime(), res.Checksum, nil
+		return elapsed(sess), res.Checksum, nil
 	}
 
 	var out []FailureResult

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"chopper"
+	"chopper/internal/exec"
 	"chopper/internal/workloads"
 )
 
@@ -46,15 +48,17 @@ func TestPCAFailureRecomputation(t *testing.T) {
 	bytes := p.DefaultInputBytes()
 
 	run := func(fail bool) float64 {
-		rt := NewRuntime(p.Name(), Options{})
+		var opts []chopper.Option
 		if fail {
-			rt.Eng.AfterStage = func(done int) {
-				if done == 4 {
-					_ = rt.Eng.KillNode("C")
+			opts = append(opts, engine(func(e *exec.Engine) {
+				e.AfterStage = func(done int) {
+					if done == 4 {
+						_ = e.KillNode("C")
+					}
 				}
-			}
+			}))
 		}
-		res, err := p.Run(rt.Ctx, bytes)
+		_, res, err := runSession(p, bytes, opts...)
 		if err != nil {
 			t.Fatalf("pca run (fail=%v): %v", fail, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"chopper"
 	"chopper/internal/experiments/driver"
 	"chopper/internal/metrics"
 	"chopper/internal/workloads"
@@ -34,15 +35,11 @@ func evalWorkloads(quick bool) (*workloads.KMeans, *workloads.PCA, *workloads.SQ
 }
 
 // evalPlan returns the profiling plan (smaller grid when quick).
-func evalPlan(quick bool) ProfilePlan {
+func evalPlan(quick bool) chopper.TrialPlan {
 	if quick {
-		return ProfilePlan{
-			SizeFractions: []float64{0.5, 1.0},
-			Partitions:    []int{150, 300, 450, 600},
-			Schemes:       DefaultProfilePlan().Schemes,
-		}
+		return chopper.TrialPlan{SizeFractions: []float64{0.5, 1.0}, Partitions: []int{150, 300, 450, 600}, Range: true}
 	}
-	return DefaultProfilePlan()
+	return chopper.DefaultTrialPlan()
 }
 
 // RunEvaluation trains CHOPPER per workload and executes the Table I-sized
@@ -50,12 +47,11 @@ func evalPlan(quick bool) ProfilePlan {
 // run concurrently on the driver pool.
 func RunEvaluation(quick bool) (*Evaluation, error) {
 	k, p, s := evalWorkloads(quick)
-	plan := evalPlan(quick)
 	ev := &Evaluation{Quick: quick}
 
 	jobs := []workloads.Workload{k, p, s}
 	results, err := driver.Map(len(jobs), func(i int) (Compared, error) {
-		return Compare(jobs[i], jobs[i].DefaultInputBytes(), plan, Options{})
+		return compare(jobs[i], jobs[i].DefaultInputBytes(), quick)
 	})
 	if err != nil {
 		return nil, err
@@ -86,8 +82,8 @@ func (ev *Evaluation) Fig7() Table {
 	for _, c := range ev.Results {
 		t.Rows = append(t.Rows, []string{
 			c.Workload,
-			f2(c.Spark.Col.TotalTime() / 60),
-			f2(c.Chopper.Col.TotalTime() / 60),
+			f2(elapsed(c.Spark) / 60),
+			f2(elapsed(c.Chopper) / 60),
 			fpct(c.Improvement()),
 		})
 	}
@@ -101,12 +97,12 @@ func (ev *Evaluation) Fig8() Table {
 		Title:  "Fig. 8 — KMeans execution time per stage (s)",
 		Header: []string{"stage", "chopper", "spark"},
 	}
-	n := len(ev.KMeans.Spark.Col.Stages())
+	n := len(ev.KMeans.Spark.Metrics().Stages())
 	for id := 1; id < n; id++ {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", id),
-			f1(stageDur(ev.KMeans.Chopper.Col, id)),
-			f1(stageDur(ev.KMeans.Spark.Col, id)),
+			f1(stageDur(ev.KMeans.Chopper.Metrics(), id)),
+			f1(stageDur(ev.KMeans.Spark.Metrics(), id)),
 		})
 	}
 	return t
@@ -118,8 +114,8 @@ func (ev *Evaluation) TableII() Table {
 		Title:  "Table II — execution time for stage 0 in KMeans (s)",
 		Header: []string{"chopper", "spark"},
 		Rows: [][]string{{
-			f1(stageDur(ev.KMeans.Chopper.Col, 0)),
-			f1(stageDur(ev.KMeans.Spark.Col, 0)),
+			f1(stageDur(ev.KMeans.Chopper.Metrics(), 0)),
+			f1(stageDur(ev.KMeans.Spark.Metrics(), 0)),
 		}},
 	}
 }
@@ -130,9 +126,9 @@ func (ev *Evaluation) TableIII() Table {
 		Title:  "Table III — repartitioning of KMeans stages",
 		Header: []string{"stage", "chopper", "spark"},
 	}
-	spark := ev.KMeans.Spark.Col.Stages()
+	spark := ev.KMeans.Spark.Metrics().Stages()
 	for id := 0; id < len(spark); id++ {
-		ch := ev.KMeans.Chopper.Col.StageByID(id)
+		ch := ev.KMeans.Chopper.Metrics().StageByID(id)
 		chTasks := ""
 		if ch != nil {
 			chTasks = fmt.Sprintf("%d", ch.NumTasks)
@@ -194,8 +190,8 @@ func (ev *Evaluation) Fig9() Table {
 		Title:  "Fig. 9 — SQL shuffle data per stage (KB)",
 		Header: []string{"stage", "chopper", "spark"},
 	}
-	ch := sqlPaperStages(ev.SQL.Chopper.Col)
-	sp := sqlPaperStages(ev.SQL.Spark.Col)
+	ch := sqlPaperStages(ev.SQL.Chopper.Metrics())
+	sp := sqlPaperStages(ev.SQL.Spark.Metrics())
 	for i := 0; i < 4 && i < len(ch) && i < len(sp); i++ {
 		t.Rows = append(t.Rows, []string{ch[i].label, kb(ch[i].shuffle), kb(sp[i].shuffle)})
 	}
@@ -209,8 +205,8 @@ func (ev *Evaluation) Fig10() Table {
 		Title:  "Fig. 10 — SQL execution time per stage (s)",
 		Header: []string{"stage", "chopper", "spark"},
 	}
-	ch := sqlPaperStages(ev.SQL.Chopper.Col)
-	sp := sqlPaperStages(ev.SQL.Spark.Col)
+	ch := sqlPaperStages(ev.SQL.Chopper.Metrics())
+	sp := sqlPaperStages(ev.SQL.Spark.Metrics())
 	for i := 0; i < len(ch) && i < len(sp); i++ {
 		t.Rows = append(t.Rows, []string{ch[i].label, f1(ch[i].duration), f1(sp[i].duration)})
 	}
@@ -224,15 +220,15 @@ const utilStep = 20.0
 // memBaseFraction approximates the executor/OS resident footprint.
 const memBaseFraction = 0.25
 
-func (ev *Evaluation) seriesSet(title string, get func(c Compared, rt *Runtime) metrics.Series) SeriesSet {
+func (ev *Evaluation) seriesSet(title string, get func(s *chopper.Session) metrics.Series) SeriesSet {
 	out := SeriesSet{Title: title, Step: utilStep}
 	for _, c := range ev.Results {
 		for _, side := range []struct {
 			label string
-			rt    *Runtime
+			sess  *chopper.Session
 		}{{"Spark", c.Spark}, {"CHOPPER", c.Chopper}} {
 			out.Labels = append(out.Labels, c.Workload+"-"+side.label)
-			out.Series = append(out.Series, get(c, side.rt))
+			out.Series = append(out.Series, get(side.sess))
 		}
 	}
 	return out
@@ -240,29 +236,29 @@ func (ev *Evaluation) seriesSet(title string, get func(c Compared, rt *Runtime) 
 
 // Fig11 renders the CPU utilization timelines.
 func (ev *Evaluation) Fig11() SeriesSet {
-	return ev.seriesSet("Fig. 11 — CPU utilization (%)", func(c Compared, rt *Runtime) metrics.Series {
-		return rt.Col.CPUSeries(rt.Eng.Topo, utilStep)
+	return ev.seriesSet("Fig. 11 — CPU utilization (%)", func(s *chopper.Session) metrics.Series {
+		return s.Metrics().CPUSeries(s.Topology(), utilStep)
 	})
 }
 
 // Fig12 renders the memory utilization timelines.
 func (ev *Evaluation) Fig12() SeriesSet {
-	return ev.seriesSet("Fig. 12 — memory utilization (%)", func(c Compared, rt *Runtime) metrics.Series {
-		return rt.Col.MemSeries(rt.Eng.Topo, utilStep, memBaseFraction)
+	return ev.seriesSet("Fig. 12 — memory utilization (%)", func(s *chopper.Session) metrics.Series {
+		return s.Metrics().MemSeries(s.Topology(), utilStep, memBaseFraction)
 	})
 }
 
 // Fig13 renders total transmitted+received packets per second.
 func (ev *Evaluation) Fig13() SeriesSet {
-	return ev.seriesSet("Fig. 13 — total packets per second", func(c Compared, rt *Runtime) metrics.Series {
-		return rt.Col.NetSeries(utilStep)
+	return ev.seriesSet("Fig. 13 — total packets per second", func(s *chopper.Session) metrics.Series {
+		return s.Metrics().NetSeries(utilStep)
 	})
 }
 
 // Fig14 renders disk transactions per second.
 func (ev *Evaluation) Fig14() SeriesSet {
-	return ev.seriesSet("Fig. 14 — disk transactions per second", func(c Compared, rt *Runtime) metrics.Series {
-		return rt.Col.DiskSeries(utilStep)
+	return ev.seriesSet("Fig. 14 — disk transactions per second", func(s *chopper.Session) metrics.Series {
+		return s.Metrics().DiskSeries(utilStep)
 	})
 }
 
@@ -271,7 +267,7 @@ func (ev *Evaluation) Fig14() SeriesSet {
 func (ev *Evaluation) Fig6() string {
 	var b []byte
 	buf := &byteWriter{buf: b}
-	_ = ev.KMeans.Trained.Config.Write(buf)
+	_ = ev.KMeans.Config.Write(buf)
 	return string(buf.buf)
 }
 

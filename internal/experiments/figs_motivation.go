@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"chopper"
 	"chopper/internal/core"
 	"chopper/internal/dag"
 	"chopper/internal/experiments/driver"
@@ -31,7 +32,7 @@ func quickKMeans(quick bool) *workloads.KMeans {
 // Motivation holds the per-partition-count runs behind Figs. 2-4.
 type Motivation struct {
 	Partitions []int
-	Runs       []*Runtime // one per partition count, uniform hash partitioning
+	Runs       []*chopper.Session // one per partition count, uniform hash partitioning
 }
 
 // RunMotivation executes the Section II-B study: KMeans at 7.3 GB with the
@@ -43,14 +44,9 @@ func RunMotivation(quick bool, partitions []int) (*Motivation, error) {
 	m := &Motivation{Partitions: partitions}
 	// The partition counts are independent runs on fresh stacks; the driver
 	// pool executes them concurrently and returns them in grid order.
-	runs, err := driver.Map(len(partitions), func(i int) (*Runtime, error) {
-		p := partitions[i]
-		opt := Options{
-			Mode:         fmt.Sprintf("spark-p%d", p),
-			Configurator: &core.ForceAll{Spec: dag.SchemeSpec{Scheme: rdd.SchemeHash, NumPartitions: p}},
-		}
-		rt, _, err := RunWorkload(quickKMeans(quick), MotivationInputBytes, opt)
-		return rt, err
+	runs, err := driver.Map(len(partitions), func(i int) (*chopper.Session, error) {
+		sess, _, err := runSession(quickKMeans(quick), MotivationInputBytes, forceHash(partitions[i]))
+		return sess, err
 	})
 	if err != nil {
 		return nil, err
@@ -67,11 +63,11 @@ func (m *Motivation) Fig2() Table {
 	for _, p := range m.Partitions {
 		t.Header = append(t.Header, fmt.Sprintf("P=%d", p))
 	}
-	stages := m.Runs[0].Col.Stages()
+	stages := m.Runs[0].Metrics().Stages()
 	for id := 1; id < len(stages); id++ {
 		row := []string{fmt.Sprintf("%d", id)}
-		for _, rt := range m.Runs {
-			row = append(row, f1(stageDur(rt.Col, id)))
+		for _, sess := range m.Runs {
+			row = append(row, f1(stageDur(sess.Metrics(), id)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -87,7 +83,7 @@ func (m *Motivation) Fig3() Table {
 	for i, p := range m.Partitions {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", p),
-			f1(stageDur(m.Runs[i].Col, 0)),
+			f1(stageDur(m.Runs[i].Metrics(), 0)),
 		})
 	}
 	return t
@@ -103,8 +99,8 @@ func (m *Motivation) Fig4() Table {
 	}
 	for id := 12; id <= 17; id++ {
 		row := []string{fmt.Sprintf("%d", id)}
-		for _, rt := range m.Runs {
-			st := rt.Col.StageByID(id)
+		for _, sess := range m.Runs {
+			st := sess.Metrics().StageByID(id)
 			if st == nil {
 				row = append(row, "")
 				continue
@@ -119,10 +115,10 @@ func (m *Motivation) Fig4() Table {
 // ShuffleGrowth reports total stage-12..17 shuffle bytes for the first and
 // last swept partition counts — the Fig. 4 growth check.
 func (m *Motivation) ShuffleGrowth() (lowP, highP int64) {
-	sum := func(rt *Runtime) int64 {
+	sum := func(sess *chopper.Session) int64 {
 		var s int64
 		for id := 12; id <= 17; id++ {
-			if st := rt.Col.StageByID(id); st != nil {
+			if st := sess.Metrics().StageByID(id); st != nil {
 				s += st.MaxShuffle()
 			}
 		}
@@ -135,11 +131,7 @@ func (m *Motivation) ShuffleGrowth() (lowP, highP int64) {
 // (Section II-B): versus the best swept configuration, a very large
 // partition count costs both time and shuffle volume.
 func (m *Motivation) ExtremePartitions(quick bool) (Table, error) {
-	opt := Options{
-		Mode:         "spark-p2000",
-		Configurator: &core.ForceAll{Spec: dag.SchemeSpec{Scheme: rdd.SchemeHash, NumPartitions: 2000}},
-	}
-	rt, _, err := RunWorkload(quickKMeans(quick), MotivationInputBytes, opt)
+	sess, _, err := runSession(quickKMeans(quick), MotivationInputBytes, forceHash(2000))
 	if err != nil {
 		return Table{}, err
 	}
@@ -147,18 +139,23 @@ func (m *Motivation) ExtremePartitions(quick bool) (Table, error) {
 		Title:  "Section II-B — the 2000-partition extreme (KMeans @ 7.3 GB)",
 		Header: []string{"partitions", "total time (min)", "stage-17 shuffle (KB)"},
 	}
-	add := func(label string, r *Runtime) {
+	add := func(label string, s *chopper.Session) {
 		sh := int64(0)
-		if st := r.Col.StageByID(17); st != nil {
+		if st := s.Metrics().StageByID(17); st != nil {
 			sh = st.MaxShuffle()
 		}
-		t.Rows = append(t.Rows, []string{label, f2(r.Col.TotalTime() / 60), kb(sh)})
+		t.Rows = append(t.Rows, []string{label, f2(elapsed(s) / 60), kb(sh)})
 	}
 	for i, p := range m.Partitions {
 		add(fmt.Sprintf("%d", p), m.Runs[i])
 	}
-	add("2000", rt)
+	add("2000", sess)
 	return t, nil
+}
+
+// forceHash forces every stage to uniform hash partitioning over p.
+func forceHash(p int) chopper.Option {
+	return chopper.WithConfigurator(&core.ForceAll{Spec: dag.SchemeSpec{Scheme: rdd.SchemeHash, NumPartitions: p}})
 }
 
 func stageDur(col *metrics.Collector, id int) float64 {

@@ -4,17 +4,18 @@ import (
 	"bytes"
 	"testing"
 
+	"chopper"
 	"chopper/internal/experiments/driver"
-	"chopper/internal/trace"
 )
 
-// TestParallelMatchesSequential is the contract of the driver pool: an
-// experiment sweep executed with 8 workers must produce byte-identical
-// observable output — per-run trace logs and the rendered result tables —
-// to the same sweep executed sequentially. Sequential (parallel=1) is the
-// reference path: driver.MapWith degenerates to a plain loop there, so any
-// divergence is parallelism leaking into a run's simulated timeline or into
-// cross-run accumulation order.
+// TestParallelMatchesSequential is the contract of the driver pool and of
+// the Tuner's profiling grid: an experiment sweep executed with 8 workers
+// must produce byte-identical observable output — per-run trace logs, the
+// trained configuration and the rendered result tables — to the same sweep
+// executed sequentially. Sequential (parallel=1) is the reference path:
+// driver.MapWith degenerates to a plain loop there, so any divergence is
+// parallelism leaking into a run's simulated timeline or into cross-run
+// accumulation order.
 func TestParallelMatchesSequential(t *testing.T) {
 	type capture struct {
 		traces [][]byte
@@ -31,32 +32,33 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rt := range m.Runs {
+		for _, sess := range m.Runs {
 			var buf bytes.Buffer
-			if err := trace.FromCollector(rt.Col, true).Write(&buf); err != nil {
+			if err := sess.Trace(true).Write(&buf); err != nil {
 				t.Fatal(err)
 			}
 			c.traces = append(c.traces, buf.Bytes())
 		}
 		c.tables = append(c.tables, m.Fig2().String(), m.Fig3().String(), m.Fig4().String())
 
-		// Full train-and-compare pipeline: the profiling plan's runs execute
-		// on the pool while harvests into the shared DB stay in grid order,
-		// so the trained configuration and both measured runs must match.
+		// Full train-and-compare pipeline through Tuner.RunComparison: the
+		// profiling grid's runs execute at the pool's width while harvests
+		// into the shared DB stay in grid order, so the trained configuration
+		// and both measured runs must match.
 		k := quickKMeans(true)
-		cmp, err := Compare(k, k.DefaultInputBytes(), evalPlan(true), Options{})
+		cmp, err := compare(k, k.DefaultInputBytes(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rt := range []*Runtime{cmp.Spark, cmp.Chopper} {
+		for _, sess := range []*chopper.Session{cmp.Spark, cmp.Chopper} {
 			var buf bytes.Buffer
-			if err := trace.FromCollector(rt.Col, true).Write(&buf); err != nil {
+			if err := sess.Trace(true).Write(&buf); err != nil {
 				t.Fatal(err)
 			}
 			c.traces = append(c.traces, buf.Bytes())
 		}
 		var cfg bytes.Buffer
-		if err := cmp.Trained.Config.Write(&cfg); err != nil {
+		if err := cmp.Config.Write(&cfg); err != nil {
 			t.Fatal(err)
 		}
 		c.tables = append(c.tables, cfg.String())

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"chopper/internal/cluster"
-	"chopper/internal/config"
 	"chopper/internal/experiments/driver"
+	"chopper/internal/session"
 )
 
 // SensitivityStudy checks that the reproduction's headline conclusion —
@@ -54,27 +54,12 @@ func SensitivityStudy(quick bool) (Table, error) {
 	rows, err := driver.Map(len(scenarios), func(i int) ([]string, error) {
 		sc := scenarios[i]
 		_, _, s := evalWorkloads(quick)
-		bytes := s.DefaultInputBytes()
-		opt := Options{Params: sc.mutate(base)}
-		trained, err := Train(s, bytes, evalPlan(quick), opt)
+		params := sc.mutate(base)
+		c, err := compare(s, s.DefaultInputBytes(), quick, func(cfg *session.Config) { cfg.Params = params })
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sensitivity %q: %w", sc.name, err)
 		}
-		sparkOpt := opt
-		sparkOpt.Mode = "spark"
-		spark, _, err := RunWorkload(s, bytes, sparkOpt)
-		if err != nil {
-			return nil, err
-		}
-		tunedOpt := opt
-		tunedOpt.Mode = "chopper"
-		tunedOpt.CoPartition = true
-		tunedOpt.Configurator = &config.Static{F: trained.Config}
-		tuned, _, err := RunWorkload(s, bytes, tunedOpt)
-		if err != nil {
-			return nil, err
-		}
-		sv, tv := spark.Col.TotalTime(), tuned.Col.TotalTime()
+		sv, tv := elapsed(c.Spark), elapsed(c.Chopper)
 		return []string{sc.name, f1(sv), f1(tv), fpct((sv - tv) / sv * 100)}, nil
 	})
 	if err != nil {

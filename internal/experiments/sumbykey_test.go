@@ -5,8 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"chopper"
 	"chopper/internal/rdd"
-	"chopper/internal/trace"
 	"chopper/internal/workloads"
 )
 
@@ -118,25 +118,23 @@ func floatOf(t *testing.T, row rdd.Row) (key any, bits uint64) {
 // on two sessions: rows bit-equal, TestDeterministicTrace's trace
 // byte-identical, simulated seconds equal.
 func TestSumByKeyEqualsBoxedReduce(t *testing.T) {
-	for _, mode := range []Options{{Mode: "spark"}, {Mode: "chopper", CoPartition: true}} {
+	for _, mode := range schedulingModes {
 		for _, pagerank := range []bool{false, true} {
 			run := func(unboxed bool) ([]rdd.Row, []byte, float64) {
 				w := &sumShape{pagerank: pagerank, unboxed: unboxed}
-				opt := mode
-				opt.DefaultParallelism = 24
-				rt, _, err := RunWorkload(w, w.DefaultInputBytes(), opt)
+				sess, _, err := runSession(w, w.DefaultInputBytes(), chopper.WithDefaultParallelism(24), mode.opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				if err := trace.FromCollector(rt.Col, true).Write(&buf); err != nil {
+				if err := sess.Trace(true).Write(&buf); err != nil {
 					t.Fatal(err)
 				}
-				return w.out, buf.Bytes(), rt.Eng.Now()
+				return w.out, buf.Bytes(), sess.Elapsed()
 			}
 			boxedRows, boxedTrace, boxedNow := run(false)
 			sumRows, sumTrace, sumNow := run(true)
-			name := map[bool]string{false: "sql shape", true: "pagerank shape"}[pagerank] + "/" + mode.Mode
+			name := map[bool]string{false: "sql shape", true: "pagerank shape"}[pagerank] + "/" + mode.name
 			if len(sumRows) == 0 || len(sumRows) != len(boxedRows) {
 				t.Fatalf("%s: %d rows with SumByKey, %d with the boxed sum", name, len(sumRows), len(boxedRows))
 			}

@@ -2,7 +2,7 @@
 // workers each keeps exactly one request in flight, drawing a deterministic
 // mix of recommend, submit, and train traffic, honoring admission control
 // (429 + Retry-After) with bounded retries, and recording latencies in a
-// shared histogram. A run can spread its workers across several targets
+// shared histogram. A run can spread its requests across several targets
 // (shard primaries, replicas, or a fleet router) and rotate through several
 // workloads, reporting a per-shard and per-target breakdown next to the
 // merged totals. cmd/chopperload drives it from the command line and from
@@ -28,7 +28,9 @@ type Config struct {
 	// Base is the daemon's root URL.
 	Base string
 	// Targets lists several base URLs (shard primaries, replicas, or a
-	// router); workers are spread round-robin across them. Empty: [Base].
+	// router); requests are spread round-robin across them by ticket, one
+	// full rotation of Workloads per target in turn, so every target sees
+	// every workload. Empty: [Base].
 	Targets []string
 	// Concurrency is the closed-loop worker count (default 8).
 	Concurrency int
@@ -270,13 +272,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(ws *workerStats, worker int) {
 			defer wg.Done()
-			target := worker % len(clients)
 			for {
 				t := tickets.Add(1)
 				if t > int64(cfg.Requests) || ctx.Err() != nil {
 					return
 				}
+				// The ticket alone picks workload and target, so the split
+				// holds whichever workers happen to run.
 				workload := (int(t) - 1) % len(cfg.Workloads)
+				target := (int(t) - 1) / len(cfg.Workloads) % len(clients)
 				kind := kindRecommend
 				switch draw := mixDraw(worker, t); {
 				case draw < cfg.TrainFraction:

@@ -72,7 +72,7 @@ type CapturedJob struct {
 }
 
 // Capture records every plan the scheduler submits; its Hook plugs into
-// experiments.Options.OnPlan (or dag.Scheduler.OnPlan directly).
+// session.Config.OnPlan (or dag.Scheduler.OnPlan directly).
 type Capture struct {
 	mu   sync.Mutex
 	jobs []CapturedJob

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"chopper/internal/experiments"
+	"chopper/internal/core"
 	"chopper/internal/plan/extract"
 	"chopper/internal/workloads"
 )
@@ -20,7 +20,7 @@ func staticCapture(t *testing.T, name string) (*extract.Report, []extract.Captur
 		t.Fatal(err)
 	}
 	workloads.Shrink(w, shrink)
-	rep, err := ex.Extract(w, w.DefaultInputBytes(), experiments.DefaultParallelism)
+	rep, err := ex.Extract(w, w.DefaultInputBytes(), core.DefaultParallelism)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,12 @@ import (
 	"sync"
 	"testing"
 
+	"chopper"
 	"chopper/internal/cluster"
-	"chopper/internal/experiments"
+	"chopper/internal/core"
 	"chopper/internal/plan/extract"
 	"chopper/internal/plan/verify"
+	"chopper/internal/session"
 	"chopper/internal/workloads"
 )
 
@@ -50,7 +52,7 @@ func TestStaticMatchesRuntime(t *testing.T) {
 			workloads.Shrink(w, shrink)
 			bytes := w.DefaultInputBytes()
 
-			rep, err := ex.Extract(w, bytes, experiments.DefaultParallelism)
+			rep, err := ex.Extract(w, bytes, core.DefaultParallelism)
 			if err != nil {
 				t.Fatalf("static extraction failed: %v", err)
 			}
@@ -68,7 +70,8 @@ func TestStaticMatchesRuntime(t *testing.T) {
 			}
 
 			var cap extract.Capture
-			if _, _, err := experiments.RunWorkload(w, bytes, experiments.Options{OnPlan: cap.Hook()}); err != nil {
+			sess := chopper.NewSession(func(c *session.Config) { c.OnPlan = cap.Hook() })
+			if _, err := w.Run(sess.Context(), bytes); err != nil {
 				t.Fatalf("runtime run failed: %v", err)
 			}
 			if drift := extract.Drift(rep, cap.Jobs()); len(drift) != 0 {
@@ -105,7 +108,7 @@ func TestExpectedJobCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := ex.Extract(w, w.DefaultInputBytes(), experiments.DefaultParallelism)
+		rep, err := ex.Extract(w, w.DefaultInputBytes(), core.DefaultParallelism)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

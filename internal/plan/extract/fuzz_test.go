@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"chopper/internal/experiments"
+	"chopper/internal/core"
 	"chopper/internal/plan/verify"
 	"chopper/internal/workloads"
 )
@@ -96,7 +96,7 @@ func TestFuzzSeedsPass(t *testing.T) {
 	}
 	w.(*workloads.KMeans).InitRounds = -1
 	w.(*workloads.KMeans).Iterations = 0
-	rep, err := sharedExtractor(t).Extract(w, 1, experiments.DefaultParallelism)
+	rep, err := sharedExtractor(t).Extract(w, 1, core.DefaultParallelism)
 	if err != nil {
 		t.Fatalf("degenerate kmeans should still extract (no init/Lloyd jobs): %v", err)
 	}

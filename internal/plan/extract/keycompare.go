@@ -103,7 +103,7 @@ type CapturedKeyJob struct {
 }
 
 // KeyCapture records the key shapes of every plan the scheduler submits;
-// its Hook plugs into experiments.Options.OnPlan alongside Capture's.
+// its Hook plugs into session.Config.OnPlan alongside Capture's.
 type KeyCapture struct {
 	mu   sync.Mutex
 	jobs []CapturedKeyJob

@@ -3,9 +3,11 @@ package extract_test
 import (
 	"testing"
 
-	"chopper/internal/experiments"
+	"chopper"
+	"chopper/internal/core"
 	"chopper/internal/lint"
 	"chopper/internal/plan/extract"
+	"chopper/internal/session"
 	"chopper/internal/workloads"
 )
 
@@ -27,7 +29,7 @@ func TestKeyFactsMatchRuntime(t *testing.T) {
 			workloads.Shrink(w, shrink)
 			bytes := w.DefaultInputBytes()
 
-			rep, err := ex.Extract(w, bytes, experiments.DefaultParallelism)
+			rep, err := ex.Extract(w, bytes, core.DefaultParallelism)
 			if err != nil {
 				t.Fatalf("static extraction failed: %v", err)
 			}
@@ -38,7 +40,8 @@ func TestKeyFactsMatchRuntime(t *testing.T) {
 			}
 
 			var keys extract.KeyCapture
-			if _, _, err := experiments.RunWorkload(w, bytes, experiments.Options{OnPlan: keys.Hook()}); err != nil {
+			sess := chopper.NewSession(func(c *session.Config) { c.OnPlan = keys.Hook() })
+			if _, err := w.Run(sess.Context(), bytes); err != nil {
 				t.Fatalf("runtime run failed: %v", err)
 			}
 			if drift := extract.KeyDrift(rep, keys.Jobs()); len(drift) != 0 {
@@ -79,7 +82,7 @@ func TestKeyFactsLattice(t *testing.T) {
 			t.Fatal(err)
 		}
 		workloads.Shrink(w, shrink)
-		rep, err := ex.Extract(w, w.DefaultInputBytes(), experiments.DefaultParallelism)
+		rep, err := ex.Extract(w, w.DefaultInputBytes(), core.DefaultParallelism)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

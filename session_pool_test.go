@@ -2,9 +2,14 @@ package chopper_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"chopper"
+	"chopper/internal/core"
+	"chopper/internal/session"
 )
 
 // runOnce executes the quickstart-style pipeline and returns the simulated
@@ -95,5 +100,56 @@ func TestProfileContextCancel(t *testing.T) {
 	}
 	if tuner.DB.SampleCount("kmeans") != 0 {
 		t.Fatal("canceled profile still recorded runs")
+	}
+}
+
+// TestProfileContextCancelKeepsGridPrefix cancels a four-wide profiling grid
+// part way through: the runs in flight finish, the rest are skipped, and the
+// DB must hold exactly a grid-order prefix of the full grid's harvests, bit
+// for bit the ones a sequential, uncanceled grid records.
+func TestProfileContextCancelKeepsGridPrefix(t *testing.T) {
+	harvests := func(ctx context.Context, width int, onRun func(n int64)) ([]string, error) {
+		var runs atomic.Int64
+		app := chopper.AppFunc{AppName: "prefix", Bytes: 1 << 26, Fn: func(sess *chopper.Session, bytes int64) error {
+			onRun(runs.Add(1))
+			data := sess.Generate("data", 0, bytes, func(split, total int) []chopper.Row {
+				var rows []chopper.Row
+				for i := split; i < 4000; i += total {
+					rows = append(rows, chopper.Pair{K: i % 97, V: float64(i)})
+				}
+				return rows
+			})
+			_, err := data.ReduceByKey(func(a, b any) any { return a.(float64) + b.(float64) }, 0).Collect()
+			return err
+		}}
+		tuner := chopper.NewTuner(func(c *session.Config) { c.GridWidth = width })
+		var got []string
+		tuner.DB.SetObserver(func(_ string, in float64, obs []core.StageObservation) {
+			got = append(got, fmt.Sprint(in, obs))
+		})
+		err := tuner.ProfileContext(ctx, app)
+		return got, err
+	}
+	full, err := harvests(context.Background(), 1, func(int64) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := harvests(ctx, 4, func(n int64) {
+		if n == 6 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled grid returned %v, want context.Canceled", err)
+	}
+	if len(got) < 6 || len(got) >= len(full) {
+		t.Fatalf("canceled grid harvested %d of %d runs, want at least the 6 started before the cancel and not all", len(got), len(full))
+	}
+	for i := range got {
+		if got[i] != full[i] {
+			t.Fatalf("harvest %d is not grid run %d:\n got  %s\n want %s", i, i, got[i], full[i])
+		}
 	}
 }

@@ -3,15 +3,19 @@ package chopper
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"chopper/internal/core"
 	"chopper/internal/dag"
+	"chopper/internal/experiments/driver"
+	"chopper/internal/metrics"
 	"chopper/internal/rdd"
 )
 
 // App is an application the Tuner can profile and optimize: it must build
 // and execute its pipeline on the given session, deterministically, at the
-// given logical input size.
+// given logical input size. A Tuner built from the public options calls Run
+// one run at a time, never concurrently.
 type App interface {
 	// Name keys the workload in the statistics database.
 	Name() string
@@ -77,28 +81,17 @@ func (t *Tuner) Profile(app App) error {
 }
 
 // ProfileContext is Profile with cancellation: the context is checked
-// between trial runs, so a canceled training request (chopperd's
-// per-request deadline) stops after the current run instead of finishing
-// the whole grid. Completed runs stay in the DB — each is a valid
-// observation on its own.
+// before each trial run, so a canceled training request (chopperd's
+// per-request deadline) stops after the runs in flight instead of finishing
+// the whole grid. The completed grid-order prefix stays in the DB — each is
+// a valid observation on its own.
 func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
+	type trial struct {
+		bytes int64
+		cfg   dag.StageConfigurator // nil: the default run, the cost reference
+	}
 	target := app.InputBytes()
-	run := func(bytes int64, cfg dag.StageConfigurator, isDefault bool) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("chopper: profile of %s canceled: %w", app.Name(), err)
-		}
-		opts := append([]Option{}, t.SessionOptions...)
-		sess := NewSession(opts...)
-		sess.sch.Configurator = cfg
-		if err := app.Run(sess, bytes); err != nil {
-			return fmt.Errorf("chopper: profile run of %s: %w", app.Name(), err)
-		}
-		sess.harvest(t.DB, app.Name(), float64(bytes), isDefault)
-		return nil
-	}
-	if err := run(target, nil, true); err != nil {
-		return err
-	}
+	trials := []trial{{bytes: target}}
 	schemes := []rdd.SchemeName{rdd.SchemeHash}
 	if t.Plan.Range {
 		schemes = append(schemes, rdd.SchemeRange)
@@ -107,26 +100,49 @@ func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
 		for _, scheme := range schemes {
 			for _, p := range t.Plan.Partitions {
 				cfg := &core.ForceAll{Spec: dag.SchemeSpec{Scheme: scheme, NumPartitions: p}}
-				if err := run(int64(frac*float64(target)), cfg, false); err != nil {
-					return err
-				}
+				trials = append(trials, trial{int64(frac * float64(target)), cfg})
 			}
 		}
 	}
-	return nil
+	// Harvesting into the DB is order-sensitive (float accumulation), so run
+	// i is harvested once runs 0..i have all completed, whatever order they
+	// finished in; a failed or skipped run ends the harvest there. Until its
+	// harvest a run keeps only what the harvest reads, not its engine.
+	type observed struct {
+		rec *core.Recorder
+		col *metrics.Collector
+	}
+	var mu sync.Mutex
+	runs := make([]observed, len(trials))
+	next := 0
+	_, err := driver.MapWith(configure(t.SessionOptions).GridWidth, len(trials), func(i int) (struct{}, error) {
+		if err := ctx.Err(); err != nil {
+			return struct{}{}, fmt.Errorf("chopper: profile of %s canceled: %w", app.Name(), err)
+		}
+		sess := NewSession(t.SessionOptions...)
+		sess.sch.Configurator = trials[i].cfg
+		if err := app.Run(sess, trials[i].bytes); err != nil {
+			return struct{}{}, fmt.Errorf("chopper: profile run of %s: %w", app.Name(), err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		runs[i] = observed{sess.rec, sess.col}
+		for ; next < len(runs) && runs[next].rec != nil; next++ {
+			runs[next].rec.Harvest(t.DB, app.Name(), float64(trials[next].bytes), runs[next].col, next == 0)
+			runs[next] = observed{}
+		}
+		return struct{}{}, nil
+	})
+	return err
 }
 
 // Optimize generates the workload configuration from the accumulated
 // statistics using Algorithm 3 (global optimization).
 func (t *Tuner) Optimize(app App) (*ConfigFile, error) {
+	sc := configure(t.SessionOptions)
 	o := core.NewOptimizer(t.DB)
-	for _, so := range t.SessionOptions {
-		var sc sessionConfig
-		so(&sc)
-		if sc.parallelism > 0 {
-			o.DefaultParallelism = sc.parallelism
-		}
-	}
+	o.DefaultParallelism = sc.Parallelism
+	o.OnViolation = sc.OnSchemeViolations
 	return o.GenerateConfig(app.Name(), float64(app.InputBytes()))
 }
 
