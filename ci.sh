@@ -2,8 +2,12 @@
 # ci.sh — the canonical verify pipeline for this repository.
 #
 # Tier-1 (ROADMAP.md) is `go build ./... && go test ./...`; this script is
-# the full gate: vet, the chopperlint determinism/correctness suite, the
-# chopperguard lock-contract/durability-protocol verifier, the test suite
+# the full gate: vet, chopperlint — the one static-analysis driver, which
+# loads the module once and runs every internal/lint rule family over it:
+# the determinism/correctness suite, the guard family's lock contracts and
+# durability protocol, the key-flow rules, and the heap family's hot-path
+# allocation budget against heapbudget.json, box-free F64 kernels, shuffle
+# buffer generation lifetimes and pre-sizable appends — the test suite
 # (with shuffled execution order, so inter-test state leaks cannot hide),
 # the exact-count pins rerun 20 times under GC pressure, the race detector
 # over every internal package, the built-ins' bit-exact pins and
@@ -19,11 +23,8 @@
 # against arbitrary source, the plan-IR invariant checker, and
 # the symbolic plan extractor, chopperplan — the static plan-drift gate
 # diffing statically extracted stage graphs against the ones the scheduler
-# submits — chopperkey, the static key-flow gate (flow-sensitive key lint
-# rules plus the key-fact drift diff against the runtime lineage) —
-# chopperheap, the static allocation-site and buffer-lifetime gate (hot-path
-# allocation budgets against heapbudget.json, box-free F64 kernels, shuffle
-# buffer generation lifetimes, pre-sizable appends) — chopperverify, the
+# submits — chopperkey, the key-fact drift gate (statically inferred key
+# facts diffed against the runtime lineage) — chopperverify, the
 # plan-IR and configuration verifiers run end to end over every built-in
 # workload — and a build+test of bench/, the nested benchmark module
 # `./...` does not reach. Every gate checks machine-independent facts only
@@ -31,11 +32,11 @@
 #
 # Every step must pass for a change to land. The gate CLIs exit non-zero
 # on any finding and share one wire-JSON schema (tool/rule/pos/msg/
-# severity); their per-tool artifacts are merged into lint.json at the
-# end. See DESIGN.md ("Determinism invariants & linting", "Plan-IR
-# invariants", "Static plan extraction", "Lock contracts & durability
-# protocol") for the rule catalogues and the //lint:ignore suppression
-# syntax (a suppression must carry a reason).
+# severity); chopperlint's array is kept as the lint.json artifact. See
+# DESIGN.md ("Determinism invariants & linting", "Plan-IR invariants",
+# "Static plan extraction", "Lock contracts & durability protocol") for
+# the rule catalogues and the //lint:ignore suppression syntax (a
+# suppression must carry a reason).
 #
 # Reachability census (run by hand, not a gate): build every production
 # entry point with coverage over the module, drive it, and list the
@@ -51,7 +52,7 @@
 #   for w in engine-compute engine-shuffle tune-sweep serve-read fleet-write; do
 #     $d/bench --workload $w --seconds 1 --trace 1 --outdir $d/out >/dev/null; done
 #   unreached with-bench
-#   for g in lint guard key heap; do $d/chopper$g ./...; done; for g in plan key verify; do $d/chopper$g -workload=all; done
+#   $d/chopperlint ./...; for g in plan key verify; do $d/chopper$g -workload=all; done
 #   unreached with-gates
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -89,10 +90,11 @@ gate "build"
 go build ./...
 
 gate "build gate CLIs"
-# Build the six gate binaries once into bin/ instead of `go run`-ing each
-# gate: one compile apiece, and the json-artifact steps reuse them.
+# Build the four gate binaries and the smoke daemon once into bin/ instead
+# of `go run`-ing each gate: one compile apiece, and no path outside the
+# checkout that concurrent runs could collide on.
 mkdir -p bin
-go build -o bin/ ./cmd/chopperlint ./cmd/chopperguard ./cmd/chopperplan ./cmd/chopperverify ./cmd/chopperkey ./cmd/chopperheap
+go build -o bin/ ./cmd/chopperlint ./cmd/chopperplan ./cmd/chopperverify ./cmd/chopperkey ./cmd/chopperd
 
 gate "gofmt"
 # Any file gofmt would rewrite fails the gate. gofmt walks directories, not
@@ -108,53 +110,22 @@ gate "vet"
 go vet ./...
 
 gate "chopperlint"
-bin/chopperlint ./...
+# Every rule family in one load, with findings on stderr and the sorted
+# wire-JSON array kept as lint.json for CI dashboards (byte-stable, so it
+# diffs across runs). The heap family's hotalloc gates hot-path allocation
+# sites against the committed heapbudget.json: a new site in anything
+# reachable from the wave/kernel/shuffle roots fails until audited with
+# `chopperlint -write-budget`. TestHeapBudgetMatchesSweep pins the budget
+# file to a fresh sweep, and cmd/chopperlint's TestOneRunReportsEveryFamily
+# is the deliberate-break check proving one run catches a planted finding
+# of each family.
+bin/chopperlint -json ./... > lint.json
 
 gate "chopperlint (self-analysis)"
 # The linter and the symbolic extractor must hold themselves to their own
 # rules; an explicit step so narrowing the sweep above can never silently
 # exempt them. Fixture files under testdata/ are skipped by the loader.
 bin/chopperlint ./internal/lint/... ./internal/plan/...
-
-gate "chopperguard"
-# Lock-contract and durability-protocol verification of the service layer:
-# guarded fields accessed under their mutex, copy-on-read accessors
-# returning deep copies, journal hooks inside the mutating write-lock
-# section, no ack-before-append, read-locked checks re-validated before
-# acting.
-bin/chopperguard ./...
-
-gate "chopperkey (lint)"
-# Static key-flow rules: divergent join key types (keydrift), partitioning
-# dropped before anything uses it (shufflewaste), provably constant or
-# tiny-cardinality shuffle keys (constkey), plus the stale-suppression
-# audit scoped to the key rules.
-bin/chopperkey ./...
-
-gate "chopperheap"
-# Static allocation-site and buffer-lifetime rules: hot-path allocation
-# sites gated against the committed heapbudget.json (hotalloc — a new site
-# in anything reachable from the wave/kernel/shuffle roots fails until
-# audited with `chopperheap -write-budget`), boxed fallbacks or in-loop
-# float64 boxing inside the typed F64 kernel regions (boxf64), shuffle
-# arena views escaping their generation (genlife), and pre-sizable
-# append ladders (prealloc). TestHeapBudgetMatchesSweep pins the budget
-# file to a fresh sweep, and TestPlantedHeapViolations is the
-# deliberate-break check proving this gate catches a planted boxed F64
-# call and a planted escaping arena column.
-bin/chopperheap ./...
-
-gate "wire-JSON artifacts"
-# Machine-readable diagnostics for CI dashboards, one artifact per tool in
-# the shared wire schema, merged (sorted, deduplicated) into lint.json;
-# byte-stable ordering, so every artifact is diffable across runs. The
-# static tools are clean here (they just gated above); the artifacts exist
-# so downstream tooling has one fixed place to look.
-bin/chopperlint -json ./... > chopperlint.json
-bin/chopperguard -json ./... > chopperguard.json
-bin/chopperkey -json ./... > chopperkey.json
-bin/chopperheap -json ./... > chopperheap.json
-bin/chopperlint -merge chopperlint.json chopperguard.json chopperkey.json chopperheap.json > lint.json
 
 gate "test (shuffled)"
 go test -shuffle=on ./...
@@ -196,8 +167,7 @@ gate "chopperd smoke"
 # survive a 64-way mixed burst with zero drops, SIGKILL and verify the
 # journal replays to a byte-identical recommendation, then SIGTERM with a
 # job in flight and verify the clean drain + snapshot restart.
-go build -o /tmp/chopperd.ci ./cmd/chopperd
-go run ./cmd/chopperload -smoke -chopperd /tmp/chopperd.ci
+go run ./cmd/chopperload -smoke -chopperd bin/chopperd
 
 gate "chopperfleet smoke"
 # Fleet deployment gate: spawn a real 2-shard fleet (two primaries plus a
@@ -206,7 +176,7 @@ gate "chopperfleet smoke"
 # zero client-visible errors, advance the primary's journal while the
 # replica is down, then restart it and verify it catches up from its last
 # durable position to a byte-identical recommendation.
-go run ./cmd/chopperload -fleet-smoke -chopperd /tmp/chopperd.ci
+go run ./cmd/chopperload -fleet-smoke -chopperd bin/chopperd
 
 gate "fuzz (5s)"
 go test -run='^$' -fuzz=FuzzEngineMatchesOracle -fuzztime=5s ./internal/exec

@@ -1,28 +1,20 @@
-// Command chopperkey is the static key-flow gate. It has two halves:
-//
-//  1. a lint sweep: the three flow-sensitive key rules (keydrift,
-//     shufflewaste, constkey) run over the module's non-test packages,
-//     together with the suppression audit so stale lint:ignore
-//     directives naming key rules are reported; and
-//  2. a key-fact drift gate (-workload): the symbolic evaluator
-//     (internal/plan/extract) derives per-RDD KeyFacts for every job of
-//     the selected workloads, the workload runs for real on a shrunk
-//     dataset, and the statically predicted key shapes — operator, keyed
-//     state, partitioner presence/scheme/identity-group, dependency
-//     kinds — are diffed node-for-node against the runtime lineage.
+// Command chopperkey is the key-fact drift gate. The symbolic evaluator
+// (internal/plan/extract) derives per-RDD KeyFacts for every job of the
+// selected workloads, the workload runs for real on a shrunk dataset, and
+// the statically predicted key shapes — operator, keyed state, partitioner
+// presence/scheme/identity-group, dependency kinds — are diffed
+// node-for-node against the runtime lineage.
 //
 // Any divergence means the KeyFacts lattice no longer models what the
-// rdd layer actually builds, which would silently poison both the lint
-// rules and the cold-start seeding that consume it.
+// rdd layer actually builds, which would silently poison both the key-flow
+// lint rules (run by chopperlint) and the cold-start seeding that consume
+// it.
 //
 // Usage:
 //
-//	chopperkey [-json] [-workload=none|all|kmeans|pca|sql|pagerank] [-shrink=N] [packages]
+//	chopperkey [-json] [-workload=all|kmeans|pca|sql|pagerank] [-shrink=N]
 //
-// Packages default to ./... relative to the enclosing module root and
-// scope only the lint half; -workload=none skips the drift half (the
-// default is none so the bare invocation stays fast for editors). The
-// -json flag emits all findings on stdout in the unified wire schema
+// The -json flag emits all findings on stdout in the unified wire schema
 // shared by the gate CLIs (tool/rule/pos/msg/severity); human-readable
 // lines move to stderr. Exit status: 0 clean, 1 findings, 2 error.
 package main
@@ -31,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"chopper"
 	"chopper/internal/core"
@@ -43,10 +34,13 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings on stdout in the unified wire-JSON schema")
-	workload := flag.String("workload", "none", "workloads to key-fact drift gate (none, all, kmeans, pca, sql, pagerank)")
+	workload := flag.String("workload", "all", "workloads to key-fact drift gate (all, kmeans, pca, sql, pagerank)")
 	shrink := flag.Int("shrink", 6, "dataset shrink factor for the runtime half of the drift gate")
 	flag.Parse()
-	os.Exit(run(flag.Args(), *jsonOut, *workload, *shrink))
+	if flag.NArg() > 0 {
+		os.Exit(fail(fmt.Errorf("takes no package arguments; the key-flow lint rules run under chopperlint")))
+	}
+	os.Exit(run(*jsonOut, *workload, *shrink))
 }
 
 // reporter accumulates findings in the unified wire schema while printing
@@ -68,15 +62,10 @@ func (r *reporter) finding(rule, pos, msg string) {
 	_, _ = fmt.Fprintf(out, "%s: %s: %s\n", pos, rule, msg)
 }
 
-func run(patterns []string, jsonOut bool, workload string, shrink int) int {
+func run(jsonOut bool, workload string, shrink int) int {
 	r := &reporter{json: jsonOut}
-	if err := lintSweep(patterns, r); err != nil {
+	if err := driftGate(workload, shrink, r); err != nil {
 		return fail(err)
-	}
-	if workload != "none" {
-		if err := driftGate(workload, shrink, r); err != nil {
-			return fail(err)
-		}
 	}
 	if jsonOut {
 		if err := lint.WriteWire(os.Stdout, r.wire); err != nil {
@@ -88,49 +77,6 @@ func run(patterns []string, jsonOut bool, workload string, shrink int) int {
 		return 1
 	}
 	return 0
-}
-
-// lintSweep runs the key rule family over the matched packages.
-func lintSweep(patterns []string, r *reporter) error {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		return err
-	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		return err
-	}
-	prog, err := lint.NewProgram(root)
-	if err != nil {
-		return err
-	}
-	dirs, err := prog.Loader.Match(patterns)
-	if err != nil {
-		return err
-	}
-	if len(dirs) == 0 {
-		return fmt.Errorf("no packages match %v", patterns)
-	}
-	var diags []lint.Diagnostic
-	for _, dir := range dirs {
-		pkg, err := prog.Package(dir)
-		if err != nil {
-			return err
-		}
-		diags = append(diags, lint.Run(pkg, lint.Key())...)
-	}
-	for i := range diags {
-		if rel, err := filepath.Rel(root, diags[i].File); err == nil {
-			diags[i].File = rel
-		}
-	}
-	for _, d := range lint.SortDiagnostics(diags) {
-		r.finding(d.Rule, fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col), d.Message)
-	}
-	return nil
 }
 
 // driftGate extracts KeyFacts for each selected workload, runs it for

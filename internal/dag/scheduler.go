@@ -105,12 +105,6 @@ type Scheduler struct {
 	// stage runs. internal/plan/verify provides the standard implementations:
 	// a strict hook for tests and a logging hook for production sessions.
 	Verify func(result *Stage, topo []*Stage) error
-
-	// RangeSampleSplits bounds how many map partitions are sampled when
-	// materializing range-partitioner bounds. Zero or negative samples every
-	// split (Spark samples all partitions; a subset of a range-partitioned
-	// parent would be a badly clustered sample).
-	RangeSampleSplits int
 }
 
 // NewScheduler creates a scheduler bound to a context and stage runner,
@@ -312,16 +306,11 @@ func (s *Scheduler) prepareRangeBounds(target *rdd.RDD, st *Stage) error {
 	if len(rp.Bounds()) > 0 {
 		return nil
 	}
+	// Every split is sampled, as Spark does: a subset of a range-partitioned
+	// parent would be a badly clustered sample.
 	n := dep.P.NumParts
-	step := 1
-	if s.RangeSampleSplits > 0 {
-		step = n / s.RangeSampleSplits
-		if step < 1 {
-			step = 1
-		}
-	}
 	var parts [][]rdd.Row
-	for split := 0; split < n; split += step {
+	for split := 0; split < n; split++ {
 		rows, err := s.runner.Materialize(dep.P, split)
 		if err != nil {
 			return fmt.Errorf("dag: range sampling: %w", err)

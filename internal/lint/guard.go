@@ -1,4 +1,4 @@
-// guard.go is the shared machinery of the chopperguard rule family
+// guard.go is the shared machinery of the guard rule family
 // (lockcontract, copyescape, journalorder, tocou): discovery of
 // mutex-guarded struct types, write-based inference of which field each
 // mutex guards, a flow-sensitive held-lock dataflow with interprocedural
@@ -18,7 +18,7 @@ import (
 	"chopper/internal/lint/ssa"
 )
 
-// guardAnalysisPackages are the packages chopperguard emits diagnostics
+// guardAnalysisPackages are the packages the guard family emits diagnostics
 // for: the ones whose locking/durability contracts the rules encode.
 var guardAnalysisPackages = []string{
 	"chopper/internal/core",
@@ -215,7 +215,7 @@ type gEvent struct {
 	bkey  string // bind: the read lock's key
 }
 
-// guardProgram is the whole-program chopperguard fact, computed once per
+// guardProgram is the whole-program guard fact, computed once per
 // Program (or per package for fixture loads).
 type guardProgram struct {
 	fset  *token.FileSet
@@ -249,7 +249,7 @@ func guardProgramFor(f *File) *guardProgram {
 		return nil
 	}
 	if prog := f.Pkg.Prog; prog != nil {
-		v := prog.Fact("chopperguard", func() any {
+		v := prog.Fact("guard", func() any {
 			var analysis, all []*Package
 			for _, path := range guardCallPackages {
 				pkg, err := prog.PackageByPath(path)

@@ -1,4 +1,4 @@
-// guard_alias.go is chopperguard's value-freshness analysis: a
+// guard_alias.go is the guard family's value-freshness analysis: a
 // flow-sensitive alias lattice over each function's CFG proving that a
 // value carries no pointer back into guarded state. copyescape uses it to
 // verify copy-on-read accessors return deep copies; lockcontract uses the

@@ -9,7 +9,7 @@ import (
 	"chopper/internal/lint"
 )
 
-// FuzzLockContract throws arbitrary Go source at the chopperguard pipeline
+// FuzzLockContract throws arbitrary Go source at the guard pipeline
 // (type discovery, guard inference, the lock dataflow, and all four rule
 // checks) and asserts two properties: the analyzers never panic, and two
 // independent loads of the same source produce byte-identical findings —

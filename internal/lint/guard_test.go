@@ -8,7 +8,7 @@ import (
 )
 
 // TestGuardRuleNames pins the -rules surface: every guard rule resolves by
-// name alongside the chopperlint suite.
+// name alongside the determinism suite.
 func TestGuardRuleNames(t *testing.T) {
 	names := []string{"lockcontract", "copyescape", "journalorder", "tocou", "walltime"}
 	as, err := lint.ByName(names)
@@ -33,8 +33,8 @@ func TestGuardRuleNames(t *testing.T) {
 // severity downgrade.
 func TestWireSchema(t *testing.T) {
 	d := lint.Diagnostic{File: "x.go", Line: 3, Col: 9, Rule: "lockcontract", Message: "m"}
-	w := lint.Wire("chopperguard", d)
-	if w.Tool != "chopperguard" || w.Rule != "lockcontract" || w.Pos != "x.go:3:9" || w.Msg != "m" || w.Severity != "error" {
+	w := lint.Wire("chopperlint", d)
+	if w.Tool != "chopperlint" || w.Rule != "lockcontract" || w.Pos != "x.go:3:9" || w.Msg != "m" || w.Severity != "error" {
 		t.Fatalf("unexpected wire form: %+v", w)
 	}
 	d.Rule = "suppression"
@@ -43,14 +43,14 @@ func TestWireSchema(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := lint.WriteJSONTool(&b, "chopperguard", nil); err != nil {
+	if err := lint.WriteJSONTool(&b, "chopperlint", nil); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(b.String()) != "[]" {
 		t.Fatalf("empty finding set must serialize as [], got %q", b.String())
 	}
 	b.Reset()
-	if err := lint.WriteJSONTool(&b, "chopperguard", []lint.Diagnostic{d}); err != nil {
+	if err := lint.WriteJSONTool(&b, "chopperlint", []lint.Diagnostic{d}); err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{`"tool"`, `"rule"`, `"pos"`, `"msg"`, `"severity"`} {

@@ -1,10 +1,10 @@
-// heap.go is the core of the chopperheap rule family (hotalloc, boxf64,
+// heap.go is the core of the heap rule family (hotalloc, boxf64,
 // genlife, prealloc): static allocation-site and buffer-lifetime analysis
 // of the wave hot path. ROADMAP item 4 (columnar arenas, GC out of the
 // wave loop) needs a contract before an implementation — the AllocsPerRun
 // tests catch allocation regressions at runtime for the shapes they pin, but
 // nothing stops a PR from quietly re-boxing the f64 kernels or retaining a
-// slice of a generation-invalidated shuffle buffer. chopperheap makes
+// slice of a generation-invalidated shuffle buffer. The heap family makes
 // those regressions fail CI deterministically; see DESIGN.md §6f.
 //
 // This file implements hotalloc: allocation sites (make, append growth,
@@ -30,7 +30,7 @@ import (
 	"strings"
 )
 
-// heapAnalysisPackages are the packages chopperheap emits diagnostics for:
+// heapAnalysisPackages are the packages the heap family emits diagnostics for:
 // the wave hot path (engine, kernels, shuffle state) plus the DAG layer
 // the scheduler walks per wave.
 var heapAnalysisPackages = []string{
@@ -51,7 +51,7 @@ var heapCallPackages = []string{
 }
 
 // HeapBudgetFile is the committed per-function allocation-site budget,
-// relative to the module root. Regenerate with `chopperheap -write-budget`
+// relative to the module root. Regenerate with `chopperlint -write-budget`
 // after auditing any new site.
 const HeapBudgetFile = "heapbudget.json"
 
@@ -122,7 +122,7 @@ func (hf *heapFunc) body() *ast.BlockStmt {
 	return hf.lit.Body
 }
 
-// heapProgram is the whole-program chopperheap fact, computed once per
+// heapProgram is the whole-program heap fact, computed once per
 // Program (or per package for fixture loads).
 type heapProgram struct {
 	fset  *token.FileSet
@@ -137,7 +137,7 @@ type heapProgram struct {
 
 // heapProgramOf returns the shared whole-program fact for prog.
 func heapProgramOf(prog *Program) *heapProgram {
-	v := prog.Fact("chopperheap", func() any {
+	v := prog.Fact("heap", func() any {
 		var analysis, all []*Package
 		for _, path := range heapCallPackages {
 			pkg, err := prog.PackageByPath(path)
@@ -650,7 +650,7 @@ func countsString(m map[string]int) string {
 // budget and emits one hotalloc diagnostic per out-of-budget function,
 // anchored at its declaration. Growth means a new allocation site landed
 // in a hot path; shrinkage means the budget is stale — both ask for an
-// audited `chopperheap -write-budget` run so the committed file always
+// audited `chopperlint -write-budget` run so the committed file always
 // matches a fresh sweep.
 func (hp *heapProgram) gateBudget(budget map[string]map[string]int, note string) {
 	for _, name := range hp.order {
@@ -666,7 +666,7 @@ func (hp *heapProgram) gateBudget(budget map[string]map[string]int, note string)
 				continue // allocation-free hot function needs no entry
 			}
 			hp.diag(hf.pos(), "hotalloc", fmt.Sprintf(
-				"hot-path function %s (reachable from %s) has %d allocation site(s) [%s] but no %s entry%s; audit the sites and run `chopperheap -write-budget`",
+				"hot-path function %s (reachable from %s) has %d allocation site(s) [%s] but no %s entry%s; audit the sites and run `chopperlint -write-budget`",
 				hf.display, root, len(hf.sites), countsString(got), HeapBudgetFile, note))
 			continue
 		}
@@ -694,11 +694,11 @@ func (hp *heapProgram) gateBudget(budget map[string]map[string]int, note string)
 		switch {
 		case len(grew) > 0:
 			hp.diag(hf.pos(), "hotalloc", fmt.Sprintf(
-				"new allocation site(s) in hot-path function %s (reachable from %s): %s over the %s budget; remove the allocation or audit and run `chopperheap -write-budget`",
+				"new allocation site(s) in hot-path function %s (reachable from %s): %s over the %s budget; remove the allocation or audit and run `chopperlint -write-budget`",
 				hf.display, root, strings.Join(grew, ", "), HeapBudgetFile))
 		case len(shrank) > 0:
 			hp.diag(hf.pos(), "hotalloc", fmt.Sprintf(
-				"stale %s entry for %s: %s below budget; run `chopperheap -write-budget` to re-commit the tightened budget",
+				"stale %s entry for %s: %s below budget; run `chopperlint -write-budget` to re-commit the tightened budget",
 				HeapBudgetFile, hf.display, strings.Join(shrank, ", ")))
 		}
 	}
@@ -717,7 +717,7 @@ type heapBudgetFile struct {
 	Functions map[string]map[string]int `json:"functions"`
 }
 
-const heapBudgetNote = "per-function allocation-site budget for hot-path code; regenerate with `go run ./cmd/chopperheap -write-budget` after auditing any change"
+const heapBudgetNote = "per-function allocation-site budget for hot-path code; regenerate with `go run ./cmd/chopperlint -write-budget` after auditing any change"
 
 // loadHeapBudget reads the committed budget; a missing or unreadable file
 // yields an empty budget plus a note appended to the resulting findings.
@@ -735,7 +735,7 @@ func loadHeapBudget(path string) (map[string]map[string]int, string) {
 
 // HeapBudgetJSON computes a fresh allocation-site budget for the module
 // loaded through prog and returns its canonical serialization — the bytes
-// `chopperheap -write-budget` commits, and the bytes the committed file
+// `chopperlint -write-budget` commits, and the bytes the committed file
 // must equal (TestHeapBudgetMatchesSweep).
 func HeapBudgetJSON(prog *Program) ([]byte, error) {
 	hp := heapProgramOf(prog)

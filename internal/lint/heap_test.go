@@ -13,7 +13,7 @@ import (
 )
 
 // TestHeapBudgetMatchesSweep pins the committed heapbudget.json to a fresh
-// sweep: the file must be byte-identical to what `chopperheap
+// sweep: the file must be byte-identical to what `chopperlint
 // -write-budget` would emit, so a hot-path allocation change cannot land
 // without regenerating (and thereby re-auditing) the budget.
 func TestHeapBudgetMatchesSweep(t *testing.T) {
@@ -27,15 +27,15 @@ func TestHeapBudgetMatchesSweep(t *testing.T) {
 	}
 	got, err := os.ReadFile(filepath.Join(prog.Loader.ModRoot, lint.HeapBudgetFile))
 	if err != nil {
-		t.Fatalf("committed budget missing (run `go run ./cmd/chopperheap -write-budget`): %v", err)
+		t.Fatalf("committed budget missing (run `go run ./cmd/chopperlint -write-budget`): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s is out of date with the tree; run `go run ./cmd/chopperheap -write-budget`\n--- committed ---\n%s--- fresh sweep ---\n%s", lint.HeapBudgetFile, got, want)
+		t.Errorf("%s is out of date with the tree; run `go run ./cmd/chopperlint -write-budget`\n--- committed ---\n%s--- fresh sweep ---\n%s", lint.HeapBudgetFile, got, want)
 	}
 }
 
 // TestStaleHeapSuppression pins the satellite requirement that the
-// suppression audit covers all four chopperheap rules: a lint:ignore
+// suppression audit covers all four heap-family rules: a lint:ignore
 // naming one of them that matches no finding must be reported as stale.
 func TestStaleHeapSuppression(t *testing.T) {
 	diags := plantModule(t, "internal/exec", `package exec
@@ -65,7 +65,7 @@ func d() int { return 4 }
 }
 
 // TestPlantedHeapViolations is the deliberate-break check from the issue,
-// backing the ci.sh chopperheap gate: a boxed hook call planted inside a
+// backing the ci.sh chopperlint gate: a boxed hook call planted inside a
 // typed F64 region fires boxf64, and an arena column planted into a
 // heap-lived field fires genlife, both with file:line positions.
 func TestPlantedHeapViolations(t *testing.T) {
@@ -208,10 +208,12 @@ func TestHeapBudgetGate(t *testing.T) {
 // concurrently against one fresh lint.Program and checks the combined
 // output is byte-identical to a sequential run on the shared one: the Fact
 // cache must be safe under concurrent whole-program fact computation (this
-// runs under -race in CI).
+// runs under -race in CI). The fresh Program starts with empty package and
+// fact caches but shares the loader, so the standard library is not
+// type-checked a second time.
 func TestProgramConcurrentRuleFamilies(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks the whole module repeatedly")
+		t.Skip("type-checks the whole module")
 	}
 	families := map[string][]*lint.Analyzer{
 		"guard": lint.Guard(),
@@ -249,10 +251,7 @@ func TestProgramConcurrentRuleFamilies(t *testing.T) {
 		sequential[name] = out
 	}
 
-	conProg, err := lint.NewProgram(seqProg.Loader.ModRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conProg := lint.NewProgramFrom(seqProg.Loader)
 	var (
 		wg         sync.WaitGroup
 		mu         sync.Mutex
@@ -324,7 +323,7 @@ func heapFindings(t *testing.T, src string) (string, bool) {
 	return b.String(), true
 }
 
-// FuzzHeapFacts throws arbitrary Go source at the chopperheap pipeline —
+// FuzzHeapFacts throws arbitrary Go source at the heap-family pipeline —
 // call-graph construction, hot-reachability, allocation-site and boxing
 // enumeration, the F64 region scan, the lifetime taint fixpoint, and the
 // prealloc shape match — and asserts no panics and byte-identical

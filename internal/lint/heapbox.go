@@ -1,4 +1,4 @@
-// heapbox.go implements boxf64, the chopperheap rule keeping the typed
+// heapbox.go implements boxf64, the heap-family rule keeping the typed
 // F64 kernel fast paths (PR 4) box-free: inside a region guarded by an
 // `agg.CreateF64 != nil`-style check, calling the boxed counterpart hook
 // (Create/MergeValue/MergeCombiners on the same base) or boxing a float64

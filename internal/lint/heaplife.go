@@ -1,4 +1,4 @@
-// heaplife.go implements genlife, the chopperheap buffer-lifetime rule
+// heaplife.go implements genlife, the heap-family buffer-lifetime rule
 // for generation-scoped shuffle memory. Views handed out by
 // shuffle.Manager.ReduceInput (and the reduce-major index they are
 // sub-slices of) alias the map tasks' columnar arenas and are only valid

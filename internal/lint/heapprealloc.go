@@ -1,4 +1,4 @@
-// heapprealloc.go implements prealloc, the chopperheap rule for
+// heapprealloc.go implements prealloc, the heap-family rule for
 // statically pre-sizable appends: a slice declared empty and then
 // appended to exactly once per element of a ranged-over collection grows
 // through the whole make/grow/copy ladder when `make(T, 0, len(coll))`

@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// This file holds the shared key-expression model of the chopperkey family:
+// This file holds the shared key-expression model of the key family:
 // a canonicalizer that renders the expression producing a pair key into a
 // position-independent provenance string, and a cardinality classifier that
 // bounds how many distinct values the expression can take. Both the

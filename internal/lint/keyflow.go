@@ -9,7 +9,7 @@ import (
 	"chopper/internal/lint/ssa"
 )
 
-// This file implements the chopperkey rule family: flow-sensitive key
+// This file implements the key rule family: flow-sensitive key
 // provenance tracking over RDD pipelines. The analysis abstractly executes
 // every RDD method chain in a function body on the SSA-lite CFG, carrying
 // per-variable key summaries (KeyExpr from keyexpr.go) and live partitionBy

@@ -10,8 +10,8 @@ import (
 )
 
 // TestStaleKeySuppression pins the satellite requirement that the
-// suppression audit covers the chopperkey rules: a lint:ignore naming a
-// chopperkey rule that matches no finding must be reported as stale.
+// suppression audit covers the key rules: a lint:ignore naming a
+// key rule that matches no finding must be reported as stale.
 func TestStaleKeySuppression(t *testing.T) {
 	diags := plantModule(t, "internal/workloads", `package workloads
 
@@ -29,7 +29,7 @@ func Nothing() int { return 4 }
 
 // TestPlantedKeyViolation is the deliberate-break check from the issue:
 // a constant-key shuffle planted in internal/workloads must be reported
-// with a file:line position, proving the ci.sh chopperkey gate would
+// with a file:line position, proving the ci.sh chopperlint gate would
 // catch the regression.
 func TestPlantedKeyViolation(t *testing.T) {
 	src := `package workloads
@@ -104,7 +104,7 @@ func (r *RDD) SumFloat() (float64, error)                                { retur
 func (r *RDD) Collect() ([]Row, error)                                   { return nil, nil }
 `
 
-// FuzzKeyFacts throws arbitrary Go source at the chopperkey pipeline (key
+// FuzzKeyFacts throws arbitrary Go source at the key-family pipeline (key
 // expression scanning, the flow-sensitive fixpoint, and all three rules)
 // and asserts the same two properties as FuzzLockContract: no panics, and
 // byte-identical findings across two independent loads.

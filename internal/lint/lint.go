@@ -1,5 +1,6 @@
-// Package lint implements chopperlint, the repository's determinism and
-// correctness static-analysis suite. The simulator's headline guarantee —
+// Package lint implements the four rule families cmd/chopperlint runs over
+// the module from one shared load (Program). The first is the determinism
+// and correctness suite (Determinism). The simulator's headline guarantee —
 // identical DAGs, seeds and topology produce bit-identical stage timings —
 // only holds if the engine never reads the wall clock, never draws from the
 // global (unseeded) math/rand stream, and never lets Go's randomized map
@@ -31,8 +32,8 @@
 // The last three rules run on the SSA-lite IR (internal/lint/ssa): basic
 // blocks with edge-labeled branch conditions and a lattice dataflow engine.
 //
-// A second family, chopperguard (Guard), verifies the concurrency and
-// durability contracts of the service layer on the same IR:
+// The guard family (Guard) verifies the concurrency and durability
+// contracts of the service layer on the same IR:
 //
 //	lockcontract — guarded fields (inferred from write-under-lock evidence)
 //	               must be accessed with their mutex held, write mode for
@@ -44,6 +45,12 @@
 //	               the request was acknowledged
 //	tocou        — a decision from a read-locked load must be re-checked
 //	               under the write lock before acting (TOCTOU)
+//
+// The key family (Key) tracks key provenance through RDD pipelines
+// (keydrift, shufflewaste, constkey; see keyflow.go), and the heap family
+// (Heap) gates allocation sites and buffer lifetimes on the wave hot path
+// against the committed heapbudget.json (hotalloc, boxf64, genlife,
+// prealloc; see heap.go). All returns the four families together.
 //
 // Findings can be suppressed with a trailing or preceding comment of the
 // form `//lint:ignore <rule> <reason>`; the reason is mandatory, and the
@@ -61,6 +68,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -134,59 +142,48 @@ type Analyzer struct {
 	Run  func(f *File) []Diagnostic
 }
 
-// All returns every analyzer in the suite, in reporting order.
-func All() []*Analyzer {
+// Determinism returns the determinism and correctness suite: the rules
+// that keep identical inputs producing bit-identical simulated timings.
+func Determinism() []*Analyzer {
 	return []*Analyzer{WallTime, GlobalRand, MapOrder, DroppedErr, ClosureCapture, SharedEscape, LockOrder, NilFlow, CtxLeak}
 }
 
-// Guard returns the chopperguard rule family: lock-contract and
-// durability-protocol verification of the core/service packages. Kept out
-// of All() — these rules are scoped to their contract-bearing packages and
-// ship as their own CLI (cmd/chopperguard).
+// Guard returns the guard family: lock-contract and durability-protocol
+// verification, scoped to the contract-bearing core, fleet and service
+// packages (see guard.go).
 func Guard() []*Analyzer {
 	return []*Analyzer{LockContract, CopyEscape, JournalOrder, Tocou}
 }
 
-// Key returns the chopperkey rule family: flow-sensitive key-provenance
-// and co-partitioning analysis of RDD pipelines (see keyflow.go). Shipped
-// as its own CLI (cmd/chopperkey) alongside the symbolic KeyFacts tracker
-// in internal/plan/extract.
+// Key returns the key family: flow-sensitive key-provenance and
+// co-partitioning analysis of RDD pipelines (see keyflow.go).
 func Key() []*Analyzer {
 	return []*Analyzer{KeyDriftRule, ShuffleWaste, ConstKey}
 }
 
-// Heap returns the chopperheap rule family: static allocation-site and
-// buffer-lifetime analysis of the wave hot path (see heap.go, heapbox.go,
-// heaplife.go, heapprealloc.go). Shipped as its own CLI (cmd/chopperheap)
-// with the committed per-function budget in heapbudget.json.
+// Heap returns the heap family: static allocation-site and buffer-lifetime
+// analysis of the wave hot path (see heap.go, heapbox.go, heaplife.go,
+// heapprealloc.go), gated against the committed budget in heapbudget.json.
 func Heap() []*Analyzer {
 	return []*Analyzer{HotAlloc, BoxF64, GenLife, PreAlloc}
 }
 
-// ByName resolves analyzer names (the -rules flag) to analyzers, across
-// the chopperlint suite and the chopperguard, chopperkey, and chopperheap
-// families.
+// All returns every analyzer of the four families, in reporting order:
+// the set cmd/chopperlint runs by default.
+func All() []*Analyzer {
+	return slices.Concat(Determinism(), Guard(), Key(), Heap())
+}
+
+// ByName resolves analyzer names (the -rules flag) to analyzers of All.
 func ByName(names []string) ([]*Analyzer, error) {
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	for _, a := range Guard() {
-		byName[a.Name] = a
-	}
-	for _, a := range Key() {
-		byName[a.Name] = a
-	}
-	for _, a := range Heap() {
-		byName[a.Name] = a
-	}
+	all := All()
 	var out []*Analyzer
 	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
+		i := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == n })
+		if i < 0 {
 			return nil, fmt.Errorf("lint: unknown rule %q", n)
 		}
-		out = append(out, a)
+		out = append(out, all[i])
 	}
 	return out, nil
 }
@@ -343,8 +340,8 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 }
 
 // WireDiagnostic is the unified machine-readable finding schema shared by
-// every gate CLI (chopperlint, chopperguard, chopperverify, chopperplan);
-// ci.sh merges the per-tool arrays into one lint.json artifact.
+// every gate CLI (chopperlint, chopperkey, chopperplan, chopperverify);
+// ci.sh keeps chopperlint's array as the lint.json artifact.
 type WireDiagnostic struct {
 	Tool     string `json:"tool"`
 	Rule     string `json:"rule"`

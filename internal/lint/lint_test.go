@@ -220,12 +220,12 @@ func runOverRepo(t *testing.T, prog *lint.Program, analyzers []*lint.Analyzer) [
 }
 
 // TestRepoIsClean runs every rule family over the real tree — the
-// chopperlint suite, the chopperguard lock and durability contracts, the
-// chopperkey key-flow rules and the chopperheap allocation rules — so `go
-// test ./...` alone catches what the ci.sh gates enforce. One shared
-// Program serves all four, as it does in chopperlint: the whole-program
-// lockorder graph spans the scheduler/engine/shuffle packages instead of
-// degrading to per-package scope.
+// determinism suite, the guard lock and durability contracts, the key-flow
+// rules and the heap allocation rules — so `go test ./...` alone catches
+// what the ci.sh chopperlint gate enforces. One shared Program serves all
+// four, as it does in chopperlint: the whole-program lockorder graph spans
+// the scheduler/engine/shuffle packages instead of degrading to
+// per-package scope.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -235,7 +235,7 @@ func TestRepoIsClean(t *testing.T) {
 		name      string
 		analyzers []*lint.Analyzer
 	}{
-		{"lint", lint.All()},
+		{"lint", lint.Determinism()},
 		{"guard", lint.Guard()},
 		{"key", lint.Key()},
 		{"heap", lint.Heap()},

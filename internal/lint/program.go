@@ -28,12 +28,20 @@ func NewProgram(dir string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewProgramFrom(ld), nil
+}
+
+// NewProgramFrom creates a program with empty package and fact caches over
+// an existing loader, reusing every import it has already type-checked (the
+// standard library above all). A Loader is not safe for concurrent use, so
+// programs sharing one must not load packages at the same time.
+func NewProgramFrom(ld *Loader) *Program {
 	return &Program{
 		Loader: ld,
 		pkgs:   map[string]*Package{},
 		errs:   map[string]error{},
 		facts:  map[string]any{},
-	}, nil
+	}
 }
 
 // Package loads (or returns the cached load of) the package in dir. The
