@@ -232,7 +232,7 @@ func DefaultCostParams() CostParams {
 
 // MemPressurePenalty returns the compute multiplier for a task that reads
 // inputBytes of (logical) data.
-func (p CostParams) MemPressurePenalty(inputBytes float64) float64 {
+func (p *CostParams) MemPressurePenalty(inputBytes float64) float64 {
 	if p.MemPressureBytes <= 0 || inputBytes <= p.MemPressureBytes {
 		return 1.0
 	}
@@ -247,7 +247,7 @@ func (p CostParams) MemPressurePenalty(inputBytes float64) float64 {
 // NetSecPerByte returns the per-byte transfer time between two nodes: the
 // bottleneck of the two links, discounted by NetEfficiency. Transfers to the
 // same node are free (handled by the caller as local reads).
-func (p CostParams) NetSecPerByte(a, b *Node) float64 {
+func (p *CostParams) NetSecPerByte(a, b *Node) float64 {
 	gbps := a.LinkGbps
 	if b.LinkGbps < gbps {
 		gbps = b.LinkGbps
@@ -260,23 +260,23 @@ func (p CostParams) NetSecPerByte(a, b *Node) float64 {
 }
 
 // DiskReadSec converts a read volume in bytes to seconds of disk time.
-func (p CostParams) DiskReadSec(bytes float64) float64 { return bytes / (p.DiskReadMBps * 1e6) }
+func (p *CostParams) DiskReadSec(bytes float64) float64 { return bytes / (p.DiskReadMBps * 1e6) }
 
 // DiskWriteSec converts a write volume in bytes to seconds of disk time.
-func (p CostParams) DiskWriteSec(bytes float64) float64 { return bytes / (p.DiskWriteMBps * 1e6) }
+func (p *CostParams) DiskWriteSec(bytes float64) float64 { return bytes / (p.DiskWriteMBps * 1e6) }
 
 // MemReadSec converts cached-read byte volumes to seconds.
-func (p CostParams) MemReadSec(bytes float64) float64 { return bytes / (p.MemReadGBps * 1e9) }
+func (p *CostParams) MemReadSec(bytes float64) float64 { return bytes / (p.MemReadGBps * 1e9) }
 
 // ComputeSec converts processed logical bytes into seconds on the given node
 // for an operator chain with the given aggregate cost factor.
-func (p CostParams) ComputeSec(bytes, costFactor float64, n *Node) float64 {
+func (p *CostParams) ComputeSec(bytes, costFactor float64, n *Node) float64 {
 	return bytes / 1e9 * p.ComputeSecPerGBPerGHz * costFactor / n.SpeedGHz
 }
 
 // Jitter returns the deterministic duration multiplier for task (stage,
 // split): uniform in [1-TaskJitterFrac, 1+TaskJitterFrac].
-func (p CostParams) Jitter(stageID, split int) float64 {
+func (p *CostParams) Jitter(stageID, split int) float64 {
 	if p.TaskJitterFrac <= 0 {
 		return 1
 	}

@@ -16,15 +16,18 @@
 //     executor cores in simulated time, honoring each task's preferred node
 //     (resolved by the compute pass) with a bounded locality wait, then
 //     derive each task's duration from the cost model on its chosen node.
-//     Core availability is one contiguous array and a core is picked in
-//     one scan; nothing is allocated per task;
+//     Core availability is one contiguous array under a min tree per core
+//     list, so a core is picked in O(log cores); the engine keeps its core
+//     set across waves, and nothing is allocated per task;
 //  3. commit pass: register shuffle outputs, cache partitions, and emit
 //     metrics at the simulated timestamps.
 package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,6 +81,7 @@ type Engine struct {
 	now        float64
 	srcFiles   map[int]string // source RDD id -> block-store file
 	workerList []*cluster.Node
+	cores      *coreSet // the last wave's, reset for the next
 }
 
 // Scratch shared by every engine in the process (a tuning sweep builds one
@@ -173,12 +177,16 @@ type task struct {
 	srcNodes []string
 	cacheBy  []shuffle.NodeBytes // cached-input bytes by node, sorted by node
 	shufBy   []shuffle.NodeBytes // shuffle-input bytes by node, sorted by node
-	cost     float64             // logical byte-cost units
-	pending  []pendingCache      // in pend when the stage caches one RDD, as stages mostly do
-	pend     [1]pendingCache
-	mapOut   shuffle.MapOutput // map output (map stages only)
-	writeB   int64
-	pref     int32 // index of the preferred wave worker, -1 for none (see prefer)
+	// prof holds cacheBy and shufBy where the compute pass built them
+	// rather than adopting a shuffle index's read-only row, as pend holds
+	// pending; profiles that do not fit together live on the heap.
+	prof    [profileCap]shuffle.NodeBytes
+	cost    float64        // logical byte-cost units
+	pending []pendingCache // in pend when the stage caches one RDD, as stages mostly do
+	pend    [1]pendingCache
+	mapOut  shuffle.MapOutput // map output (map stages only); runStages points Cols at the task's arena header
+	writeB  int64
+	pref    int32 // index of the preferred wave worker, -1 for none (see prefer)
 
 	// Filled by the placement pass.
 	node   *cluster.Node
@@ -310,11 +318,18 @@ func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (a
 	}
 	tasks := taskSlabs.take(n) // the passes address it by index
 	for _, st := range stages {
+		// A map stage's arena headers are one allocation, which the
+		// shuffle manager holds until the shuffle retires.
+		var cols []rdd.ColBuckets
 		if st.OutDep != nil {
 			e.Shuffle.Register(st.OutDep.ShuffleID, st.NumTasks(), st.OutDep.Part.NumPartitions())
+			cols = make([]rdd.ColBuckets, st.NumTasks())
 		}
 		for split := 0; split < st.NumTasks(); split++ {
 			tasks = append(tasks, task{stage: st, split: split, idx: split})
+			if cols != nil {
+				tasks[len(tasks)-1].mapOut.Cols = &cols[split]
+			}
 		}
 	}
 	defer taskSlabs.put(tasks)
@@ -442,18 +457,19 @@ func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 	}
 	t.srcBytes = a.srcBytes
 	t.srcNodes = a.srcNodes
-	t.cacheBy = a.cacheBy
-	t.shufBy = a.shufBy
+	rest := t.prof[:]
+	t.cacheBy, rest = keepProfile(a.cacheBy, &a.cacheBuf, rest)
+	t.shufBy, _ = keepProfile(a.shufBy, &a.shufBuf, rest)
 	t.cost = a.cost
 	t.pending = append(t.pend[:0], a.pending...)
 	t.pref = e.prefer(t, workers)
 
 	if dep != nil {
-		var cols *rdd.ColBuckets
+		cols := t.mapOut.Cols // the task's header, written in full
 		if typed != nil {
-			cols, _, err = rdd.PartitionTypedCol(typed, dep.Part, dep.Agg)
+			err = rdd.PartitionTypedCol(typed, dep.Part, dep.Agg, cols)
 		} else {
-			cols, _, err = rdd.PartitionPairsCol(t.rows, dep.Part, dep.Agg)
+			err = rdd.PartitionPairsInto(t.rows, dep.Part, dep.Agg, cols)
 		}
 		if err != nil {
 			return fmt.Errorf("exec: stage %d shuffle write: %w", t.stage.ID, err)
@@ -479,11 +495,9 @@ func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 
 // placementPass assigns tasks to cores in simulated time.
 func (e *Engine) placementPass(tasks []task, waveStart float64, workers []*cluster.Node) {
-	cs := newCoreSet(workers, waveStart)
-	peers := make([]*cluster.Node, len(workers))
-	for i, w := range workers {
-		peers[i] = bottleneckPeer(w, workers)
-	}
+	cs := e.takeCores(workers, waveStart)
+	defer e.putCores(cs)
+	p := &e.Params
 	// Ties on availability are broken round-robin so equal-readiness cores
 	// spread tasks across executors the way Spark's task scheduler does,
 	// instead of piling every task on the first node.
@@ -491,10 +505,10 @@ func (e *Engine) placementPass(tasks []task, waveStart float64, workers []*clust
 	for i := range tasks {
 		t := &tasks[i]
 		rr++
-		dispatch := waveStart + float64(t.idx)*e.Params.DriverDispatchSec
-		chosen := cs.earliest(cs.all, rr)
+		dispatch := waveStart + float64(t.idx)*p.DriverDispatchSec
+		chosen := cs.all.earliest(rr)
 		if t.pref >= 0 { // only the top preference gets the locality wait
-			if pc := cs.earliest(cs.byNode[t.pref], rr); cs.avail[pc] <= cs.avail[chosen]+e.Params.LocalityWaitSec {
+			if pc := cs.byNode[t.pref].earliest(rr); cs.avail[pc] <= cs.avail[chosen]+p.LocalityWaitSec {
 				chosen = pc
 			}
 		}
@@ -504,64 +518,187 @@ func (e *Engine) placementPass(tasks []task, waveStart float64, workers []*clust
 		if dispatch > t.start {
 			t.start = dispatch
 		}
-		t.end = t.start + e.taskDuration(t, t.node, peers[w])*e.Params.Jitter(t.stage.ID, t.split)
-		cs.avail[chosen] = t.end
+		t.end = t.start + e.taskDuration(t, t.node, cs.peers[w])*p.Jitter(t.stage.ID, t.split)
+		cs.set(chosen, t.end)
 	}
 
 	if e.Speculate {
-		e.speculatePass(tasks, cs, workers, peers)
+		e.speculatePass(tasks, cs, workers)
 	}
 }
 
 // coreSet is the executor cores of one wave during list scheduling. Cores
 // are interleaved across nodes (A0,B0,...,A1,B1,...) so the round-robin
-// tie-break spreads simultaneous tasks over machines.
+// tie-break spreads simultaneous tasks over machines. Each core list —
+// every core, and each worker's — has a min tree over its cores'
+// availability. A set depends on the worker list alone, so the engine
+// keeps one across waves and resets its availability.
 type coreSet struct {
-	avail  []float64 // core → simulated time it is next free
-	node   []int32   // core → index of its worker
-	all    []int32   // every core
-	byNode [][]int32 // worker index → its cores
+	workers []*cluster.Node // the wave's workers it was built for
+	peers   []*cluster.Node // worker index → its bottleneck peer (see bottleneckPeer)
+	avail   []float64       // core → simulated time it is next free
+	node    []int32         // core → index of its worker
+	rank    []int32         // core → its position in its worker's list
+	all     minTree         // every core, position = core
+	byNode  []minTree       // worker index → its cores
 }
 
-func newCoreSet(workers []*cluster.Node, start float64) *coreSet {
+func newCoreSet(workers []*cluster.Node) *coreSet {
 	maxCores := 0
 	for _, w := range workers {
 		maxCores = max(maxCores, w.Cores)
 	}
-	cs := &coreSet{byNode: make([][]int32, len(workers))}
+	cs := &coreSet{workers: workers, peers: make([]*cluster.Node, len(workers))}
+	lists := make([][]int32, len(workers))
+	var all []int32
 	for k := 0; k < maxCores; k++ {
 		for i, w := range workers {
 			if k < w.Cores {
-				c := int32(len(cs.avail))
-				cs.avail = append(cs.avail, start)
+				c := int32(len(all))
+				all = append(all, c)
 				cs.node = append(cs.node, int32(i))
-				cs.all = append(cs.all, c)
-				cs.byNode[i] = append(cs.byNode[i], c)
+				cs.rank = append(cs.rank, int32(len(lists[i])))
+				lists[i] = append(lists[i], c)
 			}
 		}
+	}
+	cs.avail = make([]float64, len(all))
+	cs.all = newMinTree(all)
+	cs.byNode = make([]minTree, len(workers))
+	for i, w := range workers {
+		cs.peers[i] = bottleneckPeer(w, workers)
+		cs.byNode[i] = newMinTree(lists[i])
 	}
 	return cs
 }
 
-// earliest returns the core of cores that is free first; among equally
-// free ones, the first in cyclic order from position rr mod len(cores).
-// One scan: starting there, only a strictly earlier core displaces the one
-// held.
-func (cs *coreSet) earliest(cores []int32, rr int) int32 {
-	start := rr % len(cores)
-	best := cores[start]
-	first := cs.avail[best]
-	for _, c := range cores[start+1:] {
-		if cs.avail[c] < first {
-			best, first = c, cs.avail[c]
+// takeCores returns the engine's core set for a wave on workers, every
+// core free at start: the last wave's when it was built for the same
+// workers, else a new one.
+func (e *Engine) takeCores(workers []*cluster.Node, start float64) *coreSet {
+	e.mu.Lock()
+	cs := e.cores
+	e.cores = nil // a concurrent wave builds its own
+	e.mu.Unlock()
+	if cs == nil || !slices.Equal(cs.workers, workers) {
+		cs = newCoreSet(workers)
+	}
+	for c := range cs.avail {
+		cs.avail[c] = start
+	}
+	cs.all.free(start)
+	for i := range cs.byNode {
+		cs.byNode[i].free(start)
+	}
+	return cs
+}
+
+// putCores keeps cs for the next wave.
+func (e *Engine) putCores(cs *coreSet) {
+	e.mu.Lock()
+	e.cores = cs
+	e.mu.Unlock()
+}
+
+// set records that core c is next free at v.
+func (cs *coreSet) set(c int32, v float64) {
+	cs.avail[c] = v
+	cs.all.set(c, v)
+	cs.byNode[cs.node[c]].set(cs.rank[c], v)
+}
+
+// minTree is a min segment tree over a list of cores: leaf size+i holds
+// the availability of the list's core i (padding leaves +Inf), and each
+// inner node the least availability below it with the leftmost list
+// position holding it.
+type minTree struct {
+	cores []int32    // list position → core
+	size  int        // leaf count, a power of two
+	nodes []treeNode // tree node → least availability below it
+	first []int32    // tree node → the list position of its first leaf
+}
+
+type treeNode struct {
+	avail float64 // least availability below the node
+	at    int32   // leftmost list position holding it
+}
+
+func newMinTree(cores []int32) minTree {
+	size := 1
+	for size < len(cores) {
+		size *= 2
+	}
+	t := minTree{cores: cores, size: size, nodes: make([]treeNode, 2*size), first: make([]int32, 2*size)}
+	for n := size; n < 2*size; n++ {
+		t.first[n] = int32(n - size)
+	}
+	for n := size - 1; n >= 1; n-- {
+		t.first[n] = t.first[2*n]
+	}
+	return t
+}
+
+// free makes every core of the list free at start: each node holds its
+// first leaf, and +Inf when only padding lies below it — at each level,
+// the nodes from the one holding leaf len(cores) on.
+func (t *minTree) free(start float64) {
+	for n := range t.nodes {
+		t.nodes[n] = treeNode{avail: start, at: t.first[n]}
+	}
+	for level, width := 1, t.size; width >= 1; level, width = 2*level, width/2 {
+		for n := level + (len(t.cores)+width-1)/width; n < 2*level; n++ {
+			t.nodes[n].avail = math.Inf(1)
 		}
 	}
-	for _, c := range cores[:start] {
-		if cs.avail[c] < first {
-			best, first = c, cs.avail[c]
+}
+
+// pull recomputes inner node n from its children, the left one on a tie,
+// and reports whether it changed.
+func (t *minTree) pull(n int) bool {
+	w := t.nodes[2*n]
+	if r := t.nodes[2*n+1]; r.avail < w.avail {
+		w = r
+	}
+	if t.nodes[n] == w {
+		return false
+	}
+	t.nodes[n] = w
+	return true
+}
+
+// set records that the core at list position i is next free at v. The
+// walk up stops at the first ancestor that does not change: none above it
+// can.
+func (t *minTree) set(i int32, v float64) {
+	n := int(i) + t.size
+	t.nodes[n].avail = v
+	for n >>= 1; n >= 1 && t.pull(n); n >>= 1 {
+	}
+}
+
+// earliest returns the core of the list that is free first; among equally
+// free ones, the first in cyclic order from position rr mod len(cores) —
+// the core one scan from there, keeping the first strict minimum, finds.
+// That is the leftmost minimum, the root's, unless it lies before the
+// start and an equally free core lies at or after it: the walk up the left
+// edge of [start, size) meets the subtrees right of start left to right,
+// and the first that holds the minimum holds the answer at its leftmost
+// position.
+func (t *minTree) earliest(rr int) int32 {
+	start := rr % len(t.cores)
+	root := t.nodes[1]
+	if int(root.at) >= start {
+		return t.cores[root.at]
+	}
+	for l, r := start+t.size, 2*t.size; l < r; l, r = l>>1, r>>1 {
+		if l&1 == 1 {
+			if t.nodes[l].avail == root.avail {
+				return t.cores[t.nodes[l].at]
+			}
+			l++
 		}
 	}
-	return best
+	return t.cores[root.at]
 }
 
 // speculatePass models spark.speculation: for each stage with enough tasks,
@@ -570,7 +707,7 @@ func (cs *coreSet) earliest(cores []int32, rr int) int32 {
 // earliest-free core; the task finishes at the earlier attempt. Backups help
 // against slow nodes and unlucky placements, not against data skew — the
 // copy of a hot partition is just as large.
-func (e *Engine) speculatePass(tasks []task, cs *coreSet, workers, peers []*cluster.Node) {
+func (e *Engine) speculatePass(tasks []task, cs *coreSet, workers []*cluster.Node) {
 	byStage := map[*dag.Stage][]*task{}
 	for i := range tasks {
 		t := &tasks[i]
@@ -610,17 +747,17 @@ func (e *Engine) speculatePass(tasks []task, cs *coreSet, workers, peers []*clus
 				continue
 			}
 			// Backup attempt on the earliest-free core (the first of them).
-			best := cs.earliest(cs.all, 0)
+			best := cs.all.earliest(0)
 			start := cs.avail[best]
 			if detect > start {
 				start = detect
 			}
 			w := cs.node[best]
-			dur := e.taskDuration(t, workers[w], peers[w]) * e.Params.Jitter(t.stage.ID, t.split+1000003)
+			dur := e.taskDuration(t, workers[w], cs.peers[w]) * e.Params.Jitter(t.stage.ID, t.split+1000003)
 			if start+dur < t.end {
 				t.end = start + dur
 				t.node = workers[w]
-				cs.avail[best] = t.end
+				cs.set(best, t.end)
 			}
 		}
 	}
@@ -711,7 +848,7 @@ func pinNode(split int, workers []*cluster.Node) int {
 // taskDuration evaluates the cost model for a task on a node; peer is the
 // node's bottleneck peer among the wave's workers (see bottleneckPeer).
 func (e *Engine) taskDuration(t *task, node, peer *cluster.Node) float64 {
-	p := e.Params
+	p := &e.Params
 	d := p.TaskFixedSec
 
 	if t.srcBytes > 0 {
@@ -831,7 +968,7 @@ func (e *Engine) commitPass(stages []*dag.Stage, tasks []task, start float64, re
 				ShuffleReadRemote: remote,
 				ShuffleWrite:      t.writeB,
 				Records:           t.records,
-			}, e.Params)
+			}, &e.Params)
 		}
 	}
 	for _, st := range stages {

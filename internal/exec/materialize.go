@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"chopper/internal/rdd"
 	"chopper/internal/shuffle"
@@ -19,6 +20,11 @@ type acct struct {
 	shufBy   []shuffle.NodeBytes // shuffle-input logical bytes by map node, sorted by node (read-only)
 	cost     float64             // logical-byte cost units (bytes x op factor)
 	pending  []pendingCache      // partitions to cache after placement (copied to the task)
+	// cacheBuf and shufBuf hold cacheBy and shufBy where this task built
+	// them instead of adopting a read-only index row: a cached read's
+	// entries, a merge of two shuffles' rows. The task copies them out
+	// (keepProfile) before release.
+	cacheBuf, shufBuf [profileCap]shuffle.NodeBytes
 	// memo holds the partitions this task has materialized, scanned
 	// linearly: a stage pipeline is a handful of RDDs deep.
 	memo []memoEntry
@@ -89,7 +95,7 @@ func (e *Engine) materialize(r *rdd.RDD, split int, a *acct) ([]rdd.Row, float64
 	// Cached partition available from an earlier stage?
 	if r.Cached {
 		if entry, ok := e.Cache.Peek(storage.CacheKey{RDD: r.ID, Split: split, Of: r.NumParts}); ok {
-			a.cacheBy = mergeProfiles(a.cacheBy, []shuffle.NodeBytes{{Node: entry.Node, Bytes: entry.Bytes}})
+			a.cacheBy = addNodeBytes(&a.cacheBuf, a.cacheBy, entry.Node, entry.Bytes)
 			bytes := float64(entry.Bytes)
 			a.memo = append(a.memo, memoEntry{rdd: r.ID, split: split, rows: entry.Rows, bytes: bytes})
 			return entry.Rows, bytes, nil
@@ -169,7 +175,7 @@ func (e *Engine) pullCols(p *rdd.RDD, split int, a *acct) (in []rdd.Row, bytes f
 			a.nparents-- // untouched: nothing pulled since
 			return nil, 0, false, nil
 		}
-		a.shufBy = mergeProfiles(a.shufBy, view.NodeBytes())
+		a.shufBy = mergeProfiles(&a.shufBuf, a.shufBy, view.NodeBytes())
 		bytes = slot.blk.LogicalBytes(e.Ctx.LogicalScale)
 		a.cost += bytes * p.CostFactor // gather's charge for p's shuffle input
 	} else if bytes, err = e.materializeTyped(p, split, a, &slot.blk); err != nil {
@@ -259,37 +265,80 @@ func (e *Engine) gather(r *rdd.RDD, split int, a *acct, cols bool) ([][]rdd.Row,
 // map side finished panics inside the manager.
 func (e *Engine) shuffleRead(dep *rdd.ShuffleDep, reduce int, a *acct) ([]rdd.Row, float64) {
 	view := e.Shuffle.ReduceInput(dep.ShuffleID, reduce)
-	a.shufBy = mergeProfiles(a.shufBy, view.NodeBytes())
+	a.shufBy = mergeProfiles(&a.shufBuf, a.shufBy, view.NodeBytes())
 	rows := rdd.MergeReduceColN(view.Len(), view.BlockInto, dep.Agg)
 	return rows, rdd.LogicalRowsBytes(rows, e.Ctx.LogicalScale)
 }
 
+// profileCap is the number of nodes a worker's locality profiles hold
+// without a heap slice, and a task's two together: more than the worker
+// count of the clusters here.
+const profileCap = 6
+
 // mergeProfiles returns the union of two locality profiles, both sorted by
 // node, with the bytes of a node present in both summed. Neither input is
 // written: an empty side yields the other as is (so a task reading one
-// shuffle adopts the index's read-only row), and a merge is one fresh
-// slice of exactly the union's length.
-func mergeProfiles(x, y []shuffle.NodeBytes) []shuffle.NodeBytes {
+// shuffle adopts the index's read-only row), and a merge is written to
+// buf, which x may be held in, or to a fresh slice when it outgrows buf.
+func mergeProfiles(buf *[profileCap]shuffle.NodeBytes, x, y []shuffle.NodeBytes) []shuffle.NodeBytes {
 	if len(x) == 0 {
 		return y
 	}
 	if len(y) == 0 {
 		return x
 	}
-	var buf [16]shuffle.NodeBytes
+	// The merge overwrites buf, so a profile held there is read from a
+	// copy, through xs: x may be returned above, and held with it would
+	// move to the heap.
+	var held [profileCap]shuffle.NodeBytes
+	xs := x
+	if &x[0] == &buf[0] {
+		xs = held[:copy(held[:], x)]
+	}
 	out := buf[:0]
-	for len(x) > 0 || len(y) > 0 {
+	for len(xs) > 0 || len(y) > 0 {
 		var nb shuffle.NodeBytes
 		switch {
-		case len(y) == 0 || len(x) > 0 && x[0].Node < y[0].Node:
-			nb, x = x[0], x[1:]
-		case len(x) == 0 || y[0].Node < x[0].Node:
+		case len(y) == 0 || len(xs) > 0 && xs[0].Node < y[0].Node:
+			nb, xs = xs[0], xs[1:]
+		case len(xs) == 0 || y[0].Node < xs[0].Node:
 			nb, y = y[0], y[1:]
 		default:
-			nb = shuffle.NodeBytes{Node: x[0].Node, Bytes: x[0].Bytes + y[0].Bytes}
-			x, y = x[1:], y[1:]
+			nb = shuffle.NodeBytes{Node: xs[0].Node, Bytes: xs[0].Bytes + y[0].Bytes}
+			xs, y = xs[1:], y[1:]
 		}
 		out = append(out, nb)
 	}
-	return slices.Clone(out)
+	return out
+}
+
+// addNodeBytes returns by, a profile sorted by node that is empty or the
+// worker's own (held in buf, or a fresh slice that outgrew it), with bytes
+// added on node: the profile mergeProfiles makes of by and that one entry.
+func addNodeBytes(buf *[profileCap]shuffle.NodeBytes, by []shuffle.NodeBytes, node string, bytes int64) []shuffle.NodeBytes {
+	if len(by) == 0 {
+		by = buf[:0]
+	}
+	i, found := slices.BinarySearchFunc(by, node, func(nb shuffle.NodeBytes, n string) int { return strings.Compare(nb.Node, n) })
+	if found {
+		by[i].Bytes += bytes
+		return by
+	}
+	return slices.Insert(by, i, shuffle.NodeBytes{Node: node, Bytes: bytes})
+}
+
+// keepProfile returns the task's copy of by, a profile its worker built:
+// by itself unless it is held in buf, the worker's scratch, which release
+// hands to the next task; then a copy at the front of dst, the rest of the
+// task's own array, or on the heap when it does not fit. rest is dst past
+// the copy.
+func keepProfile(by []shuffle.NodeBytes, buf *[profileCap]shuffle.NodeBytes, dst []shuffle.NodeBytes) (kept, rest []shuffle.NodeBytes) {
+	if len(by) == 0 || &by[0] != &buf[0] {
+		return by, dst
+	}
+	if len(by) > len(dst) {
+		return slices.Clone(by), dst
+	}
+	n := copy(dst, by)
+	return dst[:n:n], dst[n:]
 }

@@ -5,7 +5,10 @@
 // until the shuffle generation retires; retaining one in a heap-lived
 // structure — a struct field, a channel, a goroutine-captured closure —
 // outlives memory RetireExcept releases. (ReduceNodeBytes is not a source:
-// its profile is copied out per call and owned by the caller.) The rule
+// its profile is copied out per call and owned by the caller.) A view
+// written through an out parameter — ReduceView.BlockInto(i, &dst),
+// ColBuckets.BlockInto and BucketInto — taints dst, and writing it
+// straight into a heap-lived location is itself an escape. The rule
 // runs a flow-sensitive taint analysis per function on the SSA-lite CFG (the
 // copyescape lattice with inverted polarity): arena-derived values taint
 // locals through assignment, slicing, and reference-element reads; a deep
@@ -39,6 +42,14 @@ var GenLife = &Analyzer{
 var lifeSourceMethods = map[string]bool{
 	"ReduceInput": true,
 	"index":       true,
+}
+
+// lifeOutMethods are the view writers: each fills its last argument, a
+// *ColBlock, with a view aliasing the arena, keyed by receiver type name
+// (the shuffle package's ReduceView, the rdd package's ColBuckets).
+var lifeOutMethods = map[string]map[string]bool{
+	"ReduceView": {"BlockInto": true},
+	"ColBuckets": {"BlockInto": true, "BucketInto": true},
 }
 
 // lifeSourceFields are the generation-owned state fields themselves
@@ -194,6 +205,14 @@ func lifeCheckFunc(f *File, fn *ssa.Func, body ast.Node) []Diagnostic {
 // step applies one block node's effect to σ.
 func (lc *lifeChecker) step(σ lifeFact, n ast.Node) {
 	switch x := n.(type) {
+	case *ast.ExprStmt:
+		if dst, label := lc.viewOut(x); label != "" {
+			if id, ok := ast.Unparen(dst).(*ast.Ident); ok {
+				if v, ok := objOf(lc.f.Info, id).(*types.Var); ok && !v.IsField() && !isPkgLevel(v) {
+					σ[v] = label
+				}
+			}
+		}
 	case *ast.AssignStmt:
 		lc.assign(σ, x.Lhs, x.Rhs)
 	case *ast.DeclStmt:
@@ -408,6 +427,44 @@ func (lc *lifeChecker) methodSource(call *ast.CallExpr) string {
 	return "shuffle arena read " + fn.Name()
 }
 
+// viewOut recognizes a statement calling a view writer (lifeOutMethods):
+// it returns the location the view is written to — the pointer argument's
+// operand, or the pointer itself — and the source label.
+func (lc *lifeChecker) viewOut(stmt *ast.ExprStmt) (ast.Expr, string) {
+	call, ok := ast.Unparen(stmt.X).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil, ""
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, ""
+	}
+	fn, ok := lc.f.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return nil, ""
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil, ""
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || !lifeOutMethods[named.Obj().Name()][fn.Name()] {
+		return nil, ""
+	}
+	if path := fn.Pkg().Path(); !isShufflePkg(path) && !strings.HasSuffix(path, "/rdd") {
+		return nil, ""
+	}
+	dst := call.Args[len(call.Args)-1]
+	if u, ok := ast.Unparen(dst).(*ast.UnaryExpr); ok && u.Op == token.AND {
+		dst = u.X
+	}
+	return dst, "shuffle arena view " + named.Obj().Name() + "." + fn.Name()
+}
+
 // fieldSource recognizes direct reads of the generation-owned state fields.
 func (lc *lifeChecker) fieldSource(sel *ast.SelectorExpr) string {
 	if !lifeSourceFields[sel.Sel.Name] {
@@ -429,6 +486,13 @@ func isShufflePkg(path string) bool {
 func (lc *lifeChecker) sinks(σ lifeFact, n ast.Node) []Diagnostic {
 	var out []Diagnostic
 	switch x := n.(type) {
+	case *ast.ExprStmt:
+		if dst, label := lc.viewOut(x); label != "" {
+			if tgt, heapLived := lc.heapLivedTarget(σ, dst); heapLived {
+				out = append(out, lc.f.diag(x.Pos(), "genlife", fmt.Sprintf(
+					"view from %s is written into %s, which outlives the shuffle generation; fill a local and deep-copy (make+copy) before retaining — retirement frees the backing arena", label, tgt)))
+			}
+		}
 	case *ast.AssignStmt:
 		if len(x.Lhs) != len(x.Rhs) {
 			return nil

@@ -329,16 +329,6 @@ func WriteText(w io.Writer, diags []Diagnostic) error {
 	return nil
 }
 
-// WriteJSON renders diagnostics as an indented JSON array (the -json mode).
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
-}
-
 // WireDiagnostic is the unified machine-readable finding schema shared by
 // every gate CLI (chopperlint, chopperkey, chopperplan, chopperverify);
 // ci.sh keeps chopperlint's array as the lint.json artifact.

@@ -375,23 +375,24 @@ func TestRDDSurfaceHasCallers(t *testing.T) {
 	}
 }
 
-// TestJSONOutput pins the machine-readable format.
+// TestJSONOutput pins the machine-readable format chopperlint -json
+// writes: the wire array round-trips, and no findings is [].
 func TestJSONOutput(t *testing.T) {
 	diags := []lint.Diagnostic{{File: "x.go", Line: 3, Col: 9, Rule: "walltime", Message: "m"}}
 	var b strings.Builder
-	if err := lint.WriteJSON(&b, diags); err != nil {
+	if err := lint.WriteJSONTool(&b, "chopperlint", diags); err != nil {
 		t.Fatal(err)
 	}
-	var back []lint.Diagnostic
+	var back []lint.WireDiagnostic
 	if err := json.Unmarshal([]byte(b.String()), &back); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, b.String())
 	}
-	if len(back) != 1 || back[0] != diags[0] {
+	if len(back) != 1 || back[0] != lint.Wire("chopperlint", diags[0]) {
 		t.Fatalf("round-trip mismatch: %+v", back)
 	}
 
 	b.Reset()
-	if err := lint.WriteJSON(&b, nil); err != nil {
+	if err := lint.WriteJSONTool(&b, "chopperlint", nil); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(b.String()) != "[]" {

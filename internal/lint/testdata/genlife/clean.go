@@ -34,3 +34,22 @@ func foldArena(m *Manager, reduce int) float64 {
 	}
 	return sum
 }
+
+// sumBlock fills a local view and folds its scalars; nothing of it
+// outlives the call.
+func sumBlock(v ReduceView) float64 {
+	var b ColView
+	v.BlockInto(0, &b)
+	var sum float64
+	for _, x := range b.F64 {
+		sum += x
+	}
+	return sum
+}
+
+// copyBlock deep-copies a filled view's column before retaining it.
+func (k *keeper) copyBlock(v ReduceView) {
+	var b ColView
+	v.BlockInto(0, &b)
+	k.col = append([]float64(nil), b.F64...)
+}

@@ -1,5 +1,7 @@
 package glfix
 
+import "chopper/internal/rdd"
+
 // ColView mirrors the real arena view: its F64 column aliases the
 // writing map task's arena segment and dies with the generation.
 type ColView struct {
@@ -69,4 +71,38 @@ type arenaSink struct {
 func (s *arenaSink) retainArena(m *Manager, reduce int) {
 	views := m.ReduceInput(reduce)
 	s.col = views[0].F64
+}
+
+// ReduceView mirrors the real reduce view: BlockInto fills dst with block
+// i's view, which aliases the writing map task's arena.
+type ReduceView struct {
+	blocks []ColView
+}
+
+func (v ReduceView) BlockInto(i int, dst *ColView) { *dst = v.blocks[i] }
+
+// keeper is a heap-lived consumer of one block.
+type keeper struct {
+	col []float64
+	blk ColView
+}
+
+// keepBlock fills a local view, then stores its column into a heap-lived
+// field without a deep copy.
+func (k *keeper) keepBlock(v ReduceView) {
+	var b ColView
+	v.BlockInto(0, &b)
+	k.col = b.F64
+}
+
+// fillField has BlockInto write the view straight into a heap-lived field.
+func (k *keeper) fillField(v ReduceView) {
+	v.BlockInto(0, &k.blk)
+}
+
+// keepArenaBlock does keepBlock's store through an rdd arena's BlockInto.
+func (k *keeper) keepArenaBlock(c *rdd.ColBuckets) {
+	var b rdd.ColBlock
+	c.BlockInto(0, &b)
+	k.col = b.F64
 }

@@ -95,7 +95,10 @@ type Collector struct {
 
 	stages []*StageMetric
 	open   map[int]*StageMetric
-	params cluster.CostParams // as last given to AddTask; sizes packets and disk transactions
+	// packetBytes and diskTxBytes are CostParams.PacketBytes and
+	// DiskTransactionBytes as last given to AddTask: they size packets and
+	// disk transactions.
+	packetBytes, diskTxBytes float64
 
 	memEvents []stepEvent // cached-bytes deltas
 
@@ -140,7 +143,7 @@ func (c *Collector) EndStage(id int, end float64) {
 
 // AddTask records a finished task into its open stage. The resource
 // timelines are not fed here: they are queries over these records.
-func (c *Collector) AddTask(tm TaskMetric, params cluster.CostParams) {
+func (c *Collector) AddTask(tm TaskMetric, params *cluster.CostParams) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.open[tm.StageID]
@@ -152,7 +155,7 @@ func (c *Collector) AddTask(tm TaskMetric, params cluster.CostParams) {
 	st.ShuffleRead += tm.ShuffleReadLocal + tm.ShuffleReadRemote
 	st.ShuffleWrite += tm.ShuffleWrite
 
-	c.params = params
+	c.packetBytes, c.diskTxBytes = params.PacketBytes, params.DiskTransactionBytes
 }
 
 // timeline replays the recorded tasks into an interval recorder, each
@@ -393,7 +396,7 @@ func (c *Collector) NetSeries(step float64) Series {
 	// Remote fetches cross the network twice in interface counters
 	// (transmit on the source, receive on the reader).
 	vals := c.timeline(func(tm *TaskMetric) float64 {
-		return 2 * float64(tm.ShuffleReadRemote) / c.params.PacketBytes
+		return 2 * float64(tm.ShuffleReadRemote) / c.packetBytes
 	}).BucketSum(c.horizon(), step)
 	for i := range vals {
 		vals[i] /= step
@@ -405,7 +408,7 @@ func (c *Collector) NetSeries(step float64) Series {
 func (c *Collector) DiskSeries(step float64) Series {
 	vals := c.timeline(func(tm *TaskMetric) float64 {
 		diskBytes := float64(tm.InputBytes+tm.ShuffleWrite) + float64(tm.ShuffleReadLocal)
-		return diskBytes / c.params.DiskTransactionBytes
+		return diskBytes / c.diskTxBytes
 	}).BucketSum(c.horizon(), step)
 	for i := range vals {
 		vals[i] /= step

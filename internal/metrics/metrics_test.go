@@ -9,7 +9,7 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func params() cluster.CostParams { return cluster.DefaultCostParams() }
+func params() *cluster.CostParams { p := cluster.DefaultCostParams(); return &p }
 
 func TestStageLifecycle(t *testing.T) {
 	c := NewCollector("kmeans", "spark")

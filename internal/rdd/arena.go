@@ -17,13 +17,16 @@
 //
 // Kernel scratch: the shuffle kernels keep their working set — the
 // key→slot map, the per-slot arrays, the sort index, the map side's
-// per-bucket cursor — in one pooled kernelScratch instead of rebuilding it
-// per call, so what a kernel allocates is what it emits: the arena, whose
-// size follows its pairs and not the reduce count, or the merged []Row. A
-// deferred release clears the maps, the pointer-bearing arrays and the
-// touched cursor entries before pooling (nothing of the last task stays
-// reachable or leaks into the next call) and drops a scratch grown past
-// maxPooledSlots; nothing emitted aliases it. See kernelScratch.
+// per-bucket cursor, the reduce side's block header — in one pooled
+// kernelScratch instead of rebuilding it per call, so what a kernel
+// allocates is what it emits: the arena's segments and bucket table, whose
+// size follows its pairs and not the reduce count, or the merged []Row.
+// The arena's header is the caller's (PartitionPairsInto,
+// PartitionTypedCol). A deferred release clears the maps, the
+// pointer-bearing arrays, the header and the touched cursor entries before
+// pooling (nothing of the last task stays reachable or leaks into the next
+// call) and drops a scratch grown past maxPooledSlots; nothing emitted
+// aliases it. See kernelScratch.
 //
 // Ownership: a ColBuckets arena belongs to one (shuffle, map task); the
 // shuffle manager holds it until the generation retires, then drops every
@@ -236,11 +239,12 @@ func (a *ColBuckets) BlockLogicalBytes(i int, scale float64) float64 {
 	return total
 }
 
-// boxedArena carries the buckets the boxed tier split a map task into as
-// an arena of kind ColNone, so every map output is an arena whichever
-// tier wrote it: the view of a non-empty bucket b is buckets[b] itself.
-func boxedArena(buckets [][]Pair) *ColBuckets {
-	a := &ColBuckets{buckets: len(buckets), starts: []int32{0}, boxed: buckets}
+// boxedArena writes to a the arena of kind ColNone that carries the
+// buckets the boxed tier split a map task into, so every map output is an
+// arena whichever tier wrote it: the view of a non-empty bucket b is
+// buckets[b] itself.
+func boxedArena(a *ColBuckets, buckets [][]Pair) {
+	*a = ColBuckets{buckets: len(buckets), starts: []int32{0}, boxed: buckets}
 	for b, pairs := range buckets {
 		if len(pairs) > 0 {
 			a.ids = append(a.ids, int32(b))
@@ -248,12 +252,11 @@ func boxedArena(buckets [][]Pair) *ColBuckets {
 		}
 	}
 	a.ids = slices.Clip(a.ids)
-	return a
 }
 
 // kernelScratch is the working set of one combine, merge or cogroup kernel
-// call: the key→slot map (int or, for coGroup, any), the per-slot arrays
-// and the sort index.
+// call: the key→slot map (int or, for coGroup, any), the per-slot arrays,
+// the sort index and the block header a merge's get fills.
 // Every kernel takes it with takeScratch and hands it back through a
 // deferred release, so the bail-outs, the non-pair error and a panicking
 // user aggregator all return it. Nothing a kernel emits aliases it: the
@@ -275,7 +278,10 @@ type kernelScratch struct {
 	// release zeroes exactly those.
 	cursor  []int32
 	touched []int32
-	class   int // the scratchPools entry it serves and returns to
+	// blk is the header a reduce-side merge hands its get callback: a
+	// local one would escape through the callback, one per call.
+	blk   ColBlock
+	class int // the scratchPools entry it serves and returns to
 }
 
 // maxPooledSlots bounds the scratch the pool keeps, counting slots, rows
@@ -293,16 +299,32 @@ const maxPooledSlots = 1 << 14
 // large one.
 var scratchPools [10]freelist.List[*kernelScratch]
 
-// takeScratch returns a scratch of the size class of a call over pairs.
-func takeScratch(pairs int) *kernelScratch {
+// sizeClass is the scratchPools entry serving a call over pairs.
+func sizeClass(pairs int) int {
 	c := 0
 	for limit := 64; pairs > limit && c < len(scratchPools)-1; limit *= 2 {
 		c++
 	}
+	return c
+}
+
+// takeScratch returns a scratch of the size class of a call over pairs.
+func takeScratch(pairs int) *kernelScratch {
+	c := sizeClass(pairs)
 	if s := scratchPools[c].Get(); s != nil {
 		return s
 	}
 	return &kernelScratch{intSlots: map[int64]int32{}, anySlots: map[any]int32{}, class: c}
+}
+
+// fit returns a scratch of the size class of a call over pairs: s itself
+// when it is one, else a fresh one, s released.
+func (s *kernelScratch) fit(pairs int) *kernelScratch {
+	if sizeClass(pairs) == s.class {
+		return s
+	}
+	s.release()
+	return takeScratch(pairs)
 }
 
 // release empties the scratch and pools it. The maps and the used prefixes
@@ -320,19 +342,20 @@ func (s *kernelScratch) release() {
 	clear(s.intSlots)
 	clear(s.anySlots)
 	clear(s.anys)
+	s.blk = ColBlock{} // its views alias arenas of a generation that may retire
 	s.ints, s.buckets = s.ints[:0], s.buckets[:0]
 	s.f64s, s.anys, s.idx = s.f64s[:0], s.anys[:0], s.idx[:0]
 	s.touched = s.touched[:0]
 	scratchPools[s.class].Put(s)
 }
 
-// layout starts the arena of n reduce buckets over items whose buckets are
-// bucketOf: it counts the items per bucket in the cursor, records the
+// layout starts a, the arena of n reduce buckets over items whose buckets
+// are bucketOf: it counts the items per bucket in the cursor, records the
 // non-empty buckets ascending with their starts in the arena's one index
 // table, and leaves cursor[b] at bucket b's first slot, so the caller
 // places item j at cursor[bucketOf[j]]++ — each bucket in item order.
 // It writes only the cursor entries of the buckets it is handed.
-func (s *kernelScratch) layout(n int, bucketOf []int32) *ColBuckets {
+func (s *kernelScratch) layout(a *ColBuckets, n int, bucketOf []int32) {
 	if len(s.cursor) < n {
 		s.cursor = make([]int32, n) // the old one is all zero: nothing to carry over
 	}
@@ -364,7 +387,7 @@ func (s *kernelScratch) layout(n int, bucketOf []int32) *ColBuckets {
 		pos, cur[b] = pos+cur[b], pos
 	}
 	starts[k] = pos
-	return &ColBuckets{buckets: n, ids: ids, starts: starts}
+	*a = ColBuckets{buckets: n, ids: ids, starts: starts}
 }
 
 // sortedSlots returns the scratch's sort index holding the slots of keys
@@ -384,25 +407,38 @@ func aggAllF64(agg *Aggregator) bool {
 	return agg.CreateF64 != nil && agg.MergeValueF64 != nil && agg.MergeCombinersF64 != nil
 }
 
-// PartitionPairsCol is the map side of a shuffle: it routes one map
-// partition's pairs into a columnar ColBuckets arena when the rows are
-// int-keyed pairs (or there are none: an empty arena, no segments), and
-// otherwise splits them with the boxed tier's partitionPairs wholesale and
-// returns its buckets as well as the ColNone arena carrying them. Without
-// an error the arena is never nil, and boxed is nil exactly when the arena
-// is columnar. The produced buckets are byte-identical to partitionPairs
-// in content and order on every path.
-func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (cols *ColBuckets, boxed [][]Pair, err error) {
+// PartitionPairsCol is PartitionPairsInto onto a fresh arena header,
+// returned with the boxed tier's buckets when it split the rows (nil
+// exactly when the arena is columnar). Without an error the arena is never
+// nil.
+func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets, [][]Pair, error) {
+	cols := new(ColBuckets)
+	if err := PartitionPairsInto(rows, p, agg, cols); err != nil {
+		return nil, nil, err
+	}
+	return cols, cols.boxed, nil
+}
+
+// PartitionPairsInto is the map side of a shuffle: it routes one map
+// partition's pairs into dst, a columnar ColBuckets arena, when the rows
+// are int-keyed pairs (or there are none: an empty arena, no segments,
+// nothing allocated), and otherwise splits them with the boxed tier's
+// partitionPairs wholesale into the ColNone arena carrying its buckets.
+// dst is fully overwritten unless an error is returned. The produced
+// buckets are byte-identical to partitionPairs in content and order on
+// every path.
+func PartitionPairsInto(rows []Row, p Partitioner, agg *Aggregator, dst *ColBuckets) error {
 	if len(rows) == 0 {
-		return &ColBuckets{buckets: p.NumPartitions()}, nil, nil
+		*dst = ColBuckets{buckets: p.NumPartitions()}
+		return nil
 	}
 	if pr, ok := rows[0].(Pair); ok {
 		_, isInt := pr.K.(int)
 		_, vF64 := pr.V.(float64)
 		switch {
 		case isInt && agg != nil && agg.MapSideCombine:
-			if a, ok, err := colCombineInt(rows, p, agg, vF64 && aggAllF64(agg)); ok || err != nil {
-				return a, nil, err
+			if ok, err := colCombineInt(dst, rows, p, agg, vF64 && aggAllF64(agg)); ok || err != nil {
+				return err
 			}
 		case isInt:
 			// Without an aggregator the values may move into an unboxed
@@ -410,15 +446,17 @@ func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (cols *ColBuc
 			// either way). With a reduce-only aggregator the values stay
 			// in their existing boxes so the reduce-side fold adds no
 			// re-boxing.
-			if a, ok, err := colScatterInt(rows, p, agg == nil && vF64); ok || err != nil {
-				return a, nil, err
+			if ok, err := colScatterInt(dst, rows, p, agg == nil && vF64); ok || err != nil {
+				return err
 			}
 		}
 	}
-	if boxed, err = partitionPairs(rows, p, agg); err != nil {
-		return nil, nil, err
+	boxed, err := partitionPairs(rows, p, agg)
+	if err != nil {
+		return err
 	}
-	return boxedArena(boxed), boxed, nil
+	boxedArena(dst, boxed)
+	return nil
 }
 
 // colCombineInt is the map-side combine writer for int keys. One global
@@ -427,7 +465,7 @@ func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (cols *ColBuc
 // bucket-major, preserving per-bucket first-occurrence order (every
 // occurrence of a key lands in the same bucket, so the global
 // first-occurrence order filtered to one bucket is that bucket's own).
-func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBuckets, bool, error) {
+func colCombineInt(dst *ColBuckets, rows []Row, p Partitioner, agg *Aggregator, f64 bool) (bool, error) {
 	s := takeScratch(len(rows))
 	defer s.release()
 
@@ -436,31 +474,32 @@ func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 			for _, row := range rows {
 				pr, ok := row.(Pair)
 				if !ok {
-					return nil, false, fmt.Errorf("rdd: shuffling non-pair row %T", row)
+					return false, fmt.Errorf("rdd: shuffling non-pair row %T", row)
 				}
 				k, ok := pr.K.(int)
 				if !ok {
-					return nil, false, nil
+					return false, nil
 				}
 				v, ok := pr.V.(float64)
 				if !ok {
-					return nil, false, nil
+					return false, nil
 				}
 				s.foldIntF64(int64(k), v, p, agg)
 			}
-			return emitColInt(s, p.NumPartitions(), true), true, nil
+			emitColInt(dst, s, p.NumPartitions(), true)
+			return true, nil
 		}
-		return nil, false, nil
+		return false, nil
 	}
 
 	for _, row := range rows {
 		pr, ok := row.(Pair)
 		if !ok {
-			return nil, false, fmt.Errorf("rdd: shuffling non-pair row %T", row)
+			return false, fmt.Errorf("rdd: shuffling non-pair row %T", row)
 		}
 		k, ok := pr.K.(int)
 		if !ok {
-			return nil, false, nil
+			return false, nil
 		}
 		if sl, ok := s.intSlots[int64(k)]; ok {
 			s.anys[sl] = agg.MergeValue(s.anys[sl], pr.V)
@@ -471,7 +510,8 @@ func colCombineInt(rows []Row, p Partitioner, agg *Aggregator, f64 bool) (*ColBu
 			s.anys = append(s.anys, agg.Create(pr.V))
 		}
 	}
-	return emitColInt(s, p.NumPartitions(), false), true, nil
+	emitColInt(dst, s, p.NumPartitions(), false)
+	return true, nil
 }
 
 // foldIntF64 is the F64 map-side combine of one int-keyed value: merged
@@ -495,32 +535,34 @@ func (agg *Aggregator) CombinesF64() bool {
 	return agg != nil && agg.MapSideCombine && aggAllF64(agg)
 }
 
-// PartitionTypedCol is PartitionPairsCol for a partition its RDD's Typed
+// PartitionTypedCol is PartitionPairsInto for a partition its RDD's Typed
 // compute produced. A ColIntF64 block under an aggregator that CombinesF64
 // folds pair by pair into the slot arrays colCombineInt's f64 branch fills
 // from the boxed rows — the same keys in the same first-occurrence order,
 // the same fold order, each key routed unboxed — so the arena is
-// byte-identical to PartitionPairsCol(blk.Rows(), p, agg). Any other block
-// or aggregator takes exactly that boxed call.
-func PartitionTypedCol(blk *ColBlock, p Partitioner, agg *Aggregator) (*ColBuckets, [][]Pair, error) {
+// byte-identical to PartitionPairsInto(blk.Rows(), p, agg, dst). Any other
+// block or aggregator takes exactly that boxed call.
+func PartitionTypedCol(blk *ColBlock, p Partitioner, agg *Aggregator, dst *ColBuckets) error {
 	if blk.Kind != ColIntF64 || !agg.CombinesF64() {
-		return PartitionPairsCol(blk.Rows(), p, agg)
+		return PartitionPairsInto(blk.Rows(), p, agg, dst)
 	}
 	if len(blk.Int) == 0 {
-		return &ColBuckets{buckets: p.NumPartitions()}, nil, nil
+		*dst = ColBuckets{buckets: p.NumPartitions()}
+		return nil
 	}
 	s := takeScratch(len(blk.Int))
 	defer s.release()
 	for i, k := range blk.Int {
 		s.foldIntF64(k, blk.F64[i], p, agg)
 	}
-	return emitColInt(s, p.NumPartitions(), true), nil, nil
+	emitColInt(dst, s, p.NumPartitions(), true)
+	return nil
 }
 
-// emitColInt scatters combine slots into a bucket-major int-key arena;
+// emitColInt scatters combine slots into a, a bucket-major int-key arena;
 // f64 selects the value segment (the slots' f64s, else their anys).
-func emitColInt(s *kernelScratch, n int, f64 bool) *ColBuckets {
-	a := s.layout(n, s.buckets)
+func emitColInt(a *ColBuckets, s *kernelScratch, n int, f64 bool) {
+	s.layout(a, n, s.buckets)
 	cur, keys := s.cursor, s.ints
 	ints := make([]int64, len(keys))
 	a.ints = ints
@@ -535,7 +577,7 @@ func emitColInt(s *kernelScratch, n int, f64 bool) *ColBuckets {
 			out[pos] = s.f64s[sl]
 		}
 		a.f64 = out
-		return a
+		return
 	}
 	a.kind = ColIntAny
 	out := make([]any, len(keys))
@@ -547,15 +589,14 @@ func emitColInt(s *kernelScratch, n int, f64 bool) *ColBuckets {
 		out[pos] = s.anys[sl]
 	}
 	a.anys = out
-	return a
 }
 
 // colScatterInt is the combine-free arena writer for int keys: one pass
 // validates the rows and records each one's bucket (one PartitionFor call
-// per row), the second places each row in its bucket in input order.
+// per row), the second places each row in its bucket of a in input order.
 // wantF64 moves all-float64 values into the unboxed segment; otherwise
 // values keep their existing boxes in the any segment.
-func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, error) {
+func colScatterInt(a *ColBuckets, rows []Row, p Partitioner, wantF64 bool) (bool, error) {
 	s := takeScratch(len(rows))
 	defer s.release()
 
@@ -564,10 +605,10 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 	for _, row := range rows {
 		pr, ok := row.(Pair)
 		if !ok {
-			return nil, false, fmt.Errorf("rdd: shuffling non-pair row %T", row)
+			return false, fmt.Errorf("rdd: shuffling non-pair row %T", row)
 		}
 		if _, ok := pr.K.(int); !ok {
-			return nil, false, nil
+			return false, nil
 		}
 		if allF64 {
 			if _, ok := pr.V.(float64); !ok {
@@ -576,7 +617,7 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 		}
 		s.buckets = append(s.buckets, int32(p.PartitionFor(pr.K)))
 	}
-	a := s.layout(p.NumPartitions(), s.buckets)
+	s.layout(a, p.NumPartitions(), s.buckets)
 	cur := s.cursor
 	ints := make([]int64, len(rows))
 	a.ints = ints
@@ -592,7 +633,7 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 			f64s[pos] = pr.V.(float64)
 		}
 		a.f64 = f64s
-		return a, true, nil
+		return true, nil
 	}
 	a.kind = ColIntAny
 	anys := make([]any, len(rows))
@@ -605,7 +646,7 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 		anys[pos] = pr.V
 	}
 	a.anys = anys
-	return a, true, nil
+	return true, nil
 }
 
 // MergeReduceColN is the reduce side of a shuffle over zero-copy views: it
@@ -617,21 +658,23 @@ func colScatterInt(rows []Row, p Partitioner, wantF64 bool) (*ColBuckets, bool, 
 // overwrite dst with block i's view (blocks are visited in map-task order,
 // possibly more than once). The engine feeds it straight from the per-map
 // arenas through shuffle.ReduceView.BlockInto, so a reduce merge never
-// materializes a heap-resident slice of ~150-byte block headers — one
-// block header is reused across each pass.
+// materializes a heap-resident slice of ~150-byte block headers: every
+// pass reuses the scratch's one header.
 func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
+	// The sizing pass runs on the smallest class's scratch, which serves
+	// the merge too when its pairs fit.
+	s := takeScratch(0)
 	kind := ColNone
 	total := 0
 	mixed := false
-	var blk ColBlock
 	for i := 0; i < n; i++ {
-		get(i, &blk)
-		l := blk.Len()
+		get(i, &s.blk)
+		l := s.blk.Len()
 		if l == 0 {
 			continue
 		}
 		total += l
-		switch k := blk.Kind; {
+		switch k := s.blk.Kind; {
 		case k == ColNone:
 			mixed = true
 		case kind == ColNone:
@@ -640,6 +683,8 @@ func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 			mixed = true
 		}
 	}
+	s = s.fit(total)
+	defer s.release()
 	if total == 0 {
 		return []Row{} // non-nil, like the boxed merge of nothing
 	}
@@ -647,30 +692,29 @@ func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 		switch kind {
 		case ColIntF64:
 			if agg == nil {
-				return concatColIntF64(n, get, total)
+				return concatColIntF64(s, n, get, total)
 			}
-			if out, ok := mergeColIntF64(n, total, get, agg); ok {
+			if out, ok := mergeColIntF64(s, n, get, agg); ok {
 				return out
 			}
 		case ColIntAny:
 			if agg == nil {
-				return concatColIntAny(n, get, total)
+				return concatColIntAny(s, n, get, total)
 			}
-			return mergeColIntAny(n, total, get, agg)
+			return mergeColIntAny(s, n, get, agg)
 		}
 	}
-	return mergeReduceBlocks(materializeCols(n, get), agg)
+	return mergeReduceBlocks(materializeCols(s, n, get), agg)
 }
 
 // materializeCols boxes columnar views back into pair blocks — the
 // reference fallback for mixed kinds.
-func materializeCols(n int, get func(int, *ColBlock)) [][]Pair {
+func materializeCols(s *kernelScratch, n int, get func(int, *ColBlock)) [][]Pair {
 	out := make([][]Pair, n)
-	var blk ColBlock
 	for i := 0; i < n; i++ {
-		get(i, &blk)
-		if l := blk.Len(); l > 0 {
-			out[i] = blk.AppendPairs(make([]Pair, 0, l))
+		get(i, &s.blk)
+		if l := s.blk.Len(); l > 0 {
+			out[i] = s.blk.AppendPairs(make([]Pair, 0, l))
 		}
 	}
 	return out
@@ -680,14 +724,13 @@ func materializeCols(n int, get func(int, *ColBlock)) [][]Pair {
 // concatenate in block order, stable-sort by key through an index
 // permutation (the typed columns make comparisons and swaps cheap), box
 // each row once on emission.
-func concatColIntF64(n int, get func(int, *ColBlock), total int) []Row {
+func concatColIntF64(s *kernelScratch, n int, get func(int, *ColBlock), total int) []Row {
 	keys := make([]int64, 0, total)
 	vals := make([]float64, 0, total)
-	var blk ColBlock
 	for i := 0; i < n; i++ {
-		get(i, &blk)
-		keys = append(keys, blk.Int...)
-		vals = append(vals, blk.F64...)
+		get(i, &s.blk)
+		keys = append(keys, s.blk.Int...)
+		vals = append(vals, s.blk.F64...)
 	}
 	idx := stableKeyOrder(keys)
 	out := make([]Row, total)
@@ -698,14 +741,13 @@ func concatColIntF64(n int, get func(int, *ColBlock), total int) []Row {
 }
 
 // concatColIntAny is concatColIntF64 with boxed values.
-func concatColIntAny(n int, get func(int, *ColBlock), total int) []Row {
+func concatColIntAny(s *kernelScratch, n int, get func(int, *ColBlock), total int) []Row {
 	keys := make([]int64, 0, total)
 	vals := make([]any, 0, total)
-	var blk ColBlock
 	for i := 0; i < n; i++ {
-		get(i, &blk)
-		keys = append(keys, blk.Int...)
-		vals = append(vals, blk.Any...)
+		get(i, &s.blk)
+		keys = append(keys, s.blk.Int...)
+		vals = append(vals, s.blk.Any...)
 	}
 	idx := stableKeyOrder(keys)
 	out := make([]Row, total)
@@ -725,15 +767,12 @@ func stableKeyOrder(keys []int64) []int32 {
 	return idx
 }
 
-// mergeColIntF64 is the unboxed reduce-side fold for int/float64 blocks,
-// mirroring mergeBlocksGeneric with the aggregator's F64 hooks (see
+// mergeColIntF64 is the unboxed reduce-side fold for int/float64 blocks on
+// s, mirroring mergeBlocksGeneric with the aggregator's F64 hooks (see
 // foldColIntF64), boxing each key's pair once on its sorted emission.
-func mergeColIntF64(n, total int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bool) {
+func mergeColIntF64(s *kernelScratch, n int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bool) {
 	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
-		s := takeScratch(total)
-		defer s.release()
-		var blk ColBlock
-		foldColIntF64(s, n, get, agg, &blk)
+		foldColIntF64(s, n, get, agg, &s.blk)
 		out := make([]Row, len(s.ints))
 		for i, sl := range sortedSlots(s, s.ints) {
 			//lint:ignore boxf64 emission boxes once per key at the typed-region boundary; the per-record accumulation stays unboxed
@@ -811,17 +850,14 @@ func foldColIntF64(s *kernelScratch, n int, get func(int, *ColBlock), agg *Aggre
 	}
 }
 
-// mergeColIntAny folds int-keyed boxed values, mirroring mergeBlocksGeneric
-// (the values were boxed at the source, so the fold itself adds no new
-// boxes).
-func mergeColIntAny(n, total int, get func(int, *ColBlock), agg *Aggregator) []Row {
-	s := takeScratch(total)
-	defer s.release()
-	var blk ColBlock
+// mergeColIntAny folds int-keyed boxed values on s, mirroring
+// mergeBlocksGeneric (the values were boxed at the source, so the fold
+// itself adds no new boxes).
+func mergeColIntAny(s *kernelScratch, n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 	for bi := 0; bi < n; bi++ {
-		get(bi, &blk)
-		anys := blk.Any
-		for i, k := range blk.Int {
+		get(bi, &s.blk)
+		anys := s.blk.Any
+		for i, k := range s.blk.Int {
 			v := anys[i]
 			if sl, ok := s.intSlots[k]; ok {
 				if agg.MapSideCombine {

@@ -430,7 +430,7 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 	// The cursor counts against the bound: a layout over maxPooledSlots
 	// buckets is released all zero and pooled, one over 2^20 is dropped.
 	s = takeScratch(0)
-	s.layout(maxPooledSlots, []int32{7, 3, 7, maxPooledSlots - 1})
+	s.layout(new(ColBuckets), maxPooledSlots, []int32{7, 3, 7, maxPooledSlots - 1})
 	s.release()
 	if len(s.touched) != 0 || slices.ContainsFunc(s.cursor, func(n int32) bool { return n != 0 }) {
 		t.Fatalf("release left touched buckets %v or a non-zero cursor entry", s.touched)
@@ -439,7 +439,7 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 		t.Fatalf("a scratch with a %d-entry cursor was not pooled", maxPooledSlots)
 	}
 	wide := takeScratch(0)
-	wide.layout(1<<20, []int32{5, 1<<20 - 1})
+	wide.layout(new(ColBuckets), 1<<20, []int32{5, 1<<20 - 1})
 	wide.release()
 	if got := takeScratch(0); got == wide {
 		t.Fatalf("a scratch with a 2^20-entry cursor was pooled; the bound is %d", maxPooledSlots)
@@ -517,12 +517,15 @@ func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
 		}
 		return cols
 	}
+	// partition writes into one reused header, as the engine's map tasks
+	// do: the arena's allocations are its bucket table and segments.
 	partition := func(rows func(int, int) []Row, agg *Aggregator, kind ColKind) func(*testing.T, int) func() {
 		return func(t *testing.T, keys int) func() {
 			in := rows(2*keys, keys)
+			var cols ColBuckets
 			return func() {
-				if cols, _, err := PartitionPairsCol(in, p, agg); err != nil || cols.kind != kind {
-					t.Fatalf("partition of %d rows: %v, %v", len(in), cols, err)
+				if err := PartitionPairsInto(in, p, agg, &cols); err != nil || cols.kind != kind {
+					t.Fatalf("partition of %d rows: %v, %v", len(in), cols.kind, err)
 				}
 			}
 		}
@@ -554,13 +557,14 @@ func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
 		run   func(t *testing.T, n int) func()
 		want  float64
 	}{
-		{"int-key combine", [2]int{100, 10000}, partition(intRows, sum, ColIntF64), 4},
-		{"aggregator-free partition", [2]int{100, 5000}, partition(intRows, nil, ColIntF64), 4},
-		// One []Row, the boxes of each emitted row (the Pair, its key, its
-		// value) and the scratch block headers the get callback makes
-		// escape.
-		{"int-key merge", [2]int{16, 256}, merge(intRows, sum, keys), 1539},
-		{"no-aggregator merge", [2]int{16, 256}, merge(intRows, nil, 2*keys), 3079},
+		{"int-key combine", [2]int{100, 10000}, partition(intRows, sum, ColIntF64), 3},
+		{"aggregator-free partition", [2]int{100, 5000}, partition(intRows, nil, ColIntF64), 3},
+		// One []Row and the boxes of each emitted row (the Pair, its key,
+		// its value); the get callback fills the scratch's block header.
+		{"int-key merge", [2]int{16, 256}, merge(intRows, sum, keys), 1537},
+		// Besides the rows: the concatenated keys and values, the sort
+		// permutation and sort.SliceStable's swapper.
+		{"no-aggregator merge", [2]int{16, 256}, merge(intRows, nil, 2*keys), 3077},
 		{"LogicalPairsBytes", [2]int{100, 10000}, func(_ *testing.T, k int) func() {
 			pairs := make([]Pair, 2*k)
 			for i, r := range intRows(2*k, k) {

@@ -11,7 +11,7 @@ import (
 
 // TestTypedColMatchesBoxedArena pins PartitionTypedCol's contract: for a
 // ColIntF64 block under every partitioner and aggregator shape, the arena
-// (or the boxed buckets, or the error) is exactly what PartitionPairsCol
+// (boxed buckets included) or the error is exactly what PartitionPairsCol
 // builds from the block's boxed rows — the typed fold under SumByKey's
 // aggregator, the boxed call for everything else — and int keys route to
 // the partition PartitionFor gives their boxed form.
@@ -47,9 +47,10 @@ func TestTypedColMatchesBoxedArena(t *testing.T) {
 				}
 			}
 			for an, agg := range aggs {
-				gotCols, gotBoxed, gotErr := PartitionTypedCol(blk, p, agg)
-				wantCols, wantBoxed, wantErr := PartitionPairsCol(blk.Rows(), p, agg)
-				if !reflect.DeepEqual(gotCols, wantCols) || !reflect.DeepEqual(gotBoxed, wantBoxed) || !reflect.DeepEqual(gotErr, wantErr) {
+				var gotCols ColBuckets
+				gotErr := PartitionTypedCol(blk, p, agg, &gotCols)
+				wantCols, _, wantErr := PartitionPairsCol(blk.Rows(), p, agg)
+				if wantErr == nil && !reflect.DeepEqual(&gotCols, wantCols) || !reflect.DeepEqual(gotErr, wantErr) {
 					t.Fatalf("trial %d %s/%d/%s, %d pairs: typed arena differs from the boxed rows'", trial, pn, reduce, an, n)
 				}
 			}
@@ -57,7 +58,7 @@ func TestTypedColMatchesBoxedArena(t *testing.T) {
 	}
 	// A scalar column is not pairs: the boxed call's error, unchanged.
 	scalars := &ColBlock{Kind: ColF64, F64: []float64{1, 2}}
-	if _, _, err := PartitionTypedCol(scalars, NewHashPartitioner(3), SumAggregator()); err == nil {
+	if err := PartitionTypedCol(scalars, NewHashPartitioner(3), SumAggregator(), new(ColBuckets)); err == nil {
 		t.Fatal("a ColF64 block shuffled without error")
 	}
 }

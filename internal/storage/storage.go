@@ -10,6 +10,7 @@ package storage
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -34,6 +35,10 @@ type BlockStore struct {
 	workers    []string
 	files      map[string][]BlockInfo
 	nextNode   int
+	// locs interns the location lists Split builds for ranges spanning
+	// blocks, keyed by the names each holds, length-prefixed: few orders
+	// of a few nodes recur across every split of every file.
+	locs map[string][]string
 }
 
 // NewBlockStore creates a store with the given block size and replica count
@@ -59,6 +64,7 @@ func NewBlockStore(blockBytes int64, replicas int, workers []string) *BlockStore
 		replicas:   replicas,
 		workers:    ws,
 		files:      map[string][]BlockInfo{},
+		locs:       map[string][]string{},
 	}
 }
 
@@ -76,6 +82,7 @@ func (s *BlockStore) AddFile(name string, totalBytes int64) []BlockInfo {
 		n = 1
 	}
 	blocks := make([]BlockInfo, n)
+	replicas := make([]string, n*s.replicas) // every block's list, one after another
 	remaining := totalBytes
 	for i := range blocks {
 		sz := s.blockBytes
@@ -83,9 +90,9 @@ func (s *BlockStore) AddFile(name string, totalBytes int64) []BlockInfo {
 			sz = remaining
 		}
 		remaining -= sz
-		nodes := make([]string, 0, s.replicas)
-		for r := 0; r < s.replicas; r++ {
-			nodes = append(nodes, s.workers[(i+r)%len(s.workers)])
+		nodes := replicas[i*s.replicas : (i+1)*s.replicas : (i+1)*s.replicas]
+		for r := range nodes {
+			nodes[r] = s.workers[(i+r)%len(s.workers)]
 		}
 		slices.Sort(nodes)
 		blocks[i] = BlockInfo{Index: i, Bytes: sz, Nodes: nodes}
@@ -112,7 +119,8 @@ func (s *BlockStore) File(name string) []BlockInfo {
 //
 // The returned locations are read-only. A range inside one block holds
 // equal bytes on every replica, so its order is the block's name-sorted
-// replica list, returned as is (capacity clamped) without allocating.
+// replica list, returned as is (capacity clamped) without allocating; any
+// other order is the store's interned copy, allocated once.
 func (s *BlockStore) Split(name string, split, numSplits int) (int64, []string) {
 	blocks := s.File(name)
 	if len(blocks) == 0 || numSplits <= 0 || split < 0 || split >= numSplits {
@@ -151,9 +159,20 @@ func (s *BlockStore) Split(name string, split, numSplits int) (int64, []string) 
 		}
 		return strings.Compare(x.node, y.node)
 	})
-	locs := make([]string, len(held))
-	for i, h := range held {
-		locs[i] = h.node
+	var kb [64]byte
+	key := kb[:0]
+	for _, h := range held {
+		key = append(binary.AppendUvarint(key, uint64(len(h.node))), h.node...)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	locs, ok := s.locs[string(key)]
+	if !ok {
+		locs = make([]string, len(held))
+		for i, h := range held {
+			locs[i] = h.node
+		}
+		s.locs[string(key)] = locs
 	}
 	return hi - lo, locs
 }
@@ -184,7 +203,7 @@ type MemStore struct {
 	mu      sync.Mutex
 	cap     map[string]int64
 	used    map[string]int64
-	entries map[CacheKey]*CacheEntry
+	entries map[CacheKey]CacheEntry
 	tick    int64
 	// Evictions counts partitions dropped for capacity; a cheap health metric.
 	evictions int64
@@ -199,7 +218,7 @@ func NewMemStore(capPerNode map[string]int64) *MemStore {
 	return &MemStore{
 		cap:     capCopy,
 		used:    map[string]int64{},
-		entries: map[CacheKey]*CacheEntry{},
+		entries: map[CacheKey]CacheEntry{},
 	}
 }
 
@@ -220,8 +239,8 @@ func (m *MemStore) Put(key CacheKey, node string, bytes int64, rows []rdd.Row) [
 	}
 	var evicted []CacheEntry
 	for m.used[node]+bytes > capacity {
-		victim := m.lruOn(node)
-		if victim == nil {
+		victim, ok := m.lruOn(node)
+		if !ok {
 			break
 		}
 		m.used[node] -= victim.Bytes
@@ -230,23 +249,24 @@ func (m *MemStore) Put(key CacheKey, node string, bytes int64, rows []rdd.Row) [
 		m.evictions++
 	}
 	m.tick++
-	m.entries[key] = &CacheEntry{Key: key, Node: node, Bytes: bytes, Rows: rows, last: m.tick}
+	m.entries[key] = CacheEntry{Key: key, Node: node, Bytes: bytes, Rows: rows, last: m.tick}
 	m.used[node] += bytes
 	return evicted
 }
 
-func (m *MemStore) lruOn(node string) *CacheEntry {
-	var victim *CacheEntry
+// lruOn returns the least recently used entry on node, the least key on a
+// tie, and whether the node caches any.
+func (m *MemStore) lruOn(node string) (victim CacheEntry, ok bool) {
 	for _, e := range m.entries {
 		if e.Node != node {
 			continue
 		}
-		if victim == nil || e.last < victim.last ||
+		if !ok || e.last < victim.last ||
 			(e.last == victim.last && lessKey(e.Key, victim.Key)) {
-			victim = e
+			victim, ok = e, true
 		}
 	}
-	return victim
+	return victim, ok
 }
 
 func lessKey(a, b CacheKey) bool {
@@ -259,7 +279,7 @@ func lessKey(a, b CacheKey) bool {
 // Peek returns the cached partition without touching LRU recency. The
 // engine's parallel compute pass uses Peek so cache access order cannot
 // perturb eviction decisions; the sequential accounting pass uses Get.
-func (m *MemStore) Peek(key CacheKey) (*CacheEntry, bool) {
+func (m *MemStore) Peek(key CacheKey) (CacheEntry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.entries[key]
@@ -267,15 +287,16 @@ func (m *MemStore) Peek(key CacheKey) (*CacheEntry, bool) {
 }
 
 // Get returns the cached partition and marks it recently used.
-func (m *MemStore) Get(key CacheKey) (*CacheEntry, bool) {
+func (m *MemStore) Get(key CacheKey) (CacheEntry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.entries[key]
 	if !ok {
-		return nil, false
+		return CacheEntry{}, false
 	}
 	m.tick++
 	e.last = m.tick
+	m.entries[key] = e
 	return e, true
 }
 
@@ -328,6 +349,6 @@ func (m *MemStore) DropNode(node string) []CacheEntry {
 func (m *MemStore) Clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.entries = map[CacheKey]*CacheEntry{}
+	m.entries = map[CacheKey]CacheEntry{}
 	m.used = map[string]int64{}
 }
