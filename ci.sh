@@ -17,8 +17,9 @@
 # fold tier against the oracle's boxed rows, of task
 # placement against the reference list scheduler, of the shuffle
 # kernels' pooled scratch (call sequences against the boxed tier), of the
-# shuffle index against a brute-force walk, of KMeans' interleaved nearest-
-# centre kernel against its scalar loop, of the daemon's map-free query
+# shuffle index against a brute-force walk, of the block manager's memory
+# store against the map-backed model it replaced, of KMeans' interleaved
+# nearest-centre kernel against its scalar loop, of the daemon's map-free query
 # parser against url.ParseQuery and of the guard pipeline
 # against arbitrary source, the plan-IR invariant checker, and
 # the symbolic plan extractor, chopperplan — the static plan-drift gate
@@ -136,7 +137,7 @@ gate "exact counts under GC pressure"
 # waiting to happen. GOGC=5 collects every few hundred kilobytes — the
 # condition that once failed one such pin 13 times in 30 — and each pin
 # runs 20 times: none may fail once.
-GOGC=5 go test -count=20 -run 'Allocat|TaskCost|Bookkeeping' ./internal/exec ./internal/rdd ./internal/service
+GOGC=5 go test -count=20 -run 'Allocat|TaskCost|Bookkeeping' ./internal/exec ./internal/rdd ./internal/service ./internal/storage
 
 gate "race"
 go test -race ./internal/...
@@ -185,6 +186,7 @@ go test -run='^$' -fuzz=FuzzTypedFoldMatchesBoxed -fuzztime=5s ./internal/exec
 go test -run='^$' -fuzz=FuzzKernelScratch -fuzztime=5s ./internal/rdd
 go test -run='^$' -fuzz=FuzzCoGroupMatchesReference -fuzztime=5s ./internal/rdd
 go test -run='^$' -fuzz=FuzzShuffleIndex -fuzztime=5s ./internal/shuffle
+go test -run='^$' -fuzz=FuzzMemStoreMatchesModel -fuzztime=5s ./internal/storage
 go test -run='^$' -fuzz=FuzzNearestMatchesScalar -fuzztime=5s ./internal/workloads
 go test -run='^$' -fuzz=FuzzPlanInvariants -fuzztime=5s ./internal/plan/verify
 go test -run='^$' -fuzz=FuzzSymbolicExtract -fuzztime=5s ./internal/plan/extract

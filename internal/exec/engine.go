@@ -285,15 +285,7 @@ func (e *Engine) AliveWorkers() []string {
 // CachedComplete implements dag.StageRunner: true when every partition of r
 // (at its current partition count) is resident in the memory store.
 func (e *Engine) CachedComplete(r *rdd.RDD) bool {
-	if !r.Cached {
-		return false
-	}
-	for s := 0; s < r.NumParts; s++ {
-		if _, ok := e.Cache.Peek(storage.CacheKey{RDD: r.ID, Split: s, Of: r.NumParts}); !ok {
-			return false
-		}
-	}
-	return true
+	return r.Cached && e.Cache.Complete(r.ID, r.NumParts)
 }
 
 // RetireShufflesExcept implements dag.ShuffleRetirer: the scheduler hands

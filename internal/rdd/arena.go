@@ -15,18 +15,21 @@
 // arena then carries as they are (ColNone); the boxed tier is the
 // reference semantics, pinned by the engine-vs-oracle fuzz.
 //
-// Kernel scratch: the shuffle kernels keep their working set — the
-// key→slot map, the per-slot arrays, the sort index, the map side's
+// Kernel scratch: the shuffle kernels keep their working set — the int
+// key→slot table (open addressing over slot numbers, hashed with a
+// per-process salt), the per-slot arrays, the sort index, the map side's
 // per-bucket cursor, the reduce side's block header — in one pooled
 // kernelScratch instead of rebuilding it per call, so what a kernel
 // allocates is what it emits: the arena's segments and bucket table, whose
 // size follows its pairs and not the reduce count, or the merged []Row.
 // The arena's header is the caller's (PartitionPairsInto,
-// PartitionTypedCol). A deferred release clears the maps, the
-// pointer-bearing arrays, the header and the touched cursor entries before
-// pooling (nothing of the last task stays reachable or leaks into the next
-// call) and drops a scratch grown past maxPooledSlots; nothing emitted
-// aliases it. See kernelScratch.
+// PartitionTypedCol). Slots are numbered in first-occurrence order and
+// emitted through it or through a sort by key, so no output depends on
+// the table's layout or salt. A deferred release clears the table, the
+// coGroup map, the pointer-bearing arrays, the header and the touched
+// cursor entries before pooling (nothing of the last task stays reachable
+// or leaks into the next call) and drops a scratch grown past
+// maxPooledSlots; nothing emitted aliases it. See kernelScratch.
 //
 // Ownership: a ColBuckets arena belongs to one (shuffle, map task); the
 // shuffle manager holds it until the generation retires, then drops every
@@ -39,8 +42,8 @@ package rdd
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"slices"
-	"sort"
 
 	"chopper/internal/freelist"
 )
@@ -255,15 +258,19 @@ func boxedArena(a *ColBuckets, buckets [][]Pair) {
 }
 
 // kernelScratch is the working set of one combine, merge or cogroup kernel
-// call: the key→slot map (int or, for coGroup, any), the per-slot arrays,
-// the sort index and the block header a merge's get fills.
+// call: the int key→slot table (slotOf) or, for coGroup, a key→slot map,
+// the per-slot arrays, the sort index and the block header a merge's get
+// fills.
 // Every kernel takes it with takeScratch and hands it back through a
 // deferred release, so the bail-outs, the non-pair error and a panicking
 // user aggregator all return it. Nothing a kernel emits aliases it: the
 // emitters copy the slots into fresh arena segments, the merges and coGroup
 // into a fresh []Row.
 type kernelScratch struct {
-	intSlots map[int64]int32
+	// tab is slotOf's open-addressing table: a power-of-two array of slot
+	// + 1 (0 is empty), at most half full, probed linearly from the key's
+	// salted hash. The key of slot sl is ints[sl].
+	tab      []int32
 	anySlots map[any]int32 // key → group slot (coGroup)
 	ints     []int64       // slot → int key
 	buckets  []int32       // slot (row, when scattering) → reduce bucket (map side); record → group slot (coGroup)
@@ -285,17 +292,18 @@ type kernelScratch struct {
 }
 
 // maxPooledSlots bounds the scratch the pool keeps, counting slots, rows
-// and cursor entries alike: a pooled map or array keeps its memory, so a
-// scratch one fat task (or one very wide shuffle) grew past this is
-// dropped instead of being held for every later call.
+// and cursor entries alike: a pooled table, map or array keeps its memory,
+// so a scratch one fat task (or one very wide shuffle) grew past this is
+// dropped instead of being held for every later call. The slot table
+// holds at most four entries per slot, so the slot count bounds it too.
 const maxPooledSlots = 1 << 14
 
 // scratchPools are pools, not per-worker fields, because the kernels also
 // run with no engine around them (LocalRunner, the fuzz oracle, the layer
 // probes); free lists, not sync.Pools, so a call's allocations do not
 // depend on GC timing; and one per size class of call (class c: at most
-// 64·2^c pairs, the last one larger) because a pooled map keeps its peak
-// capacity and clear costs all of it: a small call must not pay for a
+// 64·2^c pairs, the last one larger) because a pooled table keeps its peak
+// capacity and clearing costs all of it: a small call must not pay for a
 // large one.
 var scratchPools [10]freelist.List[*kernelScratch]
 
@@ -314,7 +322,7 @@ func takeScratch(pairs int) *kernelScratch {
 	if s := scratchPools[c].Get(); s != nil {
 		return s
 	}
-	return &kernelScratch{intSlots: map[int64]int32{}, anySlots: map[any]int32{}, class: c}
+	return &kernelScratch{anySlots: map[any]int32{}, class: c}
 }
 
 // fit returns a scratch of the size class of a call over pairs: s itself
@@ -327,11 +335,11 @@ func (s *kernelScratch) fit(pairs int) *kernelScratch {
 	return takeScratch(pairs)
 }
 
-// release empties the scratch and pools it. The maps and the used prefixes
-// of the pointer-bearing arrays are cleared — a pooled scratch must not
-// keep the last task's keys and combiners alive, nor leak its slots into
-// the next call — so every element within capacity stays zero; so does
-// every cursor entry, whichever way the call left.
+// release empties the scratch and pools it. The slot table, the coGroup
+// map and the used prefixes of the pointer-bearing arrays are cleared — a
+// pooled scratch must not keep the last task's keys and combiners alive,
+// nor leak its slots into the next call — so every element within capacity
+// stays zero; so does every cursor entry, whichever way the call left.
 func (s *kernelScratch) release() {
 	if max(len(s.ints), len(s.buckets), len(s.cursor)) > maxPooledSlots {
 		return
@@ -339,7 +347,9 @@ func (s *kernelScratch) release() {
 	for _, b := range s.touched {
 		s.cursor[b] = 0
 	}
-	clear(s.intSlots)
+	if len(s.ints) > 0 { // the table holds entries only for slots of ints
+		clear(s.tab)
+	}
 	clear(s.anySlots)
 	clear(s.anys)
 	s.blk = ColBlock{} // its views alias arenas of a generation that may retire
@@ -347,6 +357,63 @@ func (s *kernelScratch) release() {
 	s.f64s, s.anys, s.idx = s.f64s[:0], s.anys[:0], s.idx[:0]
 	s.touched = s.touched[:0]
 	scratchPools[s.class].Put(s)
+}
+
+// intSalt seeds slotOf's hash: random per process, so no chosen key set
+// can force long probe chains. Tests set it to show outputs do not depend
+// on it; only an empty table may see it change.
+var intSalt = maphash.Comparable(maphash.MakeSeed(), 0)
+
+// hashInt mixes k with intSalt through MurmurHash3's 64-bit finalizer, so
+// every key bit reaches the low bits the table indexes by.
+func hashInt(k int64) uint64 {
+	h := uint64(k) ^ intSalt
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+// slotOf returns k's slot and true, or gives k, new to the scratch, the
+// next slot — appending it to ints, so slots run in first-occurrence order
+// — and returns that and false.
+func (s *kernelScratch) slotOf(k int64) (int32, bool) {
+	if 2*(len(s.ints)+1) > len(s.tab) {
+		s.growTab()
+	}
+	mask := uint64(len(s.tab) - 1)
+	for h := hashInt(k) & mask; ; h = (h + 1) & mask {
+		e := s.tab[h]
+		if e == 0 {
+			sl := int32(len(s.ints))
+			s.tab[h] = sl + 1
+			s.ints = append(s.ints, k)
+			return sl, false
+		}
+		if s.ints[e-1] == k {
+			return e - 1, true
+		}
+	}
+}
+
+// growTab replaces the table by one at least twice the size, with room for
+// one more slot at most half full, and re-enters every slot.
+func (s *kernelScratch) growTab() {
+	n := max(64, 2*len(s.tab))
+	for n < 2*(len(s.ints)+1) {
+		n *= 2
+	}
+	tab := make([]int32, n)
+	mask := uint64(n - 1)
+	for sl, k := range s.ints {
+		h := hashInt(k) & mask
+		for tab[h] != 0 {
+			h = (h + 1) & mask
+		}
+		tab[h] = int32(sl) + 1
+	}
+	s.tab = tab
 }
 
 // layout starts a, the arena of n reduce buckets over items whose buckets
@@ -460,7 +527,7 @@ func PartitionPairsInto(rows []Row, p Partitioner, agg *Aggregator, dst *ColBuck
 }
 
 // colCombineInt is the map-side combine writer for int keys. One global
-// key→slot map replaces the per-bucket maps of the boxed path: per-key
+// key→slot table replaces the per-bucket maps of the boxed path: per-key
 // state lives in slot-order arrays, and emission scatters the slots
 // bucket-major, preserving per-bucket first-occurrence order (every
 // occurrence of a key lands in the same bucket, so the global
@@ -501,11 +568,9 @@ func colCombineInt(dst *ColBuckets, rows []Row, p Partitioner, agg *Aggregator, 
 		if !ok {
 			return false, nil
 		}
-		if sl, ok := s.intSlots[int64(k)]; ok {
+		if sl, ok := s.slotOf(int64(k)); ok {
 			s.anys[sl] = agg.MergeValue(s.anys[sl], pr.V)
 		} else {
-			s.intSlots[int64(k)] = int32(len(s.ints))
-			s.ints = append(s.ints, int64(k))
 			s.buckets = append(s.buckets, int32(p.PartitionFor(pr.K)))
 			s.anys = append(s.anys, agg.Create(pr.V))
 		}
@@ -518,12 +583,10 @@ func colCombineInt(dst *ColBuckets, rows []Row, p Partitioner, agg *Aggregator, 
 // into its key's slot by MergeValueF64, or opening the next slot — first
 // occurrence order — with its bucket and CreateF64(v).
 func (s *kernelScratch) foldIntF64(k int64, v float64, p Partitioner, agg *Aggregator) {
-	if sl, ok := s.intSlots[k]; ok {
+	if sl, ok := s.slotOf(k); ok {
 		s.f64s[sl] = agg.MergeValueF64(s.f64s[sl], v)
 		return
 	}
-	s.intSlots[k] = int32(len(s.ints))
-	s.ints = append(s.ints, k)
 	s.buckets = append(s.buckets, int32(partitionInt(p, k)))
 	s.f64s = append(s.f64s, agg.CreateF64(v))
 }
@@ -721,50 +784,48 @@ func materializeCols(s *kernelScratch, n int, get func(int, *ColBlock)) [][]Pair
 }
 
 // concatColIntF64 is the no-aggregator merge for int/float64 blocks:
-// concatenate in block order, stable-sort by key through an index
-// permutation (the typed columns make comparisons and swaps cheap), box
-// each row once on emission.
+// concatenate in block order into the scratch's key and value arrays,
+// stable-sort by key through the scratch's index permutation (the typed
+// columns make comparisons and swaps cheap), box each row once on
+// emission. The rows are all it allocates.
 func concatColIntF64(s *kernelScratch, n int, get func(int, *ColBlock), total int) []Row {
-	keys := make([]int64, 0, total)
-	vals := make([]float64, 0, total)
+	s.ints, s.f64s = slices.Grow(s.ints, total), slices.Grow(s.f64s, total)
 	for i := 0; i < n; i++ {
 		get(i, &s.blk)
-		keys = append(keys, s.blk.Int...)
-		vals = append(vals, s.blk.F64...)
+		s.ints = append(s.ints, s.blk.Int...)
+		s.f64s = append(s.f64s, s.blk.F64...)
 	}
-	idx := stableKeyOrder(keys)
 	out := make([]Row, total)
-	for i, j := range idx {
-		out[i] = Pair{K: int(keys[j]), V: vals[j]}
+	for i, j := range stableKeyOrder(s, s.ints) {
+		out[i] = Pair{K: int(s.ints[j]), V: s.f64s[j]}
 	}
 	return out
 }
 
 // concatColIntAny is concatColIntF64 with boxed values.
 func concatColIntAny(s *kernelScratch, n int, get func(int, *ColBlock), total int) []Row {
-	keys := make([]int64, 0, total)
-	vals := make([]any, 0, total)
+	s.ints, s.anys = slices.Grow(s.ints, total), slices.Grow(s.anys, total)
 	for i := 0; i < n; i++ {
 		get(i, &s.blk)
-		keys = append(keys, s.blk.Int...)
-		vals = append(vals, s.blk.Any...)
+		s.ints = append(s.ints, s.blk.Int...)
+		s.anys = append(s.anys, s.blk.Any...)
 	}
-	idx := stableKeyOrder(keys)
 	out := make([]Row, total)
-	for i, j := range idx {
-		out[i] = Pair{K: int(keys[j]), V: vals[j]}
+	for i, j := range stableKeyOrder(s, s.ints) {
+		out[i] = Pair{K: int(s.ints[j]), V: s.anys[j]}
 	}
 	return out
 }
 
-// stableKeyOrder returns the stable-by-key permutation of keys.
-func stableKeyOrder(keys []int64) []int32 {
-	idx := make([]int32, len(keys))
-	for i := range idx {
-		idx[i] = int32(i)
+// stableKeyOrder returns the scratch's sort index holding the stable-by-key
+// permutation of keys.
+func stableKeyOrder(s *kernelScratch, keys []int64) []int32 {
+	s.idx = slices.Grow(s.idx[:0], len(keys))[:len(keys)]
+	for i := range s.idx {
+		s.idx[i] = int32(i)
 	}
-	sort.SliceStable(idx, func(i, j int) bool { return keys[idx[i]] < keys[idx[j]] })
-	return idx
+	slices.SortStableFunc(s.idx, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	return s.idx
 }
 
 // mergeColIntF64 is the unboxed reduce-side fold for int/float64 blocks on
@@ -823,28 +884,23 @@ func MergeTypedCol(n int, get func(int, *ColBlock), agg *Aggregator, dst *ColBlo
 // foldColIntF64 folds int/float64 blocks into s's slot arrays, mirroring
 // mergeBlocksGeneric with the aggregator's F64 hooks: map-task order,
 // per-key fold in pair order, first-occurrence key tracking. Per-key state
-// lives in slot arrays, so a repeated key costs one map lookup and an
-// array store — no map assignment. blk is the header get fills.
+// lives in slot arrays, so a repeated key costs one table probe and an
+// array store. blk is the header get fills.
 func foldColIntF64(s *kernelScratch, n int, get func(int, *ColBlock), agg *Aggregator, blk *ColBlock) {
 	for bi := 0; bi < n; bi++ {
 		get(bi, blk)
 		f64s := blk.F64
 		for i, k := range blk.Int {
 			v := f64s[i]
-			if sl, ok := s.intSlots[k]; ok {
-				if agg.MapSideCombine {
-					s.f64s[sl] = agg.MergeCombinersF64(s.f64s[sl], v)
-				} else {
-					s.f64s[sl] = agg.MergeValueF64(s.f64s[sl], v)
-				}
-			} else {
-				s.intSlots[k] = int32(len(s.ints))
-				s.ints = append(s.ints, k)
-				if agg.MapSideCombine {
-					s.f64s = append(s.f64s, v) // already a combiner from the map side
-				} else {
-					s.f64s = append(s.f64s, agg.CreateF64(v))
-				}
+			switch sl, ok := s.slotOf(k); {
+			case ok && agg.MapSideCombine:
+				s.f64s[sl] = agg.MergeCombinersF64(s.f64s[sl], v)
+			case ok:
+				s.f64s[sl] = agg.MergeValueF64(s.f64s[sl], v)
+			case agg.MapSideCombine:
+				s.f64s = append(s.f64s, v) // already a combiner from the map side
+			default:
+				s.f64s = append(s.f64s, agg.CreateF64(v))
 			}
 		}
 	}
@@ -859,20 +915,15 @@ func mergeColIntAny(s *kernelScratch, n int, get func(int, *ColBlock), agg *Aggr
 		anys := s.blk.Any
 		for i, k := range s.blk.Int {
 			v := anys[i]
-			if sl, ok := s.intSlots[k]; ok {
-				if agg.MapSideCombine {
-					s.anys[sl] = agg.MergeCombiners(s.anys[sl], v)
-				} else {
-					s.anys[sl] = agg.MergeValue(s.anys[sl], v)
-				}
-			} else {
-				s.intSlots[k] = int32(len(s.ints))
-				s.ints = append(s.ints, k)
-				if agg.MapSideCombine {
-					s.anys = append(s.anys, v) // already a combiner from the map side
-				} else {
-					s.anys = append(s.anys, agg.Create(v))
-				}
+			switch sl, ok := s.slotOf(k); {
+			case ok && agg.MapSideCombine:
+				s.anys[sl] = agg.MergeCombiners(s.anys[sl], v)
+			case ok:
+				s.anys[sl] = agg.MergeValue(s.anys[sl], v)
+			case agg.MapSideCombine:
+				s.anys = append(s.anys, v) // already a combiner from the map side
+			default:
+				s.anys = append(s.anys, agg.Create(v))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -36,6 +37,15 @@ const (
 	aggShapes        // count
 )
 
+// Int key sets of a scratchCall: what the slot table must get right.
+const (
+	keysSpread  = iota // rng.Intn(keys)·7919 − 3
+	keysExtreme        // 0, ±1, math.MinInt64, math.MaxInt64 and their neighbours, and negatives
+	keysWide           // multiples of 2^32 of both signs: one low word for all
+	keysDense          // a dense run from a random base
+	keysBig            // every row its own key: more slots than maxPooledSlots
+)
+
 // scratchCall is one shuffle — a few map tasks partitioned over parts
 // reduce partitions, every reduce partition merged — in a sequence run on
 // one goroutine, so consecutive calls reuse the same pooled scratch.
@@ -45,12 +55,33 @@ type scratchCall struct {
 	agg      int
 	rows     int
 	keys     int
+	keySet   int
+	base     int64 // keysDense's first key; keysBig's keys are row ^ base
 	parts    int
 	flaw, at int
 }
 
 func (c scratchCall) String() string {
-	return fmt.Sprintf("{str=%v f64=%v agg=%d rows=%d keys=%d parts=%d flaw=%d at=%d}", c.strKeys, c.f64Vals, c.agg, c.rows, c.keys, c.parts, c.flaw, c.at)
+	return fmt.Sprintf("{str=%v f64=%v agg=%d rows=%d keys=%d set=%d base=%d parts=%d flaw=%d at=%d}", c.strKeys, c.f64Vals, c.agg, c.rows, c.keys, c.keySet, c.base, c.parts, c.flaw, c.at)
+}
+
+// intKey draws row i's int key from the call's key set.
+func (c scratchCall) intKey(rng *rand.Rand, i int) int64 {
+	switch c.keySet {
+	case keysExtreme:
+		edges := [...]int64{0, 1, -1, math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1}
+		if j := rng.Intn(len(edges) + c.keys); j < len(edges) {
+			return edges[j]
+		}
+		return -1 - int64(rng.Intn(c.keys))
+	case keysWide:
+		return int64(rng.Intn(c.keys)-c.keys/2) << 32
+	case keysDense:
+		return c.base + int64(rng.Intn(c.keys))
+	case keysBig:
+		return int64(i) ^ c.base
+	}
+	return int64(rng.Intn(c.keys)*7919 - 3)
 }
 
 // checkPooledScratch takes a scratch from each size class's pool and
@@ -111,7 +142,7 @@ func panics(f func()) (did bool) {
 func (c scratchCall) build(rng *rand.Rand) ([]Row, *Aggregator) {
 	rows := make([]Row, c.rows)
 	for i := range rows {
-		var k any = rng.Intn(c.keys)*7919 - 3
+		var k any = int(c.intKey(rng, i))
 		if c.strKeys {
 			k = fmt.Sprintf("key-%d", rng.Intn(c.keys))
 		}
@@ -164,6 +195,7 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
 	parts := c.parts
 	rows, agg := c.build(rng)
 	p := NewHashPartitioner(parts)
+	checkSlotTable(t, c, rows)
 
 	if c.flaw == flawMapPanic || c.flaw == flawMergePanic {
 		if agg == nil || !agg.MapSideCombine {
@@ -236,9 +268,46 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
 	}
 }
 
+// checkSlotTable feeds the int keys of rows, in order, through the slot
+// table of a scratch of their size class and checks every answer against a
+// map numbering the keys by first occurrence; then every key again, and
+// the table's load.
+func checkSlotTable(t *testing.T, c scratchCall, rows []Row) {
+	t.Helper()
+	s := takeScratch(len(rows))
+	defer s.release()
+	ref := map[int64]int32{}
+	for i, row := range rows {
+		pr, ok := row.(Pair)
+		if !ok {
+			continue
+		}
+		k, ok := pr.K.(int)
+		if !ok {
+			continue
+		}
+		want, had := ref[int64(k)]
+		if !had {
+			want = int32(len(ref))
+			ref[int64(k)] = want
+		}
+		if sl, ok := s.slotOf(int64(k)); sl != want || ok != had {
+			t.Fatalf("%v row %d: slotOf(%d) = %d, %v; want %d, %v", c, i, k, sl, ok, want, had)
+		}
+	}
+	for k, want := range ref {
+		if sl, ok := s.slotOf(k); sl != want || !ok {
+			t.Fatalf("%v: slotOf(%d) = %d, %v after the rows; want %d, true", c, k, sl, ok, want)
+		}
+	}
+	if len(s.ints) != len(ref) || 2*len(s.ints) > len(s.tab) {
+		t.Fatalf("%v: %d slots for %d keys in a table of %d", c, len(s.ints), len(ref), len(s.tab))
+	}
+}
+
 // randomCalls draws a sequence of n calls from rng, small inputs mostly;
 // one in four is a wide shuffle, up to 4096 reduce partitions over at most
-// 10 rows.
+// 10 rows. Int keys come from every key set, one call in 96 a keysBig one.
 func randomCalls(rng *rand.Rand, n int) []scratchCall {
 	sizes := []int{0, 1, 2, 9, 40, 300, 300, 2000, 10000}
 	calls := make([]scratchCall, n)
@@ -252,6 +321,10 @@ func randomCalls(rng *rand.Rand, n int) []scratchCall {
 		}
 		if rng.Intn(4) == 0 {
 			c.rows, c.parts = rng.Intn(11), 1+rng.Intn(4096)
+		}
+		c.keySet, c.base = rng.Intn(keysBig), rng.Int63()-1<<62
+		if rng.Intn(96) == 0 {
+			c.keySet, c.rows = keysBig, maxPooledSlots+1+rng.Intn(512)
 		}
 		c.keys = 1 + rng.Intn(c.rows+1)
 		if rng.Intn(3) == 0 {
@@ -278,6 +351,16 @@ func TestKernelScratchSequences(t *testing.T) {
 				}
 			}
 		}
+	}
+	for set := keysExtreme; set <= keysDense; set++ {
+		for agg := 0; agg < aggShapes; agg++ {
+			fixed = append(fixed, scratchCall{f64Vals: agg != aggBoxed, agg: agg, rows: 600, keys: 200, keySet: set, base: -1 << 40, parts: 4})
+		}
+	}
+	// Past maxPooledSlots: the map-side combine and the reduce-side merge
+	// over every key, then the combine-free merge.
+	for _, agg := range []int{aggSum, aggNone} {
+		fixed = append(fixed, scratchCall{f64Vals: true, agg: agg, rows: maxPooledSlots + 100, keySet: keysBig, base: -1 << 40, parts: 4})
 	}
 	for _, strKeys := range []bool{false, true} {
 		for flaw := flawHetero; flaw <= flawMergePanic; flaw++ {
@@ -325,6 +408,50 @@ func FuzzKernelScratch(f *testing.F) {
 			c.run(t, rng)
 		}
 	})
+}
+
+// TestKernelOutputsIgnoreSalt runs the same calls, every int key set under
+// every aggregator shape, under two hash salts: the slot tables' layouts
+// differ, the arenas and merged rows may not.
+func TestKernelOutputsIgnoreSalt(t *testing.T) {
+	defer func(old uint64) { intSalt = old }(intSalt)
+	var calls []scratchCall
+	for set := keysSpread; set <= keysDense; set++ {
+		for agg := 0; agg < aggShapes; agg++ {
+			calls = append(calls, scratchCall{f64Vals: agg != aggBoxed, agg: agg, rows: 500, keys: 150, keySet: set, base: 1 << 50})
+		}
+	}
+	run := func(salt uint64) (out []string, layout []int32) {
+		intSalt = salt
+		for i, c := range calls {
+			rows, agg := c.build(rand.New(rand.NewSource(int64(i))))
+			cols, _, err := PartitionPairsCol(rows, NewHashPartitioner(4), agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < 4; b++ {
+				blk := new(ColBlock)
+				cols.BucketInto(b, blk)
+				out = append(out, fmt.Sprint(blk.AppendPairs(nil)), fmt.Sprint(mergeViews([]*ColBlock{blk, blk}, agg)))
+			}
+		}
+		s := takeScratch(0)
+		defer s.release()
+		for k := range int64(40) {
+			s.slotOf(k << 32)
+		}
+		return out, slices.Clone(s.tab)
+	}
+	a, layoutA := run(0x9e3779b97f4a7c15)
+	b, layoutB := run(0x0123456789abcdef)
+	if slices.Equal(layoutA, layoutB) {
+		t.Fatalf("both salts laid the table out alike: the comparison proves nothing")
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("call %v bucket %d, %s: salts disagree:\n%.300s\n%.300s", calls[i/8], i%8/2, []string{"arena", "merge"}[i%2], a[i], b[i])
+		}
+	}
 }
 
 // shuffleOnce partitions rows as one map task and merges reduce partition
@@ -376,9 +503,8 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 		s := takeScratch(0)
 		for i := 0; i < slots; i++ {
 			k := fmt.Sprintf("key-%d", i)
-			s.intSlots[int64(i)] = int32(i)
+			s.slotOf(int64(i))
 			s.anySlots[k] = int32(i)
-			s.ints = append(s.ints, int64(i))
 			s.anys = append(s.anys, &k)
 			s.f64s = append(s.f64s, 1)
 			s.buckets = append(s.buckets, 1)
@@ -389,8 +515,8 @@ func TestScratchReleaseRetainsNothing(t *testing.T) {
 
 	s := fill(maxPooledSlots)
 	s.release()
-	if len(s.intSlots)+len(s.anySlots) != 0 {
-		t.Fatalf("release left %d int and %d boxed-key slots", len(s.intSlots), len(s.anySlots))
+	if i := slices.IndexFunc(s.tab, func(e int32) bool { return e != 0 }); i >= 0 || len(s.anySlots) != 0 {
+		t.Fatalf("release left int-key table entry %d (of %d) or %d boxed-key slots", i, len(s.tab), len(s.anySlots))
 	}
 	if len(s.ints)+len(s.buckets)+len(s.f64s)+len(s.anys)+len(s.idx) != 0 {
 		t.Fatalf("release left a non-empty slot array: %+v", s)
@@ -562,9 +688,10 @@ func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
 		// One []Row and the boxes of each emitted row (the Pair, its key,
 		// its value); the get callback fills the scratch's block header.
 		{"int-key merge", [2]int{16, 256}, merge(intRows, sum, keys), 1537},
-		// Besides the rows: the concatenated keys and values, the sort
-		// permutation and sort.SliceStable's swapper.
-		{"no-aggregator merge", [2]int{16, 256}, merge(intRows, nil, 2*keys), 3077},
+		// The same for every row: the keys, values and sort permutation
+		// are concatenated in the scratch (row 0's value, 0.0, boxes for
+		// free).
+		{"no-aggregator merge", [2]int{16, 256}, merge(intRows, nil, 2*keys), 3072},
 		{"LogicalPairsBytes", [2]int{100, 10000}, func(_ *testing.T, k int) func() {
 			pairs := make([]Pair, 2*k)
 			for i, r := range intRows(2*k, k) {

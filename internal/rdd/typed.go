@@ -209,11 +209,8 @@ func groupIntAnyF64(in [][]Row, narrow []bool, dst *ColBlock) {
 	defer s.release()
 	// counted adds n values of key k's side i, giving k a slot first.
 	counted := func(k int64, i int, n int32) {
-		sl, ok := s.intSlots[k]
+		sl, ok := s.slotOf(k)
 		if !ok {
-			sl = int32(len(s.ints))
-			s.intSlots[k] = sl
-			s.ints = append(s.ints, k)
 			s.idx = append(s.idx, 0, 0)
 		}
 		s.buckets = append(s.buckets, sl)

@@ -199,14 +199,39 @@ type CacheEntry struct {
 // MemStore is the block-manager memory store: per-node capacity, LRU
 // eviction. Evicted partitions are recomputed on next use (lineage), so
 // eviction is lossy for time but not for correctness.
+//
+// Entries live in one dense table per (RDD, Of), indexed by split, the
+// tables sorted by (RDD, Of): a lookup is a binary search over the cached
+// RDDs plus an index, and each table counts its resident splits below Of,
+// so Complete is one comparison. A table nothing is cached in any more is
+// dropped when the next one is made.
 type MemStore struct {
-	mu      sync.Mutex
-	cap     map[string]int64
-	used    map[string]int64
-	entries map[CacheKey]CacheEntry
-	tick    int64
+	mu     sync.Mutex
+	cap    map[string]int64
+	used   map[string]int64
+	tables []cacheTable
+	// tick orders recency: every Put and Get takes the next one, so no two
+	// entries share it.
+	tick int64
 	// Evictions counts partitions dropped for capacity; a cheap health metric.
 	evictions int64
+}
+
+// cacheTable holds the cached splits of one RDD at one partition count.
+type cacheTable struct {
+	rdd, of  int
+	held     int         // occupied slots
+	resident int         // occupied slots below of
+	slots    []cacheSlot // by split; at least of long
+}
+
+// cacheSlot is one split's entry; last is its recency tick, 0 when the slot
+// is empty (ticks start at 1).
+type cacheSlot struct {
+	rows  []rdd.Row
+	node  string
+	bytes int64
+	last  int64
 }
 
 // NewMemStore creates a store with the given per-node capacity in bytes.
@@ -215,65 +240,123 @@ func NewMemStore(capPerNode map[string]int64) *MemStore {
 	for k, v := range capPerNode {
 		capCopy[k] = v
 	}
-	return &MemStore{
-		cap:     capCopy,
-		used:    map[string]int64{},
-		entries: map[CacheKey]CacheEntry{},
+	return &MemStore{cap: capCopy, used: map[string]int64{}}
+}
+
+// find returns the position of the (id, of) table, or where it would go.
+func (m *MemStore) find(id, of int) (int, bool) {
+	lo, hi := 0, len(m.tables)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if t := &m.tables[h]; t.rdd < id || (t.rdd == id && t.of < of) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(m.tables) && m.tables[lo].rdd == id && m.tables[lo].of == of
+}
+
+// lookup returns the table of key's RDD and Of, nil if there is none, and
+// key's entry in it, nil when key is not cached.
+func (m *MemStore) lookup(key CacheKey) (*cacheTable, *cacheSlot) {
+	i, ok := m.find(key.RDD, key.Of)
+	if !ok {
+		return nil, nil
+	}
+	t := &m.tables[i]
+	if key.Split < 0 || key.Split >= len(t.slots) || t.slots[key.Split].last == 0 {
+		return t, nil
+	}
+	return t, &t.slots[key.Split]
+}
+
+// insert makes the table of key's RDD and Of, sized for its split, after
+// dropping the tables nothing is cached in any more.
+func (m *MemStore) insert(key CacheKey) *cacheTable {
+	m.tables = slices.DeleteFunc(m.tables, func(t cacheTable) bool { return t.held == 0 })
+	i, _ := m.find(key.RDD, key.Of)
+	m.tables = slices.Insert(m.tables, i, cacheTable{rdd: key.RDD, of: key.Of, slots: make([]cacheSlot, max(key.Of, key.Split+1))})
+	return &m.tables[i]
+}
+
+// fill occupies the empty slot of split.
+func (t *cacheTable) fill(split int, s cacheSlot) {
+	t.slots[split] = s
+	t.held++
+	if split < t.of {
+		t.resident++
+	}
+}
+
+// drop empties the slot of split.
+func (t *cacheTable) drop(split int) {
+	t.slots[split] = cacheSlot{}
+	t.held--
+	if split < t.of {
+		t.resident--
 	}
 }
 
 // Put caches a partition on node, evicting least-recently-used entries on
 // that node to make room. Partitions larger than the node capacity are not
 // cached (Spark drops them too). It returns the evicted entries (key and
-// size) so callers can account released memory.
+// size) so callers can account released memory. A negative split panics.
 func (m *MemStore) Put(key CacheKey, node string, bytes int64, rows []rdd.Row) []CacheEntry {
+	if key.Split < 0 {
+		panic(fmt.Sprintf("storage: caching negative split %d", key.Split))
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	capacity, ok := m.cap[node]
 	if !ok || bytes > capacity {
 		return nil
 	}
-	if old, ok := m.entries[key]; ok {
-		m.used[old.Node] -= old.Bytes
-		delete(m.entries, key)
+	t, old := m.lookup(key)
+	if old != nil {
+		m.used[old.node] -= old.bytes
+		t.drop(key.Split)
 	}
+	// Evicting adds and removes no table, so t stays valid.
 	var evicted []CacheEntry
 	for m.used[node]+bytes > capacity {
-		victim, ok := m.lruOn(node)
+		i, split, ok := m.lruOn(node)
 		if !ok {
 			break
 		}
-		m.used[node] -= victim.Bytes
-		delete(m.entries, victim.Key)
-		evicted = append(evicted, CacheEntry{Key: victim.Key, Node: victim.Node, Bytes: victim.Bytes})
+		vt := &m.tables[i]
+		victim := vt.slots[split]
+		m.used[node] -= victim.bytes
+		vt.drop(split)
+		evicted = append(evicted, CacheEntry{Key: CacheKey{RDD: vt.rdd, Split: split, Of: vt.of}, Node: victim.node, Bytes: victim.bytes})
 		m.evictions++
 	}
+	if t == nil {
+		t = m.insert(key)
+	}
+	if key.Split >= len(t.slots) {
+		t.slots = append(t.slots, make([]cacheSlot, key.Split+1-len(t.slots))...)
+	}
 	m.tick++
-	m.entries[key] = CacheEntry{Key: key, Node: node, Bytes: bytes, Rows: rows, last: m.tick}
+	t.fill(key.Split, cacheSlot{rows: rows, node: node, bytes: bytes, last: m.tick})
 	m.used[node] += bytes
 	return evicted
 }
 
-// lruOn returns the least recently used entry on node, the least key on a
-// tie, and whether the node caches any.
-func (m *MemStore) lruOn(node string) (victim CacheEntry, ok bool) {
-	for _, e := range m.entries {
-		if e.Node != node {
-			continue
-		}
-		if !ok || e.last < victim.last ||
-			(e.last == victim.last && lessKey(e.Key, victim.Key)) {
-			victim, ok = e, true
+// lruOn returns the table position and split of the least recently used
+// entry on node (ticks are unique, so there is no tie to break), and
+// whether the node caches any.
+func (m *MemStore) lruOn(node string) (table, split int, ok bool) {
+	var last int64
+	for i := range m.tables {
+		t := &m.tables[i]
+		for sp := range t.slots {
+			if s := &t.slots[sp]; s.last != 0 && s.node == node && (!ok || s.last < last) {
+				table, split, last, ok = i, sp, s.last, true
+			}
 		}
 	}
-	return victim, ok
-}
-
-func lessKey(a, b CacheKey) bool {
-	if a.RDD != b.RDD {
-		return a.RDD < b.RDD
-	}
-	return a.Split < b.Split
+	return table, split, ok
 }
 
 // Peek returns the cached partition without touching LRU recency. The
@@ -282,33 +365,52 @@ func lessKey(a, b CacheKey) bool {
 func (m *MemStore) Peek(key CacheKey) (CacheEntry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	return e, ok
+	_, s := m.lookup(key)
+	if s == nil {
+		return CacheEntry{}, false
+	}
+	return s.entry(key), true
 }
 
 // Get returns the cached partition and marks it recently used.
 func (m *MemStore) Get(key CacheKey) (CacheEntry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok {
+	_, s := m.lookup(key)
+	if s == nil {
 		return CacheEntry{}, false
 	}
 	m.tick++
-	e.last = m.tick
-	m.entries[key] = e
-	return e, true
+	s.last = m.tick
+	return s.entry(key), true
+}
+
+// entry is the slot as key's CacheEntry.
+func (s *cacheSlot) entry(key CacheKey) CacheEntry {
+	return CacheEntry{Key: key, Node: s.node, Bytes: s.bytes, Rows: s.rows, last: s.last}
 }
 
 // Location reports the node caching key, if any.
 func (m *MemStore) Location(key CacheKey) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok {
+	_, s := m.lookup(key)
+	if s == nil {
 		return "", false
 	}
-	return e.Node, true
+	return s.node, true
+}
+
+// Complete reports whether every split below of of the RDD id, cached at
+// partition count of, is resident: true for no splits at all.
+func (m *MemStore) Complete(id, of int) bool {
+	if of <= 0 {
+		return true
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i, ok := m.find(id, of)
+	return ok && m.tables[i].resident == of
 }
 
 // NodeUsed reports cached bytes on a node.
@@ -327,21 +429,28 @@ func (m *MemStore) Evictions() int64 {
 
 // DropNode evicts every partition cached on the given node (node failure:
 // the data is lost and must be recomputed from lineage). It returns the
-// dropped entries so callers can account the released memory.
+// dropped entries, sorted by (RDD, Split, Of), so callers can account the
+// released memory.
 func (m *MemStore) DropNode(node string) []CacheEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var dropped []CacheEntry
-	for k, e := range m.entries {
-		if e.Node != node {
-			continue
+	for i := range m.tables {
+		t := &m.tables[i]
+		for split := range t.slots {
+			if s := &t.slots[split]; s.last != 0 && s.node == node {
+				dropped = append(dropped, CacheEntry{Key: CacheKey{RDD: t.rdd, Split: split, Of: t.of}, Node: node, Bytes: s.bytes})
+				m.used[node] -= s.bytes
+				t.drop(split)
+			}
 		}
-		dropped = append(dropped, CacheEntry{Key: e.Key, Node: e.Node, Bytes: e.Bytes})
-		m.used[node] -= e.Bytes
-		delete(m.entries, k)
 	}
 	delete(m.cap, node)
-	sort.Slice(dropped, func(i, j int) bool { return lessKey(dropped[i].Key, dropped[j].Key) })
+	// Collected by (RDD, Of, Split): the stable sort leaves one split's
+	// entries under two partition counts in Of order.
+	slices.SortStableFunc(dropped, func(a, b CacheEntry) int {
+		return cmp.Or(cmp.Compare(a.Key.RDD, b.Key.RDD), cmp.Compare(a.Key.Split, b.Key.Split))
+	})
 	return dropped
 }
 
@@ -349,6 +458,6 @@ func (m *MemStore) DropNode(node string) []CacheEntry {
 func (m *MemStore) Clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.entries = map[CacheKey]CacheEntry{}
+	m.tables = nil
 	m.used = map[string]int64{}
 }

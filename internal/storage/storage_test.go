@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"cmp"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -163,6 +166,22 @@ func TestMemStoreClear(t *testing.T) {
 	}
 }
 
+// TestMemStoreDropsEmptyTables: caching one RDD after another on a node
+// with room for one partition evicts each in turn; the store keeps the
+// table of the one cached and at most one emptied since, not one per RDD.
+func TestMemStoreDropsEmptyTables(t *testing.T) {
+	m := NewMemStore(map[string]int64{"A": 100})
+	for id := 1; id <= 1000; id++ {
+		m.Put(CacheKey{RDD: id, Split: 0, Of: 300}, "A", 100, nil)
+		if len(m.tables) > 2 {
+			t.Fatalf("after caching RDD %d the store holds %d tables", id, len(m.tables))
+		}
+	}
+	if _, ok := m.Peek(CacheKey{RDD: 1000, Split: 0, Of: 300}); !ok || m.Evictions() != 999 {
+		t.Fatalf("the last RDD is not cached, or %d evictions, want 999", m.Evictions())
+	}
+}
+
 // Property: used bytes on a node never exceed its capacity.
 func TestQuickMemStoreCapacityInvariant(t *testing.T) {
 	f := func(sizes []uint16) bool {
@@ -177,6 +196,236 @@ func TestQuickMemStoreCapacityInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// modelStore is the map-backed memory store the table-per-RDD MemStore
+// replaced, kept as its reference: one map entry per cached key, LRU by a
+// scan of every entry.
+type modelStore struct {
+	cap       map[string]int64
+	used      map[string]int64
+	entries   map[CacheKey]CacheEntry
+	tick      int64
+	evictions int64
+}
+
+func newModelStore(capPerNode map[string]int64) *modelStore {
+	capCopy := map[string]int64{}
+	for k, v := range capPerNode {
+		capCopy[k] = v
+	}
+	return &modelStore{cap: capCopy, used: map[string]int64{}, entries: map[CacheKey]CacheEntry{}}
+}
+
+func (m *modelStore) Put(key CacheKey, node string, bytes int64, rows []rdd.Row) []CacheEntry {
+	capacity, ok := m.cap[node]
+	if !ok || bytes > capacity {
+		return nil
+	}
+	if old, ok := m.entries[key]; ok {
+		m.used[old.Node] -= old.Bytes
+		delete(m.entries, key)
+	}
+	var evicted []CacheEntry
+	for m.used[node]+bytes > capacity {
+		victim, ok := m.lruOn(node)
+		if !ok {
+			break
+		}
+		m.used[node] -= victim.Bytes
+		delete(m.entries, victim.Key)
+		evicted = append(evicted, CacheEntry{Key: victim.Key, Node: victim.Node, Bytes: victim.Bytes})
+		m.evictions++
+	}
+	m.tick++
+	m.entries[key] = CacheEntry{Key: key, Node: node, Bytes: bytes, Rows: rows, last: m.tick}
+	m.used[node] += bytes
+	return evicted
+}
+
+func (m *modelStore) lruOn(node string) (victim CacheEntry, ok bool) {
+	for _, e := range m.entries {
+		if e.Node != node {
+			continue
+		}
+		if !ok || e.last < victim.last ||
+			(e.last == victim.last && lessKey(e.Key, victim.Key)) {
+			victim, ok = e, true
+		}
+	}
+	return victim, ok
+}
+
+func lessKey(a, b CacheKey) bool {
+	if a.RDD != b.RDD {
+		return a.RDD < b.RDD
+	}
+	return a.Split < b.Split
+}
+
+func (m *modelStore) Peek(key CacheKey) (CacheEntry, bool) {
+	e, ok := m.entries[key]
+	return e, ok
+}
+
+func (m *modelStore) Get(key CacheKey) (CacheEntry, bool) {
+	e, ok := m.entries[key]
+	if !ok {
+		return CacheEntry{}, false
+	}
+	m.tick++
+	e.last = m.tick
+	m.entries[key] = e
+	return e, true
+}
+
+func (m *modelStore) Location(key CacheKey) (string, bool) {
+	e, ok := m.entries[key]
+	return e.Node, ok
+}
+
+// Complete is the engine's old per-split probe loop.
+func (m *modelStore) Complete(id, of int) bool {
+	for s := 0; s < of; s++ {
+		if _, ok := m.entries[CacheKey{RDD: id, Split: s, Of: of}]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *modelStore) DropNode(node string) []CacheEntry {
+	var dropped []CacheEntry
+	for k, e := range m.entries {
+		if e.Node != node {
+			continue
+		}
+		dropped = append(dropped, CacheEntry{Key: e.Key, Node: e.Node, Bytes: e.Bytes})
+		m.used[node] -= e.Bytes
+		delete(m.entries, k)
+	}
+	delete(m.cap, node)
+	sort.Slice(dropped, func(i, j int) bool { return lessKey(dropped[i].Key, dropped[j].Key) })
+	return dropped
+}
+
+func (m *modelStore) Clear() {
+	m.entries = map[CacheKey]CacheEntry{}
+	m.used = map[string]int64{}
+}
+
+// FuzzMemStoreMatchesModel drives random call sequences through the store
+// and the model and compares every result after every step — evicted and
+// dropped entries in order, entries with their recency ticks, locations,
+// completeness — and every node's used bytes and the eviction count. Three
+// RDDs are cached at two partition counts each (a retuned Of), so one
+// split recurs under two keys that tie on (RDD, Split) wherever they are
+// ordered; capacities of a few dozen entries keep evictions frequent and
+// let tables fill; a node kill removes a node for good, and once every
+// node is dead both stores start over; a Clear empties both; one key in
+// six lies at or past its Of. Recency ticks are unique, so no eviction
+// ever ties. The model orders DropNode's (RDD, Split) ties by map
+// iteration; the store orders them by Of, which is what the model's result
+// is re-sorted to. ci.sh runs it for 5 s.
+func FuzzMemStoreMatchesModel(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seed, uint16(400))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		caps := map[string]int64{"A": 300, "B": 500, "C": 120}
+		got, want := NewMemStore(caps), newModelStore(caps)
+		nodes := []string{"A", "B", "C", "Z"}
+		key := func() CacheKey {
+			k := CacheKey{RDD: 1 + rng.Intn(3), Of: 2 + 2*rng.Intn(2)}
+			k.Split = rng.Intn(k.Of)
+			if rng.Intn(6) == 0 {
+				k.Split = k.Of + rng.Intn(3)
+			}
+			return k
+		}
+		check := func(step int, op string, g, w any) {
+			t.Helper()
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("step %d %s: store %+v, model %+v", step, op, g, w)
+			}
+		}
+		for step := 0; step < int(steps%1024); step++ {
+			switch r := rng.Intn(100); {
+			case r < 45:
+				k, node, bytes := key(), nodes[rng.Intn(len(nodes))], int64(rng.Intn(40))
+				switch rng.Intn(20) {
+				case 0:
+					bytes = 600 // larger than every node
+				case 1, 2, 3:
+					bytes = int64(rng.Intn(160))
+				}
+				rows := []rdd.Row{step}
+				check(step, "Put", got.Put(k, node, bytes, rows), want.Put(k, node, bytes, rows))
+			case r < 60:
+				k := key()
+				ge, gok := got.Peek(k)
+				we, wok := want.Peek(k)
+				check(step, "Peek", []any{ge, gok}, []any{we, wok})
+			case r < 75:
+				k := key()
+				ge, gok := got.Get(k)
+				we, wok := want.Get(k)
+				check(step, "Get", []any{ge, gok}, []any{we, wok})
+			case r < 85:
+				k := key()
+				gn, gok := got.Location(k)
+				wn, wok := want.Location(k)
+				check(step, "Location", []any{gn, gok}, []any{wn, wok})
+			case r < 98:
+				k := key()
+				check(step, "Complete", got.Complete(k.RDD, k.Of), want.Complete(k.RDD, k.Of))
+			case r < 99:
+				node := nodes[rng.Intn(len(nodes))]
+				w := want.DropNode(node)
+				slices.SortStableFunc(w, func(a, b CacheEntry) int {
+					return cmp.Or(cmp.Compare(a.Key.RDD, b.Key.RDD), cmp.Compare(a.Key.Split, b.Key.Split), cmp.Compare(a.Key.Of, b.Key.Of))
+				})
+				check(step, "DropNode "+node, got.DropNode(node), w)
+				if len(want.cap) == 0 { // every node killed: start over
+					got, want = NewMemStore(caps), newModelStore(caps)
+				}
+			default:
+				got.Clear()
+				want.Clear()
+			}
+			for _, n := range nodes {
+				check(step, "NodeUsed "+n, got.NodeUsed(n), want.used[n])
+			}
+			check(step, "Evictions", got.Evictions(), want.evictions)
+		}
+	})
+}
+
+// TestCachedCompleteAllocatesNothing: the scheduler asks whether a cached
+// RDD is complete for every stage that reads it (Engine.CachedComplete is
+// this call). On a fully cached 600-split RDD the answer is one table
+// lookup and allocates nothing, and so does a Peek of one of its splits.
+func TestCachedCompleteAllocatesNothing(t *testing.T) {
+	const parts = 600
+	m := NewMemStore(map[string]int64{"A": 1 << 40, "B": 1 << 40})
+	for s := 0; s < parts; s++ {
+		if m.Complete(7, parts) {
+			t.Fatalf("complete with %d of %d splits cached", s, parts)
+		}
+		m.Put(CacheKey{RDD: 7, Split: s, Of: parts}, workers[s%2], 100, nil)
+	}
+	if !m.Complete(7, parts) || m.Complete(7, parts+1) || m.Complete(8, parts) {
+		t.Fatalf("completeness wrong: %v at %d, %v at %d, %v for another RDD",
+			m.Complete(7, parts), parts, m.Complete(7, parts+1), parts+1, m.Complete(8, parts))
+	}
+	if a := testing.AllocsPerRun(100, func() { m.Complete(7, parts) }); a != 0 {
+		t.Fatalf("Complete allocated %v objects", a)
+	}
+	key := CacheKey{RDD: 7, Split: parts / 2, Of: parts}
+	if a := testing.AllocsPerRun(100, func() { m.Peek(key) }); a != 0 {
+		t.Fatalf("Peek allocated %v objects", a)
 	}
 }
 
