@@ -12,11 +12,13 @@
 # the exact-count pins rerun 20 times under GC pressure, the race detector
 # over every internal package, the built-ins' bit-exact pins and
 # numeric-kernel oracle under GOARCH=386 (an interleaved kernel may not
-# drift across architectures), short native-fuzz runs of
+# drift across architectures) with the shuffle kernels' and shuffle
+# manager's tests, short native-fuzz runs of
 # the execution engine against its single-threaded oracle, of its typed
 # fold tier against the oracle's boxed rows, of task
 # placement against the reference list scheduler, of the shuffle
-# kernels' pooled scratch (call sequences against the boxed tier), of the
+# kernels' pooled and owned scratch (call sequences against the boxed
+# tier), of the
 # shuffle index against a brute-force walk, of the block manager's memory
 # store against the map-backed model it replaced, of KMeans' interleaved
 # nearest-centre kernel against its scalar loop, of the daemon's map-free query
@@ -144,18 +146,27 @@ go test -race ./internal/...
 
 gate "race (parallel sweep)"
 # The driver pool's contract — parallel sweeps byte-identical to sequential
-# — is asserted by TestParallelMatchesSequential; run it explicitly under
-# the race detector so pool regressions fail loudly even if the package
-# sweep above is ever narrowed.
-go test -race -run 'TestParallelMatchesSequential' -count=1 ./internal/experiments
+# — is asserted by TestParallelMatchesSequential, the Tuner's side-by-side
+# profiling grid by TestRunComparisonGridWidthInvariant and
+# TestProfileRunsOverlapOnlyInJobs (the root package, which the sweep above
+# does not reach), chopperverify's sorted release of the grid's findings by
+# TestReporterReleasesHeldFindingsSorted, and a compute worker's own kernel
+# scratch by TestOwnedScratchBypassesPools and TestKernelScratchSequences
+# (its pooled and owned replays run side by side); run them explicitly
+# under the race detector so pool regressions fail loudly even if the
+# package sweep above is ever narrowed.
+go test -race -run 'TestParallelMatchesSequential|TestRunComparisonGridWidthInvariant|TestProfileRunsOverlapOnlyInJobs|TestReporterReleasesHeldFindingsSorted|TestOwnedScratchBypassesPools|TestKernelScratchSequences' -count=1 . ./cmd/chopperverify ./internal/experiments ./internal/rdd
 
 gate "bit-exact kernels (GOARCH=386)"
 # The built-ins' numeric kernels run independent sums side by side but keep
 # every sum's own operation order, so their results are bit-identical to
 # the scalar loops on any IEEE-754 target. Re-run the checksum, simulated-
 # time and trace pins plus the scalar-loop oracle on a 32-bit target, so a
-# rewritten kernel cannot drift across architectures.
+# rewritten kernel cannot drift across architectures. The shuffle kernels'
+# and the shuffle manager's tests run there too: the int key→slot table,
+# the pooled and the owned kernel scratch, where int is 32 bits.
 GOARCH=386 go test -run 'Pinned|MatchScalar' ./internal/workloads
+GOARCH=386 go test ./internal/rdd ./internal/shuffle
 
 gate "bench module (build + test)"
 # bench/ is a nested module outside ./...: build and test it here so a

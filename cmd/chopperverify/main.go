@@ -27,9 +27,13 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
+	"sync"
 
 	"chopper"
 	"chopper/internal/cluster"
@@ -58,18 +62,52 @@ func main() {
 // reserves stdout for the array).
 type reporter struct {
 	json bool
+	mu   sync.Mutex
 	wire []lint.WireDiagnostic
+	// held buffers findings between hold and release: the profiling grid's
+	// runs report from several goroutines at once, in no fixed order.
+	held    []lint.WireDiagnostic
+	holding bool
 }
 
 func (r *reporter) finding(rule, pos, msg string) {
-	r.wire = append(r.wire, lint.WireDiagnostic{
-		Tool: "chopperverify", Rule: rule, Pos: pos, Msg: msg, Severity: "error",
-	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	d := lint.WireDiagnostic{Tool: "chopperverify", Rule: rule, Pos: pos, Msg: msg, Severity: "error"}
+	if r.holding {
+		r.held = append(r.held, d)
+		return
+	}
+	r.emit(d)
+}
+
+func (r *reporter) emit(d lint.WireDiagnostic) {
+	r.wire = append(r.wire, d)
 	out := os.Stdout
 	if r.json {
 		out = os.Stderr
 	}
-	_, _ = fmt.Fprintf(out, "%s: %s: %s\n", pos, rule, msg)
+	_, _ = fmt.Fprintf(out, "%s: %s: %s\n", d.Pos, d.Rule, d.Msg)
+}
+
+// hold buffers findings until release, which emits them sorted by
+// position, rule and message, so every run prints them in one order.
+func (r *reporter) hold() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.holding = true
+}
+
+func (r *reporter) release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	slices.SortStableFunc(r.held, func(a, b lint.WireDiagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos, b.Pos), strings.Compare(a.Rule, b.Rule), strings.Compare(a.Msg, b.Msg))
+	})
+	for _, d := range r.held {
+		r.emit(d)
+	}
+	r.held, r.holding = nil, false
 }
 
 func run(name string, shrink int, verbose, static, jsonOut bool) int {
@@ -200,7 +238,9 @@ func verifyWorkload(w workloads.Workload, ex *extract.Extractor, verbose bool, r
 		_, err := w.Run(sess.Context(), b)
 		return err
 	}}
+	r.hold()
 	_, _, _, err := tuner.RunComparison(app)
+	r.release()
 	return err
 }
 

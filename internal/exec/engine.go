@@ -64,7 +64,8 @@ type Engine struct {
 	// reduce placement, and partitioner-pinned cache placement.
 	CoPartitionAware bool
 
-	// ComputeWorkers bounds the real goroutine pool (defaults to NumCPU).
+	// ComputeWorkers bounds the goroutines a compute pass runs its tasks on
+	// (defaults to GOMAXPROCS: more could not run at once).
 	ComputeWorkers int
 
 	// AfterStage, when non-nil, runs after each stage completes (simulated
@@ -131,7 +132,7 @@ func New(topo *cluster.Topology, params cluster.CostParams, ctx *rdd.Context, co
 		Blocks:           storage.NewBlockStore(hdfsBlockBytes, 2, names),
 		Col:              col,
 		CoPartitionAware: coPartition,
-		ComputeWorkers:   runtime.NumCPU(),
+		ComputeWorkers:   runtime.GOMAXPROCS(0),
 		srcFiles:         map[int]string{},
 		workerList:       workers,
 	}
@@ -398,11 +399,12 @@ func (e *Engine) computePass(tasks []task, alive []*cluster.Node) error {
 }
 
 // computeTasks is one compute worker: it claims task indexes from next until
-// none is left, runs each on its pipeline scratch and records its error.
+// none is left, runs each on its pipeline scratch, whose kernel scratch is
+// the worker's own while it holds it, and records its error.
 func (e *Engine) computeTasks(tasks []task, alive []*cluster.Node, errs []error, next *atomic.Int64) {
 	a := workerAccts.Get()
 	if a == nil {
-		a = new(acct)
+		a = &acct{kern: new(rdd.Scratch)}
 	}
 	defer workerAccts.Put(a)
 	for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
@@ -459,9 +461,9 @@ func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 	if dep != nil {
 		cols := t.mapOut.Cols // the task's header, written in full
 		if typed != nil {
-			err = rdd.PartitionTypedCol(typed, dep.Part, dep.Agg, cols)
+			err = a.kern.PartitionTypedCol(typed, dep.Part, dep.Agg, cols)
 		} else {
-			err = rdd.PartitionPairsInto(t.rows, dep.Part, dep.Agg, cols)
+			err = a.kern.PartitionPairsInto(t.rows, dep.Part, dep.Agg, cols)
 		}
 		if err != nil {
 			return fmt.Errorf("exec: stage %d shuffle write: %w", t.stage.ID, err)

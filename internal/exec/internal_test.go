@@ -182,10 +182,12 @@ func TestAcctMemoization(t *testing.T) {
 
 	// So does the next task on a worker's reused scratch, and once a task
 	// is done the scratch references none of its rows: memo entries and
-	// input windows are cleared up to their capacity.
+	// input windows are cleared up to their capacity. The worker's kernel
+	// scratch stays.
 	st := &dag.Stage{Final: src.Map(func(r rdd.Row) rdd.Row { return r })}
 	workers := e.aliveSnapshot()
-	scratch := new(acct)
+	kern := new(rdd.Scratch)
+	scratch := &acct{kern: kern}
 	for i := 0; i < 2; i++ {
 		before := calls
 		tk := task{stage: st}
@@ -197,6 +199,9 @@ func TestAcctMemoization(t *testing.T) {
 		}
 		if cap(scratch.memo) == 0 || cap(scratch.ins) == 0 {
 			t.Fatalf("the scratch kept no capacity for the next task")
+		}
+		if scratch.kern != kern {
+			t.Fatalf("task %d: release dropped the worker's kernel scratch", i)
 		}
 		for _, m := range scratch.memo[:cap(scratch.memo)] {
 			if m.rows != nil {

@@ -14,6 +14,10 @@ import (
 // partition is materialized. A compute worker reuses one across its tasks
 // (release empties it in between); a zero acct serves a one-off evaluation.
 type acct struct {
+	// kern is the worker's own kernel scratch, which the task's shuffle
+	// reads and its map-side write run on; nil (a zero acct) takes the
+	// kernels' shared pools. release keeps it.
+	kern     *rdd.Scratch
 	srcBytes int64               // logical bytes read from generator sources
 	srcNodes []string            // preferred locations of those reads (read-only)
 	cacheBy  []shuffle.NodeBytes // cached-input logical bytes by holding node, sorted by node
@@ -70,7 +74,7 @@ func release(a *acct) {
 		clear(b.Any)
 		*p = typedParent{blk: rdd.ColBlock{Int: b.Int[:0], Offs: b.Offs[:0], F64: b.F64[:0], Any: b.Any[:0]}}
 	}
-	*a = acct{memo: a.memo[:0], ins: a.ins[:0], pending: a.pending[:0],
+	*a = acct{kern: a.kern, memo: a.memo[:0], ins: a.ins[:0], pending: a.pending[:0],
 		col:     rdd.ColBlock{Int: a.col.Int[:0], F64: a.col.F64[:0]},
 		parents: a.parents}
 }
@@ -171,7 +175,7 @@ func (e *Engine) pullCols(p *rdd.RDD, split int, a *acct) (in []rdd.Row, bytes f
 	a.nparents++ // taken before p's own pulls
 	if sum != nil {
 		view := e.Shuffle.ReduceInput(sum.ShuffleID, split)
-		if !rdd.MergeTypedCol(view.Len(), view.BlockInto, sum.Agg, &slot.blk) {
+		if !a.kern.MergeTypedCol(view.Len(), view.BlockInto, sum.Agg, &slot.blk) {
 			a.nparents-- // untouched: nothing pulled since
 			return nil, 0, false, nil
 		}
@@ -266,7 +270,7 @@ func (e *Engine) gather(r *rdd.RDD, split int, a *acct, cols bool) ([][]rdd.Row,
 func (e *Engine) shuffleRead(dep *rdd.ShuffleDep, reduce int, a *acct) ([]rdd.Row, float64) {
 	view := e.Shuffle.ReduceInput(dep.ShuffleID, reduce)
 	a.shufBy = mergeProfiles(&a.shufBuf, a.shufBy, view.NodeBytes())
-	rows := rdd.MergeReduceColN(view.Len(), view.BlockInto, dep.Agg)
+	rows := a.kern.MergeReduceColN(view.Len(), view.BlockInto, dep.Agg)
 	return rows, rdd.LogicalRowsBytes(rows, e.Ctx.LogicalScale)
 }
 

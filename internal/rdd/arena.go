@@ -18,7 +18,7 @@
 // Kernel scratch: the shuffle kernels keep their working set — the int
 // key→slot table (open addressing over slot numbers, hashed with a
 // per-process salt), the per-slot arrays, the sort index, the map side's
-// per-bucket cursor, the reduce side's block header — in one pooled
+// per-bucket cursor, the reduce side's block header — in one reused
 // kernelScratch instead of rebuilding it per call, so what a kernel
 // allocates is what it emits: the arena's segments and bucket table, whose
 // size follows its pairs and not the reduce count, or the merged []Row.
@@ -27,9 +27,13 @@
 // emitted through it or through a sort by key, so no output depends on
 // the table's layout or salt. A deferred release clears the table, the
 // coGroup map, the pointer-bearing arrays, the header and the touched
-// cursor entries before pooling (nothing of the last task stays reachable
-// or leaks into the next call) and drops a scratch grown past
-// maxPooledSlots; nothing emitted aliases it. See kernelScratch.
+// cursor entries before the scratch is reused (nothing of the last task
+// stays reachable or leaks into the next call) and drops a scratch grown
+// past maxPooledSlots; nothing emitted aliases it. The engine's compute
+// workers each own a Scratch, one kernelScratch per size class, and call
+// the kernels as its methods; every other caller (a nil *Scratch, the
+// package-level kernels, the kernels inside a Compute) takes from the
+// shared pools. See kernelScratch and Scratch.
 //
 // Ownership: a ColBuckets arena belongs to one (shuffle, map task); the
 // shuffle manager holds it until the generation retires, then drops every
@@ -261,11 +265,11 @@ func boxedArena(a *ColBuckets, buckets [][]Pair) {
 // call: the int key→slot table (slotOf) or, for coGroup, a key→slot map,
 // the per-slot arrays, the sort index and the block header a merge's get
 // fills.
-// Every kernel takes it with takeScratch and hands it back through a
-// deferred release, so the bail-outs, the non-pair error and a panicking
-// user aggregator all return it. Nothing a kernel emits aliases it: the
-// emitters copy the slots into fresh arena segments, the merges and coGroup
-// into a fresh []Row.
+// Every kernel takes it (Scratch.take, or takeScratch for the pools) and
+// hands it back through a deferred release, so the bail-outs, the non-pair
+// error and a panicking user aggregator all return it. Nothing a kernel
+// emits aliases it: the emitters copy the slots into fresh arena segments,
+// the merges and coGroup into a fresh []Row.
 type kernelScratch struct {
 	// tab is slotOf's open-addressing table: a power-of-two array of slot
 	// + 1 (0 is empty), at most half full, probed linearly from the key's
@@ -288,23 +292,25 @@ type kernelScratch struct {
 	// blk is the header a reduce-side merge hands its get callback: a
 	// local one would escape through the callback, one per call.
 	blk   ColBlock
-	class int // the scratchPools entry it serves and returns to
+	class int // the size class it serves: its scratchPools entry or Scratch slot
 }
 
-// maxPooledSlots bounds the scratch the pool keeps, counting slots, rows
-// and cursor entries alike: a pooled table, map or array keeps its memory,
-// so a scratch one fat task (or one very wide shuffle) grew past this is
-// dropped instead of being held for every later call. The slot table
-// holds at most four entries per slot, so the slot count bounds it too.
+// maxPooledSlots bounds the scratch a pool or a Scratch keeps, counting
+// slots, rows and cursor entries alike: a kept table, map or array keeps
+// its memory, so a scratch one fat task (or one very wide shuffle) grew
+// past this is dropped instead of being held for every later call. The
+// slot table holds at most four entries per slot, so the slot count bounds
+// it too.
 const maxPooledSlots = 1 << 14
 
-// scratchPools are pools, not per-worker fields, because the kernels also
-// run with no engine around them (LocalRunner, the fuzz oracle, the layer
-// probes); free lists, not sync.Pools, so a call's allocations do not
-// depend on GC timing; and one per size class of call (class c: at most
-// 64·2^c pairs, the last one larger) because a pooled table keeps its peak
-// capacity and clearing costs all of it: a small call must not pay for a
-// large one.
+// scratchPools serve the kernel calls that no compute worker owns: the
+// package-level kernels (LocalRunner, the fuzz oracle, the layer probes),
+// the kernels inside a Compute (coGroup, the typed group-by), and a nil
+// *Scratch. They are free lists, not sync.Pools, so a call's allocations
+// do not depend on GC timing; and one per size class of call (class c: at
+// most 64·2^c pairs, the last one larger) because a kept table keeps its
+// peak capacity and clearing costs all of it: a small call must not pay
+// for a large one.
 var scratchPools [10]freelist.List[*kernelScratch]
 
 // sizeClass is the scratchPools entry serving a call over pairs.
@@ -316,7 +322,8 @@ func sizeClass(pairs int) int {
 	return c
 }
 
-// takeScratch returns a scratch of the size class of a call over pairs.
+// takeScratch returns a pooled scratch of the size class of a call over
+// pairs.
 func takeScratch(pairs int) *kernelScratch {
 	c := sizeClass(pairs)
 	if s := scratchPools[c].Get(); s != nil {
@@ -325,24 +332,24 @@ func takeScratch(pairs int) *kernelScratch {
 	return &kernelScratch{anySlots: map[any]int32{}, class: c}
 }
 
-// fit returns a scratch of the size class of a call over pairs: s itself
-// when it is one, else a fresh one, s released.
-func (s *kernelScratch) fit(pairs int) *kernelScratch {
-	if sizeClass(pairs) == s.class {
-		return s
+// release empties the scratch and pools it, or drops it when it grew past
+// maxPooledSlots.
+func (s *kernelScratch) release() {
+	if s.reset() {
+		scratchPools[s.class].Put(s)
 	}
-	s.release()
-	return takeScratch(pairs)
 }
 
-// release empties the scratch and pools it. The slot table, the coGroup
-// map and the used prefixes of the pointer-bearing arrays are cleared — a
-// pooled scratch must not keep the last task's keys and combiners alive,
-// nor leak its slots into the next call — so every element within capacity
-// stays zero; so does every cursor entry, whichever way the call left.
-func (s *kernelScratch) release() {
+// reset empties the scratch for its next call and reports whether it is
+// worth keeping: false, and nothing cleared, when it grew past
+// maxPooledSlots. The slot table, the coGroup map and the used prefixes of
+// the pointer-bearing arrays are cleared — a kept scratch must not keep the
+// last task's keys and combiners alive, nor leak its slots into the next
+// call — so every element within capacity stays zero; so does every cursor
+// entry, whichever way the call left.
+func (s *kernelScratch) reset() bool {
 	if max(len(s.ints), len(s.buckets), len(s.cursor)) > maxPooledSlots {
-		return
+		return false
 	}
 	for _, b := range s.touched {
 		s.cursor[b] = 0
@@ -356,7 +363,54 @@ func (s *kernelScratch) release() {
 	s.ints, s.buckets = s.ints[:0], s.buckets[:0]
 	s.f64s, s.anys, s.idx = s.f64s[:0], s.anys[:0], s.idx[:0]
 	s.touched = s.touched[:0]
-	scratchPools[s.class].Put(s)
+	return true
+}
+
+// Scratch is one compute worker's own kernel scratch, a kernelScratch per
+// size class: the kernels called as its methods (the merges, the
+// partitioners) take and return it without the pools' lock. Only the
+// goroutine holding a Scratch may call its methods; the engine keeps one
+// in each worker's pipeline scratch. A nil *Scratch takes from
+// scratchPools; the package-level kernels are calls on one.
+type Scratch struct {
+	own [len(scratchPools)]*kernelScratch
+}
+
+// take returns a scratch of the size class of a call over pairs: w's own
+// for that class when it holds one, else a pooled one.
+func (w *Scratch) take(pairs int) *kernelScratch {
+	if w != nil {
+		c := sizeClass(pairs)
+		if s := w.own[c]; s != nil {
+			w.own[c] = nil
+			return s
+		}
+	}
+	return takeScratch(pairs)
+}
+
+// release empties s and keeps it as w's own for its class. When w is nil,
+// or already holds one of that class again (a nested take), s goes to the
+// pools instead: nothing is dropped but what grew past maxPooledSlots, and
+// nothing w owns is reachable from another goroutine.
+func (w *Scratch) release(s *kernelScratch) {
+	if w == nil || w.own[s.class] != nil {
+		s.release()
+		return
+	}
+	if s.reset() {
+		w.own[s.class] = s
+	}
+}
+
+// fit returns a scratch of the size class of a call over pairs: s itself
+// when it is one, else another of w's, s released.
+func (w *Scratch) fit(s *kernelScratch, pairs int) *kernelScratch {
+	if sizeClass(pairs) == s.class {
+		return s
+	}
+	w.release(s)
+	return w.take(pairs)
 }
 
 // intSalt seeds slotOf's hash: random per process, so no chosen key set
@@ -474,13 +528,13 @@ func aggAllF64(agg *Aggregator) bool {
 	return agg.CreateF64 != nil && agg.MergeValueF64 != nil && agg.MergeCombinersF64 != nil
 }
 
-// PartitionPairsCol is PartitionPairsInto onto a fresh arena header,
-// returned with the boxed tier's buckets when it split the rows (nil
-// exactly when the arena is columnar). Without an error the arena is never
-// nil.
+// PartitionPairsCol is Scratch.PartitionPairsInto on the pools' scratch
+// onto a fresh arena header, returned with the boxed tier's buckets when it
+// split the rows (nil exactly when the arena is columnar). Without an error
+// the arena is never nil.
 func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets, [][]Pair, error) {
 	cols := new(ColBuckets)
-	if err := PartitionPairsInto(rows, p, agg, cols); err != nil {
+	if err := (*Scratch)(nil).PartitionPairsInto(rows, p, agg, cols); err != nil {
 		return nil, nil, err
 	}
 	return cols, cols.boxed, nil
@@ -494,7 +548,7 @@ func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets,
 // dst is fully overwritten unless an error is returned. The produced
 // buckets are byte-identical to partitionPairs in content and order on
 // every path.
-func PartitionPairsInto(rows []Row, p Partitioner, agg *Aggregator, dst *ColBuckets) error {
+func (w *Scratch) PartitionPairsInto(rows []Row, p Partitioner, agg *Aggregator, dst *ColBuckets) error {
 	if len(rows) == 0 {
 		*dst = ColBuckets{buckets: p.NumPartitions()}
 		return nil
@@ -504,7 +558,7 @@ func PartitionPairsInto(rows []Row, p Partitioner, agg *Aggregator, dst *ColBuck
 		_, vF64 := pr.V.(float64)
 		switch {
 		case isInt && agg != nil && agg.MapSideCombine:
-			if ok, err := colCombineInt(dst, rows, p, agg, vF64 && aggAllF64(agg)); ok || err != nil {
+			if ok, err := w.colCombineInt(dst, rows, p, agg, vF64 && aggAllF64(agg)); ok || err != nil {
 				return err
 			}
 		case isInt:
@@ -513,7 +567,7 @@ func PartitionPairsInto(rows []Row, p Partitioner, agg *Aggregator, dst *ColBuck
 			// either way). With a reduce-only aggregator the values stay
 			// in their existing boxes so the reduce-side fold adds no
 			// re-boxing.
-			if ok, err := colScatterInt(dst, rows, p, agg == nil && vF64); ok || err != nil {
+			if ok, err := w.colScatterInt(dst, rows, p, agg == nil && vF64); ok || err != nil {
 				return err
 			}
 		}
@@ -532,9 +586,9 @@ func PartitionPairsInto(rows []Row, p Partitioner, agg *Aggregator, dst *ColBuck
 // bucket-major, preserving per-bucket first-occurrence order (every
 // occurrence of a key lands in the same bucket, so the global
 // first-occurrence order filtered to one bucket is that bucket's own).
-func colCombineInt(dst *ColBuckets, rows []Row, p Partitioner, agg *Aggregator, f64 bool) (bool, error) {
-	s := takeScratch(len(rows))
-	defer s.release()
+func (w *Scratch) colCombineInt(dst *ColBuckets, rows []Row, p Partitioner, agg *Aggregator, f64 bool) (bool, error) {
+	s := w.take(len(rows))
+	defer w.release(s)
 
 	if f64 {
 		if agg.CreateF64 != nil && agg.MergeValueF64 != nil {
@@ -603,18 +657,18 @@ func (agg *Aggregator) CombinesF64() bool {
 // folds pair by pair into the slot arrays colCombineInt's f64 branch fills
 // from the boxed rows — the same keys in the same first-occurrence order,
 // the same fold order, each key routed unboxed — so the arena is
-// byte-identical to PartitionPairsInto(blk.Rows(), p, agg, dst). Any other
-// block or aggregator takes exactly that boxed call.
-func PartitionTypedCol(blk *ColBlock, p Partitioner, agg *Aggregator, dst *ColBuckets) error {
+// byte-identical to w.PartitionPairsInto(blk.Rows(), p, agg, dst). Any
+// other block or aggregator takes exactly that boxed call.
+func (w *Scratch) PartitionTypedCol(blk *ColBlock, p Partitioner, agg *Aggregator, dst *ColBuckets) error {
 	if blk.Kind != ColIntF64 || !agg.CombinesF64() {
-		return PartitionPairsInto(blk.Rows(), p, agg, dst)
+		return w.PartitionPairsInto(blk.Rows(), p, agg, dst)
 	}
 	if len(blk.Int) == 0 {
 		*dst = ColBuckets{buckets: p.NumPartitions()}
 		return nil
 	}
-	s := takeScratch(len(blk.Int))
-	defer s.release()
+	s := w.take(len(blk.Int))
+	defer w.release(s)
 	for i, k := range blk.Int {
 		s.foldIntF64(k, blk.F64[i], p, agg)
 	}
@@ -659,9 +713,9 @@ func emitColInt(a *ColBuckets, s *kernelScratch, n int, f64 bool) {
 // per row), the second places each row in its bucket of a in input order.
 // wantF64 moves all-float64 values into the unboxed segment; otherwise
 // values keep their existing boxes in the any segment.
-func colScatterInt(a *ColBuckets, rows []Row, p Partitioner, wantF64 bool) (bool, error) {
-	s := takeScratch(len(rows))
-	defer s.release()
+func (w *Scratch) colScatterInt(a *ColBuckets, rows []Row, p Partitioner, wantF64 bool) (bool, error) {
+	s := w.take(len(rows))
+	defer w.release(s)
 
 	s.buckets = slices.Grow(s.buckets, len(rows))
 	allF64 := wantF64
@@ -712,6 +766,11 @@ func colScatterInt(a *ColBuckets, rows []Row, p Partitioner, wantF64 bool) (bool
 	return true, nil
 }
 
+// MergeReduceColN is Scratch.MergeReduceColN on the pools' scratch.
+func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
+	return (*Scratch)(nil).MergeReduceColN(n, get, agg)
+}
+
 // MergeReduceColN is the reduce side of a shuffle over zero-copy views: it
 // merges the n blocks destined for one reduce partition (one per map task,
 // in map-task order) directly out of the arenas — no per-pair boxing until
@@ -723,10 +782,10 @@ func colScatterInt(a *ColBuckets, rows []Row, p Partitioner, wantF64 bool) (bool
 // arenas through shuffle.ReduceView.BlockInto, so a reduce merge never
 // materializes a heap-resident slice of ~150-byte block headers: every
 // pass reuses the scratch's one header.
-func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
+func (w *Scratch) MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 	// The sizing pass runs on the smallest class's scratch, which serves
 	// the merge too when its pairs fit.
-	s := takeScratch(0)
+	s := w.take(0)
 	kind := ColNone
 	total := 0
 	mixed := false
@@ -746,8 +805,8 @@ func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 			mixed = true
 		}
 	}
-	s = s.fit(total)
-	defer s.release()
+	s = w.fit(s, total)
+	defer w.release(s)
 	if total == 0 {
 		return []Row{} // non-nil, like the boxed merge of nothing
 	}
@@ -851,7 +910,7 @@ func mergeColIntF64(s *kernelScratch, n int, get func(int, *ColBlock), agg *Aggr
 // rows MergeReduceColN returns — reusing dst's capacity, and reports true.
 // Otherwise it leaves dst as it was and reports false: the rows are the
 // reduce input. A warm call allocates nothing.
-func MergeTypedCol(n int, get func(int, *ColBlock), agg *Aggregator, dst *ColBlock) bool {
+func (w *Scratch) MergeTypedCol(n int, get func(int, *ColBlock), agg *Aggregator, dst *ColBlock) bool {
 	if !agg.CombinesF64() {
 		return false
 	}
@@ -869,8 +928,8 @@ func MergeTypedCol(n int, get func(int, *ColBlock), agg *Aggregator, dst *ColBlo
 			total += l
 		}
 	}
-	s := takeScratch(total)
-	defer s.release()
+	s := w.take(total)
+	defer w.release(s)
 	foldColIntF64(s, n, get, agg, dst)
 	keys, vals := was.Int[:0], was.F64[:0]
 	for _, sl := range sortedSlots(s, s.ints) {

@@ -10,13 +10,31 @@ import (
 	"testing"
 )
 
-// The combine and merge kernels share one pooled working set
-// (kernelScratch). These tests cover what pooling can break: state leaking
-// from one call into the next (also after a bail-out, an error or a
-// panic), emitted data aliasing the scratch, the pool keeping a task's keys
-// and combiners alive, a per-bucket cursor left dirty, concurrent use, and
-// allocations growing with the input again. The boxed tier in split.go,
-// which has no scratch, is the reference throughout.
+// The combine and merge kernels reuse one working set (kernelScratch),
+// pooled or owned by a compute worker's Scratch. These tests cover what
+// reuse can break: state leaking from one call into the next (also after a
+// bail-out, an error or a panic), emitted data aliasing the scratch, a
+// kept scratch holding a task's keys and combiners alive, a per-bucket
+// cursor left dirty, concurrent use, an owned scratch escaping to the
+// pools, and allocations growing with the input again. The boxed tier in
+// split.go, which has no scratch, is the reference throughout.
+
+// pooled is a nil *Scratch: the kernels called on it take the shared pools.
+var pooled *Scratch
+
+// partitionOn is PartitionPairsCol on w's scratch.
+func partitionOn(w *Scratch, rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets, [][]Pair, error) {
+	cols := new(ColBuckets)
+	if err := w.PartitionPairsInto(rows, p, agg, cols); err != nil {
+		return nil, nil, err
+	}
+	return cols, cols.boxed, nil
+}
+
+// mergeViewsOn is mergeViews on w's scratch.
+func mergeViewsOn(w *Scratch, blocks []*ColBlock, agg *Aggregator) []Row {
+	return w.MergeReduceColN(len(blocks), func(i int, dst *ColBlock) { *dst = *blocks[i] }, agg)
+}
 
 // Flaws a scratchCall can plant in its input or aggregator.
 const (
@@ -48,7 +66,8 @@ const (
 
 // scratchCall is one shuffle — a few map tasks partitioned over parts
 // reduce partitions, every reduce partition merged — in a sequence run on
-// one goroutine, so consecutive calls reuse the same pooled scratch.
+// one goroutine, so consecutive calls reuse the same pooled or owned
+// scratch.
 type scratchCall struct {
 	strKeys  bool
 	f64Vals  bool
@@ -84,22 +103,28 @@ func (c scratchCall) intKey(rng *rand.Rand, i int) int64 {
 	return int64(rng.Intn(c.keys)*7919 - 3)
 }
 
-// checkPooledScratch takes a scratch from each size class's pool and
-// requires what every pooled one holds between calls: an all-zero cursor
-// and no touched buckets, or the next layout would count from stale
-// entries.
-func checkPooledScratch(t *testing.T, c scratchCall) {
-	for c := range scratchPools {
-		s := takeScratch(64 << c)
-		scratchPools[s.class].Put(s)
+// checkPooledScratch takes a scratch from each size class's pool, and
+// looks at each one w owns, and requires what every kept one holds between
+// calls: an all-zero cursor and no touched buckets, or the next layout
+// would count from stale entries.
+func checkPooledScratch(t *testing.T, c scratchCall, w *Scratch) {
+	check := func(s *kernelScratch, whose string) {
 		if len(s.touched) != 0 {
-			t.Errorf("%v: the pooled scratch lists %d touched buckets", c, len(s.touched))
+			t.Errorf("%v: the %s scratch lists %d touched buckets", c, whose, len(s.touched))
 		}
 		for b, n := range s.cursor {
 			if n != 0 {
-				t.Errorf("%v: the pooled cursor holds %d at bucket %d of %d", c, n, b, len(s.cursor))
+				t.Errorf("%v: the %s cursor holds %d at bucket %d of %d", c, whose, n, b, len(s.cursor))
 				return
 			}
+		}
+	}
+	for cl := range scratchPools {
+		s := takeScratch(64 << cl)
+		check(s, "pooled") // before the Put: then another goroutine may take it
+		scratchPools[s.class].Put(s)
+		if w != nil && w.own[cl] != nil {
+			check(w.own[cl], "owned")
 		}
 	}
 }
@@ -184,13 +209,13 @@ func (c scratchCall) build(rng *rand.Rand) ([]Row, *Aggregator) {
 	return rows, agg
 }
 
-// run executes the call on both tiers and compares them, content and
-// order: every bucket of every map task, by id and by position, then every
-// merged reduce partition; after it, whichever way it ended, the pooled
-// scratch must be clean.
-func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
+// run executes the call on both tiers, the kernels on w's scratch, and
+// compares them, content and order: every bucket of every map task, by id
+// and by position, then every merged reduce partition; after it, whichever
+// way it ended, the pooled and the owned scratch must be clean.
+func (c scratchCall) run(t *testing.T, rng *rand.Rand, w *Scratch) {
 	t.Helper()
-	defer checkPooledScratch(t, c)
+	defer checkPooledScratch(t, c, w)
 	const maps = 3
 	parts := c.parts
 	rows, agg := c.build(rng)
@@ -203,14 +228,14 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
 		}
 		tripped := tripwire(agg, c.flaw == flawMapPanic, c.at)
 		panics(func() {
-			cols, boxed, err := PartitionPairsCol(rows, p, tripped)
+			cols, boxed, err := partitionOn(w, rows, p, tripped)
 			if err != nil || (boxed != nil) != (c.strKeys && len(rows) > 0) {
 				t.Fatalf("%v: partition: boxed=%v err=%v", c, boxed != nil, err)
 			}
 			for b := 0; b < parts; b++ {
 				var blk ColBlock
 				cols.BucketInto(b, &blk)
-				mergeViews([]*ColBlock{&blk, &blk}, tripped)
+				mergeViewsOn(w, []*ColBlock{&blk, &blk}, tripped)
 			}
 		})
 		return // whether it tripped or not: the next call is the check
@@ -221,7 +246,7 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
 	for m := 0; m < maps; m++ {
 		split := rows[m*len(rows)/maps : (m+1)*len(rows)/maps]
 		want, wantErr := partitionPairs(split, p, agg)
-		cols, boxed, err := PartitionPairsCol(split, p, agg)
+		cols, boxed, err := partitionOn(w, split, p, agg)
 		if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("%v map %d: error %v, want %v", c, m, err, wantErr)
 		}
@@ -262,7 +287,7 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand) {
 	}
 	for b := 0; b < parts; b++ {
 		want := mergeReduceBlocks(boxedBlocks[b], agg)
-		if got := mergeViews(colBlocks[b], agg); !reflect.DeepEqual(got, want) {
+		if got := mergeViewsOn(w, colBlocks[b], agg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v reduce %d:\n got %v\nwant %v", c, b, got, want)
 		}
 	}
@@ -340,6 +365,7 @@ func randomCalls(rng *rand.Rand, n int) []scratchCall {
 // aggregator shape over both key types and value kinds at sizes 0 to 10^4
 // and as wide shuffles (10 rows over 4096 partitions, then 4 partitions
 // again), each flaw followed by clean calls on the scratch it left behind.
+// Each sequence runs on the pools and is replayed on one owned Scratch.
 func TestKernelScratchSequences(t *testing.T) {
 	var fixed []scratchCall
 	for _, shape := range [][2]int{{0, 4}, {1, 4}, {300, 4}, {10000, 4}, {10, 4096}, {9, 4}} {
@@ -374,12 +400,9 @@ func TestKernelScratchSequences(t *testing.T) {
 			}
 		}
 	}
-	rng := rand.New(rand.NewSource(18))
-	for _, c := range fixed {
-		c.run(t, rng)
-	}
-	// The planted panics must really fire, or the sequences above prove
+	// The planted panics must really fire, or the sequences below prove
 	// nothing about that path.
+	rng := rand.New(rand.NewSource(18))
 	for _, mapSide := range []bool{true, false} {
 		agg := tripwire(SumAggregator(), mapSide, 5)
 		rows, _ := scratchCall{f64Vals: true, rows: 100, keys: 10}.build(rng)
@@ -389,11 +412,31 @@ func TestKernelScratchSequences(t *testing.T) {
 			t.Fatalf("tripwire (map side %v) did not fire", mapSide)
 		}
 	}
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		for _, c := range randomCalls(rng, 8) {
-			c.run(t, rng)
+	// The pools' run and the owned Scratch's replay go side by side.
+	for _, w := range []*Scratch{pooled, new(Scratch)} {
+		name := "pools"
+		if w != nil {
+			name = "owned"
 		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(18))
+			for _, c := range fixed {
+				c.run(t, rng, w)
+			}
+			for seed := int64(0); seed < 40; seed++ {
+				runCalls(t, seed, 8, w)
+			}
+		})
+	}
+}
+
+// runCalls draws n calls from seed and runs them on w's scratch.
+func runCalls(t *testing.T, seed int64, n int, w *Scratch) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for _, c := range randomCalls(rng, n) {
+		c.run(t, rng, w)
 	}
 }
 
@@ -403,10 +446,10 @@ func FuzzKernelScratch(f *testing.F) {
 		f.Add(seed, uint8(6))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		for _, c := range randomCalls(rng, 1+int(n%8)) {
-			c.run(t, rng)
-		}
+		// The same calls, rows included, on the pools, then replayed on
+		// one owned Scratch.
+		runCalls(t, seed, 1+int(n%8), pooled)
+		runCalls(t, seed, 1+int(n%8), new(Scratch))
 	})
 }
 
@@ -617,6 +660,155 @@ func TestKernelsConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
+// drainPools empties every scratchPools list and returns what each held,
+// in the order Get gave it.
+func drainPools() (held [len(scratchPools)][]*kernelScratch) {
+	for c := range scratchPools {
+		for s := scratchPools[c].Get(); s != nil; s = scratchPools[c].Get() {
+			held[c] = append(held[c], s)
+		}
+	}
+	return held
+}
+
+// refillPools puts back what drainPools took, each list in its old order.
+func refillPools(held [len(scratchPools)][]*kernelScratch) {
+	for c, ss := range held {
+		for i := len(ss) - 1; i >= 0; i-- {
+			scratchPools[c].Put(ss[i])
+		}
+	}
+}
+
+// arenaString renders an arena's kind and every bucket's pairs.
+func arenaString(cols *ColBuckets) string {
+	var out [][]Pair
+	for _, b := range bucketViews(cols) {
+		out = append(out, b.AppendPairs(nil))
+	}
+	return fmt.Sprint(cols.kind, out)
+}
+
+// TestOwnedScratchBypassesPools: every engine-called kernel — the F64 and
+// the boxed combine, the scatter with unboxed and with boxed values, the
+// boxed tier, the typed fold, the merges with and without an aggregator,
+// the mixed-kind fallback, the typed merge — called warm on an owned
+// Scratch neither takes from nor returns to the shared pools (a misrouted
+// take or release would leave a scratch in the emptied pools), and emits
+// exactly what the same call on the pools emits. A nested take of a class
+// the Scratch holds goes to the pools instead of over the owned one.
+func TestOwnedScratchBypassesPools(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	p := NewHashPartitioner(8)
+	sum := SumAggregator()
+	boxedAgg := ReduceAggregator(func(a, b any) any { return fmt.Sprint(a, "|", b) })
+	rows := func(n, keys int, strKeys, f64 bool) []Row {
+		rs, _ := scratchCall{strKeys: strKeys, f64Vals: f64, rows: n, keys: keys}.build(rng)
+		return rs
+	}
+	// views are the reduce blocks of bucket 0 over three map tasks.
+	views := func(in []Row, agg *Aggregator) []*ColBlock {
+		var out []*ColBlock
+		for m := 0; m < 3; m++ {
+			cols, _, err := PartitionPairsCol(in[m*len(in)/3:(m+1)*len(in)/3], NewHashPartitioner(1), agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, new(ColBlock))
+			cols.BucketInto(0, out[m])
+		}
+		return out
+	}
+	partition := func(in []Row, agg *Aggregator) func(*Scratch) string {
+		return func(w *Scratch) string {
+			cols, _, err := partitionOn(w, in, p, agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return arenaString(cols)
+		}
+	}
+	merge := func(blks []*ColBlock, agg *Aggregator) func(*Scratch) string {
+		return func(w *Scratch) string { return fmt.Sprint(mergeViewsOn(w, blks, agg)) }
+	}
+	f64Rows, anyRows := rows(3000, 700, false, true), rows(3000, 700, false, false)
+	f64Views, anyViews := views(f64Rows, sum), views(anyRows, boxedAgg)
+	// int64 keys take the boxed tier and order with int ones (CompareKeys).
+	wide := make([]Row, 300)
+	for i, r := range f64Rows[:300] {
+		wide[i] = Pair{K: int64(r.(Pair).K.(int)), V: r.(Pair).V}
+	}
+	mixed := append(views(wide, sum), f64Views...)
+	typed := &ColBlock{Kind: ColIntF64}
+	for _, r := range f64Rows {
+		typed.Int = append(typed.Int, int64(r.(Pair).K.(int)))
+		typed.F64 = append(typed.F64, r.(Pair).V.(float64))
+	}
+	calls := []struct {
+		name string
+		run  func(*Scratch) string
+	}{
+		{"F64 combine", partition(f64Rows, sum)},
+		{"boxed combine", partition(anyRows, boxedAgg)},
+		{"scatter", partition(f64Rows, nil)},
+		{"scatter of boxed values", partition(f64Rows, GroupAggregator())},
+		{"boxed tier", partition(rows(800, 90, true, true), sum)},
+		{"typed fold", func(w *Scratch) string {
+			var cols ColBuckets
+			if err := w.PartitionTypedCol(typed, p, sum, &cols); err != nil {
+				t.Fatal(err)
+			}
+			return arenaString(&cols)
+		}},
+		{"F64 merge", merge(f64Views, sum)},
+		{"boxed merge", merge(anyViews, boxedAgg)},
+		{"merge without an aggregator", merge(f64Views, nil)},
+		{"mixed-kind merge", merge(mixed, sum)},
+		{"typed merge", func(w *Scratch) string {
+			var dst ColBlock
+			if !w.MergeTypedCol(len(f64Views), func(i int, b *ColBlock) { *b = *f64Views[i] }, sum, &dst) {
+				t.Fatal("MergeTypedCol declined ColIntF64 blocks")
+			}
+			return fmt.Sprint(dst.Rows())
+		}},
+	}
+
+	held := drainPools()
+	defer refillPools(held)
+	w := new(Scratch)
+	owned := make([]string, len(calls))
+	for round := 0; round < 3; round++ { // the first round warms w up
+		for i, c := range calls {
+			owned[i] = c.run(w)
+			for cl := range scratchPools {
+				if s := scratchPools[cl].Get(); s != nil {
+					t.Fatalf("round %d: %s on an owned Scratch left a class-%d scratch in the pools", round, c.name, cl)
+				}
+			}
+		}
+	}
+	for i, c := range calls {
+		if got := c.run(pooled); got != owned[i] {
+			t.Fatalf("%s: the owned Scratch emits\n%.300s\nthe pools\n%.300s", c.name, owned[i], got)
+		}
+	}
+
+	drainPools()
+	s1 := w.take(0)
+	s2 := w.take(0) // nested: w's own is out, so from the pools
+	if s1 == s2 || s1 == nil || s2 == nil {
+		t.Fatalf("two takes of one class gave %p and %p", s1, s2)
+	}
+	w.release(s2)
+	w.release(s1)
+	if w.own[0] != s2 {
+		t.Fatalf("the scratch released first did not become w's own")
+	}
+	if got := scratchPools[0].Get(); got != s1 {
+		t.Fatalf("the scratch released into a taken slot went to %p, not the pools", got)
+	}
+}
+
 // TestWarmKernelsAllocateOnlyTheirOutput is the steady-state allocation
 // guard, counts only: once the pooled scratch has grown to a task's size, a
 // combine or partition allocates its arena, a merge its output rows, and a
@@ -650,7 +842,7 @@ func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
 			in := rows(2*keys, keys)
 			var cols ColBuckets
 			return func() {
-				if err := PartitionPairsInto(in, p, agg, &cols); err != nil || cols.kind != kind {
+				if err := pooled.PartitionPairsInto(in, p, agg, &cols); err != nil || cols.kind != kind {
 					t.Fatalf("partition of %d rows: %v, %v", len(in), cols.kind, err)
 				}
 			}

@@ -3,6 +3,7 @@ package rdd
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -24,7 +25,7 @@ func TestTypedColMatchesBoxedArena(t *testing.T) {
 		for i := 0; i < n; i++ {
 			k := rng.Intn(2*keys) - keys/2
 			if rng.Intn(10) == 0 {
-				k *= 1 << 40 // wide keys hash and order too
+				k *= 1 << (bits.UintSize/2 + 8) // wide keys hash and order too: 2^40, or 2^24 where int is 32 bits
 			}
 			blk.Int = append(blk.Int, int64(k))
 			blk.F64 = append(blk.F64, rng.NormFloat64()*float64(rng.Intn(1000)))
@@ -48,7 +49,7 @@ func TestTypedColMatchesBoxedArena(t *testing.T) {
 			}
 			for an, agg := range aggs {
 				var gotCols ColBuckets
-				gotErr := PartitionTypedCol(blk, p, agg, &gotCols)
+				gotErr := pooled.PartitionTypedCol(blk, p, agg, &gotCols)
 				wantCols, _, wantErr := PartitionPairsCol(blk.Rows(), p, agg)
 				if wantErr == nil && !reflect.DeepEqual(&gotCols, wantCols) || !reflect.DeepEqual(gotErr, wantErr) {
 					t.Fatalf("trial %d %s/%d/%s, %d pairs: typed arena differs from the boxed rows'", trial, pn, reduce, an, n)
@@ -58,7 +59,7 @@ func TestTypedColMatchesBoxedArena(t *testing.T) {
 	}
 	// A scalar column is not pairs: the boxed call's error, unchanged.
 	scalars := &ColBlock{Kind: ColF64, F64: []float64{1, 2}}
-	if err := PartitionTypedCol(scalars, NewHashPartitioner(3), SumAggregator(), new(ColBuckets)); err == nil {
+	if err := pooled.PartitionTypedCol(scalars, NewHashPartitioner(3), SumAggregator(), new(ColBuckets)); err == nil {
 		t.Fatal("a ColF64 block shuffled without error")
 	}
 }
@@ -377,7 +378,7 @@ func TestMergeTypedColMatchesBoxedMerge(t *testing.T) {
 			blocks[i] = b
 		}
 		get := func(i int, b *ColBlock) { *b = *blocks[i] }
-		if !MergeTypedCol(len(blocks), get, agg, &dst) {
+		if !pooled.MergeTypedCol(len(blocks), get, agg, &dst) {
 			t.Fatalf("trial %d: MergeTypedCol declined %d ColIntF64 blocks", trial, len(blocks))
 		}
 		boxed := make([][]Pair, len(blocks))
@@ -395,17 +396,17 @@ func TestMergeTypedColMatchesBoxedMerge(t *testing.T) {
 	}
 	one := ColBlock{Kind: ColIntF64, Int: []int64{3, 1}, F64: []float64{1, 2}}
 	if n := testing.AllocsPerRun(20, func() {
-		MergeTypedCol(1, func(_ int, b *ColBlock) { *b = one }, agg, &dst)
+		pooled.MergeTypedCol(1, func(_ int, b *ColBlock) { *b = one }, agg, &dst)
 	}); n != 0 {
 		t.Errorf("a warm MergeTypedCol into a reused block allocates %v objects", n)
 	}
 	before := dst
 	mixed := []*ColBlock{{Kind: ColIntF64, Int: []int64{1}, F64: []float64{1}}, {Kind: ColNone, Pairs: []Pair{{K: "a", V: 2.0}}}}
-	if MergeTypedCol(2, func(i int, b *ColBlock) { *b = *mixed[i] }, agg, &dst) || !reflect.DeepEqual(dst, before) {
+	if pooled.MergeTypedCol(2, func(i int, b *ColBlock) { *b = *mixed[i] }, agg, &dst) || !reflect.DeepEqual(dst, before) {
 		t.Fatal("MergeTypedCol merged a boxed string-keyed block")
 	}
 	reduce := ReduceAggregator(func(a, b any) any { return a.(float64) + b.(float64) })
-	if MergeTypedCol(1, func(i int, b *ColBlock) { *b = *mixed[0] }, reduce, &dst) || !reflect.DeepEqual(dst, before) {
+	if pooled.MergeTypedCol(1, func(i int, b *ColBlock) { *b = *mixed[0] }, reduce, &dst) || !reflect.DeepEqual(dst, before) {
 		t.Fatal("MergeTypedCol merged under an aggregator without F64 hooks")
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 
 	"chopper"
 	"chopper/api"
 	"chopper/internal/plan/verify"
+	"chopper/internal/session"
 	"chopper/internal/workloads"
 )
 
@@ -154,7 +156,9 @@ func (s *Server) runSubmit(ctx context.Context, req api.SubmitRequest) (*api.Sub
 
 // runTrain executes incremental profiling on a worker: the trial grid runs
 // under the request context (cancellation stops between trials, keeping
-// completed runs), and every run folds into the shared DB.
+// completed runs), and every run folds into the shared DB. The trials run
+// one at a time: the worker pool already keeps the cores busy with whole
+// jobs, and each trial in flight holds a full engine until its harvest.
 func (s *Server) runTrain(ctx context.Context, req api.TrainRequest) (*api.TrainResponse, error) {
 	app, _, err := s.buildApp(req.Workload, req.InputBytes, req.Shrink)
 	if err != nil {
@@ -170,7 +174,8 @@ func (s *Server) runTrain(ctx context.Context, req api.TrainRequest) (*api.Train
 	if req.Range != nil {
 		plan.Range = *req.Range
 	}
-	tuner := &chopper.Tuner{DB: s.db, Plan: plan, SessionOptions: s.cfg.SessionOptions}
+	opts := append(slices.Clip(s.cfg.SessionOptions), func(c *session.Config) { c.GridWidth = 1 })
+	tuner := &chopper.Tuner{DB: s.db, Plan: plan, SessionOptions: opts}
 	before := s.db.RunCount(req.Workload)
 	if err := tuner.ProfileContext(ctx, app); err != nil {
 		return nil, httpErrf(runStatus(err, http.StatusGatewayTimeout), "service: training %s stopped: %v", req.Workload, err)

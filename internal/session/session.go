@@ -8,6 +8,8 @@
 package session
 
 import (
+	"runtime"
+
 	"chopper/internal/cluster"
 	"chopper/internal/core"
 	"chopper/internal/dag"
@@ -37,17 +39,22 @@ type Config struct {
 	// runs (speculation, failure injection).
 	Engine func(*exec.Engine)
 	// GridWidth bounds how many of Tuner.ProfileContext's test runs execute
-	// at once; <= 1 runs them one at a time on the caller's goroutine.
+	// at once; <= 1 runs them one at a time on the caller's goroutine. The
+	// default is GOMAXPROCS: the runs are independent, they overlap only in
+	// their jobs (the App's own code takes turns; see chopper.App), and the
+	// harvest into the DB goes in grid order whatever order they finish in,
+	// so every width records the same bits.
 	GridWidth int
 }
 
 // Defaults returns the vanilla configuration: a fresh paper cluster, the
-// calibrated cost parameters and spark.default.parallelism of
-// core.DefaultParallelism.
+// calibrated cost parameters, spark.default.parallelism of
+// core.DefaultParallelism and a profiling grid as wide as GOMAXPROCS.
 func Defaults() Config {
 	return Config{
 		Topo:        cluster.PaperCluster(),
 		Params:      cluster.DefaultCostParams(),
 		Parallelism: core.DefaultParallelism,
+		GridWidth:   runtime.GOMAXPROCS(0),
 	}
 }

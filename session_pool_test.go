@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"chopper"
 	"chopper/internal/core"
@@ -151,5 +155,110 @@ func TestProfileContextCancelKeepsGridPrefix(t *testing.T) {
 		if got[i] != full[i] {
 			t.Fatalf("harvest %d is not grid run %d:\n got  %s\n want %s", i, i, got[i], full[i])
 		}
+	}
+}
+
+// TestRunComparisonGridWidthInvariant runs Tuner.RunComparison on tiny SQL
+// over the tune-sweep benchmark's grid with the trials one at a time, side
+// by side at the default width, and four wide: the configuration file's
+// bytes, both simulated times and every harvest the DB observer sees are
+// identical.
+func TestRunComparisonGridWidthInvariant(t *testing.T) {
+	type outcome struct {
+		vanilla, tuned float64
+		config         string
+		harvests       []string
+	}
+	run := func(opts ...chopper.Option) outcome {
+		app, err := chopper.Builtin("sql")
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.Shrink(12)
+		tuner := chopper.NewTuner(opts...)
+		tuner.Plan = chopper.TrialPlan{SizeFractions: []float64{0.5, 1}, Partitions: []int{150, 600}}
+		var o outcome
+		tuner.DB.SetObserver(func(_ string, in float64, obs []core.StageObservation) {
+			o.harvests = append(o.harvests, fmt.Sprint(in, obs))
+		})
+		vanilla, tuned, cf, err := tuner.RunComparison(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := cf.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		o.vanilla, o.tuned, o.config = vanilla, tuned, b.String()
+		return o
+	}
+	width := func(n int) chopper.Option { return func(c *session.Config) { c.GridWidth = n } }
+	want := run(width(1))
+	if len(want.harvests) != 5 { // the default run and 2 sizes x 2 partition counts
+		t.Fatalf("one at a time harvested %d runs, want 5", len(want.harvests))
+	}
+	for _, c := range []struct {
+		name string
+		got  outcome
+	}{{"the default width", run()}, {"width 4", run(width(4))}} {
+		got := c.got
+		if math.Float64bits(got.vanilla) != math.Float64bits(want.vanilla) || math.Float64bits(got.tuned) != math.Float64bits(want.tuned) {
+			t.Errorf("%s: vanilla %v s, tuned %v s; one at a time %v s, %v s", c.name, got.vanilla, got.tuned, want.vanilla, want.tuned)
+		}
+		if got.config != want.config {
+			t.Errorf("%s: configuration\n%s\none at a time\n%s", c.name, got.config, want.config)
+		}
+		if !slices.Equal(got.harvests, want.harvests) {
+			t.Errorf("%s: %d harvests differ from the %d of one at a time", c.name, len(got.harvests), len(want.harvests))
+		}
+	}
+}
+
+// TestProfileRunsOverlapOnlyInJobs profiles an App two runs wide. Its own
+// code, before, between and after its two actions, must never run in two
+// runs at once, and the two runs' jobs must overlap: a job waits (5 s at
+// most in all) until another run's job is in flight too, which can only
+// happen if the first one handed back the turn.
+func TestProfileRunsOverlapOnlyInJobs(t *testing.T) {
+	var inApp, inJobs, peakJobs atomic.Int32
+	var appOverlap atomic.Bool
+	appCode := func() {
+		if inApp.Add(1) != 1 {
+			appOverlap.Store(true)
+		}
+		time.Sleep(time.Millisecond)
+		inApp.Add(-1)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	app := chopper.AppFunc{AppName: "turns", Bytes: 1 << 20, Fn: func(sess *chopper.Session, _ int64) error {
+		for range 2 {
+			appCode()
+			one := sess.Parallelize([]chopper.Row{1}, 1).Map(func(r chopper.Row) chopper.Row {
+				n := inJobs.Add(1)
+				defer inJobs.Add(-1)
+				for p := peakJobs.Load(); n > p && !peakJobs.CompareAndSwap(p, n); p = peakJobs.Load() {
+				}
+				for peakJobs.Load() < 2 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				return r
+			})
+			if _, err := one.Count(); err != nil {
+				return err
+			}
+		}
+		appCode()
+		return nil
+	}}
+	tuner := chopper.NewTuner(func(c *session.Config) { c.GridWidth = 2 })
+	tuner.Plan = chopper.TrialPlan{SizeFractions: []float64{0.5, 1}, Partitions: []int{4}}
+	if err := tuner.Profile(app); err != nil {
+		t.Fatal(err)
+	}
+	if appOverlap.Load() {
+		t.Error("two profiling runs executed App code at once")
+	}
+	if p := peakJobs.Load(); p < 2 {
+		t.Errorf("at most %d profiling job in flight at once, want the two runs' jobs side by side", p)
 	}
 }

@@ -14,8 +14,14 @@ import (
 
 // App is an application the Tuner can profile and optimize: it must build
 // and execute its pipeline on the given session, deterministically, at the
-// given logical input size. A Tuner built from the public options calls Run
-// one run at a time, never concurrently.
+// given logical input size. The Tuner's profiling grid runs its test runs
+// side by side (GOMAXPROCS of them by default), each on a session of its
+// own, but lets them overlap only inside the engine: Run's own code holds the grid's turn,
+// and each action hands it back for the length of its job. So Run needs
+// no lock for state it shares across calls, though another run's code may
+// execute between two of its actions; the closures it hands the engine
+// already run on several goroutines at once. RunComparison's vanilla and
+// tuned runs come after the grid, one at a time.
 type App interface {
 	// Name keys the workload in the statistics database.
 	Name() string
@@ -84,7 +90,9 @@ func (t *Tuner) Profile(app App) error {
 // before each trial run, so a canceled training request (chopperd's
 // per-request deadline) stops after the runs in flight instead of finishing
 // the whole grid. The completed grid-order prefix stays in the DB — each is
-// a valid observation on its own.
+// a valid observation on its own. The trials run side by side, GridWidth
+// at a time (GOMAXPROCS by default), overlapping only in their jobs (see
+// App), and the DB records the same bits as a one-at-a-time grid.
 func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
 	type trial struct {
 		bytes int64
@@ -112,7 +120,7 @@ func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
 		rec *core.Recorder
 		col *metrics.Collector
 	}
-	var mu sync.Mutex
+	var mu, turn sync.Mutex
 	runs := make([]observed, len(trials))
 	next := 0
 	_, err := driver.MapWith(configure(t.SessionOptions).GridWidth, len(trials), func(i int) (struct{}, error) {
@@ -121,7 +129,11 @@ func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
 		}
 		sess := NewSession(t.SessionOptions...)
 		sess.sch.Configurator = trials[i].cfg
-		if err := app.Run(sess, trials[i].bytes); err != nil {
+		sess.ctx.SetRunner(&offTurn{jobs: sess.sch, turn: &turn})
+		turn.Lock()
+		err := app.Run(sess, trials[i].bytes)
+		turn.Unlock()
+		if err != nil {
 			return struct{}{}, fmt.Errorf("chopper: profile run of %s: %w", app.Name(), err)
 		}
 		mu.Lock()
@@ -134,6 +146,34 @@ func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
 		return struct{}{}, nil
 	})
 	return err
+}
+
+// offTurn is a profiling run's job runner: it hands the grid's turn back
+// for the length of each job, so the runs overlap in the engine while the
+// App's own code runs one grid run at a time. Jobs submitted concurrently
+// on one session share one release.
+type offTurn struct {
+	jobs     rdd.JobRunner
+	turn     *sync.Mutex
+	mu       sync.Mutex
+	inFlight int
+}
+
+// RunJob implements rdd.JobRunner.
+func (o *offTurn) RunJob(target *rdd.RDD, fn func(split int, rows []rdd.Row) (any, error)) ([]any, error) {
+	o.mu.Lock()
+	if o.inFlight++; o.inFlight == 1 {
+		o.turn.Unlock()
+	}
+	o.mu.Unlock()
+	defer func() {
+		o.mu.Lock()
+		if o.inFlight--; o.inFlight == 0 {
+			o.turn.Lock()
+		}
+		o.mu.Unlock()
+	}()
+	return o.jobs.RunJob(target, fn)
 }
 
 // Optimize generates the workload configuration from the accumulated
