@@ -32,7 +32,9 @@ const MaxRequestBytes = 1 << 20
 // train request's plan must be finite and in (0, 1].
 const (
 	// MaxPartitions bounds each partition count a train request lists;
-	// the least is 1.
+	// the least is 1. A daemon bounds it lower where its cluster's plan
+	// verifier would refuse more (100 tasks per core: 11,200 on the paper
+	// cluster).
 	MaxPartitions = 1 << 14
 	// MaxPlanEntries bounds the length of each list in a train request's
 	// plan.

@@ -148,14 +148,15 @@ gate "race (parallel sweep)"
 # The driver pool's contract — parallel sweeps byte-identical to sequential
 # — is asserted by TestParallelMatchesSequential, the Tuner's side-by-side
 # profiling grid by TestRunComparisonGridWidthInvariant and
-# TestProfileRunsOverlapOnlyInJobs (the root package, which the sweep above
-# does not reach), chopperverify's sorted release of the grid's findings by
+# TestProfileRunsOverlapOnlyInJobs, the vanilla run RunComparison takes
+# from that grid by TestRunComparisonReusesDefaultTrial (the root package,
+# which the sweep above does not reach), chopperverify's sorted release of the grid's findings by
 # TestReporterReleasesHeldFindingsSorted, and a compute worker's own kernel
 # scratch by TestOwnedScratchBypassesPools and TestKernelScratchSequences
 # (its pooled and owned replays run side by side); run them explicitly
 # under the race detector so pool regressions fail loudly even if the
 # package sweep above is ever narrowed.
-go test -race -run 'TestParallelMatchesSequential|TestRunComparisonGridWidthInvariant|TestProfileRunsOverlapOnlyInJobs|TestReporterReleasesHeldFindingsSorted|TestOwnedScratchBypassesPools|TestKernelScratchSequences' -count=1 . ./cmd/chopperverify ./internal/experiments ./internal/rdd
+go test -race -run 'TestParallelMatchesSequential|TestRunComparisonGridWidthInvariant|TestRunComparisonReusesDefaultTrial|TestProfileRunsOverlapOnlyInJobs|TestReporterReleasesHeldFindingsSorted|TestOwnedScratchBypassesPools|TestKernelScratchSequences' -count=1 . ./cmd/chopperverify ./internal/experiments ./internal/rdd
 
 gate "bit-exact kernels (GOARCH=386)"
 # The built-ins' numeric kernels run independent sums side by side but keep

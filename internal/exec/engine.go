@@ -83,6 +83,7 @@ type Engine struct {
 	srcFiles   map[int]string // source RDD id -> block-store file
 	workerList []*cluster.Node
 	cores      *coreSet // the last wave's, reset for the next
+	released   float64  // cached bytes Release dropped, not yet off the memory timeline
 }
 
 // Scratch shared by every engine in the process (a tuning sweep builds one
@@ -298,9 +299,28 @@ func (e *Engine) RetireShufflesExcept(live []int) {
 	e.Shuffle.RetireExcept(live)
 }
 
+// Release drops every cached partition and shuffle output, as an
+// application unpersisting everything after its last job would: a later job
+// recomputes them from lineage. The dropped bytes leave the collector's
+// memory timeline when that job starts, so a finished run's timelines read
+// as it ran.
+func (e *Engine) Release() {
+	dropped := e.Cache.Clear()
+	e.Shuffle.RetireExcept(nil)
+	e.mu.Lock()
+	e.released += float64(dropped)
+	e.mu.Unlock()
+}
+
 // runStages executes a set of independent stages as one scheduling round.
 func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (any, error)) ([]any, error) {
-	start := e.Now()
+	e.mu.Lock()
+	start, released := e.now, e.released
+	e.released = 0
+	e.mu.Unlock()
+	if released != 0 && e.Col != nil {
+		e.Col.MemDelta(start, -released)
+	}
 	// Nodes die only between rounds (KillNode from AfterStage), so one
 	// snapshot serves both passes.
 	workers := e.aliveSnapshot()

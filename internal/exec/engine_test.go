@@ -183,6 +183,43 @@ func TestCachingAvoidsSourceReads(t *testing.T) {
 	_ = firstInput
 }
 
+// TestReleaseRecomputesAndBalancesMemory releases an engine between two
+// jobs over one cached reduce: the second job recomputes both stages from
+// lineage to the same answer, and the collector's cached level (read as the
+// memory series' mean over a bucket a million times the run) ends at what
+// the store holds, not at the released copy plus the recomputed one.
+func TestReleaseRecomputesAndBalancesMemory(t *testing.T) {
+	h := newHarness(false, nil)
+	cached := pairSource(h.ctx, 400, 7).ReduceByKey(func(a, b any) any { return a.(float64) + b.(float64) }, 4).Cache()
+	cachedLevel := func() (series, store float64) {
+		var total float64
+		for _, w := range h.eng.Topo.Workers() {
+			store += float64(h.eng.Cache.NodeUsed(w.Name))
+			total += w.MemGB * 1e9
+		}
+		vals := h.col.MemSeries(h.eng.Topo, h.eng.Now()*1e6, 0).Values
+		return vals[len(vals)-1], 100 * store / total
+	}
+	want := sumByKey(t, cached)
+	if series, store := cachedLevel(); store == 0 || math.Abs(series-store) > 1e-3*store {
+		t.Fatalf("before Release: cached level %v%%, store holds %v%%", series, store)
+	}
+	h.eng.Release()
+	if h.eng.CachedComplete(cached) {
+		t.Fatal("Release left the cached reduce resident")
+	}
+	before := len(h.col.Stages())
+	if got := sumByKey(t, cached); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Release: %v, want %v", got, want)
+	}
+	if ran := len(h.col.Stages()) - before; ran != 2 {
+		t.Fatalf("after Release the job ran %d stages, want the map and the reduce again", ran)
+	}
+	if series, store := cachedLevel(); math.Abs(series-store) > 1e-3*store {
+		t.Fatalf("after Release and a recompute: cached level %v%%, store holds %v%%", series, store)
+	}
+}
+
 func TestConfiguratorRetunesTunableStage(t *testing.T) {
 	// First discover the reduce stage signature, then re-run with a config.
 	h := newHarness(false, nil)

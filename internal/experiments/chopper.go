@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"chopper"
 	"chopper/internal/config"
@@ -27,13 +26,11 @@ func engine(fn func(*exec.Engine)) chopper.Option {
 }
 
 // app adapts a workload to chopper.App at a fixed logical input size. It
-// keeps the last two sessions it ran on: after Tuner.RunComparison those are
-// the vanilla and the tuned run.
+// keeps nothing of its runs: Tuner.Compare hands back the vanilla session
+// (the profiling grid's trial 0) and the tuned one.
 type app struct {
 	w     workloads.Workload
 	bytes int64
-	mu    sync.Mutex
-	last  [2]*chopper.Session
 }
 
 func (a *app) Name() string      { return a.w.Name() }
@@ -43,9 +40,6 @@ func (a *app) Run(sess *chopper.Session, bytes int64) error {
 	if _, err := a.w.Run(sess.Context(), bytes); err != nil {
 		return fmt.Errorf("experiments: %s run: %w", a.w.Name(), err)
 	}
-	a.mu.Lock()
-	a.last = [2]*chopper.Session{a.last[1], sess}
-	a.mu.Unlock()
 	return nil
 }
 
@@ -91,14 +85,14 @@ func (c Compared) Improvement() float64 {
 }
 
 // compare trains CHOPPER for w at bytes and runs both systems there
-// (Tuner.RunComparison: the tuned run applies the generated configuration
-// plus the co-partition-aware scheduler).
+// (Tuner.Compare: the Spark run is the profiling grid's default run, the
+// tuned run applies the generated configuration plus the co-partition-aware
+// scheduler).
 func compare(w workloads.Workload, bytes int64, quick bool, opts ...chopper.Option) (Compared, error) {
-	a := &app{w: w, bytes: bytes}
 	tn := newTuner(quick, opts...)
-	_, _, cf, err := tn.RunComparison(a)
+	c, err := tn.Compare(&app{w: w, bytes: bytes})
 	if err != nil {
 		return Compared{}, err
 	}
-	return Compared{Workload: w.Name(), Spark: a.last[0], Chopper: a.last[1], Config: cf, DB: tn.DB}, nil
+	return Compared{Workload: w.Name(), Spark: c.Vanilla, Chopper: c.Tuned, Config: c.Config, DB: tn.DB}, nil
 }

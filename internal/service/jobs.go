@@ -68,7 +68,8 @@ func runStatus(err error, fallback int) int {
 // checkTrain refuses a train request whose plan no run can honour in
 // bounded work: more than api.MaxPlanEntries entries in a list, a size
 // fraction outside (0, 1] (NaN and ±Inf included), or a partition count
-// outside [1, api.MaxPartitions].
+// outside [1, s.maxPartitions] — a count the plan verifier would refuse
+// once the job ran.
 func (s *Server) checkTrain(req api.TrainRequest) error {
 	if err := s.checkSizes(req.Workload, req.InputBytes, req.Shrink); err != nil {
 		return err
@@ -83,8 +84,8 @@ func (s *Server) checkTrain(req api.TrainRequest) error {
 		}
 	}
 	for _, n := range req.Partitions {
-		if n < 1 || n > api.MaxPartitions {
-			return httpErrf(http.StatusBadRequest, "service: partition count %d outside [1, %d]", n, api.MaxPartitions)
+		if n < 1 || n > s.maxPartitions {
+			return httpErrf(http.StatusBadRequest, "service: partition count %d outside [1, %d]", n, s.maxPartitions)
 		}
 	}
 	return nil

@@ -26,9 +26,12 @@ import (
 	"time"
 
 	"chopper"
+	"chopper/api"
 	"chopper/internal/core"
 	"chopper/internal/fleet"
 	"chopper/internal/metrics"
+	"chopper/internal/plan/verify"
+	"chopper/internal/session"
 	"chopper/internal/workloads"
 )
 
@@ -111,6 +114,10 @@ type Server struct {
 	plans                          map[string]*planSlot
 	planHit, planMiss, planRebuild *metrics.Counter
 
+	// maxPartitions bounds a train request's partition counts: the plan
+	// verifier's limit on the daemon's cluster, at most api.MaxPartitions.
+	maxPartitions int
+
 	// repl is the journal puller (replica role only); replStop ends its
 	// loop, once.
 	repl         *fleet.Replicator
@@ -157,6 +164,11 @@ func New(cfg Config) (*Server, error) {
 	for _, w := range workloads.AllWithExtensions() {
 		s.plans[w.Name()] = &planSlot{name: w.Name(), defaultBytes: w.DefaultInputBytes()}
 	}
+	sc := session.Defaults()
+	for _, o := range cfg.SessionOptions {
+		o(&sc)
+	}
+	s.maxPartitions = min(api.MaxPartitions, verify.DefaultLimits(sc.Topo).MaxPartitions)
 	if cfg.StorePath != "" {
 		store, db, err := core.OpenStore(cfg.StorePath)
 		if err != nil {

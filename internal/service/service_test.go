@@ -17,7 +17,9 @@ import (
 
 	"chopper/api"
 	"chopper/client"
+	"chopper/internal/cluster"
 	"chopper/internal/core"
+	"chopper/internal/plan/verify"
 )
 
 // startTestServer runs a daemon on an ephemeral port and returns a client
@@ -148,6 +150,43 @@ func TestQueueFull429(t *testing.T) {
 		t.Fatalf("429 carried Retry-After %v, want >= 1s", ae.RetryAfter)
 	}
 	close(gate)
+}
+
+// TestTrainPartitionsBoundedByVerifier: admission refuses the partition
+// counts the plan verifier would refuse on the daemon's cluster. With the
+// worker busy and the queue full, one partition past the verifier's limit
+// is a 400 before anything is queued, and the limit itself passes admission
+// and meets the full queue (429) instead of being queued to fail with 422.
+func TestTrainPartitionsBoundedByVerifier(t *testing.T) {
+	srv, _, _ := startTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	limit := verify.DefaultLimits(cluster.PaperCluster()).MaxPartitions
+	if limit != 11200 || limit >= api.MaxPartitions {
+		t.Fatalf("the paper cluster's verifier limit is %d, want 11200, below api.MaxPartitions", limit)
+	}
+	gate := make(chan struct{})
+	defer close(gate)
+	block := func(ctx context.Context) (any, error) { <-gate; return nil, nil }
+	if err := srv.pool.submit(newJob(context.Background(), block)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.pool.depth() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never picked up the blocking job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.pool.submit(newJob(context.Background(), block)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ parts, want int }{{limit + 1, http.StatusBadRequest}, {limit, http.StatusTooManyRequests}} {
+		body := fmt.Sprintf(`{"workload":"sql","shrink":24,"sizeFractions":[1],"partitions":[%d]}`, c.parts)
+		rec := httptest.NewRecorder()
+		srv.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/train", strings.NewReader(body)))
+		if rec.Code != c.want {
+			t.Errorf("train at %d partitions: status %d (%s), want %d", c.parts, rec.Code, strings.TrimSpace(rec.Body.String()), c.want)
+		}
+	}
 }
 
 // TestDrainWritesLoadableSnapshot pins the clean-shutdown contract: an

@@ -454,10 +454,14 @@ func (m *MemStore) DropNode(node string) []CacheEntry {
 	return dropped
 }
 
-// Clear drops all cached partitions (between experiment runs).
-func (m *MemStore) Clear() {
+// Clear drops all cached partitions and reports the bytes they held.
+func (m *MemStore) Clear() (dropped int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	for _, b := range m.used {
+		dropped += b
+	}
 	m.tables = nil
 	m.used = map[string]int64{}
+	return dropped
 }

@@ -157,7 +157,9 @@ func TestMemStoreReplaceSameKey(t *testing.T) {
 func TestMemStoreClear(t *testing.T) {
 	m := NewMemStore(map[string]int64{"A": 100})
 	m.Put(CacheKey{1, 0, 4}, "A", 50, nil)
-	m.Clear()
+	if got := m.Clear(); got != 50 {
+		t.Fatalf("clear reported %d bytes dropped, want 50", got)
+	}
 	if m.NodeUsed("A") != 0 {
 		t.Fatalf("clear should reset usage")
 	}

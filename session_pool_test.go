@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -211,6 +212,73 @@ func TestRunComparisonGridWidthInvariant(t *testing.T) {
 		if !slices.Equal(got.harvests, want.harvests) {
 			t.Errorf("%s: %d harvests differ from the %d of one at a time", c.name, len(got.harvests), len(want.harvests))
 		}
+	}
+}
+
+// TestRunComparisonReusesDefaultTrial runs Tuner.RunComparison and
+// Tuner.Compare on tiny SQL over the tune-sweep benchmark's grid. App.Run
+// runs once per grid trial and once for the tuned run, not again for the
+// vanilla one; the vanilla time and every vanilla stage equal a fresh
+// session's run at the target size; and the vanilla session runs another
+// job on its own scheduler (one still on the grid's would hand back a turn
+// nothing holds, and the unlock of an unlocked mutex aborts the binary).
+func TestRunComparisonReusesDefaultTrial(t *testing.T) {
+	plan := chopper.TrialPlan{SizeFractions: []float64{0.5, 1}, Partitions: []int{150, 600}}
+	grid := 1 + len(plan.SizeFractions)*len(plan.Partitions)
+	sql := func() *chopper.BuiltinApp {
+		app, err := chopper.Builtin("sql")
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.Shrink(12)
+		return app
+	}
+	fresh, ref := chopper.NewSession(), sql()
+	if err := ref.Run(fresh, ref.InputBytes()); err != nil {
+		t.Fatal(err)
+	}
+	inner := sql()
+	var runs atomic.Int64
+	app := chopper.AppFunc{AppName: inner.Name(), Bytes: inner.InputBytes(), Fn: func(sess *chopper.Session, bytes int64) error {
+		runs.Add(1)
+		return inner.Run(sess, bytes)
+	}}
+	tuner := chopper.NewTuner()
+	tuner.Plan = plan
+	vanilla, _, _, err := tuner.RunComparison(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Swap(0); n != int64(grid+1) {
+		t.Errorf("RunComparison called App.Run %d times, want len(grid)+1 = %d", n, grid+1)
+	}
+	if math.Float64bits(vanilla) != math.Float64bits(fresh.Elapsed()) {
+		t.Errorf("RunComparison's vanilla run took %v s, a fresh session %v s", vanilla, fresh.Elapsed())
+	}
+	tuner = chopper.NewTuner()
+	tuner.Plan = plan
+	c, err := tuner.Compare(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load(); n != int64(grid+1) {
+		t.Errorf("Compare called App.Run %d times, want len(grid)+1 = %d", n, grid+1)
+	}
+	got, want := c.Vanilla.Stages(), fresh.Stages()
+	if len(got) != len(want) {
+		t.Fatalf("Compare's vanilla run has %d stages, a fresh session %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(*got[i], *want[i]) {
+			t.Errorf("stage %d (%s) of Compare's vanilla run differs from a fresh session's", i, want[i].Name)
+		}
+	}
+	end := c.Vanilla.Elapsed()
+	if err := ref.Run(c.Vanilla, ref.InputBytes()); err != nil {
+		t.Fatalf("another job on the vanilla session: %v", err)
+	}
+	if c.Vanilla.Elapsed() <= end {
+		t.Errorf("another job on the vanilla session left its clock at %v s", c.Vanilla.Elapsed())
 	}
 }
 

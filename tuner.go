@@ -20,8 +20,13 @@ import (
 // and each action hands it back for the length of its job. So Run needs
 // no lock for state it shares across calls, though another run's code may
 // execute between two of its actions; the closures it hands the engine
-// already run on several goroutines at once. RunComparison's vanilla and
-// tuned runs come after the grid, one at a time.
+// already run on several goroutines at once.
+//
+// Profile calls Run once per trial of its grid: trial 0, the default
+// configuration at the target size, then one per size fraction, scheme and
+// partition count of the TrialPlan. RunComparison calls it len(grid)+1
+// times: its vanilla run is grid trial 0, not run again, and its tuned run
+// comes after the grid, alone.
 type App interface {
 	// Name keys the workload in the statistics database.
 	Name() string
@@ -94,6 +99,16 @@ func (t *Tuner) Profile(app App) error {
 // at a time (GOMAXPROCS by default), overlapping only in their jobs (see
 // App), and the DB records the same bits as a one-at-a-time grid.
 func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
+	_, err := t.profile(ctx, app, false)
+	return err
+}
+
+// profile runs the trial plan for app into the DB (see ProfileContext).
+// Trial 0 is the default configuration at the target size, the cost
+// reference; with keepDefault its session is returned, back on its own
+// scheduler and with its engine released (Engine.Release). Every other run
+// keeps nothing past its harvest.
+func (t *Tuner) profile(ctx context.Context, app App, keepDefault bool) (*Session, error) {
 	type trial struct {
 		bytes int64
 		cfg   dag.StageConfigurator // nil: the default run, the cost reference
@@ -123,9 +138,9 @@ func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
 	var mu, turn sync.Mutex
 	runs := make([]observed, len(trials))
 	next := 0
-	_, err := driver.MapWith(configure(t.SessionOptions).GridWidth, len(trials), func(i int) (struct{}, error) {
+	kept, err := driver.MapWith(configure(t.SessionOptions).GridWidth, len(trials), func(i int) (*Session, error) {
 		if err := ctx.Err(); err != nil {
-			return struct{}{}, fmt.Errorf("chopper: profile of %s canceled: %w", app.Name(), err)
+			return nil, fmt.Errorf("chopper: profile of %s canceled: %w", app.Name(), err)
 		}
 		sess := NewSession(t.SessionOptions...)
 		sess.sch.Configurator = trials[i].cfg
@@ -134,7 +149,15 @@ func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
 		err := app.Run(sess, trials[i].bytes)
 		turn.Unlock()
 		if err != nil {
-			return struct{}{}, fmt.Errorf("chopper: profile run of %s: %w", app.Name(), err)
+			return nil, fmt.Errorf("chopper: profile run of %s: %w", app.Name(), err)
+		}
+		var keep *Session
+		if i == 0 && keepDefault {
+			// A later job must not hand back a turn it does not hold, and
+			// the rest of the grid need not carry what only such a job reads.
+			sess.ctx.SetRunner(sess.sch)
+			sess.eng.Release()
+			keep = sess
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -143,9 +166,12 @@ func (t *Tuner) ProfileContext(ctx context.Context, app App) error {
 			runs[next].rec.Harvest(t.DB, app.Name(), float64(trials[next].bytes), runs[next].col, next == 0)
 			runs[next] = observed{}
 		}
-		return struct{}{}, nil
+		return keep, nil
 	})
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return kept[0], nil
 }
 
 // offTurn is a profiling run's job runner: it hands the grid's turn back
@@ -202,21 +228,44 @@ func (t *Tuner) Observe(sess *Session, app App, inputBytes int64) {
 	sess.harvest(t.DB, app.Name(), float64(inputBytes), false)
 }
 
-// RunComparison executes app under vanilla and tuned sessions and reports
-// both simulated times — the Fig. 7 experiment for a user application.
+// Comparison is a vanilla-versus-tuned pair of runs of one App at its
+// target size — the Fig. 7 experiment for a user application.
+type Comparison struct {
+	// Vanilla is the profiling grid's trial 0: the default configuration at
+	// the target size, the run the tuned one is measured against. Its
+	// engine's cached partitions and shuffle outputs are released, so a
+	// later job on it recomputes them from lineage.
+	Vanilla *Session
+	// Tuned ran the App with WithTuning(Config) after the grid.
+	Tuned *Session
+	// Config is the configuration Optimize generated from the grid.
+	Config *ConfigFile
+}
+
+// Compare trains CHOPPER for app and runs it tuned. It calls app.Run
+// len(grid)+1 times: the vanilla run is not run again but taken from the
+// grid, whose trial 0 it is.
+func (t *Tuner) Compare(app App) (Comparison, error) {
+	vanilla, err := t.profile(context.Background(), app, true)
+	if err != nil {
+		return Comparison{}, err
+	}
+	cf, err := t.Optimize(app)
+	if err != nil {
+		return Comparison{}, err
+	}
+	tuned := NewSession(append(append([]Option{}, t.SessionOptions...), WithTuning(cf))...)
+	if err := app.Run(tuned, app.InputBytes()); err != nil {
+		return Comparison{}, err
+	}
+	return Comparison{Vanilla: vanilla, Tuned: tuned, Config: cf}, nil
+}
+
+// RunComparison is Compare reporting both simulated times.
 func (t *Tuner) RunComparison(app App) (vanillaSec, tunedSec float64, cf *ConfigFile, err error) {
-	cf, err = t.Train(app)
+	c, err := t.Compare(app)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	vanilla := NewSession(t.SessionOptions...)
-	if err := app.Run(vanilla, app.InputBytes()); err != nil {
-		return 0, 0, nil, err
-	}
-	tunedOpts := append(append([]Option{}, t.SessionOptions...), WithTuning(cf))
-	tuned := NewSession(tunedOpts...)
-	if err := app.Run(tuned, app.InputBytes()); err != nil {
-		return 0, 0, nil, err
-	}
-	return vanilla.Elapsed(), tuned.Elapsed(), cf, nil
+	return c.Vanilla.Elapsed(), c.Tuned.Elapsed(), c.Config, nil
 }
