@@ -29,7 +29,9 @@
 # submits — chopperkey, the key-fact drift gate (statically inferred key
 # facts diffed against the runtime lineage) — chopperverify, the
 # plan-IR and configuration verifiers run end to end over every built-in
-# workload — and a build+test of bench/, the nested benchmark module
+# workload — the quick sweep of cmd/experiments compared byte for byte with
+# its committed output (testdata/experiments_quick.txt), and a build+test
+# of bench/, the nested benchmark module
 # `./...` does not reach. Every gate checks machine-independent facts only
 # (exact counts, byte identity, zero drops); nothing timed is asserted.
 #
@@ -150,13 +152,15 @@ gate "race (parallel sweep)"
 # profiling grid by TestRunComparisonGridWidthInvariant and
 # TestProfileRunsOverlapOnlyInJobs, the vanilla run RunComparison takes
 # from that grid by TestRunComparisonReusesDefaultTrial (the root package,
-# which the sweep above does not reach), chopperverify's sorted release of the grid's findings by
-# TestReporterReleasesHeldFindingsSorted, and a compute worker's own kernel
-# scratch by TestOwnedScratchBypassesPools and TestKernelScratchSequences
-# (its pooled and owned replays run side by side); run them explicitly
-# under the race detector so pool regressions fail loudly even if the
-# package sweep above is ever narrowed.
-go test -race -run 'TestParallelMatchesSequential|TestRunComparisonGridWidthInvariant|TestRunComparisonReusesDefaultTrial|TestProfileRunsOverlapOnlyInJobs|TestReporterReleasesHeldFindingsSorted|TestOwnedScratchBypassesPools|TestKernelScratchSequences' -count=1 . ./cmd/chopperverify ./internal/experiments ./internal/rdd
+# which the sweep above does not reach), chopperverify's sorted release of
+# the grid's findings by TestReporterReleasesHeldFindingsSorted, and a
+# compute worker's own kernel scratch by TestOwnedScratchBypassesPools,
+# TestKernelScratchSequences (its pooled and owned replays run side by
+# side) and TestRefMergeMatchesBoxedMerge (the reduce kernels reading arena
+# blocks by reference, on the pools and on an owned Scratch); run them
+# explicitly under the race detector so pool regressions fail loudly even
+# if the package sweep above is ever narrowed.
+go test -race -run 'TestParallelMatchesSequential|TestRunComparisonGridWidthInvariant|TestRunComparisonReusesDefaultTrial|TestProfileRunsOverlapOnlyInJobs|TestReporterReleasesHeldFindingsSorted|TestOwnedScratchBypassesPools|TestKernelScratchSequences|TestRefMergeMatchesBoxedMerge' -count=1 . ./cmd/chopperverify ./internal/experiments ./internal/rdd
 
 gate "bit-exact kernels (GOARCH=386)"
 # The built-ins' numeric kernels run independent sums side by side but keep
@@ -168,6 +172,15 @@ gate "bit-exact kernels (GOARCH=386)"
 # the pooled and the owned kernel scratch, where int is 32 bits.
 GOARCH=386 go test -run 'Pinned|MatchScalar' ./internal/workloads
 GOARCH=386 go test ./internal/rdd ./internal/shuffle
+
+gate "experiments -quick (byte oracle)"
+# The reproduction's quick sweep must print exactly the committed output,
+# byte for byte: an engine, cost-model or tuner change that moves any
+# figure fails here at cmp's first differing byte. Regenerate
+# testdata/experiments_quick.txt only for a change meant to move the
+# numbers, and review its diff.
+go build -o bin/ ./cmd/experiments
+bin/experiments -quick | cmp - testdata/experiments_quick.txt
 
 gate "bench module (build + test)"
 # bench/ is a nested module outside ./...: build and test it here so a

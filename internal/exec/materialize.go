@@ -175,7 +175,7 @@ func (e *Engine) pullCols(p *rdd.RDD, split int, a *acct) (in []rdd.Row, bytes f
 	a.nparents++ // taken before p's own pulls
 	if sum != nil {
 		view := e.Shuffle.ReduceInput(sum.ShuffleID, split)
-		if !a.kern.MergeTypedCol(view.Len(), view.BlockInto, sum.Agg, &slot.blk) {
+		if !a.kern.MergeTypedRefs(view.Refs(), sum.Agg, &slot.blk) {
 			a.nparents-- // untouched: nothing pulled since
 			return nil, 0, false, nil
 		}
@@ -264,13 +264,14 @@ func (e *Engine) gather(r *rdd.RDD, split int, a *acct, cols bool) ([][]rdd.Row,
 	return a.ins[base : base+n : base+n], nil
 }
 
-// shuffleRead fetches and merges the reduce input of dep for one partition.
-// The view holds the partition's non-empty blocks only; reading before the
-// map side finished panics inside the manager.
+// shuffleRead fetches and merges the reduce input of dep for one partition:
+// the kernel reads the view's non-empty blocks by reference, in place in
+// the map tasks' arenas. Reading before the map side finished panics
+// inside the manager.
 func (e *Engine) shuffleRead(dep *rdd.ShuffleDep, reduce int, a *acct) ([]rdd.Row, float64) {
 	view := e.Shuffle.ReduceInput(dep.ShuffleID, reduce)
 	a.shufBy = mergeProfiles(&a.shufBuf, a.shufBy, view.NodeBytes())
-	rows := a.kern.MergeReduceColN(view.Len(), view.BlockInto, dep.Agg)
+	rows := a.kern.MergeReduceRefs(view.Refs(), dep.Agg)
 	return rows, rdd.LogicalRowsBytes(rows, e.Ctx.LogicalScale)
 }
 

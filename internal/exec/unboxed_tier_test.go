@@ -45,7 +45,7 @@ func (c *hookCounter) RunJob(target *rdd.RDD, fn func(int, []rdd.Row) (any, erro
 
 // TestBuiltinSumsTakeUnboxedTier: the float sums of the sql and pagerank
 // built-ins run through the unboxed kernel tier on both shuffle sides —
-// colCombineInt's f64 branch and mergeColIntF64 (their keys are ints) —
+// colCombineInt's f64 branch and foldRefsF64 (their keys are ints) —
 // and never through the boxed twins. Before SumByKey no engine-driven
 // workload reached that tier at all.
 func TestBuiltinSumsTakeUnboxedTier(t *testing.T) {
@@ -68,7 +68,7 @@ func TestBuiltinSumsTakeUnboxedTier(t *testing.T) {
 				t.Errorf("%s: the map-side F64 combine (colCombineInt's f64 branch) was not entered", name)
 			}
 			if c.mergeCombinersF64.Load() == 0 {
-				t.Errorf("%s: the reduce-side F64 merge (mergeColIntF64) was not entered", name)
+				t.Errorf("%s: the reduce-side F64 merge (foldRefsF64) was not entered", name)
 			}
 			if n := c.boxed.Load(); n != 0 {
 				t.Errorf("%s: %d calls reached the boxed twins of a sum aggregator", name, n)

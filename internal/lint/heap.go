@@ -69,7 +69,8 @@ type heapRoot struct {
 var heapRoots = []heapRoot{
 	{"chopper/internal/exec", "Engine", "computePass"},
 	{"chopper/internal/rdd", "", "PartitionPairsCol"},
-	{"chopper/internal/rdd", "", "MergeReduceColN"},
+	{"chopper/internal/rdd", "Scratch", "MergeReduceRefs"},
+	{"chopper/internal/rdd", "Scratch", "MergeTypedRefs"},
 	{"chopper/internal/rdd", "", "PairBytes"},
 	{"chopper/internal/shuffle", "Manager", "ReduceInput"},
 	{"chopper/internal/shuffle", "Manager", "ReduceNodeBytes"},

@@ -2,13 +2,16 @@
 // for generation-scoped shuffle memory. Views handed out by
 // shuffle.Manager.ReduceInput (and the reduce-major index they are
 // sub-slices of) alias the map tasks' columnar arenas and are only valid
-// until the shuffle generation retires; retaining one in a heap-lived
-// structure — a struct field, a channel, a goroutine-captured closure —
-// outlives memory RetireExcept releases. (ReduceNodeBytes is not a source:
-// its profile is copied out per call and owned by the caller.) A view
-// written through an out parameter — ReduceView.BlockInto(i, &dst),
-// ColBuckets.BlockInto and BucketInto — taints dst, and writing it
-// straight into a heap-lived location is itself an escape. The rule
+// until the shuffle generation retires; so do the []rdd.BlockRef that
+// ReduceView.Refs returns, the zero-copy form the reduce kernels read in
+// place, and every ref or slice derived from them. Retaining one in a
+// heap-lived structure — a struct field, a channel, a goroutine-captured
+// closure — outlives memory RetireExcept releases; handing the refs to a
+// kernel call is the intended use. (ReduceNodeBytes is not a source: its
+// profile is copied out per call and owned by the caller.) A view written
+// through an out parameter — ReduceView.BlockInto(i, &dst),
+// ColBuckets.BlockInto and BucketInto, BlockRef.Into — taints dst, and
+// writing it straight into a heap-lived location is itself an escape. The rule
 // runs a flow-sensitive taint analysis per function on the SSA-lite CFG (the
 // copyescape lattice with inverted polarity): arena-derived values taint
 // locals through assignment, slicing, and reference-element reads; a deep
@@ -37,19 +40,23 @@ var GenLife = &Analyzer{
 	Run:  runGenLife,
 }
 
-// lifeSourceMethods are the Manager read-path accessors whose results
-// alias generation-scoped arena memory.
+// lifeSourceMethods are the shuffle package's read-path accessors whose
+// results alias generation-scoped arena memory: the Manager's, and
+// ReduceView.Refs.
 var lifeSourceMethods = map[string]bool{
 	"ReduceInput": true,
 	"index":       true,
+	"Refs":        true,
 }
 
 // lifeOutMethods are the view writers: each fills its last argument, a
 // *ColBlock, with a view aliasing the arena, keyed by receiver type name
-// (the shuffle package's ReduceView, the rdd package's ColBuckets).
+// (the shuffle package's ReduceView, the rdd package's ColBuckets and
+// BlockRef).
 var lifeOutMethods = map[string]map[string]bool{
 	"ReduceView": {"BlockInto": true},
 	"ColBuckets": {"BlockInto": true, "BucketInto": true},
+	"BlockRef":   {"Into": true},
 }
 
 // lifeSourceFields are the generation-owned state fields themselves
@@ -400,7 +407,7 @@ func (lc *lifeChecker) evalCall(σ lifeFact, call *ast.CallExpr) string {
 	return ""
 }
 
-// methodSource recognizes the Manager read-path accessors.
+// methodSource recognizes the shuffle package's read-path accessors.
 func (lc *lifeChecker) methodSource(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

@@ -1,5 +1,7 @@
 package glfix
 
+import "chopper/internal/rdd"
+
 // keepProfile retains a locality profile as is: ReduceNodeBytes computes
 // it per call and the caller owns the slice, so nothing aliases
 // generation-scoped memory.
@@ -52,4 +54,19 @@ func (k *keeper) copyBlock(v ReduceView) {
 	var b ColView
 	v.BlockInto(0, &b)
 	k.col = append([]float64(nil), b.F64...)
+}
+
+// mergeRefs hands a partition's refs to a reduce kernel, which reads the
+// blocks in place and returns rows of its own.
+func mergeRefs(w *rdd.Scratch, v ReduceView) []rdd.Row {
+	return w.MergeReduceRefs(v.Refs(), nil)
+}
+
+// countPairs reads the refs' sizes into a local sum.
+func countPairs(v ReduceView) int {
+	n := 0
+	for _, r := range v.Refs() {
+		n += r.Len()
+	}
+	return n
 }

@@ -74,17 +74,23 @@ func (s *arenaSink) retainArena(m *Manager, reduce int) {
 }
 
 // ReduceView mirrors the real reduce view: BlockInto fills dst with block
-// i's view, which aliases the writing map task's arena.
+// i's view, and Refs hands out the blocks by reference; both alias the
+// writing map tasks' arenas.
 type ReduceView struct {
 	blocks []ColView
+	refs   []rdd.BlockRef
 }
 
 func (v ReduceView) BlockInto(i int, dst *ColView) { *dst = v.blocks[i] }
 
+func (v ReduceView) Refs() []rdd.BlockRef { return v.refs }
+
 // keeper is a heap-lived consumer of one block.
 type keeper struct {
-	col []float64
-	blk ColView
+	col  []float64
+	blk  ColView
+	refs []rdd.BlockRef
+	view rdd.ColBlock
 }
 
 // keepBlock fills a local view, then stores its column into a heap-lived
@@ -105,4 +111,16 @@ func (k *keeper) keepArenaBlock(c *rdd.ColBuckets) {
 	var b rdd.ColBlock
 	c.BlockInto(0, &b)
 	k.col = b.F64
+}
+
+// keepRefs keeps a partition's refs, resliced, in a heap-lived field: the
+// refs hold the arenas retirement releases.
+func (k *keeper) keepRefs(v ReduceView) {
+	refs := v.Refs()
+	k.refs = refs[1:]
+}
+
+// fillFromRef has a ref write its view straight into a heap-lived field.
+func (k *keeper) fillFromRef(v ReduceView) {
+	v.Refs()[0].Into(&k.view)
 }

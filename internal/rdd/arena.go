@@ -4,7 +4,8 @@
 // append-only typed segments — []int64 keys, []float64 for unboxed F64
 // aggregator state, []any where values must stay boxed — partitioned
 // bucket-major so the reduce side slices its view out of the arena without
-// copying a single pair.
+// copying a single pair. The reduce kernels take each block as a BlockRef —
+// its arena and position — and slice the segments in place.
 //
 // The contract mirrors the boxed tier (split.go) exactly: same per-bucket
 // order (input order without combine, first-occurrence key order with
@@ -18,18 +19,17 @@
 // Kernel scratch: the shuffle kernels keep their working set — the int
 // key→slot table (open addressing over slot numbers, hashed with a
 // per-process salt), the per-slot arrays, the sort index, the map side's
-// per-bucket cursor, the reduce side's block header — in one reused
-// kernelScratch instead of rebuilding it per call, so what a kernel
-// allocates is what it emits: the arena's segments and bucket table, whose
-// size follows its pairs and not the reduce count, or the merged []Row.
-// The arena's header is the caller's (PartitionPairsInto,
-// PartitionTypedCol). Slots are numbered in first-occurrence order and
-// emitted through it or through a sort by key, so no output depends on
-// the table's layout or salt. A deferred release clears the table, the
-// coGroup map, the pointer-bearing arrays, the header and the touched
-// cursor entries before the scratch is reused (nothing of the last task
-// stays reachable or leaks into the next call) and drops a scratch grown
-// past maxPooledSlots; nothing emitted aliases it. The engine's compute
+// per-bucket cursor — in one reused kernelScratch instead of rebuilding it
+// per call, so what a kernel allocates is what it emits: the arena's
+// segments and bucket table, whose size follows its pairs and not the
+// reduce count, or the merged []Row. The arena's header is the caller's
+// (PartitionPairsInto, PartitionTypedCol). Slots are numbered in
+// first-occurrence order and emitted through it or through a sort by key,
+// so no output depends on the table's layout or salt. A deferred release
+// clears the table, the coGroup map, the pointer-bearing arrays and the
+// touched cursor entries before the scratch is reused (nothing of the last
+// task stays reachable or leaks into the next call) and drops a scratch
+// grown past maxPooledSlots; nothing emitted aliases it. The engine's compute
 // workers each own a Scratch, one kernelScratch per size class, and call
 // the kernels as its methods; every other caller (a nil *Scratch, the
 // package-level kernels, the kernels inside a Compute) takes from the
@@ -38,9 +38,9 @@
 // Ownership: a ColBuckets arena belongs to one (shuffle, map task); the
 // shuffle manager holds it until the generation retires, then drops every
 // reference at once — whole-arena frees instead of per-pair garbage. The
-// genlife lint rule enforces the reader-side contract: a ColBlock view is
-// valid only within its shuffle generation and must be deep-copied before
-// being retained anywhere heap-lived.
+// genlife lint rule enforces the reader-side contract: a ColBlock view or a
+// BlockRef is valid only within its shuffle generation and must be
+// deep-copied before being retained anywhere heap-lived.
 package rdd
 
 import (
@@ -211,6 +211,35 @@ func (a *ColBuckets) BlockInto(i int, dst *ColBlock) {
 	}
 }
 
+// BlockRef names one non-empty bucket of an arena by its position: what a
+// reduce merge reads in place, slicing the arena's segments between the
+// bucket's starts, with no ColBlock header per block. The shuffle's reduce
+// index holds one per block that has a pair and hands a reduce partition's
+// out as shuffle.ReduceView.Refs. A ref aliases its arena, so it is valid
+// only while the owning shuffle generation is live (see ColBlock).
+type BlockRef struct {
+	a   *ColBuckets
+	pos int32
+}
+
+// Ref returns the ref of the bucket at position i, bucket NonEmpty()[i].
+func (a *ColBuckets) Ref(i int) BlockRef { return BlockRef{a: a, pos: int32(i)} }
+
+// Len reports the number of pairs in the referenced block.
+func (r BlockRef) Len() int {
+	lo, hi := r.bounds()
+	return hi - lo
+}
+
+// Into writes the referenced block's view into dst, fully overwriting it:
+// its arena's BlockInto at its position.
+func (r BlockRef) Into(dst *ColBlock) { r.a.BlockInto(int(r.pos), dst) }
+
+// bounds returns the block's slot range in its arena's segments.
+func (r BlockRef) bounds() (lo, hi int) {
+	return int(r.a.starts[r.pos]), int(r.a.starts[r.pos+1])
+}
+
 // LogicalBytes is LogicalPairsBytes for bucket b: the same per-pair sizes
 // (PairBytes) scaled and summed in the same pair order, term for term, so
 // the simulated shuffle volumes are byte-identical to the boxed layout
@@ -263,8 +292,7 @@ func boxedArena(a *ColBuckets, buckets [][]Pair) {
 
 // kernelScratch is the working set of one combine, merge or cogroup kernel
 // call: the int key→slot table (slotOf) or, for coGroup, a key→slot map,
-// the per-slot arrays, the sort index and the block header a merge's get
-// fills.
+// the per-slot arrays and the sort index.
 // Every kernel takes it (Scratch.take, or takeScratch for the pools) and
 // hands it back through a deferred release, so the bail-outs, the non-pair
 // error and a panicking user aggregator all return it. Nothing a kernel
@@ -289,10 +317,7 @@ type kernelScratch struct {
 	// release zeroes exactly those.
 	cursor  []int32
 	touched []int32
-	// blk is the header a reduce-side merge hands its get callback: a
-	// local one would escape through the callback, one per call.
-	blk   ColBlock
-	class int // the size class it serves: its scratchPools entry or Scratch slot
+	class   int // the size class it serves: its scratchPools entry or Scratch slot
 }
 
 // maxPooledSlots bounds the scratch a pool or a Scratch keeps, counting
@@ -359,7 +384,6 @@ func (s *kernelScratch) reset() bool {
 	}
 	clear(s.anySlots)
 	clear(s.anys)
-	s.blk = ColBlock{} // its views alias arenas of a generation that may retire
 	s.ints, s.buckets = s.ints[:0], s.buckets[:0]
 	s.f64s, s.anys, s.idx = s.f64s[:0], s.anys[:0], s.idx[:0]
 	s.touched = s.touched[:0]
@@ -401,16 +425,6 @@ func (w *Scratch) release(s *kernelScratch) {
 	if s.reset() {
 		w.own[s.class] = s
 	}
-}
-
-// fit returns a scratch of the size class of a call over pairs: s itself
-// when it is one, else another of w's, s released.
-func (w *Scratch) fit(s *kernelScratch, pairs int) *kernelScratch {
-	if sizeClass(pairs) == s.class {
-		return s
-	}
-	w.release(s)
-	return w.take(pairs)
 }
 
 // intSalt seeds slotOf's hash: random per process, so no chosen key set
@@ -766,111 +780,195 @@ func (w *Scratch) colScatterInt(a *ColBuckets, rows []Row, p Partitioner, wantF6
 	return true, nil
 }
 
-// MergeReduceColN is Scratch.MergeReduceColN on the pools' scratch.
+// MergeReduceColN merges the n blocks get writes, in order, exactly as
+// Scratch.MergeReduceRefs merges refs, on the pools' scratch: the adapter
+// for callers that hold views rather than arenas. get(i, dst) must fully
+// overwrite dst with block i's view. The engine never calls it.
 func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
-	return (*Scratch)(nil).MergeReduceColN(n, get, agg)
+	return (*Scratch)(nil).MergeReduceRefs(viewRefs(n, get), agg)
 }
 
-// MergeReduceColN is the reduce side of a shuffle over zero-copy views: it
-// merges the n blocks destined for one reduce partition (one per map task,
-// in map-task order) directly out of the arenas — no per-pair boxing until
-// the once-per-key (or once-per-row, without an aggregator) emission.
-// Mixed or boxed inputs materialize into pairs and take the boxed
-// reference path, byte-identical by construction. get(i, dst) must fully
-// overwrite dst with block i's view (blocks are visited in map-task order,
-// possibly more than once). The engine feeds it straight from the per-map
-// arenas through shuffle.ReduceView.BlockInto, so a reduce merge never
-// materializes a heap-resident slice of ~150-byte block headers: every
-// pass reuses the scratch's one header.
-func (w *Scratch) MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
-	// The sizing pass runs on the smallest class's scratch, which serves
-	// the merge too when its pairs fit.
-	s := w.take(0)
-	kind := ColNone
-	total := 0
-	mixed := false
-	for i := 0; i < n; i++ {
-		get(i, &s.blk)
-		l := s.blk.Len()
+// viewRefs copies the non-empty views get writes into one slab of
+// one-bucket arenas and returns their refs, in order. Unlike the refs a
+// shuffle index hands out, these cost a few allocations per call.
+func viewRefs(n int, get func(int, *ColBlock)) []BlockRef {
+	arenas := make([]ColBuckets, n)
+	index := make([]int32, 3*n) // per arena its one id, then its starts
+	var boxed [][]Pair
+	refs := make([]BlockRef, 0, n)
+	var blk ColBlock
+	for i := range arenas {
+		get(i, &blk)
+		l := blk.Len()
 		if l == 0 {
 			continue
 		}
-		total += l
-		switch k := s.blk.Kind; {
-		case k == ColNone:
-			mixed = true
-		case kind == ColNone:
-			kind = k
-		case kind != k:
-			mixed = true
+		t := index[3*i : 3*i+3 : 3*i+3]
+		t[2] = int32(l)
+		a := &arenas[i]
+		*a = ColBuckets{kind: blk.Kind, buckets: 1, ids: t[:1:1], starts: t[1:], ints: blk.Int, f64: blk.F64, anys: blk.Any}
+		if blk.Kind != ColIntF64 && blk.Kind != ColIntAny {
+			if boxed == nil {
+				boxed = make([][]Pair, n)
+			}
+			boxed[i] = blk.Pairs
+			a.boxed = boxed[i : i+1 : i+1]
 		}
+		refs = append(refs, a.Ref(0))
 	}
-	s = w.fit(s, total)
-	defer w.release(s)
+	return refs
+}
+
+// MergeReduceRefs is the reduce side of a shuffle over zero-copy refs: it
+// merges the blocks destined for one reduce partition (one per map task
+// that wrote the partition a pair, in map-task order) directly out of the
+// arenas, slicing each block's keys and values in place — no block header,
+// and no per-pair boxing until the once-per-key (or once-per-row, without
+// an aggregator) emission. Blocks of one columnar kind merge in that
+// kind's kernel; boxed (ColNone) or mixed blocks materialize into pairs
+// through BlockInto and take the boxed reference path, byte-identical by
+// construction. The engine hands it a shuffle.ReduceView's Refs.
+func (w *Scratch) MergeReduceRefs(refs []BlockRef, agg *Aggregator) []Row {
+	kind, total := refsKind(refs)
 	if total == 0 {
 		return []Row{} // non-nil, like the boxed merge of nothing
 	}
-	if !mixed {
-		switch kind {
-		case ColIntF64:
-			if agg == nil {
-				return concatColIntF64(s, n, get, total)
-			}
-			if out, ok := mergeColIntF64(s, n, get, agg); ok {
-				return out
-			}
-		case ColIntAny:
-			if agg == nil {
-				return concatColIntAny(s, n, get, total)
-			}
-			return mergeColIntAny(s, n, get, agg)
+	s := w.take(total)
+	defer w.release(s)
+	switch kind {
+	case ColIntF64:
+		if out, ok := mergeIntF64(s, refs, agg, total); ok {
+			return out
 		}
+	case ColIntAny:
+		return mergeIntAny(s, refs, agg, total)
 	}
-	return mergeReduceBlocks(materializeCols(s, n, get), agg)
+	return mergeReduceBlocks(materializeRefs(refs), agg)
 }
 
-// materializeCols boxes columnar views back into pair blocks — the
-// reference fallback for mixed kinds.
-func materializeCols(s *kernelScratch, n int, get func(int, *ColBlock)) [][]Pair {
-	out := make([][]Pair, n)
-	for i := 0; i < n; i++ {
-		get(i, &s.blk)
-		if l := s.blk.Len(); l > 0 {
-			out[i] = s.blk.AppendPairs(make([]Pair, 0, l))
+// refsKind reports the kind the blocks share — ColNone when any of them is
+// boxed or their kinds differ — and their pair count: the sizing pass, a
+// sum over the arenas' starts.
+func refsKind(refs []BlockRef) (ColKind, int) {
+	kind, total := ColNone, 0
+	for i, r := range refs {
+		total += r.Len()
+		if i == 0 {
+			kind = r.a.kind
+		} else if r.a.kind != kind {
+			kind = ColNone
 		}
+	}
+	return kind, total
+}
+
+// materializeRefs boxes the blocks back into pair blocks through BlockInto
+// — the reference fallback for boxed and mixed kinds.
+func materializeRefs(refs []BlockRef) [][]Pair {
+	out := make([][]Pair, len(refs))
+	var blk ColBlock
+	for i, r := range refs {
+		r.Into(&blk)
+		out[i] = blk.AppendPairs(make([]Pair, 0, r.Len()))
 	}
 	return out
 }
 
-// concatColIntF64 is the no-aggregator merge for int/float64 blocks:
-// concatenate in block order into the scratch's key and value arrays,
-// stable-sort by key through the scratch's index permutation (the typed
-// columns make comparisons and swaps cheap), box each row once on
-// emission. The rows are all it allocates.
-func concatColIntF64(s *kernelScratch, n int, get func(int, *ColBlock), total int) []Row {
-	s.ints, s.f64s = slices.Grow(s.ints, total), slices.Grow(s.f64s, total)
-	for i := 0; i < n; i++ {
-		get(i, &s.blk)
-		s.ints = append(s.ints, s.blk.Int...)
-		s.f64s = append(s.f64s, s.blk.F64...)
+// mergeIntF64 is the merge kernel of ColIntF64 blocks. Without an
+// aggregator it concatenates them, in block order, into the scratch's key
+// and value arrays and stable-sorts by key through the scratch's index
+// permutation (the typed columns make comparisons and swaps cheap); with
+// one it folds them per key through the aggregator's F64 hooks
+// (foldRefsF64), and reports false, touching nothing, when agg lacks them.
+// Either way it boxes each emitted row once, keys ascending: the rows are
+// all it allocates.
+func mergeIntF64(s *kernelScratch, refs []BlockRef, agg *Aggregator, total int) ([]Row, bool) {
+	var order []int32
+	if agg == nil {
+		s.ints, s.f64s = slices.Grow(s.ints, total), slices.Grow(s.f64s, total)
+		for _, r := range refs {
+			lo, hi := r.bounds()
+			s.ints = append(s.ints, r.a.ints[lo:hi]...)
+			s.f64s = append(s.f64s, r.a.f64[lo:hi]...)
+		}
+		order = stableKeyOrder(s, s.ints)
+	} else {
+		if !foldRefsF64(s, refs, agg) {
+			return nil, false
+		}
+		order = sortedSlots(s, s.ints)
 	}
-	out := make([]Row, total)
-	for i, j := range stableKeyOrder(s, s.ints) {
+	out := make([]Row, len(order))
+	for i, j := range order {
 		out[i] = Pair{K: int(s.ints[j]), V: s.f64s[j]}
 	}
-	return out
+	return out, true
 }
 
-// concatColIntAny is concatColIntF64 with boxed values.
-func concatColIntAny(s *kernelScratch, n int, get func(int, *ColBlock), total int) []Row {
-	s.ints, s.anys = slices.Grow(s.ints, total), slices.Grow(s.anys, total)
-	for i := 0; i < n; i++ {
-		get(i, &s.blk)
-		s.ints = append(s.ints, s.blk.Int...)
-		s.anys = append(s.anys, s.blk.Any...)
+// foldRefsF64 folds ColIntF64 blocks into s's slot arrays through agg's
+// F64 hooks, mirroring mergeBlocksGeneric: map-task order, per-key fold in
+// pair order, first-occurrence key tracking. Per-key state lives in slot
+// arrays, so a repeated key costs one table probe and an array store. It
+// reports false, folding nothing, when agg lacks the hooks.
+func foldRefsF64(s *kernelScratch, refs []BlockRef, agg *Aggregator) bool {
+	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
+		for _, r := range refs {
+			lo, hi := r.bounds()
+			vals := r.a.f64[lo:hi]
+			for i, k := range r.a.ints[lo:hi] {
+				v := vals[i]
+				switch sl, ok := s.slotOf(k); {
+				case ok && agg.MapSideCombine:
+					s.f64s[sl] = agg.MergeCombinersF64(s.f64s[sl], v)
+				case ok:
+					s.f64s[sl] = agg.MergeValueF64(s.f64s[sl], v)
+				case agg.MapSideCombine:
+					s.f64s = append(s.f64s, v) // already a combiner from the map side
+				default:
+					s.f64s = append(s.f64s, agg.CreateF64(v))
+				}
+			}
+		}
+		return true
 	}
-	out := make([]Row, total)
-	for i, j := range stableKeyOrder(s, s.ints) {
+	return false
+}
+
+// mergeIntAny is the merge kernel of ColIntAny blocks: mergeIntF64 with
+// boxed values, folded through the aggregator's boxed hooks (the values
+// were boxed at the source, so the fold itself adds no new boxes).
+func mergeIntAny(s *kernelScratch, refs []BlockRef, agg *Aggregator, total int) []Row {
+	var order []int32
+	if agg == nil {
+		s.ints, s.anys = slices.Grow(s.ints, total), slices.Grow(s.anys, total)
+		for _, r := range refs {
+			lo, hi := r.bounds()
+			s.ints = append(s.ints, r.a.ints[lo:hi]...)
+			s.anys = append(s.anys, r.a.anys[lo:hi]...)
+		}
+		order = stableKeyOrder(s, s.ints)
+	} else {
+		for _, r := range refs {
+			lo, hi := r.bounds()
+			vals := r.a.anys[lo:hi]
+			for i, k := range r.a.ints[lo:hi] {
+				v := vals[i]
+				switch sl, ok := s.slotOf(k); {
+				case ok && agg.MapSideCombine:
+					s.anys[sl] = agg.MergeCombiners(s.anys[sl], v)
+				case ok:
+					s.anys[sl] = agg.MergeValue(s.anys[sl], v)
+				case agg.MapSideCombine:
+					s.anys = append(s.anys, v) // already a combiner from the map side
+				default:
+					s.anys = append(s.anys, agg.Create(v))
+				}
+			}
+		}
+		order = sortedSlots(s, s.ints)
+	}
+	out := make([]Row, len(order))
+	for i, j := range order {
 		out[i] = Pair{K: int(s.ints[j]), V: s.anys[j]}
 	}
 	return out
@@ -887,108 +985,29 @@ func stableKeyOrder(s *kernelScratch, keys []int64) []int32 {
 	return s.idx
 }
 
-// mergeColIntF64 is the unboxed reduce-side fold for int/float64 blocks on
-// s, mirroring mergeBlocksGeneric with the aggregator's F64 hooks (see
-// foldColIntF64), boxing each key's pair once on its sorted emission.
-func mergeColIntF64(s *kernelScratch, n int, get func(int, *ColBlock), agg *Aggregator) ([]Row, bool) {
-	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
-		foldColIntF64(s, n, get, agg, &s.blk)
-		out := make([]Row, len(s.ints))
-		for i, sl := range sortedSlots(s, s.ints) {
-			//lint:ignore boxf64 emission boxes once per key at the typed-region boundary; the per-record accumulation stays unboxed
-			out[i] = Pair{K: int(s.ints[sl]), V: s.f64s[sl]}
-		}
-		return out, true
-	}
-	return nil, false
-}
-
-// MergeTypedCol is MergeReduceColN for a typed consumer of the reduce
-// side: when agg CombinesF64 and every non-empty block is ColIntF64, it
-// folds the blocks as mergeColIntF64 does and writes the merged pairs to
-// dst as one ColIntF64 block, keys ascending — the columns of exactly the
-// rows MergeReduceColN returns — reusing dst's capacity, and reports true.
-// Otherwise it leaves dst as it was and reports false: the rows are the
-// reduce input. A warm call allocates nothing.
-func (w *Scratch) MergeTypedCol(n int, get func(int, *ColBlock), agg *Aggregator, dst *ColBlock) bool {
+// MergeTypedRefs is MergeReduceRefs for a typed consumer of the reduce
+// side: when agg CombinesF64 and every block is ColIntF64, it folds the
+// blocks as the row merge does (foldRefsF64) and writes the merged pairs
+// to dst as one ColIntF64 block, keys ascending — the columns of exactly
+// the rows MergeReduceRefs returns — reusing dst's capacity, and reports
+// true. Otherwise it leaves dst as it was and reports false: the rows are
+// the reduce input. A warm call allocates nothing.
+func (w *Scratch) MergeTypedRefs(refs []BlockRef, agg *Aggregator, dst *ColBlock) bool {
 	if !agg.CombinesF64() {
 		return false
 	}
-	// dst is the header get fills until the merge is written (a local one
-	// would escape through get); its columns are kept aside.
-	was := *dst
-	total := 0
-	for i := 0; i < n; i++ {
-		get(i, dst)
-		if l := dst.Len(); l > 0 {
-			if dst.Kind != ColIntF64 {
-				*dst = was
-				return false
-			}
-			total += l
-		}
+	kind, total := refsKind(refs)
+	if kind != ColIntF64 && total > 0 {
+		return false
 	}
 	s := w.take(total)
 	defer w.release(s)
-	foldColIntF64(s, n, get, agg, dst)
-	keys, vals := was.Int[:0], was.F64[:0]
+	foldRefsF64(s, refs, agg)
+	keys, vals := dst.Int[:0], dst.F64[:0]
 	for _, sl := range sortedSlots(s, s.ints) {
 		keys = append(keys, s.ints[sl])
 		vals = append(vals, s.f64s[sl])
 	}
 	*dst = ColBlock{Kind: ColIntF64, Int: keys, F64: vals}
 	return true
-}
-
-// foldColIntF64 folds int/float64 blocks into s's slot arrays, mirroring
-// mergeBlocksGeneric with the aggregator's F64 hooks: map-task order,
-// per-key fold in pair order, first-occurrence key tracking. Per-key state
-// lives in slot arrays, so a repeated key costs one table probe and an
-// array store. blk is the header get fills.
-func foldColIntF64(s *kernelScratch, n int, get func(int, *ColBlock), agg *Aggregator, blk *ColBlock) {
-	for bi := 0; bi < n; bi++ {
-		get(bi, blk)
-		f64s := blk.F64
-		for i, k := range blk.Int {
-			v := f64s[i]
-			switch sl, ok := s.slotOf(k); {
-			case ok && agg.MapSideCombine:
-				s.f64s[sl] = agg.MergeCombinersF64(s.f64s[sl], v)
-			case ok:
-				s.f64s[sl] = agg.MergeValueF64(s.f64s[sl], v)
-			case agg.MapSideCombine:
-				s.f64s = append(s.f64s, v) // already a combiner from the map side
-			default:
-				s.f64s = append(s.f64s, agg.CreateF64(v))
-			}
-		}
-	}
-}
-
-// mergeColIntAny folds int-keyed boxed values on s, mirroring
-// mergeBlocksGeneric (the values were boxed at the source, so the fold
-// itself adds no new boxes).
-func mergeColIntAny(s *kernelScratch, n int, get func(int, *ColBlock), agg *Aggregator) []Row {
-	for bi := 0; bi < n; bi++ {
-		get(bi, &s.blk)
-		anys := s.blk.Any
-		for i, k := range s.blk.Int {
-			v := anys[i]
-			switch sl, ok := s.slotOf(k); {
-			case ok && agg.MapSideCombine:
-				s.anys[sl] = agg.MergeCombiners(s.anys[sl], v)
-			case ok:
-				s.anys[sl] = agg.MergeValue(s.anys[sl], v)
-			case agg.MapSideCombine:
-				s.anys = append(s.anys, v) // already a combiner from the map side
-			default:
-				s.anys = append(s.anys, agg.Create(v))
-			}
-		}
-	}
-	out := make([]Row, len(s.ints))
-	for i, sl := range sortedSlots(s, s.ints) {
-		out[i] = Pair{K: int(s.ints[sl]), V: s.anys[sl]}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -45,9 +46,81 @@ func bucketViews(cols *ColBuckets) []*ColBlock {
 	return out
 }
 
-// mergeViews merges blocks, in order, with MergeReduceColN.
+// mergeViews merges blocks, in order, with the adapter MergeReduceColN.
 func mergeViews(blocks []*ColBlock, agg *Aggregator) []Row {
 	return MergeReduceColN(len(blocks), func(i int, dst *ColBlock) { *dst = *blocks[i] }, agg)
+}
+
+// bucketRefs returns the ref of bucket b of an arena, or none when b holds
+// nothing: what a reduce index lists of the arena for reduce partition b.
+func bucketRefs(cols *ColBuckets, b int) []BlockRef {
+	if i, ok := cols.position(b); ok {
+		return []BlockRef{cols.Ref(i)}
+	}
+	return nil
+}
+
+// refsOf returns the refs of the non-empty blocks, in order, each in an
+// arena of its own.
+func refsOf(blocks []*ColBlock) []BlockRef {
+	return viewRefs(len(blocks), func(i int, dst *ColBlock) { *dst = *blocks[i] })
+}
+
+// sameRows reports whether got and want hold the same pairs in the same
+// order, float64 values compared bit for bit, and are both nil or neither.
+func sameRows(got, want []Row) bool {
+	if len(got) != len(want) || (got == nil) != (want == nil) {
+		return false
+	}
+	for i := range got {
+		g, gok := got[i].(Pair)
+		w, wok := want[i].(Pair)
+		if !gok || !wok {
+			if gok != wok || !reflect.DeepEqual(got[i], want[i]) {
+				return false
+			}
+			continue
+		}
+		gf, gIsF := g.V.(float64)
+		wf, wIsF := w.V.(float64)
+		switch {
+		case gIsF != wIsF || !reflect.DeepEqual(g.K, w.K):
+			return false
+		case gIsF && math.Float64bits(gf) != math.Float64bits(wf):
+			return false
+		case !gIsF && !reflect.DeepEqual(g.V, w.V):
+			return false
+		}
+	}
+	return true
+}
+
+// checkTypedMerge requires w.MergeTypedRefs to take exactly the reduce
+// inputs it serves — ColIntF64 blocks under an aggregator that CombinesF64
+// — and then to hold want's rows, float bits included; declining, it must
+// leave dst as it was.
+func checkTypedMerge(t *testing.T, w *Scratch, refs []BlockRef, agg *Aggregator, want []Row) {
+	t.Helper()
+	serves := agg.CombinesF64()
+	for _, r := range refs {
+		if r.a.kind != ColIntF64 {
+			serves = false
+		}
+	}
+	held := ColBlock{Kind: ColIntAny, Int: []int64{-1}, Any: []any{"held"}}
+	dst := held
+	if ok := w.MergeTypedRefs(refs, agg, &dst); ok != serves {
+		t.Fatalf("MergeTypedRefs over %d blocks reports %v, want %v", len(refs), ok, serves)
+	}
+	if !serves {
+		if !reflect.DeepEqual(dst, held) {
+			t.Fatalf("MergeTypedRefs declined but wrote %+v", dst)
+		}
+		return
+	}
+	if got := dst.Rows(); len(want) > 0 && !sameRows(got, want) || len(want) == 0 && len(got) > 0 {
+		t.Fatalf("MergeTypedRefs holds\n%v\nwant\n%v", got, want)
+	}
 }
 
 // TestArenaMatchesBoxedPartition pins the write-side contract: for every
@@ -89,7 +162,8 @@ func TestArenaMatchesBoxedPartition(t *testing.T) {
 }
 
 // TestArenaMergeMatchesBoxed pins the read-side contract end to end:
-// arena views merged with MergeReduceColN equal the boxed
+// arena blocks merged by reference with MergeReduceRefs, and their views
+// merged with the adapter MergeReduceColN, equal the boxed
 // partitionPairs+mergeReduceBlocks pipeline, including float64 fold order.
 func TestArenaMergeMatchesBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -108,6 +182,7 @@ func TestArenaMergeMatchesBoxed(t *testing.T) {
 			for reduce := 0; reduce < 3; reduce++ {
 				var boxedBlocks [][]Pair
 				var colBlocks []*ColBlock
+				var refs []BlockRef
 				for m := 0; m < maps; m++ {
 					lo, hi := m*len(rows)/maps, (m+1)*len(rows)/maps
 					wb, err := partitionPairs(rows[lo:hi], p, agg)
@@ -115,13 +190,19 @@ func TestArenaMergeMatchesBoxed(t *testing.T) {
 						t.Fatal(err)
 					}
 					boxedBlocks = append(boxedBlocks, wb[reduce])
-					cb, _ := colViaArena(t, rows[lo:hi], p, agg)
-					colBlocks = append(colBlocks, cb[reduce])
+					cols, _, err := PartitionPairsCol(rows[lo:hi], p, agg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					colBlocks = append(colBlocks, bucketViews(cols)[reduce])
+					refs = append(refs, bucketRefs(cols, reduce)...)
 				}
 				want := mergeReduceBlocks(boxedBlocks, agg)
-				got := mergeViews(colBlocks, agg)
-				if !reflect.DeepEqual(got, want) {
+				if got := pooled.MergeReduceRefs(refs, agg); !sameRows(got, want) {
 					t.Fatalf("%s/%s reduce %d:\n got %v\nwant %v", rn, an, reduce, got, want)
+				}
+				if got := mergeViews(colBlocks, agg); !sameRows(got, want) {
+					t.Fatalf("%s/%s reduce %d, adapter:\n got %v\nwant %v", rn, an, reduce, got, want)
 				}
 			}
 		}
@@ -370,4 +451,96 @@ func pairsEqual(a, b []Pair) bool {
 		}
 	}
 	return true
+}
+
+// TestRefMergeMatchesBoxedMerge: the ref kernels read arena blocks in place
+// and must merge exactly what the boxed reference merge (mergeReduceBlocks)
+// makes of the same blocks materialized into pairs, float64 bits included.
+// Each trial partitions up to five map tasks over a few reduce partitions,
+// keys shared across the maps; each map task draws its own layout — int
+// keys with float64 values (ColIntF64), int keys with some boxed values
+// (ColIntAny), int64 keys (the boxed tier's ColNone) or no rows at all — so
+// a reduce partition mixes kinds. Every aggregator shape runs: combining
+// map-side with and without the F64 hooks, reduce-only with and without
+// them, and none; a reduce-only one's map tasks scatter with or without it
+// (values in their boxes, or unboxed). The row merge, the typed merge and
+// the adapter run on the pools and on one owned Scratch.
+func TestRefMergeMatchesBoxedMerge(t *testing.T) {
+	sum := SumAggregator()
+	reduceOnly := *sum
+	reduceOnly.MapSideCombine = false
+	aggs := []struct {
+		name string
+		agg  *Aggregator
+		f64  bool // the aggregator asserts float64 values
+	}{
+		{"none", nil, false},
+		{"sum", sum, true},
+		{"reduce-only sum", &reduceOnly, true},
+		{"boxed sum", ReduceAggregator(func(a, b any) any { return a.(float64) + b.(float64) }), true},
+		{"concat", ReduceAggregator(func(a, b any) any { return fmt.Sprint(a, "|", b) }), false},
+		{"group", GroupAggregator(), false},
+	}
+	kinds := map[ColKind]int{}
+	for _, w := range []*Scratch{pooled, new(Scratch)} {
+		rng := rand.New(rand.NewSource(61))
+		for trial := 0; trial < 240; trial++ {
+			a := aggs[trial%len(aggs)]
+			parts, keys := 1+rng.Intn(4), 1+rng.Intn(30)
+			p := NewHashPartitioner(parts)
+			var arenas []*ColBuckets
+			for m := rng.Intn(6); m > 0; m-- {
+				layout, n := rng.Intn(4), 1+rng.Intn(40)
+				if layout == 3 {
+					n = 0
+				}
+				var rows []Row
+				for i := 0; i < n; i++ {
+					var k, v any = rng.Intn(keys) - keys/3, rng.NormFloat64() * math.Pow(10, float64(rng.Intn(16)-8))
+					switch {
+					case layout == 1 && !a.f64 && i%2 == 1:
+						v = fmt.Sprint("v", i)
+					case layout == 2:
+						k = int64(k.(int))
+					}
+					rows = append(rows, Pair{K: k, V: v})
+				}
+				mapAgg := a.agg
+				if a.agg != nil && !a.agg.MapSideCombine && rng.Intn(2) == 0 {
+					mapAgg = nil
+				}
+				cols, _, err := PartitionPairsCol(rows, p, mapAgg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arenas = append(arenas, cols)
+			}
+			for b := 0; b < parts; b++ {
+				var refs []BlockRef
+				var views []*ColBlock
+				var pairs [][]Pair
+				for _, cols := range arenas {
+					for _, r := range bucketRefs(cols, b) {
+						blk := new(ColBlock)
+						r.Into(blk)
+						refs, views, pairs = append(refs, r), append(views, blk), append(pairs, blk.AppendPairs(nil))
+						kinds[blk.Kind]++
+					}
+				}
+				want := mergeReduceBlocks(pairs, a.agg)
+				if got := w.MergeReduceRefs(refs, a.agg); !sameRows(got, want) {
+					t.Fatalf("trial %d (%s) reduce %d: ref merge\n%v\nwant\n%v", trial, a.name, b, got, want)
+				}
+				checkTypedMerge(t, w, refs, a.agg, want)
+				if got := mergeViews(views, a.agg); !sameRows(got, want) {
+					t.Fatalf("trial %d (%s) reduce %d: adapter merge\n%v\nwant\n%v", trial, a.name, b, got, want)
+				}
+			}
+		}
+	}
+	for _, k := range []ColKind{ColIntF64, ColIntAny, ColNone} {
+		if kinds[k] == 0 {
+			t.Errorf("no block of kind %d was drawn", k)
+		}
+	}
 }

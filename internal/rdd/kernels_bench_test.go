@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// The shuffle kernels (PartitionPairsCol, MergeReduceColN, the payload
-// sizers) have their allocation counts pinned by
+// The shuffle kernels (PartitionPairsCol, Scratch.MergeReduceRefs and
+// MergeTypedRefs, the payload sizers) have their allocation counts pinned by
 // TestWarmKernelsAllocateOnlyTheirOutput and their times measured by
-// bench/'s per-layer rdd.* rows; only the key hash, which neither covers on
-// its own, is benchmarked here.
+// bench/'s per-layer rdd.* rows (the merge rows through the view adapter
+// MergeReduceColN); only the key hash, which neither covers on its own, is
+// benchmarked here.
 
 func BenchmarkKeyHashString(b *testing.B) {
 	keys := make([]any, 64)

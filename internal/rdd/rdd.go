@@ -52,9 +52,11 @@ func (d *ShuffleDep) Parent() *RDD { return d.P }
 //
 // The F64 hooks are optional unboxed twins of the interface functions: when
 // all three are set and the pairs flowing through a combine kernel are
-// int-keyed with float64 values, the columnar kernels (PartitionPairsCol,
-// MergeReduceColN) accumulate in raw float64 segments and box only once
-// per distinct key on output, instead of once per record. Under any other
+// int-keyed with float64 values, the columnar kernels (PartitionPairsCol on
+// the map side; on the reduce side Scratch.MergeReduceRefs, which folds the
+// blocks in place in the map tasks' arenas) accumulate in raw float64
+// segments and box only once per distinct key on output, instead of once
+// per record. Under any other
 // key type the boxed tier folds through the interface functions alone. SumAggregator is the one constructor
 // that sets them and (*RDD).SumByKey the method that shuffles under it —
 // how the SQL and PageRank built-ins sum; ReduceByKey's func(a, b any) any

@@ -31,11 +31,6 @@ func partitionOn(w *Scratch, rows []Row, p Partitioner, agg *Aggregator) (*ColBu
 	return cols, cols.boxed, nil
 }
 
-// mergeViewsOn is mergeViews on w's scratch.
-func mergeViewsOn(w *Scratch, blocks []*ColBlock, agg *Aggregator) []Row {
-	return w.MergeReduceColN(len(blocks), func(i int, dst *ColBlock) { *dst = *blocks[i] }, agg)
-}
-
 // Flaws a scratchCall can plant in its input or aggregator.
 const (
 	flawNone       = iota
@@ -233,16 +228,18 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand, w *Scratch) {
 				t.Fatalf("%v: partition: boxed=%v err=%v", c, boxed != nil, err)
 			}
 			for b := 0; b < parts; b++ {
-				var blk ColBlock
-				cols.BucketInto(b, &blk)
-				mergeViewsOn(w, []*ColBlock{&blk, &blk}, tripped)
+				refs := bucketRefs(cols, b)
+				refs = append(refs, refs...)
+				w.MergeReduceRefs(refs, tripped)
+				var typed ColBlock
+				w.MergeTypedRefs(refs, tripped, &typed)
 			}
 		})
 		return // whether it tripped or not: the next call is the check
 	}
 
 	boxedBlocks := make([][][]Pair, parts)
-	colBlocks := make([][]*ColBlock, parts)
+	colRefs := make([][]BlockRef, parts)
 	for m := 0; m < maps; m++ {
 		split := rows[m*len(rows)/maps : (m+1)*len(rows)/maps]
 		want, wantErr := partitionPairs(split, p, agg)
@@ -279,7 +276,7 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand, w *Scratch) {
 				t.Fatalf("%v map %d bucket %d:\n got %v\nwant %v", c, m, b, got, want[b])
 			}
 			boxedBlocks[b] = append(boxedBlocks[b], want[b])
-			colBlocks[b] = append(colBlocks[b], blk)
+			colRefs[b] = append(colRefs[b], bucketRefs(cols, b)...)
 		}
 	}
 	if c.flaw == flawHetero && c.strKeys {
@@ -287,9 +284,10 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand, w *Scratch) {
 	}
 	for b := 0; b < parts; b++ {
 		want := mergeReduceBlocks(boxedBlocks[b], agg)
-		if got := mergeViewsOn(w, colBlocks[b], agg); !reflect.DeepEqual(got, want) {
+		if got := w.MergeReduceRefs(colRefs[b], agg); !sameRows(got, want) {
 			t.Fatalf("%v reduce %d:\n got %v\nwant %v", c, b, got, want)
 		}
+		checkTypedMerge(t, w, colRefs[b], agg, want)
 	}
 }
 
@@ -475,7 +473,8 @@ func TestKernelOutputsIgnoreSalt(t *testing.T) {
 			for b := 0; b < 4; b++ {
 				blk := new(ColBlock)
 				cols.BucketInto(b, blk)
-				out = append(out, fmt.Sprint(blk.AppendPairs(nil)), fmt.Sprint(mergeViews([]*ColBlock{blk, blk}, agg)))
+				refs := bucketRefs(cols, b)
+				out = append(out, fmt.Sprint(blk.AppendPairs(nil)), fmt.Sprint(pooled.MergeReduceRefs(append(refs, refs...), agg)))
 			}
 		}
 		s := takeScratch(0)
@@ -509,7 +508,8 @@ func shuffleOnce(t testing.TB, rows []Row, agg *Aggregator) (*ColBlock, []Row) {
 	}
 	blk := new(ColBlock)
 	cols.BucketInto(0, blk)
-	return blk, mergeViews([]*ColBlock{blk, blk}, agg)
+	refs := bucketRefs(cols, 0)
+	return blk, pooled.MergeReduceRefs(append(refs, refs...), agg)
 }
 
 // TestKernelOutputsDoNotAliasScratch: what call 1 emitted — the arena and
@@ -645,7 +645,8 @@ func TestKernelsConcurrently(t *testing.T) {
 				}
 				var blk ColBlock
 				cols.BucketInto(0, &blk)
-				merged := mergeViews([]*ColBlock{&blk, &blk}, j.agg)
+				refs := bucketRefs(cols, 0)
+				merged := pooled.MergeReduceRefs(append(refs, refs...), j.agg)
 				if got := fmt.Sprint(blk.AppendPairs(nil)); got != j.arena {
 					t.Errorf("worker %d iteration %d: arena differs from the sequential one", w, i)
 					return
@@ -706,16 +707,15 @@ func TestOwnedScratchBypassesPools(t *testing.T) {
 		rs, _ := scratchCall{strKeys: strKeys, f64Vals: f64, rows: n, keys: keys}.build(rng)
 		return rs
 	}
-	// views are the reduce blocks of bucket 0 over three map tasks.
-	views := func(in []Row, agg *Aggregator) []*ColBlock {
-		var out []*ColBlock
+	// refs are the reduce blocks of bucket 0 over three map tasks.
+	refs := func(in []Row, agg *Aggregator) []BlockRef {
+		var out []BlockRef
 		for m := 0; m < 3; m++ {
 			cols, _, err := PartitionPairsCol(in[m*len(in)/3:(m+1)*len(in)/3], NewHashPartitioner(1), agg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, new(ColBlock))
-			cols.BucketInto(0, out[m])
+			out = append(out, bucketRefs(cols, 0)...)
 		}
 		return out
 	}
@@ -728,17 +728,17 @@ func TestOwnedScratchBypassesPools(t *testing.T) {
 			return arenaString(cols)
 		}
 	}
-	merge := func(blks []*ColBlock, agg *Aggregator) func(*Scratch) string {
-		return func(w *Scratch) string { return fmt.Sprint(mergeViewsOn(w, blks, agg)) }
+	merge := func(blks []BlockRef, agg *Aggregator) func(*Scratch) string {
+		return func(w *Scratch) string { return fmt.Sprint(w.MergeReduceRefs(blks, agg)) }
 	}
 	f64Rows, anyRows := rows(3000, 700, false, true), rows(3000, 700, false, false)
-	f64Views, anyViews := views(f64Rows, sum), views(anyRows, boxedAgg)
+	f64Refs, anyRefs := refs(f64Rows, sum), refs(anyRows, boxedAgg)
 	// int64 keys take the boxed tier and order with int ones (CompareKeys).
 	wide := make([]Row, 300)
 	for i, r := range f64Rows[:300] {
 		wide[i] = Pair{K: int64(r.(Pair).K.(int)), V: r.(Pair).V}
 	}
-	mixed := append(views(wide, sum), f64Views...)
+	mixed := append(refs(wide, sum), f64Refs...)
 	typed := &ColBlock{Kind: ColIntF64}
 	for _, r := range f64Rows {
 		typed.Int = append(typed.Int, int64(r.(Pair).K.(int)))
@@ -760,14 +760,14 @@ func TestOwnedScratchBypassesPools(t *testing.T) {
 			}
 			return arenaString(&cols)
 		}},
-		{"F64 merge", merge(f64Views, sum)},
-		{"boxed merge", merge(anyViews, boxedAgg)},
-		{"merge without an aggregator", merge(f64Views, nil)},
+		{"F64 merge", merge(f64Refs, sum)},
+		{"boxed merge", merge(anyRefs, boxedAgg)},
+		{"merge without an aggregator", merge(f64Refs, nil)},
 		{"mixed-kind merge", merge(mixed, sum)},
 		{"typed merge", func(w *Scratch) string {
 			var dst ColBlock
-			if !w.MergeTypedCol(len(f64Views), func(i int, b *ColBlock) { *b = *f64Views[i] }, sum, &dst) {
-				t.Fatal("MergeTypedCol declined ColIntF64 blocks")
+			if !w.MergeTypedRefs(f64Refs, sum, &dst) {
+				t.Fatal("MergeTypedRefs declined ColIntF64 blocks")
 			}
 			return fmt.Sprint(dst.Rows())
 		}},
@@ -811,8 +811,8 @@ func TestOwnedScratchBypassesPools(t *testing.T) {
 
 // TestWarmKernelsAllocateOnlyTheirOutput is the steady-state allocation
 // guard, counts only: once the pooled scratch has grown to a task's size, a
-// combine or partition allocates its arena, a merge its output rows, and a
-// sizing pass nothing. Each row pins the exact count at two sizes — distinct
+// combine or partition allocates its arena, a row merge its output rows,
+// and a typed merge into a reused block or a sizing pass nothing. Each row pins the exact count at two sizes — distinct
 // keys for the map side, blocks for the reduce side — so the count neither
 // creeps up nor grows with the keys or the block count.
 func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
@@ -848,21 +848,35 @@ func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
 			}
 		}
 	}
-	// merge splits 512 keys, each occurring twice, over the given number of
-	// map tasks, each writing one bucket: the views a reduce task reads.
+	// mergeRefs splits 512 keys, each occurring twice, over the given
+	// number of map tasks, each writing one bucket: the refs a reduce task
+	// reads.
 	const keys = 512
+	mergeRefs := func(t *testing.T, rows func(int, int) []Row, agg *Aggregator, blocks int) []BlockRef {
+		in := rows(2*keys, keys)
+		refs := make([]BlockRef, 0, blocks)
+		for m := 0; m < blocks; m++ {
+			refs = append(refs, bucketRefs(arena(t, in[m*len(in)/blocks:(m+1)*len(in)/blocks], 1, agg), 0)...)
+		}
+		return refs
+	}
 	merge := func(rows func(int, int) []Row, agg *Aggregator, want int) func(*testing.T, int) func() {
 		return func(t *testing.T, blocks int) func() {
-			in := rows(2*keys, keys)
-			blks := make([]*ColBlock, blocks)
-			for m := range blks {
-				blks[m] = new(ColBlock)
-				arena(t, in[m*len(in)/blocks:(m+1)*len(in)/blocks], 1, agg).BucketInto(0, blks[m])
-			}
+			refs := mergeRefs(t, rows, agg, blocks)
 			return func() {
-				if out := mergeViews(blks, agg); len(out) != want {
+				if out := pooled.MergeReduceRefs(refs, agg); len(out) != want {
 					t.Fatalf("merge of %d blocks: %d rows, want %d", blocks, len(out), want)
 				}
+			}
+		}
+	}
+	// typedMerge merges the same refs into one reused block.
+	typedMerge := func(t *testing.T, blocks int) func() {
+		refs := mergeRefs(t, intRows, sum, blocks)
+		var dst ColBlock
+		return func() {
+			if !pooled.MergeTypedRefs(refs, sum, &dst) || len(dst.Int) != keys {
+				t.Fatalf("typed merge of %d blocks: %d keys, want %d", blocks, len(dst.Int), keys)
 			}
 		}
 	}
@@ -878,8 +892,10 @@ func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
 		{"int-key combine", [2]int{100, 10000}, partition(intRows, sum, ColIntF64), 3},
 		{"aggregator-free partition", [2]int{100, 5000}, partition(intRows, nil, ColIntF64), 3},
 		// One []Row and the boxes of each emitted row (the Pair, its key,
-		// its value); the get callback fills the scratch's block header.
+		// its value); the blocks are read in place, through their refs.
 		{"int-key merge", [2]int{16, 256}, merge(intRows, sum, keys), 1537},
+		// The same fold into a reused block: nothing at all.
+		{"typed merge", [2]int{16, 256}, typedMerge, 0},
 		// The same for every row: the keys, values and sort permutation
 		// are concatenated in the scratch (row 0's value, 0.0, boxes for
 		// free).

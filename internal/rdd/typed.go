@@ -26,10 +26,10 @@ import (
 // except that an evaluator may hand an input over as columns, as the one
 // ColPart row of that input's slice: a narrow parent's partition
 // computed by the parent's Typed compute, or the reduce side of a shuffle
-// under an aggregator that CombinesF64, merged by MergeTypedCol. It
-// overwrites dst's kind and columns, reusing their capacity: dst may come
-// from a worker's scratch, emptied between tasks, and never aliases the
-// input's columns.
+// under an aggregator that CombinesF64, merged by Scratch.MergeTypedRefs
+// straight out of the map tasks' arenas. It overwrites dst's kind and
+// columns, reusing their capacity: dst may come from a worker's scratch,
+// emptied between tasks, and never aliases the input's columns.
 type TypedFn func(split int, inputs [][]Row, dst *ColBlock)
 
 // typedChild is narrowChild for a transform computed by typed.

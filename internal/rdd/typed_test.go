@@ -356,12 +356,13 @@ func TestMapFloatValuesMatchesMapValues(t *testing.T) {
 }
 
 // TestMergeTypedColMatchesBoxedMerge: over reduce inputs of 0–8 map-side
-// combined ColIntF64 blocks, MergeTypedCol's block holds exactly the rows
-// the boxed reference merge (mergeReduceBlocks) and MergeReduceColN give,
-// float64 bits included — values span 16 orders of magnitude, so a sum
-// folded in another order shows — and it reuses dst's capacity. It
-// declines, leaving dst alone, a block of another kind and an aggregator
-// without the unboxed map-side hooks.
+// combined ColIntF64 blocks, MergeTypedRefs' block holds exactly the rows
+// the boxed reference merge (mergeReduceBlocks), MergeReduceRefs and the
+// adapter MergeReduceColN give, float64 bits included — values span 16
+// orders of magnitude, so a sum folded in another order shows — and it
+// reuses dst's capacity (TestWarmKernelsAllocateOnlyTheirOutput pins a warm
+// call at nothing). It declines, leaving dst alone, a block of another kind
+// and an aggregator without the unboxed map-side hooks.
 func TestMergeTypedColMatchesBoxedMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	agg := SumAggregator()
@@ -377,9 +378,9 @@ func TestMergeTypedColMatchesBoxedMerge(t *testing.T) {
 			}
 			blocks[i] = b
 		}
-		get := func(i int, b *ColBlock) { *b = *blocks[i] }
-		if !pooled.MergeTypedCol(len(blocks), get, agg, &dst) {
-			t.Fatalf("trial %d: MergeTypedCol declined %d ColIntF64 blocks", trial, len(blocks))
+		refs := refsOf(blocks)
+		if !pooled.MergeTypedRefs(refs, agg, &dst) {
+			t.Fatalf("trial %d: MergeTypedRefs declined %d ColIntF64 blocks", trial, len(blocks))
 		}
 		boxed := make([][]Pair, len(blocks))
 		for i, b := range blocks {
@@ -387,26 +388,23 @@ func TestMergeTypedColMatchesBoxedMerge(t *testing.T) {
 		}
 		want := mergeReduceBlocks(boxed, agg)
 		got := dst.Rows()
-		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: MergeTypedCol gives %v, the boxed merge %v", trial, got, want)
+		if len(got)+len(want) > 0 && !sameRows(got, want) {
+			t.Fatalf("trial %d: MergeTypedRefs gives %v, the boxed merge %v", trial, got, want)
 		}
-		if cols := MergeReduceColN(len(blocks), get, agg); len(got)+len(cols) > 0 && !reflect.DeepEqual(got, cols) {
-			t.Fatalf("trial %d: MergeTypedCol gives %v, MergeReduceColN %v", trial, got, cols)
+		if rows := pooled.MergeReduceRefs(refs, agg); len(got)+len(rows) > 0 && !sameRows(got, rows) {
+			t.Fatalf("trial %d: MergeTypedRefs gives %v, MergeReduceRefs %v", trial, got, rows)
 		}
-	}
-	one := ColBlock{Kind: ColIntF64, Int: []int64{3, 1}, F64: []float64{1, 2}}
-	if n := testing.AllocsPerRun(20, func() {
-		pooled.MergeTypedCol(1, func(_ int, b *ColBlock) { *b = one }, agg, &dst)
-	}); n != 0 {
-		t.Errorf("a warm MergeTypedCol into a reused block allocates %v objects", n)
+		if rows := mergeViews(blocks, agg); len(got)+len(rows) > 0 && !sameRows(got, rows) {
+			t.Fatalf("trial %d: MergeTypedRefs gives %v, MergeReduceColN %v", trial, got, rows)
+		}
 	}
 	before := dst
-	mixed := []*ColBlock{{Kind: ColIntF64, Int: []int64{1}, F64: []float64{1}}, {Kind: ColNone, Pairs: []Pair{{K: "a", V: 2.0}}}}
-	if pooled.MergeTypedCol(2, func(i int, b *ColBlock) { *b = *mixed[i] }, agg, &dst) || !reflect.DeepEqual(dst, before) {
-		t.Fatal("MergeTypedCol merged a boxed string-keyed block")
+	mixed := refsOf([]*ColBlock{{Kind: ColIntF64, Int: []int64{1}, F64: []float64{1}}, {Kind: ColNone, Pairs: []Pair{{K: "a", V: 2.0}}}})
+	if pooled.MergeTypedRefs(mixed, agg, &dst) || !reflect.DeepEqual(dst, before) {
+		t.Fatal("MergeTypedRefs merged a boxed string-keyed block")
 	}
 	reduce := ReduceAggregator(func(a, b any) any { return a.(float64) + b.(float64) })
-	if pooled.MergeTypedCol(1, func(i int, b *ColBlock) { *b = *mixed[0] }, reduce, &dst) || !reflect.DeepEqual(dst, before) {
-		t.Fatal("MergeTypedCol merged under an aggregator without F64 hooks")
+	if pooled.MergeTypedRefs(mixed[:1], reduce, &dst) || !reflect.DeepEqual(dst, before) {
+		t.Fatal("MergeTypedRefs merged under an aggregator without F64 hooks")
 	}
 }

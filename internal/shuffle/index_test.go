@@ -176,17 +176,28 @@ func checkAgainstModel(t testing.TB, m *Manager, id int, md *model) {
 		if view.Len() != len(nonEmpty) {
 			t.Fatalf("reduce %d: view holds %d blocks, want the %d non-empty ones", r, view.Len(), len(nonEmpty))
 		}
+		refs := view.Refs()
+		if len(refs) != view.Len() || cap(refs) != len(refs) {
+			t.Fatalf("reduce %d: %d refs (capacity %d) for %d blocks", r, len(refs), cap(refs), view.Len())
+		}
 		for i, want := range nonEmpty {
-			var got rdd.ColBlock
+			var got, byRef rdd.ColBlock
 			view.BlockInto(i, &got)
+			refs[i].Into(&byRef)
 			if !reflect.DeepEqual(got.AppendPairs(nil), want.AppendPairs(nil)) {
 				t.Fatalf("reduce %d: block %d out of map-task order", r, i)
 			}
+			if !reflect.DeepEqual(byRef, got) || refs[i].Len() != want.Len() {
+				t.Fatalf("reduce %d: ref %d (%d pairs) reads %+v, BlockInto %+v", r, i, refs[i].Len(), byRef, got)
+			}
 		}
 		for _, agg := range []*rdd.Aggregator{nil, rdd.SumAggregator()} {
-			got := rdd.MergeReduceColN(view.Len(), view.BlockInto, agg)
-			if want := merge(all, agg); !reflect.DeepEqual(got, want) {
+			want := merge(all, agg)
+			if got := pooled.MergeReduceRefs(refs, agg); !reflect.DeepEqual(got, want) {
 				t.Fatalf("reduce %d: merged rows %v, want %v", r, got, want)
+			}
+			if got := rdd.MergeReduceColN(view.Len(), view.BlockInto, agg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reduce %d: rows merged from views %v, want %v", r, got, want)
 			}
 		}
 	}
@@ -283,7 +294,7 @@ func TestSparseEqualsDense(t *testing.T) {
 					seed, r, dv.Len(), dv.NodeBytes(), sv.Len(), sv.NodeBytes())
 			}
 			for _, agg := range []*rdd.Aggregator{nil, rdd.SumAggregator()} {
-				d, s := rdd.MergeReduceColN(dv.Len(), dv.BlockInto, agg), rdd.MergeReduceColN(sv.Len(), sv.BlockInto, agg)
+				d, s := pooled.MergeReduceRefs(dv.Refs(), agg), pooled.MergeReduceRefs(sv.Refs(), agg)
 				if !reflect.DeepEqual(d, s) {
 					t.Fatalf("seed %d reduce %d: merged rows dense %v, sparse %v", seed, r, d, s)
 				}
@@ -422,10 +433,10 @@ func TestReduceReadAllocsIndependentOfMaps(t *testing.T) {
 	}
 }
 
-// TestRePutLeavesLiveViewAlone: a map task's first put lands in the
-// Register-time slab; a re-put must not rewrite that record, because a view
-// taken before it still points there. The old view keeps merging the old
-// rows and reporting the old profile; a new view sees the new output.
+// TestRePutLeavesLiveViewAlone: a re-put drops the index, but a view taken
+// before it keeps the old index, whose refs hold the old arena: the old
+// view keeps merging the old rows and reporting the old profile; a new view
+// sees the new output.
 func TestRePutLeavesLiveViewAlone(t *testing.T) {
 	m := NewManager(10, 1)
 	m.Register(1, 2, 1)
@@ -439,11 +450,11 @@ func TestRePutLeavesLiveViewAlone(t *testing.T) {
 	put(0, "A", 1)
 	put(1, "B", 2)
 	old := m.ReduceInput(1, 0)
-	oldRows := rdd.MergeReduceColN(old.Len(), old.BlockInto, nil)
+	oldRows := pooled.MergeReduceRefs(old.Refs(), nil)
 	oldProfile := slices.Clone(old.NodeBytes())
 
 	put(0, "B", 3)
-	if got := rdd.MergeReduceColN(old.Len(), old.BlockInto, nil); !reflect.DeepEqual(got, oldRows) {
+	if got := pooled.MergeReduceRefs(old.Refs(), nil); !reflect.DeepEqual(got, oldRows) {
 		t.Fatalf("a re-put changed a live view's rows: %v, was %v", got, oldRows)
 	}
 	if !reflect.DeepEqual(old.NodeBytes(), oldProfile) {
@@ -451,7 +462,7 @@ func TestRePutLeavesLiveViewAlone(t *testing.T) {
 	}
 	fresh := m.ReduceInput(1, 0)
 	want := []rdd.Row{rdd.Pair{K: 0, V: 3.0}, rdd.Pair{K: 1, V: 2.0}}
-	if got := rdd.MergeReduceColN(fresh.Len(), fresh.BlockInto, nil); !reflect.DeepEqual(got, want) {
+	if got := pooled.MergeReduceRefs(fresh.Refs(), nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("a view after the re-put merged %v, want %v", got, want)
 	}
 	if got := fresh.NodeBytes(); !reflect.DeepEqual(got, []NodeBytes{{Node: "B", Bytes: 30}}) {
@@ -494,7 +505,7 @@ func TestRacingFirstRead(t *testing.T) {
 			for r := 0; r < n; r++ {
 				v := m.ReduceInput(1, r)
 				v.NodeBytes()
-				rows[g] = append(rows[g], rdd.MergeReduceColN(v.Len(), v.BlockInto, nil))
+				rows[g] = append(rows[g], pooled.MergeReduceRefs(v.Refs(), nil))
 			}
 		}(g)
 	}

@@ -21,15 +21,21 @@
 // non-empty buckets (MapOutput's sparse form): neither a write nor the
 // transposition walks the blocks that hold nothing — they are charged from
 // counts — so a P x P job pays host time for its rows, not for P² blocks.
-// Each index entry carries its block's position in the map task's arena,
-// resolved once per write, so a read does no search. What still grows with
-// the reduce count alone: the locality table of each index build. Map
-// outputs are recorded in one slab per Register.
+// Each index entry is an rdd.BlockRef, the map task's arena and the
+// block's position in it, resolved once per write, so a read does no
+// search: the reduce kernels take a partition's refs (ReduceView.Refs) and
+// slice each block's keys and values out of its arena in place, with no
+// per-block header or callback. ReduceView.BlockInto, which writes one
+// block's ColBlock view, stays for readers that want a view; the merge
+// kernels do not call it. What still grows with the reduce count alone:
+// the locality table of each index build. Map outputs are recorded in one
+// slab per Register.
 // One invalidation rule: any PutMapOutput, Register or RetireExcept on the
-// shuffle drops its index. A built index is immutable, so readers use it
-// outside the lock; a re-put never rewrites the record an older index
-// points at. It is a layout, not a cache of answers: the engine asks each
-// (shuffle, reduce) question once, so there is nothing to hit or evict.
+// shuffle drops its index. A built index is immutable and holds the arenas
+// themselves, never a map output's record, so readers use it outside the
+// lock and a re-put leaves a view taken before it reading the old arena.
+// It is a layout, not a cache of answers: the engine asks each (shuffle,
+// reduce) question once, so there is nothing to hit or evict.
 package shuffle
 
 import (
@@ -113,10 +119,10 @@ type state struct {
 	mu        sync.Mutex
 	numMaps   int
 	numReduce int
-	outputs   []*mapOutput
-	// recs holds each map task's first put; a re-put allocates its own
-	// record, so a record an index may hold is never rewritten.
-	recs []mapOutput
+	// outputs[i] is &recs[i] once map task i has put its output, nil
+	// before; the slab holds each task's latest put.
+	outputs []*mapOutput
+	recs    []mapOutput
 	// idx is the reduce-major index over outputs; nil until the first
 	// read after the last write builds it.
 	idx *reduceIndex
@@ -228,12 +234,8 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	if mapTask < 0 || mapTask >= st.numMaps {
 		panic(fmt.Sprintf("shuffle %d: map task %d out of range [0,%d)", shuffleID, mapTask, st.numMaps))
 	}
-	rec := &st.recs[mapTask]
-	if st.outputs[mapTask] != nil {
-		rec = new(mapOutput)
-	}
-	*rec = mo
-	st.outputs[mapTask] = rec
+	st.recs[mapTask] = mo
+	st.outputs[mapTask] = &st.recs[mapTask]
 	st.idx = nil
 	return bytes
 }
@@ -250,17 +252,10 @@ type reduceIndex struct {
 	profiles []NodeBytes
 	rows     []int32
 	width    int
-	// blocks[starts[r]:starts[r+1]] are the blocks of reduce r that hold
-	// at least one pair, in map-task order.
+	// blocks[starts[r]:starts[r+1]] are the refs of reduce r's blocks that
+	// hold at least one pair, in map-task order.
 	starts []int32
-	blocks []blockRef
-}
-
-// blockRef is one non-empty block: its map output and, for an arena, the
-// bucket's position in it.
-type blockRef struct {
-	mo  *mapOutput
-	pos int32
+	blocks []rdd.BlockRef
 }
 
 // buildIndex transposes the outputs stored so far, touching per map output
@@ -318,14 +313,14 @@ func (m *Manager) buildIndex(st *state) *reduceIndex {
 	for r := 2; r < len(next); r++ {
 		next[r] += next[r-1]
 	}
-	ix.blocks = make([]blockRef, next[nr+1])
+	ix.blocks = make([]rdd.BlockRef, next[nr+1])
 	for _, mo := range st.outputs {
 		if mo == nil {
 			continue
 		}
 		for i, r := range mo.out.NonEmpty {
 			if pos, ok := mo.block(i); ok {
-				ix.blocks[next[r+1]] = blockRef{mo: mo, pos: pos}
+				ix.blocks[next[r+1]] = mo.out.Cols.Ref(int(pos))
 				next[r+1]++
 			}
 		}
@@ -363,28 +358,32 @@ func (ix *reduceIndex) profile(r int) []NodeBytes {
 // ReduceView is one reduce partition's input: the stored outputs of the
 // map tasks that wrote at least one pair for it, in map-task order
 // (deterministic merge order downstream), plus its locality profile.
-// Empty blocks are charged in NodeBytes but never visited. BlockInto
-// streams zero-copy views that alias the map tasks' arenas: they are valid
+// Empty blocks are charged in NodeBytes but never visited. Refs hands the
+// blocks out by reference, the form the reduce kernels read in place
+// (rdd.Scratch.MergeReduceRefs, MergeTypedRefs); BlockInto writes one
+// block's view instead. Both alias the map tasks' arenas: they are valid
 // until the shuffle generation retires and must be deep-copied before
 // being retained anywhere heap-lived (the genlife rule enforces this
 // contract statically).
 type ReduceView struct {
 	idx    *reduceIndex
-	blocks []blockRef
+	blocks []rdd.BlockRef
 	reduce int
 }
 
 // Len reports the number of non-empty input blocks.
 func (v ReduceView) Len() int { return len(v.blocks) }
 
+// Refs returns the partition's non-empty blocks by reference, in map-task
+// order: the index's own entries (capacity clamped), shared by every
+// reader of the partition and never to be written.
+func (v ReduceView) Refs() []rdd.BlockRef { return v.blocks }
+
 // BlockInto writes non-empty block i's zero-copy view into dst, fully
-// overwriting it — the exact get-callback shape rdd.MergeReduceColN
-// consumes, so a reduce merge reuses one stack scratch block across the
-// whole input.
-func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) {
-	b := v.blocks[i]
-	b.mo.out.Cols.BlockInto(int(b.pos), dst)
-}
+// overwriting it: Refs()[i].Into(dst). The merge kernels read Refs
+// instead; BlockInto serves a reader that wants a ColBlock, and is the
+// get-callback shape the package-level adapter rdd.MergeReduceColN takes.
+func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) { v.blocks[i].Into(dst) }
 
 // NodeBytes reports how many of the partition's input bytes (payload plus
 // per-block overhead, empty blocks included) live on each map node,
@@ -399,7 +398,8 @@ func (m *Manager) ReduceInput(shuffleID, reduce int) ReduceView {
 	if ix.missing >= 0 {
 		panic(fmt.Sprintf("shuffle %d: reduce read before map %d finished", shuffleID, ix.missing))
 	}
-	return ReduceView{idx: ix, blocks: ix.blocks[ix.starts[reduce]:ix.starts[reduce+1]], reduce: reduce}
+	lo, hi := ix.starts[reduce], ix.starts[reduce+1]
+	return ReduceView{idx: ix, blocks: ix.blocks[lo:hi:hi], reduce: reduce}
 }
 
 // ReduceNodeBytes reports, for one reduce partition, how many input bytes

@@ -49,7 +49,11 @@ func blocks(v ReduceView) []*rdd.ColBlock {
 	return out
 }
 
-// merge merges blocks, in order, with rdd.MergeReduceColN.
+// pooled is a nil *rdd.Scratch: the kernels called on it take the shared
+// pools.
+var pooled *rdd.Scratch
+
+// merge merges blocks, in order, with the adapter rdd.MergeReduceColN.
 func merge(blocks []*rdd.ColBlock, agg *rdd.Aggregator) []rdd.Row {
 	return rdd.MergeReduceColN(len(blocks), func(i int, dst *rdd.ColBlock) { *dst = *blocks[i] }, agg)
 }
