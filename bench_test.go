@@ -64,6 +64,27 @@ func logTable(b *testing.B, t experiments.Table) {
 	b.Logf("\n%s", t)
 }
 
+// stageShuffle totals a motivation run's stage-12..17 shuffle bytes, the
+// Fig. 4 growth check.
+func stageShuffle(sess *chopper.Session) int64 {
+	var s int64
+	for id := 12; id <= 17; id++ {
+		if st := sess.Metrics().StageByID(id); st != nil {
+			s += st.MaxShuffle()
+		}
+	}
+	return s
+}
+
+// mean averages a utilization series' samples.
+func mean(vals []float64) float64 {
+	sum := 0.0
+	for _, v := range vals {
+		sum += v
+	}
+	return sum / float64(len(vals))
+}
+
 // BenchmarkFig2PerStageTimeVsPartitions regenerates Fig. 2: KMeans per-stage
 // execution time under partition counts 100-500.
 func BenchmarkFig2PerStageTimeVsPartitions(b *testing.B) {
@@ -102,8 +123,7 @@ func BenchmarkFig4ShuffleDataVsPartitions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := motivation(b)
 		logTable(b, m.Fig4())
-		lo, hi := m.ShuffleGrowth()
-		growth = float64(hi) / float64(lo)
+		growth = float64(stageShuffle(m.Runs[len(m.Runs)-1])) / float64(stageShuffle(m.Runs[0]))
 	}
 	b.ReportMetric(growth, "growth_x")
 }
@@ -185,8 +205,8 @@ func BenchmarkFig11CPUUtilization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		logTable(b, ev.Fig11().Table())
 	}
-	b.ReportMetric(ev.KMeans.Chopper.Metrics().CPUSeries(ev.KMeans.Chopper.Topology(), 20).Mean(), "kmeans_chopper_cpu_%")
-	b.ReportMetric(ev.KMeans.Spark.Metrics().CPUSeries(ev.KMeans.Spark.Topology(), 20).Mean(), "kmeans_spark_cpu_%")
+	b.ReportMetric(mean(ev.KMeans.Chopper.Metrics().CPUSeries(ev.KMeans.Chopper.Topology(), 20).Values), "kmeans_chopper_cpu_%")
+	b.ReportMetric(mean(ev.KMeans.Spark.Metrics().CPUSeries(ev.KMeans.Spark.Topology(), 20).Values), "kmeans_spark_cpu_%")
 }
 
 // BenchmarkFig12MemoryUtilization regenerates Fig. 12.

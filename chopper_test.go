@@ -12,6 +12,18 @@ import (
 	"chopper/internal/config"
 )
 
+// saveConfig writes cf to path in the configuration file format.
+func saveConfig(t *testing.T, path string, cf *chopper.ConfigFile) {
+	t.Helper()
+	var b strings.Builder
+	if err := cf.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // wordish builds a small aggregation app over the public API.
 func wordish(rows, keys int) chopper.AppFunc {
 	return chopper.AppFunc{
@@ -115,9 +127,7 @@ func TestDynamicTuningFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "wordish.conf")
-	if err := config.Save(path, cf); err != nil {
-		t.Fatal(err)
-	}
+	saveConfig(t, path, cf)
 	sess := chopper.NewSession(chopper.WithDynamicTuning(path))
 	if err := app.Run(sess, app.InputBytes()); err != nil {
 		t.Fatal(err)
@@ -260,9 +270,7 @@ func TestDynamicReconfigurationMidWorkload(t *testing.T) {
 	write := func(n int) {
 		cf := &chopper.ConfigFile{Workload: "dyn"}
 		cf.Set(config.Entry{Signature: sig, Scheme: "hash", NumPartitions: n})
-		if err := config.Save(path, cf); err != nil {
-			t.Fatal(err)
-		}
+		saveConfig(t, path, cf)
 		// Force a visible mtime change on coarse filesystems.
 		future := time.Now().Add(time.Duration(n) * time.Second)
 		if err := os.Chtimes(path, future, future); err != nil {

@@ -45,7 +45,10 @@
 #
 # Reachability census (run by hand, not a gate): build every production
 # entry point with coverage over the module, drive it, and list the
-# functions nothing entered. The first listing is production alone; the
+# functions nothing entered. Exported names need no census: the tier-1
+# lint.TestExportedFuncsHaveCallers fails on any under internal/ that no
+# non-test code reaches. The census is for the rest — unexported
+# functions, and whole subsystems that are called but never run. The first listing is production alone; the
 # second adds the benchmark, so `diff production.txt with-bench.txt`
 # names what only a bench probe reaches; the third adds the gate CLIs.
 #   d=$(mktemp -d); mkdir $d/cov; export GOCOVERDIR=$d/cov; c="-cover -coverpkg=chopper/..."
@@ -178,9 +181,14 @@ gate "experiments -quick (byte oracle)"
 # byte for byte: an engine, cost-model or tuner change that moves any
 # figure fails here at cmp's first differing byte. Regenerate
 # testdata/experiments_quick.txt only for a change meant to move the
-# numbers, and review its diff.
+# numbers, and review its diff. The same bytes must come out on one core
+# (GOMAXPROCS=1: the sweep's worker pool runs its jobs in sequence) and
+# from a 386 build (no float kernel may drift across architectures).
 go build -o bin/ ./cmd/experiments
 bin/experiments -quick | cmp - testdata/experiments_quick.txt
+GOMAXPROCS=1 bin/experiments -quick | cmp - testdata/experiments_quick.txt
+GOARCH=386 go build -o bin/experiments-386 ./cmd/experiments
+bin/experiments-386 -quick | cmp - testdata/experiments_quick.txt
 
 gate "bench module (build + test)"
 # bench/ is a nested module outside ./...: build and test it here so a

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"chopper/api"
@@ -116,6 +117,26 @@ func runSmoke(ctx context.Context, binary string) error {
 		return fmt.Errorf("journal replay count %d != pre-crash %d", h2.JournalRecords, h1.JournalRecords)
 	}
 	step("replay ok: %d journal records, recommend byte-identical", h2.JournalRecords)
+
+	// The read-side surfaces over the replayed state: the plan explanation
+	// and the Prometheus exposition.
+	explain, err := cl.Explain(ctx, workload, 0)
+	if err != nil {
+		return fmt.Errorf("explain after replay: %w", err)
+	}
+	if explain == "" {
+		return fmt.Errorf("explain after replay returned an empty body")
+	}
+	exposition, err := cl.Metrics(ctx)
+	if err != nil {
+		return fmt.Errorf("metrics after replay: %w", err)
+	}
+	for _, family := range []string{"chopperd_http_requests_total", "chopperd_plan_cache_total"} {
+		if !strings.Contains(exposition, family) {
+			return fmt.Errorf("metrics after replay lack %s", family)
+		}
+	}
+	step("explain ok (%d bytes), metrics expose the request and plan-cache counters", len(explain))
 
 	// Clean drain: SIGTERM with a job in flight; the job must complete and
 	// the process exit 0 with a final snapshot.

@@ -94,16 +94,6 @@ func (t *Topology) TotalWorkerCores() int {
 	return sum
 }
 
-// TotalWorkerSpeed reports the aggregate compute speed (cores x GHz) across
-// workers, a rough measure of cluster throughput used in calibration.
-func (t *Topology) TotalWorkerSpeed() float64 {
-	sum := 0.0
-	for _, n := range t.Workers() {
-		sum += float64(n.Cores) * n.SpeedGHz
-	}
-	return sum
-}
-
 // Validate reports an error if the topology is unusable (no workers, nodes
 // without cores, duplicate names).
 func (t *Topology) Validate() error {

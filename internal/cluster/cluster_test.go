@@ -275,3 +275,13 @@ func TestCostConstantsPinned(t *testing.T) {
 		t.Errorf("ExecutorMemGB = %v, pinned 40", ExecutorMemGB)
 	}
 }
+
+// TotalWorkerSpeed reports the aggregate compute speed (cores x GHz) across
+// workers, a rough measure of cluster throughput used in calibration.
+func (t *Topology) TotalWorkerSpeed() float64 {
+	sum := 0.0
+	for _, n := range t.Workers() {
+		sum += float64(n.Cores) * n.SpeedGHz
+	}
+	return sum
+}

@@ -148,16 +148,6 @@ func Parse(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// Save writes the file to disk.
-func Save(path string, f *File) error {
-	w, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	return f.Write(w)
-}
-
 // Load reads a configuration from disk.
 func Load(path string) (*File, error) {
 	r, err := os.Open(path)

@@ -183,3 +183,13 @@ func TestDynamicKeepsLastGoodOnCorruption(t *testing.T) {
 		t.Fatalf("corrupted update should keep last good config: %+v", spec)
 	}
 }
+
+// Save writes the file to disk.
+func Save(path string, f *File) error {
+	w, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer w.Close()
+	return f.Write(w)
+}

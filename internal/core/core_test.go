@@ -85,7 +85,7 @@ func TestDBAddRunMergesNodes(t *testing.T) {
 // saveSnapshot writes db's snapshot JSON to a temp file and returns its path.
 func saveSnapshot(t *testing.T, db *DB) string {
 	t.Helper()
-	data, err := db.MarshalSnapshot()
+	data, err := db.marshalSnapshotWith(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestGetStageParPicksBetterScheme(t *testing.T) {
 	seedStage(db, "w", "s1", "range", 300, 40, 2e-4, StageObservation{})
 	seedStage(db, "w", "s1", "hash", 500, 60, 2e-4, StageObservation{})
 	o := NewOptimizer(db)
-	s, err := o.GetStagePar("w", "s1", 20e9)
+	s, err := o.newPass("w").stagePar("s1", 20e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGetStageParHashOnlyData(t *testing.T) {
 	db := NewDB()
 	seedStage(db, "w", "s1", "hash", 400, 60, 2e-4, StageObservation{})
 	o := NewOptimizer(db)
-	s, err := o.GetStagePar("w", "s1", 10e9)
+	s, err := o.newPass("w").stagePar("s1", 10e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestGetStageParInsufficientData(t *testing.T) {
 		{Signature: "s1", Partitioner: "hash", D: 1, P: 1, Texe: 1, Sshuffle: 1},
 	})
 	o := NewOptimizer(db)
-	if _, err := o.GetStagePar("w", "s1", 100); err == nil {
+	if _, err := o.newPass("w").stagePar("s1", 100); err == nil {
 		t.Fatalf("expected error with too few samples")
 	}
 }
@@ -438,7 +438,7 @@ func TestGenerationMovesOnMutationOnly(t *testing.T) {
 	_ = db.Nodes("w")
 	_ = db.SamplesFor("w", "a", "hash")
 	_ = db.RunCount("w") + db.SampleCount("w") + db.OccurrencesPerRun("w", "a")
-	if _, err := db.MarshalSnapshot(); err != nil {
+	if _, err := db.marshalSnapshotWith(nil); err != nil {
 		t.Fatal(err)
 	}
 	if clone := db.CloneWorkload("w"); clone.Generation("w") != g || clone.RunCount("w") != 1 {
@@ -478,8 +478,8 @@ func TestGenerationIsNotSerialised(t *testing.T) {
 	if a.Generation("w") == b.Generation("w") {
 		t.Fatal("test needs two different generation histories")
 	}
-	ab, _ := a.MarshalSnapshot()
-	bb, _ := b.MarshalSnapshot()
+	ab, _ := a.marshalSnapshotWith(nil)
+	bb, _ := b.marshalSnapshotWith(nil)
 	if !bytes.Equal(ab, bb) {
 		t.Fatal("snapshot bytes depend on the generation history")
 	}

@@ -341,10 +341,6 @@ func (wd *WorkloadData) clone() *WorkloadData {
 	return c
 }
 
-// MarshalSnapshot renders the database as the snapshot JSON Save writes,
-// holding the read lock only while marshaling.
-func (db *DB) MarshalSnapshot() ([]byte, error) { return db.marshalSnapshotWith(nil) }
-
 // marshalSnapshotWith marshals the database, first invoking capture under
 // the same read-lock hold. Because AddRun runs its observer while holding
 // the write lock, whatever capture records (the Store's journal position,
@@ -363,7 +359,7 @@ func (db *DB) marshalSnapshotWith(capture func()) ([]byte, error) {
 	return data, nil
 }
 
-// LoadDB reads a database snapshot (the JSON MarshalSnapshot renders).
+// LoadDB reads a database snapshot (the JSON Store.Snapshot writes).
 func LoadDB(path string) (*DB, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

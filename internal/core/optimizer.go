@@ -210,13 +210,9 @@ func (p *pass) fitScheme(sig, scheme string, d float64) (*model.StageModels, err
 	return r.sm, r.err
 }
 
-// GetStagePar implements Algorithm 1: it trains the range- and hash-
-// partitioner models of a stage and returns the partitioner and count with
-// the minimum predicted cost for input size d.
-func (o *Optimizer) GetStagePar(workload, sig string, d float64) (Scheme, error) {
-	return o.newPass(workload).stagePar(sig, d)
-}
-
+// stagePar implements Algorithm 1 (GetStagePar): it trains the range- and
+// hash-partitioner models of a stage and returns the partitioner and count
+// with the minimum predicted cost for input size d.
 func (p *pass) stagePar(sig string, d float64) (Scheme, error) {
 	type attempt struct {
 		name rdd.SchemeName

@@ -18,7 +18,7 @@ func segObs(i int) []StageObservation {
 // mustMarshal marshals a DB snapshot or fails the test.
 func mustMarshal(t *testing.T, db *DB) []byte {
 	t.Helper()
-	data, err := db.MarshalSnapshot()
+	data, err := db.marshalSnapshotWith(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,13 +115,6 @@ func NewScheduler(ctx *rdd.Context, runner StageRunner) *Scheduler {
 	return s
 }
 
-// StagesBuilt reports how many stages have been submitted so far.
-func (s *Scheduler) StagesBuilt() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextStageID
-}
-
 // RunJob implements rdd.JobRunner: it plans and executes the stages needed
 // to evaluate fn over every partition of target.
 func (s *Scheduler) RunJob(target *rdd.RDD, fn func(split int, rows []rdd.Row) (any, error)) ([]any, error) {

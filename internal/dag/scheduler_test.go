@@ -74,16 +74,16 @@ func TestSchedulerRunsJobAndAssignsIDs(t *testing.T) {
 	if len(infos) != 2 || infos[0].ID != 0 || infos[1].ID != 1 {
 		t.Fatalf("stage ids wrong: %+v", infos)
 	}
-	if s.StagesBuilt() != 2 {
-		t.Fatalf("StagesBuilt = %d", s.StagesBuilt())
+	if s.nextStageID != 2 {
+		t.Fatalf("stages built = %d", s.nextStageID)
 	}
 
 	// A second job continues the global stage counter.
 	if _, err := red.Count(); err != nil {
 		t.Fatal(err)
 	}
-	if s.StagesBuilt() != 4 {
-		t.Fatalf("global counter should continue: %d", s.StagesBuilt())
+	if s.nextStageID != 4 {
+		t.Fatalf("global counter should continue: %d", s.nextStageID)
 	}
 }
 

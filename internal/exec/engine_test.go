@@ -11,6 +11,7 @@ import (
 	"chopper/internal/exec"
 	"chopper/internal/metrics"
 	"chopper/internal/rdd"
+	"chopper/internal/storage"
 )
 
 // harness bundles a full engine + scheduler over the paper cluster.
@@ -194,8 +195,12 @@ func TestReleaseRecomputesAndBalancesMemory(t *testing.T) {
 	cachedLevel := func() (series, store float64) {
 		var total float64
 		for _, w := range h.eng.Topo.Workers() {
-			store += float64(h.eng.Cache.NodeUsed(w.Name))
 			total += w.MemGB * 1e9
+		}
+		for split := 0; split < cached.NumParts; split++ {
+			if e, ok := h.eng.Cache.Peek(storage.CacheKey{RDD: cached.ID, Split: split, Of: cached.NumParts}); ok {
+				store += float64(e.Bytes)
+			}
 		}
 		vals := h.col.MemSeries(h.eng.Topo, h.eng.Now()*1e6, 0).Values
 		return vals[len(vals)-1], 100 * store / total
@@ -407,7 +412,7 @@ func TestSkewedKeysCreateStragglers(t *testing.T) {
 	red := stages[len(stages)-1]
 	var durs []float64
 	for _, tm := range red.Tasks {
-		durs = append(durs, tm.Duration())
+		durs = append(durs, tm.End-tm.Start)
 	}
 	sort.Float64s(durs)
 	if durs[len(durs)-1] <= durs[len(durs)/2]*1.2 {

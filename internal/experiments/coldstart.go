@@ -28,10 +28,11 @@ func (r ColdStartRow) Speedup() float64 {
 	return r.DefaultTime / r.SeededTime
 }
 
-// ColdStartSeeding measures the chopperkey cold-start path on every named
+// ColdStartSeeding measures static cold-start seeding on every named
 // workload: extract KeyFacts statically, derive seed hints, build a seeded
 // configuration through the optimizer (no DB, no profiles), and compare the
-// first run against the default plan. Workloads whose hints carry no
+// first run against the default plan. No command runs it: TestColdStartSeeding
+// produces EXPERIMENTS.md's cold-start table through it. Workloads whose hints carry no
 // provable bounds get an empty seed and run the default plan — seeding is
 // never worse than doing nothing.
 func ColdStartSeeding(names []string, inputScale float64) ([]ColdStartRow, error) {

@@ -2,7 +2,7 @@ package experiments
 
 import "testing"
 
-// TestColdStartSeeding runs the chopperkey cold-start path end to end on
+// TestColdStartSeeding runs the static cold-start seeding path end to end on
 // every workload: static extraction must succeed, the seeded configuration
 // must validate, and seeding must never be slower than the default plan —
 // with pca (whose reduce keys are provably constant) showing a strict

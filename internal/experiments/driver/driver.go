@@ -26,12 +26,12 @@ import (
 	"sync/atomic"
 )
 
-// defaultParallel is the process-wide parallelism for Map/Run when the
+// defaultParallel is the process-wide parallelism for Map when the
 // caller does not pass an explicit width. Zero means GOMAXPROCS.
 var defaultParallel atomic.Int64
 
-// SetParallelism sets the process-wide default worker count used by Map and
-// Run (the -parallel flag of cmd/experiments). n <= 0 resets to the
+// SetParallelism sets the process-wide default worker count used by Map
+// (the -parallel flag of cmd/experiments). n <= 0 resets to the
 // GOMAXPROCS default.
 func SetParallelism(n int) {
 	if n < 0 {
@@ -101,10 +101,4 @@ func MapWith[T any](parallel, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return results, nil
-}
-
-// Run is Map for jobs without a result value.
-func Run(n int, fn func(i int) error) error {
-	_, err := Map[struct{}](n, func(i int) (struct{}, error) { return struct{}{}, fn(i) })
-	return err
 }

@@ -74,11 +74,11 @@ func TestSetParallelismDefaults(t *testing.T) {
 }
 
 func TestRunPropagatesError(t *testing.T) {
-	err := Run(10, func(i int) error {
+	_, err := Map(10, func(i int) (struct{}, error) {
 		if i == 7 {
-			return fmt.Errorf("job %d failed", i)
+			return struct{}{}, fmt.Errorf("job %d failed", i)
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if err == nil || err.Error() != "job 7 failed" {
 		t.Fatalf("err = %v", err)

@@ -112,21 +112,6 @@ func (m *Motivation) Fig4() Table {
 	return t
 }
 
-// ShuffleGrowth reports total stage-12..17 shuffle bytes for the first and
-// last swept partition counts — the Fig. 4 growth check.
-func (m *Motivation) ShuffleGrowth() (lowP, highP int64) {
-	sum := func(sess *chopper.Session) int64 {
-		var s int64
-		for id := 12; id <= 17; id++ {
-			if st := sess.Metrics().StageByID(id); st != nil {
-				s += st.MaxShuffle()
-			}
-		}
-		return s
-	}
-	return sum(m.Runs[0]), sum(m.Runs[len(m.Runs)-1])
-}
-
 // ExtremePartitions reproduces the paper's 2000-partition data point
 // (Section II-B): versus the best swept configuration, a very large
 // partition count costs both time and shuffle volume.

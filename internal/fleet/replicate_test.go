@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -55,10 +56,10 @@ func newReplica(t *testing.T, base, primaryURL string) (*core.Store, *core.DB, *
 	return st, db, rep
 }
 
-// snapshotBytes marshals a DB or fails the test.
+// snapshotBytes marshals a DB as its snapshot JSON or fails the test.
 func snapshotBytes(t *testing.T, db *core.DB) []byte {
 	t.Helper()
-	data, err := db.MarshalSnapshot()
+	data, err := json.MarshalIndent(db, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

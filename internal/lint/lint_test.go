@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"flag"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -248,115 +248,146 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// surfaceExempt are the exported *rdd.RDD and *rdd.Context methods kept
-// without a non-test caller, each for the test that needs it.
-var surfaceExempt = map[string]bool{
-	"RDD.Map":        true, // FuzzEngineMatchesOracle draws it
-	"RDD.FlatMap":    true, // FuzzEngineMatchesOracle draws it
-	"RDD.GroupByKey": true, // FuzzEngineMatchesOracle draws it
+// rentExempt lists the exported functions and methods under internal/
+// that no production code reaches, each with the reason it stays. An entry
+// whose reason starts "bench/-only" is reached only from the nested bench/
+// module and names the probe that calls it; every other entry names the
+// test that needs it, and seeds reachability as if that test were a
+// caller.
+var rentExempt = map[string]string{
+	"rdd.RDD.Map":                       "FuzzEngineMatchesOracle (exec) draws it",
+	"rdd.RDD.FlatMap":                   "FuzzEngineMatchesOracle (exec) draws it",
+	"rdd.RDD.GroupByKey":                "FuzzEngineMatchesOracle (exec) draws it",
+	"rdd.NewLocalRunner":                "FuzzEngineMatchesOracle (exec) runs it as the oracle",
+	"rdd.NewRangePartitionerWithBounds": "TestRejectsBadRangeBounds (plan/verify) and TestReduceInputOrderedByMapTask (shuffle) pick the bounds",
+	"workloads.RecordedForTest":         "TestReplayedRunsPinned (workloads) and TestWorkloadsLeaveCachedPartitionsAlone (exec) read the source memo",
+	"metrics.Histogram.Count":           "TestRetryOn429ThenSuccess and TestRetryExhaustionDrops (loadgen) count the recorded latencies",
+	"trace.Log.Write":                   "TestResultsAndTracesPinned and TestReplayedRunsPinned (workloads) hash its bytes; TestDeterministicTrace (experiments) diffs them",
+	"experiments.ColdStartSeeding":      "TestColdStartSeeding produces EXPERIMENTS.md's cold-start table; it carries core.Optimizer.SeedConfig and extract.Report.SeedHints",
+	"experiments.ColdStartRow.Speedup":  "TestColdStartSeeding",
+
+	"rdd.PartitionPairsCol":           "bench/-only: the rdd.partition_* probes and the shuffle.* probes' map outputs",
+	"rdd.MergeReduceColN":             "bench/-only: rdd.merge_int_ns_row, rdd.merge_any_ns_row, rdd.merge_alloc_b_row",
+	"rdd.ColBuckets.BucketInto":       "bench/-only: the rdd.merge_* probes",
+	"rdd.ColBuckets.LogicalBytes":     "bench/-only: the shuffle.* probes size their map outputs",
+	"shuffle.ReduceView.BlockInto":    "bench/-only: shuffle.reduce_view_us_r300 and _r900",
+	"shuffle.ReduceView.Len":          "bench/-only: shuffle.reduce_view_us_r300 and _r900",
+	"shuffle.Manager.ReduceNodeBytes": "bench/-only: shuffle.node_bytes_us_r300 and _r900",
+	"shuffle.Manager.BestReduceNode":  "bench/-only: shuffle.best_node_us_r900",
+	"model.StageModels.MinimizeCost":  "bench/-only: model.minimize_us",
+	"service.Server.Handler":          "bench/-only: the service.*_handler_us and service.metrics_scrape_us probes",
+	"simclock.New":                    "bench/-only: simclock.event_ns",
+	"simclock.Clock.Schedule":         "bench/-only: simclock.event_ns",
+	"simclock.Clock.Run":              "bench/-only: simclock.event_ns",
+	"simclock.Clock.Step":             "bench/-only: simclock.event_ns, through Clock.Run",
 }
 
-// TestRDDSurfaceHasCallers fails for every exported method of *rdd.RDD
-// and *rdd.Context that no non-test code in the module reaches: a use
-// counts when it sits outside every such method, or inside one that is
-// itself reached (so a method only an unused one calls is unused too).
-// The RDD layer carries no Spark surface that nothing runs. String is
-// exempt as fmt.Stringer's method, and surfaceExempt lists the rest.
-func TestRDDSurfaceHasCallers(t *testing.T) {
+// TestExportedFuncsHaveCallers fails for every exported function and
+// method declared under internal/ that no non-test code reaches. A use
+// counts when it sits outside every such function (in an unexported one,
+// a package-level initializer, or a package outside internal/: the root,
+// api, client, cmd/ and examples/), or inside one that is itself reached,
+// so a function only an unreached one calls is unreached too. Uses from
+// bench/ form their own class: a name only they reach must be exempt as
+// bench/-only. Methods that implement an interface (types.Implements over
+// every interface the module sees) are exempt, as dynamic dispatch can
+// reach them; rentExempt lists the rest, and an exempt name that gains a
+// production caller fails too.
+func TestExportedFuncsHaveCallers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	const rddPath = "chopper/internal/rdd"
+	const internalPrefix, benchPrefix = "chopper/internal/", "chopper/bench"
 	prog := repoProgram(t)
-	// methodKey names an exported method of RDD or Context, "" for
-	// anything else.
-	methodKey := func(fn *types.Func) string {
-		sig := fn.Type().(*types.Signature)
-		if fn.Pkg() == nil || fn.Pkg().Path() != rddPath || sig.Recv() == nil || !fn.Exported() {
-			return ""
-		}
-		recv := sig.Recv().Type()
-		if p, ok := recv.(*types.Pointer); ok {
-			recv = p.Elem()
-		}
-		named, ok := recv.(*types.Named)
-		if !ok || (named.Obj().Name() != "RDD" && named.Obj().Name() != "Context") {
-			return ""
-		}
-		return named.Obj().Name() + "." + fn.Name()
-	}
-
-	rddPkg, err := prog.PackageByPath(rddPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type body struct {
-		key        string
-		file       string
-		start, end int
-	}
-	var bodies []body
-	for _, f := range rddPkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := rddPkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if key := methodKey(fn); key != "" && key != "RDD.String" {
-				start, end := rddPkg.Fset.Position(fd.Body.Pos()), rddPkg.Fset.Position(fd.Body.End())
-				bodies = append(bodies, body{key, start.Filename, start.Offset, end.Offset})
-			}
-		}
-	}
-	if len(bodies) < 10 {
-		t.Fatalf("found only %d exported RDD and Context methods", len(bodies))
-	}
-	// enclosing names the method whose body holds pos, "" for none.
-	enclosing := func(pos token.Position) string {
-		for _, b := range bodies {
-			if pos.Filename == b.file && pos.Offset >= b.start && pos.Offset < b.end {
-				return b.key
-			}
-		}
-		return ""
-	}
-
 	dirs, err := prog.Loader.Match([]string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	callers := map[string]map[string]bool{} // method -> enclosing method of each use
-	for _, dir := range dirs {
-		pkg, err := prog.Package(dir)
-		if err != nil {
+	pkgs := make([]*lint.Package, len(dirs))
+	for i, dir := range dirs {
+		if pkgs[i], err = prog.Package(dir); err != nil {
 			t.Fatal(err)
 		}
-		for id, obj := range pkg.Info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				continue
-			}
-			if key := methodKey(fn); key != "" {
-				if callers[key] == nil {
-					callers[key] = map[string]bool{}
+	}
+
+	// funcKey names an exported function or concrete method declared
+	// under internal/ ("rdd.RDD.Map", "experiments/driver.Map"), "" for
+	// anything else.
+	funcKey := func(fn *types.Func) string {
+		fn = fn.Origin()
+		if fn.Pkg() == nil || !fn.Exported() {
+			return ""
+		}
+		path, ok := strings.CutPrefix(fn.Pkg().Path(), internalPrefix)
+		if !ok {
+			return ""
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return path + "." + fn.Name()
+		}
+		named, ok := types.Unalias(derefType(recv.Type())).(*types.Named)
+		if !ok || types.IsInterface(named) {
+			return ""
+		}
+		return path + "." + named.Obj().Name() + "." + fn.Name()
+	}
+
+	// One pass over every declaration: declared holds each checked
+	// function, callers the enclosing function of each use ("" for
+	// production code outside every checked function, benchPrefix for
+	// bench/).
+	declared := map[string]*types.Func{}
+	callers := map[string]map[string]bool{}
+	for _, pkg := range pkgs {
+		outside := ""
+		if strings.HasPrefix(pkg.Path, benchPrefix) {
+			outside = benchPrefix
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				from := outside
+				if fd, ok := d.(*ast.FuncDecl); ok && outside == "" {
+					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						if key := funcKey(fn); key != "" {
+							declared[key], from = fn, key
+						}
+					}
 				}
-				callers[key][enclosing(pkg.Fset.Position(id.Pos()))] = true
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
+						if key := funcKey(fn); key != "" {
+							if callers[key] == nil {
+								callers[key] = map[string]bool{}
+							}
+							callers[key][from] = true
+						}
+					}
+					return true
+				})
 			}
 		}
 	}
-	// reach returns the methods reached from code outside every method
-	// and from the seeds.
-	reach := func(seeds map[string]bool) map[string]bool {
-		live := maps.Clone(seeds)
+	if len(declared) < 400 {
+		t.Fatalf("found only %d exported functions under internal/", len(declared))
+	}
+
+	// reach returns the functions reached from the given roots: caller
+	// classes and seed functions.
+	reach := func(roots ...string) map[string]bool {
+		live := map[string]bool{}
+		for _, r := range roots {
+			live[r] = true
+		}
 		for changed := true; changed; {
 			changed = false
 			for key, from := range callers {
 				for c := range from {
-					if !live[key] && (c == "" || c != key && live[c]) {
+					if !live[key] && c != key && live[c] {
 						live[key], changed = true, true
 					}
 				}
@@ -364,14 +395,127 @@ func TestRDDSurfaceHasCallers(t *testing.T) {
 		}
 		return live
 	}
-	used, live := reach(map[string]bool{}), reach(surfaceExempt)
-	for _, b := range bodies {
-		switch {
-		case !live[b.key]:
-			t.Errorf("rdd method %s has no caller outside tests: delete it, or exempt it naming the test that needs it", b.key)
-		case used[b.key] && surfaceExempt[b.key]:
-			t.Errorf("rdd method %s is exempt but has a caller: drop the exemption", b.key)
+	// Methods that implement an interface are reached by dynamic dispatch:
+	// they are roots, and never need an exemption.
+	implements := interfaceMethods(pkgs)
+	dispatched := []string{""}
+	for key, fn := range declared {
+		if implements(fn) {
+			dispatched = append(dispatched, key)
 		}
+	}
+	seeds := slices.Clone(dispatched)
+	for key, why := range rentExempt {
+		if declared[key] == nil {
+			t.Errorf("exempt %s is not an exported function under internal/: drop the exemption", key)
+		}
+		if !strings.HasPrefix(why, "bench/-only") {
+			seeds = append(seeds, key)
+		}
+	}
+	prod := reach(dispatched...)
+	tested := reach(seeds...)
+	all := reach(append(seeds, benchPrefix)...)
+
+	keys := make([]string, 0, len(declared))
+	for key := range declared {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		why, exempt := rentExempt[key]
+		benchOnly := strings.HasPrefix(why, "bench/-only")
+		switch {
+		case prod[key] && exempt:
+			t.Errorf("%s is exempt but has a production caller or implements an interface: drop the exemption", key)
+		case !all[key]:
+			t.Errorf("%s has no caller outside tests: delete it, move it into a _test.go file, or exempt it naming the test that needs it", key)
+		case !tested[key] && !benchOnly:
+			t.Errorf("%s is reached only from bench/: exempt it as bench/-only, naming the probe", key)
+		case tested[key] && benchOnly:
+			t.Errorf("%s is exempt as bench/-only but is reached without bench/: drop the exemption", key)
+		}
+	}
+}
+
+// derefType strips one pointer.
+func derefType(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// interfaceMethods returns a predicate reporting whether a method (or its
+// pointer receiver's method set) implements some interface carrying a
+// method of the same name. Loader type-checks each loaded package afresh
+// but resolves its imports once, so the predicate works on the imported
+// copies: there a type and every interface share one identity. The
+// interfaces are every named one the module declares and every exported
+// one of the packages it imports, plus error.
+func interfaceMethods(pkgs []*lint.Package) func(*types.Func) bool {
+	universe := map[string]*types.Package{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		for _, imp := range p.Imports() {
+			if universe[imp.Path()] == nil {
+				universe[imp.Path()] = imp
+				visit(imp)
+			}
+		}
+	}
+	var fresh []*types.Package
+	for _, pkg := range pkgs {
+		for _, obj := range pkg.Info.Defs {
+			if obj != nil && obj.Pkg() != nil {
+				fresh = append(fresh, obj.Pkg())
+				visit(obj.Pkg())
+				break
+			}
+		}
+	}
+	for _, p := range fresh { // a package nothing imports has only its fresh copy
+		if universe[p.Path()] == nil {
+			universe[p.Path()] = p
+		}
+	}
+	byName := map[string][]*types.Interface{}
+	addIface := func(iface *types.Interface) {
+		for i := range iface.NumMethods() {
+			name := iface.Method(i).Name()
+			byName[name] = append(byName[name], iface)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for path, p := range universe {
+		module := path == "chopper" || strings.HasPrefix(path, "chopper/")
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !(module || tn.Exported()) {
+				continue
+			}
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+				addIface(iface)
+			}
+		}
+	}
+	return func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		named := types.Unalias(derefType(recv.Type())).(*types.Named)
+		p := universe[fn.Pkg().Path()]
+		tn, ok := p.Scope().Lookup(named.Obj().Name()).(*types.TypeName)
+		if !ok || named.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, iface := range byName[fn.Name()] {
+			if types.Implements(tn.Type(), iface) || types.Implements(types.NewPointer(tn.Type()), iface) {
+				return true
+			}
+		}
+		return false
 	}
 }
 

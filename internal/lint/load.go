@@ -81,7 +81,9 @@ func modulePath(gomod string) (string, error) {
 // Match expands package patterns relative to the module root into package
 // directories. Supported forms: "./...", "dir/...", and plain directory
 // paths. Directories named testdata (and hidden directories) are skipped,
-// as are directories with no non-test Go files.
+// as are directories with no non-test Go files. Unlike the go command,
+// "./..." does not stop at a nested module: it includes bench/, whose
+// packages load under the chopper/bench import path.
 func (l *Loader) Match(patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var dirs []string

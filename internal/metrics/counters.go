@@ -22,9 +22,6 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be >= 0 for the Prometheus contract; not enforced).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -33,9 +30,6 @@ type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value reports the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -84,13 +78,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.total
-}
-
-// Sum reports the total observed seconds.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Max reports the largest observation seen.

@@ -92,3 +92,18 @@ func TestCountersConcurrent(t *testing.T) {
 		t.Fatalf("histogram count = %d, want 4000", got)
 	}
 }
+
+// The counter and histogram accessors below serve only these tests.
+
+// Add adds n (n must be >= 0 for the Prometheus contract; not enforced).
+func (c *Counter) Add(n int64) { c.v.Add(n) }
+
+// Add adjusts the value by n (negative to decrease).
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
+
+// Sum reports the total observed seconds.
+func (h *Histogram) Sum() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum
+}

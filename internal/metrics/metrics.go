@@ -30,9 +30,6 @@ type TaskMetric struct {
 	Records           int64
 }
 
-// Duration reports the simulated task time.
-func (t TaskMetric) Duration() float64 { return t.End - t.Start }
-
 // StageMetric aggregates one executed stage.
 type StageMetric struct {
 	ID          int
@@ -58,26 +55,6 @@ func (s *StageMetric) MaxShuffle() int64 {
 		return s.ShuffleRead
 	}
 	return s.ShuffleWrite
-}
-
-// TaskTimeStats reports min, max and mean task duration — the skew signal.
-func (s *StageMetric) TaskTimeStats() (min, max, mean float64) {
-	if len(s.Tasks) == 0 {
-		return 0, 0, 0
-	}
-	min = math.Inf(1)
-	for _, t := range s.Tasks {
-		d := t.Duration()
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-		mean += d
-	}
-	mean /= float64(len(s.Tasks))
-	return min, max, mean
 }
 
 // stepEvent is a change in a step-function series (e.g. cached bytes).
@@ -178,17 +155,6 @@ func (c *Collector) timeline(weight func(tm *TaskMetric) float64) *simclock.Reco
 	return rec
 }
 
-// busyCores weighs each task as one busy core; node restricts the timeline
-// to one worker ("" for the whole cluster).
-func busyCores(node string) func(*TaskMetric) float64 {
-	return func(tm *TaskMetric) float64 {
-		if node != "" && tm.Node != node {
-			return 0
-		}
-		return 1
-	}
-}
-
 // MemDelta records a change in resident cached bytes at time t (positive on
 // cache put, negative on eviction).
 func (c *Collector) MemDelta(t, deltaBytes float64) {
@@ -228,51 +194,10 @@ func (c *Collector) TotalTime() float64 {
 	return c.end
 }
 
-// TotalShuffle reports run-wide shuffle read and write bytes.
-func (c *Collector) TotalShuffle() (read, write int64) {
-	for _, s := range c.Stages() {
-		read += s.ShuffleRead
-		write += s.ShuffleWrite
-	}
-	return read, write
-}
-
 // Series is a sampled utilization timeline.
 type Series struct {
 	Step   float64
 	Values []float64
-}
-
-// Times returns the sample timestamps.
-func (s Series) Times() []float64 {
-	out := make([]float64, len(s.Values))
-	for i := range out {
-		out[i] = float64(i) * s.Step
-	}
-	return out
-}
-
-// Mean returns the average of the series values.
-func (s Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
-// Max returns the maximum series value.
-func (s Series) Max() float64 {
-	m := 0.0
-	for _, v := range s.Values {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 func (c *Collector) horizon() float64 {
@@ -287,54 +212,11 @@ func (c *Collector) horizon() float64 {
 // (busy worker cores over total worker cores), cf. paper Fig. 11.
 func (c *Collector) CPUSeries(topo *cluster.Topology, step float64) Series {
 	total := float64(topo.TotalWorkerCores())
-	vals := c.timeline(busyCores("")).BucketMean(c.horizon(), step)
+	vals := c.timeline(func(*TaskMetric) float64 { return 1 }).BucketMean(c.horizon(), step)
 	for i := range vals {
 		vals[i] = 100 * vals[i] / total
 	}
 	return Series{Step: step, Values: vals}
-}
-
-// CPUSeriesByNode reports each worker's CPU utilization percent per bucket,
-// exposing the load imbalance the cluster-average of Fig. 11 hides.
-func (c *Collector) CPUSeriesByNode(topo *cluster.Topology, step float64) map[string]Series {
-	h := c.horizon()
-	out := map[string]Series{}
-	for _, n := range topo.Workers() {
-		vals := c.timeline(busyCores(n.Name)).BucketMean(h, step)
-		for i := range vals {
-			vals[i] = 100 * vals[i] / float64(n.Cores)
-		}
-		out[n.Name] = Series{Step: step, Values: vals}
-	}
-	return out
-}
-
-// LoadImbalance reports max/mean busy core-seconds across workers (1.0 is
-// perfectly balanced).
-func (c *Collector) LoadImbalance(topo *cluster.Topology) float64 {
-	var loads []float64
-	for _, n := range topo.Workers() {
-		busy := 0.0
-		for _, iv := range c.timeline(busyCores(n.Name)).Sorted() {
-			busy += (iv.End - iv.Start) * iv.Weight / float64(n.Cores)
-		}
-		loads = append(loads, busy)
-	}
-	if len(loads) == 0 {
-		return 1
-	}
-	max, sum := 0.0, 0.0
-	for _, l := range loads {
-		if l > max {
-			max = l
-		}
-		sum += l
-	}
-	mean := sum / float64(len(loads))
-	if mean == 0 {
-		return 1
-	}
-	return max / mean
 }
 
 // MemSeries reports cluster-average memory utilization percent per bucket:

@@ -210,3 +210,115 @@ func TestLoadImbalanceEmpty(t *testing.T) {
 		t.Fatalf("empty imbalance should be 1: %v", got)
 	}
 }
+
+// The collector and series queries below serve only these tests.
+
+// Duration reports the simulated task time.
+func (t TaskMetric) Duration() float64 { return t.End - t.Start }
+
+// TaskTimeStats reports min, max and mean task duration — the skew signal.
+func (s *StageMetric) TaskTimeStats() (min, max, mean float64) {
+	if len(s.Tasks) == 0 {
+		return 0, 0, 0
+	}
+	min = math.Inf(1)
+	for _, t := range s.Tasks {
+		d := t.Duration()
+		if d < min {
+			min = d
+		}
+		if d > max {
+			max = d
+		}
+		mean += d
+	}
+	mean /= float64(len(s.Tasks))
+	return min, max, mean
+}
+
+// TotalShuffle reports run-wide shuffle read and write bytes.
+func (c *Collector) TotalShuffle() (read, write int64) {
+	for _, s := range c.Stages() {
+		read += s.ShuffleRead
+		write += s.ShuffleWrite
+	}
+	return read, write
+}
+
+// Times returns the sample timestamps.
+func (s Series) Times() []float64 {
+	out := make([]float64, len(s.Values))
+	for i := range out {
+		out[i] = float64(i) * s.Step
+	}
+	return out
+}
+
+// Mean returns the average of the series values.
+func (s Series) Mean() float64 {
+	if len(s.Values) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range s.Values {
+		sum += v
+	}
+	return sum / float64(len(s.Values))
+}
+
+// Max returns the maximum series value.
+func (s Series) Max() float64 {
+	m := 0.0
+	for _, v := range s.Values {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// CPUSeriesByNode reports each worker's CPU utilization percent per bucket,
+// exposing the load imbalance the cluster-average of Fig. 11 hides.
+func (c *Collector) CPUSeriesByNode(topo *cluster.Topology, step float64) map[string]Series {
+	h := c.horizon()
+	out := map[string]Series{}
+	for _, n := range topo.Workers() {
+		vals := c.timeline(busyCores(n.Name)).BucketMean(h, step)
+		for i := range vals {
+			vals[i] = 100 * vals[i] / float64(n.Cores)
+		}
+		out[n.Name] = Series{Step: step, Values: vals}
+	}
+	return out
+}
+
+// LoadImbalance reports max/mean busy core-seconds across workers (1.0 is
+// perfectly balanced).
+func (c *Collector) LoadImbalance(topo *cluster.Topology) float64 {
+	busy := map[string]float64{}
+	for _, st := range c.Stages() {
+		for _, tm := range st.Tasks {
+			busy[tm.Node] += tm.End - tm.Start
+		}
+	}
+	max, sum := 0.0, 0.0
+	for _, n := range topo.Workers() {
+		l := busy[n.Name] / float64(n.Cores)
+		max, sum = math.Max(max, l), sum+l
+	}
+	if sum == 0 {
+		return 1
+	}
+	return max / (sum / float64(len(topo.Workers())))
+}
+
+// busyCores weighs each task as one busy core; node restricts the timeline
+// to one worker ("" for the whole cluster).
+func busyCores(node string) func(*TaskMetric) float64 {
+	return func(tm *TaskMetric) float64 {
+		if node != "" && tm.Node != node {
+			return 0
+		}
+		return 1
+	}
+}

@@ -216,3 +216,29 @@ func TestQuickMinimizeReturnsCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// R2 reports the coefficient of determination over a sample set.
+func (m *Model) R2(samples []Sample, target func(Sample) float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	mean := 0.0
+	for _, s := range samples {
+		mean += target(s)
+	}
+	mean /= float64(len(samples))
+	var ssRes, ssTot float64
+	for _, s := range samples {
+		y := target(s)
+		pred := m.Predict(s.D, s.P)
+		ssRes += (y - pred) * (y - pred)
+		ssTot += (y - mean) * (y - mean)
+	}
+	if ssTot == 0 {
+		if ssRes == 0 {
+			return 1
+		}
+		return 0
+	}
+	return 1 - ssRes/ssTot
+}

@@ -97,3 +97,50 @@ func TestSummarizeNarrowChain(t *testing.T) {
 		t.Fatalf("narrow chain stats wrong: %+v", st)
 	}
 }
+
+// Summarize serves only these tests.
+
+// Stats summarizes a lineage graph.
+type Stats struct {
+	RDDs     int
+	Shuffles int
+	Cached   int
+	Sources  int
+	MaxDepth int
+}
+
+// Summarize computes lineage statistics for target.
+func Summarize(target *rdd.RDD) Stats {
+	_, order := buildGraph(target)
+	st := Stats{RDDs: len(order)}
+	for _, n := range order {
+		st.Shuffles += len(n.shuffles)
+		if n.r.Cached {
+			st.Cached++
+		}
+		if len(n.r.Deps) == 0 {
+			st.Sources++
+		}
+	}
+	depth := map[int]int{}
+	var dfs func(n *node) int
+	dfs = func(n *node) int {
+		if d, ok := depth[n.r.ID]; ok {
+			return d
+		}
+		d := 0
+		for _, p := range append(append([]*node{}, n.narrow...), n.shuffles...) {
+			if pd := dfs(p) + 1; pd > d {
+				d = pd
+			}
+		}
+		depth[n.r.ID] = d
+		return d
+	}
+	for _, n := range order {
+		if d := dfs(n); d > st.MaxDepth {
+			st.MaxDepth = d
+		}
+	}
+	return st
+}

@@ -86,17 +86,6 @@ func DefaultLimits(topo *cluster.Topology) Limits {
 	}
 }
 
-// Plan verifies the full job plan for an action target: lineage acyclicity
-// first (a cyclic lineage cannot even be staged), then every stage-graph
-// invariant. warm has the dag.BuildPlan meaning (nil is fine).
-func Plan(final *rdd.RDD, warm func(*rdd.RDD) bool, lim Limits) []Violation {
-	if vs := lineageCycles(final); len(vs) > 0 {
-		return vs
-	}
-	result, topo := dag.BuildPlan(final, warm)
-	return Stages(result, topo, lim)
-}
-
 // Stages verifies an already-built stage graph (result plus topological
 // order, as produced by dag.BuildPlan or handed to Scheduler.Verify).
 func Stages(result *dag.Stage, topo []*dag.Stage, lim Limits) []Violation {

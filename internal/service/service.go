@@ -211,9 +211,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// DB exposes the shared workload database (tests).
-func (s *Server) DB() *core.DB { return s.db }
-
 // Handler exposes the endpoint mux (in-process benchmarks and tests).
 func (s *Server) Handler() http.Handler { return s.mux }
 

@@ -219,7 +219,7 @@ func TestDrainWritesLoadableSnapshot(t *testing.T) {
 		t.Fatalf("in-flight submit failed during drain: %v", err)
 	}
 
-	wantSamples := srv.DB().SampleCount("kmeans")
+	wantSamples := srv.db.SampleCount("kmeans")
 	db, err := core.LoadDB(store)
 	if err != nil {
 		t.Fatalf("snapshot not loadable: %v", err)
@@ -245,7 +245,7 @@ func TestCrashReplayReproducesState(t *testing.T) {
 	if _, err := cl.Submit(context.Background(), api.SubmitRequest{Workload: "kmeans", Shrink: 24}); err != nil {
 		t.Fatal(err)
 	}
-	want := srv.DB().SampleCount("kmeans")
+	want := srv.db.SampleCount("kmeans")
 	r1, err := cl.RecommendRaw(context.Background(), "kmeans", 0)
 	if err != nil {
 		t.Fatalf("recommend: %v", err)
@@ -255,7 +255,7 @@ func TestCrashReplayReproducesState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart on journal: %v", err)
 	}
-	if got := srv2.DB().SampleCount("kmeans"); got != want || got == 0 {
+	if got := srv2.db.SampleCount("kmeans"); got != want || got == 0 {
 		t.Fatalf("replayed DB has %d samples, want %d (> 0)", got, want)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/v1/recommend?workload=kmeans", nil)

@@ -1,17 +1,19 @@
-// Package simclock provides a deterministic discrete-event simulation clock
-// and supporting primitives (event heap, interval recorder) used by the
-// cluster simulator. All simulated durations are in seconds.
+// Package simclock holds the interval recorder the metrics collector
+// replays task records into to rebuild the paper's utilization timelines
+// (Figs. 11-14), and a discrete-event clock. The engine computes simulated
+// time by placement and never schedules an event: only the bench/ module's
+// simclock.event_ns probe runs the clock. All simulated durations are in
+// seconds.
 //
 // The clock is single-threaded by design: events execute in (time, sequence)
 // order, so two events scheduled for the same instant fire in the order they
-// were scheduled. This keeps every experiment bit-for-bit reproducible.
+// were scheduled.
 package simclock
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // event is a scheduled callback.
@@ -51,9 +53,6 @@ type Clock struct {
 // New returns a clock positioned at time zero with no pending events.
 func New() *Clock { return &Clock{} }
 
-// Now reports the current simulated time in seconds.
-func (c *Clock) Now() float64 { return c.now }
-
 // Schedule registers fn to run at absolute simulated time at.
 // Scheduling in the past (at < Now) panics: it would silently reorder
 // history and break determinism.
@@ -63,14 +62,6 @@ func (c *Clock) Schedule(at float64, fn func()) {
 	}
 	c.seq++
 	heap.Push(&c.events, event{at: at, seq: c.seq, fn: fn})
-}
-
-// After registers fn to run d seconds from the current simulated time.
-func (c *Clock) After(d float64, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("simclock: negative delay %.6f", d))
-	}
-	c.Schedule(c.now+d, fn)
 }
 
 // Step executes the next pending event, advancing the clock to its time.
@@ -91,22 +82,6 @@ func (c *Clock) Run() {
 	}
 }
 
-// Pending reports the number of scheduled events not yet executed.
-func (c *Clock) Pending() int { return len(c.events) }
-
-// Advance moves the clock forward by d seconds without running events.
-// It panics if an event would be skipped over.
-func (c *Clock) Advance(d float64) {
-	if d < 0 {
-		panic("simclock: negative advance")
-	}
-	target := c.now + d
-	if len(c.events) > 0 && c.events[0].at < target {
-		panic(fmt.Sprintf("simclock: advance to %.6f would skip event at %.6f", target, c.events[0].at))
-	}
-	c.now = target
-}
-
 // Interval is a weighted time interval [Start, End).
 type Interval struct {
 	Start, End float64
@@ -120,46 +95,14 @@ type Recorder struct {
 	intervals []Interval
 }
 
-// Add records a weighted interval. Zero-length and zero-weight intervals are
-// kept: they still mark activity endpoints for MaxTime.
+// Add records a weighted interval, normalizing a reversed one. Zero-length
+// and zero-weight intervals are kept: BucketSum counts an instantaneous
+// interval's weight in its bucket.
 func (r *Recorder) Add(start, end, weight float64) {
 	if end < start {
 		start, end = end, start
 	}
 	r.intervals = append(r.intervals, Interval{Start: start, End: end, Weight: weight})
-}
-
-// Len reports the number of recorded intervals.
-func (r *Recorder) Len() int { return len(r.intervals) }
-
-// MaxTime reports the largest interval end time, or 0 when empty.
-func (r *Recorder) MaxTime() float64 {
-	m := 0.0
-	for _, iv := range r.intervals {
-		if iv.End > m {
-			m = iv.End
-		}
-	}
-	return m
-}
-
-// SampleSum reports the sum of weights of intervals active at instant t.
-// An interval is active on [Start, End); instantaneous intervals
-// (Start == End) are active exactly at Start.
-func (r *Recorder) SampleSum(t float64) float64 {
-	sum := 0.0
-	for _, iv := range r.intervals {
-		if iv.Start == iv.End {
-			if t == iv.Start {
-				sum += iv.Weight
-			}
-			continue
-		}
-		if t >= iv.Start && t < iv.End {
-			sum += iv.Weight
-		}
-	}
-	return sum
 }
 
 // BucketMean reports, for each step-sized bucket of [0, horizon), the
@@ -233,19 +176,5 @@ func (r *Recorder) BucketSum(horizon, step float64) []float64 {
 			}
 		}
 	}
-	return out
-}
-
-// Sorted returns a copy of the intervals ordered by start time; useful for
-// deterministic serialization and tests.
-func (r *Recorder) Sorted() []Interval {
-	out := make([]Interval, len(r.intervals))
-	copy(out, r.intervals)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].End < out[j].End
-	})
 	return out
 }

@@ -1,8 +1,10 @@
 package simclock
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -278,4 +280,80 @@ func TestQuickClockMonotonic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The clock and recorder queries below serve only these tests.
+
+// Now reports the current simulated time in seconds.
+func (c *Clock) Now() float64 { return c.now }
+
+// After registers fn to run d seconds from the current simulated time.
+func (c *Clock) After(d float64, fn func()) {
+	if d < 0 {
+		panic(fmt.Sprintf("simclock: negative delay %.6f", d))
+	}
+	c.Schedule(c.now+d, fn)
+}
+
+// Pending reports the number of scheduled events not yet executed.
+func (c *Clock) Pending() int { return len(c.events) }
+
+// Advance moves the clock forward by d seconds without running events.
+// It panics if an event would be skipped over.
+func (c *Clock) Advance(d float64) {
+	if d < 0 {
+		panic("simclock: negative advance")
+	}
+	target := c.now + d
+	if len(c.events) > 0 && c.events[0].at < target {
+		panic(fmt.Sprintf("simclock: advance to %.6f would skip event at %.6f", target, c.events[0].at))
+	}
+	c.now = target
+}
+
+// Len reports the number of recorded intervals.
+func (r *Recorder) Len() int { return len(r.intervals) }
+
+// MaxTime reports the largest interval end time, or 0 when empty.
+func (r *Recorder) MaxTime() float64 {
+	m := 0.0
+	for _, iv := range r.intervals {
+		if iv.End > m {
+			m = iv.End
+		}
+	}
+	return m
+}
+
+// SampleSum reports the sum of weights of intervals active at instant t.
+// An interval is active on [Start, End); instantaneous intervals
+// (Start == End) are active exactly at Start.
+func (r *Recorder) SampleSum(t float64) float64 {
+	sum := 0.0
+	for _, iv := range r.intervals {
+		if iv.Start == iv.End {
+			if t == iv.Start {
+				sum += iv.Weight
+			}
+			continue
+		}
+		if t >= iv.Start && t < iv.End {
+			sum += iv.Weight
+		}
+	}
+	return sum
+}
+
+// Sorted returns a copy of the intervals ordered by start time; useful for
+// deterministic serialization and tests.
+func (r *Recorder) Sorted() []Interval {
+	out := make([]Interval, len(r.intervals))
+	copy(out, r.intervals)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].End < out[j].End
+	})
+	return out
 }

@@ -210,10 +210,10 @@ type MemStore struct {
 	cap    map[string]int64
 	used   map[string]int64
 	tables []cacheTable
-	// tick orders recency: every Put and Get takes the next one, so no two
-	// entries share it.
+	// tick orders recency: every Put takes the next one (and so does the
+	// tests' Get), so no two entries share it.
 	tick int64
-	// Evictions counts partitions dropped for capacity; a cheap health metric.
+	// evictions counts partitions dropped for capacity (read by tests).
 	evictions int64
 }
 
@@ -360,8 +360,8 @@ func (m *MemStore) lruOn(node string) (table, split int, ok bool) {
 }
 
 // Peek returns the cached partition without touching LRU recency. The
-// engine's parallel compute pass uses Peek so cache access order cannot
-// perturb eviction decisions; the sequential accounting pass uses Get.
+// engine reads the cache only through Peek, so cache access order cannot
+// perturb eviction decisions: recency is the order of Put.
 func (m *MemStore) Peek(key CacheKey) (CacheEntry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -372,33 +372,9 @@ func (m *MemStore) Peek(key CacheKey) (CacheEntry, bool) {
 	return s.entry(key), true
 }
 
-// Get returns the cached partition and marks it recently used.
-func (m *MemStore) Get(key CacheKey) (CacheEntry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, s := m.lookup(key)
-	if s == nil {
-		return CacheEntry{}, false
-	}
-	m.tick++
-	s.last = m.tick
-	return s.entry(key), true
-}
-
 // entry is the slot as key's CacheEntry.
 func (s *cacheSlot) entry(key CacheKey) CacheEntry {
 	return CacheEntry{Key: key, Node: s.node, Bytes: s.bytes, Rows: s.rows, last: s.last}
-}
-
-// Location reports the node caching key, if any.
-func (m *MemStore) Location(key CacheKey) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, s := m.lookup(key)
-	if s == nil {
-		return "", false
-	}
-	return s.node, true
 }
 
 // Complete reports whether every split below of of the RDD id, cached at
@@ -411,20 +387,6 @@ func (m *MemStore) Complete(id, of int) bool {
 	defer m.mu.Unlock()
 	i, ok := m.find(id, of)
 	return ok && m.tables[i].resident == of
-}
-
-// NodeUsed reports cached bytes on a node.
-func (m *MemStore) NodeUsed(node string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.used[node]
-}
-
-// Evictions reports the total evicted partition count.
-func (m *MemStore) Evictions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.evictions
 }
 
 // DropNode evicts every partition cached on the given node (node failure:

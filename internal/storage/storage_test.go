@@ -565,3 +565,43 @@ func TestQuickSplitsAdditive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The store queries below serve only these tests.
+
+// Get returns the cached partition and marks it recently used.
+func (m *MemStore) Get(key CacheKey) (CacheEntry, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, s := m.lookup(key)
+	if s == nil {
+		return CacheEntry{}, false
+	}
+	m.tick++
+	s.last = m.tick
+	return s.entry(key), true
+}
+
+// Location reports the node caching key, if any.
+func (m *MemStore) Location(key CacheKey) (string, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, s := m.lookup(key)
+	if s == nil {
+		return "", false
+	}
+	return s.node, true
+}
+
+// NodeUsed reports cached bytes on a node.
+func (m *MemStore) NodeUsed(node string) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.used[node]
+}
+
+// Evictions reports the total evicted partition count.
+func (m *MemStore) Evictions() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.evictions
+}
