@@ -330,3 +330,36 @@ func TestFullSizeSimulatedTimePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestTunerAnswerPinned pins, bit for bit, the tuner's answer on the
+// benchmark's tune-sweep grid — size fractions {0.5, 1}, 150 and 600
+// partitions, hash only — for tiny sql and kmeans: the simulated seconds of
+// RunComparison's vanilla and tuned runs. Host-side changes to the engine,
+// the shuffle manager or the collector must leave every simulated second
+// where it was.
+func TestTunerAnswerPinned(t *testing.T) {
+	for _, pin := range []struct {
+		name           string
+		vanilla, tuned uint64
+	}{
+		{"sql", 0x4075b2741991a994, 0x4070b57528aa0e95},
+		{"kmeans", 0x408befa4a4d05739, 0x408683c0cc03a933},
+	} {
+		app, err := chopper.Builtin(pin.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.Shrink(12)
+		tuner := chopper.NewTuner()
+		tuner.Plan = chopper.TrialPlan{SizeFractions: []float64{0.5, 1}, Partitions: []int{150, 600}}
+		vanilla, tuned, _, err := tuner.RunComparison(app)
+		if err != nil {
+			t.Fatalf("%s: %v", pin.name, err)
+		}
+		if math.Float64bits(vanilla) != pin.vanilla || math.Float64bits(tuned) != pin.tuned {
+			t.Errorf("%s: vanilla %v s (%#x), tuned %v s (%#x); want %v (%#x) and %v (%#x)",
+				pin.name, vanilla, math.Float64bits(vanilla), tuned, math.Float64bits(tuned),
+				math.Float64frombits(pin.vanilla), pin.vanilla, math.Float64frombits(pin.tuned), pin.tuned)
+		}
+	}
+}

@@ -172,9 +172,12 @@ gate "bit-exact kernels (GOARCH=386)"
 # time and trace pins plus the scalar-loop oracle on a 32-bit target, so a
 # rewritten kernel cannot drift across architectures. The shuffle kernels'
 # and the shuffle manager's tests run there too: the int key→slot table,
-# the pooled and the owned kernel scratch, where int is 32 bits.
+# the pooled and the owned kernel scratch, where int is 32 bits. So do the
+# engine's and the collector's: the int32 task ids, bucket counts and node
+# indexes, and the arena headers the shuffle records copy, where int and
+# pointers are 4 bytes.
 GOARCH=386 go test -run 'Pinned|MatchScalar' ./internal/workloads
-GOARCH=386 go test ./internal/rdd ./internal/shuffle
+GOARCH=386 go test ./internal/rdd ./internal/shuffle ./internal/exec ./internal/metrics
 
 gate "experiments -quick (byte oracle)"
 # The reproduction's quick sweep must print exactly the committed output,

@@ -304,10 +304,10 @@ func TestRecorderHarvest(t *testing.T) {
 	col := metrics.NewCollector("w", "spark")
 	params := cluster.DefaultCostParams()
 	col.BeginStage(0, "sA", "map:a", "input", 4, 0)
-	col.AddTask(metrics.TaskMetric{StageID: 0, Start: 0, End: 10, InputBytes: 100, ShuffleWrite: 40}, &params)
+	col.AddTask(0, "", metrics.TaskMetric{Start: 0, End: 10, InputBytes: 100, ShuffleWrite: 40}, &params)
 	col.EndStage(0, 10)
 	col.BeginStage(1, "sB", "result:b", "hash", 2, 10)
-	col.AddTask(metrics.TaskMetric{StageID: 1, Start: 10, End: 15, ShuffleReadLocal: 40}, &params)
+	col.AddTask(1, "", metrics.TaskMetric{Start: 10, End: 15, ShuffleReadLocal: 40}, &params)
 	col.EndStage(1, 15)
 
 	obs := rec.Observations(col, true)

@@ -186,7 +186,8 @@ type task struct {
 	cost    float64        // logical byte-cost units
 	pending []pendingCache // in pend when the stage caches one RDD, as stages mostly do
 	pend    [1]pendingCache
-	mapOut  shuffle.MapOutput // map output (map stages only); runStages points Cols at the task's arena header
+	mapOut  shuffle.MapOutput // map output (map stages only); Cols is &cols
+	cols    rdd.ColBuckets    // the arena header, which PutMapOutput copies into its record
 	writeB  int64
 	pref    int32 // index of the preferred wave worker, -1 for none (see prefer)
 
@@ -331,18 +332,11 @@ func (e *Engine) runStages(stages []*dag.Stage, resultFn func(int, []rdd.Row) (a
 	}
 	tasks := taskSlabs.take(n) // the passes address it by index
 	for _, st := range stages {
-		// A map stage's arena headers are one allocation, which the
-		// shuffle manager holds until the shuffle retires.
-		var cols []rdd.ColBuckets
 		if st.OutDep != nil {
 			e.Shuffle.Register(st.OutDep.ShuffleID, st.NumTasks(), st.OutDep.Part.NumPartitions())
-			cols = make([]rdd.ColBuckets, st.NumTasks())
 		}
 		for split := 0; split < st.NumTasks(); split++ {
 			tasks = append(tasks, task{stage: st, split: split, idx: split})
-			if cols != nil {
-				tasks[len(tasks)-1].mapOut.Cols = &cols[split]
-			}
 		}
 	}
 	defer taskSlabs.put(tasks)
@@ -479,7 +473,7 @@ func (e *Engine) computeTask(t *task, workers []*cluster.Node, a *acct) error {
 	t.pref = e.prefer(t, workers)
 
 	if dep != nil {
-		cols := t.mapOut.Cols // the task's header, written in full
+		cols := &t.cols // written in full
 		if typed != nil {
 			err = a.kern.PartitionTypedCol(typed, dep.Part, dep.Agg, cols)
 		} else {
@@ -974,9 +968,9 @@ func (e *Engine) commitPass(stages []*dag.Stage, tasks []task, start float64, re
 			t.result = res
 		}
 		if e.Col != nil {
-			e.Col.AddTask(metrics.TaskMetric{
-				StageID: t.stage.ID, TaskID: t.split, Node: t.node.Name,
-				Start: t.start, End: t.end,
+			e.Col.AddTask(t.stage.ID, t.node.Name, metrics.TaskMetric{
+				TaskID: int32(t.split),
+				Start:  t.start, End: t.end,
 				InputBytes:        t.srcBytes + sumBytes(t.cacheBy),
 				ShuffleReadLocal:  local,
 				ShuffleReadRemote: remote,

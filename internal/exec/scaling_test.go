@@ -2,16 +2,17 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"chopper/internal/cluster"
 	"chopper/internal/core"
 	"chopper/internal/dag"
 	"chopper/internal/metrics"
 	"chopper/internal/rdd"
-	"chopper/internal/shuffle"
 	"chopper/internal/storage"
 	"chopper/internal/workloads"
 )
@@ -75,9 +76,9 @@ next:
 			return out
 		})
 		st := &dag.Stage{Final: src, OutDep: &rdd.ShuffleDep{P: src, Part: rdd.NewHashPartitioner(numReduce)}}
-		scratch, tk, hdr := new(acct), new(task), new(rdd.ColBuckets) // a task lives in the wave's slab, its header in the stage's
+		scratch, tk := new(acct), new(task) // a task, its arena header with it, lives in the wave's slab
 		run := func() {
-			*tk = task{stage: st, mapOut: shuffle.MapOutput{Cols: hdr}}
+			*tk = task{stage: st}
 			if err := e.computeTask(tk, workers, scratch); err != nil {
 				t.Fatal(err)
 			}
@@ -239,9 +240,9 @@ func TestTypedFoldTasksAllocateNoRows(t *testing.T) {
 			})
 			st = &dag.Stage{Final: fm, OutDep: &rdd.ShuffleDep{P: fm, Part: rdd.NewHashPartitioner(64), Agg: rdd.SumAggregator()}}
 		}
-		scratch, tk, hdr := new(acct), new(task), new(rdd.ColBuckets) // a task lives in the wave's slab, its header in the stage's
+		scratch, tk := new(acct), new(task) // a task, its arena header with it, lives in the wave's slab
 		return testing.AllocsPerRun(100, func() {
-			*tk = task{stage: st, mapOut: shuffle.MapOutput{Cols: hdr}}
+			*tk = task{stage: st}
 			if err := e.computeTask(tk, workers, scratch); err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +271,7 @@ func TestTypedFoldTasksAllocateNoRows(t *testing.T) {
 // order-scan shape — a GenerateFloatPairs source, a filter and a map by
 // MapFloatPairs, SumByKey's map-side combine — at its map output: the
 // arena's three objects (its key and value segments and its non-empty
-// bucket table; the header is in its stage's slab) and the payload sizes
+// bucket table; the header is in its task) and the payload sizes
 // computeTask records, the same four objects at 1k and 20k rows. The
 // source, the filter and the map compute into the worker's reused column
 // blocks, and the generator's emit func comes from a pool.
@@ -288,9 +289,9 @@ func TestWarmOrderScanAllocatesOnlyItsMapOutput(t *testing.T) {
 			MapFloatPairs("filter", 0.4, func(k int, v float64) (int, float64, bool) { return k, v, v >= 20 }).
 			MapFloatPairs("projectOrder", 8.0, func(k int, v float64) (int, float64, bool) { return k, v, true })
 		st := &dag.Stage{Final: mapped, OutDep: &rdd.ShuffleDep{P: mapped, Part: rdd.NewHashPartitioner(8), Agg: rdd.SumAggregator()}}
-		scratch, tk, hdr := new(acct), new(task), new(rdd.ColBuckets) // a task lives in the wave's slab, its header in the stage's
+		scratch, tk := new(acct), new(task) // a task, its arena header with it, lives in the wave's slab
 		return testing.AllocsPerRun(100, func() {
-			*tk = task{stage: st, mapOut: shuffle.MapOutput{Cols: hdr}}
+			*tk = task{stage: st}
 			if err := e.computeTask(tk, workers, scratch); err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +338,7 @@ func TestWarmPageRankIterationAllocatesOnlyItsMapOutput(t *testing.T) {
 		in := summed.Deps[0].(*rdd.ShuffleDep)
 		in.ShuffleID = 1
 		e.Shuffle.Register(1, 1, 1)
-		mapTask := &task{stage: &dag.Stage{Final: prev, OutDep: in}, mapOut: shuffle.MapOutput{Cols: new(rdd.ColBuckets)}}
+		mapTask := &task{stage: &dag.Stage{Final: prev, OutDep: in}}
 		if err := e.computeTask(mapTask, workers, new(acct)); err != nil {
 			t.Fatal(err)
 		}
@@ -351,9 +352,9 @@ func TestWarmPageRankIterationAllocatesOnlyItsMapOutput(t *testing.T) {
 			}
 		})
 		st := &dag.Stage{Final: contribs, OutDep: &rdd.ShuffleDep{P: contribs, Part: part, Agg: rdd.SumAggregator()}}
-		scratch, tk, hdr := new(acct), new(task), new(rdd.ColBuckets) // a task lives in the wave's slab, its header in the stage's
+		scratch, tk := new(acct), new(task) // a task, its arena header with it, lives in the wave's slab
 		return testing.AllocsPerRun(100, func() {
-			*tk = task{stage: st, mapOut: shuffle.MapOutput{Cols: hdr}}
+			*tk = task{stage: st}
 			if err := e.computeTask(tk, workers, scratch); err != nil {
 				t.Fatal(err)
 			}
@@ -407,5 +408,72 @@ func TestTuneGridJobTaskCost(t *testing.T) {
 	t.Logf("%v objects over %d tasks: %.3f per task", objs, tasks, objs/float64(tasks))
 	if objs/float64(tasks) > maxObjects {
 		t.Errorf("%v objects over %d simulated tasks: %.3f per task, want at most %v", objs, tasks, objs/float64(tasks), maxObjects)
+	}
+}
+
+// Sinks keep the reference allocations below from being optimised away.
+var (
+	sinkIndex []int32
+	sinkInts  []int64
+	sinkF64   []float64
+	sinkPtrs  []*int
+)
+
+// TestMapStageBytesPerTask pins what a warm map stage keeps per task
+// beyond its arena's segments: the shuffle manager's record of the task
+// and the pointer to it, the collector's TaskMetric and the task's payload
+// sizes — 240 bytes on 64-bit targets (152 + 8 + 64 + 16). Each task
+// reads two int-keyed rows from the cache and writes them to two buckets.
+// A stage of 1,024 tasks and one of 2,048 are compared, so the per-stage
+// constants cancel and every slab is whole pages but the record pointers',
+// which is a small object with a malloc header: its growth is measured on
+// a slab of as many pointers. On 64-bit targets the test also checks the
+// sizes of the arena header, the task metric and an index entry.
+func TestMapStageBytesPerTask(t *testing.T) {
+	ptr := unsafe.Sizeof(uintptr(0))
+	want := 160.0 // 4-byte pointers: an 80-byte record, the rest alike
+	if ptr == 8 {
+		want = 232
+		for _, c := range []struct {
+			what      string
+			got, want uintptr
+		}{
+			{"arena header rdd.ColBuckets", unsafe.Sizeof(rdd.ColBuckets{}), 112},
+			{"metrics.TaskMetric", unsafe.Sizeof(metrics.TaskMetric{}), 64},
+			{"index entry rdd.BlockRef", unsafe.Sizeof(rdd.BlockRef{}), 8},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s is %d bytes, want %d", c.what, c.got, c.want)
+			}
+		}
+	}
+	stageBytes := func(tasks int) float64 {
+		e := testEngine()
+		e.ComputeWorkers = 1 // one worker scratch, taken and put back alike every run
+		workers := e.aliveSnapshot()
+		base := e.Ctx.Generate("base", tasks, 1<<20, nil).Cache()
+		for split := 0; split < tasks; split++ {
+			key := storage.CacheKey{RDD: base.ID, Split: split, Of: tasks}
+			e.Cache.Put(key, workers[split%len(workers)].Name, 1<<10, []rdd.Row{rdd.Pair{K: 0, V: 1.0}, rdd.Pair{K: 1, V: 2.0}})
+		}
+		st := &dag.Stage{ID: 1, Final: base, OutDep: &rdd.ShuffleDep{P: base, ShuffleID: 1, Part: rdd.NewHashPartitioner(64)}}
+		return bytesPerRun(5, func() {
+			if _, err := e.runStages([]*dag.Stage{st}, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// One task's arena segments: its bucket table over two buckets and its
+	// key and value segments of two pairs.
+	segments := bytesPerRun(100, func() {
+		sinkIndex, sinkInts, sinkF64 = make([]int32, 5), make([]int64, 2), make([]float64, 2)
+	})
+	ptrs := func(n int) float64 { return bytesPerRun(100, func() { sinkPtrs = make([]*int, n) }) }
+	perTask := (stageBytes(2048) - stageBytes(1024)) / 1024
+	pointers := (ptrs(2048) - ptrs(1024)) / 1024
+	got := perTask - segments - pointers
+	t.Logf("%.3f bytes per map task: %.0f arena segments, %.3f the record pointer's slab, %.3f the rest", perTask, segments, pointers, got)
+	if math.Abs(got-want) > 1e-6 { // the averages over runs are exact to far below a byte
+		t.Errorf("a warm map stage keeps %.3f bytes per task beyond its arena's segments and the record pointers, want %v", got, want)
 	}
 }

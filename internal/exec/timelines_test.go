@@ -47,7 +47,7 @@ func TestDerivedTimelinesMatchEagerRecorders(t *testing.T) {
 		overlapped = overlapped || i > 0 && st.Start == stages[i-1].Start
 		for _, tm := range st.Tasks {
 			cpu.Add(tm.Start, tm.End, 1)
-			nodes[tm.Node] = true
+			nodes[h.col.TaskNode(&tm)] = true
 			if ws := float64(tm.InputBytes + tm.ShuffleReadLocal + tm.ShuffleReadRemote); ws > 0 {
 				work.Add(tm.Start, tm.End, ws)
 			}

@@ -132,7 +132,7 @@ func (f *fixedJoin) Run(ctx *rdd.Context, inputBytes int64) (workloads.Result, e
 	orders := ctx.Generate("ordersFixed", 0, inputBytes, func(split, total int) []rdd.Row {
 		var rows []rdd.Row
 		for i := split; i < s.Orders; i += total {
-			cust := workloads.ZipfIndexForTest(s.Seed, int64(i), s.Customers)
+			cust := workloads.ZipfIndex(s.Seed, int64(i), s.Customers)
 			rows = append(rows, rdd.Pair{K: cust, V: 1.0})
 		}
 		return rows

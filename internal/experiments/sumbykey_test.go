@@ -52,7 +52,7 @@ func (s *sumShape) runSQL(ctx *rdd.Context, inputBytes int64) ([]rdd.Row, error)
 	ord := ctx.Generate("orders", 0, inputBytes*3/4, func(split, total int) []rdd.Row {
 		var rows []rdd.Row
 		for i := split; i < orders; i += total {
-			rows = append(rows, rdd.Pair{K: workloads.ZipfIndexForTest(5, int64(i), customers), V: 10 + 0.37*float64(i%997)})
+			rows = append(rows, rdd.Pair{K: workloads.ZipfIndex(5, int64(i), customers), V: 10 + 0.37*float64(i%997)})
 		}
 		return rows
 	})

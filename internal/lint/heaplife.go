@@ -2,15 +2,16 @@
 // for generation-scoped shuffle memory. Views handed out by
 // shuffle.Manager.ReduceInput (and the reduce-major index they are
 // sub-slices of) alias the map tasks' columnar arenas and are only valid
-// until the shuffle generation retires; so do the []rdd.BlockRef that
+// until the shuffle generation retires; so do the rdd.Refs that
 // ReduceView.Refs returns, the zero-copy form the reduce kernels read in
-// place, and every ref or slice derived from them. Retaining one in a
+// place, and every slice derived from them. (A single rdd.BlockRef copied
+// out of them is a map task and a position, pure data holding no arena.) Retaining one in a
 // heap-lived structure — a struct field, a channel, a goroutine-captured
 // closure — outlives memory RetireExcept releases; handing the refs to a
 // kernel call is the intended use. (ReduceNodeBytes is not a source: its
 // profile is copied out per call and owned by the caller.) A view written
 // through an out parameter — ReduceView.BlockInto(i, &dst),
-// ColBuckets.BlockInto and BucketInto, BlockRef.Into — taints dst, and
+// ColBuckets.BlockInto and BucketInto, Refs.Into — taints dst, and
 // writing it straight into a heap-lived location is itself an escape. The rule
 // runs a flow-sensitive taint analysis per function on the SSA-lite CFG (the
 // copyescape lattice with inverted polarity): arena-derived values taint
@@ -52,17 +53,18 @@ var lifeSourceMethods = map[string]bool{
 // lifeOutMethods are the view writers: each fills its last argument, a
 // *ColBlock, with a view aliasing the arena, keyed by receiver type name
 // (the shuffle package's ReduceView, the rdd package's ColBuckets and
-// BlockRef).
+// Refs).
 var lifeOutMethods = map[string]map[string]bool{
 	"ReduceView": {"BlockInto": true},
 	"ColBuckets": {"BlockInto": true, "BucketInto": true},
-	"BlockRef":   {"Into": true},
+	"Refs":       {"Into": true},
 }
 
 // lifeSourceFields are the generation-owned state fields themselves
 // (reachable only inside the shuffle package, which maintains them).
 var lifeSourceFields = map[string]bool{
 	"outputs": true,
+	"arenas":  true,
 	"blocks":  true,
 }
 

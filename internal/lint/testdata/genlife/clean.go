@@ -62,11 +62,22 @@ func mergeRefs(w *rdd.Scratch, v ReduceView) []rdd.Row {
 	return w.MergeReduceRefs(v.Refs(), nil)
 }
 
-// countPairs reads the refs' sizes into a local sum.
-func countPairs(v ReduceView) int {
+// countPositions reads the refs' entries, pure values, into a local sum.
+func countPositions(v ReduceView) int {
 	n := 0
-	for _, r := range v.Refs() {
-		n += r.Len()
+	for _, b := range v.Refs().Blocks {
+		n += int(b.Pos)
 	}
 	return n
+}
+
+// entryKeeper is a heap-lived holder of one index entry.
+type entryKeeper struct {
+	first rdd.BlockRef
+}
+
+// keepFirst retains one index entry: a copy of its map task and position,
+// which names the block without holding its arena.
+func (k *entryKeeper) keepFirst(v ReduceView) {
+	k.first = v.Refs().Blocks[0]
 }

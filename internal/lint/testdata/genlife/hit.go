@@ -78,18 +78,18 @@ func (s *arenaSink) retainArena(m *Manager, reduce int) {
 // writing map tasks' arenas.
 type ReduceView struct {
 	blocks []ColView
-	refs   []rdd.BlockRef
+	refs   rdd.Refs
 }
 
 func (v ReduceView) BlockInto(i int, dst *ColView) { *dst = v.blocks[i] }
 
-func (v ReduceView) Refs() []rdd.BlockRef { return v.refs }
+func (v ReduceView) Refs() rdd.Refs { return v.refs }
 
 // keeper is a heap-lived consumer of one block.
 type keeper struct {
 	col  []float64
 	blk  ColView
-	refs []rdd.BlockRef
+	kept []*rdd.ColBuckets
 	view rdd.ColBlock
 }
 
@@ -113,14 +113,14 @@ func (k *keeper) keepArenaBlock(c *rdd.ColBuckets) {
 	k.col = b.F64
 }
 
-// keepRefs keeps a partition's refs, resliced, in a heap-lived field: the
-// refs hold the arenas retirement releases.
+// keepRefs keeps a partition's refs' arenas, resliced, in a heap-lived
+// field: retirement releases them.
 func (k *keeper) keepRefs(v ReduceView) {
 	refs := v.Refs()
-	k.refs = refs[1:]
+	k.kept = refs.Arenas[1:]
 }
 
-// fillFromRef has a ref write its view straight into a heap-lived field.
+// fillFromRef has the refs write a view straight into a heap-lived field.
 func (k *keeper) fillFromRef(v ReduceView) {
-	v.Refs()[0].Into(&k.view)
+	v.Refs().Into(0, &k.view)
 }

@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,13 +16,15 @@ import (
 	"chopper/internal/simclock"
 )
 
-// TaskMetric records one executed task.
+// TaskMetric records one executed task. A collector keeps one per
+// simulated task, so it is 64 bytes on 64-bit targets: its stage is the
+// StageMetric holding it, and its node an index into the collector's node
+// names (Collector.TaskNode).
 type TaskMetric struct {
-	StageID int
-	TaskID  int
-	Node    string
-	Start   float64
-	End     float64
+	TaskID int32
+	node   int32
+	Start  float64
+	End    float64
 
 	InputBytes        int64 // logical bytes read from source or cache
 	ShuffleReadLocal  int64
@@ -72,6 +75,10 @@ type Collector struct {
 
 	stages []*StageMetric
 	open   map[int]*StageMetric
+	// nodes are the task nodes, in first-seen order, in nodeBuf while they
+	// fit (a collector per run then costs no allocation for them).
+	nodes   []string
+	nodeBuf [8]string
 	// packetBytes and diskTxBytes are CostParams.PacketBytes and
 	// DiskTransactionBytes as last given to AddTask: they size packets and
 	// disk transactions.
@@ -84,7 +91,9 @@ type Collector struct {
 
 // NewCollector creates an empty collector for one run.
 func NewCollector(workload, mode string) *Collector {
-	return &Collector{Workload: workload, Mode: mode, open: map[int]*StageMetric{}}
+	c := &Collector{Workload: workload, Mode: mode, open: map[int]*StageMetric{}}
+	c.nodes = c.nodeBuf[:0]
+	return c
 }
 
 // BeginStage opens a stage record.
@@ -118,21 +127,35 @@ func (c *Collector) EndStage(id int, end float64) {
 	}
 }
 
-// AddTask records a finished task into its open stage. The resource
-// timelines are not fed here: they are queries over these records.
-func (c *Collector) AddTask(tm TaskMetric, params *cluster.CostParams) {
+// AddTask records a task of stage stageID that ran on node into the open
+// stage. The resource timelines are not fed here: they are queries over
+// these records.
+func (c *Collector) AddTask(stageID int, node string, tm TaskMetric, params *cluster.CostParams) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.open[tm.StageID]
+	st, ok := c.open[stageID]
 	if !ok {
-		panic(fmt.Sprintf("metrics: task for unknown stage %d", tm.StageID))
+		panic(fmt.Sprintf("metrics: task for unknown stage %d", stageID))
 	}
+	n := slices.Index(c.nodes, node) // a handful of nodes
+	if n < 0 {
+		n = len(c.nodes)
+		c.nodes = append(c.nodes, node)
+	}
+	tm.node = int32(n)
 	st.Tasks = append(st.Tasks, tm)
 	st.InputBytes += tm.InputBytes
 	st.ShuffleRead += tm.ShuffleReadLocal + tm.ShuffleReadRemote
 	st.ShuffleWrite += tm.ShuffleWrite
 
 	c.packetBytes, c.diskTxBytes = params.PacketBytes, params.DiskTransactionBytes
+}
+
+// TaskNode reports the node a recorded task ran on.
+func (c *Collector) TaskNode(tm *TaskMetric) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nodes[tm.node]
 }
 
 // timeline replays the recorded tasks into an interval recorder, each

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"chopper/internal/cluster"
@@ -14,8 +15,8 @@ func params() *cluster.CostParams { p := cluster.DefaultCostParams(); return &p 
 func TestStageLifecycle(t *testing.T) {
 	c := NewCollector("kmeans", "spark")
 	c.BeginStage(0, "sig0", "scan", "hash", 4, 0)
-	c.AddTask(TaskMetric{StageID: 0, TaskID: 0, Node: "A", Start: 0, End: 5, InputBytes: 100, Records: 10}, params())
-	c.AddTask(TaskMetric{StageID: 0, TaskID: 1, Node: "B", Start: 0, End: 7, ShuffleWrite: 50}, params())
+	c.AddTask(0, "A", TaskMetric{TaskID: 0, Start: 0, End: 5, InputBytes: 100, Records: 10}, params())
+	c.AddTask(0, "B", TaskMetric{TaskID: 1, Start: 0, End: 7, ShuffleWrite: 50}, params())
 	c.EndStage(0, 7)
 
 	stages := c.Stages()
@@ -53,7 +54,7 @@ func TestStageMisusePanics(t *testing.T) {
 	mustPanic("unknown end", func() { c.EndStage(5, 1) })
 	mustPanic("task for closed stage", func() {
 		c.EndStage(1, 1)
-		c.AddTask(TaskMetric{StageID: 1}, params())
+		c.AddTask(1, "", TaskMetric{}, params())
 	})
 }
 
@@ -77,7 +78,7 @@ func TestCPUSeries(t *testing.T) {
 	c.BeginStage(0, "s", "n", "hash", 2, 0)
 	// 4 cores busy for the whole 10s horizon => 50% utilization.
 	for i := 0; i < 4; i++ {
-		c.AddTask(TaskMetric{StageID: 0, TaskID: i, Node: "w0", Start: 0, End: 10}, params())
+		c.AddTask(0, "w0", TaskMetric{TaskID: int32(i), Start: 0, End: 10}, params())
 	}
 	c.EndStage(0, 10)
 	s := c.CPUSeries(topo, 5)
@@ -138,8 +139,8 @@ func TestNetSeriesCountsRemoteOnly(t *testing.T) {
 	p := params()
 	c := NewCollector("w", "spark")
 	c.BeginStage(0, "s", "n", "hash", 1, 0)
-	c.AddTask(TaskMetric{StageID: 0, Start: 0, End: 10, ShuffleReadLocal: 1500000}, p)
-	c.AddTask(TaskMetric{StageID: 0, TaskID: 1, Start: 0, End: 10, ShuffleReadRemote: 1500 * 100}, p)
+	c.AddTask(0, "", TaskMetric{Start: 0, End: 10, ShuffleReadLocal: 1500000}, p)
+	c.AddTask(0, "", TaskMetric{TaskID: 1, Start: 0, End: 10, ShuffleReadRemote: 1500 * 100}, p)
 	c.EndStage(0, 10)
 	s := c.NetSeries(10)
 	// 100 packets remote, doubled for tx+rx, over 10s = 20 packets/s.
@@ -152,7 +153,7 @@ func TestDiskSeries(t *testing.T) {
 	p := params()
 	c := NewCollector("w", "spark")
 	c.BeginStage(0, "s", "n", "hash", 1, 0)
-	c.AddTask(TaskMetric{StageID: 0, Start: 0, End: 4, InputBytes: 64 * 1024 * 40}, p)
+	c.AddTask(0, "", TaskMetric{Start: 0, End: 4, InputBytes: 64 * 1024 * 40}, p)
 	c.EndStage(0, 4)
 	s := c.DiskSeries(4)
 	if len(s.Values) != 1 || !almost(s.Values[0], 10) {
@@ -163,7 +164,7 @@ func TestDiskSeries(t *testing.T) {
 func TestTotalShuffle(t *testing.T) {
 	c := NewCollector("w", "spark")
 	c.BeginStage(0, "s", "n", "hash", 1, 0)
-	c.AddTask(TaskMetric{StageID: 0, ShuffleReadLocal: 5, ShuffleReadRemote: 7, ShuffleWrite: 11, Start: 0, End: 1}, params())
+	c.AddTask(0, "", TaskMetric{ShuffleReadLocal: 5, ShuffleReadRemote: 7, ShuffleWrite: 11, Start: 0, End: 1}, params())
 	c.EndStage(0, 1)
 	r, w := c.TotalShuffle()
 	if r != 12 || w != 11 {
@@ -188,10 +189,10 @@ func TestCPUSeriesByNode(t *testing.T) {
 	c.BeginStage(0, "s", "n", "hash", 3, 0)
 	// w0: 4 cores busy, w1: 2 cores busy over [0,10).
 	for i := 0; i < 4; i++ {
-		c.AddTask(TaskMetric{StageID: 0, TaskID: i, Node: "w0", Start: 0, End: 10}, params())
+		c.AddTask(0, "w0", TaskMetric{TaskID: int32(i), Start: 0, End: 10}, params())
 	}
 	for i := 4; i < 6; i++ {
-		c.AddTask(TaskMetric{StageID: 0, TaskID: i, Node: "w1", Start: 0, End: 10}, params())
+		c.AddTask(0, "w1", TaskMetric{TaskID: int32(i), Start: 0, End: 10}, params())
 	}
 	c.EndStage(0, 10)
 	byNode := c.CPUSeriesByNode(topo, 10)
@@ -283,7 +284,7 @@ func (c *Collector) CPUSeriesByNode(topo *cluster.Topology, step float64) map[st
 	h := c.horizon()
 	out := map[string]Series{}
 	for _, n := range topo.Workers() {
-		vals := c.timeline(busyCores(n.Name)).BucketMean(h, step)
+		vals := c.timeline(c.busyCores(n.Name)).BucketMean(h, step)
 		for i := range vals {
 			vals[i] = 100 * vals[i] / float64(n.Cores)
 		}
@@ -298,7 +299,7 @@ func (c *Collector) LoadImbalance(topo *cluster.Topology) float64 {
 	busy := map[string]float64{}
 	for _, st := range c.Stages() {
 		for _, tm := range st.Tasks {
-			busy[tm.Node] += tm.End - tm.Start
+			busy[c.TaskNode(&tm)] += tm.End - tm.Start
 		}
 	}
 	max, sum := 0.0, 0.0
@@ -314,9 +315,12 @@ func (c *Collector) LoadImbalance(topo *cluster.Topology) float64 {
 
 // busyCores weighs each task as one busy core; node restricts the timeline
 // to one worker ("" for the whole cluster).
-func busyCores(node string) func(*TaskMetric) float64 {
+func (c *Collector) busyCores(node string) func(*TaskMetric) float64 {
+	c.mu.Lock()
+	n := int32(slices.Index(c.nodes, node))
+	c.mu.Unlock()
 	return func(tm *TaskMetric) float64 {
-		if node != "" && tm.Node != node {
+		if node != "" && tm.node != n {
 			return 0
 		}
 		return 1

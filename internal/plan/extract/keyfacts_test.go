@@ -151,7 +151,7 @@ func TestKeyFactsLattice(t *testing.T) {
 		t.Errorf("sql cogroup: got deps=%q, want ss", cg.DepKinds)
 	}
 
-	// sql: the orders source's key is data-dependent (zipfIndex of the row
+	// sql: the orders source's key is data-dependent (ZipfIndex of the row
 	// index, the key its generator emits), and the filter and projectOrder
 	// closures, which return their key parameter, preserve its provenance
 	// verbatim.

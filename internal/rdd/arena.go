@@ -4,8 +4,9 @@
 // append-only typed segments — []int64 keys, []float64 for unboxed F64
 // aggregator state, []any where values must stay boxed — partitioned
 // bucket-major so the reduce side slices its view out of the arena without
-// copying a single pair. The reduce kernels take each block as a BlockRef —
-// its arena and position — and slice the segments in place.
+// copying a single pair. The reduce kernels take the blocks as Refs — per
+// block its map task and position, the arenas once per map task — and
+// slice the segments in place.
 //
 // The contract mirrors the boxed tier (split.go) exactly: same per-bucket
 // order (input order without combine, first-occurrence key order with
@@ -38,8 +39,8 @@
 // Ownership: a ColBuckets arena belongs to one (shuffle, map task); the
 // shuffle manager holds it until the generation retires, then drops every
 // reference at once — whole-arena frees instead of per-pair garbage. The
-// genlife lint rule enforces the reader-side contract: a ColBlock view or a
-// BlockRef is valid only within its shuffle generation and must be
+// genlife lint rule enforces the reader-side contract: a ColBlock view or
+// Refs are valid only within their shuffle generation and must be
 // deep-copied before being retained anywhere heap-lived.
 package rdd
 
@@ -137,40 +138,67 @@ func (c *ColBlock) AppendPairs(dst []Pair) []Pair {
 // bucket not listed is empty. Readers that walk the arena address buckets
 // by position (BlockInto, BlockLogicalBytes); the by-id accessors
 // (BucketInto, BucketLen, LogicalBytes) binary-search the ids.
+//
+// The header is 112 bytes on 64-bit targets: the shuffle manager keeps one
+// per map task until the shuffle retires, so every word counts once per
+// task.
 type ColBuckets struct {
+	// index holds the k non-empty buckets' ids, ascending, then where each
+	// starts, the total closing the starts: 2k+1 int32 in one allocation.
+	// It is nil in the segment-less arena of a map task without rows.
+	index []int32
+	ints  []int64
+	f64   []float64
+	anys  []any
+	boxed *[][]Pair // by reduce bucket (ColNone)
+	// buckets is the reduce-partition count, packed beside the kind.
+	buckets int32
 	kind    ColKind
-	buckets int // the reduce-partition count
-	// ids and starts hold the non-empty buckets and where each starts,
-	// the total closing the starts; a columnar arena keeps both in one
-	// allocation of 2·len(ids)+1 int32. Both are nil in the segment-less
-	// arena of a map task without rows.
-	ids    []int32
-	starts []int32
-	ints   []int64
-	f64    []float64
-	anys   []any
-	boxed  [][]Pair // by reduce bucket (ColNone)
 }
 
 // NumBuckets reports the reduce-partition count the arena was built for.
-func (a *ColBuckets) NumBuckets() int { return a.buckets }
+func (a *ColBuckets) NumBuckets() int { return int(a.buckets) }
 
 // Len reports the total number of pairs in the arena.
 func (a *ColBuckets) Len() int {
-	if a.starts == nil {
+	if a.index == nil {
 		return 0
 	}
-	return int(a.starts[len(a.starts)-1])
+	return int(a.index[len(a.index)-1])
 }
 
 // NonEmpty reports the ids of the buckets holding at least one pair,
 // ascending: entry i is the bucket at position i. The slice is the arena's
 // own (capacity-clamped), to be read and never written.
-func (a *ColBuckets) NonEmpty() []int32 { return a.ids }
+func (a *ColBuckets) NonEmpty() []int32 {
+	k := len(a.index) / 2
+	return a.index[:k:k]
+}
+
+// span returns the slot range of the bucket at position i.
+func (a *ColBuckets) span(i int) (lo, hi int) {
+	s := a.index[len(a.index)/2+i:]
+	return int(s[0]), int(s[1])
+}
 
 // position finds bucket b among the non-empty ones.
 func (a *ColBuckets) position(b int) (int, bool) {
-	return slices.BinarySearch(a.ids, int32(b))
+	return slices.BinarySearch(a.NonEmpty(), int32(b))
+}
+
+// boxedBuckets returns the boxed tier's buckets a ColNone arena carries,
+// nil for a columnar or segment-less one.
+func (a *ColBuckets) boxedBuckets() [][]Pair {
+	if a.boxed == nil {
+		return nil
+	}
+	return *a.boxed
+}
+
+// boxedBucket returns the boxed pairs of the bucket at position i
+// (ColNone).
+func (a *ColBuckets) boxedBucket(i int) []Pair {
+	return (*a.boxed)[a.index[i]]
 }
 
 // BucketLen reports the number of pairs in bucket b.
@@ -179,7 +207,8 @@ func (a *ColBuckets) BucketLen(b int) int {
 	if !ok {
 		return 0
 	}
-	return int(a.starts[i+1] - a.starts[i])
+	lo, hi := a.span(i)
+	return hi - lo
 }
 
 // BucketInto writes the zero-copy view of reduce bucket b into dst in
@@ -198,7 +227,7 @@ func (a *ColBuckets) BucketInto(b int, dst *ColBlock) {
 // NonEmpty()[i] — into dst, fully overwriting it.
 func (a *ColBuckets) BlockInto(i int, dst *ColBlock) {
 	*dst = ColBlock{Kind: a.kind}
-	lo, hi := a.starts[i], a.starts[i+1]
+	lo, hi := a.span(i)
 	switch a.kind {
 	case ColIntF64:
 		dst.Int = a.ints[lo:hi:hi]
@@ -207,37 +236,45 @@ func (a *ColBuckets) BlockInto(i int, dst *ColBlock) {
 		dst.Int = a.ints[lo:hi:hi]
 		dst.Any = a.anys[lo:hi:hi]
 	default:
-		dst.Pairs = a.boxed[a.ids[i]]
+		dst.Pairs = a.boxedBucket(i)
 	}
 }
 
-// BlockRef names one non-empty bucket of an arena by its position: what a
-// reduce merge reads in place, slicing the arena's segments between the
-// bucket's starts, with no ColBlock header per block. The shuffle's reduce
-// index holds one per block that has a pair and hands a reduce partition's
-// out as shuffle.ReduceView.Refs. A ref aliases its arena, so it is valid
-// only while the owning shuffle generation is live (see ColBlock).
+// BlockRef names one non-empty block of a shuffle: the map task whose
+// arena holds it (an index into its Refs' Arenas) and the block's position
+// in that arena. It is 8 bytes and holds no pointer: the shuffle's reduce
+// index keeps one per block that has a pair, and the arenas once per map
+// task.
 type BlockRef struct {
-	a   *ColBuckets
-	pos int32
+	Map, Pos int32
 }
 
-// Ref returns the ref of the bucket at position i, bucket NonEmpty()[i].
-func (a *ColBuckets) Ref(i int) BlockRef { return BlockRef{a: a, pos: int32(i)} }
-
-// Len reports the number of pairs in the referenced block.
-func (r BlockRef) Len() int {
-	lo, hi := r.bounds()
-	return hi - lo
+// Refs is a list of blocks by reference, what a reduce merge reads in
+// place, slicing the arenas' segments between each block's starts, with no
+// ColBlock header per block: shuffle.ReduceView.Refs hands a reduce
+// partition's out, over its shuffle's arenas. Refs alias the arenas, so
+// they are valid only while the owning shuffle generation is live (see
+// ColBlock).
+type Refs struct {
+	// Arenas are the map tasks' arenas, by map task.
+	Arenas []*ColBuckets
+	// Blocks are the referenced blocks, in merge order.
+	Blocks []BlockRef
 }
 
-// Into writes the referenced block's view into dst, fully overwriting it:
-// its arena's BlockInto at its position.
-func (r BlockRef) Into(dst *ColBlock) { r.a.BlockInto(int(r.pos), dst) }
+// block returns block i's arena and slot range.
+func (r Refs) block(i int) (a *ColBuckets, lo, hi int) {
+	b := r.Blocks[i]
+	a = r.Arenas[b.Map]
+	lo, hi = a.span(int(b.Pos))
+	return a, lo, hi
+}
 
-// bounds returns the block's slot range in its arena's segments.
-func (r BlockRef) bounds() (lo, hi int) {
-	return int(r.a.starts[r.pos]), int(r.a.starts[r.pos+1])
+// Into writes block i's view into dst, fully overwriting it: its arena's
+// BlockInto at its position.
+func (r Refs) Into(i int, dst *ColBlock) {
+	b := r.Blocks[i]
+	r.Arenas[b.Map].BlockInto(int(b.Pos), dst)
 }
 
 // LogicalBytes is LogicalPairsBytes for bucket b: the same per-pair sizes
@@ -253,7 +290,7 @@ func (a *ColBuckets) LogicalBytes(b int, scale float64) float64 {
 
 // BlockLogicalBytes is LogicalBytes for the bucket at position i.
 func (a *ColBuckets) BlockLogicalBytes(i int, scale float64) float64 {
-	lo, hi := int(a.starts[i]), int(a.starts[i+1])
+	lo, hi := a.span(i)
 	total := 0.0
 	switch a.kind {
 	case ColIntF64:
@@ -270,7 +307,7 @@ func (a *ColBuckets) BlockLogicalBytes(i int, scale float64) float64 {
 			total += bb
 		}
 	default:
-		return LogicalPairsBytes(a.boxed[a.ids[i]], scale)
+		return LogicalPairsBytes(a.boxedBucket(i), scale)
 	}
 	return total
 }
@@ -280,14 +317,21 @@ func (a *ColBuckets) BlockLogicalBytes(i int, scale float64) float64 {
 // arena whichever tier wrote it: the view of a non-empty bucket b is
 // buckets[b] itself.
 func boxedArena(a *ColBuckets, buckets [][]Pair) {
-	*a = ColBuckets{buckets: len(buckets), starts: []int32{0}, boxed: buckets}
-	for b, pairs := range buckets {
+	k := 0
+	for _, pairs := range buckets {
 		if len(pairs) > 0 {
-			a.ids = append(a.ids, int32(b))
-			a.starts = append(a.starts, a.starts[len(a.starts)-1]+int32(len(pairs)))
+			k++
 		}
 	}
-	a.ids = slices.Clip(a.ids)
+	t := make([]int32, 2*k+1)
+	i := 0
+	for b, pairs := range buckets {
+		if len(pairs) > 0 {
+			t[i], t[k+i+1] = int32(b), t[k+i]+int32(len(pairs))
+			i++
+		}
+	}
+	*a = ColBuckets{buckets: int32(len(buckets)), index: t, boxed: &buckets}
 }
 
 // kernelScratch is the working set of one combine, merge or cogroup kernel
@@ -522,7 +566,7 @@ func (s *kernelScratch) layout(a *ColBuckets, n int, bucketOf []int32) {
 		pos, cur[b] = pos+cur[b], pos
 	}
 	starts[k] = pos
-	*a = ColBuckets{buckets: n, ids: ids, starts: starts}
+	*a = ColBuckets{buckets: int32(n), index: t}
 }
 
 // sortedSlots returns the scratch's sort index holding the slots of keys
@@ -551,7 +595,7 @@ func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets,
 	if err := (*Scratch)(nil).PartitionPairsInto(rows, p, agg, cols); err != nil {
 		return nil, nil, err
 	}
-	return cols, cols.boxed, nil
+	return cols, cols.boxedBuckets(), nil
 }
 
 // PartitionPairsInto is the map side of a shuffle: it routes one map
@@ -564,7 +608,7 @@ func PartitionPairsCol(rows []Row, p Partitioner, agg *Aggregator) (*ColBuckets,
 // every path.
 func (w *Scratch) PartitionPairsInto(rows []Row, p Partitioner, agg *Aggregator, dst *ColBuckets) error {
 	if len(rows) == 0 {
-		*dst = ColBuckets{buckets: p.NumPartitions()}
+		*dst = ColBuckets{buckets: int32(p.NumPartitions())}
 		return nil
 	}
 	if pr, ok := rows[0].(Pair); ok {
@@ -678,7 +722,7 @@ func (w *Scratch) PartitionTypedCol(blk *ColBlock, p Partitioner, agg *Aggregato
 		return w.PartitionPairsInto(blk.Rows(), p, agg, dst)
 	}
 	if len(blk.Int) == 0 {
-		*dst = ColBuckets{buckets: p.NumPartitions()}
+		*dst = ColBuckets{buckets: int32(p.NumPartitions())}
 		return nil
 	}
 	s := w.take(len(blk.Int))
@@ -789,13 +833,14 @@ func MergeReduceColN(n int, get func(int, *ColBlock), agg *Aggregator) []Row {
 }
 
 // viewRefs copies the non-empty views get writes into one slab of
-// one-bucket arenas and returns their refs, in order. Unlike the refs a
-// shuffle index hands out, these cost a few allocations per call.
-func viewRefs(n int, get func(int, *ColBlock)) []BlockRef {
+// arenas — view i the one bucket i of n of the i-th — and returns their
+// refs, in order. Unlike the refs a shuffle index hands out, these cost a
+// few allocations per call.
+func viewRefs(n int, get func(int, *ColBlock)) Refs {
 	arenas := make([]ColBuckets, n)
+	refs := Refs{Arenas: make([]*ColBuckets, n), Blocks: make([]BlockRef, 0, n)}
 	index := make([]int32, 3*n) // per arena its one id, then its starts
 	var boxed [][]Pair
-	refs := make([]BlockRef, 0, n)
 	var blk ColBlock
 	for i := range arenas {
 		get(i, &blk)
@@ -804,17 +849,18 @@ func viewRefs(n int, get func(int, *ColBlock)) []BlockRef {
 			continue
 		}
 		t := index[3*i : 3*i+3 : 3*i+3]
-		t[2] = int32(l)
+		t[0], t[2] = int32(i), int32(l)
 		a := &arenas[i]
-		*a = ColBuckets{kind: blk.Kind, buckets: 1, ids: t[:1:1], starts: t[1:], ints: blk.Int, f64: blk.F64, anys: blk.Any}
+		*a = ColBuckets{kind: blk.Kind, buckets: int32(n), index: t, ints: blk.Int, f64: blk.F64, anys: blk.Any}
 		if blk.Kind != ColIntF64 && blk.Kind != ColIntAny {
 			if boxed == nil {
 				boxed = make([][]Pair, n)
 			}
 			boxed[i] = blk.Pairs
-			a.boxed = boxed[i : i+1 : i+1]
+			a.boxed = &boxed
 		}
-		refs = append(refs, a.Ref(0))
+		refs.Arenas[i] = a
+		refs.Blocks = append(refs.Blocks, BlockRef{Map: int32(i)})
 	}
 	return refs
 }
@@ -826,9 +872,9 @@ func viewRefs(n int, get func(int, *ColBlock)) []BlockRef {
 // and no per-pair boxing until the once-per-key (or once-per-row, without
 // an aggregator) emission. Blocks of one columnar kind merge in that
 // kind's kernel; boxed (ColNone) or mixed blocks materialize into pairs
-// through BlockInto and take the boxed reference path, byte-identical by
+// through Into and take the boxed reference path, byte-identical by
 // construction. The engine hands it a shuffle.ReduceView's Refs.
-func (w *Scratch) MergeReduceRefs(refs []BlockRef, agg *Aggregator) []Row {
+func (w *Scratch) MergeReduceRefs(refs Refs, agg *Aggregator) []Row {
 	kind, total := refsKind(refs)
 	if total == 0 {
 		return []Row{} // non-nil, like the boxed merge of nothing
@@ -849,27 +895,28 @@ func (w *Scratch) MergeReduceRefs(refs []BlockRef, agg *Aggregator) []Row {
 // refsKind reports the kind the blocks share — ColNone when any of them is
 // boxed or their kinds differ — and their pair count: the sizing pass, a
 // sum over the arenas' starts.
-func refsKind(refs []BlockRef) (ColKind, int) {
+func refsKind(refs Refs) (ColKind, int) {
 	kind, total := ColNone, 0
-	for i, r := range refs {
-		total += r.Len()
+	for i := range refs.Blocks {
+		a, lo, hi := refs.block(i)
+		total += hi - lo
 		if i == 0 {
-			kind = r.a.kind
-		} else if r.a.kind != kind {
+			kind = a.kind
+		} else if a.kind != kind {
 			kind = ColNone
 		}
 	}
 	return kind, total
 }
 
-// materializeRefs boxes the blocks back into pair blocks through BlockInto
-// — the reference fallback for boxed and mixed kinds.
-func materializeRefs(refs []BlockRef) [][]Pair {
-	out := make([][]Pair, len(refs))
+// materializeRefs boxes the blocks back into pair blocks through Into — the
+// reference fallback for boxed and mixed kinds.
+func materializeRefs(refs Refs) [][]Pair {
+	out := make([][]Pair, len(refs.Blocks))
 	var blk ColBlock
-	for i, r := range refs {
-		r.Into(&blk)
-		out[i] = blk.AppendPairs(make([]Pair, 0, r.Len()))
+	for i := range refs.Blocks {
+		refs.Into(i, &blk)
+		out[i] = blk.AppendPairs(make([]Pair, 0, blk.Len()))
 	}
 	return out
 }
@@ -882,14 +929,14 @@ func materializeRefs(refs []BlockRef) [][]Pair {
 // (foldRefsF64), and reports false, touching nothing, when agg lacks them.
 // Either way it boxes each emitted row once, keys ascending: the rows are
 // all it allocates.
-func mergeIntF64(s *kernelScratch, refs []BlockRef, agg *Aggregator, total int) ([]Row, bool) {
+func mergeIntF64(s *kernelScratch, refs Refs, agg *Aggregator, total int) ([]Row, bool) {
 	var order []int32
 	if agg == nil {
 		s.ints, s.f64s = slices.Grow(s.ints, total), slices.Grow(s.f64s, total)
-		for _, r := range refs {
-			lo, hi := r.bounds()
-			s.ints = append(s.ints, r.a.ints[lo:hi]...)
-			s.f64s = append(s.f64s, r.a.f64[lo:hi]...)
+		for i := range refs.Blocks {
+			a, lo, hi := refs.block(i)
+			s.ints = append(s.ints, a.ints[lo:hi]...)
+			s.f64s = append(s.f64s, a.f64[lo:hi]...)
 		}
 		order = stableKeyOrder(s, s.ints)
 	} else {
@@ -910,12 +957,12 @@ func mergeIntF64(s *kernelScratch, refs []BlockRef, agg *Aggregator, total int) 
 // pair order, first-occurrence key tracking. Per-key state lives in slot
 // arrays, so a repeated key costs one table probe and an array store. It
 // reports false, folding nothing, when agg lacks the hooks.
-func foldRefsF64(s *kernelScratch, refs []BlockRef, agg *Aggregator) bool {
+func foldRefsF64(s *kernelScratch, refs Refs, agg *Aggregator) bool {
 	if agg.MergeCombinersF64 != nil && agg.CreateF64 != nil {
-		for _, r := range refs {
-			lo, hi := r.bounds()
-			vals := r.a.f64[lo:hi]
-			for i, k := range r.a.ints[lo:hi] {
+		for b := range refs.Blocks {
+			a, lo, hi := refs.block(b)
+			vals := a.f64[lo:hi]
+			for i, k := range a.ints[lo:hi] {
 				v := vals[i]
 				switch sl, ok := s.slotOf(k); {
 				case ok && agg.MapSideCombine:
@@ -937,21 +984,21 @@ func foldRefsF64(s *kernelScratch, refs []BlockRef, agg *Aggregator) bool {
 // mergeIntAny is the merge kernel of ColIntAny blocks: mergeIntF64 with
 // boxed values, folded through the aggregator's boxed hooks (the values
 // were boxed at the source, so the fold itself adds no new boxes).
-func mergeIntAny(s *kernelScratch, refs []BlockRef, agg *Aggregator, total int) []Row {
+func mergeIntAny(s *kernelScratch, refs Refs, agg *Aggregator, total int) []Row {
 	var order []int32
 	if agg == nil {
 		s.ints, s.anys = slices.Grow(s.ints, total), slices.Grow(s.anys, total)
-		for _, r := range refs {
-			lo, hi := r.bounds()
-			s.ints = append(s.ints, r.a.ints[lo:hi]...)
-			s.anys = append(s.anys, r.a.anys[lo:hi]...)
+		for i := range refs.Blocks {
+			a, lo, hi := refs.block(i)
+			s.ints = append(s.ints, a.ints[lo:hi]...)
+			s.anys = append(s.anys, a.anys[lo:hi]...)
 		}
 		order = stableKeyOrder(s, s.ints)
 	} else {
-		for _, r := range refs {
-			lo, hi := r.bounds()
-			vals := r.a.anys[lo:hi]
-			for i, k := range r.a.ints[lo:hi] {
+		for b := range refs.Blocks {
+			a, lo, hi := refs.block(b)
+			vals := a.anys[lo:hi]
+			for i, k := range a.ints[lo:hi] {
 				v := vals[i]
 				switch sl, ok := s.slotOf(k); {
 				case ok && agg.MapSideCombine:
@@ -992,7 +1039,7 @@ func stableKeyOrder(s *kernelScratch, keys []int64) []int32 {
 // the rows MergeReduceRefs returns — reusing dst's capacity, and reports
 // true. Otherwise it leaves dst as it was and reports false: the rows are
 // the reduce input. A warm call allocates nothing.
-func (w *Scratch) MergeTypedRefs(refs []BlockRef, agg *Aggregator, dst *ColBlock) bool {
+func (w *Scratch) MergeTypedRefs(refs Refs, agg *Aggregator, dst *ColBlock) bool {
 	if !agg.CombinesF64() {
 		return false
 	}

@@ -52,17 +52,33 @@ func mergeViews(blocks []*ColBlock, agg *Aggregator) []Row {
 }
 
 // bucketRefs returns the ref of bucket b of an arena, or none when b holds
-// nothing: what a reduce index lists of the arena for reduce partition b.
-func bucketRefs(cols *ColBuckets, b int) []BlockRef {
+// nothing, over the one arena: what a reduce index lists of the arena for
+// reduce partition b.
+func bucketRefs(cols *ColBuckets, b int) Refs {
+	refs := Refs{Arenas: []*ColBuckets{cols}}
 	if i, ok := cols.position(b); ok {
-		return []BlockRef{cols.Ref(i)}
+		refs.Blocks = []BlockRef{{Pos: int32(i)}}
 	}
-	return nil
+	return refs
+}
+
+// joinRefs concatenates ref lists in order, each block keeping its own
+// arena: the refs a reduce index hands out over all their map tasks.
+func joinRefs(lists ...Refs) Refs {
+	var out Refs
+	for _, l := range lists {
+		base := int32(len(out.Arenas))
+		out.Arenas = append(out.Arenas, l.Arenas...)
+		for _, b := range l.Blocks {
+			out.Blocks = append(out.Blocks, BlockRef{Map: base + b.Map, Pos: b.Pos})
+		}
+	}
+	return out
 }
 
 // refsOf returns the refs of the non-empty blocks, in order, each in an
 // arena of its own.
-func refsOf(blocks []*ColBlock) []BlockRef {
+func refsOf(blocks []*ColBlock) Refs {
 	return viewRefs(len(blocks), func(i int, dst *ColBlock) { *dst = *blocks[i] })
 }
 
@@ -99,18 +115,18 @@ func sameRows(got, want []Row) bool {
 // inputs it serves — ColIntF64 blocks under an aggregator that CombinesF64
 // — and then to hold want's rows, float bits included; declining, it must
 // leave dst as it was.
-func checkTypedMerge(t *testing.T, w *Scratch, refs []BlockRef, agg *Aggregator, want []Row) {
+func checkTypedMerge(t *testing.T, w *Scratch, refs Refs, agg *Aggregator, want []Row) {
 	t.Helper()
 	serves := agg.CombinesF64()
-	for _, r := range refs {
-		if r.a.kind != ColIntF64 {
+	for i := range refs.Blocks {
+		if a, _, _ := refs.block(i); a.kind != ColIntF64 {
 			serves = false
 		}
 	}
 	held := ColBlock{Kind: ColIntAny, Int: []int64{-1}, Any: []any{"held"}}
 	dst := held
 	if ok := w.MergeTypedRefs(refs, agg, &dst); ok != serves {
-		t.Fatalf("MergeTypedRefs over %d blocks reports %v, want %v", len(refs), ok, serves)
+		t.Fatalf("MergeTypedRefs over %d blocks reports %v, want %v", len(refs.Blocks), ok, serves)
 	}
 	if !serves {
 		if !reflect.DeepEqual(dst, held) {
@@ -182,7 +198,7 @@ func TestArenaMergeMatchesBoxed(t *testing.T) {
 			for reduce := 0; reduce < 3; reduce++ {
 				var boxedBlocks [][]Pair
 				var colBlocks []*ColBlock
-				var refs []BlockRef
+				var refs Refs
 				for m := 0; m < maps; m++ {
 					lo, hi := m*len(rows)/maps, (m+1)*len(rows)/maps
 					wb, err := partitionPairs(rows[lo:hi], p, agg)
@@ -195,7 +211,7 @@ func TestArenaMergeMatchesBoxed(t *testing.T) {
 						t.Fatal(err)
 					}
 					colBlocks = append(colBlocks, bucketViews(cols)[reduce])
-					refs = append(refs, bucketRefs(cols, reduce)...)
+					refs = joinRefs(refs, bucketRefs(cols, reduce))
 				}
 				want := mergeReduceBlocks(boxedBlocks, agg)
 				if got := pooled.MergeReduceRefs(refs, agg); !sameRows(got, want) {
@@ -516,14 +532,14 @@ func TestRefMergeMatchesBoxedMerge(t *testing.T) {
 				arenas = append(arenas, cols)
 			}
 			for b := 0; b < parts; b++ {
-				var refs []BlockRef
+				var refs Refs
 				var views []*ColBlock
 				var pairs [][]Pair
 				for _, cols := range arenas {
-					for _, r := range bucketRefs(cols, b) {
+					if r := bucketRefs(cols, b); len(r.Blocks) > 0 {
 						blk := new(ColBlock)
-						r.Into(blk)
-						refs, views, pairs = append(refs, r), append(views, blk), append(pairs, blk.AppendPairs(nil))
+						r.Into(0, blk)
+						refs, views, pairs = joinRefs(refs, r), append(views, blk), append(pairs, blk.AppendPairs(nil))
 						kinds[blk.Kind]++
 					}
 				}

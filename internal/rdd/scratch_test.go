@@ -28,7 +28,7 @@ func partitionOn(w *Scratch, rows []Row, p Partitioner, agg *Aggregator) (*ColBu
 	if err := w.PartitionPairsInto(rows, p, agg, cols); err != nil {
 		return nil, nil, err
 	}
-	return cols, cols.boxed, nil
+	return cols, cols.boxedBuckets(), nil
 }
 
 // Flaws a scratchCall can plant in its input or aggregator.
@@ -229,7 +229,7 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand, w *Scratch) {
 			}
 			for b := 0; b < parts; b++ {
 				refs := bucketRefs(cols, b)
-				refs = append(refs, refs...)
+				refs = joinRefs(refs, refs)
 				w.MergeReduceRefs(refs, tripped)
 				var typed ColBlock
 				w.MergeTypedRefs(refs, tripped, &typed)
@@ -239,7 +239,7 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand, w *Scratch) {
 	}
 
 	boxedBlocks := make([][][]Pair, parts)
-	colRefs := make([][]BlockRef, parts)
+	colRefs := make([]Refs, parts)
 	for m := 0; m < maps; m++ {
 		split := rows[m*len(rows)/maps : (m+1)*len(rows)/maps]
 		want, wantErr := partitionPairs(split, p, agg)
@@ -276,7 +276,7 @@ func (c scratchCall) run(t *testing.T, rng *rand.Rand, w *Scratch) {
 				t.Fatalf("%v map %d bucket %d:\n got %v\nwant %v", c, m, b, got, want[b])
 			}
 			boxedBlocks[b] = append(boxedBlocks[b], want[b])
-			colRefs[b] = append(colRefs[b], bucketRefs(cols, b)...)
+			colRefs[b] = joinRefs(colRefs[b], bucketRefs(cols, b))
 		}
 	}
 	if c.flaw == flawHetero && c.strKeys {
@@ -474,7 +474,7 @@ func TestKernelOutputsIgnoreSalt(t *testing.T) {
 				blk := new(ColBlock)
 				cols.BucketInto(b, blk)
 				refs := bucketRefs(cols, b)
-				out = append(out, fmt.Sprint(blk.AppendPairs(nil)), fmt.Sprint(pooled.MergeReduceRefs(append(refs, refs...), agg)))
+				out = append(out, fmt.Sprint(blk.AppendPairs(nil)), fmt.Sprint(pooled.MergeReduceRefs(joinRefs(refs, refs), agg)))
 			}
 		}
 		s := takeScratch(0)
@@ -509,7 +509,7 @@ func shuffleOnce(t testing.TB, rows []Row, agg *Aggregator) (*ColBlock, []Row) {
 	blk := new(ColBlock)
 	cols.BucketInto(0, blk)
 	refs := bucketRefs(cols, 0)
-	return blk, pooled.MergeReduceRefs(append(refs, refs...), agg)
+	return blk, pooled.MergeReduceRefs(joinRefs(refs, refs), agg)
 }
 
 // TestKernelOutputsDoNotAliasScratch: what call 1 emitted — the arena and
@@ -646,7 +646,7 @@ func TestKernelsConcurrently(t *testing.T) {
 				var blk ColBlock
 				cols.BucketInto(0, &blk)
 				refs := bucketRefs(cols, 0)
-				merged := pooled.MergeReduceRefs(append(refs, refs...), j.agg)
+				merged := pooled.MergeReduceRefs(joinRefs(refs, refs), j.agg)
 				if got := fmt.Sprint(blk.AppendPairs(nil)); got != j.arena {
 					t.Errorf("worker %d iteration %d: arena differs from the sequential one", w, i)
 					return
@@ -708,14 +708,14 @@ func TestOwnedScratchBypassesPools(t *testing.T) {
 		return rs
 	}
 	// refs are the reduce blocks of bucket 0 over three map tasks.
-	refs := func(in []Row, agg *Aggregator) []BlockRef {
-		var out []BlockRef
+	refs := func(in []Row, agg *Aggregator) Refs {
+		var out Refs
 		for m := 0; m < 3; m++ {
 			cols, _, err := PartitionPairsCol(in[m*len(in)/3:(m+1)*len(in)/3], NewHashPartitioner(1), agg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, bucketRefs(cols, 0)...)
+			out = joinRefs(out, bucketRefs(cols, 0))
 		}
 		return out
 	}
@@ -728,7 +728,7 @@ func TestOwnedScratchBypassesPools(t *testing.T) {
 			return arenaString(cols)
 		}
 	}
-	merge := func(blks []BlockRef, agg *Aggregator) func(*Scratch) string {
+	merge := func(blks Refs, agg *Aggregator) func(*Scratch) string {
 		return func(w *Scratch) string { return fmt.Sprint(w.MergeReduceRefs(blks, agg)) }
 	}
 	f64Rows, anyRows := rows(3000, 700, false, true), rows(3000, 700, false, false)
@@ -738,7 +738,7 @@ func TestOwnedScratchBypassesPools(t *testing.T) {
 	for i, r := range f64Rows[:300] {
 		wide[i] = Pair{K: int64(r.(Pair).K.(int)), V: r.(Pair).V}
 	}
-	mixed := append(refs(wide, sum), f64Refs...)
+	mixed := joinRefs(refs(wide, sum), f64Refs)
 	typed := &ColBlock{Kind: ColIntF64}
 	for _, r := range f64Rows {
 		typed.Int = append(typed.Int, int64(r.(Pair).K.(int)))
@@ -852,11 +852,11 @@ func TestWarmKernelsAllocateOnlyTheirOutput(t *testing.T) {
 	// number of map tasks, each writing one bucket: the refs a reduce task
 	// reads.
 	const keys = 512
-	mergeRefs := func(t *testing.T, rows func(int, int) []Row, agg *Aggregator, blocks int) []BlockRef {
+	mergeRefs := func(t *testing.T, rows func(int, int) []Row, agg *Aggregator, blocks int) Refs {
 		in := rows(2*keys, keys)
-		refs := make([]BlockRef, 0, blocks)
+		var refs Refs
 		for m := 0; m < blocks; m++ {
-			refs = append(refs, bucketRefs(arena(t, in[m*len(in)/blocks:(m+1)*len(in)/blocks], 1, agg), 0)...)
+			refs = joinRefs(refs, bucketRefs(arena(t, in[m*len(in)/blocks:(m+1)*len(in)/blocks], 1, agg), 0))
 		}
 		return refs
 	}

@@ -404,7 +404,7 @@ func TestMergeTypedColMatchesBoxedMerge(t *testing.T) {
 		t.Fatal("MergeTypedRefs merged a boxed string-keyed block")
 	}
 	reduce := ReduceAggregator(func(a, b any) any { return a.(float64) + b.(float64) })
-	if pooled.MergeTypedRefs(mixed[:1], reduce, &dst) || !reflect.DeepEqual(dst, before) {
+	if pooled.MergeTypedRefs(Refs{Arenas: mixed.Arenas, Blocks: mixed.Blocks[:1]}, reduce, &dst) || !reflect.DeepEqual(dst, before) {
 		t.Fatal("MergeTypedRefs merged under an aggregator without F64 hooks")
 	}
 }

@@ -177,18 +177,21 @@ func checkAgainstModel(t testing.TB, m *Manager, id int, md *model) {
 			t.Fatalf("reduce %d: view holds %d blocks, want the %d non-empty ones", r, view.Len(), len(nonEmpty))
 		}
 		refs := view.Refs()
-		if len(refs) != view.Len() || cap(refs) != len(refs) {
-			t.Fatalf("reduce %d: %d refs (capacity %d) for %d blocks", r, len(refs), cap(refs), view.Len())
+		if len(refs.Blocks) != view.Len() || cap(refs.Blocks) != len(refs.Blocks) {
+			t.Fatalf("reduce %d: %d refs (capacity %d) for %d blocks", r, len(refs.Blocks), cap(refs.Blocks), view.Len())
+		}
+		if len(refs.Arenas) != len(md.outs) || cap(refs.Arenas) != len(refs.Arenas) {
+			t.Fatalf("reduce %d: %d arenas (capacity %d) for %d map tasks", r, len(refs.Arenas), cap(refs.Arenas), len(md.outs))
 		}
 		for i, want := range nonEmpty {
 			var got, byRef rdd.ColBlock
 			view.BlockInto(i, &got)
-			refs[i].Into(&byRef)
+			refs.Into(i, &byRef)
 			if !reflect.DeepEqual(got.AppendPairs(nil), want.AppendPairs(nil)) {
 				t.Fatalf("reduce %d: block %d out of map-task order", r, i)
 			}
-			if !reflect.DeepEqual(byRef, got) || refs[i].Len() != want.Len() {
-				t.Fatalf("reduce %d: ref %d (%d pairs) reads %+v, BlockInto %+v", r, i, refs[i].Len(), byRef, got)
+			if !reflect.DeepEqual(byRef, got) || byRef.Len() != want.Len() {
+				t.Fatalf("reduce %d: ref %d (%d pairs) reads %+v, BlockInto %+v", r, i, byRef.Len(), byRef, got)
 			}
 		}
 		for _, agg := range []*rdd.Aggregator{nil, rdd.SumAggregator()} {

@@ -21,19 +21,28 @@
 // non-empty buckets (MapOutput's sparse form): neither a write nor the
 // transposition walks the blocks that hold nothing — they are charged from
 // counts — so a P x P job pays host time for its rows, not for P² blocks.
-// Each index entry is an rdd.BlockRef, the map task's arena and the
-// block's position in it, resolved once per write, so a read does no
-// search: the reduce kernels take a partition's refs (ReduceView.Refs) and
-// slice each block's keys and values out of its arena in place, with no
-// per-block header or callback. ReduceView.BlockInto, which writes one
-// block's ColBlock view, stays for readers that want a view; the merge
-// kernels do not call it. What still grows with the reduce count alone:
-// the locality table of each index build. Map outputs are recorded in one
-// slab per Register.
+// Each index entry is an rdd.BlockRef, 8 bytes: the map task and the
+// block's position in its arena, resolved once per write; the index holds
+// the arenas once, one pointer per map task. A read does no search: the
+// reduce kernels take a partition's refs (ReduceView.Refs) and slice each
+// block's keys and values out of its arena in place, with no per-block
+// header or callback. ReduceView.BlockInto, which writes one block's
+// ColBlock view, stays for readers that want a view; the merge kernels do
+// not call it. What still grows with the reduce count alone: the locality
+// table of each index build.
+//
+// Per map task the manager keeps one record, in one slab per Register: the
+// task's arena header copied in, its payload sizes, and its node as an
+// index into the manager's node list — 152 bytes on 64-bit targets, plus
+// the 8-byte pointer to it. An output that lists exactly its arena's
+// non-empty buckets, as the engine's do, shares the arena's list; only a
+// dense or hand-made one keeps a listing of its own.
+//
 // One invalidation rule: any PutMapOutput, Register or RetireExcept on the
-// shuffle drops its index. A built index is immutable and holds the arenas
-// themselves, never a map output's record, so readers use it outside the
-// lock and a re-put leaves a view taken before it reading the old arena.
+// shuffle drops its index. A built index is immutable and points at the
+// records' arena headers, never at the output table, so readers use it
+// outside the lock; a re-put writes a fresh record, leaving a view taken before it
+// reading the old header and arena.
 // It is a layout, not a cache of answers: the engine asks each (shuffle,
 // reduce) question once, so there is nothing to hit or evict.
 package shuffle
@@ -81,22 +90,43 @@ type NodeBytes struct {
 	Bytes int64
 }
 
+// mapOutput is the record of one map task's latest put: the arena header
+// itself, copied in, so the record is the task's one per-shuffle object.
+// 152 bytes on 64-bit targets.
 type mapOutput struct {
-	node string
-	out  MapOutput
-	// pos[i] is the arena position of listed bucket out.NonEmpty[i], -1
-	// when the arena holds no pair for it; nil when the output lists
-	// exactly the arena's buckets (position i is listed bucket i).
+	cols     rdd.ColBuckets
+	payloads []int64 // one per listed bucket
+	// listed is nil when the output lists exactly its arena's non-empty
+	// buckets, as the engine's do: listed bucket i is then arena position
+	// i. A dense or hand-made output may list others, or leave some out.
+	listed *listing
+	node   int32 // index into the Manager's nodes
+}
+
+// listing is the bucket list of an output that does not list exactly its
+// arena's non-empty buckets.
+type listing struct {
+	ids []int32 // the listed buckets, ascending
+	// pos[i] is the arena position of bucket ids[i], -1 when the arena
+	// holds no pair for it.
 	pos []int32
+}
+
+// ids returns the listed buckets, ascending.
+func (mo *mapOutput) ids() []int32 {
+	if mo.listed != nil {
+		return mo.listed.ids
+	}
+	return mo.cols.NonEmpty()
 }
 
 // block reports where listed bucket i lives — its arena position — and
 // whether it holds any pair.
 func (mo *mapOutput) block(i int) (pos int32, ok bool) {
-	if mo.pos == nil {
+	if mo.listed == nil {
 		return int32(i), true
 	}
-	return mo.pos[i], mo.pos[i] >= 0
+	return mo.listed.pos[i], mo.listed.pos[i] >= 0
 }
 
 // sparse converts a dense output to the stored form, listing every bucket
@@ -119,8 +149,10 @@ type state struct {
 	mu        sync.Mutex
 	numMaps   int
 	numReduce int
-	// outputs[i] is &recs[i] once map task i has put its output, nil
-	// before; the slab holds each task's latest put.
+	// outputs[i] is map task i's record once it has put its output, nil
+	// before: &recs[i] after its first put, a fresh record after each
+	// re-put, so an index built before a re-put keeps reading the header
+	// it was built over.
 	outputs []*mapOutput
 	recs    []mapOutput
 	// idx is the reduce-major index over outputs; nil until the first
@@ -137,6 +169,12 @@ type Manager struct {
 	overheadBytes int64
 	emptyBytes    int64
 	shuffles      map[int]*state
+	// nodes are the map nodes records name by index, in first-put order,
+	// in nodeBuf while they fit: a manager, one per engine, then costs no
+	// allocation for them. The list only grows, so a prefix read under the
+	// lock stays valid.
+	nodes   []string
+	nodeBuf [8]string
 }
 
 // NewManager creates a manager with the given per-block overheads in bytes:
@@ -145,7 +183,9 @@ type Manager struct {
 // over R >> K partitions has mostly empty blocks, so total volume grows
 // roughly linearly (not quadratically) with R — matching the paper's Fig. 4.
 func NewManager(overheadBytes, emptyBytes int64) *Manager {
-	return &Manager{overheadBytes: overheadBytes, emptyBytes: emptyBytes, shuffles: map[int]*state{}}
+	m := &Manager{overheadBytes: overheadBytes, emptyBytes: emptyBytes, shuffles: map[int]*state{}}
+	m.nodes = m.nodeBuf[:0]
+	return m
 }
 
 // BlockOverhead reports the overhead charged for a block of the given
@@ -178,7 +218,33 @@ func (m *Manager) Register(shuffleID, numMaps, numReduce int) {
 	}
 }
 
-// PutMapOutput records the output map task mapTask wrote on node. It returns
+// nodeIndex returns node's index in m.nodes, entering it on first sight.
+func (m *Manager) nodeIndex(node string) int32 {
+	m.mu.RLock()
+	i := slices.Index(m.nodes, node)
+	m.mu.RUnlock()
+	if i < 0 {
+		m.mu.Lock()
+		if i = slices.Index(m.nodes, node); i < 0 {
+			i = len(m.nodes)
+			m.nodes = append(m.nodes, node)
+		}
+		m.mu.Unlock()
+	}
+	return int32(i)
+}
+
+// nodeNames returns the node list as it stands, capacity clamped: every
+// index a stored record holds is in it.
+func (m *Manager) nodeNames() []string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return slices.Clip(m.nodes)
+}
+
+// PutMapOutput records the output map task mapTask wrote on node, copying
+// the arena header *out.Cols into the shuffle's record of the task: the
+// caller may reuse the header, not the segments it points at. It returns
 // the total bytes written (payload plus per-block overhead), the quantity
 // the metrics layer reports as shuffle write. A malformed output panics:
 // no arena, wrong bucket count, a dense table of the wrong length, sparse
@@ -212,19 +278,20 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	for _, p := range out.Payloads {
 		bytes += m.blockBytes(p)
 	}
-	mo := mapOutput{node: node, out: out}
+	mo := mapOutput{cols: *out.Cols, payloads: out.Payloads, node: m.nodeIndex(node)}
 	// Resolve arena positions once, so reads need no search: the engine
 	// lists exactly its arena's buckets; dense or hand-made outputs may
 	// list others, or leave some out.
 	if ids := out.Cols.NonEmpty(); !slices.Equal(out.NonEmpty, ids) {
-		mo.pos = make([]int32, len(out.NonEmpty))
+		l := &listing{ids: out.NonEmpty, pos: make([]int32, len(out.NonEmpty))}
 		for i, r := range out.NonEmpty {
 			p, ok := slices.BinarySearch(ids, r)
 			if !ok {
 				p = -1
 			}
-			mo.pos[i] = int32(p)
+			l.pos[i] = int32(p)
 		}
+		mo.listed = l
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -234,8 +301,16 @@ func (m *Manager) PutMapOutput(shuffleID, mapTask int, node string, out MapOutpu
 	if mapTask < 0 || mapTask >= st.numMaps {
 		panic(fmt.Sprintf("shuffle %d: map task %d out of range [0,%d)", shuffleID, mapTask, st.numMaps))
 	}
-	st.recs[mapTask] = mo
-	st.outputs[mapTask] = &st.recs[mapTask]
+	if st.outputs[mapTask] == nil {
+		st.recs[mapTask] = mo
+		st.outputs[mapTask] = &st.recs[mapTask]
+	} else {
+		// A view taken before may read the old record's header through
+		// its index: leave it as it is.
+		rec := new(mapOutput)
+		*rec = mo
+		st.outputs[mapTask] = rec
+	}
 	st.idx = nil
 	return bytes
 }
@@ -252,8 +327,10 @@ type reduceIndex struct {
 	profiles []NodeBytes
 	rows     []int32
 	width    int
-	// blocks[starts[r]:starts[r+1]] are the refs of reduce r's blocks that
-	// hold at least one pair, in map-task order.
+	// arenas holds each map task's arena header, nil for a task without
+	// output; blocks[starts[r]:starts[r+1]] are the refs into them of
+	// reduce r's blocks that hold at least one pair, in map-task order.
+	arenas []*rdd.ColBuckets
 	starts []int32
 	blocks []rdd.BlockRef
 }
@@ -266,7 +343,8 @@ type reduceIndex struct {
 func (m *Manager) buildIndex(st *state) *reduceIndex {
 	nr := st.numReduce
 	ix := &reduceIndex{missing: -1, rows: make([]int32, nr)}
-	var nodes []string
+	names := m.nodeNames()
+	var nodes []int32 // the nodes holding outputs, a handful, by name
 	listed := int32(0)
 	for i, mo := range st.outputs {
 		if mo == nil {
@@ -275,52 +353,57 @@ func (m *Manager) buildIndex(st *state) *reduceIndex {
 			}
 			continue
 		}
-		if !slices.Contains(nodes, mo.node) { // a handful of nodes
-			nodes = append(nodes, mo.node)
+		if !slices.Contains(nodes, mo.node) {
+			at := 0
+			for at < len(nodes) && names[nodes[at]] < names[mo.node] {
+				at++
+			}
+			nodes = slices.Insert(nodes, at, mo.node)
 		}
-		for _, r := range mo.out.NonEmpty {
+		for _, r := range mo.ids() {
 			if ix.rows[r] == 0 {
 				listed++
 				ix.rows[r] = listed
 			}
 		}
 	}
-	slices.Sort(nodes)
 	w := len(nodes)
 	ix.width = w
 	ix.profiles = make([]NodeBytes, (int(listed)+1)*w)
+	ix.arenas = make([]*rdd.ColBuckets, st.numMaps)
 	allEmpty := make([]int64, w) // per node: one empty block per output, per reduce
 	// A shifted counting table: reduce r's block count at next[r+2] becomes
 	// its first slot at next[r+1]; placing at next[r+1]++ leaves starts.
 	next := make([]int32, nr+2)
-	for _, mo := range st.outputs {
+	for i, mo := range st.outputs {
 		if mo == nil {
 			continue
 		}
-		n, _ := slices.BinarySearch(nodes, mo.node) // its column in every row
+		ix.arenas[i] = &mo.cols
+		n := slices.Index(nodes, mo.node) // its column in every row
 		allEmpty[n] += m.emptyBytes
-		for i, r := range mo.out.NonEmpty {
-			ix.profiles[int(ix.rows[r])*w+n].Bytes += m.blockBytes(mo.out.Payloads[i]) - m.emptyBytes
-			if _, ok := mo.block(i); ok {
+		for j, r := range mo.ids() {
+			ix.profiles[int(ix.rows[r])*w+n].Bytes += m.blockBytes(mo.payloads[j]) - m.emptyBytes
+			if _, ok := mo.block(j); ok {
 				next[r+2]++
 			}
 		}
 	}
 	for i := range ix.profiles {
 		n := i % w
-		ix.profiles[i] = NodeBytes{Node: nodes[n], Bytes: ix.profiles[i].Bytes + allEmpty[n]}
+		ix.profiles[i] = NodeBytes{Node: names[nodes[n]], Bytes: ix.profiles[i].Bytes + allEmpty[n]}
 	}
 	for r := 2; r < len(next); r++ {
 		next[r] += next[r-1]
 	}
 	ix.blocks = make([]rdd.BlockRef, next[nr+1])
-	for _, mo := range st.outputs {
+	for i, mo := range st.outputs {
 		if mo == nil {
 			continue
 		}
-		for i, r := range mo.out.NonEmpty {
-			if pos, ok := mo.block(i); ok {
-				ix.blocks[next[r+1]] = mo.out.Cols.Ref(int(pos))
+		for j, r := range mo.ids() {
+			if pos, ok := mo.block(j); ok {
+				ix.blocks[next[r+1]] = rdd.BlockRef{Map: int32(i), Pos: pos}
 				next[r+1]++
 			}
 		}
@@ -375,15 +458,18 @@ type ReduceView struct {
 func (v ReduceView) Len() int { return len(v.blocks) }
 
 // Refs returns the partition's non-empty blocks by reference, in map-task
-// order: the index's own entries (capacity clamped), shared by every
-// reader of the partition and never to be written.
-func (v ReduceView) Refs() []rdd.BlockRef { return v.blocks }
+// order, over the shuffle's arenas: the index's own tables (capacity
+// clamped), shared by every reader of the partition and never to be
+// written.
+func (v ReduceView) Refs() rdd.Refs {
+	return rdd.Refs{Arenas: slices.Clip(v.idx.arenas), Blocks: v.blocks}
+}
 
 // BlockInto writes non-empty block i's zero-copy view into dst, fully
-// overwriting it: Refs()[i].Into(dst). The merge kernels read Refs
+// overwriting it: Refs().Into(i, dst). The merge kernels read Refs
 // instead; BlockInto serves a reader that wants a ColBlock, and is the
 // get-callback shape the package-level adapter rdd.MergeReduceColN takes.
-func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) { v.blocks[i].Into(dst) }
+func (v ReduceView) BlockInto(i int, dst *rdd.ColBlock) { v.Refs().Into(i, dst) }
 
 // NodeBytes reports how many of the partition's input bytes (payload plus
 // per-block overhead, empty blocks included) live on each map node,

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"chopper/internal/rdd"
 )
@@ -240,5 +241,18 @@ func TestQuickBytesConserved(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordSize pins the manager's per-map-task record on 64-bit targets:
+// the 112-byte arena header, the payload sizes, the listing pointer and
+// the node index. (exec's TestMapStageBytesPerTask pins what a map stage
+// keeps per task in all, on every target.)
+func TestRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned size assumes 8-byte pointers")
+	}
+	if got := unsafe.Sizeof(mapOutput{}); got != 152 {
+		t.Fatalf("a map output record is %d bytes, want 152", got)
 	}
 }

@@ -5,7 +5,8 @@
 //     nodes; the scheduler queries block locations to place input tasks
 //     locally, exactly as Spark does against HDFS.
 //   - MemStore: the block-manager memory store holding persisted (cached)
-//     RDD partitions with per-node capacity and LRU eviction.
+//     RDD partitions with per-node capacity; entries are evicted in Put
+//     order (the engine reads through Peek, which leaves the order alone).
 package storage
 
 import (
@@ -196,9 +197,11 @@ type CacheEntry struct {
 	last  int64
 }
 
-// MemStore is the block-manager memory store: per-node capacity, LRU
-// eviction. Evicted partitions are recomputed on next use (lineage), so
-// eviction is lossy for time but not for correctness.
+// MemStore is the block-manager memory store: per-node capacity, entries
+// evicted in Put order — recency moves on Put (and the tests' Get), never
+// on the engine's reads through Peek. Evicted partitions are recomputed on
+// next use (lineage), so eviction is lossy for time but not for
+// correctness.
 //
 // Entries live in one dense table per (RDD, Of), indexed by split, the
 // tables sorted by (RDD, Of): a lookup is a binary search over the cached
@@ -298,8 +301,8 @@ func (t *cacheTable) drop(split int) {
 	}
 }
 
-// Put caches a partition on node, evicting least-recently-used entries on
-// that node to make room. Partitions larger than the node capacity are not
+// Put caches a partition on node, evicting entries on that node in Put
+// order, the earliest put first, to make room. Partitions larger than the node capacity are not
 // cached (Spark drops them too). It returns the evicted entries (key and
 // size) so callers can account released memory. A negative split panics.
 func (m *MemStore) Put(key CacheKey, node string, bytes int64, rows []rdd.Row) []CacheEntry {
@@ -359,7 +362,7 @@ func (m *MemStore) lruOn(node string) (table, split int, ok bool) {
 	return table, split, ok
 }
 
-// Peek returns the cached partition without touching LRU recency. The
+// Peek returns the cached partition without touching recency. The
 // engine reads the cache only through Peek, so cache access order cannot
 // perturb eviction decisions: recency is the order of Put.
 func (m *MemStore) Peek(key CacheKey) (CacheEntry, bool) {

@@ -132,6 +132,28 @@ func TestMemStoreLRUEviction(t *testing.T) {
 	}
 }
 
+// TestPeekLeavesEvictionOrder: the engine reads the cache only through
+// Peek, and a Peek does not refresh recency, so entries leave in Put order
+// however often the earlier one is read.
+func TestPeekLeavesEvictionOrder(t *testing.T) {
+	m := NewMemStore(map[string]int64{"A": 250})
+	k1, k2, k3 := CacheKey{1, 0, 4}, CacheKey{1, 1, 4}, CacheKey{1, 2, 4}
+	m.Put(k1, "A", 100, nil)
+	m.Put(k2, "A", 100, nil)
+	for range 3 {
+		if _, ok := m.Peek(k1); !ok {
+			t.Fatalf("k1 should be cached")
+		}
+	}
+	evicted := m.Put(k3, "A", 100, nil)
+	if len(evicted) != 1 || evicted[0].Key != k1 {
+		t.Fatalf("after Peeks of k1, a Put evicted %v; want k1, the first put", evicted)
+	}
+	if _, ok := m.Peek(k2); !ok {
+		t.Fatalf("k2 should survive")
+	}
+}
+
 func TestMemStoreOversizedAndUnknownNode(t *testing.T) {
 	m := NewMemStore(map[string]int64{"A": 100})
 	m.Put(CacheKey{1, 0, 4}, "A", 500, nil) // larger than capacity: not cached

@@ -67,7 +67,7 @@ func FromCollector(col *metrics.Collector, includeTasks bool) *Log {
 		if includeTasks {
 			for _, tm := range st.Tasks {
 				se.Tasks = append(se.Tasks, TaskEvent{
-					Stage: tm.StageID, Task: tm.TaskID, Node: tm.Node,
+					Stage: st.ID, Task: int(tm.TaskID), Node: col.TaskNode(&tm),
 					Start: tm.Start, End: tm.End,
 					InputBytes:        tm.InputBytes,
 					ShuffleReadLocal:  tm.ShuffleReadLocal,

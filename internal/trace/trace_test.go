@@ -13,11 +13,11 @@ func sampleCollector() *metrics.Collector {
 	col := metrics.NewCollector("demo", "spark")
 	p := cluster.DefaultCostParams()
 	col.BeginStage(0, "sigA", "map:scan", "input", 2, 0)
-	col.AddTask(metrics.TaskMetric{StageID: 0, TaskID: 0, Node: "A", Start: 0, End: 8, InputBytes: 100, Records: 5}, &p)
-	col.AddTask(metrics.TaskMetric{StageID: 0, TaskID: 1, Node: "B", Start: 0, End: 10, ShuffleWrite: 40}, &p)
+	col.AddTask(0, "A", metrics.TaskMetric{TaskID: 0, Start: 0, End: 8, InputBytes: 100, Records: 5}, &p)
+	col.AddTask(0, "B", metrics.TaskMetric{TaskID: 1, Start: 0, End: 10, ShuffleWrite: 40}, &p)
 	col.EndStage(0, 10)
 	col.BeginStage(1, "sigB", "result:reduce", "hash", 1, 10)
-	col.AddTask(metrics.TaskMetric{StageID: 1, TaskID: 0, Node: "A", Start: 10, End: 14, ShuffleReadLocal: 20, ShuffleReadRemote: 20}, &p)
+	col.AddTask(1, "A", metrics.TaskMetric{TaskID: 0, Start: 10, End: 14, ShuffleReadLocal: 20, ShuffleReadRemote: 20}, &p)
 	col.EndStage(1, 14)
 	return col
 }

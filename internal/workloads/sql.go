@@ -60,7 +60,7 @@ func (s *SQL) Run(ctx *rdd.Context, inputBytes int64) (Result, error) {
 	// the map-side combine: no order row is boxed on the engine.
 	orders := ctx.GenerateFloatPairs("ordersTable", 0, ordersBytes, func(split, total int, emit func(int, float64)) {
 		strideRows(s.Orders, split, total, func(i int) {
-			cust := zipfIndex(s.Seed, int64(i), s.Customers)
+			cust := ZipfIndex(s.Seed, int64(i), s.Customers)
 			amount := 10 + det01(s.Seed+5, int64(i))*990
 			emit(cust, amount)
 		})

@@ -125,9 +125,10 @@ func detNorm(seed, i int64) float64 {
 	return (s - 2) * math.Sqrt(3)
 }
 
-// zipfIndex draws a deterministic Zipf-like index in [0, n) with exponent
-// ~1.2: heavy head, long tail. Used for skewed SQL keys.
-func zipfIndex(seed, i int64, n int) int {
+// ZipfIndex draws a deterministic Zipf-like index in [0, n) with exponent
+// ~1.2: heavy head, long tail. SQL draws its order keys with it, and the
+// skew ablation re-derives them.
+func ZipfIndex(seed, i int64, n int) int {
 	u := det01(seed, i)
 	// Inverse-CDF approximation for P(k) ~ 1/(k+1)^1.2.
 	x := math.Pow(u, 3.5) * float64(n)
@@ -179,6 +180,3 @@ func setScale(ctx *rdd.Context, inputBytes, physBytes int64) {
 		ctx.LogicalScale = 1
 	}
 }
-
-// ZipfIndexForTest exposes the Zipf key derivation for tests.
-func ZipfIndexForTest(seed, i int64, n int) int { return zipfIndex(seed, i, n) }

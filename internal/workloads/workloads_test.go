@@ -258,7 +258,7 @@ func TestWorkloadsScaleLogicalBytes(t *testing.T) {
 
 // zipfKeyForTest mirrors the generator's key derivation.
 func zipfKeyForTest(w *workloads.SQL, i int) int {
-	return workloads.ZipfIndexForTest(w.Seed, int64(i), w.Customers)
+	return workloads.ZipfIndex(w.Seed, int64(i), w.Customers)
 }
 
 func TestPageRankEngineMatchesOracle(t *testing.T) {
